@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import linalg
 from .chirotope import Chirotope
-from .om import OrientedMatroid
+from .matroid import UnderlyingMatroid
+from .om import OrientedMatroid, is_acyclic
 from .osalg import OSAlgebra, OSElement, os_algebra_for
 from .signvec import SignVector
 
@@ -32,106 +32,24 @@ def algebra_of(om: OrientedMatroid) -> OSAlgebra:
     return os_algebra_for(om.underlying)
 
 
-class _ResidueStack:
-    """Stacked residue maps on the top reduced grade, with a left inverse.
-
-    The joint residue map is injective there, so the stacked matrix has
-    full column rank; a cached left inverse turns every canonical-form
-    solve into a matrix-vector product plus a consistency check.
-    """
-
-    def __init__(self, alg: OSAlgebra):
-        self.alg = alg
-        r = alg.rank
-        self.reduced = alg.reduced_basis(r - 1)
-        rows: list = []
-        self.blocks = []  # (atom, target algebra)
-        for a in alg.atoms:
-            target = alg.residue_algebra(a)
-            if self.reduced and target.dim(r - 2):
-                images = [target.dense(alg.residue(a, b), r - 2)
-                          for b in self.reduced]
-                rows.extend(linalg.columns_matrix(images))
-            self.blocks.append((a, target))
-        self.matrix = rows
-        self.left = linalg.left_inverse(rows) if self.reduced else []
-        if self.reduced and self.left is None:
-            raise RuntimeError(
-                "internal invariant violation: joint residue map is not "
-                "injective (suspect an invalid chirotope)")
-
-    def solve(self, targets: dict) -> list:
-        """Coefficients over the reduced basis with Res_a x = targets[a]."""
-        stacked: list = []
-        for a, target in self.blocks:
-            if self.reduced and target.dim(self.alg.rank - 2):
-                stacked.extend(target.dense(targets[a], self.alg.rank - 2))
-            elif not targets[a].is_zero:
-                raise RuntimeError("internal invariant violation: "
-                                   "inconsistent residue system")
-        if not self.reduced:
-            if any(stacked):
-                raise RuntimeError("internal invariant violation: "
-                                   "inconsistent residue system")
-            return []
-        coeffs = linalg.mat_vec(self.left, stacked)
-        if linalg.mat_vec(self.matrix, coeffs) != stacked:
-            raise RuntimeError(
-                "internal invariant violation: residue system is "
-                "inconsistent (suspect an invalid chirotope)")
-        return coeffs
-
-
-_STACKS: dict = {}
-
-
-def _stack_for(alg: OSAlgebra) -> _ResidueStack:
-    key = alg.matroid.fingerprint
-    stack = _STACKS.get(key)
-    if stack is None:
-        stack = _ResidueStack(alg)
-        _STACKS[key] = stack
-    return stack
-
-
 @lru_cache(maxsize=None)
 def _canonical_form(chi: Chirotope) -> OSElement:
-    om = oriented_matroid_for(chi)
-    alg = algebra_of(om)
     r = chi.rank
     if r == 0:
         raise ValueError("the reduced form needs rank at least 1")
-    if r == 1:
-        if not om.is_acyclic():
-            return alg.zero(0)
-        return alg.one().scale(chi.value((chi.ground[0],)))
-    if not om.is_acyclic():
+    alg = os_algebra_for(UnderlyingMatroid.from_chirotope(chi))
+    if not is_acyclic(chi):
         return alg.zero(r - 1)
-    stack = _stack_for(alg)
+    if r == 1:
+        return alg.one().scale(chi.value((chi.ground[0],)))
+    stack = alg.residue_stack
     targets = {}
-    for a, target_alg in stack.blocks:
-        atom = om.underlying.atom_of(a)
+    for a in alg.atoms:
+        atom = alg.matroid.atom_of(a)
         sub_chi = chi.contract(a, drop=atom - {a})
-        sub = _canonical_form(sub_chi)
         # recursion: Res_a x = -W(M/a, chi/a)
-        targets[a] = _transfer(sub, target_alg).scale(-1)
-    coeffs = stack.solve(targets)
-    out = alg.zero(r - 1)
-    for c, b in zip(coeffs, stack.reduced):
-        out = out + b.scale(c)
-    if not out.is_integral:
-        raise RuntimeError("internal invariant violation: canonical form "
-                           "has non-integer coordinates")
-    return out
-
-
-def _transfer(x: OSElement, target: OSAlgebra) -> OSElement:
-    """Re-key an element into an equal algebra context (same matroid)."""
-    if x.algebra is target:
-        return x
-    if x.algebra.matroid.fingerprint != target.matroid.fingerprint:
-        raise ValueError("algebra contexts differ")
-    return OSElement(target, x.grade, dict(x.terms))
+        targets[a] = _canonical_form(sub_chi).scale(-1)
+    return stack.solve(targets)
 
 
 def canonical_form_om(om: OrientedMatroid) -> OSElement:
@@ -211,7 +129,7 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
             sub_om = oriented_matroid_for(sub_chi)
             sub_tope = tope.restrict(sub_chi.ground)
             expected = canonical_form_tope(sub_om, sub_tope)
-            report[a] = (res == _transfer(expected, res.algebra).scale(-1))
+            report[a] = (res == expected.scale(-1))
         else:
             report[a] = res.is_zero
     return report

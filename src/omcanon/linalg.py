@@ -30,12 +30,6 @@ def mat_vec(mat: Matrix, vec: Vector) -> Vector:
     return [sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in mat]
 
 
-def transpose(mat: Matrix) -> Matrix:
-    if not mat:
-        return []
-    return [list(col) for col in zip(*mat)]
-
-
 def columns_matrix(cols: list[Vector]) -> Matrix:
     """Assemble a matrix whose columns are the given vectors."""
     if not cols:

@@ -1,14 +1,15 @@
 """Oriented matroids from chirotopes.
 
-All derived data (signed circuits, cocircuits, covectors, topes) is built
-eagerly at construction and never mutated; instances are safe to share
-across threads.  Sign-vector sets are closed under negation.
+Derived data (signed circuits, cocircuits, covectors, topes) is computed
+once, on first use, deterministically from the chirotope, and never
+mutated afterwards.  Sign-vector sets are closed under negation.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .chirotope import Chirotope, validate_chirotope
@@ -36,11 +37,23 @@ class OrientedMatroid:
         self.ground = chi.ground
         self.rank = chi.rank
         self.underlying = UnderlyingMatroid.from_chirotope(chi)
-        self.circuits = _circuits(chi)
-        self.cocircuits = _cocircuits(chi)
-        self.covectors = _covector_closure(self.ground, self.cocircuits)
-        self.topes = frozenset(x for x in self.covectors if x.has_full_support)
         self._faces_cache: dict = {}
+
+    @cached_property
+    def circuits(self) -> frozenset:
+        return _circuits(self.chi)
+
+    @cached_property
+    def cocircuits(self) -> frozenset:
+        return _cocircuits(self.chi)
+
+    @cached_property
+    def covectors(self) -> frozenset:
+        return _covector_closure(self.ground, self.cocircuits)
+
+    @cached_property
+    def topes(self) -> frozenset:
+        return frozenset(x for x in self.covectors if x.has_full_support)
 
     # ---- basic structure -------------------------------------------------
 
@@ -67,15 +80,7 @@ class OrientedMatroid:
         return x
 
     def is_acyclic(self) -> bool:
-        return not any(c.is_nonnegative for c in self.circuits)
-
-    def atom_is_acyclic(self, rep) -> bool:
-        """No positive circuit inside the parallel class (no antiparallel pair)."""
-        atom = self.underlying.atom_of(rep)
-        for c in self.circuits:
-            if c.support <= atom and c.is_nonnegative:
-                return False
-        return True
+        return is_acyclic(self.chi)
 
     # ---- covector machinery ----------------------------------------------
 
@@ -251,21 +256,31 @@ def _canonical_pair(vec: SignVector):
     return canon
 
 
-def _circuits(chi: Chirotope) -> frozenset:
+def _circuit_signs(chi: Chirotope):
+    """(subset, signs) for each (r+1)-subset with a nonzero circuit vector."""
     if chi.rank == 0 or len(chi.ground) <= chi.rank:
-        return frozenset()
-    out = set()
+        return
     for sub in combinations(chi.ground, chi.rank + 1):
-        values = {}
-        for i, e in enumerate(sub):
-            rest = sub[:i] + sub[i + 1:]
-            values[e] = (-1) ** i * chi.value(rest)
-        if not any(values.values()):
-            continue
-        vec = _canonical_pair(SignVector.from_map(chi.ground, values))
+        signs = [(-1) ** i * chi.value(sub[:i] + sub[i + 1:])
+                 for i in range(len(sub))]
+        if any(signs):
+            yield sub, signs
+
+
+def _circuits(chi: Chirotope) -> frozenset:
+    out = set()
+    for sub, signs in _circuit_signs(chi):
+        vec = _canonical_pair(SignVector.from_map(chi.ground,
+                                                  dict(zip(sub, signs))))
         out.add(vec)
         out.add(-vec)
     return frozenset(out)
+
+
+def is_acyclic(chi: Chirotope) -> bool:
+    """True iff no signed circuit of chi is one-signed; stops at the first."""
+    return not any(min(signs) >= 0 or max(signs) <= 0
+                   for _, signs in _circuit_signs(chi))
 
 
 def _cocircuits(chi: Chirotope) -> frozenset:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .chirotope import perm_parity_sign
@@ -351,6 +353,10 @@ class OSAlgebra:
     def reduced_dim(self, k: int) -> int:
         return len(self.reduced_basis(k))
 
+    @cached_property
+    def residue_stack(self) -> "_ResidueStack":
+        return _ResidueStack(self)
+
     def coordinates_in(self, x: OSElement, basis: list) -> list | None:
         """Exact coordinates of x in the given basis, or None if outside."""
         if not basis:
@@ -400,13 +406,72 @@ class LinearMap:
         return sol if linalg.mat_vec(self.matrix, sol) == target else None
 
 
-def straighten_randomized(alg: OSAlgebra, seq, rng) -> OSElement:
-    """Straightening with random rewrite choices (confluence testing)."""
-    seq = tuple(alg.matroid.rep_of(e) for e in seq)
-    if len(set(seq)) != len(seq):
-        return alg.zero(len(seq))
-    positions = [alg._pos[a] for a in seq]
-    sign = perm_parity_sign(positions)
-    ordered = tuple(a for _, a in sorted(zip(positions, seq)))
-    expansion = alg._straighten_with(ordered, chooser=rng.choice)
-    return OSElement(alg, len(seq), {k: sign * v for k, v in expansion.items()})
+class _ResidueStack:
+    """Stacked residue maps on the top reduced grade, with a left inverse.
+
+    The joint residue map is injective there, so the stacked matrix has
+    full column rank; a cached left inverse turns every canonical-form
+    solve into a matrix-vector product plus a consistency check.  Canonical
+    forms are integral, so the matrix is kept over int and the left inverse
+    as an int matrix `left` over one positive denominator `denom`.
+    """
+
+    def __init__(self, alg: OSAlgebra):
+        self.alg = alg
+        r = alg.rank
+        self.reduced = alg.reduced_basis(r - 1)
+        rows: list = []
+        self.blocks = []  # (atom, target algebra, whether it has rows)
+        for a in alg.atoms:
+            target = alg.residue_algebra(a)
+            has_rows = bool(self.reduced) and target.dim(r - 2) > 0
+            if has_rows:
+                images = [target.dense(alg.residue(a, b), r - 2)
+                          for b in self.reduced]
+                rows.extend(linalg.columns_matrix(images))
+            self.blocks.append((a, target, has_rows))
+        if any(x.denominator != 1 for row in rows for x in row):
+            raise RuntimeError("internal invariant violation: residue map "
+                               "has non-integer entries")
+        self.matrix = [[int(x) for x in row] for row in rows]
+        # The reduced basis in NBC coordinates, one int row per element.
+        self.basis = [[int(x) for x in alg.dense(b, r - 1)]
+                      for b in self.reduced]
+        self.left, self.denom = [], 1
+        if self.reduced:
+            left = linalg.left_inverse(rows)
+            if left is None:
+                raise RuntimeError(
+                    "internal invariant violation: joint residue map is not "
+                    "injective (suspect an invalid chirotope)")
+            self.denom = lcm(*(x.denominator for row in left for x in row))
+            self.left = [[x.numerator * (self.denom // x.denominator)
+                          for x in row] for row in left]
+
+    def solve(self, targets: dict) -> OSElement:
+        """The top-reduced-grade element x with Res_a x = targets[a]."""
+        r = self.alg.rank
+        stacked: list = []
+        for a, target, has_rows in self.blocks:
+            if has_rows:
+                stacked.extend(target.dense(targets[a], r - 2))
+            elif not targets[a].is_zero:
+                raise RuntimeError("internal invariant violation: "
+                                   "inconsistent residue system")
+        if any(v.denominator != 1 for v in stacked):
+            raise RuntimeError("internal invariant violation: residue "
+                               "targets have non-integer coordinates")
+        stacked = [int(v) for v in stacked]
+        nums = [sum(x * v for x, v in zip(row, stacked)) for row in self.left]
+        if any(n % self.denom for n in nums):
+            raise RuntimeError("internal invariant violation: canonical form "
+                               "has non-integer coordinates")
+        coeffs = [n // self.denom for n in nums]
+        if [sum(x * c for x, c in zip(row, coeffs))
+                for row in self.matrix] != stacked:
+            raise RuntimeError(
+                "internal invariant violation: residue system is "
+                "inconsistent (suspect an invalid chirotope)")
+        dense = [sum(c * row[j] for c, row in zip(coeffs, self.basis))
+                 for j in range(self.alg.dim(r - 1))]
+        return self.alg.from_dense(r - 1, dense)

@@ -83,6 +83,61 @@ def parallel_pair():
     return OrientedMatroid(Chirotope.from_map((0, 1, 2), 2, values))
 
 
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+PAPPUS_LINE = (6, 7, 8)
+
+
+def pappus_chirotope() -> Chirotope:
+    """The Pappus configuration realized exactly over the integers.
+
+    A1..A3 (elements 0-2) lie on y = 0 and B1..B3 (3-5) on y = 1, in
+    homogeneous coordinates; C1..C3 (6-8) are the meets of A_iB_j and A_jB_i
+    over the pairs (1,2), (1,3), (2,3), from cross products.  By Pappus's
+    theorem the C's are collinear.
+    """
+    a = ((0, 0, 1), (1, 0, 1), (3, 0, 1))
+    b = ((0, 1, 1), (2, 1, 1), (5, 1, 1))
+    c = [_cross(_cross(a[i], b[j]), _cross(a[j], b[i]))
+         for i, j in ((0, 1), (0, 2), (1, 2))]
+    points = list(a) + list(b) + c
+    ground = tuple(range(9))
+    return chirotope_from_matrix(RationalMatrix.from_rows(
+        ground, [[p[i] for p in points] for i in range(3)]))
+
+
+def nonpappus_chirotope() -> Chirotope:
+    """Pappus with the Pappus-line triple set from 0 to +.
+
+    No matrix over any field realizes it, since Pappus's theorem would force
+    that triple back to 0.
+    """
+    pappus = pappus_chirotope()
+    values = dict(zip(pappus.keys, pappus.signs))
+    values[PAPPUS_LINE] = 1
+    return Chirotope.from_map(tuple(range(9)), 3, values)
+
+
+@pytest.fixture(scope="session")
+def nonpappus():
+    """Non-Pappus: rank 3 on 9 elements, not realizable."""
+    return OrientedMatroid(nonpappus_chirotope())
+
+
+def uniform_r4_matrix(seed: int, n: int = 6) -> RationalMatrix:
+    """A seeded 4 x n integer matrix whose maximal minors are all nonzero."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(4)]
+        mat = RationalMatrix.from_rows(tuple(range(n)), rows)
+        if 0 not in chirotope_from_matrix(mat).signs:
+            return mat
+
+
 # ---- brute-force oracles -----------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import omcanon
 from omcanon.cli import run
 
 from conftest import PENTAGON_ROWS
@@ -212,12 +213,34 @@ def test_validate_env_off(capsys, tmp_path):
     assert code == 0 and json.loads(out)["rank"] == 2
 
 
+def run_module(*argv):
+    """`python -m omcanon ...` against the package these tests import."""
+    src = os.path.dirname(os.path.dirname(omcanon.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+    return subprocess.run([sys.executable, "-m", "omcanon", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point(line4_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "omcanon", "info", "--input", line4_path],
-        capture_output=True, text=True)
+    proc = run_module("info", "--input", line4_path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_topes"] == 8
+
+
+def test_cli_validates_beyond_ten_elements(tmp_path):
+    """The constructor validates only up to 10 elements; the CLI always."""
+    labels = [str(i) for i in range(11)]
+    table = {f"{i},{j}": "+" for i in range(11) for j in range(i + 1, 11)}
+    table["1,3"] = "-"  # breaks the three-term relation
+    path = tmp_path / "bad11.json"
+    path.write_text(json.dumps({"format": "chirotope", "rank": 2,
+                                "elements": labels, "chirotope": table}))
+    proc = run_module("info", "--input", str(path))
+    assert proc.returncode == 2
+    assert "three-term" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
 
 
 def test_verify_failure_exits_one(capsys, line4_path, monkeypatch):

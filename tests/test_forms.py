@@ -1,15 +1,17 @@
 import random
+from functools import lru_cache
 
 import pytest
 
-from omcanon import (SignVector, algebra_of, canonical_form_from_triangulation,
-                     canonical_form_om, canonical_form_tope,
-                     check_residue_axioms, chirotope_from_matrix,
-                     nonreduced_canonical_form, nonreduced_from_triangulation,
-                     oriented_matroid_for)
+from omcanon import (OrientedMatroid, SignVector, algebra_of,
+                     canonical_form_from_triangulation, canonical_form_om,
+                     canonical_form_tope, check_residue_axioms,
+                     chirotope_from_matrix, linalg, nonreduced_canonical_form,
+                     nonreduced_from_triangulation, oriented_matroid_for,
+                     os_algebra_for)
 from omcanon.forms import contracted_tope_chirotope
 
-from conftest import boolean_om, rank1_om
+from conftest import boolean_om, rank1_om, uniform_r4_matrix
 
 
 def ebasis(alg, e):
@@ -177,3 +179,93 @@ def test_random_nonacyclic_reorientations_vanish(pentagon):
         om2 = oriented_matroid_for(pentagon.chi.reorient(x))
         assert not om2.is_acyclic()
         assert canonical_form_om(om2).is_zero
+
+
+# ---- reference recursion: one OrientedMatroid per node, Fraction solves ----
+
+
+class _FractionStack:
+    """Stacked residue maps of the top reduced grade and a Fraction left
+    inverse."""
+
+    def __init__(self, alg):
+        r = alg.rank
+        self.reduced = alg.reduced_basis(r - 1)
+        self.blocks = [(a, alg.residue_algebra(a)) for a in alg.atoms]
+        rows = []
+        for a, target in self.blocks:
+            if self.reduced and target.dim(r - 2):
+                rows.extend(linalg.columns_matrix(
+                    [target.dense(alg.residue(a, b), r - 2)
+                     for b in self.reduced]))
+        self.matrix = rows
+        self.left = linalg.left_inverse(rows) if self.reduced else []
+        assert not self.reduced or self.left is not None
+
+    def solve(self, targets: dict, r: int) -> list:
+        stacked = []
+        for a, target in self.blocks:
+            if self.reduced and target.dim(r - 2):
+                stacked.extend(target.dense(targets[a], r - 2))
+            else:
+                assert targets[a].is_zero
+        if not self.reduced:
+            return []
+        coeffs = linalg.mat_vec(self.left, stacked)
+        assert linalg.mat_vec(self.matrix, coeffs) == stacked
+        return coeffs
+
+
+_FRACTION_STACKS: dict = {}
+
+
+@lru_cache(maxsize=None)
+def reference_form(chi):
+    """The reduced form of (M, chi) by the residue recursion, building a
+    full OrientedMatroid at every node."""
+    om = OrientedMatroid(chi, validate=False)
+    alg = os_algebra_for(om.underlying)
+    r = chi.rank
+    if any(c.is_nonnegative for c in om.circuits):
+        return alg.zero(r - 1)
+    if r == 1:
+        return alg.one().scale(chi.value((chi.ground[0],)))
+    stack = _FRACTION_STACKS.get(alg.matroid.fingerprint)
+    if stack is None:
+        stack = _FRACTION_STACKS[alg.matroid.fingerprint] = _FractionStack(alg)
+    targets = {}
+    for a, _ in stack.blocks:
+        atom = om.underlying.atom_of(a)
+        targets[a] = reference_form(
+            chi.contract(a, drop=atom - {a})).scale(-1)
+    out = alg.zero(r - 1)
+    for c, b in zip(stack.solve(targets, r), stack.reduced):
+        out = out + b.scale(c)
+    assert out.is_integral
+    return out
+
+
+@pytest.fixture(scope="module")
+def uniform_r4():
+    return OrientedMatroid(chirotope_from_matrix(uniform_r4_matrix(seed=3)))
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair",
+                                  "nonpappus", "uniform_r4"])
+def test_recursion_matches_reference(name, request):
+    om = request.getfixturevalue(name)
+    for t in om.sorted_topes():
+        assert canonical_form_tope(om, t) == reference_form(
+            om.chi.reorient(t))
+
+
+def test_residue_axioms_nonpappus(nonpappus):
+    """The recursion on an oriented matroid that no matrix realizes."""
+    seen = set()
+    for t in nonpappus.sorted_topes():
+        if -t in seen:
+            continue
+        seen.add(t)
+        report = check_residue_axioms(nonpappus, t)
+        assert report and all(report.values())
+    assert len(seen) == 29

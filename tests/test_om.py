@@ -1,8 +1,11 @@
 import pytest
 
-from omcanon import NotATope, OrientedMatroid, SignVector
+from omcanon import NotATope, OrientedMatroid, SignVector, validate_chirotope
+from omcanon.om import is_acyclic
+from omcanon.signvec import all_full_support_vectors
 
-from conftest import boolean_om, oracle_covectors, oracle_topes, rank1_om
+from conftest import (PAPPUS_LINE, boolean_om, oracle_covectors,
+                      oracle_topes, pappus_chirotope, rank1_om)
 
 
 def test_circuits_line4(line4):
@@ -122,6 +125,7 @@ def test_reorient_matches_fresh_construction(line4, line4_topes):
     fresh = OrientedMatroid(line4.chi.reorient(p), validate=False)
     assert fast.circuits == fresh.circuits
     assert fast.cocircuits == fresh.cocircuits
+    assert fast.covectors == fresh.covectors
     assert fast.topes == fresh.topes
     assert fast.reorient(p).chi == line4.chi  # involution
 
@@ -144,6 +148,35 @@ def test_acyclicity(line4):
     assert line4.is_acyclic()
     anti = rank1_om((1, -1))
     assert not anti.is_acyclic()
+
+
+@pytest.mark.parametrize(
+    "name", ["line4", "pentagon", "parallel_pair", "nonpappus"])
+def test_is_acyclic_matches_circuit_oracle(name, request):
+    """is_acyclic(chi) against the circuits of a full OrientedMatroid, on
+    every reorientation; the acyclic ones are exactly the topes."""
+    om = request.getfixturevalue(name)
+    acyclic = 0
+    for x in all_full_support_vectors(om.ground):
+        chi = om.chi.reorient(x)
+        expected = not any(c.is_nonnegative for c in
+                           OrientedMatroid(chi, validate=False).circuits)
+        assert is_acyclic(chi) == expected == (x in om.topes)
+        acyclic += expected
+    assert 0 < acyclic < 2 ** len(om.ground)
+
+
+def test_nonpappus_fixture(nonpappus):
+    pappus = pappus_chirotope()
+    validate_chirotope(pappus)
+    validate_chirotope(nonpappus.chi)
+    assert [k for k, s in zip(pappus.keys, pappus.signs) if s == 0] == [
+        (0, 1, 2), (0, 4, 6), (0, 5, 7), (1, 3, 6), (1, 5, 8), (2, 3, 7),
+        (2, 4, 8), (3, 4, 5), PAPPUS_LINE]
+    assert [k for k, s, t in zip(pappus.keys, pappus.signs,
+                                 nonpappus.chi.signs) if s != t] == [PAPPUS_LINE]
+    assert len(nonpappus.topes) == 58
+    assert nonpappus.underlying.beta() == 13
 
 
 def test_bounded_topes_line4(line4, line4_topes):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from omcanon import algebra_of
-from omcanon.osalg import straighten_randomized
+from omcanon.chirotope import perm_parity_sign
+from omcanon.osalg import OSElement
 
 from conftest import rank1_om
 
@@ -217,6 +218,18 @@ def test_inverse_boundary(line4):
     assert alg.inverse_boundary(alg.zero(1)).is_zero
     with pytest.raises(ValueError, match="boundary-closed"):
         alg.inverse_boundary(alg.monomial((1,)))
+
+
+def straighten_randomized(alg, seq, rng) -> OSElement:
+    """Straightening with random rewrite choices (confluence oracle)."""
+    seq = tuple(alg.matroid.rep_of(e) for e in seq)
+    if len(set(seq)) != len(seq):
+        return alg.zero(len(seq))
+    positions = [alg._pos[a] for a in seq]
+    sign = perm_parity_sign(positions)
+    ordered = tuple(a for _, a in sorted(zip(positions, seq)))
+    expansion = alg._straighten_with(ordered, chooser=rng.choice)
+    return OSElement(alg, len(seq), {k: sign * v for k, v in expansion.items()})
 
 
 def test_straightening_confluence(pentagon_inf):
