@@ -2,7 +2,9 @@
 
 Derived data (signed circuits, cocircuits, covectors, topes) is computed
 once, on first use, deterministically from the chirotope, and never
-mutated afterwards.  Sign-vector sets are closed under negation.
+mutated afterwards.  Sign-vector sets are closed under negation.  Only
+enumerating covectors or topes builds the covector closure: tope tests
+compose the conformal cocircuits, acyclicity reads the signed circuits.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ class OrientedMatroid:
         return sorted(self.topes, key=SignVector.sort_key)
 
     def is_tope(self, x: SignVector) -> bool:
-        return x in self.topes
+        """Full-support covector test by conformal cocircuit composition."""
+        return (x.ground == self.ground and x.has_full_support
+                and self.is_covector(x))
 
     def require_tope(self, x: SignVector) -> SignVector:
         if not self.is_tope(x):
@@ -96,10 +100,10 @@ class OrientedMatroid:
 
     def faces(self, tope: SignVector) -> frozenset:
         """Covectors conformal to the tope, including 0 and the tope itself."""
-        self.require_tope(tope)
         cached = self._faces_cache.get(tope)
         if cached is not None:
             return cached
+        self.require_tope(tope)
         conformal = [y for y in self.cocircuits if y.conforms_to(tope)]
         supports = {frozenset(): self.zero_vector()}
         frontier = [self.zero_vector()]
@@ -224,7 +228,7 @@ class Extension:
         out = []
         for t in self.base.topes:
             lifted = t.extend(ext_ground, fill=1)
-            if lifted not in self.om_ext.topes:
+            if not self.om_ext.is_tope(lifted):
                 continue
             if all(x.is_zero or x.value(self.label) == 1
                    for x in self.om_ext.faces(lifted)):

@@ -14,7 +14,8 @@ from itertools import combinations
 
 from . import linalg
 from .chirotope import Chirotope
-from .om import OrientedMatroid
+from .matroid import UnderlyingMatroid
+from .om import OrientedMatroid, is_acyclic
 from .signvec import SignVector, ground_positions
 
 
@@ -136,7 +137,7 @@ def acyclicity_witness(mat: RationalMatrix,
     """
     om = om or OrientedMatroid(chirotope_from_matrix(mat), validate=False)
     plus = SignVector(mat.labels, (1,) * len(mat.labels))
-    if plus not in om.topes:
+    if not om.is_acyclic():
         raise ValueError("configuration is not acyclic")
     return interior_point(mat, om, plus)
 
@@ -161,11 +162,13 @@ def placing_triangulation(mat: RationalMatrix,
 
     Returns a list of ascending bases whose cones triangulate the hull
     cone.  Different insertion orders may give different triangulations;
-    all of them evaluate to the same canonical form.
+    all of them evaluate to the same canonical form.  Acyclicity and ranks
+    come from the chirotope alone, without an oriented matroid.
     """
     chi = chirotope_from_matrix(mat)
-    om = OrientedMatroid(chi, validate=False)
-    acyclicity_witness(mat, om)
+    if not is_acyclic(chi):
+        raise ValueError("configuration is not acyclic")
+    underlying = UnderlyingMatroid.from_chirotope(chi)
     order = list(insertion_order if insertion_order is not None else mat.labels)
     if sorted(order, key=ground_positions(mat.labels).get) != list(mat.labels):
         raise ValueError("insertion order must be a permutation of the labels")
@@ -178,7 +181,7 @@ def placing_triangulation(mat: RationalMatrix,
     core: list = []
     deferred: list = []
     for e in order:
-        if len(core) < r and om.underlying.rank_of(set(core) | {e}) > len(core):
+        if len(core) < r and underlying.rank_of(set(core) | {e}) > len(core):
             core.append(e)
         else:
             deferred.append(e)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from omcanon import NotATope, OrientedMatroid, SignVector, validate_chirotope
@@ -63,6 +65,27 @@ def test_topes_pentagon_brute_force(pentagon):
 def test_covectors_match_orthogonality_oracle(line4, parallel_pair):
     assert line4.covectors == oracle_covectors(line4)
     assert parallel_pair.covectors == oracle_covectors(parallel_pair)
+
+
+@pytest.mark.parametrize(
+    "name", ["line4", "pentagon", "parallel_pair", "nonpappus"])
+def test_is_tope_matches_closure(name, request):
+    """is_tope (conformal cocircuit composition) against membership in the
+    covector closure: every full-support vector, and every sign vector of
+    the small fixtures."""
+    om = request.getfixturevalue(name)
+    vectors = list(all_full_support_vectors(om.ground))
+    if name in ("line4", "pentagon"):
+        vectors = [SignVector(om.ground, s)
+                   for s in product((-1, 0, 1), repeat=len(om.ground))]
+    for x in vectors:
+        assert om.is_tope(x) == (x in om.topes)
+    t = next(iter(om.topes))
+    assert om.is_tope(t)
+    other = tuple(reversed(om.ground))
+    assert not om.is_tope(SignVector(other, t.signs))
+    assert not om.is_tope(t.extend(om.ground + ("q",), fill=1))
+    assert not om.is_tope(SignVector((), ()))
 
 
 def test_faces_line4(line4, line4_topes):
@@ -265,7 +288,7 @@ def test_extension_generality_certified(pentagon):
 
 def test_not_a_tope_raises(line4):
     bad = SignVector(line4.ground, (1, -1, 1, -1))
-    with pytest.raises(NotATope):
+    with pytest.raises(NotATope, match=r"^\(\+,-,\+,-\) is not a tope$"):
         line4.require_tope(bad)
 
 

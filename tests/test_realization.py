@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from omcanon import (OrientedMatroid, RationalMatrix, SignVector,
                      acyclicity_witness, canonical_form_from_triangulation,
-                     canonical_form_tope, chamber_of, chirotope_from_matrix,
-                     interior_point, placing_triangulation)
+                     canonical_form_tope, chamber_of, check_residue_axioms,
+                     chirotope_from_matrix, interior_point,
+                     placing_triangulation)
+from omcanon import om as om_module
 from omcanon.realization import in_cone
+from omcanon.signvec import all_full_support_vectors, ground_positions
 
 from conftest import oracle_topes, random_arrangements
 
@@ -144,3 +148,114 @@ def test_random_arrangements_are_valid():
         validate_chirotope(chi)
         om = OrientedMatroid(chi, validate=False)
         assert om.topes == oracle_topes(om)
+
+
+@lru_cache(maxsize=1)
+def _reference_witnessed_om(mat):
+    """A fresh OrientedMatroid whose closure holds the all-plus tope, with
+    its witness point checked; None when the configuration is cyclic.
+    Memoized so the insertion orders of one matrix share the closure."""
+    om = OrientedMatroid(chirotope_from_matrix(mat), validate=False)
+    plus = SignVector(mat.labels, (1,) * len(mat.labels))
+    if plus not in om.topes:
+        return None
+    interior_point(mat, om, plus)
+    return om
+
+
+def reference_placing_triangulation(mat, insertion_order=None) -> list:
+    """The placing triangulation as it was before it read acyclicity off the
+    chirotope: acyclicity from the covector closure of an OrientedMatroid,
+    checked by an acyclicity witness."""
+    om = _reference_witnessed_om(mat)
+    if om is None:
+        raise ValueError("configuration is not acyclic")
+    chi = om.chi
+    order = list(insertion_order if insertion_order is not None else mat.labels)
+    if sorted(order, key=ground_positions(mat.labels).get) != list(mat.labels):
+        raise ValueError("insertion order must be a permutation of the labels")
+    pos = ground_positions(mat.labels)
+    r = mat.nrows
+    if r == 1:
+        return [(order[0],)]
+    core: list = []
+    deferred: list = []
+    for e in order:
+        if len(core) < r and om.underlying.rank_of(set(core) | {e}) > len(core):
+            core.append(e)
+        else:
+            deferred.append(e)
+    if len(core) < r:
+        raise ValueError("matrix is rank deficient")
+    simplices = [tuple(sorted(core, key=pos.get))]
+    for p in deferred:
+        facet_count: dict = {}
+        facet_apex: dict = {}
+        for simplex in simplices:
+            for i in range(r):
+                facet = simplex[:i] + simplex[i + 1:]
+                facet_count[facet] = facet_count.get(facet, 0) + 1
+                facet_apex[facet] = simplex[i]
+        added = False
+        for facet, count in facet_count.items():
+            if count != 1:
+                continue
+            inner = chi.value(facet + (facet_apex[facet],))
+            outer = chi.value(facet + (p,))
+            if outer == -inner and outer != 0:
+                simplices.append(tuple(sorted(facet + (p,), key=pos.get)))
+                added = True
+        if not added:
+            covered = any(all(s >= 0 for s in in_cone(chi, b, p))
+                          for b in simplices)
+            if not covered:
+                raise RuntimeError(
+                    "degenerate placing: point beyond no facet yet outside "
+                    "the hull; try another insertion order")
+    return simplices
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "pentagon_inf", "random6"])
+def test_placing_matches_reference(name, request):
+    """Every reorientation, default order plus 4 seeded insertion orders:
+    equal simplex lists, or the same exception type and message."""
+    if name == "random6":
+        mat = random_arrangements(1, seed=6, min_lines=6, max_lines=6)[0]
+    else:
+        mat = request.getfixturevalue(f"{name}_matrix")
+    rng = random.Random(3)
+    orders = [None]
+    for _ in range(4):
+        order = list(mat.labels)
+        rng.shuffle(order)
+        orders.append(order)
+    acyclic = 0
+    for x in all_full_support_vectors(mat.labels):
+        flip = mat.reorient(x)
+        for order in orders:
+            got = _outcome(placing_triangulation, flip, order)
+            assert got == _outcome(reference_placing_triangulation, flip, order)
+        acyclic += isinstance(got, list)
+    assert 0 < acyclic < 2 ** len(mat.labels)
+
+
+def test_verify_paths_build_no_covector_closure(pentagon_matrix, monkeypatch):
+    """Tope tests, forms, residue checks and placing stay closure-free."""
+    def closure(*args):
+        raise AssertionError("covector closure built")
+    monkeypatch.setattr(om_module, "_covector_closure", closure)
+    om = OrientedMatroid(chirotope_from_matrix(pentagon_matrix))
+    plus = SignVector(om.ground, (1,) * 5)
+    om.require_tope(plus)
+    canonical_form_tope(om, plus)
+    assert all(check_residue_axioms(om, plus).values())
+    assert placing_triangulation(pentagon_matrix)
+    assert "covectors" not in om.__dict__
+    assert "topes" not in om.__dict__
