@@ -8,7 +8,7 @@ repeats evaluate to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .signvec import SignVector, ground_positions
@@ -59,9 +59,19 @@ class Chirotope:
     def keys(self) -> tuple:
         return tuple(combinations(self.ground, self.rank))
 
+    @cached_property
+    def _index(self) -> dict:
+        return _key_index(self.ground, self.rank)
+
     def value(self, seq) -> int:
         """Value on an arbitrary ordered tuple (repeats give 0)."""
         seq = tuple(seq)
+        try:
+            i = self._index.get(seq)
+        except TypeError:  # unhashable labels: the general path reports them
+            i = None
+        if i is not None:  # ascending: no sort, no parity
+            return self.signs[i]
         if len(seq) != self.rank:
             raise ValueError(f"expected {self.rank} entries, got {len(seq)}")
         pos = ground_positions(self.ground)
@@ -74,7 +84,7 @@ class Chirotope:
         order = sorted(range(len(seq)), key=lambda i: positions[i])
         key = tuple(seq[i] for i in order)
         sign = perm_parity_sign(positions)
-        return sign * self.signs[_key_index(self.ground, self.rank)[key]]
+        return sign * self.signs[self._index[key]]
 
     @property
     def nonzero_keys(self) -> tuple:

@@ -17,9 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .chirotope import Chirotope
-from .matroid import UnderlyingMatroid
+from .matroid import UnderlyingMatroid, chirotope_fingerprint
 from .om import OrientedMatroid, is_acyclic
-from .osalg import OSAlgebra, OSElement, os_algebra_for
+from .osalg import _ALGEBRAS, OSAlgebra, OSElement, os_algebra_for
 from .signvec import SignVector
 
 
@@ -37,7 +37,9 @@ def _canonical_form(chi: Chirotope) -> OSElement:
     r = chi.rank
     if r == 0:
         raise ValueError("the reduced form needs rank at least 1")
-    alg = os_algebra_for(UnderlyingMatroid.from_chirotope(chi))
+    alg = _ALGEBRAS.get(chirotope_fingerprint(chi))
+    if alg is None:
+        alg = os_algebra_for(UnderlyingMatroid.from_chirotope(chi))
     if not is_acyclic(chi):
         return alg.zero(r - 1)
     if r == 1:

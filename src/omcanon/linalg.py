@@ -1,12 +1,16 @@
-"""Dense exact linear algebra over `fractions.Fraction`.
+"""Dense exact linear algebra.
 
-Pivoting is deterministic: columns are scanned left to right and the first
-row with a nonzero entry wins.  No floating point anywhere.
+Everything except `left_inverse` works over `fractions.Fraction`;
+`left_inverse` takes an int matrix and stays in int by fraction-free
+(Bareiss) elimination.  Pivoting is deterministic: columns are scanned left
+to right and the first row with a nonzero entry wins.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Vector = list
 Matrix = list  # list of rows, each a list of Fraction
@@ -118,21 +122,44 @@ def nullspace(mat: Matrix) -> list[Vector]:
     return basis
 
 
-def left_inverse(mat: Matrix) -> Matrix | None:
-    """L with L * mat = I, if mat has full column rank; otherwise None."""
+def left_inverse(mat: Matrix) -> tuple[Matrix, int] | None:
+    """(L, d) with L * mat = d * I and d > 0 for an int matrix of full column
+    rank, reduced so that gcd(L, d) = 1; None if the column rank is not full.
+
+    Fraction-free Gauss-Jordan elimination of [mat | I] (Bareiss 1968): each
+    step replaces row i by (p * row_i - m_i * row_k) / p_prev, which divides
+    exactly.  It stops after the last column of mat, so the identity block
+    is carried along but never pivoted on.
+    """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
-    aug = [list(row) + [ONE if j == i else ZERO for j in range(nrows)]
+    aug = [list(row) + [1 if j == i else 0 for j in range(nrows)]
            for i, row in enumerate(mat)]
-    R, pivots = rref(aug)
-    piv_in_mat = [p for p in pivots if p < ncols]
-    if len(piv_in_mat) < ncols:
-        return None
-    L = []
+    prev = 1
     for col in range(ncols):
-        prow = piv_in_mat.index(col)
-        L.append(R[prow][ncols:])
-    return L
+        src = next((i for i in range(col, nrows) if aug[i][col] != 0), None)
+        if src is None:
+            return None
+        aug[col], aug[src] = aug[src], aug[col]
+        pivot_row = aug[col]
+        piv = pivot_row[col]
+        for i in range(nrows):
+            if i == col:
+                continue
+            row = aug[i]
+            f = row[col]
+            if f:
+                aug[i] = [(piv * a - f * b) // prev
+                          for a, b in zip(row, pivot_row)]
+            elif piv != prev:
+                aug[i] = [piv * a // prev for a in row]
+        prev = piv
+    left = [row[ncols:] for row in aug[:ncols]]
+    denom = prev
+    g = gcd(denom, *(x for row in left for x in row))
+    if denom < 0:
+        g = -g
+    return [[x // g for x in row] for row in left], denom // g
 
 
 def greedy_independent(vectors: list[Vector]) -> list[int]:

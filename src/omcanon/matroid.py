@@ -15,6 +15,16 @@ from .chirotope import Chirotope
 from .signvec import ground_positions
 
 
+def basis_fingerprint(ground, bases) -> tuple:
+    """The key identifying a matroid: its ground tuple and set of bases."""
+    return (tuple(ground), frozenset(frozenset(b) for b in bases))
+
+
+def chirotope_fingerprint(chi: Chirotope) -> tuple:
+    """The fingerprint of chi's underlying matroid, without building it."""
+    return basis_fingerprint(chi.ground, chi.nonzero_keys)
+
+
 class UnderlyingMatroid:
     def __init__(self, ground: tuple, bases: frozenset):
         self.ground = tuple(ground)
@@ -40,7 +50,7 @@ class UnderlyingMatroid:
 
     @property
     def fingerprint(self) -> tuple:
-        return (self.ground, self.bases)
+        return basis_fingerprint(self.ground, self.bases)
 
     # ---- rank oracle and derived notions -------------------------------
 

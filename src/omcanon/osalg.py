@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from . import linalg
 from .chirotope import perm_parity_sign
@@ -439,14 +438,12 @@ class _ResidueStack:
                       for b in self.reduced]
         self.left, self.denom = [], 1
         if self.reduced:
-            left = linalg.left_inverse(rows)
-            if left is None:
+            inverse = linalg.left_inverse(self.matrix)
+            if inverse is None:
                 raise RuntimeError(
                     "internal invariant violation: joint residue map is not "
                     "injective (suspect an invalid chirotope)")
-            self.denom = lcm(*(x.denominator for row in left for x in row))
-            self.left = [[x.numerator * (self.denom // x.denominator)
-                          for x in row] for row in left]
+            self.left, self.denom = inverse
 
     def solve(self, targets: dict) -> OSElement:
         """The top-reduced-grade element x with Res_a x = targets[a]."""

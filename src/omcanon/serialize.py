@@ -26,6 +26,10 @@ class InputError(ValueError):
     pass
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def rational_to_str(x: Fraction) -> str:
     return str(Fraction(x))
 
@@ -67,10 +71,13 @@ def parse_input(doc: dict) -> ParsedInput:
     if fmt not in ("chirotope", "matrix"):
         raise InputError('format must be "chirotope" or "matrix"')
     labels = doc.get("elements")
-    if (not isinstance(labels, list) or not labels
+    if isinstance(labels, list) and all(isinstance(e, str) or _is_int(e)
+                                        for e in labels):
+        labels = tuple(str(e) for e in labels)  # unique after coercion
+    if (not isinstance(labels, tuple) or not labels
             or len(set(labels)) != len(labels)):
-        raise InputError("elements must be a non-empty list of unique labels")
-    labels = tuple(str(e) for e in labels)
+        raise InputError("elements must be a non-empty list of unique "
+                         "string or integer labels")
     if ("chirotope" in doc) == ("matrix" in doc):
         raise InputError("exactly one of chirotope/matrix must be present")
 
@@ -83,18 +90,20 @@ def parse_input(doc: dict) -> ParsedInput:
             if not isinstance(row, list) or len(row) != len(labels):
                 raise InputError(f"matrix row {i} must list one entry per element")
             parsed_rows.append([rational_from_str(x) for x in row])
+        rank = doc.get("rank", len(rows))
+        if not _is_int(rank) or rank < 1:
+            raise InputError("rank must be a positive integer")
+        if rank != len(rows):
+            raise InputError(f"rank {rank} does not match {len(rows)} matrix rows")
         mat = RationalMatrix.from_rows(labels, parsed_rows)
         try:
             chi = chirotope_from_matrix(mat)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        rank = doc.get("rank", mat.nrows)
-        if rank != mat.nrows:
-            raise InputError(f"rank {rank} does not match {mat.nrows} matrix rows")
         return ParsedInput(labels, mat.nrows, chi, mat)
 
     rank = doc.get("rank")
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise InputError("rank must be a positive integer")
     table = doc.get("chirotope")
     if not isinstance(table, dict):

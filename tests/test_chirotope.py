@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 
 from omcanon import Chirotope, InvalidChirotope, SignVector, validate_chirotope
-from omcanon.chirotope import chirotope_diagnostic
+from omcanon.chirotope import _key_index, chirotope_diagnostic, perm_parity_sign
+from omcanon.signvec import ground_positions
 
 from conftest import boolean_om, cyclic_line_chirotope
 
@@ -99,3 +102,43 @@ def test_delete_contract_commute():
 
 def test_boolean_validates():
     validate_chirotope(boolean_om(3).chi)
+
+
+def reference_value(chi: Chirotope, seq) -> int:
+    """`Chirotope.value` before its ascending-key fast path."""
+    seq = tuple(seq)
+    if len(seq) != chi.rank:
+        raise ValueError(f"expected {chi.rank} entries, got {len(seq)}")
+    pos = ground_positions(chi.ground)
+    try:
+        positions = [pos[e] for e in seq]
+    except KeyError as exc:
+        raise ValueError(f"unknown element label {exc.args[0]!r}") from None
+    if len(set(positions)) != len(positions):
+        return 0
+    order = sorted(range(len(seq)), key=lambda i: positions[i])
+    key = tuple(seq[i] for i in order)
+    return perm_parity_sign(positions) * chi.signs[
+        _key_index(chi.ground, chi.rank)[key]]
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "nonpappus"])
+def test_value_matches_reference(name, request):
+    chi = request.getfixturevalue(name).chi
+    for seq in product(chi.ground, repeat=chi.rank):
+        assert chi.value(seq) == reference_value(chi, seq)
+        assert chi.value(list(seq)) == reference_value(chi, seq)
+    g = chi.ground
+    bad = [g[:chi.rank - 1], g[:chi.rank] + g[:1], (),
+           ("no such label",) + g[1:chi.rank], g[:chi.rank - 1] + (None,)]
+    for seq in bad:
+        message = _raised(reference_value, chi, seq)
+        assert message is not None and _raised(chi.value, seq) == message

@@ -255,3 +255,28 @@ def test_verify_failure_exits_one(capsys, line4_path, monkeypatch):
     doc = json.loads(out)
     assert doc["passed"] is False
     assert any(not c["passed"] for c in doc["checks"])
+
+
+def _with(doc, **changes):
+    return dict(doc, **changes)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_with(line4_doc(), elements=[0, "0", 2, 3]), "unique"),
+    (_with(line4_doc(), elements=["0", ["1"], "2", "3"]), "labels"),
+    (_with(line4_doc(), elements=[0, 1, 2, True]), "labels"),
+    (_with(line4_doc(), rank=True), "rank must be a positive integer"),
+    (_with(pentagon_doc(), rank=True), "rank must be a positive integer"),
+    (_with(pentagon_doc(), rank=2), "rank 2 does not match 3 matrix rows"),
+    (_with(pentagon_doc(), rank=4,
+           matrix=[["0"] + [str(x) for x in row[1:]] for row in PENTAGON_ROWS]),
+     "rank 4 does not match 3 matrix rows"),
+], ids=["int_and_str_label", "list_label", "bool_label", "bool_rank",
+        "bool_rank_matrix", "rank_below_rows", "rank_above_rows_zero_column"])
+def test_malformed_documents_exit_two(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "info", "--input", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err

@@ -9,7 +9,10 @@ from omcanon import (OrientedMatroid, SignVector, algebra_of,
                      chirotope_from_matrix, linalg, nonreduced_canonical_form,
                      nonreduced_from_triangulation, oriented_matroid_for,
                      os_algebra_for)
+from omcanon import forms
+from omcanon.chirotope import Chirotope
 from omcanon.forms import contracted_tope_chirotope
+from omcanon.matroid import UnderlyingMatroid
 
 from conftest import boolean_om, rank1_om, uniform_r4_matrix
 
@@ -185,7 +188,8 @@ def test_random_nonacyclic_reorientations_vanish(pentagon):
 
 
 class _FractionStack:
-    """Stacked residue maps of the top reduced grade and a Fraction left
+    """Stacked residue maps of the top reduced grade, solved node by node
+    with `Fraction` Gauss-Jordan (`linalg.solve`), not the library's left
     inverse."""
 
     def __init__(self, alg):
@@ -199,8 +203,6 @@ class _FractionStack:
                     [target.dense(alg.residue(a, b), r - 2)
                      for b in self.reduced]))
         self.matrix = rows
-        self.left = linalg.left_inverse(rows) if self.reduced else []
-        assert not self.reduced or self.left is not None
 
     def solve(self, targets: dict, r: int) -> list:
         stacked = []
@@ -211,7 +213,8 @@ class _FractionStack:
                 assert targets[a].is_zero
         if not self.reduced:
             return []
-        coeffs = linalg.mat_vec(self.left, stacked)
+        coeffs = linalg.solve(self.matrix, stacked)
+        assert coeffs is not None
         assert linalg.mat_vec(self.matrix, coeffs) == stacked
         return coeffs
 
@@ -259,6 +262,32 @@ def test_recursion_matches_reference(name, request):
             om.chi.reorient(t))
 
 
+def _contraction_algebras(alg) -> dict:
+    """The algebra and every algebra reached from it by atom contractions,
+    keyed by id."""
+    out = {id(alg): alg}
+    if alg.rank > 1:
+        for a in alg.atoms:
+            out.update(_contraction_algebras(alg.residue_algebra(a)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair",
+                                  "nonpappus"])
+def test_residue_stack_left_inverse(name, request):
+    """Every stack the recursion solves with has left * matrix = denom * I."""
+    om = request.getfixturevalue(name)
+    algebras = _contraction_algebras(algebra_of(om)).values()
+    stacks = [alg.residue_stack for alg in algebras if alg.rank >= 2]
+    assert stacks
+    for stack in stacks:
+        n = len(stack.reduced)
+        assert stack.denom > 0
+        assert [[sum(x * row[j] for x, row in zip(lrow, stack.matrix))
+                 for j in range(n)] for lrow in stack.left] == [
+            [stack.denom if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def test_residue_axioms_nonpappus(nonpappus):
     """The recursion on an oriented matroid that no matrix realizes."""
     seen = set()
@@ -269,3 +298,28 @@ def test_residue_axioms_nonpappus(nonpappus):
         report = check_residue_axioms(nonpappus, t)
         assert report and all(report.values())
     assert len(seen) == 29
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair",
+                                  "nonpappus"])
+def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
+    """Once a chirotope's algebras are cached, a fresh chirotope with the
+    same underlying matroids finds them by fingerprint alone."""
+    chi = request.getfixturevalue(name).chi
+    first = forms._canonical_form(chi)
+    builds = []
+    init = UnderlyingMatroid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UnderlyingMatroid, "__init__", counting_init)
+    UnderlyingMatroid.from_chirotope(chi)
+    assert len(builds) == 1  # the counter sees builds
+    builds.clear()
+    fresh = Chirotope(chi.ground, chi.rank, chi.signs)
+    # __wrapped__ skips the memo for the top node, so its lookup runs
+    assert forms._canonical_form.__wrapped__(fresh) == first
+    assert forms._canonical_form.__wrapped__(chi.scale(-1)) == first.scale(-1)
+    assert builds == []

@@ -1,4 +1,8 @@
+import random
 from fractions import Fraction
+from math import gcd
+
+import pytest
 
 from omcanon import linalg
 
@@ -39,12 +43,54 @@ def test_nullspace():
     assert linalg.mat_vec(mat, basis[0]) == [F(0), F(0)]
 
 
+def _is_scaled_left_inverse(left, denom, mat) -> bool:
+    ncols = len(mat[0])
+    return [[sum(x * row[j] for x, row in zip(lrow, mat)) for j in range(ncols)]
+            for lrow in left] == [[denom if i == j else 0 for j in range(ncols)]
+                                  for i in range(ncols)]
+
+
 def test_left_inverse():
-    mat = [[F(1), F(0)], [F(1), F(1)], [F(0), F(2)]]
-    L = linalg.left_inverse(mat)
-    prod = [linalg.mat_vec(L, [row[j] for row in mat]) for j in range(2)]
-    assert prod[0] == [F(1), F(0)] and prod[1] == [F(0), F(1)]
-    assert linalg.left_inverse([[F(1), F(2)], [F(2), F(4)]]) is None
+    mat = [[1, 0], [1, 1], [0, 2]]
+    left, denom = linalg.left_inverse(mat)
+    assert denom > 0 and _is_scaled_left_inverse(left, denom, mat)
+    assert linalg.left_inverse([[1, 2], [2, 4]]) is None
+    assert linalg.left_inverse([[2, 0], [0, 4]]) == ([[2, 0], [0, 1]], 4)
+
+
+def _random_int_matrix(rng, kind):
+    nrows, ncols = {"tall": (7, 3), "square": (4, 4), "zero_rows": (6, 3),
+                    "deficient": (6, 4), "large": (5, 3)}[kind]
+    bound = 10 ** 30 if kind == "large" else 6
+    mat = [[rng.randint(-bound, bound) for _ in range(ncols)]
+           for _ in range(nrows)]
+    if kind == "zero_rows":
+        for i in rng.sample(range(nrows), 3):
+            mat[i] = [0] * ncols
+    if kind == "deficient":  # last column a combination of the others
+        for row in mat:
+            row[-1] = 2 * row[0] - 3 * row[1]
+    return mat
+
+
+@pytest.mark.parametrize("kind", ["tall", "square", "zero_rows", "deficient",
+                                  "large"])
+def test_left_inverse_contract(kind):
+    """Full column rank gives a gcd-reduced (L, d) with L * mat = d * I and
+    d > 0; anything else gives None."""
+    rng = random.Random(kind)
+    for _ in range(40):
+        mat = _random_int_matrix(rng, kind)
+        full = linalg.rank([[F(x) for x in row] for row in mat]) == len(mat[0])
+        result = linalg.left_inverse(mat)
+        if not full:
+            assert result is None
+            continue
+        left, denom = result
+        assert denom > 0
+        assert gcd(denom, *(x for row in left for x in row)) == 1
+        assert _is_scaled_left_inverse(left, denom, mat)
+        assert all(type(x) is int for row in left for x in row)
 
 
 def test_greedy_independent_prefers_earlier():

@@ -1,7 +1,10 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from omcanon import UnderlyingMatroid, tutte_eval
+from omcanon.matroid import chirotope_fingerprint
 
 from conftest import boolean_om, cyclic_line_chirotope, rank1_om
 
@@ -105,3 +108,18 @@ def test_minor_consistency_with_chirotope(line4):
     by_chi = UnderlyingMatroid.from_chirotope(chi.contract(0))
     by_matroid = line4.underlying.contract_atom(0)
     assert by_chi.fingerprint == by_matroid.fingerprint
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
+                                  "parallel_pair", "nonpappus", "rank1",
+                                  "rank1_parallel", "boolean3"])
+def test_chirotope_fingerprint_matches_matroid(name, request):
+    om = {"rank1": lambda: rank1_om(),
+          "rank1_parallel": lambda: rank1_om((1, -1, 1)),
+          "boolean3": lambda: boolean_om(3)}.get(
+        name, lambda: request.getfixturevalue(name))()
+    contractions = [om.chi.contract(a, drop=om.underlying.atom_of(a) - {a})
+                    for a in om.atom_reps]  # rank 0 below the rank-1 cases
+    for chi in [om.chi] + contractions:
+        assert (chirotope_fingerprint(chi)
+                == UnderlyingMatroid.from_chirotope(chi).fingerprint)
