@@ -111,12 +111,20 @@ class Chirotope:
         drop lists further elements removed from the ground set (loops of
         the contraction, i.e. the rest of the contracted parallel class).
         """
+        if element not in self.ground:
+            raise ValueError(f"unknown element label {element!r}")
         removed = {element, *drop}
         new_ground = tuple(e for e in self.ground if e not in removed)
         new_rank = self.rank - 1
         values = {}
-        for key in combinations(new_ground, new_rank):
-            values[key] = self.value(key + (element,))
+        # The index holds the ascending keys in table order.  Moving the
+        # element from position i to the end takes new_rank - i swaps.
+        for key, s in zip(self._index, self.signs):
+            if s and element in key:
+                i = key.index(element)
+                rest = key[:i] + key[i + 1:]
+                if removed.isdisjoint(rest):
+                    values[rest] = -s if (new_rank - i) % 2 else s
         return Chirotope.from_map(new_ground, new_rank, values)
 
     def delete(self, element) -> "Chirotope":
@@ -138,18 +146,22 @@ def validate_chirotope(chi: Chirotope) -> None:
         if chi.signs[0] == 0:
             raise InvalidChirotope("identically zero")
         return
-    nonzero = [set(k) for k in chi.nonzero_keys]
+    keys = chi.nonzero_keys
+    nonzero = [set(k) for k in keys]
     if not nonzero:
         raise InvalidChirotope("identically zero")
     for e in chi.ground:
         if not any(e in b for b in nonzero):
             raise InvalidChirotope(f"loop: {e}")
-    for b1 in nonzero:
-        for b2 in nonzero:
-            for x in b1 - b2:
+    pos = ground_positions(chi.ground)
+    # Differences are walked in ground order (keys are ascending), so the
+    # diagnostic does not depend on the hash seed.
+    for k1, b1 in zip(keys, nonzero):
+        for k2, b2 in zip(keys, nonzero):
+            for x in (e for e in k1 if e not in b2):
                 if not any(chi.value(tuple(sorted((b1 - {x}) | {y},
-                                                  key=ground_positions(chi.ground).get))) != 0
-                           for y in b2 - b1):
+                                                  key=pos.get))) != 0
+                           for y in k2 if y not in b1):
                     raise InvalidChirotope(
                         f"basis exchange fails for {tuple(sorted(b1))} / "
                         f"{tuple(sorted(b2))} at {x}")

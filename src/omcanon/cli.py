@@ -20,7 +20,7 @@ from .forms import (algebra_of, canonical_form_from_triangulation,
                     canonical_form_tope, check_residue_axioms,
                     nonreduced_canonical_form)
 from .om import NotATope, OrientedMatroid
-from .realization import placing_triangulation
+from .realization import _placing
 
 
 def _load(path: str) -> tuple:
@@ -180,11 +180,10 @@ def _suite_triangulation(parsed, om, seed, checks):
 
     for tope in topes:
         def run(t=tope):
-            mat = parsed.matrix.reorient(t)
             chi = om.chi.reorient(t)
             expected = canonical_form_tope(om, t)
             for order in orders():
-                tri = placing_triangulation(mat, order)
+                tri = _placing(chi, order)
                 value = canonical_form_from_triangulation(chi, tri)
                 if value != expected:
                     raise AssertionError(f"insertion order {order} disagrees")

@@ -1,19 +1,21 @@
-"""Dense exact linear algebra.
+"""Dense exact linear algebra on one fraction-free elimination kernel.
 
-Everything except `left_inverse` works over `fractions.Fraction`;
-`left_inverse` takes an int matrix and stays in int by fraction-free
-(Bareiss) elimination.  Pivoting is deterministic: columns are scanned left
-to right and the first row with a nonzero entry wins.  No floating point
-anywhere.
+Every routine is a view of `_eliminate`: Gauss-Jordan elimination over
+Python ints in which each update (p * row_i - m_i * row_k) // p_prev divides
+exactly (Bareiss 1968).  Rational input enters through `_int_rows`, which
+clears each row's denominators, and `Fraction` appears again only in the
+results of `rref`, `det`, `solve` and `nullspace`.  Pivoting is
+deterministic: columns are scanned left to right and the first row with a
+nonzero entry wins.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = list
-Matrix = list  # list of rows, each a list of Fraction
+Matrix = list  # list of rows, each a list of int or Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -42,59 +44,81 @@ def columns_matrix(cols: list[Vector]) -> Matrix:
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    R = [list(row) for row in mat]
-    nrows = len(R)
-    ncols = len(R[0]) if nrows else 0
+def _int_rows(mat: Matrix) -> tuple[list[list[int]], int]:
+    """The rows of an int or Fraction matrix, each scaled by the lcm of its
+    entries' denominators, and the product of those multipliers."""
+    rows = []
+    scale = 1
+    for row in mat:
+        m = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    return rows, scale
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of int rows, in place, on the
+    first ncols columns; later columns are carried along but never pivoted on.
+
+    Returns (pivot columns, final pivot d, sign of the row swaps).  Afterwards
+    the first len(pivots) rows divided by d are the reduced row echelon form
+    and the remaining rows are zero in the first ncols columns.
+    """
+    nrows = len(rows)
     pivots: list[int] = []
-    prow = 0
+    prev = 1
+    sign = 1
     for col in range(ncols):
-        if prow >= nrows:
-            break
-        src = next((i for i in range(prow, nrows) if R[i][col] != 0), None)
+        k = len(pivots)
+        src = next((i for i in range(k, nrows) if rows[i][col]), None)
         if src is None:
             continue
-        R[prow], R[src] = R[src], R[prow]
-        inv = ONE / R[prow][col]
-        R[prow] = [x * inv for x in R[prow]]
+        if src != k:
+            rows[k], rows[src] = rows[src], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        piv = pivot_row[col]
         for i in range(nrows):
-            if i != prow and R[i][col] != 0:
-                f = R[i][col]
-                R[i] = [a - f * b for a, b in zip(R[i], R[prow])]
+            if i == k:
+                continue
+            row = rows[i]
+            f = row[col]
+            if f:
+                rows[i] = [(piv * a - f * b) // prev
+                           for a, b in zip(row, pivot_row)]
+            elif piv != prev:
+                rows[i] = [piv * a // prev for a in row]
+        prev = piv
         pivots.append(col)
-        prow += 1
-    return R, pivots
+    return pivots, prev, sign
+
+
+def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices)."""
+    rows, _ = _int_rows(mat)
+    pivots, d, _ = _eliminate(rows, len(rows[0]) if rows else 0)
+    return [[Fraction(x, d) for x in row] for row in rows], pivots
 
 
 def rank(mat: Matrix) -> int:
-    if not mat or not mat[0]:
-        return 0
-    return len(rref(mat)[1])
+    rows, _ = _int_rows(mat)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def det(mat: Matrix) -> Fraction:
     n = len(mat)
-    A = [list(row) for row in mat]
-    result = ONE
-    for col in range(n):
-        src = next((i for i in range(col, n) if A[i][col] != 0), None)
-        if src is None:
-            return ZERO
-        if src != col:
-            A[col], A[src] = A[src], A[col]
-            result = -result
-        result *= A[col][col]
-        inv = ONE / A[col][col]
-        for i in range(col + 1, n):
-            if A[i][col] != 0:
-                f = A[i][col] * inv
-                A[i] = [a - f * b for a, b in zip(A[i], A[col])]
-    return result
+    rows, scale = _int_rows(mat)
+    pivots, d, sign = _eliminate(rows, n)
+    if len(pivots) < n:
+        return ZERO
+    return Fraction(sign * d, scale)
 
 
 def solve(mat: Matrix, target: Vector) -> Vector | None:
-    """A particular solution of mat * x = target (free variables 0), or None."""
+    """A particular solution of mat * x = target (free variables 0), or None.
+
+    The solution is checked by substitution before it is returned.
+    """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     aug = [list(row) + [target[i]] for i, row in enumerate(mat)]
@@ -104,7 +128,7 @@ def solve(mat: Matrix, target: Vector) -> Vector | None:
     x = [ZERO] * ncols
     for prow, col in enumerate(pivots):
         x[col] = R[prow][ncols]
-    return x
+    return x if mat_vec(mat, x) == target else None
 
 
 def nullspace(mat: Matrix) -> list[Vector]:
@@ -126,36 +150,17 @@ def left_inverse(mat: Matrix) -> tuple[Matrix, int] | None:
     """(L, d) with L * mat = d * I and d > 0 for an int matrix of full column
     rank, reduced so that gcd(L, d) = 1; None if the column rank is not full.
 
-    Fraction-free Gauss-Jordan elimination of [mat | I] (Bareiss 1968): each
-    step replaces row i by (p * row_i - m_i * row_k) / p_prev, which divides
-    exactly.  It stops after the last column of mat, so the identity block
-    is carried along but never pivoted on.
+    `_eliminate` runs on [mat | I] and stops after the last column of mat, so
+    the identity block is carried along but never pivoted on.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     aug = [list(row) + [1 if j == i else 0 for j in range(nrows)]
            for i, row in enumerate(mat)]
-    prev = 1
-    for col in range(ncols):
-        src = next((i for i in range(col, nrows) if aug[i][col] != 0), None)
-        if src is None:
-            return None
-        aug[col], aug[src] = aug[src], aug[col]
-        pivot_row = aug[col]
-        piv = pivot_row[col]
-        for i in range(nrows):
-            if i == col:
-                continue
-            row = aug[i]
-            f = row[col]
-            if f:
-                aug[i] = [(piv * a - f * b) // prev
-                          for a, b in zip(row, pivot_row)]
-            elif piv != prev:
-                aug[i] = [piv * a // prev for a in row]
-        prev = piv
+    pivots, denom, _ = _eliminate(aug, ncols)
+    if len(pivots) < ncols:
+        return None
     left = [row[ncols:] for row in aug[:ncols]]
-    denom = prev
     g = gcd(denom, *(x for row in left for x in row))
     if denom < 0:
         g = -g
@@ -163,21 +168,7 @@ def left_inverse(mat: Matrix) -> tuple[Matrix, int] | None:
 
 
 def greedy_independent(vectors: list[Vector]) -> list[int]:
-    """Indices of a maximal linearly independent subset, earliest-first."""
-    reducers: list[Vector] = []  # rows with normalized leading pivots
-    pivots: list[int] = []
-    chosen: list[int] = []
-    for idx, vec in enumerate(vectors):
-        v = list(vec)
-        for row, p in zip(reducers, pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        lead = next((j for j, a in enumerate(v) if a != 0), None)
-        if lead is None:
-            continue
-        inv = ONE / v[lead]
-        reducers.append([a * inv for a in v])
-        pivots.append(lead)
-        chosen.append(idx)
-    return chosen
+    """Indices of a maximal linearly independent subset, earliest-first:
+    the pivot columns of the matrix with the vectors as columns."""
+    rows, _ = _int_rows(columns_matrix(vectors))
+    return _eliminate(rows, len(vectors))[0]

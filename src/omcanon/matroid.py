@@ -8,8 +8,8 @@ entirely on atom representatives.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .chirotope import Chirotope
 from .signvec import ground_positions
@@ -216,7 +216,7 @@ class UnderlyingMatroid:
                 continue
             # contribute c * (1-t)^i, then global (-1)^r
             for k in range(i + 1):
-                coeffs[k] += c * _binom(i, k) * (-1) ** k
+                coeffs[k] += c * comb(i, k) * (-1) ** k
         sign = (-1) ** r
         return [sign * c for c in coeffs]
 
@@ -242,16 +242,6 @@ class _RankZeroMatroid(UnderlyingMatroid):
 
 def _rank_zero(ground: tuple) -> UnderlyingMatroid:
     return _RankZeroMatroid(ground)
-
-
-@lru_cache(maxsize=None)
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def _poly_add(p: dict, q: dict) -> dict:

@@ -362,12 +362,7 @@ class OSAlgebra:
             return [] if x.is_zero else None
         grade = basis[0].grade
         mat = linalg.columns_matrix([self.dense(b, grade) for b in basis])
-        target = self.dense(x, grade)
-        sol = linalg.solve(mat, target)
-        if sol is None:
-            return None
-        check = linalg.mat_vec(mat, sol)
-        return sol if check == target else None
+        return linalg.solve(mat, self.dense(x, grade))
 
     def inverse_boundary(self, y: OSElement) -> OSElement:
         """The unique top-grade element whose boundary is y."""
@@ -399,10 +394,7 @@ class LinearMap:
     def solve(self, target: list) -> list | None:
         if not self.matrix:
             return [] if not any(target) else None
-        sol = linalg.solve(self.matrix, target)
-        if sol is None:
-            return None
-        return sol if linalg.mat_vec(self.matrix, sol) == target else None
+        return linalg.solve(self.matrix, target)
 
 
 class _ResidueStack:

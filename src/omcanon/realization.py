@@ -165,15 +165,19 @@ def placing_triangulation(mat: RationalMatrix,
     all of them evaluate to the same canonical form.  Acyclicity and ranks
     come from the chirotope alone, without an oriented matroid.
     """
-    chi = chirotope_from_matrix(mat)
+    return _placing(chirotope_from_matrix(mat), insertion_order)
+
+
+def _placing(chi: Chirotope, insertion_order=None) -> list:
+    """`placing_triangulation` on the chirotope of the configuration."""
     if not is_acyclic(chi):
         raise ValueError("configuration is not acyclic")
     underlying = UnderlyingMatroid.from_chirotope(chi)
-    order = list(insertion_order if insertion_order is not None else mat.labels)
-    if sorted(order, key=ground_positions(mat.labels).get) != list(mat.labels):
+    order = list(insertion_order if insertion_order is not None else chi.ground)
+    pos = ground_positions(chi.ground)
+    if sorted(order, key=pos.get) != list(chi.ground):
         raise ValueError("insertion order must be a permutation of the labels")
-    pos = ground_positions(mat.labels)
-    r = mat.nrows
+    r = chi.rank
 
     if r == 1:
         return [(order[0],)]

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -79,6 +79,31 @@ def test_contract_to_rank_zero():
     sub = chi.contract(0)
     assert sub.rank == 0 and sub.ground == ()
     assert sub.value(()) == 1
+
+
+def reference_contract(chi: Chirotope, element, drop=()) -> Chirotope:
+    """`Chirotope.contract` before it read the parent's ascending keys."""
+    removed = {element, *drop}
+    new_ground = tuple(e for e in chi.ground if e not in removed)
+    values = {key: chi.value(key + (element,))
+              for key in combinations(new_ground, chi.rank - 1)}
+    return Chirotope.from_map(new_ground, chi.rank - 1, values)
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
+                                  "parallel_pair", "nonpappus"])
+def test_contract_matches_reference(name, request):
+    """Every element, alone and with the rest of its parallel class."""
+    om = request.getfixturevalue(name)
+    for t in om.sorted_topes()[:4]:
+        chi = om.chi.reorient(t)
+        for e in chi.ground:
+            rest = tuple(sorted(om.underlying.atom_of(e) - {e},
+                                key=chi.ground.index))
+            for drop in ((), rest):
+                assert chi.contract(e, drop) == reference_contract(chi, e, drop)
+    with pytest.raises(ValueError, match="unknown element"):
+        om.chi.contract("no such label")
 
 
 def test_delete_restriction_and_coloop():

@@ -213,11 +213,11 @@ def test_validate_env_off(capsys, tmp_path):
     assert code == 0 and json.loads(out)["rank"] == 2
 
 
-def run_module(*argv):
+def run_module(*argv, **extra_env):
     """`python -m omcanon ...` against the package these tests import."""
     src = os.path.dirname(os.path.dirname(omcanon.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
+    env = dict(os.environ, **extra_env,
                PYTHONPATH=src if not path else os.pathsep.join((src, path)))
     return subprocess.run([sys.executable, "-m", "omcanon", *argv],
                           capture_output=True, text=True, env=env)
@@ -241,6 +241,20 @@ def test_cli_validates_beyond_ten_elements(tmp_path):
     assert proc.returncode == 2
     assert "three-term" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_validation_diagnostic_independent_of_hash_seed(tmp_path):
+    """The failing exchange element is reported in ground order; these two
+    hash seeds once named different elements."""
+    path = tmp_path / "exchange.json"
+    path.write_text(json.dumps({"format": "chirotope", "rank": 2,
+                                "elements": ["a", "b", "c", "d"],
+                                "chirotope": {"a,b": "+", "c,d": "+"}}))
+    procs = [run_module("info", "--input", str(path), PYTHONHASHSEED=seed)
+             for seed in ("1", "2")]
+    assert [p.returncode for p in procs] == [2, 2]
+    assert procs[0].stderr == procs[1].stderr
+    assert "basis exchange fails" in procs[0].stderr and "at a" in procs[0].stderr
 
 
 def test_verify_failure_exits_one(capsys, line4_path, monkeypatch):

@@ -14,6 +14,7 @@ from omcanon.chirotope import Chirotope
 from omcanon.forms import contracted_tope_chirotope
 from omcanon.matroid import UnderlyingMatroid
 
+import fraction_linalg
 from conftest import boolean_om, rank1_om, uniform_r4_matrix
 
 
@@ -189,8 +190,8 @@ def test_random_nonacyclic_reorientations_vanish(pentagon):
 
 class _FractionStack:
     """Stacked residue maps of the top reduced grade, solved node by node
-    with `Fraction` Gauss-Jordan (`linalg.solve`), not the library's left
-    inverse."""
+    with the test-local `Fraction` Gauss-Jordan, not the library's
+    elimination kernel."""
 
     def __init__(self, alg):
         r = alg.rank
@@ -213,7 +214,7 @@ class _FractionStack:
                 assert targets[a].is_zero
         if not self.reduced:
             return []
-        coeffs = linalg.solve(self.matrix, stacked)
+        coeffs = fraction_linalg.solve(self.matrix, stacked)
         assert coeffs is not None
         assert linalg.mat_vec(self.matrix, coeffs) == stacked
         return coeffs

@@ -1,0 +1,90 @@
+"""Golden CLI outputs on the demo inputs.
+
+The stdout of `info`, `canonical` (reduced and --nonreduced, every tope),
+`basis` (every grade), `aomoto` and `verify` on each `demos/data/*.json`
+must match `tests/golden/<input>.json` byte for byte; `verify`'s timing
+fields are dropped first.  Regenerate the files (only when an output is
+meant to change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from omcanon import serialize as ser
+from omcanon.cli import run
+from omcanon.om import OrientedMatroid
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(HERE, os.pardir, "demos", "data")
+GOLDEN = os.path.join(HERE, "golden")
+INPUTS = sorted(f[:-len(".json")] for f in os.listdir(DATA)
+                if f.endswith(".json"))
+
+
+def _stdout(argv: list) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+def _without_seconds(out: str) -> str:
+    doc = json.loads(out)
+    for check in doc["checks"]:
+        del check["seconds"]
+    return ser.dumps_canonical(doc)
+
+
+def outputs(name: str) -> dict:
+    """{command line: stdout} for every golden command on one demo input."""
+    path = os.path.join(DATA, name + ".json")
+    with open(path, encoding="utf-8") as fh:
+        parsed = ser.parse_input(json.load(fh))
+    om = OrientedMatroid(parsed.chi, validate=False)
+    rest = parsed.labels[1:]
+    weights = ",".join(f"{k + 1}/{k + 3}" for k in range(len(rest)))
+    commands = [["info"]]
+    for tope in om.sorted_topes():
+        t = ser.sign_vector_to_str(tope)
+        commands += [["canonical", f"--tope={t}"],
+                     ["canonical", f"--tope={t}", "--nonreduced"]]
+    commands += [["basis", "--grade", str(k)] for k in range(om.rank)]
+    commands += [["aomoto", f"--weights={weights}"], ["verify"]]
+    out = {}
+    for cmd in commands:
+        text = _stdout([cmd[0], "--input", path] + cmd[1:])
+        out[" ".join(cmd)] = _without_seconds(text) if cmd[0] == "verify" else text
+    return out
+
+
+def _golden_path(name: str) -> str:
+    return os.path.join(GOLDEN, name + ".json")
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_cli_outputs_match_golden(name):
+    with open(_golden_path(name), encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = outputs(name)
+    assert list(got) == list(want)
+    for cmd, text in got.items():
+        assert text == want[cmd], f"{name}: {cmd}"
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name in INPUTS:
+        with open(_golden_path(name), "w", encoding="utf-8") as fh:
+            json.dump(outputs(name), fh, indent=1)
+            fh.write("\n")
+        print(f"wrote {_golden_path(name)}", file=sys.stderr)

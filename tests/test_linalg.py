@@ -6,6 +6,8 @@ import pytest
 
 from omcanon import linalg
 
+import fraction_linalg as oracle
+
 F = Fraction
 
 
@@ -81,7 +83,7 @@ def test_left_inverse_contract(kind):
     rng = random.Random(kind)
     for _ in range(40):
         mat = _random_int_matrix(rng, kind)
-        full = linalg.rank([[F(x) for x in row] for row in mat]) == len(mat[0])
+        full = len(oracle.rref(mat)[1]) == len(mat[0])
         result = linalg.left_inverse(mat)
         if not full:
             assert result is None
@@ -96,3 +98,67 @@ def test_left_inverse_contract(kind):
 def test_greedy_independent_prefers_earlier():
     vecs = [[F(1), F(0)], [F(2), F(0)], [F(0), F(1)], [F(1), F(1)]]
     assert linalg.greedy_independent(vecs) == [0, 2]
+
+
+def _random_matrix(rng, kind):
+    """A seeded matrix of the given kind; entries are int or Fraction."""
+    nrows, ncols = {"int": (4, 5), "fraction": (5, 4), "deficient": (5, 5),
+                    "zero_rows": (5, 4), "empty": (0, 0), "row": (1, 6),
+                    "column": (6, 1), "huge": (4, 4)}[kind]
+    bound = 10 ** 30 if kind == "huge" else 4
+
+    def entry():
+        x = rng.randint(-bound, bound)
+        if kind == "fraction":
+            return F(x, rng.randint(1, 5))
+        return F(x, rng.randint(1, 10 ** 6)) if kind == "huge" else x
+
+    mat = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "deficient":  # rank 3: the last two rows combine the others
+        mat[3] = [a - 2 * b for a, b in zip(mat[0], mat[1])]
+        mat[4] = [F(a, 3) + c for a, c in zip(mat[1], mat[2])]
+    if kind == "zero_rows":
+        for i in rng.sample(range(nrows), 2):
+            mat[i] = [0] * ncols
+    return mat
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "deficient", "zero_rows",
+                                  "empty", "row", "column", "huge"])
+def test_kernel_matches_fraction_oracle(kind):
+    """rref, rank, det, solve, nullspace and greedy_independent agree with
+    the separate Fraction eliminations they replace."""
+    rng = random.Random(f"oracle-{kind}")
+    for _ in range(60):
+        mat = _random_matrix(rng, kind)
+        ncols = len(mat[0]) if mat else 0
+        R, pivots = oracle.rref(mat)
+        assert linalg.rref(mat) == (R, pivots)
+        assert linalg.rank(mat) == len(pivots)
+        cols = [list(col) for col in zip(*mat)]
+        rows = [list(row) for row in mat]
+        assert linalg.greedy_independent(cols) == oracle.greedy_independent(cols)
+        assert linalg.greedy_independent(rows) == oracle.greedy_independent(rows)
+        n = min(len(mat), ncols)
+        square = [row[:n] for row in mat[:n]]
+        assert linalg.det(square) == oracle.det(square)
+        kernel = linalg.nullspace(mat)
+        assert len(kernel) == ncols - len(pivots)
+        assert all(linalg.mat_vec(mat, v) == [0] * len(mat) for v in kernel)
+        x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+        consistent = linalg.mat_vec(mat, x)
+        assert linalg.solve(mat, consistent) == oracle.solve(mat, consistent)
+        if mat:
+            off = list(consistent)
+            off[rng.randrange(len(off))] += 1
+            assert linalg.solve(mat, off) == oracle.solve(mat, off)
+
+
+def test_solve_checks_its_answer(monkeypatch):
+    """A wrong elimination result is caught by substitution, not returned."""
+    mat = [[F(1), F(2)], [F(2), F(4)]]
+    assert linalg.solve(mat, [F(1), F(2)]) == [F(1), F(0)]
+    assert linalg.solve([], []) == []
+    monkeypatch.setattr(linalg, "rref",
+                        lambda aug: ([[F(1), F(2), F(7)], [F(0)] * 3], [0]))
+    assert linalg.solve(mat, [F(1), F(2)]) is None

@@ -10,7 +10,7 @@ from omcanon import (OrientedMatroid, RationalMatrix, SignVector,
                      chirotope_from_matrix, interior_point,
                      placing_triangulation)
 from omcanon import om as om_module
-from omcanon.realization import in_cone
+from omcanon.realization import _placing, in_cone
 from omcanon.signvec import all_full_support_vectors, ground_positions
 
 from conftest import oracle_topes, random_arrangements
@@ -225,7 +225,8 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("name", ["pentagon", "pentagon_inf", "random6"])
 def test_placing_matches_reference(name, request):
     """Every reorientation, default order plus 4 seeded insertion orders:
-    equal simplex lists, or the same exception type and message."""
+    equal simplex lists, or the same exception type and message, also from
+    the chirotope entry point that `verify` uses."""
     if name == "random6":
         mat = random_arrangements(1, seed=6, min_lines=6, max_lines=6)[0]
     else:
@@ -236,12 +237,14 @@ def test_placing_matches_reference(name, request):
         order = list(mat.labels)
         rng.shuffle(order)
         orders.append(order)
+    chi = chirotope_from_matrix(mat)
     acyclic = 0
     for x in all_full_support_vectors(mat.labels):
         flip = mat.reorient(x)
         for order in orders:
             got = _outcome(placing_triangulation, flip, order)
             assert got == _outcome(reference_placing_triangulation, flip, order)
+            assert got == _outcome(_placing, chi.reorient(x), order)
         acyclic += isinstance(got, list)
     assert 0 < acyclic < 2 ** len(mat.labels)
 
