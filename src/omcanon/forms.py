@@ -17,9 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .chirotope import Chirotope
-from .matroid import UnderlyingMatroid, chirotope_fingerprint
 from .om import OrientedMatroid, is_acyclic
-from .osalg import _ALGEBRAS, OSAlgebra, OSElement, os_algebra_for
+from .osalg import (OSAlgebra, OSElement, os_algebra_for,
+                    os_algebra_of_chirotope)
 from .signvec import SignVector
 
 
@@ -37,9 +37,7 @@ def _canonical_form(chi: Chirotope) -> OSElement:
     r = chi.rank
     if r == 0:
         raise ValueError("the reduced form needs rank at least 1")
-    alg = _ALGEBRAS.get(chirotope_fingerprint(chi))
-    if alg is None:
-        alg = os_algebra_for(UnderlyingMatroid.from_chirotope(chi))
+    alg = os_algebra_of_chirotope(chi)
     if not is_acyclic(chi):
         return alg.zero(r - 1)
     if r == 1:
@@ -71,22 +69,15 @@ def canonical_form_from_triangulation(chi: Chirotope, bases) -> OSElement:
     The bases are trusted to triangulate the (acyclic) oriented matroid;
     garbage in, garbage out.
     """
-    om = oriented_matroid_for(chi)
-    alg = algebra_of(om)
-    out = alg.zero(chi.rank - 1)
-    for basis in bases:
-        basis = tuple(basis)
-        sign = chi.value(basis)
-        if sign == 0:
-            raise ValueError(f"{basis} is not a basis")
-        out = out + alg.boundary(alg.monomial(basis)).scale(sign)
-    return out
+    if chi.rank == 0:
+        raise ValueError("the reduced form needs rank at least 1")
+    top = nonreduced_from_triangulation(chi, bases)
+    return top.algebra.boundary(top)
 
 
 def nonreduced_from_triangulation(chi: Chirotope, bases) -> OSElement:
     """sum over the triangulation of chi(B) e_B (top grade, non-reduced)."""
-    om = oriented_matroid_for(chi)
-    alg = algebra_of(om)
+    alg = os_algebra_of_chirotope(chi)
     out = alg.zero(chi.rank)
     for basis in bases:
         basis = tuple(basis)

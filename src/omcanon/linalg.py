@@ -21,17 +21,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[ZERO] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = ONE
-    return mat
-
-
 def mat_vec(mat: Matrix, vec: Vector) -> Vector:
     return [sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in mat]
 

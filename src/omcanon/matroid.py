@@ -82,9 +82,6 @@ class UnderlyingMatroid:
                 out.add(self.closure(key))
         return frozenset(out)
 
-    def is_coloop(self, e) -> bool:
-        return all(e in b for b in self.bases)
-
     def _parallel_classes(self) -> tuple:
         classes: list[set] = []
         for e in self.ground:
@@ -219,10 +216,6 @@ class UnderlyingMatroid:
                 coeffs[k] += c * comb(i, k) * (-1) ** k
         sign = (-1) ** r
         return [sign * c for c in coeffs]
-
-    def whitney_abs(self, k: int) -> int:
-        """|w_k|: absolute value of the coefficient of t^{r-k}."""
-        return abs(self.characteristic_polynomial()[self.rank - k])
 
 
 class _RankZeroMatroid(UnderlyingMatroid):

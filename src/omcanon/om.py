@@ -126,9 +126,6 @@ class OrientedMatroid:
         atom = self.underlying.atom_of(rep)
         return self.is_covector(tope.zero_out(atom))
 
-    def facets(self, tope: SignVector) -> tuple:
-        return tuple(a for a in self.atom_reps if self.is_facet(tope, a))
-
     def bounded_topes(self, base) -> frozenset:
         """Topes all of whose nonzero faces are strictly positive at base."""
         if base not in self.ground:
@@ -141,28 +138,7 @@ class OrientedMatroid:
                 out.append(t)
         return frozenset(out)
 
-    # ---- reorientation and minors -----------------------------------------
-
-    def reorient(self, tope: SignVector) -> "OrientedMatroid":
-        """Reorientation by a full-support sign vector (an involution)."""
-        if tope.ground != self.ground or not tope.has_full_support:
-            raise ValueError("reorientation requires a full-support sign vector")
-
-        def flip(x: SignVector) -> SignVector:
-            return SignVector(self.ground, tuple(
-                a * b for a, b in zip(x.signs, tope.signs)))
-
-        om = object.__new__(OrientedMatroid)
-        om.chi = self.chi.reorient(tope)
-        om.ground = self.ground
-        om.rank = self.rank
-        om.underlying = self.underlying
-        om.circuits = frozenset(flip(c) for c in self.circuits)
-        om.cocircuits = frozenset(flip(y) for y in self.cocircuits)
-        om.covectors = frozenset(flip(x) for x in self.covectors)
-        om.topes = frozenset(flip(t) for t in self.topes)
-        om._faces_cache = {}
-        return om
+    # ---- minors -----------------------------------------------------------
 
     def contract(self, element) -> "OrientedMatroid":
         """Contraction by the parallel class of element (evaluated last)."""

@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .chirotope import perm_parity_sign
-from .matroid import UnderlyingMatroid
+from .chirotope import Chirotope, perm_parity_sign
+from .matroid import UnderlyingMatroid, chirotope_fingerprint
 from .signvec import ground_positions
 
 _ALGEBRAS: dict = {}
@@ -34,6 +34,15 @@ def os_algebra_for(matroid: UnderlyingMatroid) -> "OSAlgebra":
     if alg is None:
         alg = OSAlgebra(matroid)
         _ALGEBRAS[key] = alg
+    return alg
+
+
+def os_algebra_of_chirotope(chi: Chirotope) -> "OSAlgebra":
+    """The algebra of chi's underlying matroid, found by basis fingerprint;
+    the matroid is built only when no algebra for it is cached yet."""
+    alg = _ALGEBRAS.get(chirotope_fingerprint(chi))
+    if alg is None:
+        alg = os_algebra_for(UnderlyingMatroid.from_chirotope(chi))
     return alg
 
 
@@ -164,32 +173,25 @@ class OSAlgebra:
         return None
 
     def _straighten(self, key: tuple) -> dict:
+        """Expansion of e_key in NBC coordinates, rewriting at the first
+        applicable broken circuit in the fixed circuit order."""
         cached = self._straight_cache.get(key)
-        if cached is None:
-            cached = self._straighten_with(key, chooser=None)
-            self._straight_cache[key] = cached
-        return cached
-
-    def _straighten_with(self, key: tuple, chooser) -> dict:
-        """Expansion of e_key in NBC coordinates.
-
-        chooser picks among the applicable broken circuits (None = first in
-        the fixed circuit order); any choice yields the same expansion.
-        """
+        if cached is not None:
+            return cached
         if len(key) > self.rank or self.matroid.atom_rank(key) < len(key):
-            return {}
-        key_set = frozenset(key)
-        if chooser is None:
-            hit = self._find_broken_circuit(key_set)
+            out: dict = {}
         else:
-            options = [bc for bc in self.matroid.broken_circuits()
-                       if bc[0] <= key_set]
-            hit = chooser(options) if options else None
-        if hit is None:
-            return {key: Fraction(1)}
-        broken, circuit = hit
+            hit = self._find_broken_circuit(frozenset(key))
+            out = {key: Fraction(1)} if hit is None else self._rewrite(key, *hit)
+        self._straight_cache[key] = out
+        return out
+
+    def _rewrite(self, key: tuple, broken: frozenset, circuit: tuple) -> dict:
+        """e_key by the relation of a circuit whose broken part lies in key."""
         c0 = circuit[0]
         rest = tuple(a for a in key if a not in broken)
+        if c0 in rest:
+            return {}  # every replacement term repeats an atom and vanishes
         full = tuple(circuit[1:])  # the broken circuit, ascending
         sign_outer = perm_parity_sign(
             [self._pos[a] for a in full + rest])
@@ -197,15 +199,11 @@ class OSAlgebra:
         for j in range(1, len(circuit)):
             # relation: e_full = sum_j (-1)^{j+1} e_{circuit minus c_j}
             repl = tuple(a for a in circuit if a != circuit[j])
-            if c0 in rest:
-                continue  # repeated atom, term vanishes
             seq = repl + rest
             sign_inner = perm_parity_sign([self._pos[a] for a in seq])
             sub = tuple(sorted(seq, key=self._pos.get))
             coeff = Fraction((-1) ** (j + 1) * sign_outer * sign_inner)
-            expansion = (self._straighten(sub) if chooser is None
-                         else self._straighten_with(sub, chooser))
-            for k, v in expansion.items():
+            for k, v in self._straighten(sub).items():
                 out[k] = out.get(k, Fraction(0)) + coeff * v
         return {k: v for k, v in out.items() if v != 0}
 
@@ -296,31 +294,6 @@ class OSAlgebra:
             cod = [self.from_terms(k - 1, {key_: 1})
                    for key_ in self.nbc_keys(k - 1)]
             cols = [self.dense(self.boundary(b), k - 1) for b in dom]
-            lm = LinearMap(dom, cod, linalg.columns_matrix(cols))
-            self._maps[key] = lm
-        return lm
-
-    def residue_map(self, rep, k: int) -> "LinearMap":
-        key = ("residue", rep, k)
-        lm = self._maps.get(key)
-        if lm is None:
-            target = self.residue_algebra(rep)
-            dom = [self.from_terms(k, {key_: 1}) for key_ in self.nbc_keys(k)]
-            cod = [target.from_terms(k - 1, {key_: 1})
-                   for key_ in target.nbc_keys(k - 1)]
-            cols = [target.dense(self.residue(rep, b), k - 1) for b in dom]
-            lm = LinearMap(dom, cod, linalg.columns_matrix(cols))
-            self._maps[key] = lm
-        return lm
-
-    def iota_map(self, rep, k: int) -> "LinearMap":
-        key = ("iota", rep, k)
-        lm = self._maps.get(key)
-        if lm is None:
-            src = self.deletion_algebra(rep)
-            dom = [src.from_terms(k, {key_: 1}) for key_ in src.nbc_keys(k)]
-            cod = [self.from_terms(k, {key_: 1}) for key_ in self.nbc_keys(k)]
-            cols = [self.dense(self.iota(rep, b), k) for b in dom]
             lm = LinearMap(dom, cod, linalg.columns_matrix(cols))
             self._maps[key] = lm
         return lm

@@ -14,7 +14,6 @@ from itertools import combinations
 
 from . import linalg
 from .chirotope import Chirotope
-from .matroid import UnderlyingMatroid
 from .om import OrientedMatroid, is_acyclic
 from .signvec import SignVector, ground_positions
 
@@ -172,7 +171,6 @@ def _placing(chi: Chirotope, insertion_order=None) -> list:
     """`placing_triangulation` on the chirotope of the configuration."""
     if not is_acyclic(chi):
         raise ValueError("configuration is not acyclic")
-    underlying = UnderlyingMatroid.from_chirotope(chi)
     order = list(insertion_order if insertion_order is not None else chi.ground)
     pos = ground_positions(chi.ground)
     if sorted(order, key=pos.get) != list(chi.ground):
@@ -182,15 +180,16 @@ def _placing(chi: Chirotope, insertion_order=None) -> list:
     if r == 1:
         return [(order[0],)]
 
-    core: list = []
-    deferred: list = []
-    for e in order:
-        if len(core) < r and underlying.rank_of(set(core) | {e}) > len(core):
-            core.append(e)
-        else:
-            deferred.append(e)
-    if len(core) < r:
+    # The core is the basis that greedy insertion would pick: the one whose
+    # elements come earliest in the insertion order, compared as sorted
+    # position lists (the matroid greedy property).
+    at = {e: i for i, e in enumerate(order)}
+    first = min((sorted(at[e] for e in key) for key in chi.nonzero_keys),
+                default=None)
+    if first is None:
         raise ValueError("matrix is rank deficient")
+    core = [order[i] for i in first]
+    deferred = [e for e in order if e not in core]
     simplices = [tuple(sorted(core, key=pos.get))]
 
     for p in deferred:

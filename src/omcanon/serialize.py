@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .chirotope import Chirotope
-from .osalg import OSAlgebra, OSElement
+from .osalg import OSElement
 from .realization import RationalMatrix, chirotope_from_matrix
 from .signvec import SignVector
 
@@ -127,48 +126,11 @@ def parse_input(doc: dict) -> ParsedInput:
     return ParsedInput(labels, rank, chi, None)
 
 
-def input_to_document(parsed: ParsedInput) -> dict:
-    if parsed.matrix is not None:
-        return {
-            "format": "matrix",
-            "rank": parsed.rank,
-            "elements": list(parsed.labels),
-            "matrix": [[rational_to_str(x) for x in row]
-                       for row in parsed.matrix.rows],
-        }
-    table = {}
-    for key in combinations(parsed.labels, parsed.rank):
-        table[",".join(key)] = SIGN_CHARS[parsed.chi.value(key)]
-    return {
-        "format": "chirotope",
-        "rank": parsed.rank,
-        "elements": list(parsed.labels),
-        "chirotope": table,
-    }
-
-
 def oselement_to_document(x: OSElement) -> dict:
     terms = {}
     for key in sorted(x.terms, key=x.algebra.key_sort):
         terms[",".join(str(a) for a in key)] = rational_to_str(x.terms[key])
     return {"grade": x.grade, "terms": terms}
-
-
-def oselement_from_document(alg: OSAlgebra, doc: dict) -> OSElement:
-    grade = doc.get("grade")
-    if not isinstance(grade, int) or grade < 0:
-        raise InputError("grade must be a nonnegative integer")
-    terms = {}
-    for raw_key, raw_val in doc.get("terms", {}).items():
-        key = tuple(p.strip() for p in str(raw_key).split(",")) if raw_key else ()
-        value = rational_from_str(raw_val)
-        if value == 0:
-            raise InputError(f"terms must be nonzero (key {raw_key!r})")
-        terms[key] = value
-    try:
-        return alg.from_terms(grade, terms)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
 
 
 def dumps_canonical(doc: dict) -> str:

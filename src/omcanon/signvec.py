@@ -104,11 +104,3 @@ class SignVector:
     def __str__(self) -> str:
         chars = {1: "+", 0: "0", -1: "-"}
         return "(" + ",".join(chars[s] for s in self.signs) + ")"
-
-
-def all_full_support_vectors(ground: tuple):
-    """All 2^n full-support sign vectors (test oracle scale only)."""
-    n = len(ground)
-    for mask in range(2 ** n):
-        yield SignVector(ground, tuple(
-            1 if (mask >> i) & 1 == 0 else -1 for i in range(n)))

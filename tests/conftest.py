@@ -8,8 +8,8 @@ from itertools import combinations, product
 
 import pytest
 
-from omcanon import (Chirotope, OrientedMatroid, RationalMatrix, SignVector,
-                     chirotope_from_matrix)
+from omcanon import (Chirotope, LinearMap, OrientedMatroid, RationalMatrix,
+                     SignVector, chirotope_from_matrix, linalg)
 
 
 def cyclic_line_chirotope(n: int) -> Chirotope:
@@ -141,6 +141,14 @@ def uniform_r4_matrix(seed: int, n: int = 6) -> RationalMatrix:
 # ---- brute-force oracles -----------------------------------------------------
 
 
+def all_full_support_vectors(ground: tuple):
+    """All 2^n full-support sign vectors (test oracle scale only)."""
+    n = len(ground)
+    for mask in range(2 ** n):
+        yield SignVector(ground, tuple(
+            1 if (mask >> i) & 1 == 0 else -1 for i in range(n)))
+
+
 def oracle_topes(om) -> set:
     """Full-support sign vectors orthogonal to every circuit."""
     out = set()
@@ -162,11 +170,25 @@ def oracle_covectors(om) -> set:
 
 
 def oracle_rank(mat: RationalMatrix, labels) -> int:
-    from omcanon import linalg
     cols = [mat.column(e) for e in labels]
     if not cols:
         return 0
     return linalg.rank([[c[i] for c in cols] for i in range(mat.nrows)])
+
+
+def exact_sequence_maps(alg, rep, k: int) -> tuple:
+    """(iota, res) in degree k at the atom rep, as maps in NBC coordinates:
+    inclusion from the deletion's algebra and residue to the contraction's."""
+    def linear_map(src, dst, k_src, k_dst, fn) -> LinearMap:
+        dom = [src.from_terms(k_src, {key: 1}) for key in src.nbc_keys(k_src)]
+        cod = [dst.from_terms(k_dst, {key: 1}) for key in dst.nbc_keys(k_dst)]
+        cols = [dst.dense(fn(b), k_dst) for b in dom]
+        return LinearMap(dom, cod, linalg.columns_matrix(cols))
+
+    return (linear_map(alg.deletion_algebra(rep), alg, k, k,
+                       lambda b: alg.iota(rep, b)),
+            linear_map(alg, alg.residue_algebra(rep), k, k - 1,
+                       lambda b: alg.residue(rep, b)))
 
 
 def random_arrangements(count: int, seed: int = 0,

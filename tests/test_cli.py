@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 import omcanon
+from omcanon import serialize as ser
 from omcanon.cli import run
 
 from conftest import PENTAGON_ROWS
@@ -190,14 +192,35 @@ def test_verify_residues_line4(capsys, line4_path):
     assert json.loads(out)["passed"] is True
 
 
-def test_roundtrip_byte_identical(tmp_path):
-    from omcanon import serialize as ser
-    doc = json.loads(ser.dumps_canonical(
-        ser.input_to_document(ser.parse_input(line4_doc()))))
-    first = ser.dumps_canonical(doc)
-    second = ser.dumps_canonical(
-        ser.input_to_document(ser.parse_input(json.loads(first))))
-    assert first.encode() == second.encode()
+def input_to_document(parsed: ser.ParsedInput) -> dict:
+    """The input document of a parsed input, in canonical form."""
+    if parsed.matrix is not None:
+        return {
+            "format": "matrix",
+            "rank": parsed.rank,
+            "elements": list(parsed.labels),
+            "matrix": [[ser.rational_to_str(x) for x in row]
+                       for row in parsed.matrix.rows],
+        }
+    table = {}
+    for key in combinations(parsed.labels, parsed.rank):
+        table[",".join(key)] = ser.SIGN_CHARS[parsed.chi.value(key)]
+    return {
+        "format": "chirotope",
+        "rank": parsed.rank,
+        "elements": list(parsed.labels),
+        "chirotope": table,
+    }
+
+
+def test_roundtrip_byte_identical():
+    for source in (line4_doc(), pentagon_doc()):
+        doc = json.loads(ser.dumps_canonical(
+            input_to_document(ser.parse_input(source))))
+        first = ser.dumps_canonical(doc)
+        second = ser.dumps_canonical(
+            input_to_document(ser.parse_input(json.loads(first))))
+        assert first.encode() == second.encode()
 
 
 def test_validate_env_off(capsys, tmp_path):

@@ -13,6 +13,7 @@ from omcanon import forms
 from omcanon.chirotope import Chirotope
 from omcanon.forms import contracted_tope_chirotope
 from omcanon.matroid import UnderlyingMatroid
+from omcanon.realization import _placing
 
 import fraction_linalg
 from conftest import boolean_om, rank1_om, uniform_r4_matrix
@@ -112,6 +113,15 @@ def test_nonreduced_rank0():
     alg = algebra_of(om)
     empty = SignVector((), ())
     assert nonreduced_canonical_form(om, empty) == alg.one()
+    assert nonreduced_from_triangulation(om.chi, [()]) == alg.one()
+
+
+def test_reduced_form_rank0_raises():
+    chi = rank1_om((1,)).chi.contract(0)
+    with pytest.raises(ValueError, match="rank at least 1"):
+        forms._canonical_form(chi)
+    with pytest.raises(ValueError):
+        canonical_form_from_triangulation(chi, [()])
 
 
 def test_nonreduced_residue_recursion(pentagon):
@@ -323,4 +333,34 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     # __wrapped__ skips the memo for the top node, so its lookup runs
     assert forms._canonical_form.__wrapped__(fresh) == first
     assert forms._canonical_form.__wrapped__(chi.scale(-1)) == first.scale(-1)
+    assert builds == []
+
+
+@pytest.mark.parametrize("name", ["pentagon", "pentagon_inf"])
+def test_triangulation_evaluators_build_no_oriented_matroid(
+        name, request, monkeypatch):
+    """On the placing triangulation of every tope, the reduced evaluation is
+    the boundary of the non-reduced one, and neither builds an
+    OrientedMatroid."""
+    om = request.getfixturevalue(name)
+    alg = algebra_of(om)
+    # A fresh memo, so entries left by earlier tests cannot hide builds.
+    monkeypatch.setattr(forms, "oriented_matroid_for",
+                        lru_cache(forms.oriented_matroid_for.__wrapped__))
+    builds = []
+    init = OrientedMatroid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrientedMatroid, "__init__", counting_init)
+    OrientedMatroid(om.chi, validate=False)
+    assert len(builds) == 1  # the counter sees builds
+    builds.clear()
+    for t in om.sorted_topes():
+        chi = om.chi.reorient(t)
+        tri = _placing(chi)
+        assert (canonical_form_from_triangulation(chi, tri)
+                == alg.boundary(nonreduced_from_triangulation(chi, tri)))
     assert builds == []

@@ -11,9 +11,9 @@ from omcanon import (OrientedMatroid, RationalMatrix, SignVector,
                      placing_triangulation)
 from omcanon import om as om_module
 from omcanon.realization import _placing, in_cone
-from omcanon.signvec import all_full_support_vectors, ground_positions
+from omcanon.signvec import ground_positions
 
-from conftest import oracle_topes, random_arrangements
+from conftest import all_full_support_vectors, oracle_topes, random_arrangements
 
 
 def test_chirotope_from_pentagon_matrix(pentagon_matrix):
@@ -222,17 +222,28 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("name", ["pentagon", "pentagon_inf", "random6"])
+# Columns 2 and 5 are antiparallel and 0, 1, 4 lie in one plane.  Its extra
+# insertion orders start with three dependent columns, so the core must skip
+# a parallel element or a coplanar one.
+PARALLEL6_ROWS = [[1, 0, 0, 1, 2, 0], [0, 1, 0, 1, 4, 0], [0, 0, 1, 1, 0, -3]]
+PARALLEL6_ORDERS = [[2, 5, 0, 1, 3, 4], [4, 0, 1, 5, 3, 2]]
+
+
+@pytest.mark.parametrize("name", ["pentagon", "pentagon_inf", "random6",
+                                  "parallel6"])
 def test_placing_matches_reference(name, request):
     """Every reorientation, default order plus 4 seeded insertion orders:
     equal simplex lists, or the same exception type and message, also from
     the chirotope entry point that `verify` uses."""
+    orders = [None]
     if name == "random6":
         mat = random_arrangements(1, seed=6, min_lines=6, max_lines=6)[0]
+    elif name == "parallel6":
+        mat = RationalMatrix.from_rows(tuple(range(6)), PARALLEL6_ROWS)
+        orders += PARALLEL6_ORDERS
     else:
         mat = request.getfixturevalue(f"{name}_matrix")
     rng = random.Random(3)
-    orders = [None]
     for _ in range(4):
         order = list(mat.labels)
         rng.shuffle(order)
