@@ -13,6 +13,8 @@ from .om import Extension, OrientedMatroid
 from .osalg import OSAlgebra, OSElement
 from .signvec import SignVector
 
+_ATTEMPTS = 32  # signatures tried before an extension search gives up
+
 
 def perturbation_signature(om: OrientedMatroid, base=None) -> tuple:
     """(base, +) then the lexicographically smallest basis completion, signed -.
@@ -47,8 +49,8 @@ def random_signature(om: OrientedMatroid, rng: random.Random, base=None) -> tupl
     return ((base, 1),) + tuple((e, rng.choice((1, -1))) for e in chosen[1:])
 
 
-def bounded_extension(om: OrientedMatroid, base=None, seed: int = 0,
-                      attempts: int = 32) -> Extension:
+def bounded_extension(om: OrientedMatroid, base=None,
+                      seed: int = 0) -> Extension:
     """A general perturbation of base with T^0 contained in T^ext.
 
     The inclusion is asserted at runtime; on failure, seeded random
@@ -58,7 +60,7 @@ def bounded_extension(om: OrientedMatroid, base=None, seed: int = 0,
     t0 = om.bounded_topes(base)
     rng = random.Random(seed)
     last = None
-    for attempt in range(attempts):
+    for attempt in range(_ATTEMPTS):
         signature = (perturbation_signature(om, base) if attempt == 0
                      else random_signature(om, rng, base))
         ext = om.lex_extension(signature)
@@ -67,7 +69,7 @@ def bounded_extension(om: OrientedMatroid, base=None, seed: int = 0,
         last = signature
     raise RuntimeError(
         f"no perturbation of {base!r} kept the bounded topes bounded after "
-        f"{attempts} attempts (last signature {last})")
+        f"{_ATTEMPTS} attempts (last signature {last})")
 
 
 def tq_basis(om: OrientedMatroid, ext: Extension) -> list:
@@ -121,7 +123,7 @@ class Flag:
         return self.stages[0].om
 
 
-def build_flag(om: OrientedMatroid, seed: int = 0, attempts: int = 32) -> Flag:
+def build_flag(om: OrientedMatroid, seed: int = 0) -> Flag:
     """Successive general truncations down to rank 1, ground set preserved.
 
     Every stage holds its extension witness; generality certificates are
@@ -133,7 +135,7 @@ def build_flag(om: OrientedMatroid, seed: int = 0, attempts: int = 32) -> Flag:
     rng = random.Random(seed)
     for _ in range(om.rank):
         ext = None
-        for attempt in range(attempts):
+        for attempt in range(_ATTEMPTS):
             signature = (perturbation_signature(current) if attempt == 0
                          else random_signature(current, rng))
             try:
@@ -142,7 +144,7 @@ def build_flag(om: OrientedMatroid, seed: int = 0, attempts: int = 32) -> Flag:
             except (ValueError, RuntimeError):
                 continue
         if ext is None:
-            raise RuntimeError(f"no general extension found after {attempts} "
+            raise RuntimeError(f"no general extension found after {_ATTEMPTS} "
                                f"attempts at rank {current.rank}")
         stages.append(FlagStage(current, ext))
         if current.rank > 1:

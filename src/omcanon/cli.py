@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import bases as bases_mod
 from . import serialize as ser
-from .chirotope import InvalidChirotope, validate_chirotope
+from .chirotope import InvalidChirotope
 from .forms import (algebra_of, canonical_form_from_triangulation,
                     canonical_form_tope, check_residue_axioms,
                     nonreduced_canonical_form)
-from .om import NotATope, OrientedMatroid
+from .om import NotATope, OrientedMatroid, validation_requested
 from .realization import _placing
 
 
@@ -33,10 +32,8 @@ def _load(path: str) -> tuple:
         raise ser.InputError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     parsed = ser.parse_input(doc)
-    validate = os.environ.get("OMCANON_VALIDATE", "").lower() != "off"
-    if validate:
-        validate_chirotope(parsed.chi)
-    om = OrientedMatroid(parsed.chi, validate=False)
+    # Unlike the constructor's default, the CLI validates at every size.
+    om = OrientedMatroid(parsed.chi, validate=validation_requested())
     return parsed, om
 
 

@@ -108,12 +108,17 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
     """Per-atom check of the facet recursion for a tope's reduced form.
 
     For a facet atom the residue must equal minus the independently
-    recomputed facet form; for a non-facet atom it must vanish.  Returns
-    {atom representative: bool}.
+    recomputed facet form; for a non-facet atom it must vanish.  At rank 1,
+    where the facet has rank 0 and no reduced form, the single atom checks
+    the base value chi_T(rep) * 1 instead.  Returns {atom rep: bool}.
     """
     om.require_tope(tope)
     alg = algebra_of(om)
     form = canonical_form_tope(om, tope)
+    if om.rank == 1:
+        rep, = om.atom_reps
+        base = om.chi.reorient(tope).value((rep,))
+        return {rep: form == alg.one().scale(base)}
     report = {}
     for a in om.atom_reps:
         res = alg.residue(a, form)

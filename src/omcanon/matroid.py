@@ -45,7 +45,7 @@ class UnderlyingMatroid:
     @classmethod
     def from_chirotope(cls, chi: Chirotope) -> "UnderlyingMatroid":
         if chi.rank == 0:
-            return _rank_zero(chi.ground)
+            return _RankZeroMatroid(chi.ground)
         return cls(chi.ground, frozenset(frozenset(k) for k in chi.nonzero_keys))
 
     @property
@@ -106,7 +106,7 @@ class UnderlyingMatroid:
         atom = self.atom_of(rep)
         ground = tuple(e for e in self.ground if e not in atom)
         if self.rank == 1:
-            return _rank_zero(ground)
+            return _RankZeroMatroid(ground)
         bases = frozenset(b - (b & atom) for b in self.bases if b & atom)
         return UnderlyingMatroid(ground, bases)
 
@@ -115,7 +115,7 @@ class UnderlyingMatroid:
         ground = tuple(e for e in self.ground if e not in atom)
         rho = self.rank_of(ground)
         if rho == 0:
-            return _rank_zero(ground)
+            return _RankZeroMatroid(ground)
         cand = {frozenset(b - atom) for b in self.bases}
         bases = frozenset(b for b in cand if len(b) == rho)
         return UnderlyingMatroid(ground, bases)
@@ -231,10 +231,6 @@ class _RankZeroMatroid(UnderlyingMatroid):
 
     def rank_of(self, subset) -> int:
         return 0
-
-
-def _rank_zero(ground: tuple) -> UnderlyingMatroid:
-    return _RankZeroMatroid(ground)
 
 
 def _poly_add(p: dict, q: dict) -> dict:

@@ -2,9 +2,12 @@
 
 Derived data (signed circuits, cocircuits, covectors, topes) is computed
 once, on first use, deterministically from the chirotope, and never
-mutated afterwards.  Sign-vector sets are closed under negation.  Only
-enumerating covectors or topes builds the covector closure: tope tests
-compose the conformal cocircuits, acyclicity reads the signed circuits.
+mutated afterwards.  Sign-vector sets are closed under negation.  Every
+tope-local query reads the cocircuits conformal to the sign vector: a
+covector is their composition, the faces of a tope are their closure, and
+a tope is bounded at e iff none of them vanishes at e.  Only enumerating
+covectors or topes builds the full covector closure; acyclicity reads the
+signed circuits.
 """
 
 from __future__ import annotations
@@ -23,23 +26,21 @@ class NotATope(ValueError):
     pass
 
 
-def _auto_validate(chi: Chirotope) -> bool:
-    if os.environ.get("OMCANON_VALIDATE", "").lower() == "off":
-        return False
-    return len(chi.ground) <= 10
+def validation_requested() -> bool:
+    """False iff OMCANON_VALIDATE=off; the one reader of that variable."""
+    return os.environ.get("OMCANON_VALIDATE", "").lower() != "off"
 
 
 class OrientedMatroid:
     def __init__(self, chi: Chirotope, validate: bool | None = None):
         if validate is None:
-            validate = _auto_validate(chi)
+            validate = validation_requested() and len(chi.ground) <= 10
         if validate:
             validate_chirotope(chi)
         self.chi = chi
         self.ground = chi.ground
         self.rank = chi.rank
         self.underlying = UnderlyingMatroid.from_chirotope(chi)
-        self._faces_cache: dict = {}
 
     @cached_property
     def circuits(self) -> frozenset:
@@ -88,38 +89,20 @@ class OrientedMatroid:
 
     # ---- covector machinery ----------------------------------------------
 
+    def conformal_cocircuits(self, x: SignVector) -> list:
+        return [y for y in self.cocircuits if y.conforms_to(x)]
+
     def is_covector(self, x: SignVector) -> bool:
         """Conformal cocircuit composition test (no full enumeration)."""
-        if x.is_zero:
-            return True
         acc = self.zero_vector()
-        for y in self.cocircuits:
-            if y.conforms_to(x):
-                acc = acc.compose(y)
+        for y in self.conformal_cocircuits(x):
+            acc = acc.compose(y)
         return acc == x
 
     def faces(self, tope: SignVector) -> frozenset:
         """Covectors conformal to the tope, including 0 and the tope itself."""
-        cached = self._faces_cache.get(tope)
-        if cached is not None:
-            return cached
         self.require_tope(tope)
-        conformal = [y for y in self.cocircuits if y.conforms_to(tope)]
-        supports = {frozenset(): self.zero_vector()}
-        frontier = [self.zero_vector()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in conformal:
-                    z = x.compose(y)
-                    s = z.support
-                    if s not in supports:
-                        supports[s] = z
-                        nxt.append(z)
-            frontier = nxt
-        result = frozenset(supports.values()) | {tope}
-        self._faces_cache[tope] = result
-        return result
+        return _covector_closure(self.ground, self.conformal_cocircuits(tope))
 
     def is_facet(self, tope: SignVector, rep) -> bool:
         """True iff zeroing the atom of rep yields a covector."""
@@ -130,13 +113,8 @@ class OrientedMatroid:
         """Topes all of whose nonzero faces are strictly positive at base."""
         if base not in self.ground:
             raise ValueError(f"unknown element {base!r}")
-        out = []
-        for t in self.topes:
-            if t.value(base) != 1:
-                continue
-            if all(x.is_zero or x.value(base) == 1 for x in self.faces(t)):
-                out.append(t)
-        return frozenset(out)
+        return frozenset(t for t in self.topes
+                         if _bounded_tope(self, t, base))
 
     # ---- minors -----------------------------------------------------------
 
@@ -201,15 +179,10 @@ class Extension:
     def bounded_topes(self) -> frozenset:
         """Topes P of M such that (P, +) is bounded at q in M u q."""
         ext_ground = self.chi_ext.ground
-        out = []
-        for t in self.base.topes:
-            lifted = t.extend(ext_ground, fill=1)
-            if not self.om_ext.is_tope(lifted):
-                continue
-            if all(x.is_zero or x.value(self.label) == 1
-                   for x in self.om_ext.faces(lifted)):
-                out.append(t)
-        return frozenset(out)
+        return frozenset(
+            t for t in self.base.topes
+            if _bounded_tope(self.om_ext, t.extend(ext_ground, fill=1),
+                             self.label))
 
     def fundamental_circuit(self, basis) -> SignVector:
         """The signed circuit in basis u {q}, normalized to value - at q."""
@@ -225,6 +198,21 @@ class Extension:
         if values[self.label] == 1:
             values = {e: -v for e, v in values.items()}
         return SignVector.from_map(self.chi_ext.ground, values)
+
+
+def _bounded_tope(om: OrientedMatroid, x: SignVector, e) -> bool:
+    """True iff the full-support x is a tope whose nonzero faces are all
+    positive at e.  Faces are compositions of the conformal cocircuits, so
+    one pass over those decides both: none may vanish at e, and together
+    they must compose to x."""
+    if x.value(e) != 1:
+        return False
+    acc = om.zero_vector()
+    for y in om.conformal_cocircuits(x):
+        if y.value(e) == 0:
+            return False
+        acc = acc.compose(y)
+    return acc == x
 
 
 # ---- derived sign-vector data -------------------------------------------

@@ -310,7 +310,7 @@ class OSAlgebra:
         if cached is not None:
             return cached
         if k == 0:
-            basis = [self.one()] if self.rank >= 0 else []
+            basis = [self.one()]
         elif k >= self.rank:
             basis = []
         else:

@@ -117,24 +117,22 @@ def interior_point(mat: RationalMatrix, om: OrientedMatroid,
     """An exact interior point of the tope's chamber."""
     om.require_tope(tope)
     point = [Fraction(0)] * mat.nrows
-    for y in om.cocircuits:
-        if y.conforms_to(tope):
-            x = cocircuit_point(mat, y)
-            point = [a + b for a, b in zip(point, x)]
+    for y in om.conformal_cocircuits(tope):
+        x = cocircuit_point(mat, y)
+        point = [a + b for a, b in zip(point, x)]
     if chamber_of(mat, point) != tope:
         raise RuntimeError("internal invariant violation: "
                            "interior point landed outside its chamber")
     return point
 
 
-def acyclicity_witness(mat: RationalMatrix,
-                       om: OrientedMatroid | None = None) -> list:
+def acyclicity_witness(mat: RationalMatrix) -> list:
     """A point where every functional is strictly positive.
 
     Raises ValueError when the configuration is not acyclic.  The witness
     is certificate-checked before being returned.
     """
-    om = om or OrientedMatroid(chirotope_from_matrix(mat), validate=False)
+    om = OrientedMatroid(chirotope_from_matrix(mat), validate=False)
     plus = SignVector(mat.labels, (1,) * len(mat.labels))
     if not om.is_acyclic():
         raise ValueError("configuration is not acyclic")

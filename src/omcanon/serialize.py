@@ -2,8 +2,9 @@
 
 Rationals travel as decimal-free strings "p/q" (q > 0, reduced) or "n".
 Signs are the characters "+", "-", "0"; sign vectors and chirotope keys
-are comma-joined with whitespace ignored.  Ascending always means the
-order of the document's elements list.
+are comma-joined with whitespace ignored, so a label is non-empty, has
+no ',' and no surrounding whitespace.  Ascending always means the order
+of the document's elements list.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ def parse_input(doc: dict) -> ParsedInput:
             or len(set(labels)) != len(labels)):
         raise InputError("elements must be a non-empty list of unique "
                          "string or integer labels")
+    for e in labels:
+        if not e or "," in e or e != e.strip():
+            raise InputError(f"label {e!r} must be non-empty, without ',' "
+                             "and without surrounding whitespace")
     if ("chirotope" in doc) == ("matrix" in doc):
         raise InputError("exactly one of chirotope/matrix must be present")
 

@@ -192,6 +192,19 @@ def test_verify_residues_line4(capsys, line4_path):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("name", ["rank1_matrix", "rank1_chirotope"])
+def test_verify_all_rank1(capsys, name):
+    """Rank 1 has no facet contraction to recurse into: the residue suite
+    checks the single atom against the base value instead."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+    code, out, _ = invoke(capsys, "verify", "--input", path, "--suite", "all")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True and all(c["passed"] for c in doc["checks"])
+    residues = [c for c in doc["checks"] if c["name"].startswith("residues:")]
+    assert len(residues) == 2
+
+
 def input_to_document(parsed: ser.ParsedInput) -> dict:
     """The input document of a parsed input, in canonical form."""
     if parsed.matrix is not None:
@@ -308,8 +321,17 @@ def _with(doc, **changes):
     (_with(pentagon_doc(), rank=4,
            matrix=[["0"] + [str(x) for x in row[1:]] for row in PENTAGON_ROWS]),
      "rank 4 does not match 3 matrix rows"),
+    (_with(pentagon_doc(), elements=["a,b", "2", "3", "4", "5"]),
+     "label 'a,b' must be non-empty, without ','"),
+    ({"format": "chirotope", "rank": 1, "elements": [" a", "b"],
+      "chirotope": {" a": "+", "b": "-"}},
+     "label ' a' must be non-empty, without ','"),
+    (_with(line4_doc(), elements=["0", "1", "2", "3 "]), "label '3 '"),
+    (_with(line4_doc(), elements=["", "1", "2", "3"]), "label ''"),
 ], ids=["int_and_str_label", "list_label", "bool_label", "bool_rank",
-        "bool_rank_matrix", "rank_below_rows", "rank_above_rows_zero_column"])
+        "bool_rank_matrix", "rank_below_rows", "rank_above_rows_zero_column",
+        "comma_label", "leading_space_label", "trailing_space_label",
+        "empty_label"])
 def test_malformed_documents_exit_two(capsys, tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from omcanon import NotATope, OrientedMatroid, SignVector, validate_chirotope
+from omcanon import (NotATope, OrientedMatroid, SignVector, bounded_extension,
+                     build_flag, validate_chirotope)
 from omcanon.om import is_acyclic
 
 from conftest import (PAPPUS_LINE, all_full_support_vectors, boolean_om,
@@ -254,6 +255,80 @@ def test_extension_bounded_matches_reduced_dim(pentagon):
     from omcanon import algebra_of
     ext = pentagon.lex_extension(((1, 1), (2, 1), (3, 1)))
     assert len(ext.bounded_topes()) == algebra_of(pentagon).reduced_dim(2)
+
+
+# ---- reference: faces by a search over supports -------------------------
+
+
+def reference_faces(om, tope) -> frozenset:
+    """Breadth-first search over the supports of compositions of the
+    conformal cocircuits, keeping one covector per support."""
+    om.require_tope(tope)
+    conformal = [y for y in om.cocircuits if y.conforms_to(tope)]
+    supports = {frozenset(): om.zero_vector()}
+    frontier = [om.zero_vector()]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in conformal:
+                z = x.compose(y)
+                s = z.support
+                if s not in supports:
+                    supports[s] = z
+                    nxt.append(z)
+        frontier = nxt
+    return frozenset(supports.values()) | {tope}
+
+
+def reference_bounded_topes(om, base) -> frozenset:
+    """Topes all of whose nonzero faces are strictly positive at base."""
+    return frozenset(
+        t for t in om.topes
+        if t.value(base) == 1
+        and all(x.is_zero or x.value(base) == 1
+                for x in reference_faces(om, t)))
+
+
+def reference_extension_bounded_topes(ext) -> frozenset:
+    """Topes P of M such that (P, +) is bounded at q in M u q."""
+    out = []
+    for t in ext.base.topes:
+        lifted = t.extend(ext.chi_ext.ground, fill=1)
+        if ext.om_ext.is_tope(lifted) and all(
+                x.is_zero or x.value(ext.label) == 1
+                for x in reference_faces(ext.om_ext, lifted)):
+            out.append(t)
+    return frozenset(out)
+
+
+def assert_matches_reference(om):
+    for t in om.topes:
+        assert om.faces(t) == reference_faces(om, t)
+    for e in om.ground:
+        assert om.bounded_topes(e) == reference_bounded_topes(om, e)
+
+
+@pytest.mark.parametrize(
+    "name", ["line4", "pentagon", "pentagon_inf", "parallel_pair", "nonpappus"])
+def test_bounded_topes_match_face_search(name, request):
+    om = request.getfixturevalue(name)
+    assert_matches_reference(om)
+    ext = bounded_extension(om)
+    assert ext.bounded_topes() == reference_extension_bounded_topes(ext)
+    for stage in build_flag(om).stages:
+        assert_matches_reference(stage.om)
+        assert (stage.ext.bounded_topes()
+                == reference_extension_bounded_topes(stage.ext))
+
+
+def test_bounded_topes_never_enumerate_faces(pentagon_inf, monkeypatch):
+    def no_faces(self, tope):
+        raise AssertionError("bounded-tope tests must not enumerate faces")
+
+    monkeypatch.setattr(OrientedMatroid, "faces", no_faces)
+    t0 = pentagon_inf.bounded_topes(0)
+    assert len(t0) == pentagon_inf.underlying.beta()
+    assert t0 <= bounded_extension(pentagon_inf).bounded_topes()
 
 
 def test_fundamental_circuit_line4(line4):
