@@ -56,6 +56,12 @@ def bounded_extension(om: OrientedMatroid, base=None,
     The inclusion is asserted at runtime; on failure, seeded random
     signatures are retried and exhaustion is an error, never silent.
     """
+    return _bounded_extension(om, base, seed)[0]
+
+
+def _bounded_extension(om: OrientedMatroid, base, seed: int) -> tuple:
+    """(extension, T^0, T^ext) for the first signature whose extension
+    keeps every 0-bounded tope bounded."""
     base = om.ground[0] if base is None else base
     t0 = om.bounded_topes(base)
     rng = random.Random(seed)
@@ -64,8 +70,9 @@ def bounded_extension(om: OrientedMatroid, base=None,
         signature = (perturbation_signature(om, base) if attempt == 0
                      else random_signature(om, rng, base))
         ext = om.lex_extension(signature)
-        if t0 <= ext.bounded_topes():
-            return ext
+        tq = ext.bounded_topes()
+        if t0 <= tq:
+            return ext, t0, tq
         last = signature
     raise RuntimeError(
         f"no perturbation of {base!r} kept the bounded topes bounded after "
@@ -241,16 +248,7 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None,
     base = om.ground[0] if base is None else base
     alg = algebra_of(om)
     r = om.rank
-    expected_keys = {e for e in om.ground if e != base}
-    if set(weights) != expected_keys:
-        raise ValueError(f"weights must cover exactly {sorted(map(str, expected_keys))}")
-
-    omega = alg.zero(1)
-    for e, lam in weights.items():
-        omega = omega + (alg.monomial((e,)) - alg.monomial((base,))).scale(Fraction(lam))
-    if not alg.boundary(omega).is_zero:
-        raise RuntimeError("internal invariant violation: weight form is "
-                           "not boundary-closed")
+    omega = _weight_form(alg, weights, base)
 
     top = alg.reduced_basis(r - 1)
     image_cols: list = []
@@ -261,9 +259,9 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None,
     dim_h = len(top) - image_rank
 
     beta = om.underlying.beta()
-    ext = bounded_extension(om, base, seed=seed)
-    t0 = sorted(om.bounded_topes(base), key=SignVector.sort_key)
-    tq = sorted(ext.bounded_topes(), key=SignVector.sort_key)
+    _, t0, tq = _bounded_extension(om, base, seed)
+    t0 = sorted(t0, key=SignVector.sort_key)
+    tq = sorted(tq, key=SignVector.sort_key)
 
     v_forms = [canonical_form_tope(om, t) for t in t0]
     v_cols = [alg.dense(f, r - 1) for f in v_forms]
@@ -286,6 +284,21 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None,
     )
 
 
+def _weight_form(alg: OSAlgebra, weights: dict, base) -> OSElement:
+    """omega = sum_e weights[e] (e_e - e_base); the weights must cover
+    exactly the elements other than base."""
+    expected_keys = {e for e in alg.matroid.ground if e != base}
+    if set(weights) != expected_keys:
+        raise ValueError(f"weights must cover exactly {sorted(map(str, expected_keys))}")
+    omega = alg.zero(1)
+    for e, lam in weights.items():
+        omega = omega + (alg.monomial((e,)) - alg.monomial((base,))).scale(Fraction(lam))
+    if not alg.boundary(omega).is_zero:
+        raise RuntimeError("internal invariant violation: weight form is "
+                           "not boundary-closed")
+    return omega
+
+
 def aomoto_degree_ranks(om: OrientedMatroid, weights: dict,
                         base=None) -> list:
     """Diagnostic: ranks of the weighted multiplication in every degree.
@@ -296,9 +309,7 @@ def aomoto_degree_ranks(om: OrientedMatroid, weights: dict,
     """
     base = om.ground[0] if base is None else base
     alg = algebra_of(om)
-    omega = alg.zero(1)
-    for e, lam in weights.items():
-        omega = omega + (alg.monomial((e,)) - alg.monomial((base,))).scale(Fraction(lam))
+    omega = _weight_form(alg, weights, base)
     ranks = []
     for k in range(om.rank - 1):
         cols = [alg.dense(omega.wedge(b), k + 1) for b in alg.reduced_basis(k)]

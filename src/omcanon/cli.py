@@ -206,12 +206,11 @@ def _suite_bases(parsed, om, seed, checks):
 def _suite_aomoto(parsed, om, seed, checks):
     def run():
         base = parsed.labels[0]
-        t0 = om.bounded_topes(base)
-        beta = om.underlying.beta()
-        if len(t0) != beta:
-            raise AssertionError(f"|T^0| = {len(t0)} but beta = {beta}")
         for weights in bases_mod.sample_weight_vectors(om, base, seed=seed):
             report = bases_mod.aomoto(om, weights, base=base, seed=seed)
+            n0, beta = len(report.bounded_topes), report.beta
+            if n0 != beta:
+                raise AssertionError(f"|T^0| = {n0} but beta = {beta}")
             if report.is_generic:
                 return f"generic weights found; dim_H = {report.dim_h}"
         raise AssertionError("no generic weight vector among 5 samples")

@@ -1,15 +1,15 @@
 """Canonical forms of oriented matroids and their topes.
 
-The reduced form of an acyclic pair lives in the top reduced grade and is
-pinned down by its residues at atom contractions: with this library's
-boundary/residue conventions the characterizing recursion reads
+One recursion is computed, in the top grade A^r: the non-reduced form W of
+an acyclic pair is pinned down by its residues at atom contractions,
 
-    Res_a W(M, chi) = -W(M/a, chi/a)   (a an acyclic atom, 0 otherwise),
+    Res_a W(M, chi) = W(M/a, chi/a)   (a an acyclic atom, 0 otherwise),
 
-with rank-1 base value chi(i).  The triangulation evaluation
-sum_B chi(B) d e_B satisfies the same recursion, so both paths agree.  The
-non-reduced top-grade form satisfies the sign-free recursion
-Res_a W = W(M/a, chi/P a) and has base value chi(()) in rank 0.
+with base value chi(()) in rank 0.  The boundary is injective on A^r and
+the reduced form is dW; as Res_a d = -d Res_a, it obeys the reduced
+recursion Res_a dW = -dW(M/a, chi/a) with rank-1 base value chi(i), which
+is the one `check_residue_axioms` checks.  The triangulation evaluation
+sum_B chi(B) e_B satisfies the top-grade recursion, so both paths agree.
 """
 
 from __future__ import annotations
@@ -33,23 +33,27 @@ def algebra_of(om: OrientedMatroid) -> OSAlgebra:
 
 
 @lru_cache(maxsize=None)
-def _canonical_form(chi: Chirotope) -> OSElement:
+def _top_form(chi: Chirotope) -> OSElement:
     r = chi.rank
-    if r == 0:
-        raise ValueError("the reduced form needs rank at least 1")
     alg = os_algebra_of_chirotope(chi)
+    if r == 0:
+        return alg.one().scale(chi.value(()))
     if not is_acyclic(chi):
-        return alg.zero(r - 1)
-    if r == 1:
-        return alg.one().scale(chi.value((chi.ground[0],)))
-    stack = alg.residue_stack
+        return alg.zero(r)
     targets = {}
     for a in alg.atoms:
         atom = alg.matroid.atom_of(a)
-        sub_chi = chi.contract(a, drop=atom - {a})
-        # recursion: Res_a x = -W(M/a, chi/a)
-        targets[a] = _canonical_form(sub_chi).scale(-1)
-    return stack.solve(targets)
+        # recursion: Res_a W = W(M/a, chi/a)
+        targets[a] = _top_form(chi.contract(a, drop=atom - {a}))
+    return alg.residue_stack.solve(targets)
+
+
+@lru_cache(maxsize=None)
+def _canonical_form(chi: Chirotope) -> OSElement:
+    if chi.rank == 0:
+        raise ValueError("the reduced form needs rank at least 1")
+    top = _top_form(chi)
+    return top.algebra.boundary(top)
 
 
 def canonical_form_om(om: OrientedMatroid) -> OSElement:
@@ -89,12 +93,10 @@ def nonreduced_from_triangulation(chi: Chirotope, bases) -> OSElement:
 
 
 def nonreduced_canonical_form(om: OrientedMatroid, tope: SignVector) -> OSElement:
-    """Top-grade form: the unique boundary preimage of the reduced form."""
-    alg = algebra_of(om)
-    if om.rank == 0:
-        return alg.one().scale(om.chi.value(()))
-    reduced = canonical_form_tope(om, tope)
-    return alg.inverse_boundary(reduced)
+    """Top-grade form of a tope: the unique boundary preimage of the
+    reduced form."""
+    om.require_tope(tope)
+    return _top_form(om.chi.reorient(tope))
 
 
 def contracted_tope_chirotope(om: OrientedMatroid, tope: SignVector, rep):

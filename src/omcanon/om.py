@@ -218,12 +218,6 @@ def _bounded_tope(om: OrientedMatroid, x: SignVector, e) -> bool:
 # ---- derived sign-vector data -------------------------------------------
 
 
-def _canonical_pair(vec: SignVector):
-    first = next((s for s in vec.signs if s != 0), 1)
-    canon = vec if first > 0 else -vec
-    return canon
-
-
 def _circuit_signs(chi: Chirotope):
     """(subset, signs) for each (r+1)-subset with a nonzero circuit vector."""
     if chi.rank == 0 or len(chi.ground) <= chi.rank:
@@ -238,8 +232,7 @@ def _circuit_signs(chi: Chirotope):
 def _circuits(chi: Chirotope) -> frozenset:
     out = set()
     for sub, signs in _circuit_signs(chi):
-        vec = _canonical_pair(SignVector.from_map(chi.ground,
-                                                  dict(zip(sub, signs))))
+        vec = SignVector.from_map(chi.ground, dict(zip(sub, signs)))
         out.add(vec)
         out.add(-vec)
     return frozenset(out)
@@ -259,7 +252,7 @@ def _cocircuits(chi: Chirotope) -> frozenset:
         values = {e: chi.value(hyp + (e,)) for e in chi.ground if e not in hyp}
         if not any(values.values()):
             continue
-        vec = _canonical_pair(SignVector.from_map(chi.ground, values))
+        vec = SignVector.from_map(chi.ground, values)
         out.add(vec)
         out.add(-vec)
     return frozenset(out)

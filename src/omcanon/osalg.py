@@ -371,55 +371,46 @@ class LinearMap:
 
 
 class _ResidueStack:
-    """Stacked residue maps on the top reduced grade, with a left inverse.
+    """Stacked residue maps on the top grade, with a left inverse.
 
-    The joint residue map is injective there, so the stacked matrix has
-    full column rank; a cached left inverse turns every canonical-form
-    solve into a matrix-vector product plus a consistency check.  Canonical
-    forms are integral, so the matrix is kept over int and the left inverse
-    as an int matrix `left` over one positive denominator `denom`.
+    Columns are the NBC r-monomials; each atom contributes the residues of
+    those columns in the top grade r-1 of its contraction.  The boundary is
+    injective on the top grade and Res_a d = -d Res_a, so the joint residue
+    map is injective as well: the stacked matrix has full column rank, and
+    a cached left inverse turns every canonical-form solve into a
+    matrix-vector product plus a consistency check.  Canonical forms are
+    integral, so the matrix is kept over int and the left inverse as an int
+    matrix `left` over one positive denominator `denom`.
     """
 
     def __init__(self, alg: OSAlgebra):
         self.alg = alg
         r = alg.rank
-        self.reduced = alg.reduced_basis(r - 1)
+        columns = [alg.from_terms(r, {key: 1}) for key in alg.nbc[r]]
         rows: list = []
-        self.blocks = []  # (atom, target algebra, whether it has rows)
+        self.blocks = []  # (atom, contraction algebra)
         for a in alg.atoms:
             target = alg.residue_algebra(a)
-            has_rows = bool(self.reduced) and target.dim(r - 2) > 0
-            if has_rows:
-                images = [target.dense(alg.residue(a, b), r - 2)
-                          for b in self.reduced]
-                rows.extend(linalg.columns_matrix(images))
-            self.blocks.append((a, target, has_rows))
+            images = [target.dense(alg.residue(a, b), r - 1) for b in columns]
+            rows.extend(linalg.columns_matrix(images))
+            self.blocks.append((a, target))
         if any(x.denominator != 1 for row in rows for x in row):
             raise RuntimeError("internal invariant violation: residue map "
                                "has non-integer entries")
         self.matrix = [[int(x) for x in row] for row in rows]
-        # The reduced basis in NBC coordinates, one int row per element.
-        self.basis = [[int(x) for x in alg.dense(b, r - 1)]
-                      for b in self.reduced]
-        self.left, self.denom = [], 1
-        if self.reduced:
-            inverse = linalg.left_inverse(self.matrix)
-            if inverse is None:
-                raise RuntimeError(
-                    "internal invariant violation: joint residue map is not "
-                    "injective (suspect an invalid chirotope)")
-            self.left, self.denom = inverse
+        inverse = linalg.left_inverse(self.matrix)
+        if inverse is None:
+            raise RuntimeError(
+                "internal invariant violation: joint residue map is not "
+                "injective (suspect an invalid chirotope)")
+        self.left, self.denom = inverse
 
     def solve(self, targets: dict) -> OSElement:
-        """The top-reduced-grade element x with Res_a x = targets[a]."""
+        """The top-grade element x with Res_a x = targets[a]."""
         r = self.alg.rank
         stacked: list = []
-        for a, target, has_rows in self.blocks:
-            if has_rows:
-                stacked.extend(target.dense(targets[a], r - 2))
-            elif not targets[a].is_zero:
-                raise RuntimeError("internal invariant violation: "
-                                   "inconsistent residue system")
+        for a, target in self.blocks:
+            stacked.extend(target.dense(targets[a], r - 1))
         if any(v.denominator != 1 for v in stacked):
             raise RuntimeError("internal invariant violation: residue "
                                "targets have non-integer coordinates")
@@ -434,6 +425,4 @@ class _ResidueStack:
             raise RuntimeError(
                 "internal invariant violation: residue system is "
                 "inconsistent (suspect an invalid chirotope)")
-        dense = [sum(c * row[j] for c, row in zip(coeffs, self.basis))
-                 for j in range(self.alg.dim(r - 1))]
-        return self.alg.from_dense(r - 1, dense)
+        return self.alg.from_dense(r, coeffs)

@@ -8,8 +8,8 @@ from itertools import combinations, product
 
 import pytest
 
-from omcanon import (Chirotope, LinearMap, OrientedMatroid, RationalMatrix,
-                     SignVector, chirotope_from_matrix, linalg)
+from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
+                     RationalMatrix, SignVector, chirotope_from_matrix, linalg)
 
 
 def cyclic_line_chirotope(n: int) -> Chirotope:
@@ -139,6 +139,18 @@ def uniform_r4_matrix(seed: int, n: int = 6) -> RationalMatrix:
 
 
 # ---- brute-force oracles -----------------------------------------------------
+
+
+def count_bounded_topes(monkeypatch) -> dict:
+    """Count calls of both bounded-tope queries from here on:
+    {"om": OrientedMatroid.bounded_topes, "ext": Extension.bounded_topes}."""
+    counts = {"om": 0, "ext": 0}
+    for key, cls in (("om", OrientedMatroid), ("ext", Extension)):
+        def counting(self, *args, _key=key, _fn=cls.bounded_topes):
+            counts[_key] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(cls, "bounded_topes", counting)
+    return counts
 
 
 def all_full_support_vectors(ground: tuple):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,11 @@ from omcanon import (SignVector, algebra_of, aomoto, bounded_extension,
                      sample_weight_vectors, simplex_identity_check,
                      structure_constants, tq_basis)
 
-from conftest import boolean_om, rank1_om, random_arrangements
-from omcanon import OrientedMatroid, chirotope_from_matrix
+from conftest import (boolean_om, count_bounded_topes, rank1_om,
+                      random_arrangements)
+from omcanon import (Extension, OrientedMatroid, aomoto_degree_ranks,
+                     chirotope_from_matrix)
+from omcanon.bases import _ATTEMPTS, random_signature
 
 
 def test_perturbation_signature_default(line4):
@@ -207,10 +211,108 @@ def test_tq_rank_assertions_on_random_arrangements():
 
 
 def test_aomoto_degree_ranks_diagnostic(pentagon):
-    from omcanon import aomoto_degree_ranks
     weights = {e: Fraction(e) for e in pentagon.ground if e != 1}
     ranks = aomoto_degree_ranks(pentagon, weights, base=1)
     assert len(ranks) == pentagon.rank - 1
     alg = algebra_of(pentagon)
     for k, r in enumerate(ranks):
         assert 0 <= r <= min(alg.reduced_dim(k), alg.reduced_dim(k + 1))
+
+
+@pytest.mark.parametrize("weights", [{2: 1},
+                                     {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}],
+                         ids=["missing", "base"])
+def test_aomoto_degree_ranks_weight_validation(pentagon, weights):
+    """Weights that miss an element or weigh the base are refused with
+    the same error as in `aomoto`, not read as 0."""
+    with pytest.raises(ValueError, match="weights") as want:
+        aomoto(pentagon, weights, base=1)
+    with pytest.raises(ValueError, match="weights") as got:
+        aomoto_degree_ranks(pentagon, weights, base=1)
+    assert str(got.value) == str(want.value)
+
+
+def test_aomoto_computes_bounded_topes_once(pentagon, monkeypatch):
+    """The report's T^0 and T^ext are the sets the extension search
+    already computed."""
+    weights = sample_weight_vectors(pentagon, 1)[0]
+    counts = count_bounded_topes(monkeypatch)
+    report = aomoto(pentagon, weights, base=1)
+    assert counts == {"om": 1, "ext": 1}
+    assert set(report.bounded_topes) == pentagon.bounded_topes(1)
+    ext = bounded_extension(pentagon, 1)
+    assert set(report.extension_bounded_topes) == ext.bounded_topes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bounded_extension_retries_seeded_signatures(line4, monkeypatch,
+                                                     seed):
+    """After the default perturbation fails, the k-th retry takes the k-th
+    seeded `random_signature`."""
+    failures = 3
+    calls = []
+
+    def flaky(self):
+        calls.append(self.signature)
+        # Every tope, so the attempt after the forced failures succeeds.
+        return frozenset() if len(calls) <= failures else self.base.topes
+
+    monkeypatch.setattr(Extension, "bounded_topes", flaky)
+    ext = bounded_extension(line4, 0, seed=seed)
+    rng = random.Random(seed)
+    retries = [random_signature(line4, rng, 0) for _ in range(failures)]
+    assert calls == [perturbation_signature(line4, 0)] + retries
+    assert ext.signature == retries[-1]
+
+
+def test_bounded_extension_exhaustion_raises(line4, monkeypatch):
+    calls = []
+
+    def never(self):
+        calls.append(self.signature)
+        return frozenset()
+
+    monkeypatch.setattr(Extension, "bounded_topes", never)
+    with pytest.raises(RuntimeError, match=f"after {_ATTEMPTS} attempts"):
+        bounded_extension(line4, 0)
+    assert len(calls) == _ATTEMPTS
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_build_flag_retries_seeded_signatures(pentagon, monkeypatch, seed):
+    """A stage whose default extension fails takes the next seeded
+    `random_signature`; later stages start again from the default."""
+    failures = 3
+    calls = []
+    lex_extension = OrientedMatroid.lex_extension
+
+    def flaky(self, signature, *args):
+        calls.append(signature)
+        if len(calls) <= failures:
+            raise ValueError("forced failure")
+        return lex_extension(self, signature, *args)
+
+    monkeypatch.setattr(OrientedMatroid, "lex_extension", flaky)
+    flag = build_flag(pentagon, seed=seed)
+    rng = random.Random(seed)
+    retries = [random_signature(pentagon, rng) for _ in range(failures)]
+    assert calls[:failures + 1] == [perturbation_signature(pentagon)] + retries
+    assert flag.stages[0].ext.signature == retries[-1]
+    assert [s.om.rank for s in flag.stages] == [3, 2, 1]
+    assert len(calls) == failures + len(flag.stages)
+    for stage, signature in zip(flag.stages[1:], calls[failures + 1:]):
+        assert signature == perturbation_signature(stage.om)
+        assert stage.ext.signature == signature
+
+
+def test_build_flag_exhaustion_raises(pentagon, monkeypatch):
+    calls = []
+
+    def never(self, signature, *args):
+        calls.append(signature)
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(OrientedMatroid, "lex_extension", never)
+    with pytest.raises(RuntimeError, match=f"after {_ATTEMPTS} attempts"):
+        build_flag(pentagon)
+    assert len(calls) == _ATTEMPTS

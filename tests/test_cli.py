@@ -10,7 +10,7 @@ import omcanon
 from omcanon import serialize as ser
 from omcanon.cli import run
 
-from conftest import PENTAGON_ROWS
+from conftest import PENTAGON_ROWS, count_bounded_topes
 
 
 def line4_doc():
@@ -175,6 +175,16 @@ def test_verify_all_pentagon(capsys, pentagon_path):
     assert all("seconds" in c for c in doc["checks"])
     names = {c["name"].split(":")[0] for c in doc["checks"]}
     assert names == {"residues", "simplex", "triangulation", "bases", "aomoto"}
+
+
+def test_verify_aomoto_computes_bounded_topes_once(capsys, pentagon_path,
+                                                  monkeypatch):
+    """The suite reads |T^0| and beta from the report it already has."""
+    counts = count_bounded_topes(monkeypatch)
+    code, out, _ = invoke(capsys, "verify", "--input", pentagon_path,
+                          "--suite", "aomoto")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert counts == {"om": 1, "ext": 1}
 
 
 def test_verify_triangulation_skipped_for_chirotope(capsys, line4_path):

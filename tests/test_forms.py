@@ -13,6 +13,7 @@ from omcanon import forms
 from omcanon.chirotope import Chirotope
 from omcanon.forms import contracted_tope_chirotope
 from omcanon.matroid import UnderlyingMatroid
+from omcanon.osalg import OSAlgebra
 from omcanon.realization import _placing
 
 import fraction_linalg
@@ -172,12 +173,20 @@ def test_forms_are_integral(pentagon, pentagon_inf):
             assert canonical_form_tope(om, t).is_integral
 
 
-def test_memoization_shares_minor_forms(pentagon):
-    from omcanon.forms import _canonical_form
-    before = _canonical_form.cache_info().hits
+def fresh_form_memos(monkeypatch):
+    """Give every memoized function in `forms` an empty memo for the test,
+    so that entries left by earlier tests cannot hide work."""
+    for name, fn in list(vars(forms).items()):
+        if hasattr(fn, "cache_info"):
+            monkeypatch.setattr(forms, name, lru_cache(fn.__wrapped__))
+
+
+def test_memoization_shares_minor_forms(pentagon, monkeypatch):
+    fresh_form_memos(monkeypatch)
+    before = forms._top_form.cache_info().hits
     for t in pentagon.sorted_topes()[:6]:
         canonical_form_tope(pentagon, t)
-    after = _canonical_form.cache_info().hits
+    after = forms._top_form.cache_info().hits
     assert after > before  # contractions overlap across topes
 
 
@@ -267,10 +276,47 @@ def uniform_r4():
 @pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair",
                                   "nonpappus", "uniform_r4"])
 def test_recursion_matches_reference(name, request):
+    """Both forms of every tope against the reduced-grade recursion: the
+    reduced form directly, the top-grade form through the boundary's
+    inverse."""
     om = request.getfixturevalue(name)
+    alg = algebra_of(om)
     for t in om.sorted_topes():
-        assert canonical_form_tope(om, t) == reference_form(
-            om.chi.reorient(t))
+        want = reference_form(om.chi.reorient(t))
+        assert canonical_form_tope(om, t) == want
+        assert nonreduced_canonical_form(om, t) == alg.inverse_boundary(want)
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair"])
+def test_nonreduced_form_needs_no_second_solve(name, request, monkeypatch):
+    """The top-grade form comes out of the recursion itself: neither the
+    boundary's inverse nor row reduction runs, even with a fresh memo."""
+    om = request.getfixturevalue(name)
+    fresh_form_memos(monkeypatch)
+    calls = []
+    inverse_boundary = OSAlgebra.inverse_boundary
+    rref = linalg.rref
+
+    def counting_inverse_boundary(self, *args):
+        calls.append("inverse_boundary")
+        return inverse_boundary(self, *args)
+
+    def counting_rref(*args):
+        calls.append("rref")
+        return rref(*args)
+
+    monkeypatch.setattr(OSAlgebra, "inverse_boundary",
+                        counting_inverse_boundary)
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    alg = algebra_of(om)
+    alg.inverse_boundary(alg.zero(om.rank - 1))
+    linalg.rref([[1]])
+    assert set(calls) == {"inverse_boundary", "rref"}  # the counters see calls
+    calls.clear()
+    for t in om.sorted_topes():
+        nr = nonreduced_canonical_form(om, t)
+        assert alg.boundary(nr) == canonical_form_tope(om, t)
+    assert calls == []
 
 
 def _contraction_algebras(alg) -> dict:
@@ -289,10 +335,10 @@ def test_residue_stack_left_inverse(name, request):
     """Every stack the recursion solves with has left * matrix = denom * I."""
     om = request.getfixturevalue(name)
     algebras = _contraction_algebras(algebra_of(om)).values()
-    stacks = [alg.residue_stack for alg in algebras if alg.rank >= 2]
+    stacks = [alg.residue_stack for alg in algebras if alg.rank >= 1]
     assert stacks
     for stack in stacks:
-        n = len(stack.reduced)
+        n = stack.alg.dim(stack.alg.rank)
         assert stack.denom > 0
         assert [[sum(x * row[j] for x, row in zip(lrow, stack.matrix))
                  for j in range(n)] for lrow in stack.left] == [
@@ -317,7 +363,7 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     """Once a chirotope's algebras are cached, a fresh chirotope with the
     same underlying matroids finds them by fingerprint alone."""
     chi = request.getfixturevalue(name).chi
-    first = forms._canonical_form(chi)
+    first = forms._top_form(chi)
     builds = []
     init = UnderlyingMatroid.__init__
 
@@ -331,8 +377,8 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     builds.clear()
     fresh = Chirotope(chi.ground, chi.rank, chi.signs)
     # __wrapped__ skips the memo for the top node, so its lookup runs
-    assert forms._canonical_form.__wrapped__(fresh) == first
-    assert forms._canonical_form.__wrapped__(chi.scale(-1)) == first.scale(-1)
+    assert forms._top_form.__wrapped__(fresh) == first
+    assert forms._top_form.__wrapped__(chi.scale(-1)) == first.scale(-1)
     assert builds == []
 
 
