@@ -62,7 +62,8 @@ def cmd_canonical(args) -> int:
     tope = ser.sign_vector_from_str(parsed.labels, args.tope)
     if not om.is_tope(tope):
         nearest = sorted(om.topes, key=lambda t: (
-            sum(a != b for a, b in zip(t.signs, tope.signs)), t.sort_key()))
+            ((t.plus ^ tope.plus) | (t.minus ^ tope.minus)).bit_count(),
+            t.sort_key()))
         names = ", ".join(ser.sign_vector_to_str(t) for t in nearest[:3])
         raise ser.InputError(f"not a tope; nearest topes: {names}")
     if args.nonreduced:

@@ -48,6 +48,13 @@ class UnderlyingMatroid:
             return _RankZeroMatroid(chi.ground)
         return cls(chi.ground, frozenset(frozenset(k) for k in chi.nonzero_keys))
 
+    @classmethod
+    def from_bases(cls, ground: tuple, bases: frozenset) -> "UnderlyingMatroid":
+        """The matroid with these bases; rank 0 when the only basis is empty."""
+        if bases == {frozenset()}:
+            return _RankZeroMatroid(ground)
+        return cls(ground, bases)
+
     @property
     def fingerprint(self) -> tuple:
         return basis_fingerprint(self.ground, self.bases)
@@ -102,23 +109,26 @@ class UnderlyingMatroid:
 
     # ---- minors ---------------------------------------------------------
 
-    def contract_atom(self, rep) -> "UnderlyingMatroid":
+    def contraction_fingerprint(self, rep) -> tuple:
+        """The fingerprint of the contraction by the atom of rep."""
         atom = self.atom_of(rep)
         ground = tuple(e for e in self.ground if e not in atom)
-        if self.rank == 1:
-            return _RankZeroMatroid(ground)
-        bases = frozenset(b - (b & atom) for b in self.bases if b & atom)
-        return UnderlyingMatroid(ground, bases)
+        return basis_fingerprint(ground, (b - atom for b in self.bases
+                                          if b & atom))
 
-    def delete_atom(self, rep) -> "UnderlyingMatroid":
+    def deletion_fingerprint(self, rep) -> tuple:
+        """The fingerprint of the deletion of the atom of rep."""
         atom = self.atom_of(rep)
         ground = tuple(e for e in self.ground if e not in atom)
         rho = self.rank_of(ground)
-        if rho == 0:
-            return _RankZeroMatroid(ground)
-        cand = {frozenset(b - atom) for b in self.bases}
-        bases = frozenset(b for b in cand if len(b) == rho)
-        return UnderlyingMatroid(ground, bases)
+        return basis_fingerprint(ground, (b - atom for b in self.bases
+                                          if len(b - atom) == rho))
+
+    def contract_atom(self, rep) -> "UnderlyingMatroid":
+        return UnderlyingMatroid.from_bases(*self.contraction_fingerprint(rep))
+
+    def delete_atom(self, rep) -> "UnderlyingMatroid":
+        return UnderlyingMatroid.from_bases(*self.deletion_fingerprint(rep))
 
     # ---- broken circuits and NBC sets (on atoms) ------------------------
 

@@ -5,9 +5,11 @@ once, on first use, deterministically from the chirotope, and never
 mutated afterwards.  Sign-vector sets are closed under negation.  Every
 tope-local query reads the cocircuits conformal to the sign vector: a
 covector is their composition, the faces of a tope are their closure, and
-a tope is bounded at e iff none of them vanishes at e.  Only enumerating
-covectors or topes builds the full covector closure; acyclicity reads the
-signed circuits.
+a tope is bounded at e iff none of them vanishes at e.  Conforming to the
+sign vector, they compose by taking the union of their masks.  Only
+enumerating covectors or topes builds the full covector closure, which runs
+on (plus, minus) mask pairs and builds each SignVector once; acyclicity
+reads the signed circuits.
 """
 
 from __future__ import annotations
@@ -94,10 +96,7 @@ class OrientedMatroid:
 
     def is_covector(self, x: SignVector) -> bool:
         """Conformal cocircuit composition test (no full enumeration)."""
-        acc = self.zero_vector()
-        for y in self.conformal_cocircuits(x):
-            acc = acc.compose(y)
-        return acc == x
+        return _composes_to(self, x, self.conformal_cocircuits(x))
 
     def faces(self, tope: SignVector) -> frozenset:
         """Covectors conformal to the tope, including 0 and the tope itself."""
@@ -203,16 +202,24 @@ class Extension:
 def _bounded_tope(om: OrientedMatroid, x: SignVector, e) -> bool:
     """True iff the full-support x is a tope whose nonzero faces are all
     positive at e.  Faces are compositions of the conformal cocircuits, so
-    one pass over those decides both: none may vanish at e, and together
-    they must compose to x."""
+    those decide both: none may vanish at e, and together they must compose
+    to x."""
     if x.value(e) != 1:
         return False
-    acc = om.zero_vector()
-    for y in om.conformal_cocircuits(x):
-        if y.value(e) == 0:
-            return False
-        acc = acc.compose(y)
-    return acc == x
+    bit = 1 << ground_positions(x.ground)[e]
+    ys = om.conformal_cocircuits(x)
+    return (all((y.plus | y.minus) & bit for y in ys)
+            and _composes_to(om, x, ys))
+
+
+def _composes_to(om: OrientedMatroid, x: SignVector, ys: list) -> bool:
+    """True iff x, over om's ground set, is the composition of ys.  All of
+    ys conform to x, so they compose by taking the union of their masks."""
+    plus = minus = 0
+    for y in ys:
+        plus |= y.plus
+        minus |= y.minus
+    return x.ground == om.ground and x.plus == plus and x.minus == minus
 
 
 # ---- derived sign-vector data -------------------------------------------
@@ -258,18 +265,21 @@ def _cocircuits(chi: Chirotope) -> frozenset:
     return frozenset(out)
 
 
-def _covector_closure(ground: tuple, cocircuits: frozenset) -> frozenset:
-    """All compositions of cocircuits, plus the zero covector."""
-    zero = SignVector(ground, (0,) * len(ground))
-    seen = {zero} | set(cocircuits)
-    frontier = list(cocircuits)
+def _covector_closure(ground: tuple, cocircuits) -> frozenset:
+    """All compositions of cocircuits, plus the zero covector.  The closure
+    runs on (plus, minus) mask pairs: x o y = (xp | yp & ~(xp | xm),
+    xm | ym & ~(xp | xm)); sign vectors are built once, at the end."""
+    gens = [(y.plus, y.minus) for y in cocircuits]
+    seen = {(0, 0)} | set(gens)
+    frontier = gens
     while frontier:
         nxt = []
-        for x in frontier:
-            for y in cocircuits:
-                z = x.compose(y)
+        for xp, xm in frontier:
+            free = ~(xp | xm)
+            for yp, ym in gens:
+                z = (xp | yp & free, xm | ym & free)
                 if z not in seen:
                     seen.add(z)
                     nxt.append(z)
         frontier = nxt
-    return frozenset(seen)
+    return frozenset(SignVector._from_masks(ground, p, m) for p, m in seen)

@@ -38,11 +38,16 @@ def os_algebra_for(matroid: UnderlyingMatroid) -> "OSAlgebra":
 
 
 def os_algebra_of_chirotope(chi: Chirotope) -> "OSAlgebra":
-    """The algebra of chi's underlying matroid, found by basis fingerprint;
-    the matroid is built only when no algebra for it is cached yet."""
-    alg = _ALGEBRAS.get(chirotope_fingerprint(chi))
+    """The algebra of chi's underlying matroid, found by basis fingerprint."""
+    return _os_algebra_by_fingerprint(chirotope_fingerprint(chi))
+
+
+def _os_algebra_by_fingerprint(key: tuple) -> "OSAlgebra":
+    """The algebra of the matroid with this (ground, bases) fingerprint; the
+    matroid is built only when no algebra for it is cached yet."""
+    alg = _ALGEBRAS.get(key)
     if alg is None:
-        alg = os_algebra_for(UnderlyingMatroid.from_chirotope(chi))
+        alg = os_algebra_for(UnderlyingMatroid.from_bases(*key))
     return alg
 
 
@@ -236,14 +241,16 @@ class OSAlgebra:
     def residue_algebra(self, rep) -> "OSAlgebra":
         alg = self._residue_algebras.get(rep)
         if alg is None:
-            alg = os_algebra_for(self.matroid.contract_atom(rep))
+            alg = _os_algebra_by_fingerprint(
+                self.matroid.contraction_fingerprint(rep))
             self._residue_algebras[rep] = alg
         return alg
 
     def deletion_algebra(self, rep) -> "OSAlgebra":
         alg = self._deletion_algebras.get(rep)
         if alg is None:
-            alg = os_algebra_for(self.matroid.delete_atom(rep))
+            alg = _os_algebra_by_fingerprint(
+                self.matroid.deletion_fingerprint(rep))
             self._deletion_algebras[rep] = alg
         return alg
 

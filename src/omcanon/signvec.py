@@ -1,12 +1,14 @@
 """Sign vectors over an ordered ground set.
 
 Signs are the integers -1, 0, +1.  Element order is always the order of the
-owning ground tuple, never the natural order of the labels.
+owning ground tuple, never the natural order of the labels.  A sign vector
+stores two bitmasks over that order: bit i of `plus` (of `minus`) is set iff
+the i-th ground element has sign +1 (-1).  Composition, conformality,
+orthogonality, support and negation are then a few bitwise operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -15,92 +17,142 @@ def ground_positions(ground: tuple) -> dict:
     return {e: i for i, e in enumerate(ground)}
 
 
-@dataclass(frozen=True)
 class SignVector:
-    ground: tuple
-    signs: tuple
+    """An immutable sign vector; equal iff ground and signs are equal."""
 
-    def __post_init__(self):
-        if len(self.ground) != len(self.signs):
+    __slots__ = ("ground", "plus", "minus")
+
+    def __init__(self, ground: tuple, signs):
+        signs = tuple(signs)
+        if len(ground) != len(signs):
             raise ValueError("sign vector length mismatch")
+        plus = minus = 0
+        for i, s in enumerate(signs):
+            if s == 1:
+                plus |= 1 << i
+            elif s == -1:
+                minus |= 1 << i
+            elif s != 0:
+                raise ValueError(f"sign {s!r} is not -1, 0 or 1")
+        _set_masks(self, ground, plus, minus)
+
+    @classmethod
+    def _from_masks(cls, ground: tuple, plus: int, minus: int) -> "SignVector":
+        """The sign vector with these disjoint masks over ground (unchecked)."""
+        x = object.__new__(cls)
+        _set_masks(x, ground, plus, minus)
+        return x
 
     @classmethod
     def from_map(cls, ground: tuple, values: dict) -> "SignVector":
         return cls(ground, tuple(int(values.get(e, 0)) for e in ground))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor: restoring the slots
+        one by one would go through the refusing __setattr__."""
+        return SignVector, (self.ground, self.signs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.plus == other.plus and self.minus == other.minus
+                and self.ground == other.ground)
+
+    def __hash__(self) -> int:
+        return hash((self.plus, self.minus, self.ground))
+
+    def __repr__(self) -> str:
+        return f"SignVector(ground={self.ground!r}, signs={self.signs!r})"
+
+    @property
+    def signs(self) -> tuple:
+        p, m = self.plus, self.minus
+        return tuple((p >> i & 1) - (m >> i & 1) for i in range(len(self.ground)))
+
     def value(self, e) -> int:
-        return self.signs[ground_positions(self.ground)[e]]
+        i = ground_positions(self.ground)[e]
+        return (self.plus >> i & 1) - (self.minus >> i & 1)
 
     def __neg__(self) -> "SignVector":
-        return SignVector(self.ground, tuple(-s for s in self.signs))
+        return SignVector._from_masks(self.ground, self.minus, self.plus)
+
+    def _elements(self, mask: int) -> frozenset:
+        return frozenset(e for i, e in enumerate(self.ground) if mask >> i & 1)
 
     @property
     def support(self) -> frozenset:
-        return frozenset(e for e, s in zip(self.ground, self.signs) if s != 0)
+        return self._elements(self.plus | self.minus)
 
     @property
     def zero_set(self) -> frozenset:
-        return frozenset(e for e, s in zip(self.ground, self.signs) if s == 0)
+        return self._elements(~(self.plus | self.minus))
 
     @property
     def negative_part(self) -> frozenset:
-        return frozenset(e for e, s in zip(self.ground, self.signs) if s < 0)
+        return self._elements(self.minus)
 
     @property
     def is_zero(self) -> bool:
-        return all(s == 0 for s in self.signs)
+        return not (self.plus | self.minus)
 
     @property
     def has_full_support(self) -> bool:
-        return all(s != 0 for s in self.signs)
+        return (self.plus | self.minus) == (1 << len(self.ground)) - 1
 
     @property
     def is_nonnegative(self) -> bool:
-        return all(s >= 0 for s in self.signs)
+        return not self.minus
 
     def compose(self, other: "SignVector") -> "SignVector":
         """(X o Y)(e) = X(e) if nonzero else Y(e)."""
         if other.ground != self.ground:
             raise ValueError("composition needs a common ground set")
-        return SignVector(self.ground, tuple(
-            a if a != 0 else b for a, b in zip(self.signs, other.signs)))
+        free = ~(self.plus | self.minus)
+        return SignVector._from_masks(self.ground,
+                                      self.plus | (other.plus & free),
+                                      self.minus | (other.minus & free))
 
     def is_orthogonal(self, other: "SignVector") -> bool:
         """Products over the common support are empty or take both signs."""
-        pos = neg = False
-        for a, b in zip(self.signs, other.signs):
-            p = a * b
-            if p > 0:
-                pos = True
-            elif p < 0:
-                neg = True
-        return pos == neg
+        pos = (self.plus & other.plus) | (self.minus & other.minus)
+        neg = (self.plus & other.minus) | (self.minus & other.plus)
+        return (pos == 0) == (neg == 0)
 
     def conforms_to(self, other: "SignVector") -> bool:
         """True iff self(e) in {0, other(e)} for every e."""
-        return all(a == 0 or a == b for a, b in zip(self.signs, other.signs))
+        return not (self.plus & ~other.plus | self.minus & ~other.minus)
 
     def restrict(self, ground: tuple) -> "SignVector":
         """Restriction to a sub-ground-set, keeping its order."""
-        pos = ground_positions(self.ground)
-        return SignVector(ground, tuple(self.signs[pos[e]] for e in ground))
+        return SignVector(ground, tuple(self.value(e) for e in ground))
 
     def extend(self, ground: tuple, fill: int = 0) -> "SignVector":
         """Extension to a larger ground set, new entries = fill."""
         pos = ground_positions(self.ground)
         return SignVector(ground, tuple(
-            self.signs[pos[e]] if e in pos else fill for e in ground))
+            self.value(e) if e in pos else fill for e in ground))
 
     def zero_out(self, elements) -> "SignVector":
         elements = set(elements)
-        return SignVector(self.ground, tuple(
-            0 if e in elements else s for e, s in zip(self.ground, self.signs)))
+        keep = ~sum(1 << i for i, e in enumerate(self.ground) if e in elements)
+        return SignVector._from_masks(self.ground, self.plus & keep,
+                                      self.minus & keep)
 
     def sort_key(self) -> tuple:
         """Deterministic order: + before 0 before - per coordinate."""
-        rank = {1: 0, 0: 1, -1: 2}
-        return tuple(rank[s] for s in self.signs)
+        return tuple(1 - s for s in self.signs)
 
     def __str__(self) -> str:
-        chars = {1: "+", 0: "0", -1: "-"}
-        return "(" + ",".join(chars[s] for s in self.signs) + ")"
+        return "(" + ",".join("0+-"[s] for s in self.signs) + ")"
+
+
+def _set_masks(x: SignVector, ground: tuple, plus: int, minus: int) -> None:
+    object.__setattr__(x, "ground", ground)
+    object.__setattr__(x, "plus", plus)
+    object.__setattr__(x, "minus", minus)

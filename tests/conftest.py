@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import settings
 
 from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
                      RationalMatrix, SignVector, chirotope_from_matrix, linalg)
+
+# With CI set, property tests draw the same examples on every run, so a
+# failure on one leg replays locally with CI=1; no per-example deadline on
+# shared runners.  Local runs keep hypothesis's defaults.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def cyclic_line_chirotope(n: int) -> Chirotope:

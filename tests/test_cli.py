@@ -11,6 +11,7 @@ from omcanon import serialize as ser
 from omcanon.cli import run
 
 from conftest import PENTAGON_ROWS, count_bounded_topes
+from tuple_signvec import SignVector as TupleSignVector
 
 
 def line4_doc():
@@ -125,6 +126,27 @@ def test_canonical_not_a_tope(capsys, line4_path):
                             "--tope", "+,-,+,-")
     assert code == 2
     assert "not a tope" in err and "nearest topes" in err
+
+
+@pytest.mark.parametrize("tope, nearest", [
+    ("+,-,+,-,+", "+,+,+,-,+, +,-,+,+,+, -,-,+,-,+"),
+    ("0,+,-,+,0", "+,+,-,+,+, +,+,-,+,-, +,+,+,+,+"),
+])
+def test_canonical_not_a_tope_diagnostic(capsys, pentagon_path, tope, nearest):
+    """The nearest topes are those at least Hamming distance, ties broken
+    by sort_key; checked against the tuple-based sign vectors too."""
+    code, out, err = invoke(capsys, "canonical", "--input", pentagon_path,
+                            "--tope", tope)
+    assert code == 2 and out == ""
+    assert err == f"error: not a tope; nearest topes: {nearest}\n"
+    om = omcanon.OrientedMatroid(ser.parse_input(pentagon_doc()).chi)
+    x = TupleSignVector(om.ground,
+                        ser.sign_vector_from_str(om.ground, tope).signs)
+    ranked = sorted((TupleSignVector(om.ground, t.signs) for t in om.topes),
+                    key=lambda t: (sum(a != b for a, b in zip(t.signs, x.signs)),
+                                   t.sort_key()))
+    assert nearest == ", ".join(
+        ",".join("+0-"[1 - s] for s in t.signs) for t in ranked[:3])
 
 
 def test_basis_line4(capsys, line4_path):

@@ -3,12 +3,14 @@ from itertools import product
 import pytest
 
 from omcanon import (NotATope, OrientedMatroid, SignVector, bounded_extension,
-                     build_flag, validate_chirotope)
+                     build_flag, chirotope_from_matrix, validate_chirotope)
 from omcanon.om import is_acyclic
 
 from conftest import (PAPPUS_LINE, all_full_support_vectors, boolean_om,
                       oracle_covectors, oracle_topes, pappus_chirotope,
-                      rank1_om)
+                      rank1_om, uniform_r4_matrix)
+from tuple_signvec import SignVector as TupleSignVector
+from tuple_signvec import covector_closure as tuple_covector_closure
 
 
 def test_circuits_line4(line4):
@@ -87,6 +89,39 @@ def test_is_tope_matches_closure(name, request):
     assert not om.is_tope(SignVector(other, t.signs))
     assert not om.is_tope(t.extend(om.ground + ("q",), fill=1))
     assert not om.is_tope(SignVector((), ()))
+
+
+def _plain(vectors) -> set:
+    assert all(type(x) is SignVector for x in vectors)
+    return {(x.ground, x.signs) for x in vectors}
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
+                                  "parallel_pair", "nonpappus", "rank1",
+                                  "boolean3", "uniform_r4"])
+def test_closure_matches_tuple_oracle(name, request):
+    """Covectors, topes, sorted topes and the faces of every tope equal the
+    closure of the tuple-based sign vectors over the same cocircuits."""
+    if name == "rank1":
+        om = rank1_om((1, -1, 1))
+    elif name == "boolean3":
+        om = boolean_om(3)
+    elif name == "uniform_r4":
+        om = OrientedMatroid(chirotope_from_matrix(uniform_r4_matrix(seed=0)))
+    else:
+        om = request.getfixturevalue(name)
+    cocircuits = [TupleSignVector(om.ground, y.signs) for y in om.cocircuits]
+    covectors = tuple_covector_closure(om.ground, cocircuits)
+    topes = [x for x in covectors if x.has_full_support]
+    assert _plain(om.covectors) == {(x.ground, x.signs) for x in covectors}
+    assert _plain(om.topes) == {(x.ground, x.signs) for x in topes}
+    assert ([x.signs for x in om.sorted_topes()]
+            == [x.signs for x in sorted(topes, key=TupleSignVector.sort_key)])
+    for t in topes:
+        faces = tuple_covector_closure(
+            om.ground, [y for y in cocircuits if y.conforms_to(t)])
+        assert (_plain(om.faces(SignVector(t.ground, t.signs)))
+                == {(x.ground, x.signs) for x in faces})
 
 
 def test_faces_line4(line4, line4_topes):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from omcanon import algebra_of
+from omcanon import UnderlyingMatroid, algebra_of
 from omcanon.chirotope import perm_parity_sign
-from omcanon.osalg import OSElement
+from omcanon.matroid import _RankZeroMatroid
+from omcanon.osalg import OSAlgebra, OSElement
 
 from conftest import exact_sequence_maps, rank1_om
 
@@ -265,6 +266,36 @@ def test_straightening_confluence(pentagon_inf):
         size = rng.choice((2, 3))
         seq = rng.sample(ground, size)
         assert straighten_randomized(alg, seq, rng) == alg.monomial(seq)
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair",
+                                  "nonpappus", "rank1"])
+def test_cached_minor_algebras_need_no_matroid_build(name, request,
+                                                     monkeypatch):
+    """Once the algebras of its minors are cached, an algebra finds the
+    residue and deletion algebras by fingerprint alone."""
+    if name == "rank1":
+        om = rank1_om((1, -1, 1))
+    else:
+        om = request.getfixturevalue(name)
+    alg = algebra_of(om)
+    warm = {rep: (alg.residue_algebra(rep), alg.deletion_algebra(rep))
+            for rep in alg.atoms}
+    builds = []
+    for cls in (UnderlyingMatroid, _RankZeroMatroid):
+        def counting_init(self, *args, _init=cls.__init__):
+            builds.append(args)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    alg.matroid.contract_atom(alg.atoms[0])
+    assert len(builds) == 1  # the counter sees builds, of rank 0 too
+    builds.clear()
+    fresh = OSAlgebra(alg.matroid)
+    for rep in alg.atoms:
+        residue, deletion = warm[rep]
+        assert fresh.residue_algebra(rep) is residue
+        assert fresh.deletion_algebra(rep) is deletion
+    assert builds == []
 
 
 def test_rank0_algebra():
