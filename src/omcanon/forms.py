@@ -3,13 +3,18 @@
 One recursion is computed, in the top grade A^r: the non-reduced form W of
 an acyclic pair is pinned down by its residues at atom contractions,
 
-    Res_a W(M, chi) = W(M/a, chi/a)   (a an acyclic atom, 0 otherwise),
+    Res_a W(M, chi) = W(M/a, chi/a)   (a a facet of the all-plus tope,
+                                       0 otherwise),
 
-with base value chi(()) in rank 0.  The boundary is injective on A^r and
-the reduced form is dW; as Res_a d = -d Res_a, it obeys the reduced
-recursion Res_a dW = -dW(M/a, chi/a) with rank-1 base value chi(i), which
-is the one `check_residue_axioms` checks.  The triangulation evaluation
-sum_B chi(B) e_B satisfies the top-grade recursion, so both paths agree.
+with base value chi(()) in rank 0.  The facets are read off the
+nonnegative cocircuits (`om._facet_elements`); a facet's contraction is
+acyclic again, so the recursion only ever visits, and its memo only ever
+holds, acyclic chirotopes, and no node tests acyclicity.  The boundary is
+injective on A^r and the reduced form is dW; as Res_a d = -d Res_a, it
+obeys the reduced recursion Res_a dW = -dW(M/a, chi/a) with rank-1 base
+value chi(i), which is the one `check_residue_axioms` checks.  The
+triangulation evaluation sum_B chi(B) e_B satisfies the top-grade
+recursion, so both paths agree.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .chirotope import Chirotope
-from .om import OrientedMatroid, is_acyclic
+from .om import OrientedMatroid, _facet_elements
 from .osalg import (OSAlgebra, OSElement, os_algebra_for,
                     os_algebra_of_chirotope)
 from .signvec import SignVector
@@ -34,17 +39,20 @@ def algebra_of(om: OrientedMatroid) -> OSAlgebra:
 
 @lru_cache(maxsize=None)
 def _top_form(chi: Chirotope) -> OSElement:
+    """Top-grade form of an acyclic chi; callers guarantee acyclicity."""
     r = chi.rank
     alg = os_algebra_of_chirotope(chi)
     if r == 0:
         return alg.one().scale(chi.value(()))
-    if not is_acyclic(chi):
-        return alg.zero(r)
+    facets = _facet_elements(chi)
     targets = {}
     for a in alg.atoms:
-        atom = alg.matroid.atom_of(a)
-        # recursion: Res_a W = W(M/a, chi/a)
-        targets[a] = _top_form(chi.contract(a, drop=atom - {a}))
+        if a in facets:
+            atom = alg.matroid.atom_of(a)
+            # recursion: Res_a W = W(M/a, chi/a)
+            targets[a] = _top_form(chi.contract(a, drop=atom - {a}))
+        else:
+            targets[a] = alg.residue_algebra(a).zero(r - 1)
     return alg.residue_stack.solve(targets)
 
 
@@ -58,6 +66,8 @@ def _canonical_form(chi: Chirotope) -> OSElement:
 
 def canonical_form_om(om: OrientedMatroid) -> OSElement:
     """Reduced canonical form of (M, chi); zero when M is not acyclic."""
+    if not om.is_acyclic():
+        return os_algebra_of_chirotope(om.chi).zero(om.rank - 1)
     return _canonical_form(om.chi)
 
 

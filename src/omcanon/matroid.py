@@ -124,12 +124,6 @@ class UnderlyingMatroid:
         return basis_fingerprint(ground, (b - atom for b in self.bases
                                           if len(b - atom) == rho))
 
-    def contract_atom(self, rep) -> "UnderlyingMatroid":
-        return UnderlyingMatroid.from_bases(*self.contraction_fingerprint(rep))
-
-    def delete_atom(self, rep) -> "UnderlyingMatroid":
-        return UnderlyingMatroid.from_bases(*self.deletion_fingerprint(rep))
-
     # ---- broken circuits and NBC sets (on atoms) ------------------------
 
     def atom_rank(self, reps) -> int:

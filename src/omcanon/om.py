@@ -2,7 +2,9 @@
 
 Derived data (signed circuits, cocircuits, covectors, topes) is computed
 once, on first use, deterministically from the chirotope, and never
-mutated afterwards.  Sign-vector sets are closed under negation.  Every
+mutated afterwards.  Sign-vector sets are closed under negation.
+Cocircuits are read off the ascending sign table as (plus, minus) masks,
+and so are the facets of the all-plus tope of an acyclic chirotope.  Every
 tope-local query reads the cocircuits conformal to the sign vector: a
 covector is their composition, the faces of a tope are their closure, and
 a tope is bounded at e iff none of them vanishes at e.  Conforming to the
@@ -16,8 +18,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 
 from .chirotope import Chirotope, validate_chirotope
 from .matroid import UnderlyingMatroid
@@ -69,9 +72,6 @@ class OrientedMatroid:
     @property
     def atom_reps(self) -> tuple:
         return self.underlying.atom_reps
-
-    def zero_vector(self) -> SignVector:
-        return SignVector(self.ground, (0,) * len(self.ground))
 
     def sorted_topes(self) -> list:
         return sorted(self.topes, key=SignVector.sort_key)
@@ -251,18 +251,69 @@ def is_acyclic(chi: Chirotope) -> bool:
                    for _, signs in _circuit_signs(chi))
 
 
+@lru_cache(maxsize=None)
+def _hyperplane_slots(n: int, r: int) -> tuple:
+    """For each ascending r-subset B of range(n), in sign-table order, the
+    triples (index of B minus B[i] among the (r-1)-subsets, bit of B[i],
+    parity of r-1-i), i = 0..r-1."""
+    index = {h: j for j, h in enumerate(combinations(range(n), r - 1))}
+    return tuple(tuple((index[key[:i] + key[i + 1:]], 1 << key[i],
+                        (r - 1 - i) % 2) for i in range(r))
+                 for key in combinations(range(n), r))
+
+
+def _cocircuit_masks(chi: Chirotope) -> set:
+    """(plus, minus) masks of the cocircuits, one sign of each at least,
+    read off the ascending sign table.  The cocircuit of the hyperplane
+    spanned by H = B minus B[i], for a basis B, takes the sign
+    (-1)^(r-1-i) chi(B) at B[i]: moving B[i] to the end of B takes r-1-i
+    transpositions."""
+    n, r = len(chi.ground), chi.rank
+    if r == 0:
+        return set()
+    plus, minus = [0] * comb(n, r - 1), [0] * comb(n, r - 1)
+    for s, slots in zip(chi.signs, _hyperplane_slots(n, r)):
+        if s:
+            for h, bit, odd in slots:
+                if (s > 0) != odd:
+                    plus[h] |= bit
+                else:
+                    minus[h] |= bit
+    return {pm for pm in zip(plus, minus) if pm != (0, 0)}
+
+
 def _cocircuits(chi: Chirotope) -> frozenset:
-    if chi.rank == 0:
-        return frozenset()
-    out = set()
-    for hyp in combinations(chi.ground, chi.rank - 1):
-        values = {e: chi.value(hyp + (e,)) for e in chi.ground if e not in hyp}
-        if not any(values.values()):
-            continue
-        vec = SignVector.from_map(chi.ground, values)
-        out.add(vec)
-        out.add(-vec)
-    return frozenset(out)
+    return frozenset(SignVector._from_masks(chi.ground, *pm)
+                     for p, m in _cocircuit_masks(chi)
+                     for pm in ((p, m), (m, p)))
+
+
+def _facet_elements(chi: Chirotope) -> frozenset:
+    """For an acyclic chi, the elements whose parallel class is a facet of
+    the all-plus tope.
+
+    The nonnegative cocircuits vanishing at a compose to the largest face
+    of the tope that vanishes at a; its zero set is the intersection of
+    theirs.  That face is a facet iff this zero set is a's parallel class,
+    the intersection of the zero sets of all cocircuits vanishing at a.
+    """
+    n = len(chi.ground)
+    full = (1 << n) - 1
+    closure = [full] * n
+    face = [full] * n
+    for plus, minus in _cocircuit_masks(chi):
+        zero = full & ~(plus | minus)
+        one_signed = not plus or not minus
+        rest = zero
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            closure[i] &= zero
+            if one_signed:
+                face[i] &= zero
+            rest ^= low
+    return frozenset(e for e, c, f in zip(chi.ground, closure, face)
+                     if c == f)
 
 
 def _covector_closure(ground: tuple, cocircuits) -> frozenset:

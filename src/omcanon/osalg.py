@@ -387,49 +387,75 @@ class _ResidueStack:
     a cached left inverse turns every canonical-form solve into a
     matrix-vector product plus a consistency check.  Canonical forms are
     integral, so the matrix is kept over int and the left inverse as an int
-    matrix `left` over one positive denominator `denom`.
+    matrix over one positive denominator `denom`.  Both are almost empty
+    and are stored as sparse columns: `matrix[j]` lists the (stacked row,
+    value) pairs of the j-th NBC monomial's residues, and `left[i]` the
+    (coefficient index, value) pairs that stacked row i feeds.
     """
 
     def __init__(self, alg: OSAlgebra):
         self.alg = alg
         r = alg.rank
-        columns = [alg.from_terms(r, {key: 1}) for key in alg.nbc[r]]
-        rows: list = []
-        self.blocks = []  # (atom, contraction algebra)
+        self.keys = alg.nbc_keys(r)
+        self.blocks = []  # (atom, contraction algebra, first stacked row)
+        nrows = 0
         for a in alg.atoms:
             target = alg.residue_algebra(a)
-            images = [target.dense(alg.residue(a, b), r - 1) for b in columns]
-            rows.extend(linalg.columns_matrix(images))
-            self.blocks.append((a, target))
-        if any(x.denominator != 1 for row in rows for x in row):
-            raise RuntimeError("internal invariant violation: residue map "
-                               "has non-integer entries")
-        self.matrix = [[int(x) for x in row] for row in rows]
-        inverse = linalg.left_inverse(self.matrix)
+            self.blocks.append((a, target, nrows))
+            nrows += target.dim(r - 1)
+        self.matrix = []
+        for key in self.keys:
+            column = []
+            monomial = alg.from_terms(r, {key: 1})
+            for a, target, offset in self.blocks:
+                index = target._nbc_pos[r - 1]
+                for k, v in alg.residue(a, monomial).terms.items():
+                    if v.denominator != 1:
+                        raise RuntimeError("internal invariant violation: "
+                                           "residue map has non-integer "
+                                           "entries")
+                    column.append((offset + index[k], int(v)))
+            self.matrix.append(column)
+        dense = [[0] * len(self.keys) for _ in range(nrows)]
+        for j, column in enumerate(self.matrix):
+            for i, v in column:
+                dense[i][j] = v
+        inverse = linalg.left_inverse(dense)
         if inverse is None:
             raise RuntimeError(
                 "internal invariant violation: joint residue map is not "
                 "injective (suspect an invalid chirotope)")
-        self.left, self.denom = inverse
+        left, self.denom = inverse
+        self.left = [[(j, row[i]) for j, row in enumerate(left) if row[i]]
+                     for i in range(nrows)]
 
     def solve(self, targets: dict) -> OSElement:
         """The top-grade element x with Res_a x = targets[a]."""
         r = self.alg.rank
-        stacked: list = []
-        for a, target in self.blocks:
-            stacked.extend(target.dense(targets[a], r - 1))
-        if any(v.denominator != 1 for v in stacked):
-            raise RuntimeError("internal invariant violation: residue "
-                               "targets have non-integer coordinates")
-        stacked = [int(v) for v in stacked]
-        nums = [sum(x * v for x, v in zip(row, stacked)) for row in self.left]
+        stacked = {}
+        for a, target, offset in self.blocks:
+            index = target._nbc_pos[r - 1]
+            for key, v in targets[a].terms.items():
+                if v.denominator != 1:
+                    raise RuntimeError("internal invariant violation: residue "
+                                       "targets have non-integer coordinates")
+                stacked[offset + index[key]] = int(v)
+        nums = [0] * len(self.keys)
+        for i, v in stacked.items():
+            for j, x in self.left[i]:
+                nums[j] += x * v
         if any(n % self.denom for n in nums):
             raise RuntimeError("internal invariant violation: canonical form "
                                "has non-integer coordinates")
         coeffs = [n // self.denom for n in nums]
-        if [sum(x * c for x, c in zip(row, coeffs))
-                for row in self.matrix] != stacked:
+        image: dict = {}
+        for column, c in zip(self.matrix, coeffs):
+            if c:
+                for i, x in column:
+                    image[i] = image.get(i, 0) + x * c
+        if {i: v for i, v in image.items() if v} != stacked:
             raise RuntimeError(
                 "internal invariant violation: residue system is "
                 "inconsistent (suspect an invalid chirotope)")
-        return self.alg.from_dense(r, coeffs)
+        return OSElement(self.alg, r, {key: Fraction(c) for key, c
+                                       in zip(self.keys, coeffs) if c})

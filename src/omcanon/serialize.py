@@ -123,6 +123,8 @@ def parse_input(doc: dict) -> ParsedInput:
                 raise InputError(f"key {raw_key!r} names unknown element {p!r}")
         if len(set(parts)) != rank or list(parts) != sorted(parts, key=pos.get):
             raise InputError(f"key {raw_key!r} is not strictly ascending")
+        if parts in values:
+            raise InputError(f"key {raw_key!r} repeats an earlier key")
         if str(raw_sign) not in CHAR_SIGNS:
             raise InputError(f"bad sign {raw_sign!r} for key {raw_key!r}")
         values[parts] = CHAR_SIGNS[str(raw_sign)]

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import settings
 
 from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
-                     RationalMatrix, SignVector, chirotope_from_matrix, linalg)
+                     RationalMatrix, SignVector, UnderlyingMatroid,
+                     chirotope_from_matrix, linalg)
 
 # With CI set, property tests draw the same examples on every run, so a
 # failure on one leg replays locally with CI=1; no per-example deadline on
@@ -147,6 +148,18 @@ def uniform_r4_matrix(seed: int, n: int = 6) -> RationalMatrix:
             return mat
 
 
+def named_om(name: str, request) -> OrientedMatroid:
+    """A session fixture by name, or one of the built ones: rank1 (three
+    parallel elements, one reversed), boolean3, uniform_r4 (seed 0)."""
+    if name == "rank1":
+        return rank1_om((1, -1, 1))
+    if name == "boolean3":
+        return boolean_om(3)
+    if name == "uniform_r4":
+        return OrientedMatroid(chirotope_from_matrix(uniform_r4_matrix(seed=0)))
+    return request.getfixturevalue(name)
+
+
 # ---- brute-force oracles -----------------------------------------------------
 
 
@@ -195,6 +208,16 @@ def oracle_rank(mat: RationalMatrix, labels) -> int:
     if not cols:
         return 0
     return linalg.rank([[c[i] for c in cols] for i in range(mat.nrows)])
+
+
+def contract_atom(m: UnderlyingMatroid, rep) -> UnderlyingMatroid:
+    """The contraction of m by the atom of rep, built from its fingerprint."""
+    return UnderlyingMatroid.from_bases(*m.contraction_fingerprint(rep))
+
+
+def delete_atom(m: UnderlyingMatroid, rep) -> UnderlyingMatroid:
+    """The deletion of the atom of rep from m, built from its fingerprint."""
+    return UnderlyingMatroid.from_bases(*m.deletion_fingerprint(rep))
 
 
 def exact_sequence_maps(alg, rep, k: int) -> tuple:

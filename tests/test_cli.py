@@ -10,7 +10,7 @@ import omcanon
 from omcanon import serialize as ser
 from omcanon.cli import run
 
-from conftest import PENTAGON_ROWS, count_bounded_topes
+from conftest import PENTAGON_ROWS, count_bounded_topes, nonpappus_chirotope
 from tuple_signvec import SignVector as TupleSignVector
 
 
@@ -237,6 +237,18 @@ def test_verify_all_rank1(capsys, name):
     assert len(residues) == 2
 
 
+def test_nonpappus_data_file():
+    """The non-realizable input that CI runs `verify` on is the non-Pappus
+    chirotope of the fixtures, with its labels as strings."""
+    path = os.path.join(os.path.dirname(__file__), "data", "nonpappus.json")
+    with open(path) as fh:
+        parsed = ser.parse_input(json.load(fh))
+    chi = nonpappus_chirotope()
+    assert parsed.matrix is None
+    assert parsed.chi == omcanon.Chirotope(
+        tuple(str(e) for e in chi.ground), chi.rank, chi.signs)
+
+
 def input_to_document(parsed: ser.ParsedInput) -> dict:
     """The input document of a parsed input, in canonical form."""
     if parsed.matrix is not None:
@@ -360,10 +372,13 @@ def _with(doc, **changes):
      "label ' a' must be non-empty, without ','"),
     (_with(line4_doc(), elements=["0", "1", "2", "3 "]), "label '3 '"),
     (_with(line4_doc(), elements=["", "1", "2", "3"]), "label ''"),
+    (_with(line4_doc(), chirotope=dict(line4_doc()["chirotope"],
+                                       **{"0, 1": "-"})),
+     "key '0, 1' repeats an earlier key"),
 ], ids=["int_and_str_label", "list_label", "bool_label", "bool_rank",
         "bool_rank_matrix", "rank_below_rows", "rank_above_rows_zero_column",
         "comma_label", "leading_space_label", "trailing_space_label",
-        "empty_label"])
+        "empty_label", "repeated_key"])
 def test_malformed_documents_exit_two(capsys, tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -10,14 +11,16 @@ from omcanon import (OrientedMatroid, SignVector, algebra_of,
                      nonreduced_from_triangulation, oriented_matroid_for,
                      os_algebra_for)
 from omcanon import forms
+from omcanon import om as om_module
 from omcanon.chirotope import Chirotope
 from omcanon.forms import contracted_tope_chirotope
 from omcanon.matroid import UnderlyingMatroid
+from omcanon.om import is_acyclic
 from omcanon.osalg import OSAlgebra
 from omcanon.realization import _placing
 
 import fraction_linalg
-from conftest import boolean_om, rank1_om, uniform_r4_matrix
+from conftest import boolean_om, named_om, rank1_om, uniform_r4_matrix
 
 
 def ebasis(alg, e):
@@ -339,10 +342,148 @@ def test_residue_stack_left_inverse(name, request):
     assert stacks
     for stack in stacks:
         n = stack.alg.dim(stack.alg.rank)
+        assert len(stack.matrix) == n  # one sparse column per NBC monomial
+        product = [[0] * n for _ in range(n)]
+        for j, column in enumerate(stack.matrix):
+            for k, v in column:  # matrix[k][j] = v
+                for i, x in stack.left[k]:  # left[i][k] = x
+                    product[i][j] += x * v
         assert stack.denom > 0
-        assert [[sum(x * row[j] for x, row in zip(lrow, stack.matrix))
-                 for j in range(n)] for lrow in stack.left] == [
+        assert product == [
             [stack.denom if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+class _DenseStack:
+    """The residue stack on dense int rows: a full `matrix` of stacked
+    rows, its dense left inverse `left`, and dense solves."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        r = alg.rank
+        columns = [alg.from_terms(r, {key: 1}) for key in alg.nbc[r]]
+        rows: list = []
+        self.blocks = []  # (atom, contraction algebra)
+        for a in alg.atoms:
+            target = alg.residue_algebra(a)
+            images = [target.dense(alg.residue(a, b), r - 1) for b in columns]
+            rows.extend(linalg.columns_matrix(images))
+            self.blocks.append((a, target))
+        if any(x.denominator != 1 for row in rows for x in row):
+            raise RuntimeError("internal invariant violation: residue map "
+                               "has non-integer entries")
+        self.matrix = [[int(x) for x in row] for row in rows]
+        inverse = linalg.left_inverse(self.matrix)
+        if inverse is None:
+            raise RuntimeError(
+                "internal invariant violation: joint residue map is not "
+                "injective (suspect an invalid chirotope)")
+        self.left, self.denom = inverse
+
+    def solve(self, targets: dict):
+        r = self.alg.rank
+        stacked: list = []
+        for a, target in self.blocks:
+            stacked.extend(target.dense(targets[a], r - 1))
+        if any(v.denominator != 1 for v in stacked):
+            raise RuntimeError("internal invariant violation: residue "
+                               "targets have non-integer coordinates")
+        stacked = [int(v) for v in stacked]
+        nums = [sum(x * v for x, v in zip(row, stacked)) for row in self.left]
+        if any(n % self.denom for n in nums):
+            raise RuntimeError("internal invariant violation: canonical form "
+                               "has non-integer coordinates")
+        coeffs = [n // self.denom for n in nums]
+        if [sum(x * c for x, c in zip(row, coeffs))
+                for row in self.matrix] != stacked:
+            raise RuntimeError(
+                "internal invariant violation: residue system is "
+                "inconsistent (suspect an invalid chirotope)")
+        return self.alg.from_dense(r, coeffs)
+
+
+def _solve_outcome(stack, targets):
+    """The solve's result, or the message of the RuntimeError it raised."""
+    try:
+        return stack.solve(targets)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def _random_element(rng, alg, grade, values):
+    return alg.from_terms(grade, {key: rng.choice(values)
+                                  for key in alg.nbc_keys(grade)})
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
+                                  "parallel_pair", "nonpappus", "rank1",
+                                  "boolean3"])
+def test_sparse_stack_matches_dense(name, request):
+    """On every stack reachable from the fixture, the sparse solve agrees
+    with the dense one: equal forms for residues of integral elements, and
+    the same RuntimeError for non-integral or inconsistent targets."""
+    om = named_om(name, request)
+    rng = random.Random(name)
+    errors = set()
+    for alg in _contraction_algebras(algebra_of(om)).values():
+        r = alg.rank
+        sparse, dense = alg.residue_stack, _DenseStack(alg)
+        assert sparse.denom == dense.denom
+        elements = [alg.from_terms(r, {key: 1}) for key in alg.nbc_keys(r)]
+        elements += [_random_element(rng, alg, r, range(-3, 4))
+                     for _ in range(3)]
+        for x in elements:
+            targets = {a: alg.residue(a, x) for a in alg.atoms}
+            assert _solve_outcome(sparse, targets) == x == dense.solve(targets)
+        for x in elements:
+            targets = {a: alg.residue(a, x.scale(Fraction(1, 2)))
+                       for a in alg.atoms}
+            want = _solve_outcome(dense, targets)
+            assert _solve_outcome(sparse, targets) == want
+            if isinstance(want, str):
+                errors.add(want)
+        for _ in range(5):
+            targets = {a: _random_element(rng, target, r - 1, (-1, 0, 0, 1))
+                       for a, target in dense.blocks}
+            want = _solve_outcome(dense, targets)
+            assert _solve_outcome(sparse, targets) == want
+            if isinstance(want, str):
+                errors.add(want)
+    assert any("non-integer" in e for e in errors)
+    if name != "rank1":  # one square stack: every target is consistent
+        assert any("inconsistent" in e for e in errors)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "nonpappus"])
+def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
+    """The recursion tests no node for acyclicity: it contracts at facets
+    only, so every chirotope its memo holds is acyclic."""
+    om = request.getfixturevalue(name)
+    fresh_form_memos(monkeypatch)
+    visited = []
+    top_form = forms._top_form.__wrapped__
+
+    def recording_top_form(chi):
+        visited.append(chi)
+        return top_form(chi)
+
+    monkeypatch.setattr(forms, "_top_form",
+                        lru_cache(maxsize=None)(recording_top_form))
+    calls = []
+
+    def counting_is_acyclic(chi):
+        calls.append(chi)
+        return is_acyclic(chi)
+
+    monkeypatch.setattr(om_module, "is_acyclic", counting_is_acyclic)
+    monkeypatch.setattr(forms, "is_acyclic", counting_is_acyclic,
+                        raising=False)
+    om.is_acyclic()
+    assert len(calls) == 1  # the counter sees calls
+    calls.clear()
+    for t in om.sorted_topes():
+        canonical_form_tope(om, t)
+    assert calls == []
+    assert visited and all(is_acyclic(chi) for chi in visited)
 
 
 def test_residue_axioms_nonpappus(nonpappus):

@@ -1,16 +1,20 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from omcanon import (NotATope, OrientedMatroid, SignVector, bounded_extension,
-                     build_flag, chirotope_from_matrix, validate_chirotope)
-from omcanon.om import is_acyclic
+from omcanon import (NotATope, OrientedMatroid, SignVector, UnderlyingMatroid,
+                     bounded_extension, build_flag, validate_chirotope)
+from omcanon.om import _cocircuits, _facet_elements, is_acyclic
 
 from conftest import (PAPPUS_LINE, all_full_support_vectors, boolean_om,
-                      oracle_covectors, oracle_topes, pappus_chirotope,
-                      rank1_om, uniform_r4_matrix)
+                      named_om, oracle_covectors, oracle_topes,
+                      pappus_chirotope, rank1_om)
 from tuple_signvec import SignVector as TupleSignVector
 from tuple_signvec import covector_closure as tuple_covector_closure
+
+
+def zero_vector(om) -> SignVector:
+    return SignVector(om.ground, (0,) * len(om.ground))
 
 
 def test_circuits_line4(line4):
@@ -102,14 +106,7 @@ def _plain(vectors) -> set:
 def test_closure_matches_tuple_oracle(name, request):
     """Covectors, topes, sorted topes and the faces of every tope equal the
     closure of the tuple-based sign vectors over the same cocircuits."""
-    if name == "rank1":
-        om = rank1_om((1, -1, 1))
-    elif name == "boolean3":
-        om = boolean_om(3)
-    elif name == "uniform_r4":
-        om = OrientedMatroid(chirotope_from_matrix(uniform_r4_matrix(seed=0)))
-    else:
-        om = request.getfixturevalue(name)
+    om = named_om(name, request)
     cocircuits = [TupleSignVector(om.ground, y.signs) for y in om.cocircuits]
     covectors = tuple_covector_closure(om.ground, cocircuits)
     topes = [x for x in covectors if x.has_full_support]
@@ -138,7 +135,7 @@ def test_faces_line4(line4, line4_topes):
 def test_faces_rank1():
     om = rank1_om((1,))
     plus = SignVector(om.ground, (1,))
-    assert om.faces(plus) == {om.zero_vector(), plus}
+    assert om.faces(plus) == {zero_vector(om), plus}
 
 
 def test_is_facet(line4, line4_topes):
@@ -229,6 +226,81 @@ def test_is_acyclic_matches_circuit_oracle(name, request):
     assert 0 < acyclic < 2 ** len(om.ground)
 
 
+# ---- reference: cocircuits and facets by chirotope evaluation -------------
+
+
+def value_cocircuits(chi) -> frozenset:
+    """Cocircuits by evaluating chi on each (r-1)-subset plus one element."""
+    if chi.rank == 0:
+        return frozenset()
+    out = set()
+    for hyp in combinations(chi.ground, chi.rank - 1):
+        values = {e: chi.value(hyp + (e,)) for e in chi.ground if e not in hyp}
+        if not any(values.values()):
+            continue
+        vec = SignVector.from_map(chi.ground, values)
+        out.add(vec)
+        out.add(-vec)
+    return frozenset(out)
+
+
+def reachable_contractions(chis) -> set:
+    """The chirotopes and every one reached from them by contracting atoms."""
+    seen: set = set()
+    stack = list(chis)
+    while stack:
+        chi = stack.pop()
+        if chi in seen:
+            continue
+        seen.add(chi)
+        if chi.rank:
+            m = UnderlyingMatroid.from_chirotope(chi)
+            stack.extend(chi.contract(a, drop=m.atom_of(a) - {a})
+                         for a in m.atom_reps)
+    return seen
+
+
+FACET_FIXTURES = ["line4", "pentagon", "pentagon_inf", "parallel_pair",
+                  "nonpappus", "rank1", "boolean3"]
+
+
+def tope_contractions(om) -> set:
+    """Every acyclic reorientation of om and every contraction of them."""
+    return reachable_contractions(
+        [om.chi] + [om.chi.reorient(t) for t in om.topes])
+
+
+@pytest.mark.parametrize("name", FACET_FIXTURES)
+def test_cocircuits_match_value_oracle(name, request):
+    """Cocircuits read off the sign table against chirotope evaluation."""
+    for chi in tope_contractions(named_om(name, request)):
+        assert _cocircuits(chi) == value_cocircuits(chi)
+
+
+@pytest.mark.parametrize("name", FACET_FIXTURES)
+def test_facet_reader_matches_acyclicity_and_is_facet(name, request):
+    """On every acyclic chirotope reached, an atom is read as a facet iff
+    its contraction is acyclic iff OrientedMatroid.is_facet says so for the
+    all-plus tope; the reader names whole parallel classes."""
+    outcomes = set()
+    for chi in tope_contractions(named_om(name, request)):
+        if not is_acyclic(chi):
+            continue
+        facets = _facet_elements(chi)
+        om = OrientedMatroid(chi, validate=False)
+        plus = SignVector(chi.ground, (1,) * len(chi.ground))
+        assert facets <= set(chi.ground)
+        for a in om.atom_reps:
+            atom = om.underlying.atom_of(a)
+            contracted = is_acyclic(chi.contract(a, drop=atom - {a}))
+            assert contracted == om.is_facet(plus, a)
+            assert all((e in facets) == contracted for e in atom)
+            outcomes.add(contracted)
+    assert True in outcomes
+    if name in ("line4", "pentagon", "pentagon_inf", "nonpappus"):
+        assert False in outcomes
+
+
 def test_nonpappus_fixture(nonpappus):
     pappus = pappus_chirotope()
     validate_chirotope(pappus)
@@ -300,8 +372,8 @@ def reference_faces(om, tope) -> frozenset:
     conformal cocircuits, keeping one covector per support."""
     om.require_tope(tope)
     conformal = [y for y in om.cocircuits if y.conforms_to(tope)]
-    supports = {frozenset(): om.zero_vector()}
-    frontier = [om.zero_vector()]
+    supports = {frozenset(): zero_vector(om)}
+    frontier = [zero_vector(om)]
     while frontier:
         nxt = []
         for x in frontier:
