@@ -22,10 +22,21 @@ from .om import NotATope, OrientedMatroid, validation_requested
 from .realization import _placing
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is an input error,
+    where json.load would keep its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ser.InputError(f"key {key!r} repeats an earlier key")
+        out[key] = value
+    return out
+
+
 def _load(path: str) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ser.InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -116,14 +116,6 @@ class UnderlyingMatroid:
         return basis_fingerprint(ground, (b - atom for b in self.bases
                                           if b & atom))
 
-    def deletion_fingerprint(self, rep) -> tuple:
-        """The fingerprint of the deletion of the atom of rep."""
-        atom = self.atom_of(rep)
-        ground = tuple(e for e in self.ground if e not in atom)
-        rho = self.rank_of(ground)
-        return basis_fingerprint(ground, (b - atom for b in self.bases
-                                          if len(b - atom) == rho))
-
     # ---- broken circuits and NBC sets (on atoms) ------------------------
 
     def atom_rank(self, reps) -> int:

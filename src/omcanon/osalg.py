@@ -12,6 +12,20 @@ Boundary removes entries from the END of a monomial first:
     d e_(s1..sk) = sum_{i=0}^{k-1} (-1)^i e_(S minus s_{k-i}).
 Residue at an atom a extracts a TRAILING e_a:
     Res_a e_(i1..i_{k-1}, a) = e_(i1..i_{k-1}),  Res_a e_I = 0 if a not in I.
+
+The reduced algebra (the image of d) is read off the first atom a0, which
+is first in ground order (Orlik-Terao, Arrangements of Hyperplanes,
+3.1-3.2; Bjorner 1992, 7):
+  - a0 is never in a broken circuit, since a circuit through a0 has
+    minimum a0.  So every NBC basis K contains a0: otherwise K + a0 holds
+    a circuit with minimum a0 whose broken part lies inside K.
+  - d removes entries from the end, so the only term of d e_K (K an NBC
+    k-set with K[0] = a0) without a0 is (-1)^(k-1) e_(K minus a0), and
+    K -> K minus a0 is injective.  These boundaries are independent, one
+    per NBC k-set containing a0, and they span the image of d.
+  - Straightening e_a0 * e_J keeps a0 in every term, and every boundary y
+    satisfies y = +-d(e_a0 * y): the top-grade lift of y reads the
+    coefficients of y off the a0-free keys.
 """
 
 from __future__ import annotations
@@ -125,9 +139,7 @@ class OSAlgebra:
                          for k, keys in self.nbc.items()}
         self._straight_cache: dict = {}
         self._residue_algebras: dict = {}
-        self._deletion_algebras: dict = {}
         self._reduced: dict = {}
-        self._maps: dict = {}
 
     def key_sort(self, key: tuple) -> tuple:
         return tuple(self._pos[a] for a in key)
@@ -236,7 +248,7 @@ class OSAlgebra:
                 terms[sub] = terms.get(sub, Fraction(0)) + coeff
         return OSElement(self, x.grade - 1, terms)
 
-    # ---- residue and deletion maps --------------------------------------------
+    # ---- residue maps --------------------------------------------------------
 
     def residue_algebra(self, rep) -> "OSAlgebra":
         alg = self._residue_algebras.get(rep)
@@ -244,14 +256,6 @@ class OSAlgebra:
             alg = _os_algebra_by_fingerprint(
                 self.matroid.contraction_fingerprint(rep))
             self._residue_algebras[rep] = alg
-        return alg
-
-    def deletion_algebra(self, rep) -> "OSAlgebra":
-        alg = self._deletion_algebras.get(rep)
-        if alg is None:
-            alg = _os_algebra_by_fingerprint(
-                self.matroid.deletion_fingerprint(rep))
-            self._deletion_algebras[rep] = alg
         return alg
 
     def residue(self, rep, x: OSElement) -> OSElement:
@@ -266,16 +270,6 @@ class OSAlgebra:
             j = key.index(rep)
             sign = (-1) ** (len(key) - 1 - j)
             out = out + target.monomial(key[:j] + key[j + 1:], coeff=c * sign)
-        return out
-
-    def iota(self, rep, x: OSElement) -> OSElement:
-        """Inclusion from the deletion's algebra (e_I maps to e_I)."""
-        src = self.deletion_algebra(rep)
-        if x.algebra is not src:
-            raise ValueError("iota expects an element of the deletion algebra")
-        out = self.zero(x.grade)
-        for key, c in x.terms.items():
-            out = out + self.monomial(key, coeff=c)
         return out
 
     # ---- linear-algebra views ---------------------------------------------------
@@ -293,25 +287,16 @@ class OSAlgebra:
                          {key: Fraction(v)
                           for key, v in zip(self.nbc_keys(grade), vec)})
 
-    def boundary_map(self, k: int) -> "LinearMap":
-        key = ("boundary", k)
-        lm = self._maps.get(key)
-        if lm is None:
-            dom = [self.from_terms(k, {key_: 1}) for key_ in self.nbc_keys(k)]
-            cod = [self.from_terms(k - 1, {key_: 1})
-                   for key_ in self.nbc_keys(k - 1)]
-            cols = [self.dense(self.boundary(b), k - 1) for b in dom]
-            lm = LinearMap(dom, cod, linalg.columns_matrix(cols))
-            self._maps[key] = lm
-        return lm
-
     # ---- reduced subalgebra ---------------------------------------------------
 
     def reduced_basis(self, k: int) -> list:
         """Basis of the degree-k part of the kernel/image of the boundary.
 
-        Obtained as boundaries of NBC (k+1)-monomials, thinned to a maximal
-        independent family (earliest candidates win).
+        The boundaries of the NBC (k+1)-monomials through the first atom a0,
+        in lexicographic order.  Their a0-free terms are distinct, so they
+        are independent; they span the image of d; and they come first among
+        all NBC (k+1)-monomials, so they are the earliest-first maximal
+        independent family of all those boundaries.
         """
         cached = self._reduced.get(k)
         if cached is not None:
@@ -321,11 +306,9 @@ class OSAlgebra:
         elif k >= self.rank:
             basis = []
         else:
-            candidates = [self.boundary(self.from_terms(k + 1, {key: 1}))
-                          for key in self.nbc[k + 1]]
-            vectors = [self.dense(c, k) for c in candidates]
-            chosen = linalg.greedy_independent(vectors)
-            basis = [candidates[i] for i in chosen]
+            a0 = self.atoms[0]
+            basis = [self.boundary(self.from_terms(k + 1, {key: 1}))
+                     for key in self.nbc[k + 1] if key[0] == a0]
         self._reduced[k] = basis
         return basis
 
@@ -345,19 +328,24 @@ class OSAlgebra:
         return linalg.solve(mat, self.dense(x, grade))
 
     def inverse_boundary(self, y: OSElement) -> OSElement:
-        """The unique top-grade element whose boundary is y."""
+        """The unique top-grade element whose boundary is y.
+
+        Every NBC r-set K contains the first atom a0, and the a0-free term of
+        d e_K is (-1)^(r-1) e_(K minus a0), so x_K = (-1)^(r-1) y_(K minus a0).
+        """
         r = self.rank
         if y.grade != r - 1:
             raise ValueError(f"expected grade {r - 1}, got {y.grade}")
         if not self.boundary(y).is_zero:
             raise ValueError("input is not boundary-closed")
-        lm = self.boundary_map(r)
-        sol = lm.solve(self.dense(y, r - 1))
-        if sol is None:
+        sign = (-1) ** (r - 1)
+        x = OSElement(self, r, {key: sign * y.terms[key[1:]]
+                                for key in self.nbc[r] if key[1:] in y.terms})
+        if self.boundary(x) != y:
             raise RuntimeError(
                 "internal invariant violation: element not in the boundary "
                 "image (suspect an invalid chirotope)")
-        return self.from_dense(r, sol)
+        return x
 
 
 @dataclass

@@ -13,6 +13,8 @@ from hypothesis import settings
 from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
                      RationalMatrix, SignVector, UnderlyingMatroid,
                      chirotope_from_matrix, linalg)
+from omcanon.matroid import basis_fingerprint
+from omcanon.osalg import _os_algebra_by_fingerprint
 
 # With CI set, property tests draw the same examples on every run, so a
 # failure on one leg replays locally with CI=1; no per-example deadline on
@@ -215,22 +217,49 @@ def contract_atom(m: UnderlyingMatroid, rep) -> UnderlyingMatroid:
     return UnderlyingMatroid.from_bases(*m.contraction_fingerprint(rep))
 
 
+def deletion_fingerprint(m: UnderlyingMatroid, rep) -> tuple:
+    """The (ground, bases) fingerprint of the deletion of the atom of rep."""
+    atom = m.atom_of(rep)
+    ground = tuple(e for e in m.ground if e not in atom)
+    rho = m.rank_of(ground)
+    return basis_fingerprint(ground, (b - atom for b in m.bases
+                                      if len(b - atom) == rho))
+
+
 def delete_atom(m: UnderlyingMatroid, rep) -> UnderlyingMatroid:
     """The deletion of the atom of rep from m, built from its fingerprint."""
-    return UnderlyingMatroid.from_bases(*m.deletion_fingerprint(rep))
+    return UnderlyingMatroid.from_bases(*deletion_fingerprint(m, rep))
+
+
+def deletion_algebra(alg, rep):
+    """The algebra of the deletion of the atom of rep, by fingerprint."""
+    return _os_algebra_by_fingerprint(deletion_fingerprint(alg.matroid, rep))
+
+
+def iota(alg, rep, x):
+    """Inclusion of x from the deletion's algebra into alg (e_I to e_I)."""
+    if x.algebra is not deletion_algebra(alg, rep):
+        raise ValueError("iota expects an element of the deletion algebra")
+    out = alg.zero(x.grade)
+    for key, c in x.terms.items():
+        out = out + alg.monomial(key, coeff=c)
+    return out
+
+
+def linear_map(src, dst, k_src: int, k_dst: int, fn) -> LinearMap:
+    """fn from src's grade k_src to dst's grade k_dst in NBC coordinates:
+    the columns are the images of the NBC monomials."""
+    dom = [src.from_terms(k_src, {key: 1}) for key in src.nbc_keys(k_src)]
+    cod = [dst.from_terms(k_dst, {key: 1}) for key in dst.nbc_keys(k_dst)]
+    cols = [dst.dense(fn(b), k_dst) for b in dom]
+    return LinearMap(dom, cod, linalg.columns_matrix(cols))
 
 
 def exact_sequence_maps(alg, rep, k: int) -> tuple:
     """(iota, res) in degree k at the atom rep, as maps in NBC coordinates:
     inclusion from the deletion's algebra and residue to the contraction's."""
-    def linear_map(src, dst, k_src, k_dst, fn) -> LinearMap:
-        dom = [src.from_terms(k_src, {key: 1}) for key in src.nbc_keys(k_src)]
-        cod = [dst.from_terms(k_dst, {key: 1}) for key in dst.nbc_keys(k_dst)]
-        cols = [dst.dense(fn(b), k_dst) for b in dom]
-        return LinearMap(dom, cod, linalg.columns_matrix(cols))
-
-    return (linear_map(alg.deletion_algebra(rep), alg, k, k,
-                       lambda b: alg.iota(rep, b)),
+    return (linear_map(deletion_algebra(alg, rep), alg, k, k,
+                       lambda b: iota(alg, rep, b)),
             linear_map(alg, alg.residue_algebra(rep), k, k - 1,
                        lambda b: alg.residue(rep, b)))
 

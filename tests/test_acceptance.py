@@ -19,7 +19,8 @@ from omcanon import (OrientedMatroid, SignVector, algebra_of, aomoto,
                      simplex_identity_check, tq_basis)
 from omcanon import linalg
 
-from conftest import exact_sequence_maps, oracle_topes, random_arrangements
+from conftest import (exact_sequence_maps, iota, oracle_topes,
+                      random_arrangements)
 from test_matroid import whitney_abs
 
 
@@ -178,10 +179,10 @@ def test_criterion_8_structural_suite(line4, pentagon, pentagon_inf):
 
         for a in alg.atoms:
             for k in range(1, r + 1):
-                iota, res = exact_sequence_maps(alg, a, k)
-                assert iota.rank() + res.rank() == alg.dim(k)
-                for b in iota.domain_basis:
-                    assert alg.residue(a, alg.iota(a, b)).is_zero
+                inc, res = exact_sequence_maps(alg, a, k)
+                assert inc.rank() + res.rank() == alg.dim(k)
+                for b in inc.domain_basis:
+                    assert alg.residue(a, iota(alg, a, b)).is_zero
 
         for d in range(1, r):
             basis = alg.reduced_basis(d)

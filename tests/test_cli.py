@@ -224,6 +224,25 @@ def test_verify_residues_line4(capsys, line4_path):
     assert json.loads(out)["passed"] is True
 
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+DEMO_DATA = os.path.join(HERE, os.pardir, "demos", "data")
+DATA_FILES = [os.path.join(DEMO_DATA, f) for f in sorted(os.listdir(DEMO_DATA))
+              if f.endswith(".json")] + [os.path.join(HERE, "data",
+                                                      "nonpappus.json")]
+
+
+@pytest.mark.parametrize("path", DATA_FILES, ids=os.path.basename)
+def test_info_counts_agree(capsys, path):
+    """info's n_topes = sum(os_dims) = 2 * sum(reduced_dims) = T(2, 0)."""
+    code, out, _ = invoke(capsys, "info", "--input", path)
+    assert code == 0
+    doc = json.loads(out)
+    t20 = sum(c * 2 ** int(key.split(",")[0])
+              for key, c in doc["tutte"].items() if key.split(",")[1] == "0")
+    assert (doc["n_topes"] == sum(doc["os_dims"])
+            == 2 * sum(doc["reduced_dims"]) == t20)
+
+
 @pytest.mark.parametrize("name", ["rank1_matrix", "rank1_chirotope"])
 def test_verify_all_rank1(capsys, name):
     """Rank 1 has no facet contraction to recurse into: the residue suite
@@ -355,6 +374,13 @@ def _with(doc, **changes):
     return dict(doc, **changes)
 
 
+def _repeated_chirotope_key(doc) -> str:
+    """doc as JSON text whose chirotope lists "0,1" twice, "-" first; a
+    loader that keeps the last value sees a valid document."""
+    return json.dumps(doc).replace('"chirotope": {',
+                                   '"chirotope": {"0,1": "-", ', 1)
+
+
 @pytest.mark.parametrize("doc, message", [
     (_with(line4_doc(), elements=[0, "0", 2, 3]), "unique"),
     (_with(line4_doc(), elements=["0", ["1"], "2", "3"]), "labels"),
@@ -375,13 +401,14 @@ def _with(doc, **changes):
     (_with(line4_doc(), chirotope=dict(line4_doc()["chirotope"],
                                        **{"0, 1": "-"})),
      "key '0, 1' repeats an earlier key"),
+    (_repeated_chirotope_key(line4_doc()), "key '0,1' repeats an earlier key"),
 ], ids=["int_and_str_label", "list_label", "bool_label", "bool_rank",
         "bool_rank_matrix", "rank_below_rows", "rank_above_rows_zero_column",
         "comma_label", "leading_space_label", "trailing_space_label",
-        "empty_label", "repeated_key"])
+        "empty_label", "repeated_key", "verbatim_repeated_key"])
 def test_malformed_documents_exit_two(capsys, tmp_path, doc, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = invoke(capsys, "info", "--input", str(path))
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,14 +1,17 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
-from omcanon import UnderlyingMatroid, algebra_of
+from omcanon import (OrientedMatroid, RationalMatrix, UnderlyingMatroid,
+                     algebra_of, chirotope_from_matrix, linalg, tutte_eval)
 from omcanon.chirotope import perm_parity_sign
 from omcanon.matroid import _RankZeroMatroid
 from omcanon.osalg import OSAlgebra, OSElement
 
-from conftest import contract_atom, exact_sequence_maps, rank1_om
+from conftest import (contract_atom, deletion_algebra, exact_sequence_maps,
+                      iota, linear_map, named_om, rank1_om)
 
 
 def test_monomial_straightening_line4(line4):
@@ -132,9 +135,9 @@ def test_residue_boundary_identity(pentagon):
 
 def test_residue_iota_composition_zero(line4):
     alg = algebra_of(line4)
-    src = alg.deletion_algebra(2)
+    src = deletion_algebra(alg, 2)
     for key in src.nbc[1]:
-        x = alg.iota(2, src.from_terms(1, {key: 1}))
+        x = iota(alg, 2, src.from_terms(1, {key: 1}))
         assert alg.residue(2, x).is_zero
 
 
@@ -143,10 +146,10 @@ def test_short_exact_sequence_ranks(line4, pentagon, parallel_pair):
         alg = algebra_of(om)
         for a in alg.atoms:
             for k in range(1, om.rank + 1):
-                iota, res = exact_sequence_maps(alg, a, k)
-                assert iota.rank() + res.rank() == alg.dim(k)
-                for b in iota.domain_basis:
-                    assert alg.residue(a, alg.iota(a, b)).is_zero
+                inc, res = exact_sequence_maps(alg, a, k)
+                assert inc.rank() + res.rank() == alg.dim(k)
+                for b in inc.domain_basis:
+                    assert alg.residue(a, iota(alg, a, b)).is_zero
 
 
 def test_joint_residue_injectivity(line4, pentagon, pentagon_inf):
@@ -181,11 +184,26 @@ def test_reduced_dims_match_alternating_sums(line4, pentagon, pentagon_inf):
             assert alg.reduced_dim(k) == expected
 
 
+@pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
+                                  "parallel_pair", "nonpappus", "rank1",
+                                  "boolean3"])
+def test_tope_count_identities(name, request):
+    """n_topes = sum of OS dims = T(2, 0) (Zaslavsky; Las Vergnas for oriented
+    matroids), and the OS dims sum to twice the reduced dims because
+    A = reduced + e_a0 * reduced at the first atom a0."""
+    om = named_om(name, request)
+    alg = algebra_of(om)
+    r = om.rank
+    assert (len(om.topes) == sum(alg.dim(k) for k in range(r + 1))
+            == 2 * sum(alg.reduced_dim(k) for k in range(r))
+            == tutte_eval(om.underlying.tutte(), 2, 0))
+
+
 def test_kernel_equals_reduced_span(pentagon):
     from omcanon import linalg
     alg = algebra_of(pentagon)
     for k in range(1, pentagon.rank):
-        bmap = alg.boundary_map(k)
+        bmap = linear_map(alg, alg, k, k - 1, alg.boundary)
         kernel_dim = alg.dim(k) - bmap.rank()
         assert kernel_dim == alg.reduced_dim(k)
         for b in alg.reduced_basis(k):
@@ -207,7 +225,7 @@ def test_coordinates_roundtrip(line4):
 
 def test_boundary_map_rank_equals_reduced(line4):
     alg = algebra_of(line4)
-    assert alg.boundary_map(2).rank() == 3
+    assert linear_map(alg, alg, 2, 1, alg.boundary).rank() == 3
 
 
 def test_inverse_boundary(line4):
@@ -279,7 +297,7 @@ def test_cached_minor_algebras_need_no_matroid_build(name, request,
     else:
         om = request.getfixturevalue(name)
     alg = algebra_of(om)
-    warm = {rep: (alg.residue_algebra(rep), alg.deletion_algebra(rep))
+    warm = {rep: (alg.residue_algebra(rep), deletion_algebra(alg, rep))
             for rep in alg.atoms}
     builds = []
     for cls in (UnderlyingMatroid, _RankZeroMatroid):
@@ -294,7 +312,7 @@ def test_cached_minor_algebras_need_no_matroid_build(name, request,
     for rep in alg.atoms:
         residue, deletion = warm[rep]
         assert fresh.residue_algebra(rep) is residue
-        assert fresh.deletion_algebra(rep) is deletion
+        assert deletion_algebra(fresh, rep) is deletion
     assert builds == []
 
 
@@ -303,3 +321,144 @@ def test_rank0_algebra():
     alg = algebra_of(om)
     assert alg.dim(0) == 1
     assert alg.one().terms == {(): Fraction(1)}
+
+
+# ---- the first-atom read-offs against the elimination they replace --------
+
+FIXTURES = ["line4", "pentagon", "pentagon_inf", "parallel_pair", "nonpappus",
+            "rank1", "boolean3"]
+NONUNIFORM = {"nonuniform_r3": (3, 7, 1), "nonuniform_r4": (4, 7, 2)}
+
+
+def nonuniform_om(rank: int, n: int, bound: int, seed: int = 0):
+    """A seeded rank x n integer matrix with entries in [-bound, bound] whose
+    matroid has a vanishing basis minor and a parallel class."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(n)]
+                for _ in range(rank)]
+        try:
+            chi = chirotope_from_matrix(
+                RationalMatrix.from_rows(tuple(range(n)), rows))
+        except ValueError:  # a zero column, or rank deficient
+            continue
+        if (0 in chi.signs
+                and len(UnderlyingMatroid.from_chirotope(chi).atoms) < n):
+            return OrientedMatroid(chi)
+
+
+def om_by_name(name: str, request):
+    if name in NONUNIFORM:
+        return nonuniform_om(*NONUNIFORM[name])
+    return named_om(name, request)
+
+
+def contraction_closure(alg) -> list:
+    """alg and every algebra reachable from it by contracting atoms."""
+    seen = {id(alg): alg}
+    todo = [alg]
+    while todo:
+        current = todo.pop()
+        for rep in current.atoms:
+            minor = current.residue_algebra(rep)
+            if id(minor) not in seen:
+                seen[id(minor)] = minor
+                todo.append(minor)
+    return list(seen.values())
+
+
+def greedy_reduced_basis(alg, k: int) -> list:
+    """The earlier reduced_basis: the boundaries of all NBC (k+1)-monomials,
+    thinned earliest-first by elimination."""
+    if k == 0:
+        return [alg.one()]
+    if k >= alg.rank:
+        return []
+    candidates = [alg.boundary(alg.from_terms(k + 1, {key: 1}))
+                  for key in alg.nbc[k + 1]]
+    chosen = linalg.greedy_independent([alg.dense(c, k) for c in candidates])
+    return [candidates[i] for i in chosen]
+
+
+def solved_inverse_boundary(alg, y):
+    """The earlier inverse_boundary: a solve of the boundary map."""
+    r = alg.rank
+    if y.grade != r - 1:
+        raise ValueError(f"expected grade {r - 1}, got {y.grade}")
+    if not alg.boundary(y).is_zero:
+        raise ValueError("input is not boundary-closed")
+    sol = linear_map(alg, alg, r, r - 1, alg.boundary).solve(
+        alg.dense(y, r - 1))
+    if sol is None:
+        raise RuntimeError("element not in the boundary image")
+    return alg.from_dense(r, sol)
+
+
+def value_error(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_first_atom_read_offs_match_elimination(name, request):
+    """reduced_basis and inverse_boundary equal the greedy elimination and
+    the boundary-map solve on every contraction algebra, in every grade."""
+    om = om_by_name(name, request)
+    rng = random.Random(0)
+    algebras = contraction_closure(algebra_of(om))
+    assert 0 in {alg.rank for alg in algebras}
+    for alg in algebras:
+        r = alg.rank
+        for k in range(r + 1):
+            assert alg.reduced_basis(k) == greedy_reduced_basis(alg, k)
+        wrong_grade = alg.zero(r)
+        assert (value_error(alg.inverse_boundary, wrong_grade)
+                == value_error(solved_inverse_boundary, alg, wrong_grade))
+        if r == 0:
+            continue
+        if r >= 2:
+            unclosed = alg.from_terms(r - 1, {alg.nbc[r - 1][-1]: 1})
+            message = value_error(alg.inverse_boundary, unclosed)
+            assert message == "input is not boundary-closed"
+            assert message == value_error(solved_inverse_boundary, alg,
+                                          unclosed)
+        for _ in range(3):
+            x = alg.from_terms(r, {key: rng.randint(-3, 3)
+                                   for key in alg.nbc[r]})
+            y = alg.boundary(x)
+            assert alg.inverse_boundary(y) == solved_inverse_boundary(alg, y)
+            assert alg.inverse_boundary(y) == x
+
+
+def count_linalg_calls(monkeypatch) -> list:
+    """Record the name of every linalg function called from here on."""
+    calls = []
+    for name, fn in list(vars(linalg).items()):
+        if inspect.isfunction(fn) and fn.__module__ == linalg.__name__:
+            def counting(*args, _name=name, _fn=fn):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_reduced_basis_and_lift_need_no_elimination(name, request,
+                                                    monkeypatch):
+    """Neither read-off calls linalg, even on algebras with empty memos."""
+    om = om_by_name(name, request)
+    fresh = [OSAlgebra(alg.matroid)
+             for alg in contraction_closure(algebra_of(om))]
+    calls = count_linalg_calls(monkeypatch)
+    linalg.rank([[1]])
+    assert "rank" in calls and "_eliminate" in calls  # the counter sees calls
+    calls.clear()
+    for alg in fresh:
+        for k in range(alg.rank + 1):
+            alg.reduced_basis(k)
+        r = alg.rank
+        if r:
+            top = alg.from_terms(r, {key: 1 for key in alg.nbc[r]})
+            alg.inverse_boundary(alg.boundary(top))
+    assert calls == []
