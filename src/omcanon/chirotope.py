@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 
 from .signvec import SignVector, ground_positions
 
@@ -45,8 +46,7 @@ class Chirotope:
     signs: tuple  # aligned with combinations(ground, rank)
 
     def __post_init__(self):
-        expected = len(list(combinations(range(len(self.ground)), self.rank)))
-        if len(self.signs) != expected:
+        if len(self.signs) != comb(len(self.ground), self.rank):
             raise ValueError("chirotope sign table has wrong length")
 
     @classmethod

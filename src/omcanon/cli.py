@@ -42,6 +42,8 @@ def _load(path: str) -> tuple:
     except json.JSONDecodeError as exc:
         raise ser.InputError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ser.InputError(f"{path}: JSON nested too deeply") from None
     parsed = ser.parse_input(doc)
     # Unlike the constructor's default, the CLI validates at every size.
     om = OrientedMatroid(parsed.chi, validate=validation_requested())

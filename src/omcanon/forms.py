@@ -15,6 +15,18 @@ obeys the reduced recursion Res_a dW = -dW(M/a, chi/a) with rank-1 base
 value chi(i), which is the one `check_residue_axioms` checks.  The
 triangulation evaluation sum_B chi(B) e_B satisfies the top-grade
 recursion, so both paths agree.
+
+The recursion runs on order-isomorphism classes.  A relabelling of the
+ground set that keeps its order keeps atom representatives, NBC sets,
+circuit order and straightening signs, which read positions only, so it
+carries algebras, residue stacks and forms onto each other.  A global sign
+does too: W(-chi) = -W(chi), since the facets depend only on the zero sets
+of the cocircuits, (-chi)/a = -(chi/a), the residue solve is linear and the
+base value chi(()) flips.  So the memoized recursion takes only positional
+chirotopes (`_positional`: ground range(n), first nonzero sign positive),
+each algebra's residue stack solves against the positional algebras of its
+contractions, and a labelled chirotope's form is its core's form with the
+labels and the sign put back, once, at the entry points.
 """
 
 from __future__ import annotations
@@ -37,30 +49,61 @@ def algebra_of(om: OrientedMatroid) -> OSAlgebra:
     return os_algebra_for(om.underlying)
 
 
+def _positional(chi: Chirotope) -> tuple:
+    """(sign, core) with chi = sign * core relabelled: core has ground
+    range(n) and a positive first nonzero sign.  An order-preserving
+    relabelling keeps the sign table aligned with the ascending keys, so
+    core reuses it, negated when sign is -1."""
+    ground = tuple(range(len(chi.ground)))
+    sign = 1 if next((s for s in chi.signs if s), 1) > 0 else -1
+    if sign == 1 and chi.ground == ground:
+        return 1, chi
+    signs = chi.signs if sign == 1 else tuple(-s for s in chi.signs)
+    return sign, Chirotope(ground, chi.rank, signs)
+
+
 @lru_cache(maxsize=None)
-def _top_form(chi: Chirotope) -> OSElement:
-    """Top-grade form of an acyclic chi; callers guarantee acyclicity."""
-    r = chi.rank
-    alg = os_algebra_of_chirotope(chi)
+def _top_form(core: Chirotope) -> OSElement:
+    """Top-grade form of an acyclic positional chirotope (see
+    `_positional`); callers guarantee both."""
+    r = core.rank
+    alg = os_algebra_of_chirotope(core)
     if r == 0:
-        return alg.one().scale(chi.value(()))
-    facets = _facet_elements(chi)
+        return alg.one()  # the base value core(()) is positive
+    facets = _facet_elements(core)
+    stack = alg.residue_stack
     targets = {}
-    for a in alg.atoms:
+    for a, target, _ in stack.blocks:
         if a in facets:
             atom = alg.matroid.atom_of(a)
-            # recursion: Res_a W = W(M/a, chi/a)
-            targets[a] = _top_form(chi.contract(a, drop=atom - {a}))
+            # recursion: Res_a W = W(M/a, chi/a), in the positional algebra
+            sign, sub = _positional(core.contract(a, drop=atom - {a}))
+            form = _top_form(sub)
+            targets[a] = form if sign == 1 else -form
         else:
-            targets[a] = alg.residue_algebra(a).zero(r - 1)
-    return alg.residue_stack.solve(targets)
+            targets[a] = target.zero(r - 1)
+    return stack.solve(targets)
+
+
+def _labelled_top_form(chi: Chirotope) -> OSElement:
+    """Top-grade form of an acyclic chi, in os_algebra_of_chirotope(chi):
+    the form of its core with every position key k read as the labels
+    chi.ground[i], i in k, and the sign put back."""
+    sign, core = _positional(chi)
+    form = _top_form(core)
+    if chi.ground != core.ground:  # else chi and core share their algebra
+        ground = chi.ground
+        form = OSElement(os_algebra_of_chirotope(chi), form.grade,
+                         {tuple(ground[i] for i in k): v
+                          for k, v in form.terms.items()})
+    return form if sign == 1 else -form
 
 
 @lru_cache(maxsize=None)
 def _canonical_form(chi: Chirotope) -> OSElement:
     if chi.rank == 0:
         raise ValueError("the reduced form needs rank at least 1")
-    top = _top_form(chi)
+    top = _labelled_top_form(chi)
     return top.algebra.boundary(top)
 
 
@@ -106,7 +149,7 @@ def nonreduced_canonical_form(om: OrientedMatroid, tope: SignVector) -> OSElemen
     """Top-grade form of a tope: the unique boundary preimage of the
     reduced form."""
     om.require_tope(tope)
-    return _top_form(om.chi.reorient(tope))
+    return _labelled_top_form(om.chi.reorient(tope))
 
 
 def contracted_tope_chirotope(om: OrientedMatroid, tope: SignVector, rep):

@@ -36,7 +36,8 @@ from functools import cached_property
 
 from . import linalg
 from .chirotope import Chirotope, perm_parity_sign
-from .matroid import UnderlyingMatroid, chirotope_fingerprint
+from .matroid import (UnderlyingMatroid, basis_fingerprint,
+                      chirotope_fingerprint)
 from .signvec import ground_positions
 
 _ALGEBRAS: dict = {}
@@ -63,6 +64,15 @@ def _os_algebra_by_fingerprint(key: tuple) -> "OSAlgebra":
     if alg is None:
         alg = os_algebra_for(UnderlyingMatroid.from_bases(*key))
     return alg
+
+
+def _positional_algebra(ground: tuple, bases) -> tuple:
+    """(algebra, pos): the algebra of the matroid with these bases relabelled
+    through the order-preserving pos: ground -> range(len(ground))."""
+    pos = {e: i for i, e in enumerate(ground)}
+    key = basis_fingerprint(range(len(ground)),
+                            ((pos[e] for e in b) for b in bases))
+    return _os_algebra_by_fingerprint(key), pos
 
 
 @dataclass
@@ -369,7 +379,11 @@ class _ResidueStack:
     """Stacked residue maps on the top grade, with a left inverse.
 
     Columns are the NBC r-monomials; each atom contributes the residues of
-    those columns in the top grade r-1 of its contraction.  The boundary is
+    those columns in the top grade r-1 of its contraction, relabelled
+    through the order-preserving map of its ground set onto range(n'):
+    contractions that differ only by such a relabelling share that
+    positional algebra, and the forms of positional chirotopes land in it
+    as they are (see `forms._positional`).  The boundary is
     injective on the top grade and Res_a d = -d Res_a, so the joint residue
     map is injective as well: the stacked matrix has full column rank, and
     a cached left inverse turns every canonical-form solve into a
@@ -386,24 +400,27 @@ class _ResidueStack:
         r = alg.rank
         self.keys = alg.nbc_keys(r)
         self.blocks = []  # (atom, contraction algebra, first stacked row)
+        self.matrix = [[] for _ in self.keys]
         nrows = 0
         for a in alg.atoms:
-            target = alg.residue_algebra(a)
+            target, pos = _positional_algebra(
+                *alg.matroid.contraction_fingerprint(a))
             self.blocks.append((a, target, nrows))
-            nrows += target.dim(r - 1)
-        self.matrix = []
-        for key in self.keys:
-            column = []
-            monomial = alg.from_terms(r, {key: 1})
-            for a, target, offset in self.blocks:
-                index = target._nbc_pos[r - 1]
-                for k, v in alg.residue(a, monomial).terms.items():
+            index = target._nbc_pos[r - 1]
+            for key, column in zip(self.keys, self.matrix):
+                if a not in key:
+                    continue
+                # Res_a e_key = (-1)^(r-1-j) e_(key minus a), a = key[j]
+                j = key.index(a)
+                rest = tuple(pos[e] for e in key[:j] + key[j + 1:])
+                for k, v in target.monomial(
+                        rest, coeff=(-1) ** (r - 1 - j)).terms.items():
                     if v.denominator != 1:
                         raise RuntimeError("internal invariant violation: "
                                            "residue map has non-integer "
                                            "entries")
-                    column.append((offset + index[k], int(v)))
-            self.matrix.append(column)
+                    column.append((nrows + index[k], int(v)))
+            nrows += target.dim(r - 1)
         dense = [[0] * len(self.keys) for _ in range(nrows)]
         for j, column in enumerate(self.matrix):
             for i, v in column:
@@ -418,7 +435,8 @@ class _ResidueStack:
                      for i in range(nrows)]
 
     def solve(self, targets: dict) -> OSElement:
-        """The top-grade element x with Res_a x = targets[a]."""
+        """The top-grade element x with Res_a x = targets[a], each target
+        given in its block's positional algebra."""
         r = self.alg.rank
         stacked = {}
         for a, target, offset in self.blocks:

@@ -10,6 +10,7 @@ of the document's elements list.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .signvec import SignVector
 
 SIGN_CHARS = {1: "+", 0: "0", -1: "-"}
 CHAR_SIGNS = {"+": 1, "0": 0, "-": -1}
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class InputError(ValueError):
@@ -35,8 +37,13 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(s) -> Fraction:
+    """A rational from "p/q" or "n", surrounding whitespace ignored, or from
+    a JSON integer; decimals, exponents and floats are input errors."""
+    text = str(s).strip() if isinstance(s, str) or _is_int(s) else ""
+    if not _RATIONAL.fullmatch(text):
+        raise InputError(f'bad rational {s!r}: expected "p/q" or "n"')
     try:
-        return Fraction(str(s).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {s!r}: {exc}") from None
 

@@ -150,9 +150,34 @@ def uniform_r4_matrix(seed: int, n: int = 6) -> RationalMatrix:
             return mat
 
 
+FIXTURES = ["line4", "pentagon", "pentagon_inf", "parallel_pair", "nonpappus",
+            "rank1", "boolean3"]
+NONUNIFORM = {"nonuniform_r3": (3, 7, 1), "nonuniform_r4": (4, 7, 2)}
+
+
+def nonuniform_om(rank: int, n: int, bound: int, seed: int = 0):
+    """A seeded rank x n integer matrix with entries in [-bound, bound] whose
+    matroid has a vanishing basis minor and a parallel class."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(n)]
+                for _ in range(rank)]
+        try:
+            chi = chirotope_from_matrix(
+                RationalMatrix.from_rows(tuple(range(n)), rows))
+        except ValueError:  # a zero column, or rank deficient
+            continue
+        if (0 in chi.signs
+                and len(UnderlyingMatroid.from_chirotope(chi).atoms) < n):
+            return OrientedMatroid(chi)
+
+
 def named_om(name: str, request) -> OrientedMatroid:
     """A session fixture by name, or one of the built ones: rank1 (three
-    parallel elements, one reversed), boolean3, uniform_r4 (seed 0)."""
+    parallel elements, one reversed), boolean3, uniform_r4 (seed 0), and
+    the seeded non-uniform matrices of NONUNIFORM."""
+    if name in NONUNIFORM:
+        return nonuniform_om(*NONUNIFORM[name])
     if name == "rank1":
         return rank1_om((1, -1, 1))
     if name == "boolean3":

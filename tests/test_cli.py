@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omcanon
 from omcanon import serialize as ser
@@ -186,6 +190,22 @@ def test_aomoto_bad_weights(capsys, line4_path):
     code, _, err = invoke(capsys, "aomoto", "--input", line4_path,
                           "--weights", "1,1")
     assert code == 2 and "weights" in err
+
+
+@pytest.mark.parametrize("weight", ["1.5", "1e5", "1e100000000", "0x1", "",
+                                    "1/0", "- 1", "1/-2"])
+def test_aomoto_rejects_non_rational_weights(capsys, line4_path, weight):
+    """Weights are "p/q" or "n" only; anything else exits 2 at once."""
+    code, out, err = invoke(capsys, "aomoto", "--input", line4_path,
+                            "--weights", f"1,{weight},1")
+    assert code == 2 and not out
+    assert err.startswith(f"error: bad rational {weight!r}")
+
+
+def test_rationals_in_documented_forms(capsys, line4_path):
+    code, out, _ = invoke(capsys, "aomoto", "--input", line4_path,
+                          "--weights", " +1 ,-2/3, 4/2")
+    assert code == 0 and json.loads(out)["is_generic"] is True
 
 
 def test_verify_all_pentagon(capsys, pentagon_path):
@@ -374,6 +394,13 @@ def _with(doc, **changes):
     return dict(doc, **changes)
 
 
+def _with_entry(doc, entry):
+    """doc with its first matrix entry replaced."""
+    rows = [list(row) for row in doc["matrix"]]
+    rows[0][0] = entry
+    return dict(doc, matrix=rows)
+
+
 def _repeated_chirotope_key(doc) -> str:
     """doc as JSON text whose chirotope lists "0,1" twice, "-" first; a
     loader that keeps the last value sees a valid document."""
@@ -402,10 +429,19 @@ def _repeated_chirotope_key(doc) -> str:
                                        **{"0, 1": "-"})),
      "key '0, 1' repeats an earlier key"),
     (_repeated_chirotope_key(line4_doc()), "key '0,1' repeats an earlier key"),
+    ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+    (_with_entry(pentagon_doc(), "1.5"), "bad rational '1.5'"),
+    (_with_entry(pentagon_doc(), "1e5"), "bad rational '1e5'"),
+    (_with_entry(pentagon_doc(), "1e100000000"), "bad rational '1e100000000'"),
+    (_with_entry(pentagon_doc(), 1.5), "bad rational 1.5"),
+    (_with_entry(pentagon_doc(), True), "bad rational True"),
+    (_with_entry(pentagon_doc(), "1/0"), "bad rational '1/0'"),
 ], ids=["int_and_str_label", "list_label", "bool_label", "bool_rank",
         "bool_rank_matrix", "rank_below_rows", "rank_above_rows_zero_column",
         "comma_label", "leading_space_label", "trailing_space_label",
-        "empty_label", "repeated_key", "verbatim_repeated_key"])
+        "empty_label", "repeated_key", "verbatim_repeated_key",
+        "deeply_nested", "decimal_entry", "exponent_entry",
+        "huge_exponent_entry", "float_entry", "bool_entry", "zero_denominator"])
 def test_malformed_documents_exit_two(capsys, tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -413,3 +449,57 @@ def test_malformed_documents_exit_two(capsys, tmp_path, doc, message):
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+# ---- fuzzing `info` with small JSON documents -------------------------------
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+            | st.floats(allow_nan=False, allow_infinity=False, width=16)
+            | st.sampled_from(["", "0", "1", "-1", "2/3", "1/0", "1.5", "+",
+                               "-", "0,1", "1, 2", "a", "chirotope",
+                               "matrix"]))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(
+                      ["format", "rank", "elements", "chirotope", "matrix",
+                       "0,1", "1,2", "0,2", "a"]), kids, max_size=4)),
+    max_leaves=12)
+_LABELS = st.lists(st.sampled_from(["0", "1", "2", "3", "a", 4, " b", "1,2"]),
+                   min_size=1, max_size=5)
+_SIGNS = st.sampled_from(["+", "-", "0", "*", 1])
+_CHIROTOPE_DOCS = st.fixed_dictionaries({
+    "format": st.just("chirotope"), "rank": st.integers(0, 3),
+    "elements": _LABELS,
+    "chirotope": st.dictionaries(
+        st.sampled_from(["0", "1", "0,1", "0,2", "1,2", "0,3", "1,3", "2,3",
+                         "2,1", "0,1,2", "0,1,3", "a,0"]), _SIGNS,
+        max_size=6)})
+_ENTRIES = st.sampled_from(["0", "1", "-1", "2", "1/2", 3, "x"])
+_MATRIX_DOCS = st.integers(1, 5).flatmap(lambda n: st.fixed_dictionaries(
+    {"format": st.just("matrix"),
+     "elements": st.just([str(i) for i in range(n)]) | _LABELS,
+     "matrix": st.lists(st.lists(_ENTRIES, min_size=n, max_size=n)
+                        | st.lists(_ENTRIES, max_size=5),
+                        min_size=1, max_size=3)},
+    optional={"rank": st.integers(0, 4)}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_VALUES, _CHIROTOPE_DOCS, _MATRIX_DOCS))
+def test_info_fuzz_never_raises(tmp_path_factory, doc):
+    """Any small JSON document ends `info` with exit 0, 1 or 2: one JSON
+    document on stdout, or one diagnostic line on stderr, never a
+    traceback."""
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["info", "--input", str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert json.loads(out.getvalue())["elements"]
+    else:
+        assert not out.getvalue()
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

@@ -4,23 +4,25 @@ from functools import lru_cache
 
 import pytest
 
-from omcanon import (OrientedMatroid, SignVector, algebra_of,
+from omcanon import (OrientedMatroid, RationalMatrix, SignVector, algebra_of,
                      canonical_form_from_triangulation, canonical_form_om,
                      canonical_form_tope, check_residue_axioms,
                      chirotope_from_matrix, linalg, nonreduced_canonical_form,
                      nonreduced_from_triangulation, oriented_matroid_for,
                      os_algebra_for)
-from omcanon import forms
+from omcanon import forms, osalg
 from omcanon import om as om_module
 from omcanon.chirotope import Chirotope
 from omcanon.forms import contracted_tope_chirotope
-from omcanon.matroid import UnderlyingMatroid
-from omcanon.om import is_acyclic
-from omcanon.osalg import OSAlgebra
+from omcanon.matroid import UnderlyingMatroid, basis_fingerprint
+from omcanon.om import _facet_elements, is_acyclic
+from omcanon.osalg import (OSAlgebra, _os_algebra_by_fingerprint,
+                           os_algebra_of_chirotope)
 from omcanon.realization import _placing
 
 import fraction_linalg
-from conftest import boolean_om, named_om, rank1_om, uniform_r4_matrix
+from conftest import (FIXTURES, NONUNIFORM, boolean_om, named_om,
+                      rank1_om, uniform_r4_matrix)
 
 
 def ebasis(alg, e):
@@ -353,21 +355,38 @@ def test_residue_stack_left_inverse(name, request):
             [stack.denom if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def positional_block(alg, a) -> tuple:
+    """The contraction algebra at atom a relabelled through the positions
+    of its ground set, and that relabelling, found without the stack."""
+    ground, bases = alg.matroid.contraction_fingerprint(a)
+    pos = {e: i for i, e in enumerate(ground)}
+    key = basis_fingerprint(tuple(range(len(ground))),
+                            [{pos[e] for e in b} for b in bases])
+    return _os_algebra_by_fingerprint(key), pos
+
+
 class _DenseStack:
     """The residue stack on dense int rows: a full `matrix` of stacked
-    rows, its dense left inverse `left`, and dense solves."""
+    rows, its dense left inverse `left`, and dense solves.  Its blocks are
+    the positional contraction algebras, as in the library's stack, or the
+    labelled residue algebras with `positional=False`."""
 
-    def __init__(self, alg):
+    def __init__(self, alg, positional=True):
         self.alg = alg
         r = alg.rank
         columns = [alg.from_terms(r, {key: 1}) for key in alg.nbc[r]]
         rows: list = []
-        self.blocks = []  # (atom, contraction algebra)
+        self.blocks = []  # (atom, block algebra, contraction ground -> block)
         for a in alg.atoms:
-            target = alg.residue_algebra(a)
-            images = [target.dense(alg.residue(a, b), r - 1) for b in columns]
+            if positional:
+                target, pos = positional_block(alg, a)
+            else:
+                target = alg.residue_algebra(a)
+                pos = {e: e for e in target.matroid.ground}
+            self.blocks.append((a, target, pos))
+            images = [target.dense(self.residue(a, b), r - 1)
+                      for b in columns]
             rows.extend(linalg.columns_matrix(images))
-            self.blocks.append((a, target))
         if any(x.denominator != 1 for row in rows for x in row):
             raise RuntimeError("internal invariant violation: residue map "
                                "has non-integer entries")
@@ -379,10 +398,20 @@ class _DenseStack:
                 "injective (suspect an invalid chirotope)")
         self.left, self.denom = inverse
 
+    def residue(self, a, x):
+        """Res_a x in a's block algebra: the labelled residue, relabelled."""
+        target, pos = next((t, p) for b, t, p in self.blocks if b == a)
+        res = self.alg.residue(a, x)
+        return target.from_terms(res.grade, {tuple(pos[e] for e in k): v
+                                             for k, v in res.terms.items()})
+
+    def residues(self, x) -> dict:
+        return {a: self.residue(a, x) for a, _, _ in self.blocks}
+
     def solve(self, targets: dict):
         r = self.alg.rank
         stacked: list = []
-        for a, target in self.blocks:
+        for a, target, _ in self.blocks:
             stacked.extend(target.dense(targets[a], r - 1))
         if any(v.denominator != 1 for v in stacked):
             raise RuntimeError("internal invariant violation: residue "
@@ -431,19 +460,20 @@ def test_sparse_stack_matches_dense(name, request):
         elements = [alg.from_terms(r, {key: 1}) for key in alg.nbc_keys(r)]
         elements += [_random_element(rng, alg, r, range(-3, 4))
                      for _ in range(3)]
+        assert [(a, t) for a, t, _ in sparse.blocks] == [
+            (a, t) for a, t, _ in dense.blocks]
         for x in elements:
-            targets = {a: alg.residue(a, x) for a in alg.atoms}
+            targets = dense.residues(x)
             assert _solve_outcome(sparse, targets) == x == dense.solve(targets)
         for x in elements:
-            targets = {a: alg.residue(a, x.scale(Fraction(1, 2)))
-                       for a in alg.atoms}
+            targets = dense.residues(x.scale(Fraction(1, 2)))
             want = _solve_outcome(dense, targets)
             assert _solve_outcome(sparse, targets) == want
             if isinstance(want, str):
                 errors.add(want)
         for _ in range(5):
             targets = {a: _random_element(rng, target, r - 1, (-1, 0, 0, 1))
-                       for a, target in dense.blocks}
+                       for a, target, _ in dense.blocks}
             want = _solve_outcome(dense, targets)
             assert _solve_outcome(sparse, targets) == want
             if isinstance(want, str):
@@ -484,6 +514,7 @@ def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
         canonical_form_tope(om, t)
     assert calls == []
     assert visited and all(is_acyclic(chi) for chi in visited)
+    assert all(forms._positional(chi) == (1, chi) for chi in visited)
 
 
 def test_residue_axioms_nonpappus(nonpappus):
@@ -504,7 +535,8 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     """Once a chirotope's algebras are cached, a fresh chirotope with the
     same underlying matroids finds them by fingerprint alone."""
     chi = request.getfixturevalue(name).chi
-    first = forms._top_form(chi)
+    first = forms._labelled_top_form(chi)
+    _, core = forms._positional(chi)
     builds = []
     init = UnderlyingMatroid.__init__
 
@@ -516,11 +548,134 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     UnderlyingMatroid.from_chirotope(chi)
     assert len(builds) == 1  # the counter sees builds
     builds.clear()
-    fresh = Chirotope(chi.ground, chi.rank, chi.signs)
+    fresh = Chirotope(core.ground, core.rank, core.signs)
     # __wrapped__ skips the memo for the top node, so its lookup runs
-    assert forms._top_form.__wrapped__(fresh) == first
-    assert forms._top_form.__wrapped__(chi.scale(-1)) == first.scale(-1)
+    assert forms._top_form.__wrapped__(fresh) == forms._top_form(core)
+    fresh = Chirotope(chi.ground, chi.rank, chi.signs)
+    assert forms._labelled_top_form(fresh) == first
+    assert forms._labelled_top_form(chi.scale(-1)) == first.scale(-1)
     assert builds == []
+
+
+# ---- the labelled recursion the positional one replaced ---------------------
+
+
+_LABELLED_STACKS: dict = {}
+
+
+@lru_cache(maxsize=None)
+def labelled_top_form(chi):
+    """The top-grade recursion on labelled chirotopes: every node solves in
+    its own labelled algebra, against the labelled residue algebras."""
+    r = chi.rank
+    alg = os_algebra_of_chirotope(chi)
+    if r == 0:
+        return alg.one().scale(chi.value(()))
+    stack = _LABELLED_STACKS.get(id(alg))
+    if stack is None:
+        stack = _LABELLED_STACKS[id(alg)] = _DenseStack(alg, positional=False)
+    facets = _facet_elements(chi)
+    targets = {}
+    for a in alg.atoms:
+        if a in facets:
+            atom = alg.matroid.atom_of(a)
+            targets[a] = labelled_top_form(chi.contract(a, drop=atom - {a}))
+        else:
+            targets[a] = alg.residue_algebra(a).zero(r - 1)
+    return stack.solve(targets)
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_positional_recursion_matches_labelled(name, request):
+    """Both forms of every tope equal those of the labelled recursion, in
+    the same algebra."""
+    om = named_om(name, request)
+    for t in om.sorted_topes():
+        want = labelled_top_form(om.chi.reorient(t))
+        assert nonreduced_canonical_form(om, t) == want
+        assert canonical_form_tope(om, t) == want.algebra.boundary(want)
+
+
+def relabelled(om, labels) -> OrientedMatroid:
+    """om with its i-th element renamed labels[i]; ground order kept."""
+    return OrientedMatroid(Chirotope(tuple(labels), om.rank, om.chi.signs),
+                           validate=False)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "parallel_pair", "nonpappus",
+                                  "nonuniform_r3"])
+def test_relabelled_and_negated_forms(name, request, monkeypatch):
+    """Relabelling the ground set in order (integers, descending integers,
+    strings) relabels both forms of every tope, and -chi negates them; none
+    of these adds a core memo entry or builds a residue stack."""
+    om = named_om(name, request)
+    n = len(om.ground)
+    topes = om.sorted_topes()
+    forms_of = {t: (canonical_form_tope(om, t),
+                    nonreduced_canonical_form(om, t)) for t in topes}
+    entries = forms._top_form.cache_info().currsize
+    stacks = []
+    init = osalg._ResidueStack.__init__
+
+    def counting_init(self, *args):
+        stacks.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(osalg._ResidueStack, "__init__", counting_init)
+    osalg._ResidueStack(algebra_of(om))
+    assert len(stacks) == 1  # the counter sees builds
+    stacks.clear()
+    for labels in ([10 * i + 7 for i in range(n)], [n - i for i in range(n)],
+                   [f"x{n - i}" for i in range(n)]):
+        other = relabelled(om, labels)
+        rename = dict(zip(om.ground, labels))
+        for t in topes:
+            u = SignVector(other.ground, t.signs)
+            for got, want in zip((canonical_form_tope(other, u),
+                                  nonreduced_canonical_form(other, u)),
+                                 forms_of[t]):
+                assert got.algebra is algebra_of(other)
+                assert got.terms == {tuple(rename[e] for e in k): v
+                                     for k, v in want.terms.items()}
+    negated = OrientedMatroid(om.chi.scale(-1), validate=False)
+    for t in topes:
+        assert canonical_form_tope(negated, t) == -forms_of[t][0]
+        assert nonreduced_canonical_form(negated, t) == -forms_of[t][1]
+    assert forms._top_form.cache_info().currsize == entries
+    assert stacks == []
+
+
+def sweep_uniform_r4_matrix():
+    """The 4 x 7 matrix of the benchmark's sweep_uniform_r4 workload at seed
+    0: columns drawn from [-5, 5] until no maximal minor vanishes."""
+    rng = random.Random("uniform:0")
+    while True:
+        cols = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(7)]
+        mat = RationalMatrix.from_rows(
+            tuple(range(7)), [[c[i] for c in cols] for i in range(4)])
+        if (all(any(c) for c in cols)
+                and 0 not in chirotope_from_matrix(mat).signs):
+            return mat
+
+
+def test_uniform_sweep_builds_one_stack_per_class(monkeypatch):
+    """Every contraction of a uniform (7, 4) matroid is uniform again, so
+    the forms of all its topes need one algebra per rank 4..0 and one
+    residue stack per rank 4..1."""
+    fresh_form_memos(monkeypatch)
+    monkeypatch.setattr(osalg, "_ALGEBRAS", {})
+    om = OrientedMatroid(chirotope_from_matrix(sweep_uniform_r4_matrix()))
+    counts = {"algebras": 0, "stacks": 0}
+    for key, cls in (("algebras", OSAlgebra), ("stacks", osalg._ResidueStack)):
+        def counting(self, *args, _key=key, _init=cls.__init__):
+            counts[_key] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    topes = om.sorted_topes()
+    assert len(topes) == 84
+    for t in topes:
+        canonical_form_tope(om, t)
+    assert counts == {"algebras": 5, "stacks": 4}
 
 
 @pytest.mark.parametrize("name", ["pentagon", "pentagon_inf"])

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from omcanon import (OrientedMatroid, RationalMatrix, UnderlyingMatroid,
-                     algebra_of, chirotope_from_matrix, linalg, tutte_eval)
+from omcanon import UnderlyingMatroid, algebra_of, linalg, tutte_eval
 from omcanon.chirotope import perm_parity_sign
 from omcanon.matroid import _RankZeroMatroid
 from omcanon.osalg import OSAlgebra, OSElement
 
-from conftest import (contract_atom, deletion_algebra, exact_sequence_maps,
-                      iota, linear_map, named_om, rank1_om)
+from conftest import (FIXTURES, NONUNIFORM, contract_atom,
+                      deletion_algebra, exact_sequence_maps, iota,
+                      linear_map, named_om, rank1_om)
 
 
 def test_monomial_straightening_line4(line4):
@@ -325,33 +325,6 @@ def test_rank0_algebra():
 
 # ---- the first-atom read-offs against the elimination they replace --------
 
-FIXTURES = ["line4", "pentagon", "pentagon_inf", "parallel_pair", "nonpappus",
-            "rank1", "boolean3"]
-NONUNIFORM = {"nonuniform_r3": (3, 7, 1), "nonuniform_r4": (4, 7, 2)}
-
-
-def nonuniform_om(rank: int, n: int, bound: int, seed: int = 0):
-    """A seeded rank x n integer matrix with entries in [-bound, bound] whose
-    matroid has a vanishing basis minor and a parallel class."""
-    rng = random.Random(seed)
-    while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n)]
-                for _ in range(rank)]
-        try:
-            chi = chirotope_from_matrix(
-                RationalMatrix.from_rows(tuple(range(n)), rows))
-        except ValueError:  # a zero column, or rank deficient
-            continue
-        if (0 in chi.signs
-                and len(UnderlyingMatroid.from_chirotope(chi).atoms) < n):
-            return OrientedMatroid(chi)
-
-
-def om_by_name(name: str, request):
-    if name in NONUNIFORM:
-        return nonuniform_om(*NONUNIFORM[name])
-    return named_om(name, request)
-
 
 def contraction_closure(alg) -> list:
     """alg and every algebra reachable from it by contracting atoms."""
@@ -404,7 +377,7 @@ def value_error(fn, *args) -> str:
 def test_first_atom_read_offs_match_elimination(name, request):
     """reduced_basis and inverse_boundary equal the greedy elimination and
     the boundary-map solve on every contraction algebra, in every grade."""
-    om = om_by_name(name, request)
+    om = named_om(name, request)
     rng = random.Random(0)
     algebras = contraction_closure(algebra_of(om))
     assert 0 in {alg.rank for alg in algebras}
@@ -447,7 +420,7 @@ def count_linalg_calls(monkeypatch) -> list:
 def test_reduced_basis_and_lift_need_no_elimination(name, request,
                                                     monkeypatch):
     """Neither read-off calls linalg, even on algebras with empty memos."""
-    om = om_by_name(name, request)
+    om = named_om(name, request)
     fresh = [OSAlgebra(alg.matroid)
              for alg in contraction_closure(algebra_of(om))]
     calls = count_linalg_calls(monkeypatch)
