@@ -35,8 +35,8 @@ from functools import lru_cache
 
 from .chirotope import Chirotope
 from .om import OrientedMatroid, _facet_elements
-from .osalg import (OSAlgebra, OSElement, os_algebra_for,
-                    os_algebra_of_chirotope)
+from .osalg import (OSAlgebra, OSElement, _positional_ground,
+                    os_algebra_for, os_algebra_of_chirotope)
 from .signvec import SignVector
 
 
@@ -54,7 +54,7 @@ def _positional(chi: Chirotope) -> tuple:
     range(n) and a positive first nonzero sign.  An order-preserving
     relabelling keeps the sign table aligned with the ascending keys, so
     core reuses it, negated when sign is -1."""
-    ground = tuple(range(len(chi.ground)))
+    ground, _ = _positional_ground(chi.ground)
     sign = 1 if next((s for s in chi.signs if s), 1) > 0 else -1
     if sign == 1 and chi.ground == ground:
         return 1, chi

@@ -66,13 +66,31 @@ def _os_algebra_by_fingerprint(key: tuple) -> "OSAlgebra":
     return alg
 
 
+def _positional_ground(ground: tuple) -> tuple:
+    """(positions, pos): positions = (0, ..., n-1) and the order-preserving
+    relabelling pos: ground -> positions.  Algebras, residue stacks and
+    forms of chirotopes that differ by such a relabelling coincide (see
+    `forms`), so the recursion and the stacks work on positions only."""
+    positions = tuple(range(len(ground)))
+    return positions, dict(zip(ground, positions))
+
+
 def _positional_algebra(ground: tuple, bases) -> tuple:
     """(algebra, pos): the algebra of the matroid with these bases relabelled
-    through the order-preserving pos: ground -> range(len(ground))."""
-    pos = {e: i for i, e in enumerate(ground)}
-    key = basis_fingerprint(range(len(ground)),
-                            ((pos[e] for e in b) for b in bases))
+    through pos (see `_positional_ground`)."""
+    positions, pos = _positional_ground(ground)
+    key = basis_fingerprint(positions, ((pos[e] for e in b) for b in bases))
     return _os_algebra_by_fingerprint(key), pos
+
+
+def _residue_key(key: tuple, a) -> tuple | None:
+    """(rest, sign) with Res_a e_key = sign * e_rest, where rest is key
+    minus its entry a = key[j] and sign = (-1)^(len(key)-1-j); None when a
+    is not in key."""
+    if a not in key:
+        return None
+    j = key.index(a)
+    return key[:j] + key[j + 1:], (-1) ** (len(key) - 1 - j)
 
 
 @dataclass
@@ -275,11 +293,10 @@ class OSAlgebra:
         target = self.residue_algebra(rep)
         out = target.zero(x.grade - 1)
         for key, c in x.terms.items():
-            if rep not in key:
-                continue
-            j = key.index(rep)
-            sign = (-1) ** (len(key) - 1 - j)
-            out = out + target.monomial(key[:j] + key[j + 1:], coeff=c * sign)
+            res = _residue_key(key, rep)
+            if res is not None:
+                rest, sign = res
+                out = out + target.monomial(rest, coeff=c * sign)
         return out
 
     # ---- linear-algebra views ---------------------------------------------------
@@ -408,13 +425,12 @@ class _ResidueStack:
             self.blocks.append((a, target, nrows))
             index = target._nbc_pos[r - 1]
             for key, column in zip(self.keys, self.matrix):
-                if a not in key:
+                res = _residue_key(key, a)
+                if res is None:
                     continue
-                # Res_a e_key = (-1)^(r-1-j) e_(key minus a), a = key[j]
-                j = key.index(a)
-                rest = tuple(pos[e] for e in key[:j] + key[j + 1:])
-                for k, v in target.monomial(
-                        rest, coeff=(-1) ** (r - 1 - j)).terms.items():
+                rest, sign = res
+                for k, v in target.monomial(tuple(pos[e] for e in rest),
+                                            coeff=sign).terms.items():
                     if v.denominator != 1:
                         raise RuntimeError("internal invariant violation: "
                                            "residue map has non-integer "
@@ -440,6 +456,10 @@ class _ResidueStack:
         r = self.alg.rank
         stacked = {}
         for a, target, offset in self.blocks:
+            if targets[a].algebra is not target:
+                raise RuntimeError("internal invariant violation: residue "
+                                   "target is not in its block's positional "
+                                   "algebra")
             index = target._nbc_pos[r - 1]
             for key, v in targets[a].terms.items():
                 if v.denominator != 1:

@@ -14,10 +14,9 @@ from omcanon import forms, osalg
 from omcanon import om as om_module
 from omcanon.chirotope import Chirotope
 from omcanon.forms import contracted_tope_chirotope
-from omcanon.matroid import UnderlyingMatroid, basis_fingerprint
+from omcanon.matroid import UnderlyingMatroid
 from omcanon.om import _facet_elements, is_acyclic
-from omcanon.osalg import (OSAlgebra, _os_algebra_by_fingerprint,
-                           os_algebra_of_chirotope)
+from omcanon.osalg import OSAlgebra, os_algebra_of_chirotope
 from omcanon.realization import _placing
 
 import fraction_linalg
@@ -355,16 +354,6 @@ def test_residue_stack_left_inverse(name, request):
             [stack.denom if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def positional_block(alg, a) -> tuple:
-    """The contraction algebra at atom a relabelled through the positions
-    of its ground set, and that relabelling, found without the stack."""
-    ground, bases = alg.matroid.contraction_fingerprint(a)
-    pos = {e: i for i, e in enumerate(ground)}
-    key = basis_fingerprint(tuple(range(len(ground))),
-                            [{pos[e] for e in b} for b in bases])
-    return _os_algebra_by_fingerprint(key), pos
-
-
 class _DenseStack:
     """The residue stack on dense int rows: a full `matrix` of stacked
     rows, its dense left inverse `left`, and dense solves.  Its blocks are
@@ -379,7 +368,8 @@ class _DenseStack:
         self.blocks = []  # (atom, block algebra, contraction ground -> block)
         for a in alg.atoms:
             if positional:
-                target, pos = positional_block(alg, a)
+                target, pos = osalg._positional_algebra(
+                    *alg.matroid.contraction_fingerprint(a))
             else:
                 target = alg.residue_algebra(a)
                 pos = {e: e for e in target.matroid.ground}
@@ -481,6 +471,19 @@ def test_sparse_stack_matches_dense(name, request):
     assert any("non-integer" in e for e in errors)
     if name != "rank1":  # one square stack: every target is consistent
         assert any("inconsistent" in e for e in errors)
+
+
+def test_stack_refuses_targets_outside_its_block_algebras(pentagon):
+    """Labelled residues land in the labelled contraction algebras, not in
+    the stack's positional ones; the solve refuses them rather than read
+    their keys against the wrong NBC order."""
+    alg = algebra_of(pentagon)
+    stack = alg.residue_stack
+    x = alg.from_terms(alg.rank, {alg.nbc_keys(alg.rank)[0]: 1})
+    labelled = {a: alg.residue(a, x) for a, _, _ in stack.blocks}
+    assert any(labelled[a].algebra is not t for a, t, _ in stack.blocks)
+    with pytest.raises(RuntimeError, match="positional algebra"):
+        stack.solve(labelled)
 
 
 @pytest.mark.parametrize("name", ["pentagon", "nonpappus"])
