@@ -2,7 +2,11 @@
 
 Values are stored on ascending r-subsets only (ascending in ground order);
 arbitrary ordered tuples are resolved by permutation parity, tuples with
-repeats evaluate to 0.
+repeats evaluate to 0.  Validation and minors run on ground positions: an
+r-subset is a bitmask over them, the sign table is indexed by mask
+(`_mask_index`), and a minor's table is a gather from its parent's through
+a slot table cached per shape (`_minor_slots`), so none of them walks keys
+of labels.
 """
 
 from __future__ import annotations
@@ -37,6 +41,44 @@ def perm_parity_sign(positions) -> int:
 @lru_cache(maxsize=None)
 def _key_index(ground: tuple, rank: int) -> dict:
     return {key: i for i, key in enumerate(combinations(ground, rank))}
+
+
+def _mask(positions) -> int:
+    return sum(1 << i for i in positions)
+
+
+def _bits(mask: int) -> list:
+    """The one-bit masks of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+@lru_cache(maxsize=None)
+def _mask_index(n: int, r: int) -> dict:
+    """{mask of B: index of B} over the ascending r-subsets B of range(n);
+    the dict iterates in sign-table order."""
+    return {_mask(key): i for i, key in enumerate(combinations(range(n), r))}
+
+
+@lru_cache(maxsize=None)
+def _minor_slots(n: int, r: int, removed: int, element: int | None) -> tuple:
+    """Gather table of the minor of a rank-r table over range(n) whose
+    ground is range(n) outside the mask removed.  For each ascending key K
+    of the minor, in sign-table order, one int: (index of K plus element) << 1
+    | the parity of moving element from its place in that key to the end,
+    which is the number of entries of K above it.  element is None for a
+    deletion: the index of K itself, parity 0."""
+    index = _mask_index(n, r)
+    kept = [i for i in range(n) if not removed >> i & 1]
+    if element is None:
+        return tuple(index[_mask(key)] << 1 for key in combinations(kept, r))
+    bit = 1 << element
+    return tuple(index[m | bit] << 1 | (m >> element).bit_count() & 1
+                 for m in map(_mask, combinations(kept, r - 1)))
 
 
 @dataclass(frozen=True)
@@ -99,10 +141,9 @@ class Chirotope:
         """Reorientation: value on B multiplied by (-1)^{|B n P^-|}."""
         if tope.ground != self.ground or not tope.has_full_support:
             raise ValueError("reorientation requires a full-support sign vector")
-        neg = tope.negative_part
-        signs = tuple(
-            s * (-1 if len(set(key) & neg) % 2 else 1)
-            for key, s in zip(self.keys, self.signs))
+        neg = tope.minus
+        signs = tuple(-s if (m & neg).bit_count() & 1 else s for m, s in zip(
+            _mask_index(len(self.ground), self.rank), self.signs))
         return Chirotope(self.ground, self.rank, signs)
 
     def contract(self, element, drop=()) -> "Chirotope":
@@ -111,79 +152,123 @@ class Chirotope:
         drop lists further elements removed from the ground set (loops of
         the contraction, i.e. the rest of the contracted parallel class).
         """
-        if element not in self.ground:
+        pos = ground_positions(self.ground)
+        if element not in pos:
             raise ValueError(f"unknown element label {element!r}")
-        removed = {element, *drop}
-        new_ground = tuple(e for e in self.ground if e not in removed)
-        new_rank = self.rank - 1
-        values = {}
-        # The index holds the ascending keys in table order.  Moving the
-        # element from position i to the end takes new_rank - i swaps.
-        for key, s in zip(self._index, self.signs):
-            if s and element in key:
-                i = key.index(element)
-                rest = key[:i] + key[i + 1:]
-                if removed.isdisjoint(rest):
-                    values[rest] = -s if (new_rank - i) % 2 else s
-        return Chirotope.from_map(new_ground, new_rank, values)
+        removed = _mask(pos[e] for e in {element, *drop} if e in pos)
+        return self._minor(removed, pos[element])
 
     def delete(self, element) -> "Chirotope":
         """Restriction to the complement of one element; rank must not drop."""
-        if not any(element not in key for key in self.nonzero_keys):
+        pos = ground_positions(self.ground)
+        if element not in pos:
+            raise ValueError(f"unknown element label {element!r}")
+        bit = 1 << pos[element]
+        if all(m & bit for m, s in zip(
+                _mask_index(len(self.ground), self.rank), self.signs) if s):
             raise ValueError(f"rank would drop: {element!r} is a coloop")
-        new_ground = tuple(e for e in self.ground if e != element)
-        values = {key: self.value(key) for key in combinations(new_ground, self.rank)}
-        return Chirotope.from_map(new_ground, self.rank, values)
+        return self._minor(bit, None)
+
+    def _minor(self, removed: int, element: int | None) -> "Chirotope":
+        """The contraction by the element at position element (None: the
+        deletion) with the positions in the mask removed left out."""
+        ground = tuple(e for i, e in enumerate(self.ground)
+                       if not removed >> i & 1)
+        rank = self.rank - (element is not None)
+        signs = self.signs
+        return Chirotope(ground, rank, tuple(
+            -signs[k >> 1] if k & 1 else signs[k >> 1]
+            for k in _minor_slots(len(self.ground), self.rank, removed,
+                                  element)))
 
 
 def validate_chirotope(chi: Chirotope) -> None:
     """Chirotope axioms, exhaustively; raises InvalidChirotope on failure.
 
     Checks: not identically zero, no loops, basis exchange on the nonzero
-    supports, and all three-term Grassmann-Pluecker sign relations.
+    supports, and all three-term Grassmann-Pluecker sign relations.  Each
+    check walks bases in sign-table order and elements in ground order, so
+    the diagnostic names the same first violation for any labels and does
+    not depend on the hash seed.
     """
     if chi.rank == 0:
         if chi.signs[0] == 0:
             raise InvalidChirotope("identically zero")
         return
-    keys = chi.nonzero_keys
-    nonzero = [set(k) for k in keys]
-    if not nonzero:
+    n = len(chi.ground)
+    index = _mask_index(n, chi.rank)
+    bases = [m for m, s in zip(index, chi.signs) if s]
+    if not bases:
         raise InvalidChirotope("identically zero")
-    for e in chi.ground:
-        if not any(e in b for b in nonzero):
-            raise InvalidChirotope(f"loop: {e}")
-    pos = ground_positions(chi.ground)
-    # Differences are walked in ground order (keys are ascending), so the
-    # diagnostic does not depend on the hash seed.
-    for k1, b1 in zip(keys, nonzero):
-        for k2, b2 in zip(keys, nonzero):
-            for x in (e for e in k1 if e not in b2):
-                if not any(chi.value(tuple(sorted((b1 - {x}) | {y},
-                                                  key=pos.get))) != 0
-                           for y in k2 if y not in b1):
-                    raise InvalidChirotope(
-                        f"basis exchange fails for {tuple(sorted(b1))} / "
-                        f"{tuple(sorted(b2))} at {x}")
+    missing = (1 << n) - 1
+    for b in bases:
+        missing &= ~b
+    if missing:
+        low = missing & -missing
+        raise InvalidChirotope(f"loop: {chi.ground[low.bit_length() - 1]}")
+    _check_exchange(chi.ground, bases)
     if chi.rank >= 2:
-        _check_three_term(chi)
+        _check_three_term(chi, index)
 
 
-def _check_three_term(chi: Chirotope) -> None:
-    ground = chi.ground
-    r = chi.rank
-    for stem in combinations(ground, r - 2):
-        rest = [e for e in ground if e not in stem]
-        for a, b, c, d in combinations(rest, 4):
-            p1 = chi.value(stem + (a, b)) * chi.value(stem + (c, d))
-            p2 = chi.value(stem + (a, c)) * chi.value(stem + (b, d))
-            p3 = chi.value(stem + (a, d)) * chi.value(stem + (b, c))
+def _labels(ground: tuple, mask: int) -> set:
+    return {e for i, e in enumerate(ground) if mask >> i & 1}
+
+
+def _check_exchange(ground: tuple, bases: list) -> None:
+    """For bases B1, B2 and x in B1 - B2, some y in B2 - B1 makes B1 - x + y
+    a basis.  With H = B1 - x, the elements completing H to a basis, x among
+    them, are the bits of reach[H]; so the exchange fails iff B2 misses
+    reach[H].  The first violation is the first B1, then the first B2, then
+    the first x."""
+    reach: dict = {}
+    for b in bases:
+        for x in _bits(b):
+            reach[b ^ x] = reach.get(b ^ x, 0) | x
+    first: dict = {}  # reach mask -> index of the first basis missing it
+    for b1 in bases:
+        fail = None
+        for x in _bits(b1):
+            m = reach[b1 ^ x]
+            j = first.get(m)
+            if j is None:
+                j = first[m] = next((k for k, b2 in enumerate(bases)
+                                     if not b2 & m), len(bases))
+            if j < len(bases) and (fail is None or j < fail[0]):
+                fail = (j, x)
+        if fail is not None:
+            j, x = fail
+            raise InvalidChirotope(
+                f"basis exchange fails for "
+                f"{tuple(sorted(_labels(ground, b1)))} / "
+                f"{tuple(sorted(_labels(ground, bases[j])))} "
+                f"at {ground[x.bit_length() - 1]}")
+
+
+def _check_three_term(chi: Chirotope, index: dict) -> None:
+    """For each stem S, an ascending (r-2)-subset, the signs of the keys
+    S + {a, b} are read once by mask.  chi(S + (a, b)) differs from that
+    sign by e_a * e_b, with e_i = -1 iff an odd number of S lies above i, so
+    each of p1, p2, p3 differs by e_a e_b e_c e_d: the relation's sign
+    pattern is at most negated, and the check reads the signs as they are."""
+    ground, signs = chi.ground, chi.signs
+    n = len(ground)
+    for stem in combinations(range(n), chi.rank - 2):
+        s = _mask(stem)
+        rest = [i for i in range(n) if not s >> i & 1]
+        v = [[signs[index[s | 1 << i | 1 << j]] if i < j else 0
+              for j in rest] for i in rest]
+        for a, b, c, d in combinations(range(len(rest)), 4):
+            p1 = v[a][b] * v[c][d]
+            p2 = v[a][c] * v[b][d]
+            p3 = v[a][d] * v[b][c]
             # realizable model: p1 - p2 + p3 = 0
             terms = [p1, -p2, p3]
             if any(terms) and not (min(terms) < 0 < max(terms)):
                 raise InvalidChirotope(
-                    f"three-term relation fails on stem {stem}, "
-                    f"quadruple {(a, b, c, d)}")
+                    f"three-term relation fails on stem "
+                    f"{tuple(ground[i] for i in stem)}, quadruple "
+                    f"{tuple(ground[rest[i]] for i in (a, b, c, d))}")
 
 
 def chirotope_diagnostic(chi: Chirotope) -> str | None:

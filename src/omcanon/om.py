@@ -11,7 +11,7 @@ a tope is bounded at e iff none of them vanishes at e.  Conforming to the
 sign vector, they compose by taking the union of their masks.  Only
 enumerating covectors or topes builds the full covector closure, which runs
 on (plus, minus) mask pairs and builds each SignVector once; acyclicity
-reads the signed circuits.
+reads which elements the one-signed cocircuits cover.
 """
 
 from __future__ import annotations
@@ -225,30 +225,35 @@ def _composes_to(om: OrientedMatroid, x: SignVector, ys: list) -> bool:
 # ---- derived sign-vector data -------------------------------------------
 
 
-def _circuit_signs(chi: Chirotope):
-    """(subset, signs) for each (r+1)-subset with a nonzero circuit vector."""
+def _circuits(chi: Chirotope) -> frozenset:
+    """The signed circuits, one from each (r+1)-subset with a nonzero
+    circuit vector, and their negatives."""
     if chi.rank == 0 or len(chi.ground) <= chi.rank:
-        return
+        return frozenset()
+    out = set()
     for sub in combinations(chi.ground, chi.rank + 1):
         signs = [(-1) ** i * chi.value(sub[:i] + sub[i + 1:])
                  for i in range(len(sub))]
         if any(signs):
-            yield sub, signs
-
-
-def _circuits(chi: Chirotope) -> frozenset:
-    out = set()
-    for sub, signs in _circuit_signs(chi):
-        vec = SignVector.from_map(chi.ground, dict(zip(sub, signs)))
-        out.add(vec)
-        out.add(-vec)
+            vec = SignVector.from_map(chi.ground, dict(zip(sub, signs)))
+            out.add(vec)
+            out.add(-vec)
     return frozenset(out)
 
 
 def is_acyclic(chi: Chirotope) -> bool:
-    """True iff no signed circuit of chi is one-signed; stops at the first."""
-    return not any(min(signs) >= 0 or max(signs) <= 0
-                   for _, signs in _circuit_signs(chi))
+    """True iff no signed circuit of chi is nonnegative.  By the Farkas
+    lemma (Bjoerner et al., Oriented Matroids, 3.4) every element lies in
+    a nonnegative circuit or in a nonnegative cocircuit, never both, so chi
+    is acyclic iff the one-signed cocircuits cover the ground set."""
+    n = len(chi.ground)
+    if chi.rank == 0 or n <= chi.rank:
+        return True
+    covered = 0
+    for plus, minus in _cocircuit_masks(chi):
+        if not plus or not minus:
+            covered |= plus | minus
+    return covered == (1 << n) - 1
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -6,7 +7,8 @@ from omcanon import Chirotope, InvalidChirotope, SignVector, validate_chirotope
 from omcanon.chirotope import _key_index, chirotope_diagnostic, perm_parity_sign
 from omcanon.signvec import ground_positions
 
-from conftest import boolean_om, cyclic_line_chirotope
+from conftest import (FIXTURES, NONUNIFORM, all_full_support_vectors,
+                      boolean_om, cyclic_line_chirotope, named_om)
 
 
 def test_validate_line4():
@@ -90,20 +92,79 @@ def reference_contract(chi: Chirotope, element, drop=()) -> Chirotope:
     return Chirotope.from_map(new_ground, chi.rank - 1, values)
 
 
-@pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
-                                  "parallel_pair", "nonpappus"])
+def dict_contract(chi: Chirotope, element, drop=()) -> Chirotope:
+    """`Chirotope.contract` when it collected {key: sign} from the parent's
+    ascending keys and rebuilt the table with `from_map`."""
+    removed = {element, *drop}
+    new_ground = tuple(e for e in chi.ground if e not in removed)
+    new_rank = chi.rank - 1
+    values = {}
+    for key, s in zip(chi.keys, chi.signs):
+        if s and element in key:
+            i = key.index(element)
+            rest = key[:i] + key[i + 1:]
+            if removed.isdisjoint(rest):
+                values[rest] = -s if (new_rank - i) % 2 else s
+    return Chirotope.from_map(new_ground, new_rank, values)
+
+
+def relabellings(chi: Chirotope) -> list:
+    """chi under integer, descending-integer and string labels: the sign
+    table stays aligned with the ascending keys of each new ground."""
+    n = len(chi.ground)
+    grounds = [tuple(range(10, 10 + n)), tuple(range(n - 1, -1, -1)),
+               tuple(random.Random(n).sample("abcdefghijklmnop", n))]
+    return [chi] + [Chirotope(g, chi.rank, chi.signs) for g in grounds]
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
 def test_contract_matches_reference(name, request):
-    """Every element, alone and with the rest of its parallel class."""
-    om = request.getfixturevalue(name)
+    """Every element, alone and with the rest of its parallel class, on a
+    few reorientations under every relabelling, against both earlier
+    contractions."""
+    om = named_om(name, request)
     for t in om.sorted_topes()[:4]:
-        chi = om.chi.reorient(t)
-        for e in chi.ground:
-            rest = tuple(sorted(om.underlying.atom_of(e) - {e},
-                                key=chi.ground.index))
-            for drop in ((), rest):
-                assert chi.contract(e, drop) == reference_contract(chi, e, drop)
+        for chi in relabellings(om.chi.reorient(t)):
+            relabel = dict(zip(om.ground, chi.ground))
+            for e in om.ground:
+                a = relabel[e]
+                rest = tuple(relabel[f] for f in sorted(
+                    om.underlying.atom_of(e) - {e}, key=om.ground.index))
+                for drop in ((), rest):
+                    assert (chi.contract(a, drop)
+                            == reference_contract(chi, a, drop)
+                            == dict_contract(chi, a, drop))
     with pytest.raises(ValueError, match="unknown element"):
         om.chi.contract("no such label")
+
+
+def reference_delete(chi: Chirotope, element) -> Chirotope:
+    """`Chirotope.delete` when it evaluated each key of the new ground."""
+    new_ground = tuple(e for e in chi.ground if e != element)
+    return Chirotope.from_map(new_ground, chi.rank, {
+        key: chi.value(key) for key in combinations(new_ground, chi.rank)})
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_delete_matches_reference(name, request):
+    """Deletion of every element that is not a coloop, under every
+    relabelling; unknown labels raise, as in `contract`."""
+    om = named_om(name, request)
+    coloops = {e for e in om.ground
+               if all(e in key for key in om.chi.nonzero_keys)}
+    for chi in relabellings(om.chi):
+        relabel = dict(zip(om.ground, chi.ground))
+        for e in om.ground:
+            if e in coloops:
+                with pytest.raises(ValueError, match="rank would drop"):
+                    chi.delete(relabel[e])
+            else:
+                assert (chi.delete(relabel[e])
+                        == reference_delete(chi, relabel[e]))
+    with pytest.raises(ValueError, match="unknown element label 99"):
+        om.chi.delete(99)
+    with pytest.raises(ValueError, match="unknown element label 'x'"):
+        om.delete("x")
 
 
 def test_delete_restriction_and_coloop():
@@ -167,3 +228,123 @@ def test_value_matches_reference(name, request):
     for seq in bad:
         message = _raised(reference_value, chi, seq)
         assert message is not None and _raised(chi.value, seq) == message
+
+
+# ---- differential tests against the label-walking paths ---------------------
+
+
+def reference_diagnostic(chi: Chirotope) -> str | None:
+    """`chirotope_diagnostic` when `validate_chirotope` walked labels through
+    `Chirotope.value`: the first violation's message, or None."""
+    if chi.rank == 0:
+        return "identically zero" if chi.signs[0] == 0 else None
+    keys = chi.nonzero_keys
+    nonzero = [set(k) for k in keys]
+    if not nonzero:
+        return "identically zero"
+    for e in chi.ground:
+        if not any(e in b for b in nonzero):
+            return f"loop: {e}"
+    pos = ground_positions(chi.ground)
+    for k1, b1 in zip(keys, nonzero):
+        for k2, b2 in zip(keys, nonzero):
+            for x in (e for e in k1 if e not in b2):
+                if not any(chi.value(tuple(sorted((b1 - {x}) | {y},
+                                                  key=pos.get))) != 0
+                           for y in k2 if y not in b1):
+                    return (f"basis exchange fails for {tuple(sorted(b1))} / "
+                            f"{tuple(sorted(b2))} at {x}")
+    if chi.rank < 2:
+        return None
+    for stem in combinations(chi.ground, chi.rank - 2):
+        rest = [e for e in chi.ground if e not in stem]
+        for a, b, c, d in combinations(rest, 4):
+            p1 = chi.value(stem + (a, b)) * chi.value(stem + (c, d))
+            p2 = chi.value(stem + (a, c)) * chi.value(stem + (b, d))
+            p3 = chi.value(stem + (a, d)) * chi.value(stem + (b, c))
+            terms = [p1, -p2, p3]
+            if any(terms) and not (min(terms) < 0 < max(terms)):
+                return (f"three-term relation fails on stem {stem}, "
+                        f"quadruple {(a, b, c, d)}")
+    return None
+
+
+def mutations(chi: Chirotope, count: int, seed: int) -> list:
+    """Seeded copies of chi with one or two sign-table entries flipped,
+    zeroed or set."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        signs = list(chi.signs)
+        for i in rng.sample(range(len(signs)),
+                            min(len(signs), rng.randint(1, 2))):
+            signs[i] = rng.choice([s for s in (-1, 0, 1) if s != signs[i]])
+        out.append(Chirotope(chi.ground, chi.rank, tuple(signs)))
+    return out
+
+
+def nonpappus_extensions(om, count: int) -> list:
+    """Chirotopes of seeded lex extensions of om by basis signatures."""
+    rng = random.Random("extensions")
+    out = []
+    while len(out) < count:
+        signature = tuple((b, rng.choice((1, -1)))
+                          for b in rng.sample(om.ground, om.rank))
+        if om.chi.value(tuple(b for b, _ in signature)):
+            out.append(om.lex_extension(signature, label=len(om.ground))
+                       .chi_ext)
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["extensions"])
+def test_validation_matches_label_walk(name, request):
+    """Same diagnostic as the label walk on the fixture (or two seeded lex
+    extensions of non-Pappus), on seeded mutations of its sign table, and
+    under every relabelling; both valid and invalid tables occur."""
+    if name == "extensions":
+        chis = nonpappus_extensions(request.getfixturevalue("nonpappus"), 2)
+    else:
+        chis = [named_om(name, request).chi]
+    # The label walk is slow on large tables: they get fewer mutations,
+    # each under one relabelling in turn.
+    large = len(chis[0].signs) > 20
+    outcomes = set()
+    for k, chi in enumerate(chis):
+        assert chirotope_diagnostic(chi) is None
+        cases = [chi] + mutations(chi, 4 if large else 12, seed=k)
+        for j, case in enumerate(cases):
+            variants = relabellings(case)
+            for variant in ([variants[j % 4]] if large else variants):
+                expected = reference_diagnostic(variant)
+                assert chirotope_diagnostic(variant) == expected
+                outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_exchange_diagnostic_names_first_element():
+    """With bases {0, 1} and {2, 3} only, both elements of the first basis
+    fail the exchange; the diagnostic names the first in ground order."""
+    chi = Chirotope.from_map((0, 1, 2, 3), 2, {(0, 1): 1, (2, 3): 1})
+    assert (chirotope_diagnostic(chi)
+            == "basis exchange fails for (0, 1) / (2, 3) at 0")
+    for variant in relabellings(chi):
+        assert chirotope_diagnostic(variant) == reference_diagnostic(variant)
+
+
+def label_reorient(chi: Chirotope, tope: SignVector) -> Chirotope:
+    """`Chirotope.reorient` when it intersected each key with the negative
+    part of the tope."""
+    neg = tope.negative_part
+    return Chirotope(chi.ground, chi.rank, tuple(
+        s * (-1 if len(set(key) & neg) % 2 else 1)
+        for key, s in zip(chi.keys, chi.signs)))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_reorient_matches_label_walk(name, request):
+    """Reorientation by every full-support sign vector, under every
+    relabelling."""
+    om = named_om(name, request)
+    for chi in relabellings(om.chi):
+        for x in all_full_support_vectors(chi.ground):
+            assert chi.reorient(x) == label_reorient(chi, x)

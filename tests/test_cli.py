@@ -503,3 +503,46 @@ def test_info_fuzz_never_raises(tmp_path_factory, doc):
         assert not out.getvalue()
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+
+
+_TOPE_ARGS = (st.lists(st.sampled_from(["+", "-"]), min_size=4, max_size=5)
+              | st.lists(st.sampled_from(["+", "-", "0", "1", "*", ""]),
+                         max_size=6)).map(",".join)
+_WEIGHT_ARGS = (st.lists(st.sampled_from(["1", "-1", "2/3", "-3/2", "2"]),
+                         min_size=3, max_size=5)
+                | st.lists(st.sampled_from(["1", "0", "1/0", "x", ""]),
+                           max_size=6)).map(",".join)
+_BASES = st.none() | st.sampled_from(["0", "1", "3", "5", "a", ""])
+_COMMANDS = st.one_of(
+    st.tuples(_TOPE_ARGS, st.booleans()).map(
+        lambda t: ["canonical", f"--tope={t[0]}"] + ["--nonreduced"] * t[1]),
+    st.integers(-1, 4).map(lambda g: ["basis", f"--grade={g}"]),
+    st.tuples(_WEIGHT_ARGS, _BASES).map(
+        lambda t: ["aomoto", f"--weights={t[0]}"]
+        + ([] if t[1] is None else [f"--base={t[1]}"])),
+    st.sampled_from(["residues", "simplex", "triangulation", "bases",
+                     "aomoto", "all"]).map(
+        lambda s: ["verify", f"--suite={s}"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_CHIROTOPE_DOCS, _MATRIX_DOCS,
+                 st.sampled_from([line4_doc(), pentagon_doc()])),
+       _COMMANDS)
+def test_subcommand_fuzz_never_raises(tmp_path_factory, doc, command):
+    """canonical, basis, aomoto and verify on small documents with drawn
+    arguments end with exit 0, 1 or 2: JSON on stdout, or one diagnostic
+    line on stderr, never a traceback."""
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([command[0], "--input", str(path)] + command[1:])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not out.getvalue()
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        json.loads(out.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -2,9 +2,10 @@ from itertools import combinations, product
 
 import pytest
 
-from omcanon import (NotATope, OrientedMatroid, SignVector, UnderlyingMatroid,
-                     bounded_extension, build_flag, validate_chirotope)
-from omcanon.om import _cocircuits, _facet_elements, is_acyclic
+from omcanon import (Chirotope, NotATope, OrientedMatroid, SignVector,
+                     UnderlyingMatroid, bounded_extension, build_flag,
+                     validate_chirotope)
+from omcanon.om import _circuits, _cocircuits, _facet_elements, is_acyclic
 
 from conftest import (PAPPUS_LINE, all_full_support_vectors, boolean_om,
                       named_om, oracle_covectors, oracle_topes,
@@ -210,20 +211,39 @@ def test_acyclicity(line4):
     assert not anti.is_acyclic()
 
 
+# Chirotopes no fixture has: rank 0 on two elements, and rank 2 with the
+# loop 2, which the validator and UnderlyingMatroid refuse.
+EDGE_CHIROTOPES = {
+    "rank0": Chirotope((0, 1), 0, (1,)),
+    "loop": Chirotope.from_map((0, 1, 2), 2, {(0, 1): 1}),
+}
+
+
 @pytest.mark.parametrize(
-    "name", ["line4", "pentagon", "parallel_pair", "nonpappus"])
+    "name", ["line4", "pentagon", "parallel_pair", "nonpappus", "rank1",
+             "boolean3", "rank0", "loop"])
 def test_is_acyclic_matches_circuit_oracle(name, request):
-    """is_acyclic(chi) against the circuits of a full OrientedMatroid, on
-    every reorientation; the acyclic ones are exactly the topes."""
-    om = request.getfixturevalue(name)
+    """is_acyclic(chi) against the signed circuits, on every reorientation.
+    With rank at least 1 and no loop the acyclic ones are exactly the
+    topes; rank 0 and n == r count as acyclic, and a loop is a positive
+    circuit, so no reorientation of "loop" is acyclic."""
+    om = None if name in EDGE_CHIROTOPES else named_om(name, request)
+    base = EDGE_CHIROTOPES[name] if om is None else om.chi
     acyclic = 0
-    for x in all_full_support_vectors(om.ground):
-        chi = om.chi.reorient(x)
-        expected = not any(c.is_nonnegative for c in
-                           OrientedMatroid(chi, validate=False).circuits)
-        assert is_acyclic(chi) == expected == (x in om.topes)
+    for x in all_full_support_vectors(base.ground):
+        chi = base.reorient(x)
+        expected = not any(c.is_nonnegative for c in _circuits(chi))
+        assert is_acyclic(chi) == expected
+        if om is not None:
+            assert expected == (x in om.topes)
         acyclic += expected
-    assert 0 < acyclic < 2 ** len(om.ground)
+    every = 2 ** len(base.ground)
+    if name in ("rank0", "boolean3"):
+        assert acyclic == every
+    elif name == "loop":
+        assert acyclic == 0
+    else:
+        assert 0 < acyclic < every
 
 
 # ---- reference: cocircuits and facets by chirotope evaluation -------------

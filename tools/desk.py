@@ -2,10 +2,11 @@
 
 For each size n x r it draws an r x n integer matrix with
 random.Random(SEED).randint(-9, 9), row by row, and prints the seconds to
-enumerate its topes (`sorted_topes`) and to compute the reduced canonical
-form of every tope (`canonical_form_tope`).  Each size runs in a fresh
-process, so no cache carries over from one size to the next.  The report
-gates nothing; its figures are single wall-clock runs.
+check its chirotope's axioms (`validate_chirotope`), to enumerate its topes
+(`sorted_topes`) and to compute the reduced canonical form of every tope
+(`canonical_form_tope`).  Each size runs in a fresh process, so no cache
+carries over from one size to the next.  The report gates nothing; its
+figures are single wall-clock runs.
 
     PYTHONPATH=src python tools/desk.py            # every default size
     PYTHONPATH=src python tools/desk.py 8x4 10x3   # chosen sizes
@@ -34,11 +35,15 @@ def size(text: str) -> tuple:
 def measure(n: int, r: int) -> dict:
     """Topes and seconds for one seeded matrix, in this process."""
     from omcanon import (OrientedMatroid, RationalMatrix, canonical_form_tope,
-                         chirotope_from_matrix)
+                         chirotope_from_matrix, validate_chirotope)
     rng = random.Random(SEED)
     rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
-    om = OrientedMatroid(chirotope_from_matrix(
-        RationalMatrix.from_rows(tuple(range(n)), rows)), validate=False)
+    chi = chirotope_from_matrix(
+        RationalMatrix.from_rows(tuple(range(n)), rows))
+    start = time.perf_counter()
+    validate_chirotope(chi)
+    validate_s = time.perf_counter() - start
+    om = OrientedMatroid(chi, validate=False)
     start = time.perf_counter()
     topes = om.sorted_topes()
     enumerate_s = time.perf_counter() - start
@@ -46,8 +51,8 @@ def measure(n: int, r: int) -> dict:
     for t in topes:
         canonical_form_tope(om, t)
     forms_s = time.perf_counter() - start
-    return {"topes": len(topes), "enumerate_s": enumerate_s,
-            "forms_s": forms_s}
+    return {"topes": len(topes), "validate_s": validate_s,
+            "enumerate_s": enumerate_s, "forms_s": forms_s}
 
 
 def main(argv=None) -> int:
@@ -64,7 +69,8 @@ def main(argv=None) -> int:
         (n, r), = args.sizes
         print(json.dumps(measure(n, r)))
         return 0
-    print(f"{'n x r':>7} {'topes':>6} {'enumerate_s':>12} {'forms_s':>9}")
+    print(f"{'n x r':>7} {'topes':>6} {'validate_s':>11} {'enumerate_s':>12} "
+          f"{'forms_s':>9}")
     for n, r in args.sizes:
         proc = subprocess.run(
             [sys.executable, __file__, "--one", f"{n}x{r}"],
@@ -73,8 +79,8 @@ def main(argv=None) -> int:
             sys.stderr.write(proc.stderr)
             return proc.returncode
         row = json.loads(proc.stdout)
-        print(f"{n:>3} x {r} {row['topes']:>6} {row['enumerate_s']:>12.3f} "
-              f"{row['forms_s']:>9.3f}")
+        print(f"{n:>3} x {r} {row['topes']:>6} {row['validate_s']:>11.4f} "
+              f"{row['enumerate_s']:>12.3f} {row['forms_s']:>9.3f}")
     return 0
 
 
