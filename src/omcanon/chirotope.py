@@ -128,6 +128,11 @@ class Chirotope:
         sign = perm_parity_sign(positions)
         return sign * self.signs[self._index[key]]
 
+    @cached_property
+    def support(self) -> int:
+        """The bases as an int: bit i is set iff signs[i] is nonzero."""
+        return sum(1 << i for i, s in enumerate(self.signs) if s)
+
     @property
     def nonzero_keys(self) -> tuple:
         return tuple(k for k, s in zip(self.keys, self.signs) if s != 0)

@@ -1,9 +1,15 @@
 """Underlying (unoriented) matroid services.
 
-The matroid is represented by its set of bases; rank queries use the fact
-that rank(S) = max |B n S| over bases B.  Atoms are the parallel classes,
-keyed by the earliest element in ground order; the Orlik-Solomon side works
-entirely on atom representatives.
+A matroid is (ground, rank, support): bit i of the int support is set iff
+the i-th key of combinations(ground, rank) is a basis.  That is the order
+of a chirotope's sign table, so the matroid of a chirotope is its nonzero
+signs (`Chirotope.support`), and an order-preserving relabelling of the
+ground set leaves support as it is.  The bases are kept as masks over
+ground positions, and rank(S) = max |B n S| over bases B is a popcount.
+Atoms are the parallel classes, keyed by the earliest element in ground
+order; the Orlik-Solomon side works entirely on atom representatives.  In
+rank 0 the only basis is empty (support 1), every element is a loop and
+there are no atoms.
 """
 
 from __future__ import annotations
@@ -11,63 +17,80 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .chirotope import Chirotope
+from .chirotope import Chirotope, _mask_index, _minor_slots
 from .signvec import ground_positions
 
 
-def basis_fingerprint(ground, bases) -> tuple:
-    """The key identifying a matroid: its ground tuple and set of bases."""
-    return (tuple(ground), frozenset(frozenset(b) for b in bases))
-
-
-def chirotope_fingerprint(chi: Chirotope) -> tuple:
-    """The fingerprint of chi's underlying matroid, without building it."""
-    return basis_fingerprint(chi.ground, chi.nonzero_keys)
-
-
 class UnderlyingMatroid:
-    def __init__(self, ground: tuple, bases: frozenset):
+    def __init__(self, ground: tuple, rank: int, support: int):
         self.ground = tuple(ground)
-        self.bases = frozenset(frozenset(b) for b in bases)
-        if not self.bases:
+        self.rank = rank
+        self.support = support
+        n = len(self.ground)
+        size = comb(n, rank)
+        if not support:
             raise ValueError("a matroid needs at least one basis")
-        self.rank = len(next(iter(self.bases)))
-        self._rank_cache: dict = {}
-        for e in self.ground:
-            if self.rank_of([e]) != 1:
-                raise ValueError(f"loop: {e}")
+        if support >> size:
+            raise ValueError(f"support has bits beyond the {size} keys of "
+                             f"rank {rank} on {n} elements")
+        self.bases = [m for i, m in enumerate(_mask_index(n, rank))
+                      if support >> i & 1]
         self._pos = ground_positions(self.ground)
-        self.atoms = self._parallel_classes()
-        self.atom_reps = tuple(min(a, key=self._pos.get) for a in self.atoms)
-        self._atom_of = {e: rep for a, rep in zip(self.atoms, self.atom_reps)
-                         for e in a}
+        self._rank_cache: dict = {}
+        if rank:
+            missing = (1 << n) - 1
+            for b in self.bases:
+                missing &= ~b
+            if missing:
+                loop = (missing & -missing).bit_length() - 1
+                raise ValueError(f"loop: {self.ground[loop]}")
+        classes: list = []  # the atoms as position masks
+        self._atom_at: list = []  # position -> index in classes
+        for i in range(n if rank else 0):
+            bit = 1 << i
+            k = next((k for k, c in enumerate(classes)
+                      if self._rank((c & -c) | bit) == 1), None)
+            if k is None:
+                k = len(classes)
+                classes.append(0)
+            classes[k] |= bit
+            self._atom_at.append(k)
+        self._atom_masks = classes
+        self.atoms = tuple(frozenset(e for i, e in enumerate(self.ground)
+                                     if c >> i & 1) for c in classes)
+        self.atom_reps = tuple(self.ground[(c & -c).bit_length() - 1]
+                               for c in classes)
 
     @classmethod
     def from_chirotope(cls, chi: Chirotope) -> "UnderlyingMatroid":
-        if chi.rank == 0:
-            return _RankZeroMatroid(chi.ground)
-        return cls(chi.ground, frozenset(frozenset(k) for k in chi.nonzero_keys))
-
-    @classmethod
-    def from_bases(cls, ground: tuple, bases: frozenset) -> "UnderlyingMatroid":
-        """The matroid with these bases; rank 0 when the only basis is empty."""
-        if bases == {frozenset()}:
-            return _RankZeroMatroid(ground)
-        return cls(ground, bases)
+        return cls(chi.ground, chi.rank, chi.support)
 
     @property
     def fingerprint(self) -> tuple:
-        return basis_fingerprint(self.ground, self.bases)
+        """The key identifying the matroid: (ground, rank, support)."""
+        return self.ground, self.rank, self.support
 
     # ---- rank oracle and derived notions -------------------------------
 
-    def rank_of(self, subset) -> int:
-        key = frozenset(subset)
-        cached = self._rank_cache.get(key)
+    def _position(self, e) -> int:
+        """The ground position of e: the one lookup of a label."""
+        i = self._pos.get(e)
+        if i is None:
+            raise ValueError(f"unknown element label {e!r}")
+        return i
+
+    def _rank(self, mask: int) -> int:
+        cached = self._rank_cache.get(mask)
         if cached is None:
-            cached = max((len(b & key) for b in self.bases), default=0)
-            self._rank_cache[key] = cached
+            cached = max((b & mask).bit_count() for b in self.bases)
+            self._rank_cache[mask] = cached
         return cached
+
+    def rank_of(self, subset) -> int:
+        mask = 0
+        for e in subset:
+            mask |= 1 << self._position(e)
+        return self._rank(mask)
 
     def is_independent(self, subset) -> bool:
         subset = frozenset(subset)
@@ -89,37 +112,37 @@ class UnderlyingMatroid:
                 out.add(self.closure(key))
         return frozenset(out)
 
-    def _parallel_classes(self) -> tuple:
-        classes: list[set] = []
-        for e in self.ground:
-            for cls_ in classes:
-                if self.rank_of({e, next(iter(cls_))}) == 1:
-                    cls_.add(e)
-                    break
-            else:
-                classes.append({e})
-        return tuple(frozenset(c) for c in classes)
+    def _atom_index(self, e) -> int:
+        i = self._position(e)
+        if not self.rank:
+            raise ValueError(f"{e!r} is a loop, in no atom")
+        return self._atom_at[i]
 
     def atom_of(self, e) -> frozenset:
-        rep = self._atom_of[e]
-        return next(a for a in self.atoms if rep in a)
+        return self.atoms[self._atom_index(e)]
 
     def rep_of(self, e):
-        return self._atom_of[e]
+        return self.atom_reps[self._atom_index(e)]
 
     # ---- minors ---------------------------------------------------------
 
     def contraction_fingerprint(self, rep) -> tuple:
-        """The fingerprint of the contraction by the atom of rep."""
-        atom = self.atom_of(rep)
-        ground = tuple(e for e in self.ground if e not in atom)
-        return basis_fingerprint(ground, (b - atom for b in self.bases
-                                          if b & atom))
+        """The fingerprint of the contraction by the atom of rep.  A key K
+        of it is a basis iff K plus rep is one here, so its support is
+        gathered through the slot table that `Chirotope.contract` uses."""
+        atom = self._atom_masks[self._atom_index(rep)]
+        ground = tuple(e for i, e in enumerate(self.ground)
+                       if not atom >> i & 1)
+        support = 0
+        for j, slot in enumerate(_minor_slots(len(self.ground), self.rank,
+                                              atom, self._position(rep))):
+            support |= (self.support >> (slot >> 1) & 1) << j
+        return ground, self.rank - 1, support
 
     # ---- broken circuits and NBC sets (on atoms) ------------------------
 
     def atom_rank(self, reps) -> int:
-        return self.rank_of(frozenset(reps))
+        return self.rank_of(reps)
 
     def atom_circuits(self) -> tuple:
         """Minimal dependent sets of atom representatives, ascending tuples."""
@@ -171,30 +194,31 @@ class UnderlyingMatroid:
         if cached is not None:
             return cached
         memo: dict = {}
+        rank = self._rank
 
-        def minor_rank(contracted: frozenset, s) -> int:
-            return self.rank_of(set(s) | contracted) - self.rank_of(contracted)
-
-        def rec(rem: tuple, contracted: frozenset) -> dict:
-            key = (frozenset(rem), contracted)
+        def rec(rem: int, contracted: int) -> dict:
+            """The Tutte polynomial of the minor on the mask rem with the
+            mask contracted contracted; rem's lowest element goes first."""
+            key = (rem, contracted)
             hit = memo.get(key)
             if hit is not None:
                 return hit
             if not rem:
                 res = {(0, 0): 1}
             else:
-                e, rest = rem[0], rem[1:]
-                if minor_rank(contracted, [e]) == 0:
+                e = rem & -rem
+                rest = rem ^ e
+                if rank(contracted | e) == rank(contracted):
                     res = _poly_shift(rec(rest, contracted), 0, 1)  # loop: y*
-                elif minor_rank(contracted, rem) - minor_rank(contracted, rest) == 1:
-                    res = _poly_shift(rec(rest, contracted | {e}), 1, 0)  # coloop: x*
+                elif rank(contracted | rem) - rank(contracted | rest) == 1:
+                    res = _poly_shift(rec(rest, contracted | e), 1, 0)  # coloop: x*
                 else:
                     res = _poly_add(rec(rest, contracted),
-                                    rec(rest, contracted | {e}))
+                                    rec(rest, contracted | e))
             memo[key] = res
             return res
 
-        self._tutte = rec(self.ground, frozenset())
+        self._tutte = rec((1 << len(self.ground)) - 1, 0)
         return self._tutte
 
     def beta(self) -> int:
@@ -212,21 +236,6 @@ class UnderlyingMatroid:
                 coeffs[k] += c * comb(i, k) * (-1) ** k
         sign = (-1) ** r
         return [sign * c for c in coeffs]
-
-
-class _RankZeroMatroid(UnderlyingMatroid):
-    def __init__(self, ground: tuple):
-        self.ground = tuple(ground)
-        self.bases = frozenset([frozenset()])
-        self.rank = 0
-        self._rank_cache = {}
-        self._pos = {}
-        self.atoms = ()
-        self.atom_reps = ()
-        self._atom_of = {}
-
-    def rank_of(self, subset) -> int:
-        return 0
 
 
 def _poly_add(p: dict, q: dict) -> dict:

@@ -36,14 +36,14 @@ from functools import cached_property
 
 from . import linalg
 from .chirotope import Chirotope, perm_parity_sign
-from .matroid import (UnderlyingMatroid, basis_fingerprint,
-                      chirotope_fingerprint)
+from .matroid import UnderlyingMatroid
 from .signvec import ground_positions
 
 _ALGEBRAS: dict = {}
 
 
 def os_algebra_for(matroid: UnderlyingMatroid) -> "OSAlgebra":
+    """The algebra of the matroid, one per (ground, rank, support)."""
     key = matroid.fingerprint
     alg = _ALGEBRAS.get(key)
     if alg is None:
@@ -53,34 +53,17 @@ def os_algebra_for(matroid: UnderlyingMatroid) -> "OSAlgebra":
 
 
 def os_algebra_of_chirotope(chi: Chirotope) -> "OSAlgebra":
-    """The algebra of chi's underlying matroid, found by basis fingerprint."""
-    return _os_algebra_by_fingerprint(chirotope_fingerprint(chi))
+    """The algebra of chi's underlying matroid, found by its support."""
+    return _algebra(chi.ground, chi.rank, chi.support)
 
 
-def _os_algebra_by_fingerprint(key: tuple) -> "OSAlgebra":
-    """The algebra of the matroid with this (ground, bases) fingerprint; the
-    matroid is built only when no algebra for it is cached yet."""
-    alg = _ALGEBRAS.get(key)
+def _algebra(ground: tuple, rank: int, support: int) -> "OSAlgebra":
+    """The algebra of the matroid (ground, rank, support); the matroid is
+    built only when no algebra for it is cached yet."""
+    alg = _ALGEBRAS.get((ground, rank, support))
     if alg is None:
-        alg = os_algebra_for(UnderlyingMatroid.from_bases(*key))
+        alg = os_algebra_for(UnderlyingMatroid(ground, rank, support))
     return alg
-
-
-def _positional_ground(ground: tuple) -> tuple:
-    """(positions, pos): positions = (0, ..., n-1) and the order-preserving
-    relabelling pos: ground -> positions.  Algebras, residue stacks and
-    forms of chirotopes that differ by such a relabelling coincide (see
-    `forms`), so the recursion and the stacks work on positions only."""
-    positions = tuple(range(len(ground)))
-    return positions, dict(zip(ground, positions))
-
-
-def _positional_algebra(ground: tuple, bases) -> tuple:
-    """(algebra, pos): the algebra of the matroid with these bases relabelled
-    through pos (see `_positional_ground`)."""
-    positions, pos = _positional_ground(ground)
-    key = basis_fingerprint(positions, ((pos[e] for e in b) for b in bases))
-    return _os_algebra_by_fingerprint(key), pos
 
 
 def _residue_key(key: tuple, a) -> tuple | None:
@@ -161,7 +144,7 @@ class OSAlgebra:
         self.matroid = matroid
         self.rank = matroid.rank
         self.atoms = matroid.atom_reps
-        self._pos = ground_positions(matroid.ground) if matroid.ground else {}
+        self._pos = ground_positions(matroid.ground)
         self.nbc = {k: matroid.nbc_sets(k) for k in range(self.rank + 1)}
         self._nbc_pos = {k: {key: i for i, key in enumerate(keys)}
                          for k, keys in self.nbc.items()}
@@ -196,10 +179,7 @@ class OSAlgebra:
         """e_seq straightened into NBC coordinates; seq lists ground elements."""
         seq = tuple(seq)
         coeff = Fraction(coeff)
-        try:
-            reps = tuple(self.matroid.rep_of(e) for e in seq)
-        except KeyError as exc:
-            raise ValueError(f"unknown element label {exc.args[0]!r}") from None
+        reps = tuple(self.matroid.rep_of(e) for e in seq)
         if len(set(reps)) != len(reps):
             return self.zero(len(seq))
         positions = [self._pos[a] for a in reps]
@@ -281,8 +261,7 @@ class OSAlgebra:
     def residue_algebra(self, rep) -> "OSAlgebra":
         alg = self._residue_algebras.get(rep)
         if alg is None:
-            alg = _os_algebra_by_fingerprint(
-                self.matroid.contraction_fingerprint(rep))
+            alg = _algebra(*self.matroid.contraction_fingerprint(rep))
             self._residue_algebras[rep] = alg
         return alg
 
@@ -398,18 +377,18 @@ class _ResidueStack:
     Columns are the NBC r-monomials; each atom contributes the residues of
     those columns in the top grade r-1 of its contraction, relabelled
     through the order-preserving map of its ground set onto range(n'):
-    contractions that differ only by such a relabelling share that
-    positional algebra, and the forms of positional chirotopes land in it
-    as they are (see `forms._positional`).  The boundary is
-    injective on the top grade and Res_a d = -d Res_a, so the joint residue
-    map is injective as well: the stacked matrix has full column rank, and
-    a cached left inverse turns every canonical-form solve into a
-    matrix-vector product plus a consistency check.  Canonical forms are
-    integral, so the matrix is kept over int and the left inverse as an int
-    matrix over one positive denominator `denom`.  Both are almost empty
-    and are stored as sparse columns: `matrix[j]` lists the (stacked row,
-    value) pairs of the j-th NBC monomial's residues, and `left[i]` the
-    (coefficient index, value) pairs that stacked row i feeds.
+    contractions that differ only by such a relabelling have the same
+    support and so share that positional algebra, and the forms of
+    positional chirotopes land in it as they are (see `forms._positional`).
+    The boundary is injective on the top grade and Res_a d = -d Res_a, so
+    the joint residue map is injective as well: the stacked matrix has full
+    column rank, and a cached left inverse turns every canonical-form solve
+    into a matrix-vector product plus a consistency check.  Canonical forms
+    are integral, so the matrix is kept over int and the left inverse as an
+    int matrix over one positive denominator `denom`.  Both are almost
+    empty and are stored as sparse columns: `matrix[j]` lists the (stacked
+    row, value) pairs of the j-th NBC monomial's residues, and `left[i]`
+    the (coefficient index, value) pairs that stacked row i feeds.
     """
 
     def __init__(self, alg: OSAlgebra):
@@ -420,8 +399,9 @@ class _ResidueStack:
         self.matrix = [[] for _ in self.keys]
         nrows = 0
         for a in alg.atoms:
-            target, pos = _positional_algebra(
-                *alg.matroid.contraction_fingerprint(a))
+            ground, rank, support = alg.matroid.contraction_fingerprint(a)
+            target = _algebra(tuple(range(len(ground))), rank, support)
+            pos = ground_positions(ground)
             self.blocks.append((a, target, nrows))
             index = target._nbc_pos[r - 1]
             for key, column in zip(self.keys, self.matrix):

@@ -13,8 +13,8 @@ from hypothesis import settings
 from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
                      RationalMatrix, SignVector, UnderlyingMatroid,
                      chirotope_from_matrix, linalg)
-from omcanon.matroid import basis_fingerprint
-from omcanon.osalg import _os_algebra_by_fingerprint
+from omcanon.chirotope import _minor_slots
+from omcanon.osalg import _algebra
 
 # With CI set, property tests draw the same examples on every run, so a
 # failure on one leg replays locally with CI=1; no per-example deadline on
@@ -155,7 +155,8 @@ FIXTURES = ["line4", "pentagon", "pentagon_inf", "parallel_pair", "nonpappus",
 NONUNIFORM = {"nonuniform_r3": (3, 7, 1), "nonuniform_r4": (4, 7, 2)}
 
 
-def nonuniform_om(rank: int, n: int, bound: int, seed: int = 0):
+def nonuniform_matrix(rank: int, n: int, bound: int,
+                      seed: int = 0) -> RationalMatrix:
     """A seeded rank x n integer matrix with entries in [-bound, bound] whose
     matroid has a vanishing basis minor and a parallel class."""
     rng = random.Random(seed)
@@ -163,13 +164,28 @@ def nonuniform_om(rank: int, n: int, bound: int, seed: int = 0):
         rows = [[rng.randint(-bound, bound) for _ in range(n)]
                 for _ in range(rank)]
         try:
-            chi = chirotope_from_matrix(
-                RationalMatrix.from_rows(tuple(range(n)), rows))
+            mat = RationalMatrix.from_rows(tuple(range(n)), rows)
+            chi = chirotope_from_matrix(mat)
         except ValueError:  # a zero column, or rank deficient
             continue
         if (0 in chi.signs
                 and len(UnderlyingMatroid.from_chirotope(chi).atoms) < n):
-            return OrientedMatroid(chi)
+            return mat
+
+
+def nonuniform_om(rank: int, n: int, bound: int, seed: int = 0):
+    """The oriented matroid of `nonuniform_matrix`."""
+    return OrientedMatroid(chirotope_from_matrix(
+        nonuniform_matrix(rank, n, bound, seed)))
+
+
+def relabellings(chi: Chirotope) -> list:
+    """chi under integer, descending-integer and string labels: the sign
+    table stays aligned with the ascending keys of each new ground."""
+    n = len(chi.ground)
+    grounds = [tuple(range(10, 10 + n)), tuple(range(n - 1, -1, -1)),
+               tuple(random.Random(n).sample("abcdefghijklmnop", n))]
+    return [chi] + [Chirotope(g, chi.rank, chi.signs) for g in grounds]
 
 
 def named_om(name: str, request) -> OrientedMatroid:
@@ -239,26 +255,34 @@ def oracle_rank(mat: RationalMatrix, labels) -> int:
 
 def contract_atom(m: UnderlyingMatroid, rep) -> UnderlyingMatroid:
     """The contraction of m by the atom of rep, built from its fingerprint."""
-    return UnderlyingMatroid.from_bases(*m.contraction_fingerprint(rep))
+    return UnderlyingMatroid(*m.contraction_fingerprint(rep))
 
 
 def deletion_fingerprint(m: UnderlyingMatroid, rep) -> tuple:
-    """The (ground, bases) fingerprint of the deletion of the atom of rep."""
+    """The (ground, rank, support) fingerprint of the deletion of the atom
+    of rep.  Its bases are the bases of m that miss the atom, gathered as in
+    `Chirotope.delete`; when the atom is a coloop, the deletion is the
+    contraction."""
     atom = m.atom_of(rep)
     ground = tuple(e for e in m.ground if e not in atom)
-    rho = m.rank_of(ground)
-    return basis_fingerprint(ground, (b - atom for b in m.bases
-                                      if len(b - atom) == rho))
+    if m.rank_of(ground) < m.rank:
+        return m.contraction_fingerprint(rep)
+    removed = sum(1 << i for i, e in enumerate(m.ground) if e in atom)
+    support = 0
+    for j, slot in enumerate(_minor_slots(len(m.ground), m.rank, removed,
+                                          None)):
+        support |= (m.support >> (slot >> 1) & 1) << j
+    return ground, m.rank, support
 
 
 def delete_atom(m: UnderlyingMatroid, rep) -> UnderlyingMatroid:
     """The deletion of the atom of rep from m, built from its fingerprint."""
-    return UnderlyingMatroid.from_bases(*deletion_fingerprint(m, rep))
+    return UnderlyingMatroid(*deletion_fingerprint(m, rep))
 
 
 def deletion_algebra(alg, rep):
     """The algebra of the deletion of the atom of rep, by fingerprint."""
-    return _os_algebra_by_fingerprint(deletion_fingerprint(alg.matroid, rep))
+    return _algebra(*deletion_fingerprint(alg.matroid, rep))
 
 
 def iota(alg, rep, x):

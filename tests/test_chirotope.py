@@ -8,7 +8,8 @@ from omcanon.chirotope import _key_index, chirotope_diagnostic, perm_parity_sign
 from omcanon.signvec import ground_positions
 
 from conftest import (FIXTURES, NONUNIFORM, all_full_support_vectors,
-                      boolean_om, cyclic_line_chirotope, named_om)
+                      boolean_om, cyclic_line_chirotope, named_om,
+                      relabellings)
 
 
 def test_validate_line4():
@@ -106,15 +107,6 @@ def dict_contract(chi: Chirotope, element, drop=()) -> Chirotope:
             if removed.isdisjoint(rest):
                 values[rest] = -s if (new_rank - i) % 2 else s
     return Chirotope.from_map(new_ground, new_rank, values)
-
-
-def relabellings(chi: Chirotope) -> list:
-    """chi under integer, descending-integer and string labels: the sign
-    table stays aligned with the ascending keys of each new ground."""
-    n = len(chi.ground)
-    grounds = [tuple(range(10, 10 + n)), tuple(range(n - 1, -1, -1)),
-               tuple(random.Random(n).sample("abcdefghijklmnop", n))]
-    return [chi] + [Chirotope(g, chi.rank, chi.signs) for g in grounds]
 
 
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))

@@ -368,8 +368,10 @@ class _DenseStack:
         self.blocks = []  # (atom, block algebra, contraction ground -> block)
         for a in alg.atoms:
             if positional:
-                target, pos = osalg._positional_algebra(
-                    *alg.matroid.contraction_fingerprint(a))
+                ground, rank, support = alg.matroid.contraction_fingerprint(a)
+                target = osalg._algebra(tuple(range(len(ground))), rank,
+                                        support)
+                pos = dict(zip(ground, range(len(ground))))
             else:
                 target = alg.residue_algebra(a)
                 pos = {e: e for e in target.matroid.ground}

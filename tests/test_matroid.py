@@ -1,17 +1,18 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
-from omcanon import UnderlyingMatroid, tutte_eval
-from omcanon.matroid import chirotope_fingerprint
+from omcanon import Chirotope, UnderlyingMatroid, tutte_eval
 
-from conftest import (boolean_om, contract_atom, cyclic_line_chirotope,
-                      delete_atom, rank1_om)
+from conftest import (FIXTURES, NONUNIFORM, boolean_om, contract_atom,
+                      cyclic_line_chirotope, delete_atom, named_om,
+                      nonuniform_matrix, oracle_rank, rank1_om, relabellings)
+from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
 
 
 def is_coloop(m, e) -> bool:
-    return all(e in b for b in m.bases)
+    return m.rank_of(set(m.ground) - {e}) < m.rank
 
 
 def whitney_abs(m, k: int) -> int:
@@ -89,11 +90,10 @@ def test_beta_pentagon(pentagon, pentagon_inf):
 
 def test_beta_equals_simplification(parallel_pair):
     m = parallel_pair.underlying
-    simple = UnderlyingMatroid((0, 1), frozenset([frozenset({0, 1})]))
+    simple = UnderlyingMatroid((0, 1), 2, 0b1)  # the one key (0, 1)
     assert m.beta() == simple.beta() == 0
 
     # same check with a nonzero beta: duplicate one point of the line
-    from omcanon import Chirotope
     values = {(i, j): 1 for i in range(5) for j in range(i + 1, 5)}
     values[(3, 4)] = 0
     doubled = UnderlyingMatroid.from_chirotope(
@@ -132,5 +132,102 @@ def test_chirotope_fingerprint_matches_matroid(name, request):
     contractions = [om.chi.contract(a, drop=om.underlying.atom_of(a) - {a})
                     for a in om.atom_reps]  # rank 0 below the rank-1 cases
     for chi in [om.chi] + contractions:
-        assert (chirotope_fingerprint(chi)
-                == UnderlyingMatroid.from_chirotope(chi).fingerprint)
+        m = UnderlyingMatroid.from_chirotope(chi)
+        assert (chi.ground, chi.rank, chi.support) == m.fingerprint
+        assert ({frozenset(e for i, e in enumerate(m.ground) if b >> i & 1)
+                 for b in m.bases}
+                == {frozenset(key) for key in chi.nonzero_keys})
+
+
+def fixture_matrix(name, request):
+    """The matrix realizing a fixture, or None."""
+    if name in NONUNIFORM:
+        return nonuniform_matrix(*NONUNIFORM[name])
+    if name in ("pentagon", "pentagon_inf"):
+        return request.getfixturevalue(f"{name}_matrix")
+    return None
+
+
+def support_bases(ground, rank, support) -> frozenset:
+    """The bases of a (ground, rank, support) fingerprint, as label sets."""
+    return frozenset(frozenset(key) for i, key
+                     in enumerate(combinations(ground, rank))
+                     if support >> i & 1)
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM) + ["loops"])
+def test_matches_frozenset_oracle(name, request):
+    """Every query of the support-mask matroid equals the label-frozenset
+    matroid it replaced, under every relabelling; where a matrix realizes
+    the fixture, ranks equal the matrix ranks as well."""
+    if name == "loops":  # rank 0 on a nonempty ground: three loops
+        chi = Chirotope((0, 1, 2), 0, (1,))
+    else:
+        chi = named_om(name, request).chi
+    mat = fixture_matrix(name, request)
+    for variant in relabellings(chi):
+        m = UnderlyingMatroid.from_chirotope(variant)
+        oracle = FrozensetMatroid.from_chirotope(variant)
+        ground = variant.ground
+        original = dict(zip(ground, chi.ground))
+        assert m.rank == oracle.rank
+        for subset in chain.from_iterable(combinations(ground, k)
+                                          for k in range(len(ground) + 1)):
+            assert m.rank_of(subset) == oracle.rank_of(subset)
+            if mat is not None:
+                assert m.rank_of(subset) == oracle_rank(
+                    mat, [original[e] for e in subset])
+        assert m.hyperplanes() == oracle.hyperplanes()
+        assert m.atoms == oracle.atoms
+        assert m.atom_reps == oracle.atom_reps
+        assert m.atom_circuits() == oracle.atom_circuits()
+        assert m.broken_circuits() == oracle.broken_circuits()
+        for k in range(m.rank + 2):
+            assert m.nbc_sets(k) == oracle.nbc_sets(k)
+        assert m.tutte() == oracle.tutte()
+        for e in ground if m.rank else ():
+            assert m.atom_of(e) == oracle.atom_of(e)
+            assert m.rep_of(e) == oracle.rep_of(e)
+        for a in m.atom_reps:
+            ground_a, rank_a, support_a = m.contraction_fingerprint(a)
+            assert rank_a == m.rank - 1
+            assert ((ground_a, support_bases(ground_a, rank_a, support_a))
+                    == oracle.contraction_fingerprint(a))
+
+
+def test_rank0_has_only_loops():
+    m = UnderlyingMatroid((0, 1, 2), 0, 1)
+    assert m.atoms == m.atom_reps == ()
+    assert m.rank_of({0, 1, 2}) == 0
+    assert m.nbc_sets(0) == ((),)
+    assert m.tutte() == {(0, 3): 1}
+    with pytest.raises(ValueError, match="1 is a loop"):
+        m.atom_of(1)
+
+
+@pytest.mark.parametrize("ground, rank, support, message", [
+    ((0, 1, 2), 2, 0, "a matroid needs at least one basis"),
+    ((0, 1, 2), 2, 0b1000, "bits beyond the 3 keys"),
+    ((0, 1, 2), 2, -1, "bits beyond the 3 keys"),
+    ((0,), 2, 1, "bits beyond the 0 keys"),
+    ((0, 1, 2), 2, 0b001, "loop: 2"),
+    (("a", "b"), 1, 0b10, "loop: a"),
+])
+def test_constructor_rejects(ground, rank, support, message):
+    with pytest.raises(ValueError, match=message):
+        UnderlyingMatroid(ground, rank, support)
+
+
+@pytest.mark.parametrize("label", [99, "x"])
+def test_unknown_labels_raise(line4, label):
+    """A label outside the ground set is not a loop: every lookup of it
+    raises, as `Chirotope.contract` does."""
+    m = line4.underlying
+    calls = [lambda: m.rank_of({label}), lambda: m.rank_of([0, label]),
+             lambda: m.is_independent({label}), lambda: m.closure({label}),
+             lambda: m.atom_of(label), lambda: m.rep_of(label),
+             lambda: m.contraction_fingerprint(label)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=f"unknown element label {label!r}"):
+            call()

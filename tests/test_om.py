@@ -176,6 +176,19 @@ def test_delete(line4, pentagon):
         rank1_om((1,)).delete(0)
 
 
+@pytest.mark.parametrize("label", [99, "x"])
+def test_unknown_labels_raise_value_error(line4, line4_topes, label):
+    """Minors and facet tests reject a label outside the ground set with
+    the ValueError of `Chirotope.contract`, not a bare KeyError."""
+    calls = [lambda: line4.contract(label), lambda: line4.delete(label),
+             lambda: line4.is_facet(line4_topes[0], label),
+             lambda: line4.chi.contract(label)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=f"unknown element label {label!r}"):
+            call()
+
+
 def test_reoriented_topes_are_images(pentagon):
     """Reorienting the chirotope by p maps every circuit, covector and tope
     X of the oriented matroid to X with its signs flipped on p's minus part."""

@@ -6,7 +6,6 @@ import pytest
 
 from omcanon import UnderlyingMatroid, algebra_of, linalg, tutte_eval
 from omcanon.chirotope import perm_parity_sign
-from omcanon.matroid import _RankZeroMatroid
 from omcanon.osalg import OSAlgebra, OSElement
 
 from conftest import (FIXTURES, NONUNIFORM, contract_atom,
@@ -32,6 +31,13 @@ def test_monomial_maps_elements_to_atoms(parallel_pair):
 def test_monomial_unknown_label(line4):
     with pytest.raises(ValueError, match="unknown element"):
         algebra_of(line4).monomial((99,))
+
+
+@pytest.mark.parametrize("seq", [(99,), (0, 99), ("x", 1)])
+def test_monomial_names_the_unknown_label(line4, seq):
+    label = next(e for e in seq if e not in line4.ground)
+    with pytest.raises(ValueError, match=f"unknown element label {label!r}"):
+        algebra_of(line4).monomial(seq)
 
 
 def test_dependent_sets_vanish(line4):
@@ -300,11 +306,13 @@ def test_cached_minor_algebras_need_no_matroid_build(name, request,
     warm = {rep: (alg.residue_algebra(rep), deletion_algebra(alg, rep))
             for rep in alg.atoms}
     builds = []
-    for cls in (UnderlyingMatroid, _RankZeroMatroid):
-        def counting_init(self, *args, _init=cls.__init__):
-            builds.append(args)
-            _init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counting_init)
+    init = UnderlyingMatroid.__init__
+
+    def counting_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(UnderlyingMatroid, "__init__", counting_init)
     contract_atom(alg.matroid, alg.atoms[0])
     assert len(builds) == 1  # the counter sees builds, of rank 0 too
     builds.clear()
