@@ -8,10 +8,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .chirotope import _earliest_basis
 from .forms import algebra_of, canonical_form_tope
 from .om import Extension, OrientedMatroid
 from .osalg import OSAlgebra, OSElement
-from .signvec import SignVector
+from .signvec import SignVector, ground_positions
 
 _ATTEMPTS = 32  # signatures tried before an extension search gives up
 
@@ -24,14 +25,8 @@ def perturbation_signature(om: OrientedMatroid, base=None) -> tuple:
     0-bounded topes stay bounded for the extension on the fixtures.
     """
     base = om.ground[0] if base is None else base
-    chosen = [base]
-    for e in om.ground:
-        if len(chosen) == om.rank:
-            break
-        if e != base and om.underlying.rank_of(set(chosen) | {e}) > len(chosen):
-            chosen.append(e)
-    if len(chosen) < om.rank:
-        raise ValueError("base element completes to no basis")
+    rest = [e for e in om.ground if e != base]
+    chosen = _earliest_basis(om.chi, [base] + rest)
     return ((base, 1),) + tuple((e, -1) for e in chosen[1:])
 
 
@@ -40,12 +35,7 @@ def random_signature(om: OrientedMatroid, rng: random.Random, base=None) -> tupl
     base = om.ground[0] if base is None else base
     elements = [e for e in om.ground if e != base]
     rng.shuffle(elements)
-    chosen = [base]
-    for e in elements:
-        if len(chosen) == om.rank:
-            break
-        if om.underlying.rank_of(set(chosen) | {e}) > len(chosen):
-            chosen.append(e)
+    chosen = _earliest_basis(om.chi, [base] + elements)
     return ((base, 1),) + tuple((e, rng.choice((1, -1))) for e in chosen[1:])
 
 
@@ -101,8 +91,8 @@ def simplex_identity_check(om: OrientedMatroid, ext: Extension, basis) -> dict:
     with C on B.  Returns {"passed": bool, "lhs": ..., "rhs": ...}.
     """
     alg = algebra_of(om)
-    basis = tuple(sorted(basis, key=lambda e: om.ground.index(e)))
-    circuit = ext.fundamental_circuit(basis)
+    circuit = ext.fundamental_circuit(basis)  # rejects unknown labels
+    basis = tuple(sorted(basis, key=ground_positions(om.ground).get))
     sign = (-1) ** (len(circuit.negative_part) - 1)
     lhs = alg.boundary(alg.monomial(basis)).scale(sign * om.chi.value(basis))
     rhs = alg.zero(om.rank - 1)

@@ -2,11 +2,11 @@
 
 Values are stored on ascending r-subsets only (ascending in ground order);
 arbitrary ordered tuples are resolved by permutation parity, tuples with
-repeats evaluate to 0.  Validation and minors run on ground positions: an
-r-subset is a bitmask over them, the sign table is indexed by mask
-(`_mask_index`), and a minor's table is a gather from its parent's through
-a slot table cached per shape (`_minor_slots`), so none of them walks keys
-of labels.
+repeats evaluate to 0.  Validation, minors, circuits (`_circuit`) and the
+greedy basis (`_earliest_basis`) run on ground positions: an r-subset is a
+bitmask over them, the sign table is indexed by mask (`_mask_index`), and
+a minor's table is a gather from its parent's through a slot table cached
+per shape (`_minor_slots`), so none of them walks keys of labels.
 """
 
 from __future__ import annotations
@@ -57,6 +57,15 @@ def _bits(mask: int) -> list:
     return out
 
 
+def _position(pos: dict, e) -> int:
+    """The place of label e in a `ground_positions` dict: the one lookup
+    of a label, and the one error for an unknown one."""
+    i = pos.get(e)
+    if i is None:
+        raise ValueError(f"unknown element label {e!r}")
+    return i
+
+
 @lru_cache(maxsize=None)
 def _mask_index(n: int, r: int) -> dict:
     """{mask of B: index of B} over the ascending r-subsets B of range(n);
@@ -79,6 +88,35 @@ def _minor_slots(n: int, r: int, removed: int, element: int | None) -> tuple:
     bit = 1 << element
     return tuple(index[m | bit] << 1 | (m >> element).bit_count() & 1
                  for m in map(_mask, combinations(kept, r - 1)))
+
+
+def _circuit(signs, index: dict, s: int) -> tuple:
+    """(plus, minus) masks of the circuit in the (r+1)-mask s, (0, 0) if s
+    has rank below r: its sign at the i-th element s_i of s is (-1)^i
+    signs[index[s - s_i]] (Bjoerner et al., Oriented Matroids, 3.5)."""
+    plus = minus = 0
+    for i, bit in enumerate(_bits(s)):
+        v = signs[index[s ^ bit]] * (-1) ** i
+        plus |= bit if v > 0 else 0
+        minus |= bit if v < 0 else 0
+    return plus, minus
+
+
+def _earliest_basis(chi: Chirotope, order) -> list:
+    """The basis greedy insertion along order (distinct labels) picks, in
+    order: the one whose sorted places in order are lexicographically
+    least.  It keeps each element that a basis holding the kept ones holds."""
+    pos = ground_positions(chi.ground)
+    bases = [m for m, s in zip(_mask_index(len(pos), chi.rank), chi.signs)
+             if s]
+    out = []
+    for e in order:
+        bit = 1 << _position(pos, e)
+        within = [b for b in bases if b & bit]
+        if within:
+            bases = within
+            out.append(e)
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,10 +155,7 @@ class Chirotope:
         if len(seq) != self.rank:
             raise ValueError(f"expected {self.rank} entries, got {len(seq)}")
         pos = ground_positions(self.ground)
-        try:
-            positions = [pos[e] for e in seq]
-        except KeyError as exc:
-            raise ValueError(f"unknown element label {exc.args[0]!r}") from None
+        positions = [_position(pos, e) for e in seq]
         if len(set(positions)) != len(positions):
             return 0
         order = sorted(range(len(seq)), key=lambda i: positions[i])
@@ -158,17 +193,13 @@ class Chirotope:
         the contraction, i.e. the rest of the contracted parallel class).
         """
         pos = ground_positions(self.ground)
-        if element not in pos:
-            raise ValueError(f"unknown element label {element!r}")
+        i = _position(pos, element)
         removed = _mask(pos[e] for e in {element, *drop} if e in pos)
-        return self._minor(removed, pos[element])
+        return self._minor(removed, i)
 
     def delete(self, element) -> "Chirotope":
         """Restriction to the complement of one element; rank must not drop."""
-        pos = ground_positions(self.ground)
-        if element not in pos:
-            raise ValueError(f"unknown element label {element!r}")
-        bit = 1 << pos[element]
+        bit = 1 << _position(ground_positions(self.ground), element)
         if all(m & bit for m, s in zip(
                 _mask_index(len(self.ground), self.rank), self.signs) if s):
             raise ValueError(f"rank would drop: {element!r} is a coloop")

@@ -7,9 +7,10 @@ signs (`Chirotope.support`), and an order-preserving relabelling of the
 ground set leaves support as it is.  The bases are kept as masks over
 ground positions, and rank(S) = max |B n S| over bases B is a popcount.
 Atoms are the parallel classes, keyed by the earliest element in ground
-order; the Orlik-Solomon side works entirely on atom representatives.  In
-rank 0 the only basis is empty (support 1), every element is a loop and
-there are no atoms.
+order; the Orlik-Solomon side works entirely on atom representatives.
+Their circuits are read off the support bits by `chirotope._circuit`, and
+NBC sets need no rank query.  In rank 0 the only basis is empty (support
+1), every element is a loop and there are no atoms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .chirotope import Chirotope, _mask_index, _minor_slots
+from .chirotope import (Chirotope, _circuit, _mask, _mask_index, _minor_slots,
+                        _position)
 from .signvec import ground_positions
 
 
@@ -72,13 +74,6 @@ class UnderlyingMatroid:
 
     # ---- rank oracle and derived notions -------------------------------
 
-    def _position(self, e) -> int:
-        """The ground position of e: the one lookup of a label."""
-        i = self._pos.get(e)
-        if i is None:
-            raise ValueError(f"unknown element label {e!r}")
-        return i
-
     def _rank(self, mask: int) -> int:
         cached = self._rank_cache.get(mask)
         if cached is None:
@@ -89,7 +84,7 @@ class UnderlyingMatroid:
     def rank_of(self, subset) -> int:
         mask = 0
         for e in subset:
-            mask |= 1 << self._position(e)
+            mask |= 1 << _position(self._pos, e)
         return self._rank(mask)
 
     def is_independent(self, subset) -> bool:
@@ -113,7 +108,7 @@ class UnderlyingMatroid:
         return frozenset(out)
 
     def _atom_index(self, e) -> int:
-        i = self._position(e)
+        i = _position(self._pos, e)
         if not self.rank:
             raise ValueError(f"{e!r} is a loop, in no atom")
         return self._atom_at[i]
@@ -135,31 +130,29 @@ class UnderlyingMatroid:
                        if not atom >> i & 1)
         support = 0
         for j, slot in enumerate(_minor_slots(len(self.ground), self.rank,
-                                              atom, self._position(rep))):
+                                              atom, self._pos[rep])):
             support |= (self.support >> (slot >> 1) & 1) << j
         return ground, self.rank - 1, support
 
     # ---- broken circuits and NBC sets (on atoms) ------------------------
 
-    def atom_rank(self, reps) -> int:
-        return self.rank_of(reps)
-
     def atom_circuits(self) -> tuple:
-        """Minimal dependent sets of atom representatives, ascending tuples."""
+        """Minimal dependent sets of atom representatives, ascending tuples,
+        shortest first.  Each lies in an (r+1)-set of them of rank r, which
+        holds no other: `_circuit` reads it there off the basis bits, and
+        plus + minus, disjoint masks, is its support."""
         cached = getattr(self, "_atom_circuits", None)
         if cached is not None:
             return cached
-        circuits: list[tuple] = []
-        found: list[frozenset] = []
-        for size in range(2, self.rank + 2):
-            for key in combinations(self.atom_reps, size):
-                s = frozenset(key)
-                if any(c <= s for c in found):
-                    continue
-                if self.atom_rank(s) < size:
-                    circuits.append(key)
-                    found.append(s)
-        self._atom_circuits = tuple(circuits)
+        index = _mask_index(len(self.ground), self.rank)
+        table = [self.support >> i & 1 for i in range(len(index))]
+        found = {sum(_circuit(table, index, _mask(key))) for key in
+                 combinations(map(self._pos.get, self.atom_reps),
+                              self.rank + 1)} - {0}
+        keys = sorted([i for i in range(len(self.ground)) if c >> i & 1]
+                      for c in found)
+        self._atom_circuits = tuple(tuple(self.ground[i] for i in key)
+                                    for key in sorted(keys, key=len))
         return self._atom_circuits
 
     def broken_circuits(self) -> tuple:
@@ -173,18 +166,17 @@ class UnderlyingMatroid:
 
     def is_nbc(self, reps: tuple) -> bool:
         s = frozenset(reps)
-        if self.atom_rank(s) < len(s):
-            return False
-        return not any(b <= s for b, _ in self.broken_circuits())
+        return (self.rank_of(s) == len(s)
+                and not any(b <= s for b, _ in self.broken_circuits()))
 
     def nbc_sets(self, k: int) -> tuple:
-        """All NBC k-subsets of atoms, lexicographic in ground order."""
+        """All NBC k-subsets of atoms, lexicographic in ground order; a
+        dependent one would hold a circuit, so its broken part."""
         if not 0 <= k:
             raise ValueError("grade must be nonnegative")
-        if k > self.rank:
-            return ()
+        broken = [b for b, _ in self.broken_circuits()]
         return tuple(key for key in combinations(self.atom_reps, k)
-                     if self.is_nbc(key))
+                     if not any(map(frozenset(key).issuperset, broken)))
 
     # ---- Tutte polynomial, beta invariant, characteristic polynomial ----
 

@@ -3,8 +3,9 @@
 Derived data (signed circuits, cocircuits, covectors, topes) is computed
 once, on first use, deterministically from the chirotope, and never
 mutated afterwards.  Sign-vector sets are closed under negation.
-Cocircuits are read off the ascending sign table as (plus, minus) masks,
-and so are the facets of the all-plus tope of an acyclic chirotope.  Every
+Circuits (`chirotope._circuit`, fundamental circuits too) and cocircuits
+are read off the ascending sign table as (plus, minus) masks, and so are
+the facets of the all-plus tope of an acyclic chirotope.  Every
 tope-local query reads the cocircuits conformal to the sign vector: a
 covector is their composition, the faces of a tope are their closure, and
 a tope is bounded at e iff none of them vanishes at e.  Conforming to the
@@ -22,7 +23,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
-from .chirotope import Chirotope, validate_chirotope
+from .chirotope import (Chirotope, _circuit, _mask_index, _position,
+                        validate_chirotope)
 from .matroid import UnderlyingMatroid
 from .signvec import SignVector, ground_positions
 
@@ -185,18 +187,17 @@ class Extension:
 
     def fundamental_circuit(self, basis) -> SignVector:
         """The signed circuit in basis u {q}, normalized to value - at q."""
-        pos = ground_positions(self.base.ground)
-        b = tuple(sorted(basis, key=pos.get))
-        if self.base.chi.value(b) == 0:
+        chi, pos = self.chi_ext, ground_positions(self.base.ground)
+        s = q = 1 << len(pos)  # q comes last in the extended ground
+        for e in basis:
+            s |= 1 << _position(pos, e)
+        index = _mask_index(len(chi.ground), chi.rank)
+        if s.bit_count() != chi.rank + 1 or not chi.signs[index[s ^ q]]:
             raise ValueError("not a basis")
-        seq = b + (self.label,)
-        values = {}
-        for i, e in enumerate(seq):
-            rest = seq[:i] + seq[i + 1:]
-            values[e] = (-1) ** i * self.chi_ext.value(rest)
-        if values[self.label] == 1:
-            values = {e: -v for e, v in values.items()}
-        return SignVector.from_map(self.chi_ext.ground, values)
+        plus, minus = _circuit(chi.signs, index, s)
+        if plus & q:
+            plus, minus = minus, plus
+        return SignVector._from_masks(chi.ground, plus, minus)
 
 
 def _bounded_tope(om: OrientedMatroid, x: SignVector, e) -> bool:
@@ -226,19 +227,15 @@ def _composes_to(om: OrientedMatroid, x: SignVector, ys: list) -> bool:
 
 
 def _circuits(chi: Chirotope) -> frozenset:
-    """The signed circuits, one from each (r+1)-subset with a nonzero
-    circuit vector, and their negatives."""
-    if chi.rank == 0 or len(chi.ground) <= chi.rank:
+    """The signed circuits, read off the ascending sign table: one from each
+    (r+1)-subset of rank r, and their negatives (none in rank 0)."""
+    if chi.rank == 0:
         return frozenset()
-    out = set()
-    for sub in combinations(chi.ground, chi.rank + 1):
-        signs = [(-1) ** i * chi.value(sub[:i] + sub[i + 1:])
-                 for i in range(len(sub))]
-        if any(signs):
-            vec = SignVector.from_map(chi.ground, dict(zip(sub, signs)))
-            out.add(vec)
-            out.add(-vec)
-    return frozenset(out)
+    n, r = len(chi.ground), chi.rank
+    index = _mask_index(n, r)
+    pairs = {_circuit(chi.signs, index, s) for s in _mask_index(n, r + 1)}
+    return frozenset(SignVector._from_masks(chi.ground, *pm)
+                     for p, m in pairs - {(0, 0)} for pm in ((p, m), (m, p)))
 
 
 def is_acyclic(chi: Chirotope) -> bool:

@@ -203,7 +203,7 @@ class OSAlgebra:
         cached = self._straight_cache.get(key)
         if cached is not None:
             return cached
-        if len(key) > self.rank or self.matroid.atom_rank(key) < len(key):
+        if len(key) > self.rank or self.matroid.rank_of(key) < len(key):
             out: dict = {}
         else:
             hit = self._find_broken_circuit(frozenset(key))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .chirotope import Chirotope
+from .chirotope import Chirotope, _earliest_basis
 from .om import OrientedMatroid, is_acyclic
 from .signvec import SignVector, ground_positions
 
@@ -174,19 +174,9 @@ def _placing(chi: Chirotope, insertion_order=None) -> list:
     if sorted(order, key=pos.get) != list(chi.ground):
         raise ValueError("insertion order must be a permutation of the labels")
     r = chi.rank
-
-    if r == 1:
-        return [(order[0],)]
-
-    # The core is the basis that greedy insertion would pick: the one whose
-    # elements come earliest in the insertion order, compared as sorted
-    # position lists (the matroid greedy property).
-    at = {e: i for i, e in enumerate(order)}
-    first = min((sorted(at[e] for e in key) for key in chi.nonzero_keys),
-                default=None)
-    if first is None:
+    core = _earliest_basis(chi, order)
+    if len(core) < r:
         raise ValueError("matrix is rank deficient")
-    core = [order[i] for i in first]
     deferred = [e for e in order if e not in core]
     simplices = [tuple(sorted(core, key=pos.get))]
 

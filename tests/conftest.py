@@ -206,6 +206,15 @@ def named_om(name: str, request) -> OrientedMatroid:
 # ---- brute-force oracles -----------------------------------------------------
 
 
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError or RuntimeError
+    it raises, so that two implementations compare on both."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
 def count_bounded_topes(monkeypatch) -> dict:
     """Count calls of both bounded-tope queries from here on:
     {"om": OrientedMatroid.bounded_topes, "ext": Extension.bounded_topes}."""

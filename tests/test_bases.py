@@ -9,8 +9,9 @@ from omcanon import (SignVector, algebra_of, aomoto, bounded_extension,
                      sample_weight_vectors, simplex_identity_check,
                      structure_constants, tq_basis)
 
-from conftest import (boolean_om, count_bounded_topes, rank1_om,
-                      random_arrangements)
+import label_walk
+from conftest import (FIXTURES, NONUNIFORM, boolean_om, count_bounded_topes,
+                      named_om, rank1_om, random_arrangements)
 from omcanon import (Extension, OrientedMatroid, aomoto_degree_ranks,
                      chirotope_from_matrix)
 from omcanon.bases import _ATTEMPTS, random_signature
@@ -18,6 +19,36 @@ from omcanon.bases import _ATTEMPTS, random_signature
 
 def test_perturbation_signature_default(line4):
     assert perturbation_signature(line4) == ((0, 1), (1, -1))
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_signatures_match_greedy_rank_queries(name, request):
+    """Both signatures equal the rank-query greedy they replaced, for every
+    base element and, at seeds 0-2, on every one of the _ATTEMPTS draws a
+    search makes: the random stream is consumed the same way."""
+    om = named_om(name, request)
+    for base in om.ground:
+        assert (perturbation_signature(om, base)
+                == label_walk.perturbation_signature(om, base))
+        for seed in range(3):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            for _ in range(_ATTEMPTS):
+                assert (random_signature(om, rng, base)
+                        == label_walk.random_signature(om, oracle_rng, base))
+            assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_signatures_reject_unknown_base(line4):
+    with pytest.raises(ValueError, match="^unknown element label 99$"):
+        perturbation_signature(line4, 99)
+    with pytest.raises(ValueError, match="^unknown element label 99$"):
+        random_signature(line4, random.Random(0), 99)
+
+
+def test_simplex_identity_rejects_unknown_label(line4):
+    ext = bounded_extension(line4)
+    with pytest.raises(ValueError, match="^unknown element label 9$"):
+        simplex_identity_check(line4, ext, (0, 9))
 
 
 def test_tq_basis_line4(line4):

@@ -20,6 +20,7 @@ from omcanon.osalg import OSAlgebra, os_algebra_of_chirotope
 from omcanon.realization import _placing
 
 import fraction_linalg
+from face_flag import face_flag_form
 from conftest import (FIXTURES, NONUNIFORM, boolean_om, named_om,
                       rank1_om, uniform_r4_matrix)
 
@@ -711,3 +712,17 @@ def test_triangulation_evaluators_build_no_oriented_matroid(
         assert (canonical_form_from_triangulation(chi, tri)
                 == alg.boundary(nonreduced_from_triangulation(chi, tri)))
     assert builds == []
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM) + ["uniform_r4"])
+def test_face_flag_matches_nonreduced_form(name, request):
+    """The face-flag read-off (tests/face_flag.py) equals the library's
+    top-grade form on every tope.  It reads `nbc_sets` and the cocircuits,
+    not the residue recursion."""
+    om = named_om(name, request)
+    terms = 0
+    for tope in om.sorted_topes():
+        form = nonreduced_canonical_form(om, tope)
+        assert form.terms == face_flag_form(om.chi.reorient(tope))
+        terms += len(form.terms)
+    assert terms >= len(om.topes)

@@ -1,4 +1,4 @@
-"""Golden CLI outputs on the demo inputs.
+"""Golden CLI outputs on the demo inputs, and the public names.
 
 The stdout of `info`, `canonical` (reduced and --nonreduced, every tope),
 `basis` (every grade), `aomoto` and `verify` on each `demos/data/*.json`
@@ -19,6 +19,7 @@ import sys
 
 import pytest
 
+import omcanon
 from omcanon import serialize as ser
 from omcanon.cli import run
 from omcanon.om import OrientedMatroid
@@ -79,6 +80,31 @@ def test_cli_outputs_match_golden(name):
     assert list(got) == list(want)
     for cmd, text in got.items():
         assert text == want[cmd], f"{name}: {cmd}"
+
+
+PUBLIC_NAMES = [
+    "AomotoReport", "Chirotope", "Extension", "Flag", "FlagStage",
+    "InvalidChirotope", "LinearMap", "NotATope", "OSAlgebra", "OSElement",
+    "OrientedMatroid", "RationalMatrix", "SignVector", "UnderlyingMatroid",
+    "acyclicity_witness", "algebra_of", "aomoto", "aomoto_degree_ranks",
+    "bounded_extension", "build_flag", "canonical_form_from_triangulation",
+    "canonical_form_om", "canonical_form_tope", "chamber_of",
+    "check_residue_axioms", "chirotope_diagnostic", "chirotope_from_matrix",
+    "expand_in_basis", "graded_basis", "interior_point",
+    "nonreduced_canonical_form", "nonreduced_from_triangulation",
+    "oriented_matroid_for", "os_algebra_for", "perturbation_signature",
+    "placing_triangulation", "sample_weight_vectors",
+    "simplex_identity_check", "structure_constants", "transport_to_base",
+    "tq_basis", "tutte_eval", "validate_chirotope",
+]
+
+
+def test_public_names_unchanged():
+    """The output contract keeps `omcanon.__all__` as it is, in order, and
+    every name in it importable."""
+    assert len(PUBLIC_NAMES) == 43
+    assert omcanon.__all__ == PUBLIC_NAMES
+    assert all(hasattr(omcanon, name) for name in PUBLIC_NAMES)
 
 
 if __name__ == "__main__":

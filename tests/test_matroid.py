@@ -195,6 +195,17 @@ def test_matches_frozenset_oracle(name, request):
                     == oracle.contraction_fingerprint(a))
 
 
+def test_is_nbc_on_parallel_pair(parallel_pair):
+    """is_nbc keeps its rank test: elements that are not representatives
+    (2 is parallel to 1) are answered by rank, as before."""
+    m = parallel_pair.underlying
+    assert m.atom_reps == (0, 1)
+    assert m.is_nbc((1, 2)) is False
+    assert m.is_nbc((2,)) is True
+    assert m.is_nbc((0, 2)) is True
+    assert m.is_nbc((0, 1, 2)) is False
+
+
 def test_rank0_has_only_loops():
     m = UnderlyingMatroid((0, 1, 2), 0, 1)
     assert m.atoms == m.atom_reps == ()

@@ -7,9 +7,11 @@ from omcanon import (Chirotope, NotATope, OrientedMatroid, SignVector,
                      validate_chirotope)
 from omcanon.om import _circuits, _cocircuits, _facet_elements, is_acyclic
 
-from conftest import (PAPPUS_LINE, all_full_support_vectors, boolean_om,
-                      named_om, oracle_covectors, oracle_topes,
-                      pappus_chirotope, rank1_om)
+import label_walk
+from conftest import (FIXTURES, NONUNIFORM, PAPPUS_LINE,
+                      all_full_support_vectors, boolean_om, named_om,
+                      oracle_covectors, oracle_topes, outcome,
+                      pappus_chirotope, rank1_om, relabellings)
 from tuple_signvec import SignVector as TupleSignVector
 from tuple_signvec import covector_closure as tuple_covector_closure
 
@@ -492,6 +494,45 @@ def test_fundamental_circuit_pentagon(pentagon):
     assert c.value("q") == -1
     assert c.support <= {1, 2, 5, "q"}
     assert all(c.is_orthogonal(y) for y in ext.om_ext.cocircuits)
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM)
+                         + list(EDGE_CHIROTOPES))
+def test_circuits_match_label_walk(name, request):
+    """The sign-table circuits equal the label walk they replaced, loops
+    and rank 0 included, under every relabelling."""
+    chi = (EDGE_CHIROTOPES[name] if name in EDGE_CHIROTOPES
+           else named_om(name, request).chi)
+    for variant in relabellings(chi):
+        assert _circuits(variant) == label_walk.circuits(variant)
+
+
+@pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
+                                  "nonpappus"])
+def test_fundamental_circuit_matches_label_walk(name, request):
+    """On the bounded extension, every r-subset in both orders: the same
+    circuit, or the same "not a basis" error."""
+    om = named_om(name, request)
+    ext = bounded_extension(om)
+    bases = 0
+    for key in combinations(om.ground, om.rank):
+        for basis in (key, key[::-1]):
+            got = outcome(ext.fundamental_circuit, basis)
+            assert got == outcome(label_walk.fundamental_circuit, ext, basis)
+        bases += isinstance(got, SignVector)
+        if not isinstance(got, SignVector):
+            assert got == (ValueError, "not a basis")
+    assert bases == len(om.chi.nonzero_keys)
+
+
+@pytest.mark.parametrize("basis, label", [((0, 9), 9), ((0, "q"), "q")])
+def test_fundamental_circuit_unknown_label(line4, basis, label):
+    """A label outside the base ground set, the extension's own included,
+    is reported by name, as `Chirotope.contract` does."""
+    ext = bounded_extension(line4)
+    with pytest.raises(ValueError,
+                       match=f"^unknown element label {label!r}$"):
+        ext.fundamental_circuit(basis)
 
 
 def test_extension_generality_certified(pentagon):

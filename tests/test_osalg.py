@@ -247,7 +247,7 @@ def test_inverse_boundary(line4):
 def _expand_randomized(alg, key: tuple, rng) -> dict:
     """e_key (ascending atoms) in NBC coordinates, rewriting at a random
     applicable broken circuit each time; the library takes the first."""
-    if len(key) > alg.rank or alg.matroid.atom_rank(key) < len(key):
+    if len(key) > alg.rank or alg.matroid.rank_of(key) < len(key):
         return {}
     options = [bc for bc in alg.matroid.broken_circuits() if bc[0] <= set(key)]
     if not options:

@@ -13,7 +13,9 @@ from omcanon import om as om_module
 from omcanon.realization import _placing, in_cone
 from omcanon.signvec import ground_positions
 
-from conftest import all_full_support_vectors, oracle_topes, random_arrangements
+import label_walk
+from conftest import (FIXTURES, NONUNIFORM, all_full_support_vectors,
+                      named_om, oracle_topes, outcome, random_arrangements)
 
 
 def test_chirotope_from_pentagon_matrix(pentagon_matrix):
@@ -215,13 +217,6 @@ def reference_placing_triangulation(mat, insertion_order=None) -> list:
     return simplices
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), str(exc)
-
-
 # Columns 2 and 5 are antiparallel and 0, 1, 4 lie in one plane.  Its extra
 # insertion orders start with three dependent columns, so the core must skip
 # a parallel element or a coplanar one.
@@ -253,11 +248,35 @@ def test_placing_matches_reference(name, request):
     for x in all_full_support_vectors(mat.labels):
         flip = mat.reorient(x)
         for order in orders:
-            got = _outcome(placing_triangulation, flip, order)
-            assert got == _outcome(reference_placing_triangulation, flip, order)
-            assert got == _outcome(_placing, chi.reorient(x), order)
+            got = outcome(placing_triangulation, flip, order)
+            assert got == outcome(reference_placing_triangulation, flip, order)
+            assert got == outcome(_placing, chi.reorient(x), order)
         acyclic += isinstance(got, list)
     assert 0 < acyclic < 2 ** len(mat.labels)
+
+
+def verify_orders(labels, seed: int = 0) -> list:
+    """The five insertion orders of `verify`'s triangulation suite."""
+    rng = random.Random(seed)
+    orders = [list(labels)]
+    for _ in range(4):
+        orders.append(list(labels))
+        rng.shuffle(orders[-1])
+    return orders
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_placing_matches_min_core(name, request):
+    """On every tope's acyclic reorientation and `verify`'s five insertion
+    orders, `_placing` equals the one whose core was a min over the
+    nonzero keys: the same simplices, or the same error."""
+    om = named_om(name, request)
+    orders = verify_orders(om.ground)
+    for x in om.sorted_topes():
+        chi = om.chi.reorient(x)
+        for order in orders:
+            assert (outcome(_placing, chi, order)
+                    == outcome(label_walk.placing, chi, order))
 
 
 def test_verify_paths_build_no_covector_closure(pentagon_matrix, monkeypatch):
