@@ -1,12 +1,14 @@
 """Chirotopes: alternating sign functions on ordered r-tuples of a ground set.
 
-Values are stored on ascending r-subsets only (ascending in ground order);
-arbitrary ordered tuples are resolved by permutation parity, tuples with
-repeats evaluate to 0.  Validation, minors, circuits (`_circuit`) and the
-greedy basis (`_earliest_basis`) run on ground positions: an r-subset is a
-bitmask over them, the sign table is indexed by mask (`_mask_index`), and
-a minor's table is a gather from its parent's through a slot table cached
-per shape (`_minor_slots`), so none of them walks keys of labels.
+Values are stored on ascending r-subsets only (ascending in ground order).
+Everything runs on ground positions: an r-subset is a bitmask over them
+and the sign table is indexed by mask (`_mask_index`).  `value` reads an
+ordered tuple at the mask of its positions, times the parity of sorting
+them (tuples with repeats evaluate to 0); validation, circuits
+(`_circuit`) and the greedy basis (`_earliest_basis`) scan the table by
+mask, and a minor's table is a gather from its parent's through a slot
+table cached per shape (`_minor_slots`), so none of them walks keys of
+labels.
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ def perm_parity_sign(positions) -> int:
             if positions[i] > positions[j]:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-@lru_cache(maxsize=None)
-def _key_index(ground: tuple, rank: int) -> dict:
-    return {key: i for i, key in enumerate(combinations(ground, rank))}
 
 
 def _mask(positions) -> int:
@@ -139,29 +136,18 @@ class Chirotope:
     def keys(self) -> tuple:
         return tuple(combinations(self.ground, self.rank))
 
-    @cached_property
-    def _index(self) -> dict:
-        return _key_index(self.ground, self.rank)
-
     def value(self, seq) -> int:
-        """Value on an arbitrary ordered tuple (repeats give 0)."""
+        """Value on an arbitrary ordered tuple (repeats give 0): the sign at
+        the mask of its positions times the parity of sorting them."""
         seq = tuple(seq)
-        try:
-            i = self._index.get(seq)
-        except TypeError:  # unhashable labels: the general path reports them
-            i = None
-        if i is not None:  # ascending: no sort, no parity
-            return self.signs[i]
         if len(seq) != self.rank:
             raise ValueError(f"expected {self.rank} entries, got {len(seq)}")
         pos = ground_positions(self.ground)
         positions = [_position(pos, e) for e in seq]
         if len(set(positions)) != len(positions):
             return 0
-        order = sorted(range(len(seq)), key=lambda i: positions[i])
-        key = tuple(seq[i] for i in order)
-        sign = perm_parity_sign(positions)
-        return sign * self.signs[self._index[key]]
+        return perm_parity_sign(positions) * self.signs[
+            _mask_index(len(self.ground), self.rank)[_mask(positions)]]
 
     @cached_property
     def support(self) -> int:

@@ -7,7 +7,9 @@ signs (`Chirotope.support`), and an order-preserving relabelling of the
 ground set leaves support as it is.  The bases are kept as masks over
 ground positions, and rank(S) = max |B n S| over bases B is a popcount.
 Atoms are the parallel classes, keyed by the earliest element in ground
-order; the Orlik-Solomon side works entirely on atom representatives.
+order, and found without a rank query: two elements are parallel iff no
+basis holds both.  The Orlik-Solomon side works entirely on atom
+representatives.
 Their circuits are read off the support bits by `chirotope._circuit`, and
 NBC sets need no rank query.  In rank 0 the only basis is empty (support
 1), every element is a loop and there are no atoms.
@@ -18,8 +20,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .chirotope import (Chirotope, _circuit, _mask, _mask_index, _minor_slots,
-                        _position)
+from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
+                        _minor_slots, _position)
 from .signvec import ground_positions
 
 
@@ -39,23 +41,22 @@ class UnderlyingMatroid:
                       if support >> i & 1]
         self._pos = ground_positions(self.ground)
         self._rank_cache: dict = {}
-        if rank:
-            missing = (1 << n) - 1
-            for b in self.bases:
-                missing &= ~b
-            if missing:
-                loop = (missing & -missing).bit_length() - 1
-                raise ValueError(f"loop: {self.ground[loop]}")
+        through = [0] * n  # bit j of through[i]: the j-th basis holds i
+        for j, b in enumerate(self.bases):
+            for bit in _bits(b):
+                through[bit.bit_length() - 1] |= 1 << j
+        if rank and 0 in through:
+            raise ValueError(f"loop: {self.ground[through.index(0)]}")
+        # two elements are parallel iff no basis holds both
         classes: list = []  # the atoms as position masks
         self._atom_at: list = []  # position -> index in classes
         for i in range(n if rank else 0):
-            bit = 1 << i
             k = next((k for k, c in enumerate(classes)
-                      if self._rank((c & -c) | bit) == 1), None)
-            if k is None:
-                k = len(classes)
+                      if not through[(c & -c).bit_length() - 1] & through[i]),
+                     len(classes))
+            if k == len(classes):
                 classes.append(0)
-            classes[k] |= bit
+            classes[k] |= 1 << i
             self._atom_at.append(k)
         self._atom_masks = classes
         self.atoms = tuple(frozenset(e for i, e in enumerate(self.ground)

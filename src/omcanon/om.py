@@ -5,7 +5,8 @@ once, on first use, deterministically from the chirotope, and never
 mutated afterwards.  Sign-vector sets are closed under negation.
 Circuits (`chirotope._circuit`, fundamental circuits too) and cocircuits
 are read off the ascending sign table as (plus, minus) masks, and so are
-the facets of the all-plus tope of an acyclic chirotope.  Every
+the facets of the all-plus tope of an acyclic chirotope; a lexicographic
+extension's table is built on that table by position mask.  Every
 tope-local query reads the cocircuits conformal to the sign vector: a
 covector is their composition, the faces of a tope are their closure, and
 a tope is bounded at e iff none of them vanishes at e.  Conforming to the
@@ -23,7 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
-from .chirotope import (Chirotope, _circuit, _mask_index, _position,
+from .chirotope import (Chirotope, _circuit, _mask, _mask_index, _position,
                         validate_chirotope)
 from .matroid import UnderlyingMatroid
 from .signvec import SignVector, ground_positions
@@ -132,34 +133,48 @@ class OrientedMatroid:
     # ---- single-element lexicographic extensions ---------------------------
 
     def lex_extension(self, signature, label="q") -> "Extension":
-        """Extension by q = [b1^s1, ..., br^sr]; the signature must be a basis."""
+        """Extension by q = [b1^s1, ..., br^sr]; the signature must be a basis.
+
+        The extended table is built on positions, q last (Bjoerner et al.,
+        Oriented Matroids, 7.2): a key K + q takes the first nonzero
+        s_i chi(K + b_i) with b_i evaluated last, which is
+        (-1)^popcount(K >> b_i) times the sign at K | b_i."""
         if label in self.ground:
             raise ValueError(f"label {label!r} already in the ground set")
         signature = tuple((b, int(s)) for b, s in signature)
+        if any(s not in (1, -1) for _, s in signature):
+            raise ValueError("signature signs must be +1 or -1")
         pos = ground_positions(self.ground)
-        basis = tuple(sorted((b for b, _ in signature), key=pos.get))
-        if len(signature) != self.rank or self.chi.value(basis) == 0:
+        steps = [(_position(pos, b), s) for b, s in signature]
+        n, r, signs = len(self.ground), self.rank, self.chi.signs
+        index = _mask_index(n, r)
+        basis = _mask(i for i, _ in steps)
+        if len(steps) != r or basis.bit_count() != r or not signs[index[basis]]:
             raise ValueError("signature elements must form a basis")
 
-        def cascade(key) -> int:
-            for b, s in signature:
-                v = self.chi.value(tuple(key) + (b,))
+        def cascade(k: int) -> int:
+            for i, s in steps:
+                v = 0 if k >> i & 1 else signs[index[k | 1 << i]]
                 if v:
-                    return s * v
+                    return -s * v if (k >> i).bit_count() & 1 else s * v
             return 0
 
-        ground_ext = self.ground + (label,)
-        values = {}
-        for key in combinations(ground_ext, self.rank):
-            if label in key:
-                values[key] = cascade(key[:-1])  # label sorts last
-            else:
-                values[key] = self.chi.value(key)
-        chi_ext = Chirotope.from_map(ground_ext, self.rank, values)
-        for key in combinations(self.ground, self.rank - 1):
-            if self.underlying.is_independent(key) and cascade(key) == 0:
+        q = 1 << n
+        table = []
+        for m in _mask_index(n + 1, r):
+            if not m & q:
+                table.append(signs[index[m]])
+                continue
+            k = m ^ q
+            v = cascade(k)
+            # K is independent iff it lies in a basis; the keys K + q come
+            # in combinations order of K, so the first violation is named
+            if not v and any(b & k == k for b in self.underlying.bases):
                 raise RuntimeError(
-                    f"internal invariant violation: extension not general at {key}")
+                    "internal invariant violation: extension not general at "
+                    f"{tuple(e for j, e in enumerate(self.ground) if k >> j & 1)}")
+            table.append(v)
+        chi_ext = Chirotope(self.ground + (label,), r, tuple(table))
         return Extension(self, label, signature, chi_ext)
 
 

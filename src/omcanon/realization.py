@@ -3,7 +3,9 @@
 Columns are exact-rational linear functionals on V = Q^r, indexed by the
 ground set.  The chirotope is the sign of the maximal minors; chambers are
 located by evaluating the functionals; placing (beneath-beyond)
-triangulations feed the triangulation evaluation of canonical forms.
+triangulations, whose facet and cone tests read circuit signs off the
+chirotope by position mask, feed the triangulation evaluation of
+canonical forms.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .chirotope import Chirotope, _earliest_basis
+from .chirotope import (Chirotope, _bits, _circuit, _earliest_basis, _mask,
+                        _mask_index, _position)
 from .om import OrientedMatroid, is_acyclic
 from .signvec import SignVector, ground_positions
 
@@ -139,20 +142,6 @@ def acyclicity_witness(mat: RationalMatrix) -> list:
     return interior_point(mat, om, plus)
 
 
-def in_cone(chi: Chirotope, basis: tuple, label) -> tuple:
-    """Barycentric sign pattern of label over an ordered basis.
-
-    Entry j is the sign of the coefficient of basis[j]; the point lies in
-    the closed simplicial cone iff no entry opposes the basis orientation.
-    """
-    signs = []
-    orient = chi.value(basis)
-    for j in range(len(basis)):
-        repl = basis[:j] + (label,) + basis[j + 1:]
-        signs.append(chi.value(repl) * orient)
-    return tuple(signs)
-
-
 def placing_triangulation(mat: RationalMatrix,
                           insertion_order=None) -> list:
     """Beneath-beyond triangulation of an acyclic configuration.
@@ -166,42 +155,46 @@ def placing_triangulation(mat: RationalMatrix,
 
 
 def _placing(chi: Chirotope, insertion_order=None) -> list:
-    """`placing_triangulation` on the chirotope of the configuration."""
+    """`placing_triangulation` on the chirotope of the configuration.
+
+    Simplices are position masks, and both geometric tests read the
+    circuit (`chirotope._circuit`) of one (r+1)-set: p is beyond the facet
+    F with apex a iff the circuit of F + a + p has the same sign at a and
+    p, and p lies in the closed cone of the simplex B iff it is alone on
+    its side of the circuit of B + p (Cramer's rule)."""
     if not is_acyclic(chi):
         raise ValueError("configuration is not acyclic")
     order = list(insertion_order if insertion_order is not None else chi.ground)
     pos = ground_positions(chi.ground)
-    if sorted(order, key=pos.get) != list(chi.ground):
+    if sorted(_position(pos, e) for e in order) != list(range(len(pos))):
         raise ValueError("insertion order must be a permutation of the labels")
     r = chi.rank
     core = _earliest_basis(chi, order)
     if len(core) < r:
         raise ValueError("matrix is rank deficient")
-    deferred = [e for e in order if e not in core]
-    simplices = [tuple(sorted(core, key=pos.get))]
+    index = _mask_index(len(pos), r)
+    simplices = [_mask(pos[e] for e in core)]
 
-    for p in deferred:
-        facet_count: dict = {}
-        facet_apex: dict = {}
+    for p in (1 << pos[e] for e in order if e not in core):
+        facet_apex: dict = {}  # facet -> its apex, None once it is shared
         for simplex in simplices:
-            for i in range(r):
-                facet = simplex[:i] + simplex[i + 1:]
-                facet_count[facet] = facet_count.get(facet, 0) + 1
-                facet_apex[facet] = simplex[i]
+            for apex in _bits(simplex):
+                facet = simplex ^ apex
+                facet_apex[facet] = None if facet in facet_apex else apex
         added = False
-        for facet, count in facet_count.items():
-            if count != 1:
+        for facet, apex in facet_apex.items():
+            if apex is None:
                 continue
-            inner = chi.value(facet + (facet_apex[facet],))
-            outer = chi.value(facet + (p,))
-            if outer == -inner and outer != 0:
-                simplices.append(tuple(sorted(facet + (p,), key=pos.get)))
+            both = apex | p
+            plus, minus = _circuit(chi.signs, index, facet | both)
+            if plus & both == both or minus & both == both:
+                simplices.append(facet | p)
                 added = True
-        if not added:
-            covered = any(all(s >= 0 for s in in_cone(chi, b, p))
-                          for b in simplices)
-            if not covered:
-                raise RuntimeError(
-                    "degenerate placing: point beyond no facet yet outside "
-                    "the hull; try another insertion order")
-    return simplices
+        # p alone on its side of the circuit: one of its masks is p
+        if not added and not any(p in _circuit(chi.signs, index, b | p)
+                                 for b in simplices):
+            raise RuntimeError(
+                "degenerate placing: point beyond no facet yet outside "
+                "the hull; try another insertion order")
+    return [tuple(e for i, e in enumerate(chi.ground) if b >> i & 1)
+            for b in simplices]

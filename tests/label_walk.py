@@ -1,12 +1,15 @@
-"""Reference circuit rules and greedy bases, as they were before both were
-read off the sign table by position mask.
+"""Reference circuit rules, greedy bases, lexicographic extensions and
+placing triangulations, as they were before they were read off the sign
+table by position mask.
 
-Circuits here walk labels through `Chirotope.value`; the basis that
-greedy insertion picks grows by one rank query per element, or, in the
-placing triangulation, is the minimum over the nonzero keys of their
-sorted places in the insertion order.  They are kept as the oracles that
-`chirotope._circuit` and `chirotope._earliest_basis`, and every caller of
-them, are compared against.
+Circuits, extensions and the placing triangulation's facet and cone tests
+here walk labels through `Chirotope.value`; the basis that greedy
+insertion picks grows by one rank query per element, or, in the placing
+triangulation, is the minimum over the nonzero keys of their sorted places
+in the insertion order.  They are kept as the oracles that
+`chirotope._circuit`, `chirotope._earliest_basis`,
+`OrientedMatroid.lex_extension` and `realization._placing` are compared
+against.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from omcanon.chirotope import Chirotope
 from omcanon.om import is_acyclic
-from omcanon.realization import in_cone
 from omcanon.signvec import SignVector, ground_positions
 
 
@@ -51,6 +54,40 @@ def fundamental_circuit(ext, basis) -> SignVector:
     return SignVector.from_map(ext.chi_ext.ground, values)
 
 
+def lex_extension(om, signature, label="q") -> Chirotope:
+    """The chirotope of `OrientedMatroid.lex_extension`: keys through q by
+    the cascade over the signature, generality by one rank query per
+    (r-1)-set."""
+    if label in om.ground:
+        raise ValueError(f"label {label!r} already in the ground set")
+    signature = tuple((b, int(s)) for b, s in signature)
+    pos = ground_positions(om.ground)
+    basis = tuple(sorted((b for b, _ in signature), key=pos.get))
+    if len(signature) != om.rank or om.chi.value(basis) == 0:
+        raise ValueError("signature elements must form a basis")
+
+    def cascade(key) -> int:
+        for b, s in signature:
+            v = om.chi.value(tuple(key) + (b,))
+            if v:
+                return s * v
+        return 0
+
+    ground_ext = om.ground + (label,)
+    values = {}
+    for key in combinations(ground_ext, om.rank):
+        if label in key:
+            values[key] = cascade(key[:-1])  # label sorts last
+        else:
+            values[key] = om.chi.value(key)
+    chi_ext = Chirotope.from_map(ground_ext, om.rank, values)
+    for key in combinations(om.ground, om.rank - 1):
+        if om.underlying.is_independent(key) and cascade(key) == 0:
+            raise RuntimeError(
+                f"internal invariant violation: extension not general at {key}")
+    return chi_ext
+
+
 def perturbation_signature(om, base=None) -> tuple:
     """(base, +) then the lexicographically smallest basis completion,
     signed -, grown with one rank query per element."""
@@ -78,6 +115,20 @@ def random_signature(om, rng: random.Random, base=None) -> tuple:
         if om.underlying.rank_of(set(chosen) | {e}) > len(chosen):
             chosen.append(e)
     return ((base, 1),) + tuple((e, rng.choice((1, -1))) for e in chosen[1:])
+
+
+def in_cone(chi, basis: tuple, label) -> tuple:
+    """Barycentric sign pattern of label over an ordered basis.
+
+    Entry j is the sign of the coefficient of basis[j]; the point lies in
+    the closed simplicial cone iff no entry opposes the basis orientation.
+    """
+    signs = []
+    orient = chi.value(basis)
+    for j in range(len(basis)):
+        repl = basis[:j] + (label,) + basis[j + 1:]
+        signs.append(chi.value(repl) * orient)
+    return tuple(signs)
 
 
 def min_core(chi, order) -> list | None:

@@ -4,8 +4,8 @@ from itertools import combinations, product
 import pytest
 
 from omcanon import Chirotope, InvalidChirotope, SignVector, validate_chirotope
-from omcanon.chirotope import (_earliest_basis, _key_index,
-                               chirotope_diagnostic, perm_parity_sign)
+from omcanon.chirotope import (_earliest_basis, chirotope_diagnostic,
+                               perm_parity_sign)
 from omcanon.signvec import ground_positions
 
 import label_walk
@@ -198,8 +198,7 @@ def reference_value(chi: Chirotope, seq) -> int:
         return 0
     order = sorted(range(len(seq)), key=lambda i: positions[i])
     key = tuple(seq[i] for i in order)
-    return perm_parity_sign(positions) * chi.signs[
-        _key_index(chi.ground, chi.rank)[key]]
+    return perm_parity_sign(positions) * chi.signs[chi.keys.index(key)]
 
 
 def _raised(fn, *args):

@@ -14,6 +14,7 @@ import omcanon
 from omcanon import serialize as ser
 from omcanon.cli import run
 
+import label_walk
 from conftest import PENTAGON_ROWS, count_bounded_topes, nonpappus_chirotope
 from tuple_signvec import SignVector as TupleSignVector
 
@@ -247,8 +248,9 @@ def test_verify_residues_line4(capsys, line4_path):
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEMO_DATA = os.path.join(HERE, os.pardir, "demos", "data")
 DATA_FILES = [os.path.join(DEMO_DATA, f) for f in sorted(os.listdir(DEMO_DATA))
-              if f.endswith(".json")] + [os.path.join(HERE, "data",
-                                                      "nonpappus.json")]
+              if f.endswith(".json")] + [
+                  os.path.join(HERE, "data", f)
+                  for f in ("nonpappus.json", "nonpappus_ext10.json")]
 
 
 @pytest.mark.parametrize("path", DATA_FILES, ids=os.path.basename)
@@ -286,6 +288,21 @@ def test_nonpappus_data_file():
     assert parsed.matrix is None
     assert parsed.chi == omcanon.Chirotope(
         tuple(str(e) for e in chi.ground), chi.rank, chi.signs)
+
+
+def test_nonpappus_extension_data_file():
+    """The second non-realizable CI input is the lex extension of the first
+    by [6^+, 7^-, 0^+], as the label walk computes it."""
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "nonpappus_ext10.json")
+    with open(path) as fh:
+        parsed = ser.parse_input(json.load(fh))
+    chi = nonpappus_chirotope()
+    om = omcanon.OrientedMatroid(omcanon.Chirotope(
+        tuple(str(e) for e in chi.ground), chi.rank, chi.signs))
+    assert parsed.matrix is None
+    assert parsed.chi == label_walk.lex_extension(
+        om, (("6", 1), ("7", -1), ("0", 1)), label="9")
 
 
 def input_to_document(parsed: ser.ParsedInput) -> dict:

@@ -1,5 +1,6 @@
 import random
 from itertools import chain, combinations
+from math import comb
 
 import pytest
 
@@ -193,6 +194,42 @@ def test_matches_frozenset_oracle(name, request):
             assert rank_a == m.rank - 1
             assert ((ground_a, support_bases(ground_a, rank_a, support_a))
                     == oracle.contraction_fingerprint(a))
+
+
+def first_rep_atoms(m: UnderlyingMatroid) -> tuple:
+    """The atoms as rank queries found them: each element joins the first
+    class whose first element spans a rank-1 set with it."""
+    classes: list = []
+    for e in m.ground if m.rank else ():
+        c = next((c for c in classes if m.rank_of({c[0], e}) == 1), None)
+        if c is None:
+            classes.append([e])
+        else:
+            c.append(e)
+    return tuple(frozenset(c) for c in classes)
+
+
+def test_atoms_need_no_rank_query(monkeypatch):
+    """On seeded random supports, left unvalidated so that parallelism need
+    not be transitive, the atoms read off the basis masks are those of the
+    first-representative rank queries, and building asks no rank."""
+    rng = random.Random(5)
+    cases = []
+    while len(cases) < 200:
+        n, r = rng.randint(1, 7), rng.randint(1, 3)
+        try:
+            cases.append(UnderlyingMatroid(tuple(range(n)), r,
+                                           rng.getrandbits(comb(n, r))))
+        except ValueError:  # no basis, or a loop
+            continue
+    expected = [first_rep_atoms(m) for m in cases]
+
+    def no_rank(self, mask):
+        raise AssertionError("rank query while building")
+
+    monkeypatch.setattr(UnderlyingMatroid, "_rank", no_rank)
+    assert [UnderlyingMatroid(m.ground, m.rank, m.support).atoms
+            for m in cases] == expected
 
 
 def test_is_nbc_on_parallel_pair(parallel_pair):

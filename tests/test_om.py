@@ -1,10 +1,12 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
 from omcanon import (Chirotope, NotATope, OrientedMatroid, SignVector,
                      UnderlyingMatroid, bounded_extension, build_flag,
-                     validate_chirotope)
+                     perturbation_signature, validate_chirotope)
+from omcanon.bases import random_signature
 from omcanon.om import _circuits, _cocircuits, _facet_elements, is_acyclic
 
 import label_walk
@@ -184,7 +186,8 @@ def test_unknown_labels_raise_value_error(line4, line4_topes, label):
     the ValueError of `Chirotope.contract`, not a bare KeyError."""
     calls = [lambda: line4.contract(label), lambda: line4.delete(label),
              lambda: line4.is_facet(line4_topes[0], label),
-             lambda: line4.chi.contract(label)]
+             lambda: line4.chi.contract(label),
+             lambda: line4.lex_extension(((0, 1), (label, 1)))]
     for call in calls:
         with pytest.raises(ValueError,
                            match=f"unknown element label {label!r}"):
@@ -377,6 +380,50 @@ def test_lex_extension_rejects_non_basis(line4, parallel_pair):
         line4.lex_extension(((0, 1), (0, -1)))
     with pytest.raises(ValueError, match="basis"):
         parallel_pair.lex_extension(((1, 1), (2, 1)))
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError,
+                           match=r"^signature signs must be \+1 or -1$"):
+            line4.lex_extension(((0, 1), (1, sign)))
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_lex_extension_matches_label_walk(name, request):
+    """The perturbation signature of every element, seeded random basis
+    signatures and seeded random r-subsets, dependent ones included: the
+    same extended table as the label walk, or the same error."""
+    om = named_om(name, request)
+    rng = random.Random(0)
+    signatures = [perturbation_signature(om, e) for e in om.ground]
+    signatures += [random_signature(om, rng) for _ in range(5)]
+    signatures += [tuple((e, rng.choice((1, -1)))
+                         for e in rng.sample(om.ground, om.rank))
+                   for _ in range(5)]
+    for signature in signatures:
+        got = outcome(lambda: om.lex_extension(signature).chi_ext)
+        assert got == outcome(label_walk.lex_extension, om, signature)
+
+
+def test_lex_extension_names_first_non_general_set():
+    """On an unvalidated table whose bases 01 and 23 share no element, [0, 1]
+    gives 2 + q the sign 0 though 2 is independent: both paths name it."""
+    om = OrientedMatroid(Chirotope.from_map(
+        (0, 1, 2, 3), 2, {(0, 1): 1, (2, 3): 1}), validate=False)
+    expected = (RuntimeError, "internal invariant violation: "
+                "extension not general at (2,)")
+    assert outcome(om.lex_extension, ((0, 1), (1, 1))) == expected
+    assert outcome(label_walk.lex_extension, om, ((0, 1), (1, 1))) == expected
+
+
+def test_lex_extension_reads_no_labels(nonpappus, monkeypatch):
+    """The extended table and its generality check read the sign table by
+    mask, never through `Chirotope.value`."""
+    def no_value(self, seq):
+        raise AssertionError("Chirotope.value called")
+
+    signature = perturbation_signature(nonpappus)
+    expected = label_walk.lex_extension(nonpappus, signature)
+    monkeypatch.setattr(Chirotope, "value", no_value)
+    assert nonpappus.lex_extension(signature).chi_ext == expected
 
 
 def test_lex_extension_rank1():

@@ -4,13 +4,13 @@ from functools import lru_cache
 
 import pytest
 
-from omcanon import (OrientedMatroid, RationalMatrix, SignVector,
+from omcanon import (Chirotope, OrientedMatroid, RationalMatrix, SignVector,
                      acyclicity_witness, canonical_form_from_triangulation,
                      canonical_form_tope, chamber_of, check_residue_axioms,
                      chirotope_from_matrix, interior_point,
                      placing_triangulation)
 from omcanon import om as om_module
-from omcanon.realization import _placing, in_cone
+from omcanon.realization import _placing
 from omcanon.signvec import ground_positions
 
 import label_walk
@@ -90,6 +90,8 @@ def test_placing_rejects_nonacyclic(pentagon_matrix, pentagon):
 def test_placing_requires_permutation(pentagon_matrix):
     with pytest.raises(ValueError, match="permutation"):
         placing_triangulation(pentagon_matrix, (1, 2, 3))
+    with pytest.raises(ValueError, match="^unknown element label 'x'$"):
+        placing_triangulation(pentagon_matrix, (1, 2, 3, 4, "x"))
 
 
 def test_pentagon_insertion_orders_agree(pentagon_matrix, pentagon):
@@ -131,7 +133,7 @@ def test_union_of_cones(pentagon_matrix, pentagon):
         strict = 0
         touching = 0
         for basis in tri:
-            signs = in_cone(ext, basis, "pt")
+            signs = label_walk.in_cone(ext, basis, "pt")
             if all(s > 0 for s in signs):
                 strict += 1
             elif all(s >= 0 for s in signs):
@@ -208,7 +210,7 @@ def reference_placing_triangulation(mat, insertion_order=None) -> list:
                 simplices.append(tuple(sorted(facet + (p,), key=pos.get)))
                 added = True
         if not added:
-            covered = any(all(s >= 0 for s in in_cone(chi, b, p))
+            covered = any(all(s >= 0 for s in label_walk.in_cone(chi, b, p))
                           for b in simplices)
             if not covered:
                 raise RuntimeError(
@@ -292,3 +294,17 @@ def test_verify_paths_build_no_covector_closure(pentagon_matrix, monkeypatch):
     assert placing_triangulation(pentagon_matrix)
     assert "covectors" not in om.__dict__
     assert "topes" not in om.__dict__
+
+
+def test_placing_reads_no_labels(pentagon_inf_matrix, monkeypatch):
+    """Facet and cone tests read circuits off the sign table by mask, never
+    through `Chirotope.value`."""
+    def no_value(self, seq):
+        raise AssertionError("Chirotope.value called")
+
+    orders = verify_orders(pentagon_inf_matrix.labels)
+    expected = [label_walk.placing(chirotope_from_matrix(pentagon_inf_matrix),
+                                   order) for order in orders]
+    monkeypatch.setattr(Chirotope, "value", no_value)
+    assert [placing_triangulation(pentagon_inf_matrix, order)
+            for order in orders] == expected
