@@ -1,9 +1,10 @@
 """Golden CLI outputs on the demo inputs, and the public names.
 
 The stdout of `info`, `canonical` (reduced and --nonreduced, every tope),
-`basis` (every grade), `aomoto` and `verify` on each `demos/data/*.json`
-must match `tests/golden/<input>.json` byte for byte; `verify`'s timing
-fields are dropped first.  Regenerate the files (only when an output is
+`basis` (every grade), `aomoto` and `verify` on each `demos/data/*.json`,
+and on the non-realizable and rank-1 inputs in `tests/data`, must match
+`tests/golden/<input>.json` byte for byte; `verify`'s timing fields are
+dropped first.  Regenerate the files (only when an output is
 meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,10 +26,14 @@ from omcanon.cli import run
 from omcanon.om import OrientedMatroid
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-DATA = os.path.join(HERE, os.pardir, "demos", "data")
+DEMO_DATA = os.path.join(HERE, os.pardir, "demos", "data")
+TEST_DATA = os.path.join(HERE, "data")
 GOLDEN = os.path.join(HERE, "golden")
-INPUTS = sorted(f[:-len(".json")] for f in os.listdir(DATA)
-                if f.endswith(".json"))
+PATHS = {f[:-len(".json")]: os.path.join(DEMO_DATA, f)
+         for f in sorted(os.listdir(DEMO_DATA)) if f.endswith(".json")}
+PATHS.update((name, os.path.join(TEST_DATA, name + ".json"))
+             for name in ("nonpappus", "rank1_chirotope", "rank1_matrix"))
+INPUTS = sorted(PATHS)
 
 
 def _stdout(argv: list) -> str:
@@ -47,8 +52,8 @@ def _without_seconds(out: str) -> str:
 
 
 def outputs(name: str) -> dict:
-    """{command line: stdout} for every golden command on one demo input."""
-    path = os.path.join(DATA, name + ".json")
+    """{command line: stdout} for every golden command on one input."""
+    path = PATHS[name]
     with open(path, encoding="utf-8") as fh:
         parsed = ser.parse_input(json.load(fh))
     om = OrientedMatroid(parsed.chi, validate=False)
