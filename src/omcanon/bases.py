@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .chirotope import _earliest_basis
+from .chirotope import _earliest_basis, _mask
 from .forms import algebra_of, canonical_form_tope
 from .om import Extension, OrientedMatroid
 from .osalg import OSAlgebra, OSElement
@@ -39,6 +39,14 @@ def random_signature(om: OrientedMatroid, rng: random.Random, base=None) -> tupl
     return ((base, 1),) + tuple((e, rng.choice((1, -1))) for e in chosen[1:])
 
 
+def _signatures(om: OrientedMatroid, rng: random.Random, base=None):
+    """The signatures an extension search tries, in order: the perturbation
+    signature, then seeded random ones, _ATTEMPTS in all, drawn lazily."""
+    yield perturbation_signature(om, base)
+    for _ in range(_ATTEMPTS - 1):
+        yield random_signature(om, rng, base)
+
+
 def bounded_extension(om: OrientedMatroid, base=None,
                       seed: int = 0) -> Extension:
     """A general perturbation of base with T^0 contained in T^ext.
@@ -54,19 +62,14 @@ def _bounded_extension(om: OrientedMatroid, base, seed: int) -> tuple:
     keeps every 0-bounded tope bounded."""
     base = om.ground[0] if base is None else base
     t0 = om.bounded_topes(base)
-    rng = random.Random(seed)
-    last = None
-    for attempt in range(_ATTEMPTS):
-        signature = (perturbation_signature(om, base) if attempt == 0
-                     else random_signature(om, rng, base))
+    for signature in _signatures(om, random.Random(seed), base):
         ext = om.lex_extension(signature)
         tq = ext.bounded_topes()
         if t0 <= tq:
             return ext, t0, tq
-        last = signature
     raise RuntimeError(
         f"no perturbation of {base!r} kept the bounded topes bounded after "
-        f"{_ATTEMPTS} attempts (last signature {last})")
+        f"{_ATTEMPTS} attempts (last signature {signature})")
 
 
 def tq_basis(om: OrientedMatroid, ext: Extension) -> list:
@@ -92,13 +95,17 @@ def simplex_identity_check(om: OrientedMatroid, ext: Extension, basis) -> dict:
     """
     alg = algebra_of(om)
     circuit = ext.fundamental_circuit(basis)  # rejects unknown labels
-    basis = tuple(sorted(basis, key=ground_positions(om.ground).get))
-    sign = (-1) ** (len(circuit.negative_part) - 1)
+    pos = ground_positions(om.ground)
+    basis = tuple(sorted(basis, key=pos.get))
+    sign = (-1) ** (circuit.minus.bit_count() - 1)
     lhs = alg.boundary(alg.monomial(basis)).scale(sign * om.chi.value(basis))
+    # the extended ground is om's with q last, so positions agree on B
+    on_b = _mask(pos[e] for e in basis)
+    signs = (circuit.plus & on_b, circuit.minus & on_b)
     rhs = alg.zero(om.rank - 1)
     members = []
     for tope in om.topes:
-        if all(tope.value(e) == circuit.value(e) for e in basis):
+        if (tope.plus & on_b, tope.minus & on_b) == signs:
             members.append(tope)
             rhs = rhs + canonical_form_tope(om, tope)
     return {"passed": lhs == rhs, "lhs": lhs, "rhs": rhs,
@@ -132,9 +139,7 @@ def build_flag(om: OrientedMatroid, seed: int = 0) -> Flag:
     rng = random.Random(seed)
     for _ in range(om.rank):
         ext = None
-        for attempt in range(_ATTEMPTS):
-            signature = (perturbation_signature(current) if attempt == 0
-                         else random_signature(current, rng))
+        for signature in _signatures(current, rng):
             try:
                 ext = current.lex_extension(signature)
                 break

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
-from .signvec import SignVector, ground_positions
+from .signvec import SignVector, _position, ground_positions
 
 
 class InvalidChirotope(ValueError):
@@ -52,15 +52,6 @@ def _bits(mask: int) -> list:
         out.append(low)
         mask ^= low
     return out
-
-
-def _position(pos: dict, e) -> int:
-    """The place of label e in a `ground_positions` dict: the one lookup
-    of a label, and the one error for an unknown one."""
-    i = pos.get(e)
-    if i is None:
-        raise ValueError(f"unknown element label {e!r}")
-    return i
 
 
 @lru_cache(maxsize=None)

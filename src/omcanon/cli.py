@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input/validation errors.
 stdout carries exactly one JSON document; diagnostics go to stderr.
-Set OMCANON_VALIDATE=off to skip exhaustive chirotope validation.
+Every input chirotope is validated exhaustively.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .chirotope import InvalidChirotope
 from .forms import (algebra_of, canonical_form_from_triangulation,
                     canonical_form_tope, check_residue_axioms,
                     nonreduced_canonical_form)
-from .om import NotATope, OrientedMatroid, validation_requested
+from .om import NotATope, OrientedMatroid
 from .realization import _placing
 
 
@@ -45,8 +45,7 @@ def _load(path: str) -> tuple:
     except RecursionError:
         raise ser.InputError(f"{path}: JSON nested too deeply") from None
     parsed = ser.parse_input(doc)
-    # Unlike the constructor's default, the CLI validates at every size.
-    om = OrientedMatroid(parsed.chi, validate=validation_requested())
+    om = OrientedMatroid(parsed.chi)
     return parsed, om
 
 

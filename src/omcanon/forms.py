@@ -152,36 +152,29 @@ def nonreduced_canonical_form(om: OrientedMatroid, tope: SignVector) -> OSElemen
     return _labelled_top_form(om.chi.reorient(tope))
 
 
-def contracted_tope_chirotope(om: OrientedMatroid, tope: SignVector, rep):
-    """chi/P at an atom: value on (I, i) scaled by the tope sign at i."""
-    atom = om.underlying.atom_of(rep)
-    chi = om.chi.contract(rep, drop=atom - {rep})
-    return chi.scale(tope.value(rep))
-
-
 def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
     """Per-atom check of the facet recursion for a tope's reduced form.
 
-    For a facet atom the residue must equal minus the independently
-    recomputed facet form; for a non-facet atom it must vanish.  At rank 1,
+    With chi_T the chirotope reoriented by the tope, for a facet atom the
+    residue must equal minus the independently recomputed form of the
+    contraction chi_T/a; for a non-facet atom it must vanish.  At rank 1,
     where the facet has rank 0 and no reduced form, the single atom checks
     the base value chi_T(rep) * 1 instead.  Returns {atom rep: bool}.
     """
     om.require_tope(tope)
     alg = algebra_of(om)
-    form = canonical_form_tope(om, tope)
+    chi = om.chi.reorient(tope)
+    form = _canonical_form(chi)
     if om.rank == 1:
         rep, = om.atom_reps
-        base = om.chi.reorient(tope).value((rep,))
-        return {rep: form == alg.one().scale(base)}
+        return {rep: form == alg.one().scale(chi.value((rep,)))}
+    facets = _facet_elements(chi)
     report = {}
     for a in om.atom_reps:
         res = alg.residue(a, form)
-        if om.is_facet(tope, a):
-            sub_chi = contracted_tope_chirotope(om, tope, a)
-            sub_om = oriented_matroid_for(sub_chi)
-            sub_tope = tope.restrict(sub_chi.ground)
-            expected = canonical_form_tope(sub_om, sub_tope)
+        if a in facets:
+            atom = om.underlying.atom_of(a)
+            expected = _canonical_form(chi.contract(a, drop=atom - {a}))
             report[a] = (res == expected.scale(-1))
         else:
             report[a] = res.is_zero

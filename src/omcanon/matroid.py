@@ -21,8 +21,8 @@ from itertools import combinations
 from math import comb
 
 from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
-                        _minor_slots, _position)
-from .signvec import ground_positions
+                        _minor_slots)
+from .signvec import _position, ground_positions
 
 
 class UnderlyingMatroid:

@@ -6,11 +6,13 @@ mutated afterwards.  Sign-vector sets are closed under negation.
 Circuits (`chirotope._circuit`, fundamental circuits too) and cocircuits
 are read off the ascending sign table as (plus, minus) masks, and so are
 the facets of the all-plus tope of an acyclic chirotope; a lexicographic
-extension's table is built on that table by position mask.  Every
-tope-local query reads the cocircuits conformal to the sign vector: a
-covector is their composition, the faces of a tope are their closure, and
-a tope is bounded at e iff none of them vanishes at e.  Conforming to the
-sign vector, they compose by taking the union of their masks.  Only
+extension's table is built on that table by position mask.  The
+cocircuits are kept as one table of mask pairs, both signs, and every
+tope question reads it: the cocircuits conformal to a sign vector are the
+pairs inside its masks, and compose by taking the union of their masks.
+A covector is their composition, the faces of a tope are their closure,
+and a tope is bounded at e iff none of them vanishes at e.  A facet of a
+tope T is a facet of the all-plus tope of the reorientation by T.  Only
 enumerating covectors or topes builds the full covector closure, which runs
 on (plus, minus) mask pairs and builds each SignVector once; acyclicity
 reads which elements the one-signed cocircuits cover.
@@ -18,31 +20,23 @@ reads which elements the one-signed cocircuits cover.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
-from .chirotope import (Chirotope, _circuit, _mask, _mask_index, _position,
+from .chirotope import (Chirotope, _circuit, _mask, _mask_index,
                         validate_chirotope)
 from .matroid import UnderlyingMatroid
-from .signvec import SignVector, ground_positions
+from .signvec import SignVector, _position, ground_positions
 
 
 class NotATope(ValueError):
     pass
 
 
-def validation_requested() -> bool:
-    """False iff OMCANON_VALIDATE=off; the one reader of that variable."""
-    return os.environ.get("OMCANON_VALIDATE", "").lower() != "off"
-
-
 class OrientedMatroid:
-    def __init__(self, chi: Chirotope, validate: bool | None = None):
-        if validate is None:
-            validate = validation_requested() and len(chi.ground) <= 10
+    def __init__(self, chi: Chirotope, validate: bool = True):
         if validate:
             validate_chirotope(chi)
         self.chi = chi
@@ -55,12 +49,19 @@ class OrientedMatroid:
         return _circuits(self.chi)
 
     @cached_property
+    def _cocircuit_table(self) -> frozenset:
+        """(plus, minus) masks of every cocircuit, both signs."""
+        return frozenset(pm for p, m in _cocircuit_masks(self.chi)
+                         for pm in ((p, m), (m, p)))
+
+    @cached_property
     def cocircuits(self) -> frozenset:
-        return _cocircuits(self.chi)
+        return frozenset(SignVector._from_masks(self.ground, p, m)
+                         for p, m in self._cocircuit_table)
 
     @cached_property
     def covectors(self) -> frozenset:
-        return _covector_closure(self.ground, self.cocircuits)
+        return _covector_closure(self.ground, self._cocircuit_table)
 
     @cached_property
     def topes(self) -> frozenset:
@@ -94,29 +95,56 @@ class OrientedMatroid:
 
     # ---- covector machinery ----------------------------------------------
 
+    def _conformal(self, plus: int, minus: int) -> list:
+        """The cocircuit mask pairs conformal to the sign vector (plus,
+        minus): those inside its masks."""
+        return [(p, m) for p, m in self._cocircuit_table
+                if not (p & ~plus | m & ~minus)]
+
+    def _composes(self, plus: int, minus: int, positive: int = 0) -> bool:
+        """True iff (plus, minus) is the composition of its conformal
+        cocircuits, each of them positive on the mask positive, which plus
+        must contain: a covector, all of whose nonzero faces are positive
+        there.  Conforming, the cocircuits compose by taking the union of
+        their masks."""
+        if positive & ~plus:
+            return False
+        p = m = 0
+        for yp, ym in self._conformal(plus, minus):
+            if positive & ~yp:
+                return False
+            p |= yp
+            m |= ym
+        return p == plus and m == minus
+
     def conformal_cocircuits(self, x: SignVector) -> list:
-        return [y for y in self.cocircuits if y.conforms_to(x)]
+        return [SignVector._from_masks(self.ground, p, m)
+                for p, m in self._conformal(x.plus, x.minus)]
 
     def is_covector(self, x: SignVector) -> bool:
         """Conformal cocircuit composition test (no full enumeration)."""
-        return _composes_to(self, x, self.conformal_cocircuits(x))
+        return x.ground == self.ground and self._composes(x.plus, x.minus)
 
     def faces(self, tope: SignVector) -> frozenset:
         """Covectors conformal to the tope, including 0 and the tope itself."""
         self.require_tope(tope)
-        return _covector_closure(self.ground, self.conformal_cocircuits(tope))
+        return _covector_closure(self.ground,
+                                 self._conformal(tope.plus, tope.minus))
 
     def is_facet(self, tope: SignVector, rep) -> bool:
-        """True iff zeroing the atom of rep yields a covector."""
-        atom = self.underlying.atom_of(rep)
-        return self.is_covector(tope.zero_out(atom))
+        """True iff the atom of rep is a facet of the tope: of the all-plus
+        tope once the chirotope is reoriented by it."""
+        self.underlying.atom_of(rep)  # rejects unknown labels
+        self.require_tope(tope)
+        return rep in _facet_elements(self.chi.reorient(tope))
 
     def bounded_topes(self, base) -> frozenset:
         """Topes all of whose nonzero faces are strictly positive at base."""
         if base not in self.ground:
             raise ValueError(f"unknown element {base!r}")
+        bit = 1 << ground_positions(self.ground)[base]
         return frozenset(t for t in self.topes
-                         if _bounded_tope(self, t, base))
+                         if self._composes(t.plus, t.minus, bit))
 
     # ---- minors -----------------------------------------------------------
 
@@ -193,12 +221,11 @@ class Extension:
                            OrientedMatroid(self.chi_ext, validate=False))
 
     def bounded_topes(self) -> frozenset:
-        """Topes P of M such that (P, +) is bounded at q in M u q."""
-        ext_ground = self.chi_ext.ground
-        return frozenset(
-            t for t in self.base.topes
-            if _bounded_tope(self.om_ext, t.extend(ext_ground, fill=1),
-                             self.label))
+        """Topes P of M such that (P, +) is bounded at q in M u q; q is the
+        last position of the extended ground."""
+        q = 1 << len(self.base.ground)
+        return frozenset(t for t in self.base.topes
+                         if self.om_ext._composes(t.plus | q, t.minus, q))
 
     def fundamental_circuit(self, basis) -> SignVector:
         """The signed circuit in basis u {q}, normalized to value - at q."""
@@ -213,29 +240,6 @@ class Extension:
         if plus & q:
             plus, minus = minus, plus
         return SignVector._from_masks(chi.ground, plus, minus)
-
-
-def _bounded_tope(om: OrientedMatroid, x: SignVector, e) -> bool:
-    """True iff the full-support x is a tope whose nonzero faces are all
-    positive at e.  Faces are compositions of the conformal cocircuits, so
-    those decide both: none may vanish at e, and together they must compose
-    to x."""
-    if x.value(e) != 1:
-        return False
-    bit = 1 << ground_positions(x.ground)[e]
-    ys = om.conformal_cocircuits(x)
-    return (all((y.plus | y.minus) & bit for y in ys)
-            and _composes_to(om, x, ys))
-
-
-def _composes_to(om: OrientedMatroid, x: SignVector, ys: list) -> bool:
-    """True iff x, over om's ground set, is the composition of ys.  All of
-    ys conform to x, so they compose by taking the union of their masks."""
-    plus = minus = 0
-    for y in ys:
-        plus |= y.plus
-        minus |= y.minus
-    return x.ground == om.ground and x.plus == plus and x.minus == minus
 
 
 # ---- derived sign-vector data -------------------------------------------
@@ -299,12 +303,6 @@ def _cocircuit_masks(chi: Chirotope) -> set:
     return {pm for pm in zip(plus, minus) if pm != (0, 0)}
 
 
-def _cocircuits(chi: Chirotope) -> frozenset:
-    return frozenset(SignVector._from_masks(chi.ground, *pm)
-                     for p, m in _cocircuit_masks(chi)
-                     for pm in ((p, m), (m, p)))
-
-
 def _facet_elements(chi: Chirotope) -> frozenset:
     """For an acyclic chi, the elements whose parallel class is a facet of
     the all-plus tope.
@@ -334,10 +332,11 @@ def _facet_elements(chi: Chirotope) -> frozenset:
 
 
 def _covector_closure(ground: tuple, cocircuits) -> frozenset:
-    """All compositions of cocircuits, plus the zero covector.  The closure
-    runs on (plus, minus) mask pairs: x o y = (xp | yp & ~(xp | xm),
-    xm | ym & ~(xp | xm)); sign vectors are built once, at the end."""
-    gens = [(y.plus, y.minus) for y in cocircuits]
+    """All compositions of the cocircuit mask pairs, plus the zero
+    covector.  The closure runs on (plus, minus) mask pairs:
+    x o y = (xp | yp & ~(xp | xm), xm | ym & ~(xp | xm)); sign vectors are
+    built once, at the end."""
+    gens = list(cocircuits)
     seen = {(0, 0)} | set(gens)
     frontier = gens
     while frontier:

@@ -16,9 +16,9 @@ from itertools import combinations
 
 from . import linalg
 from .chirotope import (Chirotope, _bits, _circuit, _earliest_basis, _mask,
-                        _mask_index, _position)
+                        _mask_index)
 from .om import OrientedMatroid, is_acyclic
-from .signvec import SignVector, ground_positions
+from .signvec import SignVector, _position, ground_positions
 
 
 def _sign(x: Fraction) -> int:
@@ -45,7 +45,7 @@ class RationalMatrix:
         return len(self.rows)
 
     def column(self, label) -> list:
-        j = ground_positions(self.labels)[label]
+        j = _position(ground_positions(self.labels), label)
         return [row[j] for row in self.rows]
 
     def functional(self, label, point) -> Fraction:

@@ -17,6 +17,15 @@ def ground_positions(ground: tuple) -> dict:
     return {e: i for i, e in enumerate(ground)}
 
 
+def _position(pos: dict, e) -> int:
+    """The place of label e in a `ground_positions` dict: the one lookup
+    of a label, and the one error for an unknown one."""
+    i = pos.get(e)
+    if i is None:
+        raise ValueError(f"unknown element label {e!r}")
+    return i
+
+
 class SignVector:
     """An immutable sign vector; equal iff ground and signs are equal."""
 
@@ -76,7 +85,7 @@ class SignVector:
         return tuple((p >> i & 1) - (m >> i & 1) for i in range(len(self.ground)))
 
     def value(self, e) -> int:
-        i = ground_positions(self.ground)[e]
+        i = _position(ground_positions(self.ground), e)
         return (self.plus >> i & 1) - (self.minus >> i & 1)
 
     def __neg__(self) -> "SignVector":

@@ -100,6 +100,35 @@ def test_simplex_identity_boolean():
     assert len(result["topes"]) == 1  # the unique bounded tope of a simplex
 
 
+@pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
+                                  "nonpappus"])
+def test_simplex_identity_builds_no_oriented_matroid(name, request,
+                                                     monkeypatch):
+    """On every basis, in both orders, the check passes, sums the topes
+    that agree in sign with the fundamental circuit on the basis, and
+    builds no OrientedMatroid."""
+    om = request.getfixturevalue(name)
+    ext = bounded_extension(om)
+    topes = om.sorted_topes()
+    builds = []
+    init = OrientedMatroid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrientedMatroid, "__init__", counting_init)
+    for key in om.chi.nonzero_keys:
+        for basis in (key, key[::-1]):
+            result = simplex_identity_check(om, ext, basis)
+            circuit = ext.fundamental_circuit(basis)
+            assert result["passed"], basis
+            assert result["topes"] == [
+                t for t in topes
+                if all(t.value(e) == circuit.value(e) for e in basis)]
+    assert builds == []
+
+
 def test_build_flag_ranks(line4, pentagon):
     flag4 = build_flag(line4)
     assert [s.om.rank for s in flag4.stages] == [2, 1]

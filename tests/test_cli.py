@@ -336,17 +336,16 @@ def test_roundtrip_byte_identical():
         assert first.encode() == second.encode()
 
 
-def test_validate_env_off(capsys, tmp_path):
+def test_validate_env_var_is_ignored(capsys, tmp_path, monkeypatch):
+    """Validation has no switch: with the OMCANON_VALIDATE=off of earlier
+    versions set, an invalid chirotope still exits 2."""
     doc = line4_doc()
-    doc["chirotope"]["1,3"] = "-"  # invalid, but validation is off
-    path = tmp_path / "skip.json"
+    doc["chirotope"]["1,3"] = "-"  # breaks the three-term relation
+    path = tmp_path / "invalid.json"
     path.write_text(json.dumps(doc))
-    os.environ["OMCANON_VALIDATE"] = "off"
-    try:
-        code, out, _ = invoke(capsys, "info", "--input", str(path))
-    finally:
-        del os.environ["OMCANON_VALIDATE"]
-    assert code == 0 and json.loads(out)["rank"] == 2
+    monkeypatch.setenv("OMCANON_VALIDATE", "off")
+    code, out, err = invoke(capsys, "info", "--input", str(path))
+    assert code == 2 and "three-term" in err and not out
 
 
 def run_module(*argv, **extra_env):

@@ -13,7 +13,6 @@ from omcanon import (OrientedMatroid, RationalMatrix, SignVector, algebra_of,
 from omcanon import forms, osalg
 from omcanon import om as om_module
 from omcanon.chirotope import Chirotope
-from omcanon.forms import contracted_tope_chirotope
 from omcanon.matroid import UnderlyingMatroid
 from omcanon.om import _facet_elements, is_acyclic
 from omcanon.osalg import OSAlgebra, os_algebra_of_chirotope
@@ -21,6 +20,7 @@ from omcanon.realization import _placing
 
 import fraction_linalg
 from face_flag import face_flag_form
+from tope_walk import contracted_tope_chirotope
 from conftest import (FIXTURES, NONUNIFORM, boolean_om, named_om,
                       rank1_om, uniform_r4_matrix)
 
@@ -711,6 +711,30 @@ def test_triangulation_evaluators_build_no_oriented_matroid(
         tri = _placing(chi)
         assert (canonical_form_from_triangulation(chi, tri)
                 == alg.boundary(nonreduced_from_triangulation(chi, tri)))
+    assert builds == []
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_residue_check_builds_no_oriented_matroid(name, request, monkeypatch):
+    """The residue check passes at every atom of every tope, and builds no
+    OrientedMatroid for the facets it contracts."""
+    om = named_om(name, request)
+    topes = om.sorted_topes()
+    # A fresh memo, so entries left by earlier tests cannot hide builds.
+    monkeypatch.setattr(forms, "oriented_matroid_for",
+                        lru_cache(forms.oriented_matroid_for.__wrapped__))
+    builds = []
+    init = OrientedMatroid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrientedMatroid, "__init__", counting_init)
+    for t in topes:
+        report = check_residue_axioms(om, t)
+        assert list(report) == list(om.atom_reps)
+        assert all(report.values()), (str(t), report)
     assert builds == []
 
 

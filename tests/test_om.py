@@ -5,11 +5,13 @@ import pytest
 
 from omcanon import (Chirotope, NotATope, OrientedMatroid, SignVector,
                      UnderlyingMatroid, bounded_extension, build_flag,
-                     perturbation_signature, validate_chirotope)
+                     check_residue_axioms, perturbation_signature,
+                     simplex_identity_check, validate_chirotope)
 from omcanon.bases import random_signature
-from omcanon.om import _circuits, _cocircuits, _facet_elements, is_acyclic
+from omcanon.om import _circuits, _facet_elements, is_acyclic
 
 import label_walk
+import tope_walk
 from conftest import (FIXTURES, NONUNIFORM, PAPPUS_LINE,
                       all_full_support_vectors, boolean_om, named_om,
                       oracle_covectors, oracle_topes, outcome,
@@ -181,13 +183,23 @@ def test_delete(line4, pentagon):
 
 
 @pytest.mark.parametrize("label", [99, "x"])
-def test_unknown_labels_raise_value_error(line4, line4_topes, label):
-    """Minors and facet tests reject a label outside the ground set with
-    the ValueError of `Chirotope.contract`, not a bare KeyError."""
+def test_unknown_labels_raise_value_error(line4, line4_topes, pentagon_matrix,
+                                          label):
+    """Minors, facet tests, sign-vector lookups and matrix columns reject a
+    label outside the ground set with the ValueError of
+    `Chirotope.contract`, not a bare KeyError."""
+    t = line4_topes[0]
+    mat = pentagon_matrix
     calls = [lambda: line4.contract(label), lambda: line4.delete(label),
-             lambda: line4.is_facet(line4_topes[0], label),
+             lambda: line4.is_facet(t, label),
+             lambda: line4.is_facet(SignVector(line4.ground, (1, -1, 1, -1)),
+                                    label),
              lambda: line4.chi.contract(label),
-             lambda: line4.lex_extension(((0, 1), (label, 1)))]
+             lambda: line4.lex_extension(((0, 1), (label, 1))),
+             lambda: t.value(label), lambda: t.restrict((0, label)),
+             lambda: mat.column(label),
+             lambda: mat.functional(label, (1,) * mat.nrows),
+             lambda: mat.minor_det((1, 2, label))]
     for call in calls:
         with pytest.raises(ValueError,
                            match=f"unknown element label {label!r}"):
@@ -312,14 +324,16 @@ def tope_contractions(om) -> set:
 def test_cocircuits_match_value_oracle(name, request):
     """Cocircuits read off the sign table against chirotope evaluation."""
     for chi in tope_contractions(named_om(name, request)):
-        assert _cocircuits(chi) == value_cocircuits(chi)
+        cocircuits = OrientedMatroid(chi, validate=False).cocircuits
+        assert cocircuits == value_cocircuits(chi)
 
 
 @pytest.mark.parametrize("name", FACET_FIXTURES)
 def test_facet_reader_matches_acyclicity_and_is_facet(name, request):
     """On every acyclic chirotope reached, an atom is read as a facet iff
-    its contraction is acyclic iff OrientedMatroid.is_facet says so for the
-    all-plus tope; the reader names whole parallel classes."""
+    its contraction is acyclic iff OrientedMatroid.is_facet and the
+    zero-out rule of `tope_walk` say so for the all-plus tope; the reader
+    names whole parallel classes."""
     outcomes = set()
     for chi in tope_contractions(named_om(name, request)):
         if not is_acyclic(chi):
@@ -332,11 +346,104 @@ def test_facet_reader_matches_acyclicity_and_is_facet(name, request):
             atom = om.underlying.atom_of(a)
             contracted = is_acyclic(chi.contract(a, drop=atom - {a}))
             assert contracted == om.is_facet(plus, a)
+            assert contracted == tope_walk.is_facet(om, plus, a)
             assert all((e in facets) == contracted for e in atom)
             outcomes.add(contracted)
     assert True in outcomes
     if name in ("line4", "pentagon", "pentagon_inf", "nonpappus"):
         assert False in outcomes
+
+
+# ---- reference: tope questions by sign-vector walks ----------------------
+
+
+def differential_om(name, request):
+    """A fixture or NONUNIFORM oriented matroid, or (for "nonpappus_ext")
+    the extension of non-Pappus by a seeded random signature."""
+    if name != "nonpappus_ext":
+        return named_om(name, request)
+    om = request.getfixturevalue("nonpappus")
+    return om.lex_extension(random_signature(om, random.Random(0)),
+                            label=9).om_ext
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM)
+                         + ["nonpappus_ext"])
+def test_tope_queries_match_sign_vector_walk(name, request):
+    """Facets on every tope x atom, bounded topes at every element, and, at
+    n <= 6, the covector, tope and boundedness tests on every full-support
+    vector, against the sign-vector walks they replaced.  Extensions by
+    the perturbation signature and two seeded random ones get the same
+    bounded topes too."""
+    om = differential_om(name, request)
+    facets = 0
+    for t in om.topes:
+        for a in om.atom_reps:
+            got = om.is_facet(t, a)
+            assert got == tope_walk.is_facet(om, t, a)
+            facets += got
+    assert facets
+    for e in om.ground:
+        assert om.bounded_topes(e) == frozenset(
+            t for t in om.topes if tope_walk.bounded_tope(om, t, e))
+    if len(om.ground) <= 6:
+        for x in all_full_support_vectors(om.ground):
+            assert om.is_covector(x) == tope_walk.is_covector(om, x)
+            assert om.is_tope(x) == tope_walk.is_covector(om, x)
+            for e in om.ground:
+                bit = 1 << om.ground.index(e)
+                assert (om._composes(x.plus, x.minus, bit)
+                        == tope_walk.bounded_tope(om, x, e))
+    rng = random.Random(0)
+    for signature in [perturbation_signature(om), random_signature(om, rng),
+                      random_signature(om, rng)]:
+        ext = om.lex_extension(signature)
+        assert ext.bounded_topes() == tope_walk.extension_bounded_topes(ext)
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_residue_check_contracts_the_reoriented_chirotope(name, request):
+    """At every facet of every tope, the contraction of the reoriented
+    chirotope that `check_residue_axioms` reads is the contraction scaled
+    by the tope's sign and reoriented by the restricted tope, which the
+    check read before."""
+    om = named_om(name, request)
+    for t in om.topes:
+        chi = om.chi.reorient(t)
+        for a in _facet_elements(chi) & set(om.atom_reps):
+            atom = om.underlying.atom_of(a)
+            assert (chi.contract(a, drop=atom - {a})
+                    == tope_walk.facet_chirotope(om, t, a))
+
+
+def test_is_facet_rejects_non_tope(line4):
+    bad = SignVector(line4.ground, (1, -1, 1, -1))
+    with pytest.raises(NotATope, match=r"^\(\+,-,\+,-\) is not a tope$"):
+        line4.is_facet(bad, 0)
+
+
+def test_tope_queries_call_no_conforms_to(pentagon_inf, monkeypatch):
+    """Every tope question reads the cocircuit mask table, never
+    `SignVector.conforms_to`."""
+    om = pentagon_inf
+    ext = bounded_extension(om)
+    topes = om.sorted_topes()
+    expected = [tope_walk.conformal_cocircuits(om, t) for t in topes]
+
+    def no_conforms_to(self, other):
+        raise AssertionError("SignVector.conforms_to called")
+
+    monkeypatch.setattr(SignVector, "conforms_to", no_conforms_to)
+    for t, conformal in zip(topes, expected):
+        assert om.is_tope(t) and om.is_covector(t) and om.require_tope(t)
+        assert sorted(om.conformal_cocircuits(t),
+                      key=SignVector.sort_key) == sorted(
+                          conformal, key=SignVector.sort_key)
+        assert t in om.faces(t)
+        assert any(om.is_facet(t, a) for a in om.atom_reps)
+        assert all(check_residue_axioms(om, t).values())
+    assert om.bounded_topes(om.ground[0]) <= ext.bounded_topes()
+    assert simplex_identity_check(om, ext, om.chi.nonzero_keys[0])["passed"]
 
 
 def test_nonpappus_fixture(nonpappus):

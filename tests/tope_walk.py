@@ -1,0 +1,73 @@
+"""Reference tope questions, as they were before they read the cocircuit
+mask table.
+
+They walk `SignVector` objects: the cocircuits conformal to a sign vector
+are picked from the public `cocircuits` set with `SignVector.conforms_to`,
+a facet of a tope is an atom whose zeroing leaves a covector, an
+extension's bounded topes are lifted with `SignVector.extend`, and the
+residue check's facet form is that of the contraction of the chirotope,
+scaled by the tope's sign at the atom and reoriented by the restricted
+tope.  They are kept as the oracles that `OrientedMatroid.is_covector`,
+`is_facet`, both `bounded_topes` and `forms.check_residue_axioms` are
+compared against.
+"""
+
+from __future__ import annotations
+
+from omcanon.signvec import SignVector
+
+
+def conformal_cocircuits(om, x: SignVector) -> list:
+    return [y for y in om.cocircuits if y.conforms_to(x)]
+
+
+def composes_to(om, x: SignVector, ys: list) -> bool:
+    """True iff x, over om's ground set, is the composition of ys.  All of
+    ys conform to x, so they compose by taking the union of their masks."""
+    plus = minus = 0
+    for y in ys:
+        plus |= y.plus
+        minus |= y.minus
+    return x.ground == om.ground and x.plus == plus and x.minus == minus
+
+
+def is_covector(om, x: SignVector) -> bool:
+    return composes_to(om, x, conformal_cocircuits(om, x))
+
+
+def is_facet(om, tope: SignVector, rep) -> bool:
+    """True iff zeroing the atom of rep yields a covector."""
+    atom = om.underlying.atom_of(rep)
+    return is_covector(om, tope.zero_out(atom))
+
+
+def bounded_tope(om, x: SignVector, e) -> bool:
+    """True iff the full-support x is a tope whose nonzero faces are all
+    positive at e: none of its conformal cocircuits vanishes at e, and
+    together they compose to x."""
+    if x.value(e) != 1:
+        return False
+    ys = conformal_cocircuits(om, x)
+    return all(y.value(e) for y in ys) and composes_to(om, x, ys)
+
+
+def extension_bounded_topes(ext) -> frozenset:
+    """Topes P of M such that (P, +) is bounded at q in M u q."""
+    ground = ext.chi_ext.ground
+    return frozenset(t for t in ext.base.topes
+                     if bounded_tope(ext.om_ext, t.extend(ground, fill=1),
+                                     ext.label))
+
+
+def contracted_tope_chirotope(om, tope: SignVector, rep):
+    """chi/P at an atom: value on (I, i) scaled by the tope sign at i."""
+    atom = om.underlying.atom_of(rep)
+    chi = om.chi.contract(rep, drop=atom - {rep})
+    return chi.scale(tope.value(rep))
+
+
+def facet_chirotope(om, tope: SignVector, rep):
+    """The chirotope whose form the residue check expects at a facet:
+    `contracted_tope_chirotope` reoriented by the tope restricted to it."""
+    sub = contracted_tope_chirotope(om, tope, rep)
+    return sub.reorient(tope.restrict(sub.ground))
