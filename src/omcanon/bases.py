@@ -102,12 +102,10 @@ def simplex_identity_check(om: OrientedMatroid, ext: Extension, basis) -> dict:
     # the extended ground is om's with q last, so positions agree on B
     on_b = _mask(pos[e] for e in basis)
     signs = (circuit.plus & on_b, circuit.minus & on_b)
-    rhs = alg.zero(om.rank - 1)
-    members = []
-    for tope in om.topes:
-        if (tope.plus & on_b, tope.minus & on_b) == signs:
-            members.append(tope)
-            rhs = rhs + canonical_form_tope(om, tope)
+    members = [t for t in om.topes if (t.plus & on_b, t.minus & on_b) == signs]
+    rhs = alg.combination(om.rank - 1, (
+        term for t in members
+        for term in canonical_form_tope(om, t).terms.items()))
     return {"passed": lhs == rhs, "lhs": lhs, "rhs": rhs,
             "topes": sorted(members, key=SignVector.sort_key)}
 
@@ -168,10 +166,8 @@ def transport_to_base(base_alg: OSAlgebra, form: OSElement) -> OSElement:
     if stage_alg is base_alg:
         return form
     lift = stage_alg.inverse_boundary(form)
-    out = base_alg.zero(form.grade)
-    for key, c in lift.terms.items():
-        out = out + base_alg.boundary(base_alg.monomial(key)).scale(c)
-    return out
+    return base_alg.boundary(base_alg.combination(lift.grade,
+                                                  lift.terms.items()))
 
 
 def graded_basis(flag: Flag, k: int) -> list:
@@ -285,9 +281,9 @@ def _weight_form(alg: OSAlgebra, weights: dict, base) -> OSElement:
     expected_keys = {e for e in alg.matroid.ground if e != base}
     if set(weights) != expected_keys:
         raise ValueError(f"weights must cover exactly {sorted(map(str, expected_keys))}")
-    omega = alg.zero(1)
-    for e, lam in weights.items():
-        omega = omega + (alg.monomial((e,)) - alg.monomial((base,))).scale(Fraction(lam))
+    total = sum(map(Fraction, weights.values()))
+    omega = alg.combination(1, [((e,), lam) for e, lam in weights.items()]
+                            + [((base,), -total)])
     if not alg.boundary(omega).is_zero:
         raise RuntimeError("internal invariant violation: weight form is "
                            "not boundary-closed")

@@ -134,15 +134,13 @@ def canonical_form_from_triangulation(chi: Chirotope, bases) -> OSElement:
 
 def nonreduced_from_triangulation(chi: Chirotope, bases) -> OSElement:
     """sum over the triangulation of chi(B) e_B (top grade, non-reduced)."""
-    alg = os_algebra_of_chirotope(chi)
-    out = alg.zero(chi.rank)
-    for basis in bases:
-        basis = tuple(basis)
-        sign = chi.value(basis)
-        if sign == 0:
-            raise ValueError(f"{basis} is not a basis")
-        out = out + alg.monomial(basis, coeff=sign)
-    return out
+    def signed():
+        for basis in map(tuple, bases):
+            sign = chi.value(basis)
+            if sign == 0:
+                raise ValueError(f"{basis} is not a basis")
+            yield basis, sign
+    return os_algebra_of_chirotope(chi).combination(chi.rank, signed())
 
 
 def nonreduced_canonical_form(om: OrientedMatroid, tope: SignVector) -> OSElement:

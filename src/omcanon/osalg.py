@@ -6,7 +6,8 @@ rewritten through the circuit relations (boundary of a circuit monomial is
 zero) until only no-broken-circuit monomials remain.  The rewrite replaces
 an element of the broken circuit by the smaller circuit minimum, so the
 lexicographic position strictly decreases and the process terminates; the
-result is the unique NBC coordinate vector.
+result is the unique NBC coordinate vector.  Every linear combination of
+monomials is straightened as one sum, by `OSAlgebra.combination`.
 
 Boundary removes entries from the END of a monomial first:
     d e_(s1..sk) = sum_{i=0}^{k-1} (-1)^i e_(S minus s_{k-i}).
@@ -178,16 +179,20 @@ class OSAlgebra:
     def monomial(self, seq, coeff=Fraction(1)) -> OSElement:
         """e_seq straightened into NBC coordinates; seq lists ground elements."""
         seq = tuple(seq)
-        coeff = Fraction(coeff)
-        reps = tuple(self.matroid.rep_of(e) for e in seq)
-        if len(set(reps)) != len(reps):
-            return self.zero(len(seq))
-        positions = [self._pos[a] for a in reps]
-        sign = perm_parity_sign(positions)
-        ordered = tuple(a for _, a in sorted(zip(positions, reps)))
-        expansion = self._straighten(ordered)
-        return OSElement(self, len(seq),
-                         {k: coeff * sign * v for k, v in expansion.items()})
+        return self.combination(len(seq), [(seq, coeff)])
+
+    def combination(self, grade: int, pairs) -> OSElement:
+        """sum of c * e_seq over the (seq, c) pairs, each seq listing grade
+        ground elements in any order, in NBC coordinates; a seq repeating an
+        atom contributes zero."""
+        terms: dict = {}
+        for seq, c in pairs:
+            reps = tuple(self.matroid.rep_of(e) for e in seq)
+            if len(reps) != grade:
+                raise ValueError(f"expected {grade} entries, got {len(reps)}")
+            if len(set(reps)) == len(reps):
+                self._straighten_into(terms, reps, Fraction(c))
+        return OSElement(self, grade, terms)
 
     # ---- straightening ------------------------------------------------------
 
@@ -224,27 +229,35 @@ class OSAlgebra:
         for j in range(1, len(circuit)):
             # relation: e_full = sum_j (-1)^{j+1} e_{circuit minus c_j}
             repl = tuple(a for a in circuit if a != circuit[j])
-            seq = repl + rest
-            sign_inner = perm_parity_sign([self._pos[a] for a in seq])
-            sub = tuple(sorted(seq, key=self._pos.get))
-            coeff = Fraction((-1) ** (j + 1) * sign_outer * sign_inner)
-            for k, v in self._straighten(sub).items():
-                out[k] = out.get(k, Fraction(0)) + coeff * v
+            self._straighten_into(out, repl + rest,
+                                  Fraction((-1) ** (j + 1) * sign_outer))
         return {k: v for k, v in out.items() if v != 0}
+
+    def _straighten_into(self, terms: dict, reps: tuple, c: Fraction) -> None:
+        """terms += c * e_reps in NBC coordinates, for distinct atom
+        representatives reps in any order."""
+        positions = [self._pos[a] for a in reps]
+        c *= perm_parity_sign(positions)
+        ordered = tuple(a for _, a in sorted(zip(positions, reps)))
+        for k, v in self._straighten(ordered).items():
+            terms[k] = terms.get(k, 0) + c * v
 
     # ---- algebra operations --------------------------------------------------
 
-    def wedge(self, x: OSElement, y: OSElement) -> OSElement:
-        if x.algebra is not self or y.algebra is not self:
+    def _own(self, *elements: OSElement) -> None:
+        """Refuse elements of another algebra."""
+        if any(x.algebra is not self for x in elements):
             raise ValueError("context mismatch")
-        out = self.zero(x.grade + y.grade)
-        for s, c in x.terms.items():
-            for t, d in y.terms.items():
-                out = out + self.monomial(s + t, coeff=c * d)
-        return out
+
+    def wedge(self, x: OSElement, y: OSElement) -> OSElement:
+        self._own(x, y)
+        return self.combination(x.grade + y.grade,
+                                ((s + t, c * d) for s, c in x.terms.items()
+                                 for t, d in y.terms.items()))
 
     def boundary(self, x: OSElement) -> OSElement:
         """d with removal from the END first; NBC sets are downward closed."""
+        self._own(x)
         if x.grade == 0:
             return self.zero(0)
         terms: dict = {}
@@ -269,18 +282,16 @@ class OSAlgebra:
         """Res at an atom; lands in the contraction's algebra (atoms may merge)."""
         if rep not in self.atoms:
             raise ValueError(f"{rep!r} is not an atom representative")
-        target = self.residue_algebra(rep)
-        out = target.zero(x.grade - 1)
-        for key, c in x.terms.items():
-            res = _residue_key(key, rep)
-            if res is not None:
-                rest, sign = res
-                out = out + target.monomial(rest, coeff=c * sign)
-        return out
+        self._own(x)
+        pairs = ((_residue_key(key, rep), c) for key, c in x.terms.items()
+                 if rep in key)
+        return self.residue_algebra(rep).combination(
+            x.grade - 1, ((rest, c * sign) for (rest, sign), c in pairs))
 
     # ---- linear-algebra views ---------------------------------------------------
 
     def dense(self, x: OSElement, grade: int | None = None) -> list:
+        self._own(x)
         grade = x.grade if grade is None else grade
         vec = [Fraction(0)] * self.dim(grade)
         index = self._nbc_pos.get(grade, {})
@@ -327,6 +338,7 @@ class OSAlgebra:
 
     def coordinates_in(self, x: OSElement, basis: list) -> list | None:
         """Exact coordinates of x in the given basis, or None if outside."""
+        self._own(x, *basis)
         if not basis:
             return [] if x.is_zero else None
         grade = basis[0].grade
@@ -339,6 +351,7 @@ class OSAlgebra:
         Every NBC r-set K contains the first atom a0, and the a0-free term of
         d e_K is (-1)^(r-1) e_(K minus a0), so x_K = (-1)^(r-1) y_(K minus a0).
         """
+        self._own(y)
         r = self.rank
         if y.grade != r - 1:
             raise ValueError(f"expected grade {r - 1}, got {y.grade}")

@@ -71,15 +71,11 @@ def chirotope_from_matrix(mat: RationalMatrix) -> Chirotope:
     for e in mat.labels:
         if not any(mat.column(e)):
             raise ValueError(f"zero column: {e!r}")
-    values = {}
-    some_nonzero = False
-    for key in combinations(mat.labels, r):
-        s = _sign(mat.minor_det(key))
-        values[key] = s
-        some_nonzero = some_nonzero or s != 0
-    if not some_nonzero:
+    signs = tuple(_sign(mat.minor_det(key))
+                  for key in combinations(mat.labels, r))
+    if not any(signs):
         raise ValueError("matrix is rank deficient")
-    return Chirotope.from_map(mat.labels, r, values)
+    return Chirotope(tuple(mat.labels), r, signs)
 
 
 def chamber_of(mat: RationalMatrix, point) -> SignVector:

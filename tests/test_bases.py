@@ -14,7 +14,10 @@ from conftest import (FIXTURES, NONUNIFORM, boolean_om, count_bounded_topes,
                       named_om, rank1_om, random_arrangements)
 from omcanon import (Extension, OrientedMatroid, aomoto_degree_ranks,
                      chirotope_from_matrix)
+from omcanon import (nonreduced_from_triangulation, placing_triangulation,
+                     transport_to_base)
 from omcanon.bases import _ATTEMPTS, random_signature
+from omcanon.osalg import OSElement
 
 
 def test_perturbation_signature_default(line4):
@@ -376,3 +379,35 @@ def test_build_flag_exhaustion_raises(pentagon, monkeypatch):
     with pytest.raises(RuntimeError, match=f"after {_ATTEMPTS} attempts"):
         build_flag(pentagon)
     assert len(calls) == _ATTEMPTS
+
+
+def test_library_sums_add_no_elements(pentagon, pentagon_matrix, monkeypatch):
+    """wedge, residue, the triangulation sum, transport, the weight form and
+    the simplex identity each build their sum in one straightened pass."""
+    calls = []
+    add = OSElement.__add__
+
+    def counting_add(self, other):
+        calls.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(OSElement, "__add__", counting_add)
+    alg = algebra_of(pentagon)
+    alg.monomial((1,)) + alg.monomial((2,))  # the counter sees calls
+    assert len(calls) == 1
+    calls.clear()
+    alg.wedge(alg.monomial((1,)), alg.monomial((2, 3)))
+    alg.residue(alg.atoms[0], alg.monomial((1, 2, 3)))
+    nonreduced_from_triangulation(pentagon.chi,
+                                  placing_triangulation(pentagon_matrix))
+    flag = build_flag(pentagon)
+    stage = flag.stages[1]
+    form = canonical_form_tope(stage.om, sorted(stage.ext.bounded_topes(),
+                                                key=SignVector.sort_key)[0])
+    assert form.algebra is not alg
+    transport_to_base(alg, form)
+    aomoto(pentagon, sample_weight_vectors(pentagon, 1)[0], base=1)
+    ext = bounded_extension(pentagon)
+    for basis in pentagon.chi.nonzero_keys:
+        simplex_identity_check(pentagon, ext, basis)
+    assert calls == []

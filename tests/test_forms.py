@@ -172,6 +172,15 @@ def test_triangulation_rejects_non_basis(line4):
         canonical_form_from_triangulation(line4.chi, [(1, 1)])
 
 
+def test_triangulation_names_the_first_non_basis(line4):
+    """The bases are read in input order: the first one with chi = 0 is
+    named, before a later one with an unknown label is read."""
+    bases = iter([[0, 1], [2, 2], [1, 1], [0, 99]])
+    with pytest.raises(ValueError, match=r"^\(2, 2\) is not a basis$"):
+        nonreduced_from_triangulation(line4.chi, bases)
+    assert next(bases) == [1, 1]
+
+
 def test_forms_are_integral(pentagon, pentagon_inf):
     for om in (pentagon, pentagon_inf):
         for t in om.sorted_topes():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from omcanon import UnderlyingMatroid, algebra_of, linalg, tutte_eval
+from omcanon import (UnderlyingMatroid, algebra_of, expand_in_basis, linalg,
+                     structure_constants, tutte_eval)
 from omcanon.chirotope import perm_parity_sign
 from omcanon.osalg import OSAlgebra, OSElement
 
@@ -443,3 +444,79 @@ def test_reduced_basis_and_lift_need_no_elimination(name, request,
             top = alg.from_terms(r, {key: 1 for key in alg.nbc[r]})
             alg.inverse_boundary(alg.boundary(top))
     assert calls == []
+
+
+def monomial_sum(alg, grade: int, pairs) -> OSElement:
+    """Oracle: the sum as one monomial per pair, added one at a time."""
+    out = alg.zero(grade)
+    for seq, c in pairs:
+        out = out + alg.monomial(seq, c)
+    return out
+
+
+def random_pairs(rng, ground, grade: int) -> list:
+    """Seeded (seq, c) pairs of one grade: ground labels in any order, some
+    repeating an element, some repeated with another coefficient."""
+    pairs = []
+    for _ in range(rng.randint(1, 8)):
+        seq = rng.sample(ground, grade)
+        if grade >= 2 and rng.random() < 0.25:
+            seq[-1] = seq[0]  # repeats an atom, so contributes zero
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        pairs.append((tuple(seq), c))
+        if rng.random() < 0.2:
+            pairs.append((tuple(seq), -c))
+    return pairs
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_combination_matches_monomial_sum(name, request):
+    """One straightened sum equals the sum of the straightened monomials,
+    on labels that are not atom representatives (parallel_pair, the
+    non-uniform matrices), dependent and repeating sequences, grade 0 and
+    the empty list."""
+    om = named_om(name, request)
+    alg = algebra_of(om)
+    rng = random.Random(f"combination:{name}")
+    for grade in range(min(alg.rank + 1, len(om.ground)) + 1):
+        assert alg.combination(grade, []) == alg.zero(grade)
+        for _ in range(6):
+            pairs = random_pairs(rng, list(om.ground), grade)
+            want = monomial_sum(alg, grade, pairs)
+            assert alg.combination(grade, pairs) == want, pairs
+            assert alg.combination(grade, iter(pairs)) == want
+    assert alg.combination(0, [((), 3), ((), Fraction(-1, 2))]) == \
+        alg.one().scale(Fraction(5, 2))
+
+
+def test_combination_rejects_a_sequence_of_another_grade(line4):
+    alg = algebra_of(line4)
+    with pytest.raises(ValueError, match="expected 2 entries, got 1"):
+        alg.combination(2, [((0, 1), 1), ((2,), 1)])
+
+
+MISMATCHED = {
+    "boundary": lambda a, x, y: a.boundary(y),
+    "residue": lambda a, x, y: a.residue(a.atoms[0], y),
+    "inverse_boundary": lambda a, x, y: a.inverse_boundary(y),
+    "dense": lambda a, x, y: a.dense(y),
+    "coordinates_in element": lambda a, x, y: a.coordinates_in(y, [x]),
+    "coordinates_in basis": lambda a, x, y: a.coordinates_in(x, [x, y]),
+    "coordinates_in empty basis": lambda a, x, y: a.coordinates_in(y, []),
+    "wedge left": lambda a, x, y: a.wedge(y, x),
+    "wedge right": lambda a, x, y: x.wedge(y),
+    "expand_in_basis": lambda a, x, y: expand_in_basis(x, [y, y]),
+    "structure_constants": lambda a, x, y: structure_constants(
+        [a.monomial((0,)), x], [y], 0, 1),
+}
+
+
+@pytest.mark.parametrize("method", list(MISMATCHED))
+def test_operations_refuse_elements_of_another_algebra(method, line4,
+                                                       pentagon_inf):
+    """Every operation of line4's algebra refuses a degree-one element of
+    pentagon_inf's algebra, even one whose keys it knows."""
+    a, b = algebra_of(line4), algebra_of(pentagon_inf)
+    x, y = a.monomial((1,)), b.monomial((1,))
+    with pytest.raises(ValueError, match="^context mismatch$"):
+        MISMATCHED[method](a, x, y)

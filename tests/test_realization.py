@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +16,8 @@ from omcanon.signvec import ground_positions
 
 import label_walk
 from conftest import (FIXTURES, NONUNIFORM, all_full_support_vectors,
-                      named_om, oracle_topes, outcome, random_arrangements)
+                      named_om, nonuniform_matrix, oracle_topes, outcome,
+                      random_arrangements)
 
 
 def test_chirotope_from_pentagon_matrix(pentagon_matrix):
@@ -29,6 +31,24 @@ def test_chirotope_from_identity():
     mat = RationalMatrix.from_rows((0, 1, 2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     chi = chirotope_from_matrix(mat)
     assert chi.value((0, 1, 2)) == 1
+
+
+@pytest.mark.parametrize("name", list(NONUNIFORM) + ["arrangements"])
+def test_chirotope_from_matrix_matches_minor_map(name):
+    """The sign table equals the {basis: sign of its minor} map read back
+    through from_map, on matrices with vanishing minors and string labels."""
+    if name == "arrangements":
+        mats = random_arrangements(3, seed=5)
+    else:
+        mats = [nonuniform_matrix(*NONUNIFORM[name])]
+    mats += [RationalMatrix.from_rows(tuple(f"x{e}" for e in m.labels),
+                                      m.rows) for m in mats]
+    for mat in mats:
+        minors = {key: mat.minor_det(key)
+                  for key in combinations(mat.labels, mat.nrows)}
+        assert chirotope_from_matrix(mat) == Chirotope.from_map(
+            mat.labels, mat.nrows,
+            {key: (m > 0) - (m < 0) for key, m in minors.items()})
 
 
 def test_rank_deficient_and_zero_column_rejected():
