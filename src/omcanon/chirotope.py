@@ -14,11 +14,12 @@ labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .signvec import SignVector, _position, ground_positions
+from ._memo import memo
+from .signvec import SignVector, _labels, _position, ground_positions
 
 
 class InvalidChirotope(ValueError):
@@ -54,14 +55,14 @@ def _bits(mask: int) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def _mask_index(n: int, r: int) -> dict:
     """{mask of B: index of B} over the ascending r-subsets B of range(n);
     the dict iterates in sign-table order."""
     return {_mask(key): i for i, key in enumerate(combinations(range(n), r))}
 
 
-@lru_cache(maxsize=None)
+@memo
 def _minor_slots(n: int, r: int, removed: int, element: int | None) -> tuple:
     """Gather table of the minor of a rank-r table over range(n) whose
     ground is range(n) outside the mask removed.  For each ascending key K
@@ -185,11 +186,9 @@ class Chirotope:
     def _minor(self, removed: int, element: int | None) -> "Chirotope":
         """The contraction by the element at position element (None: the
         deletion) with the positions in the mask removed left out."""
-        ground = tuple(e for i, e in enumerate(self.ground)
-                       if not removed >> i & 1)
         rank = self.rank - (element is not None)
         signs = self.signs
-        return Chirotope(ground, rank, tuple(
+        return Chirotope(_labels(self.ground, ~removed), rank, tuple(
             -signs[k >> 1] if k & 1 else signs[k >> 1]
             for k in _minor_slots(len(self.ground), self.rank, removed,
                                   element)))
@@ -222,10 +221,6 @@ def validate_chirotope(chi: Chirotope) -> None:
     _check_exchange(chi.ground, bases)
     if chi.rank >= 2:
         _check_three_term(chi, index)
-
-
-def _labels(ground: tuple, mask: int) -> set:
-    return {e for i, e in enumerate(ground) if mask >> i & 1}
 
 
 def _check_exchange(ground: tuple, bases: list) -> None:

@@ -31,8 +31,7 @@ labels and the sign put back, once, at the entry points.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from ._memo import memo
 from .chirotope import Chirotope
 from .om import OrientedMatroid, _facet_elements
 from .osalg import (OSAlgebra, OSElement, os_algebra_for,
@@ -40,7 +39,7 @@ from .osalg import (OSAlgebra, OSElement, os_algebra_for,
 from .signvec import SignVector
 
 
-@lru_cache(maxsize=None)
+@memo
 def oriented_matroid_for(chi: Chirotope) -> OrientedMatroid:
     return OrientedMatroid(chi, validate=False)
 
@@ -62,7 +61,7 @@ def _positional(chi: Chirotope) -> tuple:
     return sign, Chirotope(ground, chi.rank, signs)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _top_form(core: Chirotope) -> OSElement:
     """Top-grade form of an acyclic positional chirotope (see
     `_positional`); callers guarantee both."""
@@ -99,7 +98,7 @@ def _labelled_top_form(chi: Chirotope) -> OSElement:
     return form if sign == 1 else -form
 
 
-@lru_cache(maxsize=None)
+@memo
 def _canonical_form(chi: Chirotope) -> OSElement:
     if chi.rank == 0:
         raise ValueError("the reduced form needs rank at least 1")

@@ -17,12 +17,13 @@ NBC sets need no rank query.  In rank 0 the only basis is empty (support
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
                         _minor_slots)
-from .signvec import _position, ground_positions
+from .signvec import _labels, _position, ground_positions
 
 
 class UnderlyingMatroid:
@@ -59,8 +60,7 @@ class UnderlyingMatroid:
             classes[k] |= 1 << i
             self._atom_at.append(k)
         self._atom_masks = classes
-        self.atoms = tuple(frozenset(e for i, e in enumerate(self.ground)
-                                     if c >> i & 1) for c in classes)
+        self.atoms = tuple(frozenset(_labels(self.ground, c)) for c in classes)
         self.atom_reps = tuple(self.ground[(c & -c).bit_length() - 1]
                                for c in classes)
 
@@ -127,8 +127,7 @@ class UnderlyingMatroid:
         of it is a basis iff K plus rep is one here, so its support is
         gathered through the slot table that `Chirotope.contract` uses."""
         atom = self._atom_masks[self._atom_index(rep)]
-        ground = tuple(e for i, e in enumerate(self.ground)
-                       if not atom >> i & 1)
+        ground = _labels(self.ground, ~atom)
         support = 0
         for j, slot in enumerate(_minor_slots(len(self.ground), self.rank,
                                               atom, self._pos[rep])):
@@ -137,14 +136,12 @@ class UnderlyingMatroid:
 
     # ---- broken circuits and NBC sets (on atoms) ------------------------
 
+    @cached_property
     def atom_circuits(self) -> tuple:
         """Minimal dependent sets of atom representatives, ascending tuples,
         shortest first.  Each lies in an (r+1)-set of them of rank r, which
         holds no other: `_circuit` reads it there off the basis bits, and
         plus + minus, disjoint masks, is its support."""
-        cached = getattr(self, "_atom_circuits", None)
-        if cached is not None:
-            return cached
         index = _mask_index(len(self.ground), self.rank)
         table = [self.support >> i & 1 for i in range(len(index))]
         found = {sum(_circuit(table, index, _mask(key))) for key in
@@ -152,40 +149,37 @@ class UnderlyingMatroid:
                               self.rank + 1)} - {0}
         keys = sorted([i for i in range(len(self.ground)) if c >> i & 1]
                       for c in found)
-        self._atom_circuits = tuple(tuple(self.ground[i] for i in key)
-                                    for key in sorted(keys, key=len))
-        return self._atom_circuits
+        return tuple(tuple(self.ground[i] for i in key)
+                     for key in sorted(keys, key=len))
 
+    @cached_property
     def broken_circuits(self) -> tuple:
         """Pairs (broken circuit as frozenset, full circuit ascending tuple)."""
-        cached = getattr(self, "_broken", None)
-        if cached is not None:
-            return cached
-        out = tuple((frozenset(c[1:]), c) for c in self.atom_circuits())
-        self._broken = out
-        return out
+        return tuple((frozenset(c[1:]), c) for c in self.atom_circuits)
 
     def is_nbc(self, reps: tuple) -> bool:
         s = frozenset(reps)
         return (self.rank_of(s) == len(s)
-                and not any(b <= s for b, _ in self.broken_circuits()))
+                and not any(b <= s for b, _ in self.broken_circuits))
 
     def nbc_sets(self, k: int) -> tuple:
         """All NBC k-subsets of atoms, lexicographic in ground order; a
         dependent one would hold a circuit, so its broken part."""
         if not 0 <= k:
             raise ValueError("grade must be nonnegative")
-        broken = [b for b, _ in self.broken_circuits()]
+        broken = [b for b, _ in self.broken_circuits]
         return tuple(key for key in combinations(self.atom_reps, k)
                      if not any(map(frozenset(key).issuperset, broken)))
 
     # ---- Tutte polynomial, beta invariant, characteristic polynomial ----
 
     def tutte(self) -> dict:
-        """Tutte polynomial as {(i, j): coefficient of x^i y^j}."""
-        cached = getattr(self, "_tutte", None)
-        if cached is not None:
-            return cached
+        """Tutte polynomial as {(i, j): coefficient of x^i y^j}, computed
+        once per matroid."""
+        return self._tutte
+
+    @cached_property
+    def _tutte(self) -> dict:
         memo: dict = {}
         rank = self._rank
 
@@ -211,8 +205,7 @@ class UnderlyingMatroid:
             memo[key] = res
             return res
 
-        self._tutte = rec((1 << len(self.ground)) - 1, 0)
-        return self._tutte
+        return rec((1 << len(self.ground)) - 1, 0)
 
     def beta(self) -> int:
         return self.tutte().get((1, 0), 0)

@@ -21,14 +21,15 @@ reads which elements the one-signed cocircuits cover.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
+from ._memo import memo
 from .chirotope import (Chirotope, _circuit, _mask, _mask_index,
                         validate_chirotope)
 from .matroid import UnderlyingMatroid
-from .signvec import SignVector, _position, ground_positions
+from .signvec import SignVector, _labels, _position, ground_positions
 
 
 class NotATope(ValueError):
@@ -200,7 +201,7 @@ class OrientedMatroid:
             if not v and any(b & k == k for b in self.underlying.bases):
                 raise RuntimeError(
                     "internal invariant violation: extension not general at "
-                    f"{tuple(e for j, e in enumerate(self.ground) if k >> j & 1)}")
+                    f"{_labels(self.ground, k)}")
             table.append(v)
         chi_ext = Chirotope(self.ground + (label,), r, tuple(table))
         return Extension(self, label, signature, chi_ext)
@@ -272,7 +273,7 @@ def is_acyclic(chi: Chirotope) -> bool:
     return covered == (1 << n) - 1
 
 
-@lru_cache(maxsize=None)
+@memo
 def _hyperplane_slots(n: int, r: int) -> tuple:
     """For each ascending r-subset B of range(n), in sign-table order, the
     triples (index of B minus B[i] among the (r-1)-subsets, bit of B[i],

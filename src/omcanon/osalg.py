@@ -36,21 +36,15 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
+from ._memo import memo
 from .chirotope import Chirotope, perm_parity_sign
 from .matroid import UnderlyingMatroid
 from .signvec import ground_positions
 
-_ALGEBRAS: dict = {}
-
 
 def os_algebra_for(matroid: UnderlyingMatroid) -> "OSAlgebra":
     """The algebra of the matroid, one per (ground, rank, support)."""
-    key = matroid.fingerprint
-    alg = _ALGEBRAS.get(key)
-    if alg is None:
-        alg = OSAlgebra(matroid)
-        _ALGEBRAS[key] = alg
-    return alg
+    return _algebra(*matroid.fingerprint)
 
 
 def os_algebra_of_chirotope(chi: Chirotope) -> "OSAlgebra":
@@ -58,13 +52,18 @@ def os_algebra_of_chirotope(chi: Chirotope) -> "OSAlgebra":
     return _algebra(chi.ground, chi.rank, chi.support)
 
 
+@memo
 def _algebra(ground: tuple, rank: int, support: int) -> "OSAlgebra":
     """The algebra of the matroid (ground, rank, support); the matroid is
-    built only when no algebra for it is cached yet."""
-    alg = _ALGEBRAS.get((ground, rank, support))
-    if alg is None:
-        alg = os_algebra_for(UnderlyingMatroid(ground, rank, support))
-    return alg
+    built only when no algebra for it is memoized yet."""
+    return OSAlgebra(UnderlyingMatroid(ground, rank, support))
+
+
+def _exact(c) -> Fraction:
+    """c as a Fraction; a float is refused, as it is not exact."""
+    if isinstance(c, float):
+        raise TypeError(f"coefficient {c!r} is a float; pass an exact number")
+    return Fraction(c)
 
 
 def _residue_key(key: tuple, a) -> tuple | None:
@@ -112,7 +111,7 @@ class OSElement:
                          {k: -v for k, v in self.terms.items()})
 
     def scale(self, c) -> "OSElement":
-        c = Fraction(c)
+        c = _exact(c)
         return OSElement(self.algebra, self.grade,
                          {k: c * v for k, v in self.terms.items()})
 
@@ -174,7 +173,7 @@ class OSAlgebra:
         for key in terms:
             if key not in self._nbc_pos.get(grade, {}):
                 raise ValueError(f"{key} is not an NBC set of grade {grade}")
-        return OSElement(self, grade, {k: Fraction(v) for k, v in terms.items()})
+        return OSElement(self, grade, {k: _exact(v) for k, v in terms.items()})
 
     def monomial(self, seq, coeff=Fraction(1)) -> OSElement:
         """e_seq straightened into NBC coordinates; seq lists ground elements."""
@@ -187,17 +186,18 @@ class OSAlgebra:
         atom contributes zero."""
         terms: dict = {}
         for seq, c in pairs:
+            c = _exact(c)
             reps = tuple(self.matroid.rep_of(e) for e in seq)
             if len(reps) != grade:
                 raise ValueError(f"expected {grade} entries, got {len(reps)}")
             if len(set(reps)) == len(reps):
-                self._straighten_into(terms, reps, Fraction(c))
+                self._straighten_into(terms, reps, c)
         return OSElement(self, grade, terms)
 
     # ---- straightening ------------------------------------------------------
 
     def _find_broken_circuit(self, key_set: frozenset):
-        for broken, circuit in self.matroid.broken_circuits():
+        for broken, circuit in self.matroid.broken_circuits:
             if broken <= key_set:
                 return broken, circuit
         return None
@@ -293,6 +293,8 @@ class OSAlgebra:
     def dense(self, x: OSElement, grade: int | None = None) -> list:
         self._own(x)
         grade = x.grade if grade is None else grade
+        if x.grade != grade:
+            raise ValueError(f"expected grade {grade}, got {x.grade}")
         vec = [Fraction(0)] * self.dim(grade)
         index = self._nbc_pos.get(grade, {})
         for key, c in x.terms.items():
@@ -301,7 +303,7 @@ class OSAlgebra:
 
     def from_dense(self, grade: int, vec) -> OSElement:
         return OSElement(self, grade,
-                         {key: Fraction(v)
+                         {key: _exact(v)
                           for key, v in zip(self.nbc_keys(grade), vec)})
 
     # ---- reduced subalgebra ---------------------------------------------------

@@ -18,7 +18,7 @@ from . import linalg
 from .chirotope import (Chirotope, _bits, _circuit, _earliest_basis, _mask,
                         _mask_index)
 from .om import OrientedMatroid, is_acyclic
-from .signvec import SignVector, _position, ground_positions
+from .signvec import SignVector, _labels, _position, ground_positions
 
 
 def _sign(x: Fraction) -> int:
@@ -49,6 +49,9 @@ class RationalMatrix:
         return [row[j] for row in self.rows]
 
     def functional(self, label, point) -> Fraction:
+        if len(point) != self.nrows:
+            raise ValueError(f"point has {len(point)} coordinates, "
+                             f"expected {self.nrows}")
         col = self.column(label)
         return sum((c * Fraction(p) for c, p in zip(col, point)), Fraction(0))
 
@@ -192,5 +195,4 @@ def _placing(chi: Chirotope, insertion_order=None) -> list:
             raise RuntimeError(
                 "degenerate placing: point beyond no facet yet outside "
                 "the hull; try another insertion order")
-    return [tuple(e for i, e in enumerate(chi.ground) if b >> i & 1)
-            for b in simplices]
+    return [_labels(chi.ground, b) for b in simplices]

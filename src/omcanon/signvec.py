@@ -9,10 +9,10 @@ orthogonality, support and negation are then a few bitwise operations.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from ._memo import memo
 
 
-@lru_cache(maxsize=None)
+@memo
 def ground_positions(ground: tuple) -> dict:
     return {e: i for i, e in enumerate(ground)}
 
@@ -24,6 +24,11 @@ def _position(pos: dict, e) -> int:
     if i is None:
         raise ValueError(f"unknown element label {e!r}")
     return i
+
+
+def _labels(ground: tuple, mask: int) -> tuple:
+    """The labels at the set bits of mask, in ground order."""
+    return tuple(e for i, e in enumerate(ground) if mask >> i & 1)
 
 
 class SignVector:
@@ -92,7 +97,7 @@ class SignVector:
         return SignVector._from_masks(self.ground, self.minus, self.plus)
 
     def _elements(self, mask: int) -> frozenset:
-        return frozenset(e for i, e in enumerate(self.ground) if mask >> i & 1)
+        return frozenset(_labels(self.ground, mask))
 
     @property
     def support(self) -> frozenset:

@@ -237,6 +237,11 @@ def test_aomoto_weight_validation(line4):
         aomoto(line4, {1: 1, 2: 1}, base=0)
 
 
+def test_aomoto_refuses_float_weights(line4):
+    with pytest.raises(TypeError, match="float"):
+        aomoto(line4, {1: 1, 2: 0.5, 3: 1}, base=0)
+
+
 def test_aomoto_rank1():
     om = rank1_om((1, 1))
     report = aomoto(om, {1: Fraction(1, 2)}, base=0)

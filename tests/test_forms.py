@@ -12,6 +12,7 @@ from omcanon import (OrientedMatroid, RationalMatrix, SignVector, algebra_of,
                      os_algebra_for)
 from omcanon import forms, osalg
 from omcanon import om as om_module
+from omcanon._memo import clear_caches
 from omcanon.chirotope import Chirotope
 from omcanon.matroid import UnderlyingMatroid
 from omcanon.om import _facet_elements, is_acyclic
@@ -187,16 +188,8 @@ def test_forms_are_integral(pentagon, pentagon_inf):
             assert canonical_form_tope(om, t).is_integral
 
 
-def fresh_form_memos(monkeypatch):
-    """Give every memoized function in `forms` an empty memo for the test,
-    so that entries left by earlier tests cannot hide work."""
-    for name, fn in list(vars(forms).items()):
-        if hasattr(fn, "cache_info"):
-            monkeypatch.setattr(forms, name, lru_cache(fn.__wrapped__))
-
-
-def test_memoization_shares_minor_forms(pentagon, monkeypatch):
-    fresh_form_memos(monkeypatch)
+def test_memoization_shares_minor_forms(pentagon):
+    clear_caches()
     before = forms._top_form.cache_info().hits
     for t in pentagon.sorted_topes()[:6]:
         canonical_form_tope(pentagon, t)
@@ -304,9 +297,9 @@ def test_recursion_matches_reference(name, request):
 @pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair"])
 def test_nonreduced_form_needs_no_second_solve(name, request, monkeypatch):
     """The top-grade form comes out of the recursion itself: neither the
-    boundary's inverse nor row reduction runs, even with a fresh memo."""
+    boundary's inverse nor row reduction runs, even with empty memos."""
     om = request.getfixturevalue(name)
-    fresh_form_memos(monkeypatch)
+    clear_caches()
     calls = []
     inverse_boundary = OSAlgebra.inverse_boundary
     rref = linalg.rref
@@ -503,7 +496,7 @@ def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
     """The recursion tests no node for acyclicity: it contracts at facets
     only, so every chirotope its memo holds is acyclic."""
     om = request.getfixturevalue(name)
-    fresh_form_memos(monkeypatch)
+    clear_caches()
     visited = []
     top_form = forms._top_form.__wrapped__
 
@@ -677,8 +670,7 @@ def test_uniform_sweep_builds_one_stack_per_class(monkeypatch):
     """Every contraction of a uniform (7, 4) matroid is uniform again, so
     the forms of all its topes need one algebra per rank 4..0 and one
     residue stack per rank 4..1."""
-    fresh_form_memos(monkeypatch)
-    monkeypatch.setattr(osalg, "_ALGEBRAS", {})
+    clear_caches()
     om = OrientedMatroid(chirotope_from_matrix(sweep_uniform_r4_matrix()))
     counts = {"algebras": 0, "stacks": 0}
     for key, cls in (("algebras", OSAlgebra), ("stacks", osalg._ResidueStack)):
@@ -700,10 +692,8 @@ def test_triangulation_evaluators_build_no_oriented_matroid(
     the boundary of the non-reduced one, and neither builds an
     OrientedMatroid."""
     om = request.getfixturevalue(name)
+    clear_caches()  # so entries left by earlier tests cannot hide builds
     alg = algebra_of(om)
-    # A fresh memo, so entries left by earlier tests cannot hide builds.
-    monkeypatch.setattr(forms, "oriented_matroid_for",
-                        lru_cache(forms.oriented_matroid_for.__wrapped__))
     builds = []
     init = OrientedMatroid.__init__
 
@@ -729,9 +719,7 @@ def test_residue_check_builds_no_oriented_matroid(name, request, monkeypatch):
     OrientedMatroid for the facets it contracts."""
     om = named_om(name, request)
     topes = om.sorted_topes()
-    # A fresh memo, so entries left by earlier tests cannot hide builds.
-    monkeypatch.setattr(forms, "oriented_matroid_for",
-                        lru_cache(forms.oriented_matroid_for.__wrapped__))
+    clear_caches()  # so entries left by earlier tests cannot hide builds
     builds = []
     init = OrientedMatroid.__init__
 

@@ -250,7 +250,7 @@ def _expand_randomized(alg, key: tuple, rng) -> dict:
     applicable broken circuit each time; the library takes the first."""
     if len(key) > alg.rank or alg.matroid.rank_of(key) < len(key):
         return {}
-    options = [bc for bc in alg.matroid.broken_circuits() if bc[0] <= set(key)]
+    options = [bc for bc in alg.matroid.broken_circuits if bc[0] <= set(key)]
     if not options:
         return {key: Fraction(1)}
     broken, circuit = rng.choice(options)
@@ -493,6 +493,55 @@ def test_combination_rejects_a_sequence_of_another_grade(line4):
     alg = algebra_of(line4)
     with pytest.raises(ValueError, match="expected 2 entries, got 1"):
         alg.combination(2, [((0, 1), 1), ((2,), 1)])
+
+
+FLOAT_ENTRIES = {
+    "monomial": lambda a: a.monomial((1,), 0.1),
+    "combination": lambda a: a.combination(1, [((1,), 1), ((2,), 0.5)]),
+    "combination of repeats": lambda a: a.combination(2, [((1, 1), 0.5)]),
+    "wedge": lambda a: a.wedge(a.one(), a.monomial((1,), 0.25)),
+    "from_terms": lambda a: a.from_terms(1, {(1,): 0.5}),
+    "from_dense": lambda a: a.from_dense(1, [0.5] * a.dim(1)),
+    "scale": lambda a: a.monomial((1,)).scale(0.5),
+    "rmul": lambda a: 0.5 * a.monomial((1,)),
+}
+
+
+@pytest.mark.parametrize("entry", list(FLOAT_ENTRIES))
+def test_float_coefficients_are_refused(entry, line4):
+    """No float enters the algebra: Fraction(0.1) would keep its binary
+    expansion, 3602879701896397/36028797018963968, as if it were exact."""
+    with pytest.raises(TypeError, match="float"):
+        FLOAT_ENTRIES[entry](algebra_of(line4))
+
+
+def test_exact_coefficients_still_enter(line4):
+    """An int, a Fraction and a numeric string are exact."""
+    alg = algebra_of(line4)
+    e12 = alg.monomial((1, 2))
+    assert (alg.monomial((1, 2), "3/2") == e12.scale(Fraction(3, 2))
+            == 3 * e12.scale("1/2"))
+
+
+GRADE_MISMATCHED = {
+    "dense": lambda a: a.dense(a.one(), 1),
+    "coordinates_in": lambda a: a.coordinates_in(a.one(),
+                                                 a.reduced_basis(1)),
+    "expand_in_basis": lambda a: expand_in_basis(a.one(),
+                                                 a.reduced_basis(1)),
+    "expand_in_basis of zero": lambda a: expand_in_basis(
+        a.zero(0), a.reduced_basis(1)),
+    "structure_constants": lambda a: structure_constants(
+        [a.monomial(a.atoms[:1]), a.monomial(a.atoms[1:2])],
+        a.reduced_basis(1), 0, 1),
+}
+
+
+@pytest.mark.parametrize("entry", list(GRADE_MISMATCHED))
+def test_elements_of_another_grade_are_refused(entry, pentagon):
+    """An element of the wrong grade is named, not a bare KeyError."""
+    with pytest.raises(ValueError, match=r"^expected grade 1, got [02]$"):
+        GRADE_MISMATCHED[entry](algebra_of(pentagon))
 
 
 MISMATCHED = {

@@ -66,6 +66,15 @@ def test_chamber_of_pentagon(pentagon_matrix):
         chamber_of(pentagon_matrix, (1, 1, -1))  # on functional 1: x + z = 0
 
 
+@pytest.mark.parametrize("point", [(0, 0), (1, 2, 3, 4, 5), ()])
+def test_chamber_of_refuses_a_point_of_another_length(pentagon_matrix,
+                                                      point):
+    """A point is not cut to the rank, or padded to it."""
+    with pytest.raises(ValueError, match=f"^point has {len(point)} "
+                                         "coordinates, expected 3$"):
+        chamber_of(pentagon_matrix, point)
+
+
 def test_topes_match_sampled_chambers(pentagon_matrix, pentagon):
     for t in pentagon.topes:
         point = interior_point(pentagon_matrix, pentagon, t)

@@ -4,9 +4,10 @@ For each size n x r it draws an r x n integer matrix with
 random.Random(SEED).randint(-9, 9), row by row, and prints the seconds to
 check its chirotope's axioms (`validate_chirotope`), to enumerate its topes
 (`sorted_topes`) and to compute the reduced canonical form of every tope
-(`canonical_form_tope`).  Each size runs in a fresh process, so no cache
-carries over from one size to the next.  The report gates nothing; its
-figures are single wall-clock runs.
+(`canonical_form_tope`), and the memo entries held after the forms (the
+sum of `omcanon._memo.cache_sizes()`).  Each size runs in a fresh process,
+so no cache carries over from one size to the next.  The report gates
+nothing; its figures are single wall-clock runs.
 
     PYTHONPATH=src python tools/desk.py            # every default size
     PYTHONPATH=src python tools/desk.py 8x4 10x3   # chosen sizes
@@ -36,6 +37,7 @@ def measure(n: int, r: int) -> dict:
     """Topes and seconds for one seeded matrix, in this process."""
     from omcanon import (OrientedMatroid, RationalMatrix, canonical_form_tope,
                          chirotope_from_matrix, validate_chirotope)
+    from omcanon._memo import cache_sizes
     rng = random.Random(SEED)
     rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
     chi = chirotope_from_matrix(
@@ -52,7 +54,8 @@ def measure(n: int, r: int) -> dict:
         canonical_form_tope(om, t)
     forms_s = time.perf_counter() - start
     return {"topes": len(topes), "validate_s": validate_s,
-            "enumerate_s": enumerate_s, "forms_s": forms_s}
+            "enumerate_s": enumerate_s, "forms_s": forms_s,
+            "memo_entries": sum(cache_sizes().values())}
 
 
 def main(argv=None) -> int:
@@ -70,7 +73,7 @@ def main(argv=None) -> int:
         print(json.dumps(measure(n, r)))
         return 0
     print(f"{'n x r':>7} {'topes':>6} {'validate_s':>11} {'enumerate_s':>12} "
-          f"{'forms_s':>9}")
+          f"{'forms_s':>9} {'memo_entries':>13}")
     for n, r in args.sizes:
         proc = subprocess.run(
             [sys.executable, __file__, "--one", f"{n}x{r}"],
@@ -80,7 +83,8 @@ def main(argv=None) -> int:
             return proc.returncode
         row = json.loads(proc.stdout)
         print(f"{n:>3} x {r} {row['topes']:>6} {row['validate_s']:>11.4f} "
-              f"{row['enumerate_s']:>12.3f} {row['forms_s']:>9.3f}")
+              f"{row['enumerate_s']:>12.3f} {row['forms_s']:>9.3f} "
+              f"{row['memo_entries']:>13}")
     return 0
 
 
