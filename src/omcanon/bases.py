@@ -77,12 +77,21 @@ def tq_basis(om: OrientedMatroid, ext: Extension) -> list:
     alg = algebra_of(om)
     topes = sorted(ext.bounded_topes(), key=SignVector.sort_key)
     pairs = [(t, canonical_form_tope(om, t)) for t in topes]
-    expected = alg.reduced_dim(om.rank - 1)
-    vectors = [alg.dense(f, om.rank - 1) for _, f in pairs]
+    return _require_basis(alg, pairs, om.rank - 1,
+                          "bounded-tope forms are not a basis "
+                          "(got {got} topes for dimension {dim})")
+
+
+def _require_basis(alg: OSAlgebra, pairs: list, grade: int,
+                   message: str) -> list:
+    """pairs, once their forms are checked to be a basis of the reduced
+    grade: as many as its dimension, and independent.  Otherwise a
+    RuntimeError with message, formatted with got and dim."""
+    expected = alg.reduced_dim(grade)
+    vectors = [alg.dense(f, grade) for _, f in pairs]
     if len(pairs) != expected or len(linalg.greedy_independent(vectors)) != expected:
-        raise RuntimeError(
-            "internal invariant violation: bounded-tope forms are not a "
-            f"basis (got {len(pairs)} topes for dimension {expected})")
+        raise RuntimeError("internal invariant violation: "
+                           + message.format(got=len(pairs), dim=expected))
     return pairs
 
 
@@ -185,13 +194,9 @@ def graded_basis(flag: Flag, k: int) -> list:
     pairs = [(t, transport_to_base(base_alg,
                                    canonical_form_tope(stage.om, t)))
              for t in topes]
-    expected = base_alg.reduced_dim(grade)
-    vectors = [base_alg.dense(f, grade) for _, f in pairs]
-    if len(pairs) != expected or len(linalg.greedy_independent(vectors)) != expected:
-        raise RuntimeError(
-            "internal invariant violation: k-bounded forms are not a basis "
-            f"at level {k} (got {len(pairs)} for dimension {expected})")
-    return pairs
+    return _require_basis(base_alg, pairs, grade,
+                          f"k-bounded forms are not a basis at level {k} "
+                          "(got {got} for dimension {dim})")
 
 
 def expand_in_basis(x: OSElement, basis: list) -> list:
@@ -246,7 +251,7 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None,
     if r >= 2:
         for b in alg.reduced_basis(r - 2):
             image_cols.append(alg.dense(omega.wedge(b), r - 1))
-    image_rank = linalg.rank(linalg.columns_matrix(image_cols)) if image_cols else 0
+    image_rank = linalg.rank(linalg.columns_matrix(image_cols))
     dim_h = len(top) - image_rank
 
     beta = om.underlying.beta()
@@ -256,8 +261,7 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None,
 
     v_forms = [canonical_form_tope(om, t) for t in t0]
     v_cols = [alg.dense(f, r - 1) for f in v_forms]
-    combined = linalg.columns_matrix(image_cols + v_cols) if (image_cols or v_cols) else []
-    combined_rank = linalg.rank(combined) if combined else 0
+    combined_rank = linalg.rank(linalg.columns_matrix(image_cols + v_cols))
     v_spans = (combined_rank == len(top)
                and image_rank + len(v_cols) == len(top))
 
@@ -304,7 +308,7 @@ def aomoto_degree_ranks(om: OrientedMatroid, weights: dict,
     ranks = []
     for k in range(om.rank - 1):
         cols = [alg.dense(omega.wedge(b), k + 1) for b in alg.reduced_basis(k)]
-        ranks.append(linalg.rank(linalg.columns_matrix(cols)) if cols else 0)
+        ranks.append(linalg.rank(linalg.columns_matrix(cols)))
     return ranks
 
 

@@ -6,9 +6,9 @@ and the sign table is indexed by mask (`_mask_index`).  `value` reads an
 ordered tuple at the mask of its positions, times the parity of sorting
 them (tuples with repeats evaluate to 0); validation, circuits
 (`_circuit`) and the greedy basis (`_earliest_basis`) scan the table by
-mask, and a minor's table is a gather from its parent's through a slot
-table cached per shape (`_minor_slots`), so none of them walks keys of
-labels.
+mask, and a contraction's table is a gather from its parent's through a
+slot table cached per shape (`_minor_slots`), so none of them walks keys
+of labels.
 """
 
 from __future__ import annotations
@@ -63,17 +63,15 @@ def _mask_index(n: int, r: int) -> dict:
 
 
 @memo
-def _minor_slots(n: int, r: int, removed: int, element: int | None) -> tuple:
-    """Gather table of the minor of a rank-r table over range(n) whose
-    ground is range(n) outside the mask removed.  For each ascending key K
-    of the minor, in sign-table order, one int: (index of K plus element) << 1
-    | the parity of moving element from its place in that key to the end,
-    which is the number of entries of K above it.  element is None for a
-    deletion: the index of K itself, parity 0."""
+def _minor_slots(n: int, r: int, removed: int, element: int) -> tuple:
+    """Gather table of the contraction by the position element of a rank-r
+    table over range(n), whose ground is range(n) outside the mask removed.
+    For each ascending key K of the contraction, in sign-table order, one
+    int: (index of K plus element) << 1 | the parity of moving element from
+    its place in that key to the end, which is the number of entries of K
+    above it."""
     index = _mask_index(n, r)
     kept = [i for i in range(n) if not removed >> i & 1]
-    if element is None:
-        return tuple(index[_mask(key)] << 1 for key in combinations(kept, r))
     bit = 1 << element
     return tuple(index[m | bit] << 1 | (m >> element).bit_count() & 1
                  for m in map(_mask, combinations(kept, r - 1)))
@@ -150,11 +148,6 @@ class Chirotope:
     def nonzero_keys(self) -> tuple:
         return tuple(k for k, s in zip(self.keys, self.signs) if s != 0)
 
-    def scale(self, sign: int) -> "Chirotope":
-        if sign == 1:
-            return self
-        return Chirotope(self.ground, self.rank, tuple(-s for s in self.signs))
-
     def reorient(self, tope: SignVector) -> "Chirotope":
         """Reorientation: value on B multiplied by (-1)^{|B n P^-|}."""
         if tope.ground != self.ground or not tope.has_full_support:
@@ -173,25 +166,10 @@ class Chirotope:
         pos = ground_positions(self.ground)
         i = _position(pos, element)
         removed = _mask(pos[e] for e in {element, *drop} if e in pos)
-        return self._minor(removed, i)
-
-    def delete(self, element) -> "Chirotope":
-        """Restriction to the complement of one element; rank must not drop."""
-        bit = 1 << _position(ground_positions(self.ground), element)
-        if all(m & bit for m, s in zip(
-                _mask_index(len(self.ground), self.rank), self.signs) if s):
-            raise ValueError(f"rank would drop: {element!r} is a coloop")
-        return self._minor(bit, None)
-
-    def _minor(self, removed: int, element: int | None) -> "Chirotope":
-        """The contraction by the element at position element (None: the
-        deletion) with the positions in the mask removed left out."""
-        rank = self.rank - (element is not None)
         signs = self.signs
-        return Chirotope(_labels(self.ground, ~removed), rank, tuple(
+        return Chirotope(_labels(self.ground, ~removed), self.rank - 1, tuple(
             -signs[k >> 1] if k & 1 else signs[k >> 1]
-            for k in _minor_slots(len(self.ground), self.rank, removed,
-                                  element)))
+            for k in _minor_slots(len(self.ground), self.rank, removed, i)))
 
 
 def validate_chirotope(chi: Chirotope) -> None:

@@ -21,6 +21,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction: an int, a Fraction or a numeric string.  A float is
+    refused, as it is not exact: Fraction(0.1) keeps its binary expansion."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; pass an exact number")
+    return Fraction(x)
+
+
 def mat_vec(mat: Matrix, vec: Vector) -> Vector:
     return [sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in mat]
 

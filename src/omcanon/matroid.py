@@ -88,26 +88,6 @@ class UnderlyingMatroid:
             mask |= 1 << _position(self._pos, e)
         return self._rank(mask)
 
-    def is_independent(self, subset) -> bool:
-        subset = frozenset(subset)
-        return self.rank_of(subset) == len(subset)
-
-    def closure(self, subset) -> frozenset:
-        subset = frozenset(subset)
-        r = self.rank_of(subset)
-        return frozenset(e for e in self.ground
-                         if self.rank_of(subset | {e}) == r)
-
-    def hyperplanes(self) -> frozenset:
-        """The corank-1 flats."""
-        if self.rank == 0:
-            return frozenset()
-        out = set()
-        for key in combinations(self.ground, self.rank - 1):
-            if self.is_independent(key):
-                out.add(self.closure(key))
-        return frozenset(out)
-
     def _atom_index(self, e) -> int:
         i = _position(self._pos, e)
         if not self.rank:
@@ -157,11 +137,6 @@ class UnderlyingMatroid:
         """Pairs (broken circuit as frozenset, full circuit ascending tuple)."""
         return tuple((frozenset(c[1:]), c) for c in self.atom_circuits)
 
-    def is_nbc(self, reps: tuple) -> bool:
-        s = frozenset(reps)
-        return (self.rank_of(s) == len(s)
-                and not any(b <= s for b, _ in self.broken_circuits))
-
     def nbc_sets(self, k: int) -> tuple:
         """All NBC k-subsets of atoms, lexicographic in ground order; a
         dependent one would hold a circuit, so its broken part."""
@@ -171,7 +146,7 @@ class UnderlyingMatroid:
         return tuple(key for key in combinations(self.atom_reps, k)
                      if not any(map(frozenset(key).issuperset, broken)))
 
-    # ---- Tutte polynomial, beta invariant, characteristic polynomial ----
+    # ---- Tutte polynomial and beta invariant ---------------------------
 
     def tutte(self) -> dict:
         """Tutte polynomial as {(i, j): coefficient of x^i y^j}, computed
@@ -209,19 +184,6 @@ class UnderlyingMatroid:
 
     def beta(self) -> int:
         return self.tutte().get((1, 0), 0)
-
-    def characteristic_polynomial(self) -> list:
-        """Coefficients [c_0, ..., c_r] of p(t) = sum c_k t^k."""
-        r = self.rank
-        coeffs = [0] * (r + 1)
-        for (i, j), c in self.tutte().items():
-            if j != 0:
-                continue
-            # contribute c * (1-t)^i, then global (-1)^r
-            for k in range(i + 1):
-                coeffs[k] += c * comb(i, k) * (-1) ** k
-        sign = (-1) ** r
-        return [sign * c for c in coeffs]
 
 
 def _poly_add(p: dict, q: dict) -> dict:

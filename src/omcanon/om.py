@@ -132,13 +132,6 @@ class OrientedMatroid:
         return _covector_closure(self.ground,
                                  self._conformal(tope.plus, tope.minus))
 
-    def is_facet(self, tope: SignVector, rep) -> bool:
-        """True iff the atom of rep is a facet of the tope: of the all-plus
-        tope once the chirotope is reoriented by it."""
-        self.underlying.atom_of(rep)  # rejects unknown labels
-        self.require_tope(tope)
-        return rep in _facet_elements(self.chi.reorient(tope))
-
     def bounded_topes(self, base) -> frozenset:
         """Topes all of whose nonzero faces are strictly positive at base."""
         if base not in self.ground:
@@ -153,10 +146,6 @@ class OrientedMatroid:
         """Contraction by the parallel class of element (evaluated last)."""
         atom = self.underlying.atom_of(element)
         chi = self.chi.contract(element, drop=atom - {element})
-        return OrientedMatroid(chi, validate=False)
-
-    def delete(self, element) -> "OrientedMatroid":
-        chi = self.chi.delete(element)  # raises on coloops
         return OrientedMatroid(chi, validate=False)
 
     # ---- single-element lexicographic extensions ---------------------------

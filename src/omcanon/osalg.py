@@ -38,6 +38,7 @@ from functools import cached_property
 from . import linalg
 from ._memo import memo
 from .chirotope import Chirotope, perm_parity_sign
+from .linalg import _exact
 from .matroid import UnderlyingMatroid
 from .signvec import ground_positions
 
@@ -57,13 +58,6 @@ def _algebra(ground: tuple, rank: int, support: int) -> "OSAlgebra":
     """The algebra of the matroid (ground, rank, support); the matroid is
     built only when no algebra for it is memoized yet."""
     return OSAlgebra(UnderlyingMatroid(ground, rank, support))
-
-
-def _exact(c) -> Fraction:
-    """c as a Fraction; a float is refused, as it is not exact."""
-    if isinstance(c, float):
-        raise TypeError(f"coefficient {c!r} is a float; pass an exact number")
-    return Fraction(c)
 
 
 def _residue_key(key: tuple, a) -> tuple | None:
@@ -300,11 +294,6 @@ class OSAlgebra:
         for key, c in x.terms.items():
             vec[index[key]] = c
         return vec
-
-    def from_dense(self, grade: int, vec) -> OSElement:
-        return OSElement(self, grade,
-                         {key: _exact(v)
-                          for key, v in zip(self.nbc_keys(grade), vec)})
 
     # ---- reduced subalgebra ---------------------------------------------------
 

@@ -17,6 +17,7 @@ from itertools import combinations
 from . import linalg
 from .chirotope import (Chirotope, _bits, _circuit, _earliest_basis, _mask,
                         _mask_index)
+from .linalg import _exact
 from .om import OrientedMatroid, is_acyclic
 from .signvec import SignVector, _labels, _position, ground_positions
 
@@ -37,8 +38,10 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, labels, rows) -> "RationalMatrix":
+        """Entries are ints, Fractions or numeric strings; a float is
+        refused (TypeError), as it is not exact."""
         return cls(tuple(labels),
-                   tuple(tuple(Fraction(x) for x in row) for row in rows))
+                   tuple(tuple(map(_exact, row)) for row in rows))
 
     @property
     def nrows(self) -> int:
@@ -53,7 +56,7 @@ class RationalMatrix:
             raise ValueError(f"point has {len(point)} coordinates, "
                              f"expected {self.nrows}")
         col = self.column(label)
-        return sum((c * Fraction(p) for c, p in zip(col, point)), Fraction(0))
+        return sum((c * _exact(p) for c, p in zip(col, point)), Fraction(0))
 
     def minor_det(self, labels) -> Fraction:
         cols = [self.column(e) for e in labels]
@@ -61,12 +64,12 @@ class RationalMatrix:
 
     def reorient(self, tope: SignVector) -> "RationalMatrix":
         """Negate the columns on the tope's negative part."""
-        neg = tope.negative_part
-        cols = {e: ([-x for x in self.column(e)] if e in neg else self.column(e))
-                for e in self.labels}
-        rows = tuple(tuple(cols[e][i] for e in self.labels)
-                     for i in range(self.nrows))
-        return RationalMatrix(self.labels, rows)
+        if tope.ground != self.labels or not tope.has_full_support:
+            raise ValueError("reorientation requires a full-support sign vector")
+        neg = tope.minus
+        return RationalMatrix(self.labels, tuple(
+            tuple(-x if neg >> j & 1 else x for j, x in enumerate(row))
+            for row in self.rows))
 
 
 def chirotope_from_matrix(mat: RationalMatrix) -> Chirotope:

@@ -3,8 +3,8 @@
 Signs are the integers -1, 0, +1.  Element order is always the order of the
 owning ground tuple, never the natural order of the labels.  A sign vector
 stores two bitmasks over that order: bit i of `plus` (of `minus`) is set iff
-the i-th ground element has sign +1 (-1).  Composition, conformality,
-orthogonality, support and negation are then a few bitwise operations.
+the i-th ground element has sign +1 (-1).  Composition, support and
+negation are then a few bitwise operations.
 """
 
 from __future__ import annotations
@@ -119,10 +119,6 @@ class SignVector:
     def has_full_support(self) -> bool:
         return (self.plus | self.minus) == (1 << len(self.ground)) - 1
 
-    @property
-    def is_nonnegative(self) -> bool:
-        return not self.minus
-
     def compose(self, other: "SignVector") -> "SignVector":
         """(X o Y)(e) = X(e) if nonzero else Y(e)."""
         if other.ground != self.ground:
@@ -131,32 +127,6 @@ class SignVector:
         return SignVector._from_masks(self.ground,
                                       self.plus | (other.plus & free),
                                       self.minus | (other.minus & free))
-
-    def is_orthogonal(self, other: "SignVector") -> bool:
-        """Products over the common support are empty or take both signs."""
-        pos = (self.plus & other.plus) | (self.minus & other.minus)
-        neg = (self.plus & other.minus) | (self.minus & other.plus)
-        return (pos == 0) == (neg == 0)
-
-    def conforms_to(self, other: "SignVector") -> bool:
-        """True iff self(e) in {0, other(e)} for every e."""
-        return not (self.plus & ~other.plus | self.minus & ~other.minus)
-
-    def restrict(self, ground: tuple) -> "SignVector":
-        """Restriction to a sub-ground-set, keeping its order."""
-        return SignVector(ground, tuple(self.value(e) for e in ground))
-
-    def extend(self, ground: tuple, fill: int = 0) -> "SignVector":
-        """Extension to a larger ground set, new entries = fill."""
-        pos = ground_positions(self.ground)
-        return SignVector(ground, tuple(
-            self.value(e) if e in pos else fill for e in ground))
-
-    def zero_out(self, elements) -> "SignVector":
-        elements = set(elements)
-        keep = ~sum(1 << i for i, e in enumerate(self.ground) if e in elements)
-        return SignVector._from_masks(self.ground, self.plus & keep,
-                                      self.minus & keep)
 
     def sort_key(self) -> tuple:
         """Deterministic order: + before 0 before - per coordinate."""

@@ -13,8 +13,10 @@ from hypothesis import settings
 from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
                      RationalMatrix, SignVector, UnderlyingMatroid,
                      chirotope_from_matrix, linalg)
-from omcanon.chirotope import _minor_slots
+from omcanon.chirotope import _mask, _mask_index
 from omcanon.osalg import _algebra
+
+from oracle_ops import is_orthogonal
 
 # With CI set, property tests draw the same examples on every run, so a
 # failure on one leg replays locally with CI=1; no per-example deadline on
@@ -240,7 +242,7 @@ def oracle_topes(om) -> set:
     out = set()
     for signs in product((1, -1), repeat=len(om.ground)):
         x = SignVector(om.ground, signs)
-        if all(x.is_orthogonal(c) for c in om.circuits):
+        if all(is_orthogonal(x, c) for c in om.circuits):
             out.add(x)
     return out
 
@@ -250,7 +252,7 @@ def oracle_covectors(om) -> set:
     out = set()
     for signs in product((1, 0, -1), repeat=len(om.ground)):
         x = SignVector(om.ground, signs)
-        if all(x.is_orthogonal(c) for c in om.circuits):
+        if all(is_orthogonal(x, c) for c in om.circuits):
             out.add(x)
     return out
 
@@ -269,18 +271,18 @@ def contract_atom(m: UnderlyingMatroid, rep) -> UnderlyingMatroid:
 
 def deletion_fingerprint(m: UnderlyingMatroid, rep) -> tuple:
     """The (ground, rank, support) fingerprint of the deletion of the atom
-    of rep.  Its bases are the bases of m that miss the atom, gathered as in
-    `Chirotope.delete`; when the atom is a coloop, the deletion is the
-    contraction."""
+    of rep.  Its bases are the bases of m that miss the atom: the j-th
+    r-set of the kept positions is a basis iff it is one of m; when the
+    atom is a coloop, the deletion is the contraction."""
     atom = m.atom_of(rep)
     ground = tuple(e for e in m.ground if e not in atom)
     if m.rank_of(ground) < m.rank:
         return m.contraction_fingerprint(rep)
-    removed = sum(1 << i for i, e in enumerate(m.ground) if e in atom)
+    index = _mask_index(len(m.ground), m.rank)
+    kept = [i for i, e in enumerate(m.ground) if e not in atom]
     support = 0
-    for j, slot in enumerate(_minor_slots(len(m.ground), m.rank, removed,
-                                          None)):
-        support |= (m.support >> (slot >> 1) & 1) << j
+    for j, key in enumerate(combinations(kept, m.rank)):
+        support |= (m.support >> index[_mask(key)] & 1) << j
     return ground, m.rank, support
 
 

@@ -65,9 +65,10 @@ coefficient of e_K is Res_(F_K) W(chi), which the claim evaluates.
 
 from __future__ import annotations
 
-from omcanon.matroid import UnderlyingMatroid
 from omcanon.om import _cocircuit_masks
 from omcanon.signvec import ground_positions
+
+from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
 
 
 def face_zero_sets(chi) -> set:
@@ -87,7 +88,7 @@ def face_flag_form(chi) -> dict:
     """{K: chi(K)} over the NBC r-sets K whose chain of flats
     cl{k_j, ..., k_r}, j = 1..r, consists of face zero sets of the all-plus
     tope of the acyclic chi: the terms of its top-grade form."""
-    m = UnderlyingMatroid.from_chirotope(chi)
+    m = FrozensetMatroid.from_chirotope(chi)
     pos = ground_positions(chi.ground)
     faces = face_zero_sets(chi)
     out = {}

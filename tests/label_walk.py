@@ -82,7 +82,7 @@ def lex_extension(om, signature, label="q") -> Chirotope:
             values[key] = om.chi.value(key)
     chi_ext = Chirotope.from_map(ground_ext, om.rank, values)
     for key in combinations(om.ground, om.rank - 1):
-        if om.underlying.is_independent(key) and cascade(key) == 0:
+        if om.underlying.rank_of(key) == len(key) and cascade(key) == 0:
             raise RuntimeError(
                 f"internal invariant violation: extension not general at {key}")
     return chi_ext

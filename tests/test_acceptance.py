@@ -21,6 +21,7 @@ from omcanon import linalg
 
 from conftest import (exact_sequence_maps, iota, oracle_topes,
                       random_arrangements)
+from oracle_ops import scale
 from test_matroid import whitney_abs
 
 
@@ -194,7 +195,7 @@ def test_criterion_8_structural_suite(line4, pentagon, pentagon_inf):
                     rows.extend(linalg.columns_matrix(cols))
             assert linalg.rank(rows) == len(basis)
 
-        flipped = oriented_matroid_for(om.chi.scale(-1))
+        flipped = oriented_matroid_for(scale(om.chi, -1))
         for tope in om.sorted_topes():
             form = canonical_form_tope(om, tope)
             assert canonical_form_tope(flipped, tope) == -form

@@ -3,15 +3,16 @@ from itertools import combinations, product
 
 import pytest
 
-from omcanon import Chirotope, InvalidChirotope, SignVector, validate_chirotope
+from omcanon import (Chirotope, InvalidChirotope, SignVector,
+                     UnderlyingMatroid, validate_chirotope)
 from omcanon.chirotope import (_earliest_basis, chirotope_diagnostic,
                                perm_parity_sign)
 from omcanon.signvec import ground_positions
 
 import label_walk
 from conftest import (FIXTURES, NONUNIFORM, all_full_support_vectors,
-                      boolean_om, cyclic_line_chirotope, named_om,
-                      relabellings)
+                      boolean_om, cyclic_line_chirotope, deletion_fingerprint,
+                      named_om, relabellings)
 
 
 def test_validate_line4():
@@ -133,7 +134,8 @@ def test_contract_matches_reference(name, request):
 
 
 def reference_delete(chi: Chirotope, element) -> Chirotope:
-    """`Chirotope.delete` when it evaluated each key of the new ground."""
+    """The deletion of one element: each key of the new ground evaluated on
+    chi, as `Chirotope.delete` did before it was a gather."""
     new_ground = tuple(e for e in chi.ground if e != element)
     return Chirotope.from_map(new_ground, chi.rank, {
         key: chi.value(key) for key in combinations(new_ground, chi.rank)})
@@ -141,43 +143,24 @@ def reference_delete(chi: Chirotope, element) -> Chirotope:
 
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
 def test_delete_matches_reference(name, request):
-    """Deletion of every element that is not a coloop, under every
-    relabelling; unknown labels raise, as in `contract`."""
+    """The deletion fingerprint that the Orlik-Solomon deletion-restriction
+    tests build (`conftest.deletion_fingerprint`), against deleting the
+    atom's elements one by one through `reference_delete`, at every atom
+    that is not a coloop, under every relabelling.  At a coloop it is the
+    contraction's fingerprint."""
     om = named_om(name, request)
-    coloops = {e for e in om.ground
-               if all(e in key for key in om.chi.nonzero_keys)}
     for chi in relabellings(om.chi):
-        relabel = dict(zip(om.ground, chi.ground))
-        for e in om.ground:
-            if e in coloops:
-                with pytest.raises(ValueError, match="rank would drop"):
-                    chi.delete(relabel[e])
-            else:
-                assert (chi.delete(relabel[e])
-                        == reference_delete(chi, relabel[e]))
-    with pytest.raises(ValueError, match="unknown element label 99"):
-        om.chi.delete(99)
-    with pytest.raises(ValueError, match="unknown element label 'x'"):
-        om.delete("x")
-
-
-def test_delete_restriction_and_coloop():
-    chi = cyclic_line_chirotope(3)
-    sub = chi.delete(3)
-    assert sub.ground == (0, 1, 2)
-    assert all(sub.value(k) == 1 for k in ((0, 1), (0, 2), (1, 2)))
-    single = Chirotope.from_map((0,), 1, {(0,): 1})
-    with pytest.raises(ValueError, match="rank would drop"):
-        single.delete(0)
-
-
-def test_delete_contract_commute():
-    chi = cyclic_line_chirotope(4)
-    a, b = 1, 3
-    left = chi.delete(a).contract(b)
-    right = chi.contract(b).delete(a)
-    assert left.ground == right.ground
-    assert left.signs == right.signs
+        m = UnderlyingMatroid.from_chirotope(chi)
+        for rep in m.atom_reps:
+            atom = m.atom_of(rep)
+            deleted = chi
+            for e in sorted(atom, key=chi.ground.index):
+                deleted = reference_delete(deleted, e)
+            got = deletion_fingerprint(m, rep)
+            if any(deleted.signs):
+                assert got == (deleted.ground, deleted.rank, deleted.support)
+            else:  # the atom is a coloop
+                assert got == m.contraction_fingerprint(rep)
 
 
 def test_boolean_validates():

@@ -11,11 +11,15 @@ from omcanon.bases import random_signature
 from omcanon.om import _circuits, _facet_elements, is_acyclic
 
 import label_walk
+import oracle_ops
 import tope_walk
 from conftest import (FIXTURES, NONUNIFORM, PAPPUS_LINE,
                       all_full_support_vectors, boolean_om, named_om,
                       oracle_covectors, oracle_topes, outcome,
                       pappus_chirotope, rank1_om, relabellings)
+from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
+from oracle_ops import (conforms_to, extend, is_nonnegative, is_orthogonal,
+                        restrict)
 from tuple_signvec import SignVector as TupleSignVector
 from tuple_signvec import covector_closure as tuple_covector_closure
 
@@ -98,7 +102,7 @@ def test_is_tope_matches_closure(name, request):
     assert om.is_tope(t)
     other = tuple(reversed(om.ground))
     assert not om.is_tope(SignVector(other, t.signs))
-    assert not om.is_tope(t.extend(om.ground + ("q",), fill=1))
+    assert not om.is_tope(extend(t, om.ground + ("q",), fill=1))
     assert not om.is_tope(SignVector((), ()))
 
 
@@ -146,14 +150,15 @@ def test_faces_rank1():
 
 
 def test_is_facet(line4, line4_topes):
-    p1 = line4_topes[1]
-    assert line4.is_facet(p1, 1)
-    assert not line4.is_facet(p1, 3)
+    facets = _facet_elements(line4.chi.reorient(line4_topes[1]))
+    assert 1 in facets
+    assert 3 not in facets
 
 
 def test_pentagon_all_facets(pentagon):
     plus = SignVector(pentagon.ground, (1,) * 5)
-    assert all(pentagon.is_facet(plus, a) for a in pentagon.atom_reps)
+    facets = _facet_elements(pentagon.chi.reorient(plus))
+    assert all(a in facets for a in pentagon.atom_reps)
 
 
 def test_contract_line4(line4):
@@ -174,29 +179,18 @@ def test_contract_rank1_gives_rank0():
     assert len(sub.topes) == 1
 
 
-def test_delete(line4, pentagon):
-    sub = line4.delete(3)
-    assert sub.ground == (0, 1, 2) and sub.rank == 2
-    assert pentagon.delete(5).rank == 3
-    with pytest.raises(ValueError, match="rank would drop"):
-        rank1_om((1,)).delete(0)
-
-
 @pytest.mark.parametrize("label", [99, "x"])
 def test_unknown_labels_raise_value_error(line4, line4_topes, pentagon_matrix,
                                           label):
-    """Minors, facet tests, sign-vector lookups and matrix columns reject a
-    label outside the ground set with the ValueError of
+    """Contractions, extensions, sign-vector lookups and matrix columns
+    reject a label outside the ground set with the ValueError of
     `Chirotope.contract`, not a bare KeyError."""
     t = line4_topes[0]
     mat = pentagon_matrix
-    calls = [lambda: line4.contract(label), lambda: line4.delete(label),
-             lambda: line4.is_facet(t, label),
-             lambda: line4.is_facet(SignVector(line4.ground, (1, -1, 1, -1)),
-                                    label),
+    calls = [lambda: line4.contract(label),
              lambda: line4.chi.contract(label),
              lambda: line4.lex_extension(((0, 1), (label, 1))),
-             lambda: t.value(label), lambda: t.restrict((0, label)),
+             lambda: t.value(label), lambda: restrict(t, (0, label)),
              lambda: mat.column(label),
              lambda: mat.functional(label, (1,) * mat.nrows),
              lambda: mat.minor_det((1, 2, label))]
@@ -230,9 +224,9 @@ def test_reoriented_topes_are_images(pentagon):
 def test_orthogonality_invariant(line4, pentagon):
     for om in (line4, pentagon):
         for t in om.topes:
-            assert all(t.is_orthogonal(c) for c in om.circuits)
+            assert all(is_orthogonal(t, c) for c in om.circuits)
         for x in om.covectors:
-            assert all(x.is_orthogonal(c) for c in om.circuits)
+            assert all(is_orthogonal(x, c) for c in om.circuits)
 
 
 def test_acyclicity(line4):
@@ -262,7 +256,7 @@ def test_is_acyclic_matches_circuit_oracle(name, request):
     acyclic = 0
     for x in all_full_support_vectors(base.ground):
         chi = base.reorient(x)
-        expected = not any(c.is_nonnegative for c in _circuits(chi))
+        expected = not any(map(is_nonnegative, _circuits(chi)))
         assert is_acyclic(chi) == expected
         if om is not None:
             assert expected == (x in om.topes)
@@ -331,9 +325,8 @@ def test_cocircuits_match_value_oracle(name, request):
 @pytest.mark.parametrize("name", FACET_FIXTURES)
 def test_facet_reader_matches_acyclicity_and_is_facet(name, request):
     """On every acyclic chirotope reached, an atom is read as a facet iff
-    its contraction is acyclic iff OrientedMatroid.is_facet and the
-    zero-out rule of `tope_walk` say so for the all-plus tope; the reader
-    names whole parallel classes."""
+    its contraction is acyclic iff the zero-out rule of `tope_walk` says so
+    for the all-plus tope; the reader names whole parallel classes."""
     outcomes = set()
     for chi in tope_contractions(named_om(name, request)):
         if not is_acyclic(chi):
@@ -345,7 +338,6 @@ def test_facet_reader_matches_acyclicity_and_is_facet(name, request):
         for a in om.atom_reps:
             atom = om.underlying.atom_of(a)
             contracted = is_acyclic(chi.contract(a, drop=atom - {a}))
-            assert contracted == om.is_facet(plus, a)
             assert contracted == tope_walk.is_facet(om, plus, a)
             assert all((e in facets) == contracted for e in atom)
             outcomes.add(contracted)
@@ -378,8 +370,9 @@ def test_tope_queries_match_sign_vector_walk(name, request):
     om = differential_om(name, request)
     facets = 0
     for t in om.topes:
+        read = _facet_elements(om.chi.reorient(t))
         for a in om.atom_reps:
-            got = om.is_facet(t, a)
+            got = a in read
             assert got == tope_walk.is_facet(om, t, a)
             facets += got
     assert facets
@@ -416,31 +409,25 @@ def test_residue_check_contracts_the_reoriented_chirotope(name, request):
                     == tope_walk.facet_chirotope(om, t, a))
 
 
-def test_is_facet_rejects_non_tope(line4):
-    bad = SignVector(line4.ground, (1, -1, 1, -1))
-    with pytest.raises(NotATope, match=r"^\(\+,-,\+,-\) is not a tope$"):
-        line4.is_facet(bad, 0)
-
-
 def test_tope_queries_call_no_conforms_to(pentagon_inf, monkeypatch):
-    """Every tope question reads the cocircuit mask table, never
-    `SignVector.conforms_to`."""
+    """Every tope question reads the cocircuit mask table, never the
+    sign-vector conformality test of the reference walks."""
     om = pentagon_inf
     ext = bounded_extension(om)
     topes = om.sorted_topes()
     expected = [tope_walk.conformal_cocircuits(om, t) for t in topes]
 
-    def no_conforms_to(self, other):
-        raise AssertionError("SignVector.conforms_to called")
+    def no_conforms_to(x, y):
+        raise AssertionError("oracle_ops.conforms_to called")
 
-    monkeypatch.setattr(SignVector, "conforms_to", no_conforms_to)
+    monkeypatch.setattr(oracle_ops, "conforms_to", no_conforms_to)
     for t, conformal in zip(topes, expected):
         assert om.is_tope(t) and om.is_covector(t) and om.require_tope(t)
         assert sorted(om.conformal_cocircuits(t),
                       key=SignVector.sort_key) == sorted(
                           conformal, key=SignVector.sort_key)
         assert t in om.faces(t)
-        assert any(om.is_facet(t, a) for a in om.atom_reps)
+        assert _facet_elements(om.chi.reorient(t)) & set(om.atom_reps)
         assert all(check_residue_axioms(om, t).values())
     assert om.bounded_topes(om.ground[0]) <= ext.bounded_topes()
     assert simplex_identity_check(om, ext, om.chi.nonzero_keys[0])["passed"]
@@ -560,7 +547,7 @@ def reference_faces(om, tope) -> frozenset:
     """Breadth-first search over the supports of compositions of the
     conformal cocircuits, keeping one covector per support."""
     om.require_tope(tope)
-    conformal = [y for y in om.cocircuits if y.conforms_to(tope)]
+    conformal = [y for y in om.cocircuits if conforms_to(y, tope)]
     supports = {frozenset(): zero_vector(om)}
     frontier = [zero_vector(om)]
     while frontier:
@@ -589,7 +576,7 @@ def reference_extension_bounded_topes(ext) -> frozenset:
     """Topes P of M such that (P, +) is bounded at q in M u q."""
     out = []
     for t in ext.base.topes:
-        lifted = t.extend(ext.chi_ext.ground, fill=1)
+        lifted = extend(t, ext.chi_ext.ground, fill=1)
         if ext.om_ext.is_tope(lifted) and all(
                 x.is_zero or x.value(ext.label) == 1
                 for x in reference_faces(ext.om_ext, lifted)):
@@ -632,7 +619,7 @@ def test_fundamental_circuit_line4(line4):
     c = ext.fundamental_circuit((0, 1))
     assert c.value("q") == -1
     assert c.support <= {0, 1, "q"}
-    assert all(c.is_orthogonal(y) for y in ext.om_ext.cocircuits)
+    assert all(is_orthogonal(c, y) for y in ext.om_ext.cocircuits)
 
 
 def test_fundamental_circuit_boolean_full_support():
@@ -647,7 +634,7 @@ def test_fundamental_circuit_pentagon(pentagon):
     c = ext.fundamental_circuit((1, 2, 5))
     assert c.value("q") == -1
     assert c.support <= {1, 2, 5, "q"}
-    assert all(c.is_orthogonal(y) for y in ext.om_ext.cocircuits)
+    assert all(is_orthogonal(c, y) for y in ext.om_ext.cocircuits)
 
 
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM)
@@ -693,10 +680,10 @@ def test_extension_generality_certified(pentagon):
     # no hyperplane of M u q may be (hyperplane of M) plus q
     ext = pentagon.lex_extension(((2, -1), (4, 1), (5, -1)))
     m = ext.om_ext.underlying
-    for flat in m.hyperplanes():
+    for flat in FrozensetMatroid.from_chirotope(ext.chi_ext).hyperplanes():
         if "q" in flat:
             assert m.rank_of(flat - {"q"}) < pentagon.rank - 1
-    for hyp in pentagon.underlying.hyperplanes():
+    for hyp in FrozensetMatroid.from_chirotope(pentagon.chi).hyperplanes():
         assert m.rank_of(hyp | {"q"}) == pentagon.rank
 
 

@@ -373,7 +373,7 @@ def solved_inverse_boundary(alg, y):
         alg.dense(y, r - 1))
     if sol is None:
         raise RuntimeError("element not in the boundary image")
-    return alg.from_dense(r, sol)
+    return alg.from_terms(r, dict(zip(alg.nbc_keys(r), sol)))
 
 
 def value_error(fn, *args) -> str:
@@ -501,7 +501,6 @@ FLOAT_ENTRIES = {
     "combination of repeats": lambda a: a.combination(2, [((1, 1), 0.5)]),
     "wedge": lambda a: a.wedge(a.one(), a.monomial((1,), 0.25)),
     "from_terms": lambda a: a.from_terms(1, {(1,): 0.5}),
-    "from_dense": lambda a: a.from_dense(1, [0.5] * a.dim(1)),
     "scale": lambda a: a.monomial((1,)).scale(0.5),
     "rmul": lambda a: 0.5 * a.monomial((1,)),
 }

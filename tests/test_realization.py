@@ -75,6 +75,59 @@ def test_chamber_of_refuses_a_point_of_another_length(pentagon_matrix,
         chamber_of(pentagon_matrix, point)
 
 
+FLOAT_INPUTS = {
+    "from_rows": lambda m: RationalMatrix.from_rows(
+        (0, 1, 2), [[0.1, 1, 0], [0, 1, 1]]),
+    "functional": lambda m: m.functional(1, (0.3, 0.7, 1)),
+    "chamber_of": lambda m: chamber_of(m, (0, 0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("entry", list(FLOAT_INPUTS))
+def test_float_entries_are_refused(entry, pentagon_matrix):
+    """No float enters a matrix or a point: Fraction(0.1) would keep its
+    binary expansion, 3602879701896397/36028797018963968, as if it were
+    exact."""
+    with pytest.raises(TypeError, match="float"):
+        FLOAT_INPUTS[entry](pentagon_matrix)
+
+
+def test_exact_entries_still_enter(pentagon_matrix):
+    """An int, a Fraction and a numeric string are exact, as matrix entries
+    and as coordinates of a point."""
+    mat = RationalMatrix.from_rows((0, 1, 2), [[1, Fraction(1, 2), "3/2"],
+                                               ["-2", 0, 1]])
+    assert mat.rows == ((1, Fraction(1, 2), Fraction(3, 2)), (-2, 0, 1))
+    assert all(type(x) is Fraction for row in mat.rows for x in row)
+    m = pentagon_matrix  # functional 1 is x + z
+    assert m.functional(1, (1, "1/2", Fraction(3, 2))) == Fraction(5, 2)
+    assert chamber_of(m, ("0", Fraction(0), 1)) == chamber_of(m, (0, 0, 1))
+
+
+@pytest.mark.parametrize("case", ["other labels", "reordered labels",
+                                  "shorter", "zero entry"])
+def test_matrix_reorient_refuses_a_non_tope_vector(case, pentagon_matrix):
+    """As `Chirotope.reorient`: the sign vector must be over the matrix's
+    labels, in their order, with full support."""
+    labels = pentagon_matrix.labels
+    bad = {"other labels": SignVector(tuple(range(10, 15)), (1, -1, 1, 1, 1)),
+           "reordered labels": SignVector(labels[::-1], (1, -1, 1, 1, 1)),
+           "shorter": SignVector(labels[:3], (1, -1, 1)),
+           "zero entry": SignVector(labels, (1, -1, 0, 1, 1))}[case]
+    with pytest.raises(ValueError, match="^reorientation requires a "
+                                         "full-support sign vector$"):
+        pentagon_matrix.reorient(bad)
+
+
+def test_matrix_reorient_matches_chirotope_reorient(pentagon_matrix,
+                                                    pentagon_inf_matrix):
+    """Negating the columns on the minus part reorients the chirotope."""
+    for mat in (pentagon_matrix, pentagon_inf_matrix):
+        chi = chirotope_from_matrix(mat)
+        for t in all_full_support_vectors(mat.labels):
+            assert chirotope_from_matrix(mat.reorient(t)) == chi.reorient(t)
+
+
 def test_topes_match_sampled_chambers(pentagon_matrix, pentagon):
     for t in pentagon.topes:
         point = interior_point(pentagon_matrix, pentagon, t)

@@ -2,23 +2,25 @@
 mask table.
 
 They walk `SignVector` objects: the cocircuits conformal to a sign vector
-are picked from the public `cocircuits` set with `SignVector.conforms_to`,
+are picked from the public `cocircuits` set with `oracle_ops.conforms_to`,
 a facet of a tope is an atom whose zeroing leaves a covector, an
-extension's bounded topes are lifted with `SignVector.extend`, and the
+extension's bounded topes are lifted with `oracle_ops.extend`, and the
 residue check's facet form is that of the contraction of the chirotope,
 scaled by the tope's sign at the atom and reoriented by the restricted
 tope.  They are kept as the oracles that `OrientedMatroid.is_covector`,
-`is_facet`, both `bounded_topes` and `forms.check_residue_axioms` are
-compared against.
+`om._facet_elements`, both `bounded_topes` and
+`forms.check_residue_axioms` are compared against.
 """
 
 from __future__ import annotations
 
 from omcanon.signvec import SignVector
 
+import oracle_ops
+
 
 def conformal_cocircuits(om, x: SignVector) -> list:
-    return [y for y in om.cocircuits if y.conforms_to(x)]
+    return [y for y in om.cocircuits if oracle_ops.conforms_to(y, x)]
 
 
 def composes_to(om, x: SignVector, ys: list) -> bool:
@@ -38,7 +40,7 @@ def is_covector(om, x: SignVector) -> bool:
 def is_facet(om, tope: SignVector, rep) -> bool:
     """True iff zeroing the atom of rep yields a covector."""
     atom = om.underlying.atom_of(rep)
-    return is_covector(om, tope.zero_out(atom))
+    return is_covector(om, oracle_ops.zero_out(tope, atom))
 
 
 def bounded_tope(om, x: SignVector, e) -> bool:
@@ -55,7 +57,8 @@ def extension_bounded_topes(ext) -> frozenset:
     """Topes P of M such that (P, +) is bounded at q in M u q."""
     ground = ext.chi_ext.ground
     return frozenset(t for t in ext.base.topes
-                     if bounded_tope(ext.om_ext, t.extend(ground, fill=1),
+                     if bounded_tope(ext.om_ext,
+                                     oracle_ops.extend(t, ground, fill=1),
                                      ext.label))
 
 
@@ -63,11 +66,11 @@ def contracted_tope_chirotope(om, tope: SignVector, rep):
     """chi/P at an atom: value on (I, i) scaled by the tope sign at i."""
     atom = om.underlying.atom_of(rep)
     chi = om.chi.contract(rep, drop=atom - {rep})
-    return chi.scale(tope.value(rep))
+    return oracle_ops.scale(chi, tope.value(rep))
 
 
 def facet_chirotope(om, tope: SignVector, rep):
     """The chirotope whose form the residue check expects at a facet:
     `contracted_tope_chirotope` reoriented by the tope restricted to it."""
     sub = contracted_tope_chirotope(om, tope, rep)
-    return sub.reorient(tope.restrict(sub.ground))
+    return sub.reorient(oracle_ops.restrict(tope, sub.ground))
