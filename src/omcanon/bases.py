@@ -39,12 +39,21 @@ def random_signature(om: OrientedMatroid, rng: random.Random, base=None) -> tupl
     return ((base, 1),) + tuple((e, rng.choice((1, -1))) for e in chosen[1:])
 
 
-def _signatures(om: OrientedMatroid, rng: random.Random, base=None):
-    """The signatures an extension search tries, in order: the perturbation
-    signature, then seeded random ones, _ATTEMPTS in all, drawn lazily."""
-    yield perturbation_signature(om, base)
-    for _ in range(_ATTEMPTS - 1):
-        yield random_signature(om, rng, base)
+def _extensions(om: OrientedMatroid, rng: random.Random, base=None):
+    """The extensions an extension search tries, built lazily in order:
+    by the perturbation signature, then by seeded random ones, _ATTEMPTS
+    signatures in all.  A signature whose extension cannot be built is
+    skipped.  The label is q, primed until it is not in the ground set."""
+    label = "q"
+    while label in om.ground:
+        label += "'"
+    for i in range(_ATTEMPTS):
+        signature = (random_signature(om, rng, base) if i
+                     else perturbation_signature(om, base))
+        try:
+            yield om.lex_extension(signature, label)
+        except (ValueError, RuntimeError):
+            continue
 
 
 def bounded_extension(om: OrientedMatroid, base=None,
@@ -58,41 +67,22 @@ def bounded_extension(om: OrientedMatroid, base=None,
 
 
 def _bounded_extension(om: OrientedMatroid, base, seed: int) -> tuple:
-    """(extension, T^0, T^ext) for the first signature whose extension
-    keeps every 0-bounded tope bounded."""
+    """(extension, T^0, T^ext) for the first extension that keeps every
+    0-bounded tope bounded."""
     base = om.ground[0] if base is None else base
     t0 = om.bounded_topes(base)
-    for signature in _signatures(om, random.Random(seed), base):
-        ext = om.lex_extension(signature)
+    for ext in _extensions(om, random.Random(seed), base):
         tq = ext.bounded_topes()
         if t0 <= tq:
             return ext, t0, tq
-    raise RuntimeError(
-        f"no perturbation of {base!r} kept the bounded topes bounded after "
-        f"{_ATTEMPTS} attempts (last signature {signature})")
+    raise RuntimeError(f"no perturbation of {base!r} kept the bounded topes "
+                       f"bounded after {_ATTEMPTS} attempts")
 
 
 def tq_basis(om: OrientedMatroid, ext: Extension) -> list:
-    """[(tope, form)] over the extension-bounded topes; a basis by rank check."""
-    alg = algebra_of(om)
-    topes = sorted(ext.bounded_topes(), key=SignVector.sort_key)
-    pairs = [(t, canonical_form_tope(om, t)) for t in topes]
-    return _require_basis(alg, pairs, om.rank - 1,
-                          "bounded-tope forms are not a basis "
-                          "(got {got} topes for dimension {dim})")
-
-
-def _require_basis(alg: OSAlgebra, pairs: list, grade: int,
-                   message: str) -> list:
-    """pairs, once their forms are checked to be a basis of the reduced
-    grade: as many as its dimension, and independent.  Otherwise a
-    RuntimeError with message, formatted with got and dim."""
-    expected = alg.reduced_dim(grade)
-    vectors = [alg.dense(f, grade) for _, f in pairs]
-    if len(pairs) != expected or len(linalg.greedy_independent(vectors)) != expected:
-        raise RuntimeError("internal invariant violation: "
-                           + message.format(got=len(pairs), dim=expected))
-    return pairs
+    """[(tope, form)] over the extension-bounded topes, checked to be a
+    basis: level 1 of the one-stage flag (om, ext)."""
+    return graded_basis(Flag((FlagStage(om, ext),)), 1)
 
 
 def simplex_identity_check(om: OrientedMatroid, ext: Extension, basis) -> dict:
@@ -145,13 +135,7 @@ def build_flag(om: OrientedMatroid, seed: int = 0) -> Flag:
     current = om
     rng = random.Random(seed)
     for _ in range(om.rank):
-        ext = None
-        for signature in _signatures(current, rng):
-            try:
-                ext = current.lex_extension(signature)
-                break
-            except (ValueError, RuntimeError):
-                continue
+        ext = next(_extensions(current, rng), None)
         if ext is None:
             raise RuntimeError(f"no general extension found after {_ATTEMPTS} "
                                f"attempts at rank {current.rank}")
@@ -194,15 +178,24 @@ def graded_basis(flag: Flag, k: int) -> list:
     pairs = [(t, transport_to_base(base_alg,
                                    canonical_form_tope(stage.om, t)))
              for t in topes]
-    return _require_basis(base_alg, pairs, grade,
-                          f"k-bounded forms are not a basis at level {k} "
-                          "(got {got} for dimension {dim})")
+    expected = base_alg.reduced_dim(grade)
+    vectors = [base_alg.dense(f, grade) for _, f in pairs]
+    if (len(pairs) != expected
+            or len(linalg.greedy_independent(vectors)) != expected):
+        raise RuntimeError("internal invariant violation: k-bounded forms "
+                           f"are not a basis at level {k} (got {len(pairs)} "
+                           f"for dimension {expected})")
+    return pairs
+
+
+def _forms(basis: list) -> list:
+    """The forms of a basis given as [(tope, form)] pairs or as forms."""
+    return [f for _, f in basis] if basis and isinstance(basis[0], tuple) else basis
 
 
 def expand_in_basis(x: OSElement, basis: list) -> list:
     """Exact coordinates; raises if x lies outside the span."""
-    forms = [f for _, f in basis] if basis and isinstance(basis[0], tuple) else basis
-    coords = x.algebra.coordinates_in(x, forms)
+    coords = x.algebra.coordinates_in(x, _forms(basis))
     if coords is None:
         raise RuntimeError("internal invariant violation: element outside "
                            "the span of the given basis")
@@ -212,11 +205,8 @@ def expand_in_basis(x: OSElement, basis: list) -> list:
 def structure_constants(src_basis: list, target_basis: list,
                         i: int, j: int) -> list:
     """Coordinates of src[i] wedge src[j] in the target graded basis."""
-    forms = [f for _, f in src_basis] if isinstance(src_basis[0], tuple) else src_basis
-    product = forms[i].wedge(forms[j])
-    if product.is_zero:
-        return [Fraction(0)] * (len(target_basis) if target_basis else 0)
-    return expand_in_basis(product, target_basis)
+    forms = _forms(src_basis)
+    return expand_in_basis(forms[i].wedge(forms[j]), target_basis)
 
 
 @dataclass
@@ -247,10 +237,7 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None,
     omega = _weight_form(alg, weights, base)
 
     top = alg.reduced_basis(r - 1)
-    image_cols: list = []
-    if r >= 2:
-        for b in alg.reduced_basis(r - 2):
-            image_cols.append(alg.dense(omega.wedge(b), r - 1))
+    image_cols = _wedge_columns(alg, omega, r - 2) if r >= 2 else []
     image_rank = linalg.rank(linalg.columns_matrix(image_cols))
     dim_h = len(top) - image_rank
 
@@ -305,11 +292,14 @@ def aomoto_degree_ranks(om: OrientedMatroid, weights: dict,
     base = om.ground[0] if base is None else base
     alg = algebra_of(om)
     omega = _weight_form(alg, weights, base)
-    ranks = []
-    for k in range(om.rank - 1):
-        cols = [alg.dense(omega.wedge(b), k + 1) for b in alg.reduced_basis(k)]
-        ranks.append(linalg.rank(linalg.columns_matrix(cols)))
-    return ranks
+    return [linalg.rank(linalg.columns_matrix(_wedge_columns(alg, omega, k)))
+            for k in range(om.rank - 1)]
+
+
+def _wedge_columns(alg: OSAlgebra, omega: OSElement, k: int) -> list:
+    """The dense images in grade k + 1 of omega wedge each reduced basis
+    element of grade k."""
+    return [alg.dense(omega.wedge(b), k + 1) for b in alg.reduced_basis(k)]
 
 
 def sample_weight_vectors(om: OrientedMatroid, base=None, seed: int = 0,

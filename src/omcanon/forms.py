@@ -69,7 +69,7 @@ def _top_form(core: Chirotope) -> OSElement:
     alg = os_algebra_of_chirotope(core)
     if r == 0:
         return alg.one()  # the base value core(()) is positive
-    facets = _facet_elements(core)
+    facets = _facet_elements(core, alg.matroid)
     stack = alg.residue_stack
     targets = {}
     for a, target, _ in stack.blocks:
@@ -165,7 +165,7 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
     if om.rank == 1:
         rep, = om.atom_reps
         return {rep: form == alg.one().scale(chi.value((rep,)))}
-    facets = _facet_elements(chi)
+    facets = _facet_elements(chi, om.underlying)
     report = {}
     for a in om.atom_reps:
         res = alg.residue(a, form)

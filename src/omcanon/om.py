@@ -26,7 +26,7 @@ from itertools import combinations
 from math import comb
 
 from ._memo import memo
-from .chirotope import (Chirotope, _circuit, _mask, _mask_index,
+from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
                         validate_chirotope)
 from .matroid import UnderlyingMatroid
 from .signvec import SignVector, _labels, _position, ground_positions
@@ -293,32 +293,26 @@ def _cocircuit_masks(chi: Chirotope) -> set:
     return {pm for pm in zip(plus, minus) if pm != (0, 0)}
 
 
-def _facet_elements(chi: Chirotope) -> frozenset:
-    """For an acyclic chi, the elements whose parallel class is a facet of
-    the all-plus tope.
+def _facet_elements(chi: Chirotope, matroid: UnderlyingMatroid) -> frozenset:
+    """For an acyclic chi with underlying matroid matroid, the elements
+    whose parallel class is a facet of the all-plus tope.
 
     The nonnegative cocircuits vanishing at a compose to the largest face
     of the tope that vanishes at a; its zero set is the intersection of
-    theirs.  That face is a facet iff this zero set is a's parallel class,
-    the intersection of the zero sets of all cocircuits vanishing at a.
+    theirs.  That face is a facet iff this zero set is a's parallel class.
     """
     n = len(chi.ground)
     full = (1 << n) - 1
-    closure = [full] * n
     face = [full] * n
     for plus, minus in _cocircuit_masks(chi):
+        if plus and minus:
+            continue
         zero = full & ~(plus | minus)
-        one_signed = not plus or not minus
-        rest = zero
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            closure[i] &= zero
-            if one_signed:
-                face[i] &= zero
-            rest ^= low
-    return frozenset(e for e, c, f in zip(chi.ground, closure, face)
-                     if c == f)
+        for bit in _bits(zero):
+            face[bit.bit_length() - 1] &= zero
+    atoms = matroid._atom_masks
+    return frozenset(e for e, k, f in zip(chi.ground, matroid._atom_at, face)
+                     if f == atoms[k])
 
 
 def _covector_closure(ground: tuple, cocircuits) -> frozenset:

@@ -115,9 +115,6 @@ class OSElement:
     def wedge(self, other: "OSElement") -> "OSElement":
         return self.algebra.wedge(self, other)
 
-    def __matmul__(self, other: "OSElement") -> "OSElement":
-        return self.wedge(other)
-
     @property
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.terms.values())

@@ -28,20 +28,21 @@ def _sign(x: Fraction) -> int:
 
 @dataclass(frozen=True)
 class RationalMatrix:
+    """Entries are ints, Fractions or numeric strings, kept as Fractions;
+    a float is refused (TypeError), as it is not exact."""
+
     labels: tuple
     rows: tuple  # r rows, each a tuple of Fractions, one per label
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.labels):
-                raise ValueError("ragged matrix")
+        rows = tuple(tuple(map(_exact, row)) for row in self.rows)
+        if any(len(row) != len(self.labels) for row in rows):
+            raise ValueError("ragged matrix")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, labels, rows) -> "RationalMatrix":
-        """Entries are ints, Fractions or numeric strings; a float is
-        refused (TypeError), as it is not exact."""
-        return cls(tuple(labels),
-                   tuple(tuple(map(_exact, row)) for row in rows))
+        return cls(tuple(labels), rows)
 
     @property
     def nrows(self) -> int:

@@ -3,8 +3,8 @@
 Signs are the integers -1, 0, +1.  Element order is always the order of the
 owning ground tuple, never the natural order of the labels.  A sign vector
 stores two bitmasks over that order: bit i of `plus` (of `minus`) is set iff
-the i-th ground element has sign +1 (-1).  Composition, support and
-negation are then a few bitwise operations.
+the i-th ground element has sign +1 (-1).  Negation and the zero set are
+then a few bitwise operations.
 """
 
 from __future__ import annotations
@@ -96,37 +96,13 @@ class SignVector:
     def __neg__(self) -> "SignVector":
         return SignVector._from_masks(self.ground, self.minus, self.plus)
 
-    def _elements(self, mask: int) -> frozenset:
-        return frozenset(_labels(self.ground, mask))
-
-    @property
-    def support(self) -> frozenset:
-        return self._elements(self.plus | self.minus)
-
     @property
     def zero_set(self) -> frozenset:
-        return self._elements(~(self.plus | self.minus))
-
-    @property
-    def negative_part(self) -> frozenset:
-        return self._elements(self.minus)
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self.plus | self.minus)
+        return frozenset(_labels(self.ground, ~(self.plus | self.minus)))
 
     @property
     def has_full_support(self) -> bool:
         return (self.plus | self.minus) == (1 << len(self.ground)) - 1
-
-    def compose(self, other: "SignVector") -> "SignVector":
-        """(X o Y)(e) = X(e) if nonzero else Y(e)."""
-        if other.ground != self.ground:
-            raise ValueError("composition needs a common ground set")
-        free = ~(self.plus | self.minus)
-        return SignVector._from_masks(self.ground,
-                                      self.plus | (other.plus & free),
-                                      self.minus | (other.minus & free))
 
     def sort_key(self) -> tuple:
         """Deterministic order: + before 0 before - per coordinate."""

@@ -1,10 +1,11 @@
 """Operations that only the tests use, as plain functions.
 
 The library needs none of them.  The tests use them as tools and oracles:
-orthogonality, conformality, restriction, extension, zeroing and
-nonnegativity of sign vectors (`SignVector`'s masks give each one in a few
-bitwise operations), the negated chirotope, and the characteristic
-polynomial, which gives the Whitney numbers.
+composition, support, negative part, zero test, orthogonality,
+conformality, restriction, extension, zeroing and nonnegativity of sign
+vectors (`SignVector`'s masks give each one in a few bitwise operations),
+the negated chirotope, and the characteristic polynomial, which gives the
+Whitney numbers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,28 @@ from __future__ import annotations
 from math import comb
 
 from omcanon import Chirotope, SignVector
-from omcanon.signvec import ground_positions
+from omcanon.signvec import _labels, ground_positions
+
+
+def compose(x: SignVector, y: SignVector) -> SignVector:
+    """(X o Y)(e) = X(e) if nonzero else Y(e)."""
+    if y.ground != x.ground:
+        raise ValueError("composition needs a common ground set")
+    free = ~(x.plus | x.minus)
+    return SignVector._from_masks(x.ground, x.plus | (y.plus & free),
+                                  x.minus | (y.minus & free))
+
+
+def support(x: SignVector) -> frozenset:
+    return frozenset(_labels(x.ground, x.plus | x.minus))
+
+
+def negative_part(x: SignVector) -> frozenset:
+    return frozenset(_labels(x.ground, x.minus))
+
+
+def is_zero(x: SignVector) -> bool:
+    return not (x.plus | x.minus)
 
 
 def is_orthogonal(x: SignVector, y: SignVector) -> bool:

@@ -13,6 +13,7 @@ import label_walk
 from conftest import (FIXTURES, NONUNIFORM, all_full_support_vectors,
                       boolean_om, cyclic_line_chirotope, deletion_fingerprint,
                       named_om, relabellings)
+from oracle_ops import negative_part
 
 
 def test_validate_line4():
@@ -310,7 +311,7 @@ def test_exchange_diagnostic_names_first_element():
 def label_reorient(chi: Chirotope, tope: SignVector) -> Chirotope:
     """`Chirotope.reorient` when it intersected each key with the negative
     part of the tope."""
-    neg = tope.negative_part
+    neg = negative_part(tope)
     return Chirotope(chi.ground, chi.rank, tuple(
         s * (-1 if len(set(key) & neg) % 2 else 1)
         for key, s in zip(chi.keys, chi.signs)))

@@ -305,6 +305,41 @@ def test_nonpappus_extension_data_file():
         om, (("6", 1), ("7", -1), ("0", 1)), label="9")
 
 
+def _without_seconds(doc):
+    if isinstance(doc, dict):
+        return {k: _without_seconds(v) for k, v in doc.items()
+                if k != "seconds"}
+    if isinstance(doc, list):
+        return [_without_seconds(v) for v in doc]
+    return doc
+
+
+def _relabel_keys(doc, old, new):
+    """doc with the label old read as new in every comma-separated key."""
+    if isinstance(doc, dict):
+        return {",".join(new if e == old else e for e in k.split(",")):
+                _relabel_keys(v, old, new) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_relabel_keys(v, old, new) for v in doc]
+    return doc
+
+
+def test_element_labelled_q(capsys):
+    """An element may be called q, the default label of an extension:
+    line4 with 3 renamed q gives line4's outputs with 3 read as q."""
+    line4 = os.path.join(DEMO_DATA, "line4.json")
+    renamed = os.path.join(HERE, "data", "line4_q.json")
+    for argv in (["basis", "--grade", "0"], ["basis", "--grade", "1"],
+                 ["aomoto", "--weights", "1,2,3"], ["verify", "--suite", "all"]):
+        code, out, _ = invoke(capsys, *argv, "--input", line4)
+        assert code == 0
+        expected = ser.dumps_canonical(
+            _relabel_keys(_without_seconds(json.loads(out)), "3", "q"))
+        code, out, err = invoke(capsys, *argv, "--input", renamed)
+        assert code == 0, err
+        assert ser.dumps_canonical(_without_seconds(json.loads(out))) == expected
+
+
 def input_to_document(parsed: ser.ParsedInput) -> dict:
     """The input document of a parsed input, in canonical form."""
     if parsed.matrix is not None:

@@ -583,7 +583,7 @@ def labelled_top_form(chi):
     stack = _LABELLED_STACKS.get(id(alg))
     if stack is None:
         stack = _LABELLED_STACKS[id(alg)] = _DenseStack(alg, positional=False)
-    facets = _facet_elements(chi)
+    facets = _facet_elements(chi, alg.matroid)
     targets = {}
     for a in alg.atoms:
         if a in facets:

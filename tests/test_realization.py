@@ -76,6 +76,8 @@ def test_chamber_of_refuses_a_point_of_another_length(pentagon_matrix,
 
 
 FLOAT_INPUTS = {
+    "constructor": lambda m: RationalMatrix(
+        (0, 1, 2), ((0.1, 1, 0), (0, 1, 1))),
     "from_rows": lambda m: RationalMatrix.from_rows(
         (0, 1, 2), [[0.1, 1, 0], [0, 1, 1]]),
     "functional": lambda m: m.functional(1, (0.3, 0.7, 1)),
@@ -99,6 +101,8 @@ def test_exact_entries_still_enter(pentagon_matrix):
                                                ["-2", 0, 1]])
     assert mat.rows == ((1, Fraction(1, 2), Fraction(3, 2)), (-2, 0, 1))
     assert all(type(x) is Fraction for row in mat.rows for x in row)
+    assert RationalMatrix(mat.labels, (("1", 0, 2), (0, Fraction(1, 2), 1))
+                          ).rows == ((1, 0, 2), (0, Fraction(1, 2), 1))
     m = pentagon_matrix  # functional 1 is x + z
     assert m.functional(1, (1, "1/2", Fraction(3, 2))) == Fraction(5, 2)
     assert chamber_of(m, ("0", Fraction(0), 1)) == chamber_of(m, (0, 0, 1))
