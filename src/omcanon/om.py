@@ -12,18 +12,22 @@ tope question reads it: the cocircuits conformal to a sign vector are the
 pairs inside its masks, and compose by taking the union of their masks.
 A covector is their composition, the faces of a tope are their closure,
 and a tope is bounded at e iff none of them vanishes at e.  A facet of a
-tope T is a facet of the all-plus tope of the reorientation by T.  Only
-enumerating covectors or topes builds the full covector closure, which runs
-on (plus, minus) mask pairs and builds each SignVector once; acyclicity
-reads which elements the one-signed cocircuits cover.
+tope T is a facet of the all-plus tope of the reorientation by T; one
+rule (`_facet_classes`) reads a tope's facet classes off its conformal
+cocircuits.  The topes come from a walk of the tope graph that flips facet
+classes, and acyclicity asks whether the all-plus vector is a tope, which
+is whether the one-signed cocircuits cover the ground set.  Only
+enumerating covectors or the faces of a tope builds a covector closure,
+which runs on (plus, minus) mask pairs and builds each SignVector once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 from ._memo import memo
 from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
@@ -66,7 +70,30 @@ class OrientedMatroid:
 
     @cached_property
     def topes(self) -> frozenset:
-        return frozenset(x for x in self.covectors if x.has_full_support)
+        """A breadth-first walk of the tope graph, which is connected
+        (Bjoerner et al., Oriented Matroids, 4.2): it starts at the
+        composition of every cocircuit, and a tope's neighbours flip one of
+        its facet classes.  Without a full-support start (rank 0 on a
+        nonempty ground set) there is no tope."""
+        n = len(self.ground)
+        plus = minus = 0
+        for p, m in self._cocircuit_table:
+            free = ~(plus | minus)
+            plus, minus = plus | p & free, minus | m & free
+        if plus | minus != (1 << n) - 1:
+            return frozenset()
+        classes = self.underlying._atom_masks
+        seen = {(plus, minus)}
+        queue = [(plus, minus)]
+        for plus, minus in queue:
+            for c in _facet_classes(n, self._conformal(plus, minus),
+                                    classes):
+                flip = (plus ^ c, minus ^ c)
+                if flip not in seen:
+                    seen.add(flip)
+                    queue.append(flip)
+        return frozenset(SignVector._from_masks(self.ground, p, m)
+                         for p, m in seen)
 
     # ---- basic structure -------------------------------------------------
 
@@ -92,15 +119,20 @@ class OrientedMatroid:
         return x
 
     def is_acyclic(self) -> bool:
-        return is_acyclic(self.chi)
+        """`is_acyclic` on the cached cocircuit table: the cocircuits
+        conformal to the all-plus vector are the nonnegative ones."""
+        full = (1 << len(self.ground)) - 1
+        return self.rank == 0 or _facet_classes(
+            len(self.ground), self._conformal(full, 0), ()) is not None
 
     # ---- covector machinery ----------------------------------------------
 
     def _conformal(self, plus: int, minus: int) -> list:
         """The cocircuit mask pairs conformal to the sign vector (plus,
         minus): those inside its masks."""
+        out_plus, out_minus = ~plus, ~minus
         return [(p, m) for p, m in self._cocircuit_table
-                if not (p & ~plus | m & ~minus)]
+                if not (p & out_plus or m & out_minus)]
 
     def _composes(self, plus: int, minus: int, positive: int = 0) -> bool:
         """True iff (plus, minus) is the composition of its conformal
@@ -251,15 +283,11 @@ def is_acyclic(chi: Chirotope) -> bool:
     """True iff no signed circuit of chi is nonnegative.  By the Farkas
     lemma (Bjoerner et al., Oriented Matroids, 3.4) every element lies in
     a nonnegative circuit or in a nonnegative cocircuit, never both, so chi
-    is acyclic iff the one-signed cocircuits cover the ground set."""
-    n = len(chi.ground)
-    if chi.rank == 0 or n <= chi.rank:
+    is acyclic iff the one-signed cocircuits cover the ground set: iff the
+    all-plus vector is a tope."""
+    if chi.rank == 0 or len(chi.ground) <= chi.rank:
         return True
-    covered = 0
-    for plus, minus in _cocircuit_masks(chi):
-        if not plus or not minus:
-            covered |= plus | minus
-    return covered == (1 << n) - 1
+    return _facet_classes(len(chi.ground), _one_signed(chi), ()) is not None
 
 
 @memo
@@ -293,26 +321,44 @@ def _cocircuit_masks(chi: Chirotope) -> set:
     return {pm for pm in zip(plus, minus) if pm != (0, 0)}
 
 
-def _facet_elements(chi: Chirotope, matroid: UnderlyingMatroid) -> frozenset:
-    """For an acyclic chi with underlying matroid matroid, the elements
-    whose parallel class is a facet of the all-plus tope.
+def _one_signed(chi: Chirotope) -> list:
+    """(plus, minus) masks of the one-signed cocircuits, one sign of each:
+    their zero sets are those of the cocircuits conformal to the all-plus
+    vector."""
+    return [(p, m) for p, m in _cocircuit_masks(chi) if not p or not m]
 
-    The nonnegative cocircuits vanishing at a compose to the largest face
-    of the tope that vanishes at a; its zero set is the intersection of
-    theirs.  That face is a facet iff this zero set is a's parallel class.
+
+def _facet_classes(n: int, pairs, classes) -> list | None:
+    """The facet classes of a full-support sign vector X on n positions,
+    from pairs, the (plus, minus) masks of the cocircuits conformal to X
+    (the one-signed ones after reorienting by X's minus mask): None when
+    they do not compose to X, so X is not a tope, and else the members of
+    classes, parallel classes as position masks, that are facets of X.
+
+    The conformal cocircuits vanishing at a position compose to the largest
+    face of X that vanishes there; its zero set is the intersection of
+    theirs (every position if there are none).  That face is a facet iff
+    this zero set is the position's parallel class.
     """
-    n = len(chi.ground)
     full = (1 << n) - 1
+    covered = 0
     face = [full] * n
-    for plus, minus in _cocircuit_masks(chi):
-        if plus and minus:
-            continue
+    for plus, minus in pairs:
+        covered |= plus | minus
         zero = full & ~(plus | minus)
         for bit in _bits(zero):
             face[bit.bit_length() - 1] &= zero
-    atoms = matroid._atom_masks
-    return frozenset(e for e, k, f in zip(chi.ground, matroid._atom_at, face)
-                     if f == atoms[k])
+    if covered != full:
+        return None
+    return [c for c in classes if face[(c & -c).bit_length() - 1] == c]
+
+
+def _facet_elements(chi: Chirotope, matroid: UnderlyingMatroid) -> frozenset:
+    """For an acyclic chi with underlying matroid matroid, the elements
+    whose parallel class is a facet of the all-plus tope."""
+    facets = _facet_classes(len(chi.ground), _one_signed(chi),
+                            matroid._atom_masks)
+    return frozenset(_labels(chi.ground, reduce(or_, facets, 0)))
 
 
 def _covector_closure(ground: tuple, cocircuits) -> frozenset:

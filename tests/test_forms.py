@@ -513,9 +513,14 @@ def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
         calls.append(chi)
         return is_acyclic(chi)
 
+    def counting_method(self, _method=OrientedMatroid.is_acyclic):
+        calls.append(self.chi)
+        return _method(self)
+
     monkeypatch.setattr(om_module, "is_acyclic", counting_is_acyclic)
     monkeypatch.setattr(forms, "is_acyclic", counting_is_acyclic,
                         raising=False)
+    monkeypatch.setattr(OrientedMatroid, "is_acyclic", counting_method)
     om.is_acyclic()
     assert len(calls) == 1  # the counter sees calls
     calls.clear()

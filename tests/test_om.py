@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from itertools import combinations, product
 
@@ -7,21 +9,28 @@ from omcanon import (Chirotope, NotATope, OrientedMatroid, SignVector,
                      UnderlyingMatroid, bounded_extension, build_flag,
                      check_residue_axioms, perturbation_signature,
                      simplex_identity_check, validate_chirotope)
+from omcanon import om as om_module
 from omcanon.bases import random_signature
-from omcanon.om import _circuits, _facet_elements, is_acyclic
+from omcanon.cli import run
+from omcanon.om import _circuits, _facet_classes, _facet_elements, is_acyclic
+from omcanon.serialize import parse_input
 
 import label_walk
 import oracle_ops
 import tope_walk
 from conftest import (FIXTURES, NONUNIFORM, PAPPUS_LINE,
                       all_full_support_vectors, boolean_om, named_om,
-                      oracle_covectors, oracle_topes, outcome,
+                      nonuniform_om, oracle_covectors, oracle_topes, outcome,
                       pappus_chirotope, rank1_om, relabellings)
 from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
 from oracle_ops import (compose, conforms_to, extend, is_nonnegative,
                         is_orthogonal, is_zero, restrict, support)
 from tuple_signvec import SignVector as TupleSignVector
 from tuple_signvec import covector_closure as tuple_covector_closure
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(HERE, "data")
+DEMO_DATA = os.path.join(HERE, os.pardir, "demos", "data")
 
 
 def zero_vector(om) -> SignVector:
@@ -96,9 +105,10 @@ def test_is_tope_matches_closure(name, request):
     if name in ("line4", "pentagon"):
         vectors = [SignVector(om.ground, s)
                    for s in product((-1, 0, 1), repeat=len(om.ground))]
+    closure = {x for x in om.covectors if x.has_full_support}
     for x in vectors:
-        assert om.is_tope(x) == (x in om.topes)
-    t = next(iter(om.topes))
+        assert om.is_tope(x) == (x in closure)
+    t = next(iter(closure))
     assert om.is_tope(t)
     other = tuple(reversed(om.ground))
     assert not om.is_tope(SignVector(other, t.signs))
@@ -130,6 +140,95 @@ def test_closure_matches_tuple_oracle(name, request):
             om.ground, [y for y in cocircuits if y.conforms_to(t)])
         assert (_plain(om.faces(SignVector(t.ground, t.signs)))
                 == {(x.ground, x.signs) for x in faces})
+
+
+WALK_SEEDS = [f"{name}-{seed}" for name in NONUNIFORM for seed in range(6)]
+
+
+def walk_oms(name, request) -> list:
+    """[a fixture by name], [`uniform_r4`], [the non-realizable
+    `tests/data/nonpappus_ext10.json`], or, for "shape-seed", the NONUNIFORM
+    shape at that seed under each of its relabellings."""
+    if name == "nonpappus_ext10":
+        with open(os.path.join(DATA, "nonpappus_ext10.json")) as fh:
+            return [OrientedMatroid(parse_input(json.load(fh)).chi)]
+    if name in WALK_SEEDS:
+        shape, seed = name.rsplit("-", 1)
+        chi = nonuniform_om(*NONUNIFORM[shape], seed=int(seed)).chi
+        return [OrientedMatroid(variant) for variant in relabellings(chi)]
+    return [named_om(name, request)]
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["uniform_r4", "nonpappus_ext10"]
+                         + WALK_SEEDS)
+def test_tope_walk_matches_closure(name, request):
+    """The tope-graph walk gives the full-support members of the covector
+    closure, and, up to n = 8, the full-support vectors orthogonal to every
+    circuit; the bounded topes at every element are those of the closure
+    that the sign-vector walk finds bounded."""
+    for om in walk_oms(name, request):
+        closure = frozenset(x for x in om.covectors if x.has_full_support)
+        assert om.topes == closure
+        assert om.sorted_topes() == sorted(closure, key=SignVector.sort_key)
+        if len(om.ground) <= 8:
+            assert om.topes == oracle_topes(om)
+        for e in om.ground:
+            assert om.bounded_topes(e) == frozenset(
+                t for t in closure if tope_walk.bounded_tope(om, t, e))
+
+
+def test_tope_walk_rank0_has_no_topes():
+    """Rank 0 on a nonempty ground set: every element is a loop, the
+    composition of no cocircuits is the zero vector, and neither the walk
+    nor the closure has a tope."""
+    om = OrientedMatroid(EDGE_CHIROTOPES["rank0"])
+    assert om.topes == frozenset()
+    assert not any(x.has_full_support for x in om.covectors)
+    assert om.sorted_topes() == []
+
+
+def test_tope_walk_flips_whole_parallel_classes(parallel_pair):
+    """Every tope of parallel_pair has both classes, {0} and the parallel
+    {1, 2}, as facets; flipping a class gives a tope, flipping 1 or 2 alone
+    does not."""
+    om = OrientedMatroid(parallel_pair.chi)
+    classes = om.underlying._atom_masks
+    assert sorted(classes) == [0b001, 0b110]
+    assert len(om.topes) == 4
+    for t in om.topes:
+        facets = _facet_classes(3, om._conformal(t.plus, t.minus), classes)
+        assert sorted(facets) == [0b001, 0b110]
+        for c in (0b001, 0b110, 0b010, 0b100):
+            flip = SignVector._from_masks(om.ground, t.plus ^ c, t.minus ^ c)
+            assert (flip in om.topes) == (c in classes)
+
+
+def test_loop_still_raises():
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="^loop: 2$"):
+            OrientedMatroid(EDGE_CHIROTOPES["loop"], validate=validate)
+
+
+def test_topes_never_build_the_covector_closure(pentagon_inf, monkeypatch,
+                                                capsys):
+    """Topes, sorted topes, both bounded-tope queries and `omcanon info`
+    walk the tope graph; only covectors and faces build the closure."""
+    def no_closure(ground, cocircuits):
+        raise AssertionError("the covector closure was built")
+
+    monkeypatch.setattr(om_module, "_covector_closure", no_closure)
+    om = OrientedMatroid(pentagon_inf.chi)
+    assert om.sorted_topes() == pentagon_inf.sorted_topes()
+    assert om.topes == pentagon_inf.topes
+    assert om.bounded_topes(0) == pentagon_inf.bounded_topes(0)
+    ext = om.lex_extension(perturbation_signature(om))
+    assert ext.bounded_topes() == pentagon_inf.lex_extension(
+        perturbation_signature(pentagon_inf)).bounded_topes()
+    assert run(["info", "--input",
+                os.path.join(DEMO_DATA, "pentagon_inf.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["n_topes"] == len(om.topes)
+    with pytest.raises(AssertionError, match="closure was built"):
+        om.covectors
 
 
 def test_faces_line4(line4, line4_topes):
@@ -261,6 +360,9 @@ def test_is_acyclic_matches_circuit_oracle(name, request):
         assert is_acyclic(chi) == expected
         if om is not None:
             assert expected == (x in om.topes)
+            assert OrientedMatroid(chi, validate=False).is_acyclic() == expected
+        elif name == "rank0":
+            assert OrientedMatroid(chi).is_acyclic()
         acyclic += expected
     every = 2 ** len(base.ground)
     if name in ("rank0", "boolean3"):

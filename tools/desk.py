@@ -23,7 +23,7 @@ import sys
 import time
 
 SEED = 0
-SIZES = ("8x4", "10x3", "10x4", "12x3", "11x4", "12x4")
+SIZES = ("8x4", "10x3", "10x4", "12x3", "11x4", "12x4", "10x5")
 
 
 def size(text: str) -> tuple:
