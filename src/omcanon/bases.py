@@ -142,7 +142,7 @@ def build_flag(om: OrientedMatroid, seed: int = 0) -> Flag:
         stages.append(FlagStage(current, ext))
         if current.rank > 1:
             nxt = ext.om_ext.contract(ext.label)
-            if set(nxt.ground) != set(current.ground):
+            if nxt.ground != current.ground:
                 raise RuntimeError("internal invariant violation: truncation "
                                    "changed the ground set")
             current = nxt
@@ -152,15 +152,17 @@ def build_flag(om: OrientedMatroid, seed: int = 0) -> Flag:
 def transport_to_base(base_alg: OSAlgebra, form: OSElement) -> OSElement:
     """Re-express a truncation's reduced form inside the base algebra.
 
-    The form is lifted through the (iso) boundary of its own top grade and
-    re-evaluated as a combination of d e_T over the identified ground set.
+    A general truncation T of M on the same ground has the dependent sets
+    of M up to size rank(T), and the Orlik-Solomon relations in degree p
+    only see dependent sets of size up to p + 1.  So A(T)_p = A(M)_p, with
+    the same NBC keys, for p < rank(T), and the form keeps its coordinates.
     """
-    stage_alg = form.algebra
-    if stage_alg is base_alg:
-        return form
-    lift = stage_alg.inverse_boundary(form)
-    return base_alg.boundary(base_alg.combination(lift.grade,
-                                                  lift.terms.items()))
+    if form.algebra.matroid.ground != base_alg.matroid.ground:
+        raise ValueError("the form lives on another ground set")
+    if form.grade >= form.algebra.rank:
+        raise ValueError(f"grade {form.grade} is not below the rank "
+                         f"{form.algebra.rank} of the form's algebra")
+    return base_alg.from_terms(form.grade, form.terms)
 
 
 def graded_basis(flag: Flag, k: int) -> list:

@@ -161,12 +161,21 @@ class Chirotope:
         """Contraction by one element, contracted element evaluated LAST.
 
         drop lists further elements removed from the ground set (loops of
-        the contraction, i.e. the rest of the contracted parallel class).
+        the contraction, i.e. the rest of the contracted parallel class); an
+        unknown label, or one that shares a basis with element, is refused.
         """
         pos = ground_positions(self.ground)
         i = _position(pos, element)
-        removed = _mask(pos[e] for e in {element, *drop} if e in pos)
+        removed = _mask({i, *(_position(pos, e) for e in drop)})
         signs = self.signs
+        if removed != 1 << i:
+            spanned = 0  # the elements that share a basis with element
+            for k, s in zip(_mask_index(len(self.ground), self.rank), signs):
+                if s and k >> i & 1:
+                    spanned |= k
+            bad = _labels(self.ground, removed & spanned & ~(1 << i))
+            if bad:
+                raise ValueError(f"{bad[0]!r} is not parallel to {element!r}")
         return Chirotope(_labels(self.ground, ~removed), self.rank - 1, tuple(
             -signs[k >> 1] if k & 1 else signs[k >> 1]
             for k in _minor_slots(len(self.ground), self.rank, removed, i)))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from ._memo import memo
 from .chirotope import Chirotope
-from .om import OrientedMatroid, _facet_elements
+from .om import OrientedMatroid, _facet_classes, _facet_elements
 from .osalg import (OSAlgebra, OSElement, os_algebra_for,
                     os_algebra_of_chirotope)
 from .signvec import SignVector
@@ -156,7 +156,8 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
     residue must equal minus the independently recomputed form of the
     contraction chi_T/a; for a non-facet atom it must vanish.  At rank 1,
     where the facet has rank 0 and no reduced form, the single atom checks
-    the base value chi_T(rep) * 1 instead.  Returns {atom rep: bool}.
+    the base value chi_T(rep) * 1 instead.  The facets are read off om's
+    cached cocircuits conformal to the tope.  Returns {atom rep: bool}.
     """
     om.require_tope(tope)
     alg = algebra_of(om)
@@ -165,12 +166,13 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
     if om.rank == 1:
         rep, = om.atom_reps
         return {rep: form == alg.one().scale(chi.value((rep,)))}
-    facets = _facet_elements(chi, om.underlying)
+    masks = om.underlying._atom_masks
+    facets = _facet_classes(len(om.ground),
+                            om._conformal(tope.plus, tope.minus), masks)
     report = {}
-    for a in om.atom_reps:
+    for a, atom, mask in zip(om.atom_reps, om.atoms, masks):
         res = alg.residue(a, form)
-        if a in facets:
-            atom = om.underlying.atom_of(a)
+        if mask in facets:
             expected = _canonical_form(chi.contract(a, drop=atom - {a}))
             report[a] = (res == expected.scale(-1))
         else:

@@ -5,7 +5,9 @@ the i-th key of combinations(ground, rank) is a basis.  That is the order
 of a chirotope's sign table, so the matroid of a chirotope is its nonzero
 signs (`Chirotope.support`), and an order-preserving relabelling of the
 ground set leaves support as it is.  The bases are kept as masks over
-ground positions, and rank(S) = max |B n S| over bases B is a popcount.
+ground positions, and rank(S) = max |B n S| over bases B is one popcount
+maximum, not cached.  The Tutte polynomial is read off the same masks by
+basis activities, with no deletion-contraction recursion.
 Atoms are the parallel classes, keyed by the earliest element in ground
 order, and found without a rank query: two elements are parallel iff no
 basis holds both.  The Orlik-Solomon side works entirely on atom
@@ -41,7 +43,6 @@ class UnderlyingMatroid:
         self.bases = [m for i, m in enumerate(_mask_index(n, rank))
                       if support >> i & 1]
         self._pos = ground_positions(self.ground)
-        self._rank_cache: dict = {}
         through = [0] * n  # bit j of through[i]: the j-th basis holds i
         for j, b in enumerate(self.bases):
             for bit in _bits(b):
@@ -75,18 +76,9 @@ class UnderlyingMatroid:
 
     # ---- rank oracle and derived notions -------------------------------
 
-    def _rank(self, mask: int) -> int:
-        cached = self._rank_cache.get(mask)
-        if cached is None:
-            cached = max((b & mask).bit_count() for b in self.bases)
-            self._rank_cache[mask] = cached
-        return cached
-
     def rank_of(self, subset) -> int:
-        mask = 0
-        for e in subset:
-            mask |= 1 << _position(self._pos, e)
-        return self._rank(mask)
+        mask = _mask({_position(self._pos, e) for e in subset})
+        return max((b & mask).bit_count() for b in self.bases)
 
     def _atom_index(self, e) -> int:
         i = _position(self._pos, e)
@@ -155,48 +147,27 @@ class UnderlyingMatroid:
 
     @cached_property
     def _tutte(self) -> dict:
-        memo: dict = {}
-        rank = self._rank
-
-        def rec(rem: int, contracted: int) -> dict:
-            """The Tutte polynomial of the minor on the mask rem with the
-            mask contracted contracted; rem's lowest element goes first."""
-            key = (rem, contracted)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            if not rem:
-                res = {(0, 0): 1}
-            else:
-                e = rem & -rem
-                rest = rem ^ e
-                if rank(contracted | e) == rank(contracted):
-                    res = _poly_shift(rec(rest, contracted), 0, 1)  # loop: y*
-                elif rank(contracted | rem) - rank(contracted | rest) == 1:
-                    res = _poly_shift(rec(rest, contracted | e), 1, 0)  # coloop: x*
-                else:
-                    res = _poly_add(rec(rest, contracted),
-                                    rec(rest, contracted | e))
-            memo[key] = res
-            return res
-
-        return rec((1 << len(self.ground)) - 1, 0)
+        """The sum over bases B of x^(internal activity) y^(external
+        activity) (Crapo 1969), in ground order.  Each exchange B - b + e
+        that is a basis puts e in the fundamental cocircuit of b and b in
+        the fundamental circuit of e, so the later of b and e is not the
+        least of its (co)circuit: it is inactive."""
+        bases = set(self.bases)
+        full = (1 << len(self.ground)) - 1
+        poly: dict = {}
+        for basis in self.bases:
+            inactive = 0
+            for b in _bits(basis):
+                for e in _bits(full & ~basis):
+                    if basis ^ b | e in bases:  # B - b + e
+                        inactive |= max(b, e)
+            key = ((basis & ~inactive).bit_count(),
+                   (full & ~basis & ~inactive).bit_count())
+            poly[key] = poly.get(key, 0) + 1
+        return poly
 
     def beta(self) -> int:
         return self.tutte().get((1, 0), 0)
-
-
-def _poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0) + v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _poly_shift(p: dict, dx: int, dy: int) -> dict:
-    return {(i + dx, j + dy): c for (i, j), c in p.items()}
 
 
 def tutte_eval(poly: dict, x, y):

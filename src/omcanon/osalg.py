@@ -187,33 +187,28 @@ class OSAlgebra:
 
     # ---- straightening ------------------------------------------------------
 
-    def _find_broken_circuit(self, key_set: frozenset):
-        for broken, circuit in self.matroid.broken_circuits:
-            if broken <= key_set:
-                return broken, circuit
-        return None
-
     def _straighten(self, key: tuple) -> dict:
         """Expansion of e_key in NBC coordinates, rewriting at the first
         applicable broken circuit in the fixed circuit order."""
         cached = self._straight_cache.get(key)
         if cached is not None:
             return cached
-        if len(key) > self.rank or self.matroid.rank_of(key) < len(key):
+        if self.matroid.rank_of(key) < len(key):  # dependent: e_key = 0
             out: dict = {}
         else:
-            hit = self._find_broken_circuit(frozenset(key))
+            key_set = frozenset(key)
+            hit = next((pair for pair in self.matroid.broken_circuits
+                        if pair[0] <= key_set), None)
             out = {key: Fraction(1)} if hit is None else self._rewrite(key, *hit)
         self._straight_cache[key] = out
         return out
 
     def _rewrite(self, key: tuple, broken: frozenset, circuit: tuple) -> dict:
-        """e_key by the relation of a circuit whose broken part lies in key."""
-        c0 = circuit[0]
+        """e_key by the relation of a circuit whose broken part lies in key.
+        key must be independent, as `_straighten` checks first: then it
+        cannot hold the whole circuit, so no replacement repeats an atom."""
         rest = tuple(a for a in key if a not in broken)
-        if c0 in rest:
-            return {}  # every replacement term repeats an atom and vanishes
-        full = tuple(circuit[1:])  # the broken circuit, ascending
+        full = circuit[1:]  # the broken circuit, ascending
         sign_outer = perm_parity_sign(
             [self._pos[a] for a in full + rest])
         out: dict = {}

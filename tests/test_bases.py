@@ -12,8 +12,8 @@ from omcanon import (SignVector, algebra_of, aomoto, bounded_extension,
 import label_walk
 from conftest import (FIXTURES, NONUNIFORM, boolean_om, count_bounded_topes,
                       named_om, rank1_om, random_arrangements)
-from omcanon import (Extension, OrientedMatroid, aomoto_degree_ranks,
-                     chirotope_from_matrix)
+from omcanon import (Chirotope, Extension, OrientedMatroid,
+                     aomoto_degree_ranks, chirotope_from_matrix)
 from omcanon import (nonreduced_from_triangulation, placing_triangulation,
                      transport_to_base)
 from omcanon.bases import _ATTEMPTS, random_signature
@@ -138,7 +138,7 @@ def test_build_flag_ranks(line4, pentagon):
     flag5 = build_flag(pentagon)
     assert [s.om.rank for s in flag5.stages] == [3, 2, 1]
     for stage in flag5.stages:
-        assert set(stage.om.ground) == set(pentagon.ground)
+        assert stage.om.ground == pentagon.ground
 
 
 def test_build_flag_boolean():
@@ -180,6 +180,48 @@ def test_graded_dims_match_bounded_counts(pentagon, pentagon_inf):
         for k in range(1, om.rank + 1):
             topes = flag.stages[k - 1].ext.bounded_topes()
             assert len(topes) == alg.reduced_dim(om.rank - k)
+
+
+def lifted_transport(base_alg, form):
+    """`transport_to_base` before it kept the form's coordinates: lift
+    through the inverse boundary of the stage's top grade, straighten the
+    lift in the base algebra and take its boundary."""
+    stage_alg = form.algebra
+    if stage_alg is base_alg:
+        return form
+    lift = stage_alg.inverse_boundary(form)
+    return base_alg.boundary(base_alg.combination(lift.grade,
+                                                  lift.terms.items()))
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_transport_matches_lift(name, request):
+    """On every level of the flag, the form of every tope of the stage is
+    carried to the same element as the lift carries it to."""
+    om = named_om(name, request)
+    base_alg = algebra_of(om)
+    for stage in build_flag(om).stages:
+        for t in stage.om.topes:
+            form = canonical_form_tope(stage.om, t)
+            assert (transport_to_base(base_alg, form)
+                    == lifted_transport(base_alg, form))
+
+
+def test_transport_refuses_other_grounds_and_top_grades(line4, pentagon):
+    """A form on another ground tuple, the same labels reordered included,
+    and a form in the top grade of its algebra have no coordinates to
+    keep."""
+    alg = algebra_of(line4)
+    reordered = OrientedMatroid(Chirotope(line4.ground[::-1], line4.rank,
+                                          line4.chi.signs))
+    for om in (pentagon, reordered):
+        form = canonical_form_tope(om, om.sorted_topes()[0])
+        with pytest.raises(ValueError, match="^the form lives on another "
+                                             "ground set$"):
+            transport_to_base(alg, form)
+    with pytest.raises(ValueError, match="^grade 2 is not below the rank 2 "
+                                         "of the form's algebra$"):
+        transport_to_base(alg, alg.monomial((0, 1)))
 
 
 def test_expand_in_basis_roundtrip(pentagon):

@@ -132,6 +132,22 @@ def test_contract_matches_reference(name, request):
                             == dict_contract(chi, a, drop))
     with pytest.raises(ValueError, match="unknown element"):
         om.chi.contract("no such label")
+    with pytest.raises(ValueError, match="^unknown element label 'nope'$"):
+        om.chi.contract(om.ground[0], drop=("nope",))
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_contract_refuses_non_parallel_drop(name, request):
+    """Dropping an element that shares a basis with the contracted one
+    would delete it as well (pentagon.chi.contract(1, drop=(2,)) returned a
+    table on 3, 4, 5); each such pair is refused, naming the dropped
+    element."""
+    om = named_om(name, request)
+    for e, f in product(om.ground, repeat=2):
+        if f not in om.underlying.atom_of(e):
+            with pytest.raises(ValueError,
+                               match=f"^{f!r} is not parallel to {e!r}$"):
+                om.chi.contract(e, drop=(f,))
 
 
 def reference_delete(chi: Chirotope, element) -> Chirotope:

@@ -543,6 +543,28 @@ def test_residue_axioms_nonpappus(nonpappus):
     assert len(seen) == 29
 
 
+def test_residue_check_reads_the_cached_cocircuits(nonpappus, monkeypatch):
+    """Once every tope was checked, checking them again rebuilds no
+    cocircuits: the facets come from the oriented matroid's cached table,
+    not from the reoriented chirotope."""
+    topes = nonpappus.sorted_topes()
+    reports = [check_residue_axioms(nonpappus, t) for t in topes]
+    assert all(all(report.values()) for report in reports)
+    calls = []
+    cocircuit_masks = om_module._cocircuit_masks
+
+    def counting_cocircuit_masks(chi):
+        calls.append(chi)
+        return cocircuit_masks(chi)
+
+    monkeypatch.setattr(om_module, "_cocircuit_masks",
+                        counting_cocircuit_masks)
+    assert [check_residue_axioms(nonpappus, t) for t in topes] == reports
+    assert calls == []
+    _facet_elements(nonpappus.chi, nonpappus.underlying)
+    assert len(calls) == 1  # the counter sees calls
+
+
 @pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair",
                                   "nonpappus"])
 def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):

@@ -1,10 +1,13 @@
+import json
+import os
 import random
 from itertools import chain, combinations
 from math import comb
 
 import pytest
 
-from omcanon import Chirotope, UnderlyingMatroid, tutte_eval
+from omcanon import Chirotope, OrientedMatroid, UnderlyingMatroid, tutte_eval
+from omcanon.serialize import parse_input
 
 from conftest import (FIXTURES, NONUNIFORM, boolean_om, contract_atom,
                       cyclic_line_chirotope, delete_atom, named_om,
@@ -30,6 +33,7 @@ def test_rank_closure_hyperplanes_line4(line4):
     oracle = FrozensetMatroid.from_chirotope(line4.chi)
     assert oracle.closure({1}) == {1}
     assert m.rank_of({1, 2, 3}) == 2
+    assert m.rank_of([1, 1]) == m.rank_of((2, 2, 2)) == 1  # repeats count once
     assert oracle.hyperplanes() == frozenset(frozenset({e}) for e in m.ground)
 
 
@@ -146,13 +150,31 @@ def test_chirotope_fingerprint_matches_matroid(name, request):
                 == {frozenset(key) for key in chi.nonzero_keys})
 
 
-def fixture_matrix(name, request):
-    """The matrix realizing a fixture, or None."""
+HERE = os.path.dirname(__file__)
+DATA_FILES = {f: os.path.join(folder, f)
+              for folder in (os.path.join(HERE, "..", "demos", "data"),
+                             os.path.join(HERE, "data"))
+              for f in sorted(os.listdir(folder)) if f.endswith(".json")}
+ORACLE_INPUTS = FIXTURES + list(NONUNIFORM) + ["loops"] + list(DATA_FILES)
+
+
+def named_input(name, request) -> tuple:
+    """(chirotope, the matrix realizing it or None) for a fixture name,
+    "loops" (rank 0 on a nonempty ground: three loops) or the file name of
+    a `demos/data` or `tests/data` input."""
+    if name == "loops":
+        return Chirotope((0, 1, 2), 0, (1,)), None
+    if name in DATA_FILES:
+        with open(DATA_FILES[name]) as fh:
+            parsed = parse_input(json.load(fh))
+        return parsed.chi, parsed.matrix
     if name in NONUNIFORM:
-        return nonuniform_matrix(*NONUNIFORM[name])
-    if name in ("pentagon", "pentagon_inf"):
-        return request.getfixturevalue(f"{name}_matrix")
-    return None
+        mat = nonuniform_matrix(*NONUNIFORM[name])
+    elif name in ("pentagon", "pentagon_inf"):
+        mat = request.getfixturevalue(f"{name}_matrix")
+    else:
+        mat = None
+    return named_om(name, request).chi, mat
 
 
 def support_bases(ground, rank, support) -> frozenset:
@@ -162,16 +184,13 @@ def support_bases(ground, rank, support) -> frozenset:
                      if support >> i & 1)
 
 
-@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM) + ["loops"])
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_matches_frozenset_oracle(name, request):
     """Every query of the support-mask matroid equals the label-frozenset
-    matroid it replaced, under every relabelling; where a matrix realizes
-    the fixture, ranks equal the matrix ranks as well."""
-    if name == "loops":  # rank 0 on a nonempty ground: three loops
-        chi = Chirotope((0, 1, 2), 0, (1,))
-    else:
-        chi = named_om(name, request).chi
-    mat = fixture_matrix(name, request)
+    matroid it replaced, under every relabelling; the Tutte polynomial by
+    basis activities equals the oracle's deletion-contraction.  Where a
+    matrix realizes the input, ranks equal the matrix ranks as well."""
+    chi, mat = named_input(name, request)
     for variant in relabellings(chi):
         m = UnderlyingMatroid.from_chirotope(variant)
         oracle = FrozensetMatroid.from_chirotope(variant)
@@ -199,6 +218,20 @@ def test_matches_frozenset_oracle(name, request):
             assert rank_a == m.rank - 1
             assert ((ground_a, support_bases(ground_a, rank_a, support_a))
                     == oracle.contraction_fingerprint(a))
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_tutte_identities(name, request):
+    """T(1, 1) counts the bases and T(2, 2) = 2^n; T(2, 0) counts the topes
+    (Las Vergnas 1975; Zaslavsky 1975), which the tope walk finds without
+    the Tutte polynomial."""
+    chi, _ = named_input(name, request)
+    m = UnderlyingMatroid.from_chirotope(chi)
+    t = m.tutte()
+    assert tutte_eval(t, 1, 1) == len(m.bases) == len(chi.nonzero_keys)
+    assert tutte_eval(t, 2, 2) == 2 ** len(chi.ground)
+    assert (tutte_eval(t, 2, 0)
+            == len(OrientedMatroid(chi, validate=False).topes))
 
 
 def first_rep_atoms(m: UnderlyingMatroid) -> tuple:
@@ -229,10 +262,10 @@ def test_atoms_need_no_rank_query(monkeypatch):
             continue
     expected = [first_rep_atoms(m) for m in cases]
 
-    def no_rank(self, mask):
+    def no_rank(self, subset):
         raise AssertionError("rank query while building")
 
-    monkeypatch.setattr(UnderlyingMatroid, "_rank", no_rank)
+    monkeypatch.setattr(UnderlyingMatroid, "rank_of", no_rank)
     assert [UnderlyingMatroid(m.ground, m.rank, m.support).atoms
             for m in cases] == expected
 

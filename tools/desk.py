@@ -2,12 +2,13 @@
 
 For each size n x r it draws an r x n integer matrix with
 random.Random(SEED).randint(-9, 9), row by row, and prints the seconds to
-check its chirotope's axioms (`validate_chirotope`), to enumerate its topes
-(`sorted_topes`) and to compute the reduced canonical form of every tope
-(`canonical_form_tope`), and the memo entries held after the forms (the
-sum of `omcanon._memo.cache_sizes()`).  Each size runs in a fresh process,
-so no cache carries over from one size to the next.  The report gates
-nothing; its figures are single wall-clock runs.
+check its chirotope's axioms (`validate_chirotope`), to compute the Tutte
+polynomial of its matroid (`UnderlyingMatroid.tutte`), to enumerate its
+topes (`sorted_topes`) and to compute the reduced canonical form of every
+tope (`canonical_form_tope`), and the memo entries held after the forms
+(the sum of `omcanon._memo.cache_sizes()`).  Each size runs in a fresh
+process, so no cache carries over from one size to the next.  The report
+gates nothing; its figures are single wall-clock runs.
 
     PYTHONPATH=src python tools/desk.py            # every default size
     PYTHONPATH=src python tools/desk.py 8x4 10x3   # chosen sizes
@@ -47,6 +48,9 @@ def measure(n: int, r: int) -> dict:
     validate_s = time.perf_counter() - start
     om = OrientedMatroid(chi, validate=False)
     start = time.perf_counter()
+    om.underlying.tutte()
+    tutte_s = time.perf_counter() - start
+    start = time.perf_counter()
     topes = om.sorted_topes()
     enumerate_s = time.perf_counter() - start
     start = time.perf_counter()
@@ -54,7 +58,7 @@ def measure(n: int, r: int) -> dict:
         canonical_form_tope(om, t)
     forms_s = time.perf_counter() - start
     return {"topes": len(topes), "validate_s": validate_s,
-            "enumerate_s": enumerate_s, "forms_s": forms_s,
+            "tutte_s": tutte_s, "enumerate_s": enumerate_s, "forms_s": forms_s,
             "memo_entries": sum(cache_sizes().values())}
 
 
@@ -72,8 +76,8 @@ def main(argv=None) -> int:
         (n, r), = args.sizes
         print(json.dumps(measure(n, r)))
         return 0
-    print(f"{'n x r':>7} {'topes':>6} {'validate_s':>11} {'enumerate_s':>12} "
-          f"{'forms_s':>9} {'memo_entries':>13}")
+    print(f"{'n x r':>7} {'topes':>6} {'validate_s':>11} {'tutte_s':>8} "
+          f"{'enumerate_s':>12} {'forms_s':>9} {'memo_entries':>13}")
     for n, r in args.sizes:
         proc = subprocess.run(
             [sys.executable, __file__, "--one", f"{n}x{r}"],
@@ -83,8 +87,8 @@ def main(argv=None) -> int:
             return proc.returncode
         row = json.loads(proc.stdout)
         print(f"{n:>3} x {r} {row['topes']:>6} {row['validate_s']:>11.4f} "
-              f"{row['enumerate_s']:>12.3f} {row['forms_s']:>9.3f} "
-              f"{row['memo_entries']:>13}")
+              f"{row['tutte_s']:>8.4f} {row['enumerate_s']:>12.3f} "
+              f"{row['forms_s']:>9.3f} {row['memo_entries']:>13}")
     return 0
 
 
