@@ -11,7 +11,7 @@ from . import linalg
 from .chirotope import _earliest_basis, _mask
 from .forms import algebra_of, canonical_form_tope
 from .om import Extension, OrientedMatroid
-from .osalg import OSAlgebra, OSElement
+from .osalg import OSAlgebra, OSElement, _coeff
 from .signvec import SignVector, ground_positions
 
 _ATTEMPTS = 32  # signatures tried before an extension search gives up
@@ -274,9 +274,9 @@ def _weight_form(alg: OSAlgebra, weights: dict, base) -> OSElement:
     expected_keys = {e for e in alg.matroid.ground if e != base}
     if set(weights) != expected_keys:
         raise ValueError(f"weights must cover exactly {sorted(map(str, expected_keys))}")
-    total = sum(map(Fraction, weights.values()))
+    weights = {e: _coeff(lam) for e, lam in weights.items()}
     omega = alg.combination(1, [((e,), lam) for e, lam in weights.items()]
-                            + [((base,), -total)])
+                            + [((base,), -sum(weights.values()))])
     if not alg.boundary(omega).is_zero:
         raise RuntimeError("internal invariant violation: weight form is "
                            "not boundary-closed")

@@ -1,5 +1,11 @@
 """Orlik-Solomon algebra over exact rationals in NBC coordinates.
 
+A coefficient is an int when it is integral and a `fractions.Fraction`
+only when it is not; `_coeff` is the one gate every coefficient passes.
+Every straightening relation has coefficients +-1 and canonical forms are
+integral, so canonical forms and their boundaries and residues run on
+Python ints; only weighted forms such as Aomoto's carry Fractions.
+
 Generators are atom representatives of the underlying matroid.  Monomials
 on dependent sets vanish; monomials containing a broken circuit are
 rewritten through the circuit relations (boundary of a circuit monomial is
@@ -32,7 +38,6 @@ is first in ground order (Orlik-Terao, Arrangements of Hyperplanes,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -60,6 +65,15 @@ def _algebra(ground: tuple, rank: int, support: int) -> "OSAlgebra":
     return OSAlgebra(UnderlyingMatroid(ground, rank, support))
 
 
+def _coeff(c):
+    """c as a coefficient: c itself when it is an int, else an int when it
+    is integral and a Fraction when not.  A float is refused by `_exact`."""
+    if type(c) is int:
+        return c
+    c = _exact(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _residue_key(key: tuple, a) -> tuple | None:
     """(rest, sign) with Res_a e_key = sign * e_rest, where rest is key
     minus its entry a = key[j] and sign = (-1)^(len(key)-1-j); None when a
@@ -74,10 +88,13 @@ def _residue_key(key: tuple, a) -> tuple | None:
 class OSElement:
     algebra: "OSAlgebra"
     grade: int
-    terms: dict  # ascending atom-rep tuple -> nonzero Fraction
+    # ascending atom-rep tuple -> nonzero int, or Fraction when not integral
+    terms: dict
 
     def __post_init__(self):
-        self.terms = {k: v for k, v in self.terms.items() if v != 0}
+        self.terms = {k: v if type(v) is int or v.denominator != 1
+                      else v.numerator
+                      for k, v in self.terms.items() if v}
 
     @property
     def is_zero(self) -> bool:
@@ -94,7 +111,7 @@ class OSElement:
             raise ValueError("grade/context mismatch")
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
+            terms[k] = terms.get(k, 0) + v
         return OSElement(self.algebra, self.grade, terms)
 
     def __sub__(self, other: "OSElement") -> "OSElement":
@@ -105,7 +122,7 @@ class OSElement:
                          {k: -v for k, v in self.terms.items()})
 
     def scale(self, c) -> "OSElement":
-        c = _exact(c)
+        c = _coeff(c)
         return OSElement(self.algebra, self.grade,
                          {k: c * v for k, v in self.terms.items()})
 
@@ -117,7 +134,7 @@ class OSElement:
 
     @property
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.terms.values())
+        return all(type(v) is int for v in self.terms.values())
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -152,7 +169,7 @@ class OSAlgebra:
         return OSElement(self, grade, {})
 
     def one(self) -> OSElement:
-        return OSElement(self, 0, {(): Fraction(1)})
+        return OSElement(self, 0, {(): 1})
 
     def dim(self, k: int) -> int:
         return len(self.nbc.get(k, ()))
@@ -164,9 +181,9 @@ class OSAlgebra:
         for key in terms:
             if key not in self._nbc_pos.get(grade, {}):
                 raise ValueError(f"{key} is not an NBC set of grade {grade}")
-        return OSElement(self, grade, {k: _exact(v) for k, v in terms.items()})
+        return OSElement(self, grade, {k: _coeff(v) for k, v in terms.items()})
 
-    def monomial(self, seq, coeff=Fraction(1)) -> OSElement:
+    def monomial(self, seq, coeff=1) -> OSElement:
         """e_seq straightened into NBC coordinates; seq lists ground elements."""
         seq = tuple(seq)
         return self.combination(len(seq), [(seq, coeff)])
@@ -177,7 +194,7 @@ class OSAlgebra:
         atom contributes zero."""
         terms: dict = {}
         for seq, c in pairs:
-            c = _exact(c)
+            c = _coeff(c)
             reps = tuple(self.matroid.rep_of(e) for e in seq)
             if len(reps) != grade:
                 raise ValueError(f"expected {grade} entries, got {len(reps)}")
@@ -199,7 +216,7 @@ class OSAlgebra:
             key_set = frozenset(key)
             hit = next((pair for pair in self.matroid.broken_circuits
                         if pair[0] <= key_set), None)
-            out = {key: Fraction(1)} if hit is None else self._rewrite(key, *hit)
+            out = {key: 1} if hit is None else self._rewrite(key, *hit)
         self._straight_cache[key] = out
         return out
 
@@ -216,10 +233,10 @@ class OSAlgebra:
             # relation: e_full = sum_j (-1)^{j+1} e_{circuit minus c_j}
             repl = tuple(a for a in circuit if a != circuit[j])
             self._straighten_into(out, repl + rest,
-                                  Fraction((-1) ** (j + 1) * sign_outer))
+                                  (-1) ** (j + 1) * sign_outer)
         return {k: v for k, v in out.items() if v != 0}
 
-    def _straighten_into(self, terms: dict, reps: tuple, c: Fraction) -> None:
+    def _straighten_into(self, terms: dict, reps: tuple, c) -> None:
         """terms += c * e_reps in NBC coordinates, for distinct atom
         representatives reps in any order."""
         positions = [self._pos[a] for a in reps]
@@ -252,7 +269,7 @@ class OSAlgebra:
             for i in range(k):
                 sub = key[:k - 1 - i] + key[k - i:]
                 coeff = c * (-1) ** i
-                terms[sub] = terms.get(sub, Fraction(0)) + coeff
+                terms[sub] = terms.get(sub, 0) + coeff
         return OSElement(self, x.grade - 1, terms)
 
     # ---- residue maps --------------------------------------------------------
@@ -281,7 +298,7 @@ class OSAlgebra:
         grade = x.grade if grade is None else grade
         if x.grade != grade:
             raise ValueError(f"expected grade {grade}, got {x.grade}")
-        vec = [Fraction(0)] * self.dim(grade)
+        vec = [0] * self.dim(grade)
         index = self._nbc_pos.get(grade, {})
         for key, c in x.terms.items():
             vec[index[key]] = c
@@ -380,8 +397,9 @@ class _ResidueStack:
     the joint residue map is injective as well: the stacked matrix has full
     column rank, and a cached left inverse turns every canonical-form solve
     into a matrix-vector product plus a consistency check.  Canonical forms
-    are integral, so the matrix is kept over int and the left inverse as an
-    int matrix over one positive denominator `denom`.  Both are almost
+    are integral, so their coefficients are ints, the matrix is kept over
+    int and the left inverse as an int matrix over one positive denominator
+    `denom`.  Both are almost
     empty and are stored as sparse columns: `matrix[j]` lists the (stacked
     row, value) pairs of the j-th NBC monomial's residues, and `left[i]`
     the (coefficient index, value) pairs that stacked row i feeds.
@@ -407,11 +425,11 @@ class _ResidueStack:
                 rest, sign = res
                 for k, v in target.monomial(tuple(pos[e] for e in rest),
                                             coeff=sign).terms.items():
-                    if v.denominator != 1:
+                    if type(v) is not int:
                         raise RuntimeError("internal invariant violation: "
                                            "residue map has non-integer "
                                            "entries")
-                    column.append((nrows + index[k], int(v)))
+                    column.append((nrows + index[k], v))
             nrows += target.dim(r - 1)
         dense = [[0] * len(self.keys) for _ in range(nrows)]
         for j, column in enumerate(self.matrix):
@@ -438,10 +456,10 @@ class _ResidueStack:
                                    "algebra")
             index = target._nbc_pos[r - 1]
             for key, v in targets[a].terms.items():
-                if v.denominator != 1:
+                if type(v) is not int:
                     raise RuntimeError("internal invariant violation: residue "
                                        "targets have non-integer coordinates")
-                stacked[offset + index[key]] = int(v)
+                stacked[offset + index[key]] = v
         nums = [0] * len(self.keys)
         for i, v in stacked.items():
             for j, x in self.left[i]:
@@ -459,5 +477,5 @@ class _ResidueStack:
             raise RuntimeError(
                 "internal invariant violation: residue system is "
                 "inconsistent (suspect an invalid chirotope)")
-        return OSElement(self.alg, r, {key: Fraction(c) for key, c
+        return OSElement(self.alg, r, {key: c for key, c
                                        in zip(self.keys, coeffs) if c})

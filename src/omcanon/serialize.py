@@ -32,8 +32,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def rational_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
+def rational_to_str(x: int | Fraction) -> str:
+    """x as "p/q" or "n"; an int or a Fraction already prints so."""
+    return str(x)
 
 
 def rational_from_str(s) -> Fraction:

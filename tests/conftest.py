@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
                      chirotope_from_matrix, linalg)
 from omcanon.chirotope import _mask, _mask_index
 from omcanon.osalg import _algebra
+from omcanon.serialize import parse_input
 
 from oracle_ops import is_orthogonal
 
@@ -192,8 +194,14 @@ def relabellings(chi: Chirotope) -> list:
 
 def named_om(name: str, request) -> OrientedMatroid:
     """A session fixture by name, or one of the built ones: rank1 (three
-    parallel elements, one reversed), boolean3, uniform_r4 (seed 0), and
-    the seeded non-uniform matrices of NONUNIFORM."""
+    parallel elements, one reversed), boolean3, uniform_r4 (seed 0), the
+    seeded non-uniform matrices of NONUNIFORM, and the non-realizable
+    nonpappus_ext10 of `tests/data`."""
+    if name == "nonpappus_ext10":
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "nonpappus_ext10.json")
+        with open(path) as fh:
+            return OrientedMatroid(parse_input(json.load(fh)).chi)
     if name in NONUNIFORM:
         return nonuniform_om(*NONUNIFORM[name])
     if name == "rank1":

@@ -16,7 +16,7 @@ from omcanon import (Chirotope, Extension, OrientedMatroid,
                      aomoto_degree_ranks, chirotope_from_matrix)
 from omcanon import (nonreduced_from_triangulation, placing_triangulation,
                      transport_to_base)
-from omcanon.bases import _ATTEMPTS, random_signature
+from omcanon.bases import _ATTEMPTS, _weight_form, random_signature
 from omcanon.osalg import OSElement
 
 
@@ -282,6 +282,30 @@ def test_aomoto_weight_validation(line4):
 def test_aomoto_refuses_float_weights(line4):
     with pytest.raises(TypeError, match="float"):
         aomoto(line4, {1: 1, 2: 0.5, 3: 1}, base=0)
+
+
+@pytest.mark.parametrize("weight", [0.5, float("nan"), float("inf")],
+                         ids=["half", "nan", "inf"])
+def test_float_weights_fail_at_first_use(pentagon, weight):
+    """A float weight is refused as a float before any weight is summed,
+    not first converted to its binary expansion (Fraction(nan) raises
+    ValueError, Fraction(inf) OverflowError)."""
+    weights = {2: 1, 3: weight, 4: "1/2", 5: 1}
+    for fn in (aomoto, aomoto_degree_ranks):
+        with pytest.raises(TypeError, match="float"):
+            fn(pentagon, weights, base=1)
+
+
+def test_weight_form_coefficients(pentagon):
+    """omega has int coefficients where the weights are integral and
+    Fraction ones only where they are not."""
+    alg = algebra_of(pentagon)
+    omega = _weight_form(alg, {2: Fraction(3, 2), 3: "1/2", 4: 2,
+                               5: Fraction(6, 3)}, 1)
+    assert omega.terms == {(1,): -6, (2,): Fraction(3, 2),
+                           (3,): Fraction(1, 2), (4,): 2, (5,): 2}
+    assert [type(omega.terms[(e,)]) for e in pentagon.ground] == [
+        int, Fraction, Fraction, int, int]
 
 
 def test_aomoto_rank1():

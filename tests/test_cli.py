@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -207,6 +208,14 @@ def test_rationals_in_documented_forms(capsys, line4_path):
     code, out, _ = invoke(capsys, "aomoto", "--input", line4_path,
                           "--weights", " +1 ,-2/3, 4/2")
     assert code == 0 and json.loads(out)["is_generic"] is True
+
+
+@pytest.mark.parametrize("value, text", [
+    (3, "3"), (Fraction(3), "3"), (Fraction(6, 2), "3"),
+    (-3, "-3"), (Fraction(-3), "-3"), (Fraction(-3, 2), "-3/2"),
+    (Fraction(3, -2), "-3/2"), (0, "0")])
+def test_rational_to_str(value, text):
+    assert ser.rational_to_str(value) == text
 
 
 def test_verify_all_pentagon(capsys, pentagon_path):

@@ -13,7 +13,6 @@ from omcanon import om as om_module
 from omcanon.bases import random_signature
 from omcanon.cli import run
 from omcanon.om import _circuits, _facet_classes, _facet_elements, is_acyclic
-from omcanon.serialize import parse_input
 
 import label_walk
 import oracle_ops
@@ -29,7 +28,6 @@ from tuple_signvec import SignVector as TupleSignVector
 from tuple_signvec import covector_closure as tuple_covector_closure
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-DATA = os.path.join(HERE, "data")
 DEMO_DATA = os.path.join(HERE, os.pardir, "demos", "data")
 
 
@@ -149,9 +147,6 @@ def walk_oms(name, request) -> list:
     """[a fixture by name], [`uniform_r4`], [the non-realizable
     `tests/data/nonpappus_ext10.json`], or, for "shape-seed", the NONUNIFORM
     shape at that seed under each of its relabellings."""
-    if name == "nonpappus_ext10":
-        with open(os.path.join(DATA, "nonpappus_ext10.json")) as fh:
-            return [OrientedMatroid(parse_input(json.load(fh)).chi)]
     if name in WALK_SEEDS:
         shape, seed = name.rsplit("-", 1)
         chi = nonuniform_om(*NONUNIFORM[shape], seed=int(seed)).chi

@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from omcanon import (UnderlyingMatroid, algebra_of, expand_in_basis, linalg,
+from omcanon import (UnderlyingMatroid, algebra_of, canonical_form_tope,
+                     expand_in_basis, linalg, nonreduced_canonical_form,
                      structure_constants, tutte_eval)
 from omcanon.chirotope import perm_parity_sign
-from omcanon.osalg import OSAlgebra, OSElement
+from omcanon.osalg import OSAlgebra, OSElement, _coeff
+from omcanon.serialize import oselement_to_document
+
+import fraction_osalg
 
 from conftest import (FIXTURES, NONUNIFORM, contract_atom,
                       deletion_algebra, exact_sequence_maps, iota,
@@ -568,3 +572,150 @@ def test_operations_refuse_elements_of_another_algebra(method, line4,
     x, y = a.monomial((1,)), b.monomial((1,))
     with pytest.raises(ValueError, match="^context mismatch$"):
         MISMATCHED[method](a, x, y)
+
+
+# ---- int coefficients against the Fraction-coefficient oracle ----------------
+
+ORACLE_ALGEBRAS = FIXTURES + list(NONUNIFORM) + ["nonpappus_ext10"]
+
+
+def exact_coefficient(rng):
+    """A seeded int, Fraction(p, q) or numeric string such as "-3/2"."""
+    p, q = rng.randint(-4, 4), rng.randint(1, 3)
+    return rng.choice((p, Fraction(p, q), f"{p}/{q}"))
+
+
+def exact_pairs(rng, ground, grade: int) -> list:
+    """`random_pairs` with coefficients from `exact_coefficient`."""
+    return [(seq, exact_coefficient(rng))
+            for seq, _ in random_pairs(rng, ground, grade)]
+
+
+def assert_matches_oracle(oracle: fraction_osalg.FractionAlgebra,
+                          x: OSElement, want: tuple) -> None:
+    assert (x.grade, x.terms) == want
+    assert oselement_to_document(x) == oracle.document(want)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_int_kernel_matches_fraction_oracle(name, request):
+    """combination, boundary, residue and wedge agree with the earlier
+    Fraction-coefficient straightening on every grade, up to one past the
+    rank, on seeded sums with int, Fraction and string coefficients: the
+    same terms and the same document."""
+    om = named_om(name, request)
+    alg = algebra_of(om)
+    oracle = fraction_osalg.FractionAlgebra(alg)
+    ground = list(om.ground)
+    rng = random.Random(f"fraction oracle:{name}")
+    for grade in range(min(alg.rank + 1, len(ground)) + 1):
+        for _ in range(4):
+            pairs = exact_pairs(rng, ground, grade)
+            x = alg.combination(grade, pairs)
+            want = oracle.combination(grade, pairs)
+            assert_matches_oracle(oracle, x, want)
+            assert_matches_oracle(oracle, alg.boundary(x),
+                                  oracle.boundary(want))
+            for a in alg.atoms if grade else ():
+                res = alg.residue(a, x)
+                assert_matches_oracle(
+                    fraction_osalg.FractionAlgebra(res.algebra), res,
+                    oracle.residue(a, want))
+            other = min(alg.rank + 1 - grade, len(ground))
+            for g in {1, other} if other > 0 else ():
+                pairs = exact_pairs(rng, ground, g)
+                y = alg.combination(g, pairs)
+                assert_matches_oracle(
+                    oracle, x.wedge(y),
+                    oracle.wedge(want, oracle.combination(g, pairs)))
+
+
+# ---- the coefficient type ----------------------------------------------------
+
+
+def assert_coefficient_types(x: OSElement) -> OSElement:
+    """Every coefficient is an int when integral and a Fraction when not;
+    never a float or a bool."""
+    for v in x.terms.values():
+        assert type(v) is (int if v.denominator == 1 else Fraction), (x, v)
+    return x
+
+
+@pytest.mark.parametrize("value, want", [
+    (3, 3), (-2, -2), (True, 1), (Fraction(4, 2), 2), ("6/3", 2), ("-3", -3),
+    (Fraction(1, 2), Fraction(1, 2)), ("-3/2", Fraction(-3, 2))])
+def test_coefficient_gate(value, want):
+    """`_coeff` turns every integral value into an int before any
+    arithmetic, and keeps a Fraction only when it is not integral."""
+    got = _coeff(value)
+    assert got == want and type(got) is type(want)
+
+
+def test_algebra_operations_keep_the_coefficient_type(pentagon):
+    alg = algebra_of(pentagon)
+    check = assert_coefficient_types
+    x = check(alg.combination(2, [((1, 2), 3), ((2, 4), Fraction(4, 2)),
+                                  ((3, 5), "6/3"), ((1, 5), True)]))
+    assert x.terms and all(type(v) is int for v in x.terms.values())
+    half = check(alg.combination(1, [((1,), Fraction(1, 2)), ((3,), "1/2"),
+                                     ((2,), 2)]))
+    assert {type(v) for v in half.terms.values()} == {int, Fraction}
+    check(alg.one())
+    check(alg.monomial((2, 4)))
+    check(alg.monomial((2, 4), "3/2"))
+    check(alg.monomial((2, 4), Fraction(6, 3)))
+    check(alg.from_terms(2, {key: Fraction(2, 1) for key in alg.nbc[2]}))
+    check(alg.from_terms(2, {key: "1/3" for key in alg.nbc[2]}))
+    check(half.scale(2))
+    check(half.scale(Fraction(1, 3)))
+    even = x.scale(2)
+    assert even.scale(Fraction(1, 2)) == x
+    assert all(type(v) is int
+               for v in check(even.scale(Fraction(1, 2))).terms.values())
+    check(x + x.scale(Fraction(1, 2)))
+    check(x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)))
+    check(x - x.scale(Fraction(1, 2)))
+    check(x.scale(Fraction(3, 2)) - x.scale(Fraction(1, 2)))
+    check(-half)
+    check(half.wedge(half.scale(3)))
+    check(half.wedge(alg.monomial((4,), Fraction(2, 1))))
+    check(alg.boundary(x))
+    check(alg.boundary(half.wedge(alg.monomial((5,), "2/1"))))
+    for a in alg.atoms:
+        check(alg.residue(a, x))
+        check(alg.residue(a, x.scale(Fraction(1, 2))))
+    top = alg.from_terms(alg.rank, {key: Fraction(4, 2)
+                                    for key in alg.nbc[alg.rank]})
+    check(alg.inverse_boundary(check(alg.boundary(top))))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_tope_forms_have_int_coefficients(name, request):
+    """Every tope's reduced and non-reduced form, and the residue stack's
+    solve that builds them, give int coefficients."""
+    om = named_om(name, request)
+    for tope in om.sorted_topes():
+        for form in (canonical_form_tope(om, tope),
+                     nonreduced_canonical_form(om, tope)):
+            assert all(type(v) is int for v in form.terms.values()), form
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
+def test_residue_stack_solve_gives_ints(name, request):
+    """The stack solves the residues of a seeded integral top element back
+    to it, with int coefficients."""
+    alg = algebra_of(named_om(name, request))
+    r = alg.rank
+    stack = alg.residue_stack
+    coeffs = [i % 5 - 2 for i in range(len(stack.keys))]
+    image: dict = {}
+    for column, c in zip(stack.matrix, coeffs):
+        for i, v in column:
+            image[i] = image.get(i, 0) + c * v
+    targets = {a: target.from_terms(r - 1, {
+        key: Fraction(image.get(offset + i, 0))
+        for i, key in enumerate(target.nbc_keys(r - 1))})
+        for a, target, offset in stack.blocks}
+    x = stack.solve(targets)
+    assert x == alg.from_terms(r, dict(zip(stack.keys, coeffs)))
+    assert all(type(v) is int for v in x.terms.values())
