@@ -1,14 +1,18 @@
 """Command-line surface and verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 input/validation errors.
-stdout carries exactly one JSON document; diagnostics go to stderr.
-Every input chirotope is validated exhaustively.
+`run` is the one place that loads the input, prints the document and sets
+the exit code: 0 success, 1 when the document reports `"passed": false`
+(only `verify` does), 2 input/validation errors. stdout carries exactly
+one JSON document; diagnostics go to stderr. Every input chirotope is
+validated exhaustively. Each `cmd_*` builds its command's document from
+the parsed arguments, the parsed input and its oriented matroid.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 
@@ -49,11 +53,10 @@ def _load(path: str) -> tuple:
     return parsed, om
 
 
-def cmd_info(args) -> int:
-    parsed, om = _load(args.input)
+def cmd_info(args, parsed, om) -> dict:
     alg = algebra_of(om)
     m = om.underlying
-    out = {
+    return {
         "rank": om.rank,
         "elements": list(parsed.labels),
         "atoms": [sorted(a, key=parsed.labels.index) for a in m.atoms],
@@ -65,12 +68,9 @@ def cmd_info(args) -> int:
         "beta": m.beta(),
         "tutte": {f"{i},{j}": c for (i, j), c in sorted(m.tutte().items())},
     }
-    sys.stdout.write(ser.dumps_canonical(out))
-    return 0
 
 
-def cmd_canonical(args) -> int:
-    parsed, om = _load(args.input)
+def cmd_canonical(args, parsed, om) -> dict:
     tope = ser.sign_vector_from_str(parsed.labels, args.tope)
     if not om.is_tope(tope):
         nearest = sorted(om.topes, key=lambda t: (
@@ -82,28 +82,23 @@ def cmd_canonical(args) -> int:
         element = nonreduced_canonical_form(om, tope)
     else:
         element = canonical_form_tope(om, tope)
-    sys.stdout.write(ser.dumps_canonical(ser.oselement_to_document(element)))
-    return 0
+    return ser.oselement_to_document(element)
 
 
-def cmd_basis(args) -> int:
-    parsed, om = _load(args.input)
+def cmd_basis(args, parsed, om) -> dict:
     if not 0 <= args.grade <= om.rank - 1:
         raise ser.InputError(f"grade must be in 0..{om.rank - 1}")
     flag = bases_mod.build_flag(om, seed=args.seed)
     pairs = bases_mod.graded_basis(flag, om.rank - args.grade)
-    out = {
+    return {
         "grade": args.grade,
         "basis": [{"tope": ser.sign_vector_to_str(t),
                    "element": ser.oselement_to_document(f)}
                   for t, f in pairs],
     }
-    sys.stdout.write(ser.dumps_canonical(out))
-    return 0
 
 
-def cmd_aomoto(args) -> int:
-    parsed, om = _load(args.input)
+def cmd_aomoto(args, parsed, om) -> dict:
     base = args.base if args.base is not None else parsed.labels[0]
     if base not in parsed.labels:
         raise ser.InputError(f"unknown base element {base!r}")
@@ -114,7 +109,7 @@ def cmd_aomoto(args) -> int:
             f"expected {len(rest)} weights for elements {rest}")
     weights = {e: ser.rational_from_str(p) for e, p in zip(rest, parts)}
     report = bases_mod.aomoto(om, weights, base=base, seed=args.seed)
-    out = {
+    return {
         "dim_H": report.dim_h,
         "beta": report.beta,
         "dim_matches_beta": report.dim_matches_beta,
@@ -125,8 +120,6 @@ def cmd_aomoto(args) -> int:
         "basis_images": [ser.oselement_to_document(f)
                          for f in report.basis_forms],
     }
-    sys.stdout.write(ser.dumps_canonical(out))
-    return 0
 
 
 # ---- verification suites ---------------------------------------------------
@@ -177,22 +170,17 @@ def _suite_triangulation(parsed, om, seed, checks):
     seen = set()
     topes = [t for t in om.sorted_topes()
              if t not in seen and not seen.update((t, -t))]
-
-    def orders():
-        import random
-        rng = random.Random(seed)
-        labels = list(parsed.labels)
-        yield labels
-        for _ in range(4):
-            shuffled = labels[:]
-            rng.shuffle(shuffled)
-            yield shuffled
+    rng = random.Random(seed)
+    orders = [list(parsed.labels)]
+    for _ in range(4):
+        orders.append(list(parsed.labels))
+        rng.shuffle(orders[-1])
 
     for tope in topes:
         def run(t=tope):
             chi = om.chi.reorient(t)
             expected = canonical_form_tope(om, t)
-            for order in orders():
+            for order in orders:
                 tri = _placing(chi, order)
                 value = canonical_form_from_triangulation(chi, tri)
                 if value != expected:
@@ -235,16 +223,13 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
-    parsed, om = _load(args.input)
+def cmd_verify(args, parsed, om) -> dict:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     checks: list = []
     for name in names:
         _SUITES[name](parsed, om, args.seed, checks)
-    passed = all(c["passed"] for c in checks)
-    out = {"suite": args.suite, "passed": passed, "checks": checks}
-    sys.stdout.write(ser.dumps_canonical(out))
-    return 0 if passed else 1
+    return {"suite": args.suite,
+            "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,14 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.fn(args)
+        parsed, om = _load(args.input)
+        doc = args.fn(args, parsed, om)
     except (ser.InputError, InvalidChirotope, NotATope, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(ser.dumps_canonical(doc))
+    return 1 if doc.get("passed") is False else 0
 
 
 def main() -> int:

@@ -408,6 +408,25 @@ def test_module_entry_point(line4_path):
     assert json.loads(proc.stdout)["n_topes"] == 8
 
 
+@pytest.mark.parametrize("first, second", [
+    (["canonical", "--tope=+,+,-,-", "--nonreduced"],
+     ["canonical", "--tope=+,+,-,-"]),
+    (["basis", "--grade=1", "--seed=3"], ["basis", "--grade=1"]),
+    (["verify", "--suite=residues"], ["verify"]),
+], ids=["canonical", "basis", "verify"])
+def test_shared_parser_keeps_defaults(capsys, line4_path, first, second):
+    """`run` parses every command line with one parser per process: an
+    option given on one line does not carry over to the next, which prints
+    what a fresh `python -m omcanon` prints for it."""
+    for argv in (first, second):
+        argv = [argv[0], "--input", line4_path] + argv[1:]
+        code, out, _ = invoke(capsys, *argv)
+        proc = run_module(*argv)
+        assert code == proc.returncode == 0
+        assert (_without_seconds(json.loads(out))
+                == _without_seconds(json.loads(proc.stdout)))
+
+
 def test_cli_validates_beyond_ten_elements(tmp_path):
     """The constructor validates only up to 10 elements; the CLI always."""
     labels = [str(i) for i in range(11)]
@@ -592,7 +611,8 @@ _COMMANDS = st.one_of(
 def test_subcommand_fuzz_never_raises(tmp_path_factory, doc, command):
     """canonical, basis, aomoto and verify on small documents with drawn
     arguments end with exit 0, 1 or 2: JSON on stdout, or one diagnostic
-    line on stderr, never a traceback."""
+    line on stderr, never a traceback. Exit 1 means exactly that the
+    document reports `"passed": false`."""
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -604,5 +624,6 @@ def test_subcommand_fuzz_never_raises(tmp_path_factory, doc, command):
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
     else:
-        json.loads(out.getvalue())
+        doc = json.loads(out.getvalue())
+        assert code == (1 if doc.get("passed") is False else 0)
         assert "Traceback" not in err.getvalue()
