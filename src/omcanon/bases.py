@@ -240,8 +240,6 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None,
 
     top = alg.reduced_basis(r - 1)
     image_cols = _wedge_columns(alg, omega, r - 2) if r >= 2 else []
-    image_rank = linalg.rank(linalg.columns_matrix(image_cols))
-    dim_h = len(top) - image_rank
 
     beta = om.underlying.beta()
     _, t0, tq = _bounded_extension(om, base, seed)
@@ -250,8 +248,11 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None,
 
     v_forms = [canonical_form_tope(om, t) for t in t0]
     v_cols = [alg.dense(f, r - 1) for f in v_forms]
-    combined_rank = linalg.rank(linalg.columns_matrix(image_cols + v_cols))
-    v_spans = (combined_rank == len(top)
+    # the earliest-first pivots inside the prefix image_cols are its basis
+    pivots = linalg.greedy_independent(image_cols + v_cols)
+    image_rank = sum(p < len(image_cols) for p in pivots)
+    dim_h = len(top) - image_rank
+    v_spans = (len(pivots) == len(top)
                and image_rank + len(v_cols) == len(top))
 
     dim_matches_beta = dim_h == beta
@@ -294,7 +295,7 @@ def aomoto_degree_ranks(om: OrientedMatroid, weights: dict,
     base = om.ground[0] if base is None else base
     alg = algebra_of(om)
     omega = _weight_form(alg, weights, base)
-    return [linalg.rank(linalg.columns_matrix(_wedge_columns(alg, omega, k)))
+    return [len(linalg.greedy_independent(_wedge_columns(alg, omega, k)))
             for k in range(om.rank - 1)]
 
 

@@ -97,11 +97,6 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     return [[Fraction(x, d) for x in row] for row in rows], pivots
 
 
-def rank(mat: Matrix) -> int:
-    rows, _ = _int_rows(mat)
-    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
-
-
 def det(mat: Matrix) -> Fraction:
     n = len(mat)
     rows, scale = _int_rows(mat)

@@ -119,11 +119,8 @@ class OrientedMatroid:
         return x
 
     def is_acyclic(self) -> bool:
-        """`is_acyclic` on the cached cocircuit table: the cocircuits
-        conformal to the all-plus vector are the nonnegative ones."""
-        full = (1 << len(self.ground)) - 1
-        return self.rank == 0 or _facet_classes(
-            len(self.ground), self._conformal(full, 0), ()) is not None
+        """`is_acyclic` of the chirotope."""
+        return is_acyclic(self.chi)
 
     # ---- covector machinery ----------------------------------------------
 

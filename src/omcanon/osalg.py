@@ -376,7 +376,7 @@ class LinearMap:
     matrix: list
 
     def rank(self) -> int:
-        return linalg.rank(self.matrix)
+        return len(linalg.greedy_independent(self.matrix))  # row rank
 
     def solve(self, target: list) -> list | None:
         if not self.matrix:

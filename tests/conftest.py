@@ -266,10 +266,7 @@ def oracle_covectors(om) -> set:
 
 
 def oracle_rank(mat: RationalMatrix, labels) -> int:
-    cols = [mat.column(e) for e in labels]
-    if not cols:
-        return 0
-    return linalg.rank([[c[i] for c in cols] for i in range(mat.nrows)])
+    return len(linalg.greedy_independent([mat.column(e) for e in labels]))
 
 
 def contract_atom(m: UnderlyingMatroid, rep) -> UnderlyingMatroid:

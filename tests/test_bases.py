@@ -9,6 +9,7 @@ from omcanon import (SignVector, algebra_of, aomoto, bounded_extension,
                      sample_weight_vectors, simplex_identity_check,
                      structure_constants, tq_basis)
 
+import fraction_linalg as oracle
 import label_walk
 from conftest import (FIXTURES, NONUNIFORM, boolean_om, count_bounded_topes,
                       named_om, rank1_om, random_arrangements)
@@ -16,7 +17,9 @@ from omcanon import (Chirotope, Extension, OrientedMatroid,
                      aomoto_degree_ranks, chirotope_from_matrix)
 from omcanon import (nonreduced_from_triangulation, placing_triangulation,
                      transport_to_base)
-from omcanon.bases import _ATTEMPTS, _weight_form, random_signature
+from omcanon import linalg
+from omcanon.bases import (_ATTEMPTS, _wedge_columns, _weight_form,
+                           random_signature)
 from omcanon.osalg import OSElement
 
 
@@ -272,6 +275,48 @@ def test_aomoto_line4(line4):
     degenerate = aomoto(line4, {1: 1, 2: 1, 3: -2}, base=0)
     assert degenerate.dim_h == 2
     assert not degenerate.v_spans and not degenerate.is_generic
+
+
+def test_aomoto_ranks_match_two_eliminations(request, monkeypatch):
+    """dim_h and v_spans, read off one elimination of the image columns
+    followed by the bounded-tope columns, equal an oracle that ranks the
+    image and the combined columns in two separate Fraction eliminations.
+    The weights are the sampled ones and one summing to zero, which makes
+    the base's weight vanish."""
+    def oracle_rank(cols):
+        return len(oracle.rref([list(row) for row in zip(*cols)])[1])
+
+    calls = []
+    greedy = linalg.greedy_independent
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return greedy(vectors)
+
+    monkeypatch.setattr(linalg, "greedy_independent", counting)
+    spans = set()
+    for name in FIXTURES + list(NONUNIFORM) + ["uniform_r4"]:
+        om = named_om(name, request)
+        base, others = om.ground[0], om.ground[1:]
+        zero_sum = {e: i + 1 for i, e in enumerate(others)}
+        zero_sum[others[-1]] = -sum(range(1, len(others)))
+        alg, r = algebra_of(om), om.rank
+        top = alg.reduced_basis(r - 1)
+        for weights in sample_weight_vectors(om, base, seed=0) + [zero_sum]:
+            calls.clear()
+            report = aomoto(om, weights, base=base)
+            assert len(calls) == 1, name
+            omega = _weight_form(alg, weights, base)
+            image = _wedge_columns(alg, omega, r - 2) if r >= 2 else []
+            v_cols = [alg.dense(f, r - 1) for f in report.basis_forms]
+            image_rank = oracle_rank(image)
+            combined_rank = oracle_rank(image + v_cols)
+            assert report.dim_h == len(top) - image_rank, (name, weights)
+            assert report.v_spans == (
+                combined_rank == len(top)
+                and image_rank + len(v_cols) == len(top)), (name, weights)
+            spans.add(report.v_spans)
+    assert spans == {True, False}
 
 
 def test_aomoto_weight_validation(line4):

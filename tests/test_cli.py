@@ -584,35 +584,62 @@ def test_info_fuzz_never_raises(tmp_path_factory, doc):
         assert err.getvalue().count("\n") == 1
 
 
-_TOPE_ARGS = (st.lists(st.sampled_from(["+", "-"]), min_size=4, max_size=5)
-              | st.lists(st.sampled_from(["+", "-", "0", "1", "*", ""]),
-                         max_size=6)).map(",".join)
-_WEIGHT_ARGS = (st.lists(st.sampled_from(["1", "-1", "2/3", "-3/2", "2"]),
-                         min_size=3, max_size=5)
-                | st.lists(st.sampled_from(["1", "0", "1/0", "x", ""]),
-                           max_size=6)).map(",".join)
-_BASES = st.none() | st.sampled_from(["0", "1", "3", "5", "a", ""])
-_COMMANDS = st.one_of(
-    st.tuples(_TOPE_ARGS, st.booleans()).map(
-        lambda t: ["canonical", f"--tope={t[0]}"] + ["--nonreduced"] * t[1]),
-    st.integers(-1, 4).map(lambda g: ["basis", f"--grade={g}"]),
-    st.tuples(_WEIGHT_ARGS, _BASES).map(
-        lambda t: ["aomoto", f"--weights={t[0]}"]
-        + ([] if t[1] is None else [f"--base={t[1]}"])),
-    st.sampled_from(["residues", "simplex", "triangulation", "bases",
-                     "aomoto", "all"]).map(
-        lambda s: ["verify", f"--suite={s}"]))
+def _weighted(*branches):
+    """Draw from the (weight, strategy) branches in proportion to weight;
+    shrinking moves towards the first branch."""
+    return st.sampled_from([s for w, s in branches for _ in range(w)]).flatmap(
+        lambda s: s)
+
+
+# The valid documents and arguments fitting the document's element count
+# are drawn most of the time, so that exits 0 and 1 are exercised and not
+# only the error path.
+_SIGN_WORDS = st.sampled_from(["+", "-"])
+_WEIGHT_WORDS = st.sampled_from(["1", "-1", "2/3", "-3/2", "2"])
+
+
+def _commands(n: int):
+    """Subcommand argument lists for a document with n elements."""
+    topes = _weighted(
+        (4, st.lists(_SIGN_WORDS, min_size=n, max_size=n)),
+        (1, st.lists(_SIGN_WORDS, min_size=4, max_size=5)),
+        (1, st.lists(st.sampled_from(["+", "-", "0", "1", "*", ""]),
+                     max_size=6))).map(",".join)
+    weights = _weighted(
+        (4, st.lists(_WEIGHT_WORDS, min_size=n - 1, max_size=n - 1)),
+        (1, st.lists(_WEIGHT_WORDS, min_size=3, max_size=5)),
+        (1, st.lists(st.sampled_from(["1", "0", "1/0", "x", ""]),
+                     max_size=6))).map(",".join)
+    bases = _weighted((4, st.none()),
+                      (1, st.sampled_from(["0", "1", "3", "5", "a", ""])))
+    grades = _weighted((4, st.integers(0, 1)), (1, st.integers(-1, 4)))
+    return st.one_of(
+        st.tuples(topes, st.booleans()).map(
+            lambda t: ["canonical", f"--tope={t[0]}"]
+            + ["--nonreduced"] * t[1]),
+        grades.map(lambda g: ["basis", f"--grade={g}"]),
+        st.tuples(weights, bases).map(
+            lambda t: ["aomoto", f"--weights={t[0]}"]
+            + ([] if t[1] is None else [f"--base={t[1]}"])),
+        st.sampled_from(["residues", "simplex", "triangulation", "bases",
+                         "aomoto", "all"]).map(
+            lambda s: ["verify", f"--suite={s}"]))
+
+
+_DOCS_AND_COMMANDS = _weighted(
+    (6, st.sampled_from([line4_doc(), pentagon_doc()])),
+    (1, _CHIROTOPE_DOCS | _MATRIX_DOCS)).flatmap(
+    lambda doc: st.tuples(st.just(doc), _commands(len(doc["elements"]))))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(_CHIROTOPE_DOCS, _MATRIX_DOCS,
-                 st.sampled_from([line4_doc(), pentagon_doc()])),
-       _COMMANDS)
-def test_subcommand_fuzz_never_raises(tmp_path_factory, doc, command):
+@given(_DOCS_AND_COMMANDS)
+def test_subcommand_fuzz_never_raises(tmp_path_factory, doc_and_command):
     """canonical, basis, aomoto and verify on small documents with drawn
     arguments end with exit 0, 1 or 2: JSON on stdout, or one diagnostic
     line on stderr, never a traceback. Exit 1 means exactly that the
     document reports `"passed": false`."""
+    doc, command = doc_and_command
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()

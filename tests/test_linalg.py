@@ -13,7 +13,7 @@ F = Fraction
 
 def test_rref_rank():
     mat = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    assert linalg.rank(mat) == 2
+    assert len(linalg.greedy_independent([list(c) for c in zip(*mat)])) == 2
     R, pivots = linalg.rref(mat)
     assert pivots == [0, 1]
     assert R[0][:2] == [F(1), F(0)]
@@ -126,7 +126,7 @@ def _random_matrix(rng, kind):
 @pytest.mark.parametrize("kind", ["int", "fraction", "deficient", "zero_rows",
                                   "empty", "row", "column", "huge"])
 def test_kernel_matches_fraction_oracle(kind):
-    """rref, rank, det, solve, nullspace and greedy_independent agree with
+    """rref, det, solve, nullspace and greedy_independent agree with
     the separate Fraction eliminations they replace."""
     rng = random.Random(f"oracle-{kind}")
     for _ in range(60):
@@ -134,8 +134,8 @@ def test_kernel_matches_fraction_oracle(kind):
         ncols = len(mat[0]) if mat else 0
         R, pivots = oracle.rref(mat)
         assert linalg.rref(mat) == (R, pivots)
-        assert linalg.rank(mat) == len(pivots)
         cols = [list(col) for col in zip(*mat)]
+        assert len(linalg.greedy_independent(cols)) == len(pivots)
         rows = [list(row) for row in mat]
         assert linalg.greedy_independent(cols) == oracle.greedy_independent(cols)
         assert linalg.greedy_independent(rows) == oracle.greedy_independent(rows)
