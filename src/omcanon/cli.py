@@ -22,8 +22,8 @@ from .chirotope import InvalidChirotope
 from .forms import (algebra_of, canonical_form_from_triangulation,
                     canonical_form_tope, check_residue_axioms,
                     nonreduced_canonical_form)
-from .om import NotATope, OrientedMatroid
-from .realization import _placing
+from .om import NotATope, OrientedMatroid, is_acyclic
+from .realization import _place
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -180,8 +180,10 @@ def _suite_triangulation(parsed, om, seed, checks):
         def run(t=tope):
             chi = om.chi.reorient(t)
             expected = canonical_form_tope(om, t)
+            if not is_acyclic(chi):  # once per tope, not once per order
+                raise ValueError("configuration is not acyclic")
             for order in orders:
-                tri = _placing(chi, order)
+                tri = _place(chi, order)
                 value = canonical_form_from_triangulation(chi, tri)
                 if value != expected:
                     raise AssertionError(f"insertion order {order} disagrees")

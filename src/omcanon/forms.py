@@ -6,7 +6,10 @@ an acyclic pair is pinned down by its residues at atom contractions,
     Res_a W(M, chi) = W(M/a, chi/a)   (a a facet of the all-plus tope,
                                        0 otherwise),
 
-with base value chi(()) in rank 0.  The facets are read off the
+with base value chi(()) in rank 0.  A node's form is solved from these
+residues by its algebra's residue stack (`osalg._ResidueStack`), whose
+left inverse is the inverse of one unit upper triangular square block of
+the stacked residue maps.  The facets are read off the
 nonnegative cocircuits (`om._facet_elements`); a facet's contraction is
 acyclic again, so the recursion only ever visits, and its memo only ever
 holds, acyclic chirotopes, and no node tests acyclicity.  The boundary is

@@ -385,7 +385,8 @@ class LinearMap:
 
 
 class _ResidueStack:
-    """Stacked residue maps on the top grade, with a left inverse.
+    """Stacked residue maps on the top grade, with a left inverse read off
+    one square block.
 
     Columns are the NBC r-monomials; each atom contributes the residues of
     those columns in the top grade r-1 of its contraction, relabelled
@@ -393,16 +394,26 @@ class _ResidueStack:
     contractions that differ only by such a relabelling have the same
     support and so share that positional algebra, and the forms of
     positional chirotopes land in it as they are (see `forms._positional`).
-    The boundary is injective on the top grade and Res_a d = -d Res_a, so
-    the joint residue map is injective as well: the stacked matrix has full
-    column rank, and a cached left inverse turns every canonical-form solve
-    into a matrix-vector product plus a consistency check.  Canonical forms
-    are integral, so their coefficients are ints, the matrix is kept over
-    int and the left inverse as an int matrix over one positive denominator
-    `denom`.  Both are almost
-    empty and are stored as sparse columns: `matrix[j]` lists the (stacked
-    row, value) pairs of the j-th NBC monomial's residues, and `left[i]`
-    the (coefficient index, value) pairs that stacked row i feeds.
+    Canonical forms are integral, so the matrix is kept over int.  It is
+    almost empty and is stored as sparse columns: `matrix[j]` lists the
+    (stacked row, value) pairs of the j-th NBC monomial's residues, and
+    `left[i]` the (coefficient index, value) pairs that stacked row i feeds,
+    with `left * matrix = denom * I`.
+
+    The left inverse comes from one square block S of the stack (the NBC
+    deletion-contraction bijection: Bjorner 1992, 7; Orlik-Terao 3.1).
+    Give column K, with trailing atom j = K[-1], the row of K minus j in
+    j's block, its own row:
+      - Res_j e_K = +e_(K minus j), as j is the trailing entry;
+      - K minus j is NBC in M/j: a circuit C of M/j inside it, C or C + j
+        is a circuit of M with minimum min C, and its broken part
+        C - min C or (C - min C) + j would lie in K.  So the entry is 1;
+      - a column K' meets j's block only if j is in K', so j <= K'[-1],
+        with equality only for K' = K, whose residue is the one key.
+    Ordered by trailing atom, S is unit upper triangular, so it is
+    invertible with determinant 1, and the columns of S^-1 placed at the
+    own rows give a left inverse of the whole stack; every other row of
+    `left` is empty.  `solve` still checks all stacked rows.
     """
 
     def __init__(self, alg: OSAlgebra):
@@ -411,6 +422,7 @@ class _ResidueStack:
         self.keys = alg.nbc_keys(r)
         self.blocks = []  # (atom, contraction algebra, first stacked row)
         self.matrix = [[] for _ in self.keys]
+        own = [None] * len(self.keys)  # the own row of each column
         nrows = 0
         for a in alg.atoms:
             ground, rank, support = alg.matroid.contraction_fingerprint(a)
@@ -418,31 +430,43 @@ class _ResidueStack:
             pos = ground_positions(ground)
             self.blocks.append((a, target, nrows))
             index = target._nbc_pos[r - 1]
-            for key, column in zip(self.keys, self.matrix):
+            for j, (key, column) in enumerate(zip(self.keys, self.matrix)):
                 res = _residue_key(key, a)
                 if res is None:
                     continue
                 rest, sign = res
-                for k, v in target.monomial(tuple(pos[e] for e in rest),
-                                            coeff=sign).terms.items():
+                rest = tuple(pos[e] for e in rest)
+                if key[-1] == a and rest in index:
+                    own[j] = nrows + index[rest]
+                for k, v in target.monomial(rest, coeff=sign).terms.items():
                     if type(v) is not int:
                         raise RuntimeError("internal invariant violation: "
                                            "residue map has non-integer "
                                            "entries")
                     column.append((nrows + index[k], v))
             nrows += target.dim(r - 1)
-        dense = [[0] * len(self.keys) for _ in range(nrows)]
-        for j, column in enumerate(self.matrix):
-            for i, v in column:
-                dense[i][j] = v
-        inverse = linalg.left_inverse(dense)
+        if None in own:
+            raise RuntimeError("internal invariant violation: an NBC "
+                               "monomial has no row of its own in the "
+                               "residue stack")
+        # blocks come in atom order, so own rows sort by trailing atom
+        order = sorted(range(len(own)), key=own.__getitem__)
+        place = {own[j]: t for t, j in enumerate(order)}
+        square = [[0] * len(order) for _ in order]
+        for u, j in enumerate(order):
+            for i, v in self.matrix[j]:
+                if i in place:
+                    square[place[i]][u] = v
+        inverse = linalg.left_inverse(square)
         if inverse is None:
             raise RuntimeError(
                 "internal invariant violation: joint residue map is not "
                 "injective (suspect an invalid chirotope)")
         left, self.denom = inverse
-        self.left = [[(j, row[i]) for j, row in enumerate(left) if row[i]]
-                     for i in range(nrows)]
+        self.left = [[] for _ in range(nrows)]
+        for t, col in enumerate(order):
+            self.left[own[col]] = [(j, row[t]) for j, row in zip(order, left)
+                                   if row[t]]
 
     def solve(self, targets: dict) -> OSElement:
         """The top-grade element x with Res_a x = targets[a], each target

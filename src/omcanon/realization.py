@@ -158,15 +158,21 @@ def placing_triangulation(mat: RationalMatrix,
 
 
 def _placing(chi: Chirotope, insertion_order=None) -> list:
-    """`placing_triangulation` on the chirotope of the configuration.
+    """`placing_triangulation` on the chirotope of the configuration."""
+    if not is_acyclic(chi):
+        raise ValueError("configuration is not acyclic")
+    return _place(chi, insertion_order)
+
+
+def _place(chi: Chirotope, insertion_order=None) -> list:
+    """`_placing` without its acyclicity test, for a caller that makes the
+    test once for several insertion orders.
 
     Simplices are position masks, and both geometric tests read the
     circuit (`chirotope._circuit`) of one (r+1)-set: p is beyond the facet
     F with apex a iff the circuit of F + a + p has the same sign at a and
     p, and p lies in the closed cone of the simplex B iff it is alone on
     its side of the circuit of B + p (Cramer's rule)."""
-    if not is_acyclic(chi):
-        raise ValueError("configuration is not acyclic")
     order = list(insertion_order if insertion_order is not None else chi.ground)
     pos = ground_positions(chi.ground)
     if sorted(_position(pos, e) for e in order) != list(range(len(pos))):

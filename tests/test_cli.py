@@ -239,6 +239,25 @@ def test_verify_aomoto_computes_bounded_topes_once(capsys, pentagon_path,
     assert counts == {"om": 1, "ext": 1}
 
 
+def test_verify_triangulation_tests_acyclicity_once_per_tope(
+        capsys, pentagon_path, monkeypatch):
+    """The suite's insertion orders share one acyclicity test per tope."""
+    calls = []
+    original = omcanon.om.is_acyclic
+
+    def counting(chi):
+        calls.append(chi)
+        return original(chi)
+    for module in (omcanon.om, omcanon.realization, omcanon.cli):
+        monkeypatch.setattr(module, "is_acyclic", counting)
+    code, out, _ = invoke(capsys, "verify", "--input", pentagon_path,
+                          "--suite", "triangulation")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 11  # 22 topes, one of each pair -t, t
+    assert len(calls) == len(checks)
+
+
 def test_verify_triangulation_skipped_for_chirotope(capsys, line4_path):
     code, out, _ = invoke(capsys, "verify", "--input", line4_path,
                           "--suite", "triangulation")

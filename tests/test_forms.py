@@ -24,7 +24,7 @@ from face_flag import face_flag_form
 from oracle_ops import is_nonnegative, restrict, scale
 from tope_walk import contracted_tope_chirotope
 from conftest import (FIXTURES, NONUNIFORM, boolean_om, named_om,
-                      rank1_om, uniform_r4_matrix)
+                      nonuniform_om, rank1_om, uniform_r4_matrix)
 
 
 def ebasis(alg, e):
@@ -358,6 +358,42 @@ def test_residue_stack_left_inverse(name, request):
             [stack.denom if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+SQUARE_BLOCK_CASES = (FIXTURES + ["uniform_r4", "nonpappus_ext10"]
+                      + [f"{shape}:{seed}" for shape in NONUNIFORM
+                         for seed in range(6)])
+
+
+@pytest.mark.parametrize("name", SQUARE_BLOCK_CASES)
+def test_residue_stack_square_block(name, request):
+    """Each column K of every reachable stack has its own row, the row of
+    K minus K[-1] in K[-1]'s block, with entry 1; ordered by trailing atom,
+    these rows form a unit upper triangular block, the left inverse reads
+    exactly them, and its denominator is 1."""
+    shape, _, seed = name.partition(":")
+    om = (nonuniform_om(*NONUNIFORM[shape], seed=int(seed)) if seed
+          else named_om(name, request))
+    for alg in _contraction_algebras(algebra_of(om)).values():
+        stack = alg.residue_stack
+        blocks = {a: (target, offset) for a, target, offset in stack.blocks}
+        own = []
+        for key, column in zip(stack.keys, stack.matrix):
+            target, offset = blocks[key[-1]]
+            ground = alg.matroid.contraction_fingerprint(key[-1])[0]
+            rest = tuple(ground.index(e) for e in key[:-1])
+            index = target._nbc_pos[alg.rank - 1]
+            assert rest in index
+            own.append(offset + index[rest])
+            assert dict(column)[own[-1]] == 1
+        order = sorted(range(len(own)),
+                       key=lambda j: alg.key_sort(stack.keys[j][-1:]))
+        for u, j in enumerate(order):
+            column = dict(stack.matrix[j])
+            assert all(column.get(own[k], 0) == 0 for k in order[u + 1:])
+        assert stack.denom == 1
+        assert [i for i, feeds in enumerate(stack.left) if feeds] == sorted(
+            own)
+
+
 class _DenseStack:
     """The residue stack on dense int rows: a full `matrix` of stacked
     rows, its dense left inverse `left`, and dense solves.  Its blocks are
@@ -441,7 +477,8 @@ def _random_element(rng, alg, grade, values):
 
 @pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
                                   "parallel_pair", "nonpappus", "rank1",
-                                  "boolean3"])
+                                  "boolean3", "uniform_r4",
+                                  "nonpappus_ext10"])
 def test_sparse_stack_matches_dense(name, request):
     """On every stack reachable from the fixture, the sparse solve agrees
     with the dense one: equal forms for residues of integral elements, and
