@@ -9,10 +9,12 @@ an acyclic pair is pinned down by its residues at atom contractions,
 with base value chi(()) in rank 0.  A node's form is solved from these
 residues by its algebra's residue stack (`osalg._ResidueStack`), whose
 left inverse is the inverse of one unit upper triangular square block of
-the stacked residue maps.  The facets are read off the
-nonnegative cocircuits (`om._facet_elements`); a facet's contraction is
-acyclic again, so the recursion only ever visits, and its memo only ever
-holds, acyclic chirotopes, and no node tests acyclicity.  The boundary is
+the stacked residue maps; a node hands the stack its facet forms only,
+and the stack reads every other atom's residue as zero.  The facets are
+read off the nonnegative cocircuits as parallel-class masks
+(`om._facet_classes`); a facet's contraction is acyclic again, so the
+recursion only ever visits, and its memo only ever holds, acyclic
+chirotopes, and no node tests acyclicity.  The boundary is
 injective on A^r and the reduced form is dW; as Res_a d = -d Res_a, it
 obeys the reduced recursion Res_a dW = -dW(M/a, chi/a) with rank-1 base
 value chi(i), which is the one `check_residue_axioms` checks.  The
@@ -25,18 +27,19 @@ circuit order and straightening signs, which read positions only, so it
 carries algebras, residue stacks and forms onto each other.  A global sign
 does too: W(-chi) = -W(chi), since the facets depend only on the zero sets
 of the cocircuits, (-chi)/a = -(chi/a), the residue solve is linear and the
-base value chi(()) flips.  So the memoized recursion takes only positional
-chirotopes (`_positional`: ground range(n), first nonzero sign positive),
-each algebra's residue stack solves against the positional algebras of its
-contractions, and a labelled chirotope's form is its core's form with the
-labels and the sign put back, once, at the entry points.
+base value chi(()) flips.  So the memo is keyed on the positional class
+(`_positional`: (n, r, signs) with the first nonzero sign positive) and
+builds the one chirotope on ground range(n) only on a miss; each
+algebra's residue stack solves against the positional algebras of its
+contractions, and a labelled chirotope's form is its class's form with
+the labels and the sign put back, once, at the entry points.
 """
 
 from __future__ import annotations
 
 from ._memo import memo
 from .chirotope import Chirotope
-from .om import OrientedMatroid, _facet_classes, _facet_elements
+from .om import OrientedMatroid, _facet_classes, _one_signed
 from .osalg import (OSAlgebra, OSElement, os_algebra_for,
                     os_algebra_of_chirotope)
 from .signvec import SignVector
@@ -52,48 +55,45 @@ def algebra_of(om: OrientedMatroid) -> OSAlgebra:
 
 
 def _positional(chi: Chirotope) -> tuple:
-    """(sign, core) with chi = sign * core relabelled: core has ground
-    range(n) and a positive first nonzero sign.  An order-preserving
-    relabelling keeps the sign table aligned with the ascending keys, so
-    core reuses it, negated when sign is -1."""
-    ground = tuple(range(len(chi.ground)))
-    sign = 1 if next((s for s in chi.signs if s), 1) > 0 else -1
-    if sign == 1 and chi.ground == ground:
-        return 1, chi
-    signs = chi.signs if sign == 1 else tuple(-s for s in chi.signs)
-    return sign, Chirotope(ground, chi.rank, signs)
+    """(sign, key) with chi = sign * the positional chirotope of key =
+    (n, r, signs): ground range(n) and a positive first nonzero sign.  An
+    order-preserving relabelling keeps the sign table aligned with the
+    ascending keys, so key reuses chi's, negated when sign is -1."""
+    signs = chi.signs
+    sign = 1 if next((s for s in signs if s), 1) > 0 else -1
+    if sign == -1:
+        signs = tuple(-s for s in signs)
+    return sign, (len(chi.ground), chi.rank, signs)
 
 
 @memo
-def _top_form(core: Chirotope) -> OSElement:
-    """Top-grade form of an acyclic positional chirotope (see
-    `_positional`); callers guarantee both."""
-    r = core.rank
+def _top_form(key: tuple) -> OSElement:
+    """Top-grade form of the positional chirotope of key (see
+    `_positional`), which callers guarantee acyclic."""
+    n, r, signs = key
+    core = Chirotope(tuple(range(n)), r, signs)
     alg = os_algebra_of_chirotope(core)
     if r == 0:
         return alg.one()  # the base value core(()) is positive
-    facets = _facet_elements(core, alg.matroid)
-    stack = alg.residue_stack
+    m = alg.matroid
+    facets = _facet_classes(n, _one_signed(core), m._atom_masks)
     targets = {}
-    for a, target, _ in stack.blocks:
-        if a in facets:
-            atom = alg.matroid.atom_of(a)
+    for a, atom, mask in zip(m.atom_reps, m.atoms, m._atom_masks):
+        if mask in facets:
             # recursion: Res_a W = W(M/a, chi/a), in the positional algebra
             sign, sub = _positional(core.contract(a, drop=atom - {a}))
             form = _top_form(sub)
             targets[a] = form if sign == 1 else -form
-        else:
-            targets[a] = target.zero(r - 1)
-    return stack.solve(targets)
+    return alg.residue_stack.solve(targets)
 
 
 def _labelled_top_form(chi: Chirotope) -> OSElement:
     """Top-grade form of an acyclic chi, in os_algebra_of_chirotope(chi):
-    the form of its core with every position key k read as the labels
-    chi.ground[i], i in k, and the sign put back."""
-    sign, core = _positional(chi)
-    form = _top_form(core)
-    if chi.ground != core.ground:  # else chi and core share their algebra
+    the form of its positional class with every position key k read as the
+    labels chi.ground[i], i in k, and the sign put back."""
+    sign, key = _positional(chi)
+    form = _top_form(key)
+    if chi.ground != form.algebra.matroid.ground:  # else it is chi's algebra
         ground = chi.ground
         form = OSElement(os_algebra_of_chirotope(chi), form.grade,
                          {tuple(ground[i] for i in k): v

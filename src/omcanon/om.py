@@ -24,10 +24,9 @@ which runs on (plus, minus) mask pairs and builds each SignVector once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import or_
 
 from ._memo import memo
 from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
@@ -348,14 +347,6 @@ def _facet_classes(n: int, pairs, classes) -> list | None:
     if covered != full:
         return None
     return [c for c in classes if face[(c & -c).bit_length() - 1] == c]
-
-
-def _facet_elements(chi: Chirotope, matroid: UnderlyingMatroid) -> frozenset:
-    """For an acyclic chi with underlying matroid matroid, the elements
-    whose parallel class is a facet of the all-plus tope."""
-    facets = _facet_classes(len(chi.ground), _one_signed(chi),
-                            matroid._atom_masks)
-    return frozenset(_labels(chi.ground, reduce(or_, facets, 0)))
 
 
 def _covector_closure(ground: tuple, cocircuits) -> frozenset:

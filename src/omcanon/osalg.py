@@ -398,7 +398,8 @@ class _ResidueStack:
     almost empty and is stored as sparse columns: `matrix[j]` lists the
     (stacked row, value) pairs of the j-th NBC monomial's residues, and
     `left[i]` the (coefficient index, value) pairs that stacked row i feeds,
-    with `left * matrix = denom * I`.
+    with `left * matrix = I`.  `blocks` maps each atom to its contraction
+    algebra and first stacked row.
 
     The left inverse comes from one square block S of the stack (the NBC
     deletion-contraction bijection: Bjorner 1992, 7; Orlik-Terao 3.1).
@@ -411,16 +412,19 @@ class _ResidueStack:
       - a column K' meets j's block only if j is in K', so j <= K'[-1],
         with equality only for K' = K, whose residue is the one key.
     Ordered by trailing atom, S is unit upper triangular, so it is
-    invertible with determinant 1, and the columns of S^-1 placed at the
+    invertible over the integers, and the columns of S^-1 placed at the
     own rows give a left inverse of the whole stack; every other row of
-    `left` is empty.  `solve` still checks all stacked rows.
+    `left` is empty.  The build checks that `linalg.left_inverse(S)` has
+    denominator 1.  `solve` reads an atom absent from its targets as
+    residue zero, refuses a target keyed by anything but an atom, and still
+    checks all stacked rows.
     """
 
     def __init__(self, alg: OSAlgebra):
         self.alg = alg
         r = alg.rank
         self.keys = alg.nbc_keys(r)
-        self.blocks = []  # (atom, contraction algebra, first stacked row)
+        self.blocks = {}
         self.matrix = [[] for _ in self.keys]
         own = [None] * len(self.keys)  # the own row of each column
         nrows = 0
@@ -428,7 +432,7 @@ class _ResidueStack:
             ground, rank, support = alg.matroid.contraction_fingerprint(a)
             target = _algebra(tuple(range(len(ground))), rank, support)
             pos = ground_positions(ground)
-            self.blocks.append((a, target, nrows))
+            self.blocks[a] = (target, nrows)
             index = target._nbc_pos[r - 1]
             for j, (key, column) in enumerate(zip(self.keys, self.matrix)):
                 res = _residue_key(key, a)
@@ -458,40 +462,40 @@ class _ResidueStack:
                 if i in place:
                     square[place[i]][u] = v
         inverse = linalg.left_inverse(square)
-        if inverse is None:
+        if inverse is None or inverse[1] != 1:
             raise RuntimeError(
                 "internal invariant violation: joint residue map is not "
                 "injective (suspect an invalid chirotope)")
-        left, self.denom = inverse
+        left = inverse[0]
         self.left = [[] for _ in range(nrows)]
         for t, col in enumerate(order):
             self.left[own[col]] = [(j, row[t]) for j, row in zip(order, left)
                                    if row[t]]
 
     def solve(self, targets: dict) -> OSElement:
-        """The top-grade element x with Res_a x = targets[a], each target
-        given in its block's positional algebra."""
+        """The top-grade element x with Res_a x = targets.get(a, 0), each
+        target given in its block's positional algebra."""
         r = self.alg.rank
         stacked = {}
-        for a, target, offset in self.blocks:
-            if targets[a].algebra is not target:
+        for a, res in targets.items():
+            if a not in self.blocks:
+                raise RuntimeError("internal invariant violation: residue "
+                                   f"target {a!r} names no block")
+            target, offset = self.blocks[a]
+            if res.algebra is not target:
                 raise RuntimeError("internal invariant violation: residue "
                                    "target is not in its block's positional "
                                    "algebra")
             index = target._nbc_pos[r - 1]
-            for key, v in targets[a].terms.items():
+            for key, v in res.terms.items():
                 if type(v) is not int:
                     raise RuntimeError("internal invariant violation: residue "
                                        "targets have non-integer coordinates")
                 stacked[offset + index[key]] = v
-        nums = [0] * len(self.keys)
+        coeffs = [0] * len(self.keys)
         for i, v in stacked.items():
             for j, x in self.left[i]:
-                nums[j] += x * v
-        if any(n % self.denom for n in nums):
-            raise RuntimeError("internal invariant violation: canonical form "
-                               "has non-integer coordinates")
-        coeffs = [n // self.denom for n in nums]
+                coeffs[j] += x * v
         image: dict = {}
         for column, c in zip(self.matrix, coeffs):
             if c:

@@ -165,8 +165,8 @@ def _placing(chi: Chirotope, insertion_order=None) -> list:
 
 
 def _place(chi: Chirotope, insertion_order=None) -> list:
-    """`_placing` without its acyclicity test, for a caller that makes the
-    test once for several insertion orders.
+    """`_placing` without its acyclicity test, for a caller that knows chi
+    acyclic, such as the reorientation of an oriented matroid by a tope.
 
     Simplices are position masks, and both geometric tests read the
     circuit (`chirotope._circuit`) of one (r+1)-set: p is beyond the facet

@@ -15,8 +15,10 @@ from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
                      RationalMatrix, SignVector, UnderlyingMatroid,
                      chirotope_from_matrix, linalg)
 from omcanon.chirotope import _mask, _mask_index
+from omcanon.om import _facet_classes, _one_signed
 from omcanon.osalg import _algebra
 from omcanon.serialize import parse_input
+from omcanon.signvec import _labels
 
 from oracle_ops import is_orthogonal
 
@@ -157,6 +159,11 @@ def uniform_r4_matrix(seed: int, n: int = 6) -> RationalMatrix:
 FIXTURES = ["line4", "pentagon", "pentagon_inf", "parallel_pair", "nonpappus",
             "rank1", "boolean3"]
 NONUNIFORM = {"nonuniform_r3": (3, 7, 1), "nonuniform_r4": (4, 7, 2)}
+# FIXTURES, uniform_r4, nonpappus_ext10 and each NONUNIFORM shape at seeds
+# 0-5 ("shape:seed"), as `named_om` names them
+SEEDED_CASES = (FIXTURES + ["uniform_r4", "nonpappus_ext10"]
+                + [f"{shape}:{seed}" for shape in NONUNIFORM
+                   for seed in range(6)])
 
 
 def nonuniform_matrix(rank: int, n: int, bound: int,
@@ -183,6 +190,15 @@ def nonuniform_om(rank: int, n: int, bound: int, seed: int = 0):
         nonuniform_matrix(rank, n, bound, seed)))
 
 
+def facet_elements(chi: Chirotope, matroid: UnderlyingMatroid) -> frozenset:
+    """For an acyclic chi with underlying matroid matroid, the elements
+    whose parallel class is a facet of the all-plus tope: the classes
+    `om._facet_classes` reads off the one-signed cocircuits, as labels."""
+    classes = _facet_classes(len(chi.ground), _one_signed(chi),
+                             matroid._atom_masks)
+    return frozenset(e for c in classes for e in _labels(chi.ground, c))
+
+
 def relabellings(chi: Chirotope) -> list:
     """chi under integer, descending-integer and string labels: the sign
     table stays aligned with the ascending keys of each new ground."""
@@ -195,8 +211,11 @@ def relabellings(chi: Chirotope) -> list:
 def named_om(name: str, request) -> OrientedMatroid:
     """A session fixture by name, or one of the built ones: rank1 (three
     parallel elements, one reversed), boolean3, uniform_r4 (seed 0), the
-    seeded non-uniform matrices of NONUNIFORM, and the non-realizable
-    nonpappus_ext10 of `tests/data`."""
+    seeded non-uniform matrices of NONUNIFORM (at seed 0, or "shape:seed"),
+    and the non-realizable nonpappus_ext10 of `tests/data`."""
+    shape, _, seed = name.partition(":")
+    if seed:
+        return nonuniform_om(*NONUNIFORM[shape], seed=int(seed))
     if name == "nonpappus_ext10":
         path = os.path.join(os.path.dirname(__file__), "data",
                             "nonpappus_ext10.json")

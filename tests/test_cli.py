@@ -239,23 +239,27 @@ def test_verify_aomoto_computes_bounded_topes_once(capsys, pentagon_path,
     assert counts == {"om": 1, "ext": 1}
 
 
-def test_verify_triangulation_tests_acyclicity_once_per_tope(
-        capsys, pentagon_path, monkeypatch):
-    """The suite's insertion orders share one acyclicity test per tope."""
+def test_verify_triangulation_makes_no_acyclicity_test(
+        capsys, pentagon, pentagon_path, monkeypatch):
+    """A tope's reorientation is acyclic, so the suite places it under every
+    insertion order without testing it."""
     calls = []
     original = omcanon.om.is_acyclic
 
     def counting(chi):
         calls.append(chi)
         return original(chi)
-    for module in (omcanon.om, omcanon.realization, omcanon.cli):
+    for module in (omcanon.om, omcanon.realization):
         monkeypatch.setattr(module, "is_acyclic", counting)
+    monkeypatch.setattr(omcanon.cli, "is_acyclic", counting, raising=False)
+    assert pentagon.is_acyclic() and calls  # the counter sees calls
+    calls.clear()
     code, out, _ = invoke(capsys, "verify", "--input", pentagon_path,
                           "--suite", "triangulation")
     assert code == 0
     checks = json.loads(out)["checks"]
     assert len(checks) == 11  # 22 topes, one of each pair -t, t
-    assert len(calls) == len(checks)
+    assert calls == []
 
 
 def test_verify_triangulation_skipped_for_chirotope(capsys, line4_path):
@@ -264,6 +268,25 @@ def test_verify_triangulation_skipped_for_chirotope(capsys, line4_path):
     assert code == 0
     doc = json.loads(out)
     assert "skipped" in doc["checks"][0].get("detail", "")
+    check, = doc["checks"]  # an entry like every other, from `_timed`
+    assert sorted(check) == ["detail", "name", "passed", "seconds"]
+    assert check["name"] == "triangulation" and check["passed"] is True
+
+
+def test_verify_simplex_times_its_extension(capsys, pentagon_path,
+                                            monkeypatch):
+    """The simplex suite searches its extension inside its timed check, so
+    the search counts in that check's seconds and its failure is that
+    check's failure."""
+    def failing(om, base=None, seed=0):
+        raise RuntimeError("no perturbation")
+    monkeypatch.setattr(omcanon.bases, "bounded_extension", failing)
+    code, out, _ = invoke(capsys, "verify", "--input", pentagon_path,
+                          "--suite", "simplex")
+    assert code == 1
+    check, = json.loads(out)["checks"]
+    assert check["name"] == "simplex:all-bases" and check["passed"] is False
+    assert check["detail"] == "RuntimeError: no perturbation"
 
 
 def test_verify_residues_line4(capsys, line4_path):

@@ -15,7 +15,7 @@ from omcanon import om as om_module
 from omcanon._memo import clear_caches
 from omcanon.chirotope import Chirotope
 from omcanon.matroid import UnderlyingMatroid
-from omcanon.om import _facet_elements, is_acyclic
+from omcanon.om import is_acyclic
 from omcanon.osalg import OSAlgebra, os_algebra_of_chirotope
 from omcanon.realization import _placing
 
@@ -23,8 +23,8 @@ import fraction_linalg
 from face_flag import face_flag_form
 from oracle_ops import is_nonnegative, restrict, scale
 from tope_walk import contracted_tope_chirotope
-from conftest import (FIXTURES, NONUNIFORM, boolean_om, named_om,
-                      nonuniform_om, rank1_om, uniform_r4_matrix)
+from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES, boolean_om,
+                      facet_elements, named_om, rank1_om, uniform_r4_matrix)
 
 
 def ebasis(alg, e):
@@ -337,10 +337,25 @@ def _contraction_algebras(alg) -> dict:
     return out
 
 
+def _left_times_matrix(stack) -> list:
+    """The dense product left * matrix of a stack's sparse factors."""
+    n = len(stack.matrix)
+    product = [[0] * n for _ in range(n)]
+    for j, column in enumerate(stack.matrix):
+        for k, v in column:  # matrix[k][j] = v
+            for i, x in stack.left[k]:  # left[i][k] = x
+                product[i][j] += x * v
+    return product
+
+
+def _identity(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 @pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair",
                                   "nonpappus"])
 def test_residue_stack_left_inverse(name, request):
-    """Every stack the recursion solves with has left * matrix = denom * I."""
+    """Every stack the recursion solves with has left * matrix = I."""
     om = request.getfixturevalue(name)
     algebras = _contraction_algebras(algebra_of(om)).values()
     stacks = [alg.residue_stack for alg in algebras if alg.rank >= 1]
@@ -348,36 +363,21 @@ def test_residue_stack_left_inverse(name, request):
     for stack in stacks:
         n = stack.alg.dim(stack.alg.rank)
         assert len(stack.matrix) == n  # one sparse column per NBC monomial
-        product = [[0] * n for _ in range(n)]
-        for j, column in enumerate(stack.matrix):
-            for k, v in column:  # matrix[k][j] = v
-                for i, x in stack.left[k]:  # left[i][k] = x
-                    product[i][j] += x * v
-        assert stack.denom > 0
-        assert product == [
-            [stack.denom if i == j else 0 for j in range(n)] for i in range(n)]
+        assert _left_times_matrix(stack) == _identity(n)
 
 
-SQUARE_BLOCK_CASES = (FIXTURES + ["uniform_r4", "nonpappus_ext10"]
-                      + [f"{shape}:{seed}" for shape in NONUNIFORM
-                         for seed in range(6)])
-
-
-@pytest.mark.parametrize("name", SQUARE_BLOCK_CASES)
+@pytest.mark.parametrize("name", SEEDED_CASES)
 def test_residue_stack_square_block(name, request):
     """Each column K of every reachable stack has its own row, the row of
     K minus K[-1] in K[-1]'s block, with entry 1; ordered by trailing atom,
     these rows form a unit upper triangular block, the left inverse reads
-    exactly them, and its denominator is 1."""
-    shape, _, seed = name.partition(":")
-    om = (nonuniform_om(*NONUNIFORM[shape], seed=int(seed)) if seed
-          else named_om(name, request))
+    exactly them, and left * matrix = I."""
+    om = named_om(name, request)
     for alg in _contraction_algebras(algebra_of(om)).values():
         stack = alg.residue_stack
-        blocks = {a: (target, offset) for a, target, offset in stack.blocks}
         own = []
         for key, column in zip(stack.keys, stack.matrix):
-            target, offset = blocks[key[-1]]
+            target, offset = stack.blocks[key[-1]]
             ground = alg.matroid.contraction_fingerprint(key[-1])[0]
             rest = tuple(ground.index(e) for e in key[:-1])
             index = target._nbc_pos[alg.rank - 1]
@@ -389,7 +389,7 @@ def test_residue_stack_square_block(name, request):
         for u, j in enumerate(order):
             column = dict(stack.matrix[j])
             assert all(column.get(own[k], 0) == 0 for k in order[u + 1:])
-        assert stack.denom == 1
+        assert _left_times_matrix(stack) == _identity(len(own))
         assert [i for i, feeds in enumerate(stack.left) if feeds] == sorted(
             own)
 
@@ -489,11 +489,11 @@ def test_sparse_stack_matches_dense(name, request):
     for alg in _contraction_algebras(algebra_of(om)).values():
         r = alg.rank
         sparse, dense = alg.residue_stack, _DenseStack(alg)
-        assert sparse.denom == dense.denom
+        assert _left_times_matrix(sparse) == _identity(alg.dim(r))
         elements = [alg.from_terms(r, {key: 1}) for key in alg.nbc_keys(r)]
         elements += [_random_element(rng, alg, r, range(-3, 4))
                      for _ in range(3)]
-        assert [(a, t) for a, t, _ in sparse.blocks] == [
+        assert [(a, t) for a, (t, _) in sparse.blocks.items()] == [
             (a, t) for a, t, _ in dense.blocks]
         for x in elements:
             targets = dense.residues(x)
@@ -523,24 +523,101 @@ def test_stack_refuses_targets_outside_its_block_algebras(pentagon):
     alg = algebra_of(pentagon)
     stack = alg.residue_stack
     x = alg.from_terms(alg.rank, {alg.nbc_keys(alg.rank)[0]: 1})
-    labelled = {a: alg.residue(a, x) for a, _, _ in stack.blocks}
-    assert any(labelled[a].algebra is not t for a, t, _ in stack.blocks)
+    labelled = {a: alg.residue(a, x) for a in stack.blocks}
+    assert any(labelled[a].algebra is not t
+               for a, (t, _) in stack.blocks.items())
     with pytest.raises(RuntimeError, match="positional algebra"):
         stack.solve(labelled)
+
+
+def _block_residues(stack, x) -> dict:
+    """{atom: Res_a x in a's block algebra} over every block of stack."""
+    out = {}
+    for a, (target, _) in stack.blocks.items():
+        ground = stack.alg.matroid.contraction_fingerprint(a)[0]
+        pos = dict(zip(ground, range(len(ground))))
+        res = stack.alg.residue(a, x)
+        out[a] = target.from_terms(res.grade, {tuple(pos[e] for e in k): v
+                                               for k, v in res.terms.items()})
+    return out
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_stack_reads_absent_atoms_as_zero(name, request):
+    """On every reachable stack, solving with the nonzero targets only gives
+    what solving with every target, zeros included, gives: the element for
+    residues of one, the same error for random targets."""
+    rng = random.Random(name)
+    dropped = 0
+    for alg in _contraction_algebras(
+            algebra_of(named_om(name, request))).values():
+        r, stack = alg.rank, alg.residue_stack
+        elements = [alg.from_terms(r, {key: 1}) for key in alg.nbc_keys(r)]
+        elements.append(_random_element(rng, alg, r, range(-2, 3)))
+        for x in elements:
+            full = _block_residues(stack, x)
+            nonzero = {a: t for a, t in full.items() if not t.is_zero}
+            dropped += len(full) - len(nonzero)
+            assert stack.solve(nonzero) == stack.solve(full) == x
+        for _ in range(3):
+            full = {a: _random_element(rng, target, r - 1, (-1, 0, 0, 1))
+                    for a, (target, _) in stack.blocks.items()}
+            nonzero = {a: t for a, t in full.items() if not t.is_zero}
+            dropped += len(full) - len(nonzero)
+            assert (_solve_outcome(stack, nonzero)
+                    == _solve_outcome(stack, full))
+    assert dropped  # some solve ran with an atom absent
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_stack_refuses_targets_keyed_by_non_atoms(name, request):
+    """A target keyed by anything but an atom representative, even a zero
+    one in a block's algebra, is an internal error, not a zero residue."""
+    for alg in _contraction_algebras(
+            algebra_of(named_om(name, request))).values():
+        stack = alg.residue_stack
+        target, _ = next(iter(stack.blocks.values()))
+        zero = target.zero(alg.rank - 1)
+        others = [e for e in alg.matroid.ground if e not in stack.blocks]
+        for key in others + [-1, "x"]:
+            with pytest.raises(RuntimeError, match="names no block"):
+                stack.solve({key: zero})
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_stack_build_requires_denominator_one(name, request, monkeypatch):
+    """Each stack build calls `linalg.left_inverse` once, and refuses a left
+    inverse of the square block with denominator 2."""
+    algebras = [alg for alg in _contraction_algebras(
+        algebra_of(named_om(name, request))).values()]
+    left_inverse = linalg.left_inverse
+    calls = []
+
+    def doubled(mat):
+        calls.append(mat)
+        left, denom = left_inverse(mat)
+        return [[2 * x for x in row] for row in left], 2 * denom
+
+    monkeypatch.setattr(linalg, "left_inverse", doubled)
+    for alg in algebras:
+        calls.clear()
+        with pytest.raises(RuntimeError, match="not injective"):
+            osalg._ResidueStack(alg)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["pentagon", "nonpappus"])
 def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
     """The recursion tests no node for acyclicity: it contracts at facets
-    only, so every chirotope its memo holds is acyclic."""
+    only, so every positional class its memo holds is acyclic."""
     om = request.getfixturevalue(name)
     clear_caches()
     visited = []
     top_form = forms._top_form.__wrapped__
 
-    def recording_top_form(chi):
-        visited.append(chi)
-        return top_form(chi)
+    def recording_top_form(key):
+        visited.append(key)
+        return top_form(key)
 
     monkeypatch.setattr(forms, "_top_form",
                         lru_cache(maxsize=None)(recording_top_form))
@@ -564,8 +641,10 @@ def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
     for t in om.sorted_topes():
         canonical_form_tope(om, t)
     assert calls == []
-    assert visited and all(is_acyclic(chi) for chi in visited)
-    assert all(forms._positional(chi) == (1, chi) for chi in visited)
+    cores = [Chirotope(tuple(range(n)), r, signs) for n, r, signs in visited]
+    assert visited and all(is_acyclic(core) for core in cores)
+    assert all(forms._positional(core) == (1, key)
+               for core, key in zip(cores, visited))
 
 
 def test_residue_axioms_nonpappus(nonpappus):
@@ -598,7 +677,7 @@ def test_residue_check_reads_the_cached_cocircuits(nonpappus, monkeypatch):
                         counting_cocircuit_masks)
     assert [check_residue_axioms(nonpappus, t) for t in topes] == reports
     assert calls == []
-    _facet_elements(nonpappus.chi, nonpappus.underlying)
+    facet_elements(nonpappus.chi, nonpappus.underlying)
     assert len(calls) == 1  # the counter sees calls
 
 
@@ -609,7 +688,7 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     same underlying matroids finds them by fingerprint alone."""
     chi = request.getfixturevalue(name).chi
     first = forms._labelled_top_form(chi)
-    _, core = forms._positional(chi)
+    _, key = forms._positional(chi)
     builds = []
     init = UnderlyingMatroid.__init__
 
@@ -621,9 +700,8 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     UnderlyingMatroid.from_chirotope(chi)
     assert len(builds) == 1  # the counter sees builds
     builds.clear()
-    fresh = Chirotope(core.ground, core.rank, core.signs)
     # __wrapped__ skips the memo for the top node, so its lookup runs
-    assert forms._top_form.__wrapped__(fresh) == forms._top_form(core)
+    assert forms._top_form.__wrapped__(key) == forms._top_form(key)
     fresh = Chirotope(chi.ground, chi.rank, chi.signs)
     assert forms._labelled_top_form(fresh) == first
     assert forms._labelled_top_form(scale(chi, -1)) == first.scale(-1)
@@ -647,7 +725,7 @@ def labelled_top_form(chi):
     stack = _LABELLED_STACKS.get(id(alg))
     if stack is None:
         stack = _LABELLED_STACKS[id(alg)] = _DenseStack(alg, positional=False)
-    facets = _facet_elements(chi, alg.matroid)
+    facets = facet_elements(chi, alg.matroid)
     targets = {}
     for a in alg.atoms:
         if a in facets:

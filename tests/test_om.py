@@ -12,15 +12,15 @@ from omcanon import (Chirotope, NotATope, OrientedMatroid, SignVector,
 from omcanon import om as om_module
 from omcanon.bases import random_signature
 from omcanon.cli import run
-from omcanon.om import _circuits, _facet_classes, _facet_elements, is_acyclic
+from omcanon.om import _circuits, _facet_classes, is_acyclic
 
 import label_walk
 import oracle_ops
 import tope_walk
-from conftest import (FIXTURES, NONUNIFORM, PAPPUS_LINE,
-                      all_full_support_vectors, boolean_om, named_om,
-                      nonuniform_om, oracle_covectors, oracle_topes, outcome,
-                      pappus_chirotope, rank1_om, relabellings)
+from conftest import (FIXTURES, NONUNIFORM, PAPPUS_LINE, SEEDED_CASES,
+                      all_full_support_vectors, boolean_om, facet_elements,
+                      named_om, nonuniform_om, oracle_covectors, oracle_topes,
+                      outcome, pappus_chirotope, rank1_om, relabellings)
 from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
 from oracle_ops import (compose, conforms_to, extend, is_nonnegative,
                         is_orthogonal, is_zero, restrict, support)
@@ -244,15 +244,15 @@ def test_faces_rank1():
 
 
 def test_is_facet(line4, line4_topes):
-    facets = _facet_elements(line4.chi.reorient(line4_topes[1]),
-                             line4.underlying)
+    facets = facet_elements(line4.chi.reorient(line4_topes[1]),
+                            line4.underlying)
     assert 1 in facets
     assert 3 not in facets
 
 
 def test_pentagon_all_facets(pentagon):
     plus = SignVector(pentagon.ground, (1,) * 5)
-    facets = _facet_elements(pentagon.chi.reorient(plus), pentagon.underlying)
+    facets = facet_elements(pentagon.chi.reorient(plus), pentagon.underlying)
     assert all(a in facets for a in pentagon.atom_reps)
 
 
@@ -328,6 +328,15 @@ def test_acyclicity(line4):
     assert line4.is_acyclic()
     anti = rank1_om((1, -1))
     assert not anti.is_acyclic()
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_tope_reorientations_are_acyclic(name, request):
+    """The reorientation by a tope has the all-plus vector as a tope, so it
+    is acyclic: the triangulation suite places it without a test."""
+    om = named_om(name, request)
+    assert om.topes
+    assert all(is_acyclic(om.chi.reorient(t)) for t in om.topes)
 
 
 # Chirotopes no fixture has: rank 0 on two elements, and rank 2 with the
@@ -430,7 +439,7 @@ def test_facet_reader_matches_acyclicity_and_is_facet(name, request):
         if not is_acyclic(chi):
             continue
         om = OrientedMatroid(chi, validate=False)
-        facets = _facet_elements(chi, om.underlying)
+        facets = facet_elements(chi, om.underlying)
         plus = SignVector(chi.ground, (1,) * len(chi.ground))
         assert facets <= set(chi.ground)
         for a in om.atom_reps:
@@ -468,7 +477,7 @@ def test_tope_queries_match_sign_vector_walk(name, request):
     om = differential_om(name, request)
     facets = 0
     for t in om.topes:
-        read = _facet_elements(om.chi.reorient(t), om.underlying)
+        read = facet_elements(om.chi.reorient(t), om.underlying)
         for a in om.atom_reps:
             got = a in read
             assert got == tope_walk.is_facet(om, t, a)
@@ -501,7 +510,7 @@ def test_residue_check_contracts_the_reoriented_chirotope(name, request):
     om = named_om(name, request)
     for t in om.topes:
         chi = om.chi.reorient(t)
-        for a in _facet_elements(chi, om.underlying) & set(om.atom_reps):
+        for a in facet_elements(chi, om.underlying) & set(om.atom_reps):
             atom = om.underlying.atom_of(a)
             assert (chi.contract(a, drop=atom - {a})
                     == tope_walk.facet_chirotope(om, t, a))
@@ -525,7 +534,7 @@ def test_tope_queries_call_no_conforms_to(pentagon_inf, monkeypatch):
                       key=SignVector.sort_key) == sorted(
                           conformal, key=SignVector.sort_key)
         assert t in om.faces(t)
-        assert (_facet_elements(om.chi.reorient(t), om.underlying)
+        assert (facet_elements(om.chi.reorient(t), om.underlying)
                 & set(om.atom_reps))
         assert all(check_residue_axioms(om, t).values())
     assert om.bounded_topes(om.ground[0]) <= ext.bounded_topes()

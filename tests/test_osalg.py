@@ -716,7 +716,7 @@ def test_residue_stack_solve_gives_ints(name, request):
     targets = {a: target.from_terms(r - 1, {
         key: Fraction(image.get(offset + i, 0))
         for i, key in enumerate(target.nbc_keys(r - 1))})
-        for a, target, offset in stack.blocks}
+        for a, (target, offset) in stack.blocks.items()}
     x = stack.solve(targets)
     assert x == alg.from_terms(r, dict(zip(stack.keys, coeffs)))
     assert all(type(v) is int for v in x.terms.values())

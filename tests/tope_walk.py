@@ -8,7 +8,7 @@ extension's bounded topes are lifted with `oracle_ops.extend`, and the
 residue check's facet form is that of the contraction of the chirotope,
 scaled by the tope's sign at the atom and reoriented by the restricted
 tope.  They are kept as the oracles that `OrientedMatroid.is_covector`,
-`om._facet_elements`, both `bounded_topes` and
+`om._facet_classes`, both `bounded_topes` and
 `forms.check_residue_axioms` are compared against.
 """
 
