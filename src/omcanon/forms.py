@@ -7,17 +7,17 @@ an acyclic pair is pinned down by its residues at atom contractions,
                                        0 otherwise),
 
 with base value chi(()) in rank 0.  A node's form is solved from these
-residues by its algebra's residue stack (`osalg._ResidueStack`), whose
-left inverse is the inverse of one unit upper triangular square block of
-the stacked residue maps; a node hands the stack its facet forms only,
-and the stack reads every other atom's residue as zero.  The facets are
-read off the nonnegative cocircuits as parallel-class masks
+residues by its class's residue stack (`_stack`): the facet forms are
+written at their blocks' rows, every other atom's rows read zero, and the
+inverse of one unit triangular square block of the stacked residue maps
+gives the form, which is then checked against every stacked row.  The
+facets are read off the nonnegative cocircuits as parallel-class masks
 (`om._facet_classes`); a facet's contraction is acyclic again, so the
 recursion only ever visits, and its memo only ever holds, acyclic
-chirotopes, and no node tests acyclicity.  The boundary is
-injective on A^r and the reduced form is dW; as Res_a d = -d Res_a, it
-obeys the reduced recursion Res_a dW = -dW(M/a, chi/a) with rank-1 base
-value chi(i), which is the one `check_residue_axioms` checks.  The
+chirotopes, and no node tests acyclicity.  The boundary is injective
+on A^r and the reduced form is dW; as Res_a d = -d Res_a, it obeys the
+reduced recursion Res_a dW = -dW(M/a, chi/a) with rank-1 base value
+chi(i), which is the one `check_residue_axioms` checks.  The
 triangulation evaluation sum_B chi(B) e_B satisfies the top-grade
 recursion, so both paths agree.
 
@@ -30,19 +30,20 @@ of the cocircuits, (-chi)/a = -(chi/a), the residue solve is linear and the
 base value chi(()) flips.  So the memo is keyed on the positional class
 (`_positional`: (n, r, signs) with the first nonzero sign positive) and
 builds the one chirotope on ground range(n) only on a miss; each
-algebra's residue stack solves against the positional algebras of its
+class's residue stack solves against the positional algebras of its
 contractions, and a labelled chirotope's form is its class's form with
 the labels and the sign put back, once, at the entry points.
 """
 
 from __future__ import annotations
 
+from . import linalg
 from ._memo import memo
 from .chirotope import Chirotope
 from .om import OrientedMatroid, _facet_classes, _one_signed
-from .osalg import (OSAlgebra, OSElement, os_algebra_for,
-                    os_algebra_of_chirotope)
-from .signvec import SignVector
+from .osalg import (OSAlgebra, OSElement, _algebra, _residue_key,
+                    os_algebra_for, os_algebra_of_chirotope)
+from .signvec import SignVector, ground_positions
 
 
 @memo
@@ -67,24 +68,121 @@ def _positional(chi: Chirotope) -> tuple:
 
 
 @memo
+def _stack(n: int, r: int, support: int) -> tuple:
+    """(alg, blocks, columns, own, inverse): the stacked residue maps on the
+    top grade of the positional algebra alg of (range(n), r, support).
+
+    Each atom a contributes a block, the top grade r-1 of its contraction
+    relabelled through the order-preserving map of its ground set onto
+    range(n'): contractions that differ only by such a relabelling have the
+    same support and so share that positional algebra, and the forms of
+    positional chirotopes land in it as they are (see `_positional`).
+    blocks[a] is (block algebra, first stacked row).  Canonical forms are
+    integral, so the map is kept over int; it is almost empty, and
+    columns[j] lists the (stacked row, value) pairs of the residues of the
+    j-th NBC r-monomial.
+
+    The solve reads one square block S of the stack (the NBC
+    deletion-contraction bijection: Bjorner 1992, 7; Orlik-Terao 3.1).
+    Give column K, with trailing atom j = K[-1], its own row, the row of
+    K minus j in j's block:
+      - Res_j e_K = +e_(K minus j), as j is the trailing entry;
+      - K minus j is NBC in M/j: a circuit C of M/j inside it, C or C + j
+        is a circuit of M with minimum min C, and its broken part
+        C - min C or (C - min C) + j would lie in K.  So the entry is 1;
+      - a column K' meets j's block only if j is in K', so j <= K'[-1],
+        with equality only for K' = K, whose residue is the one key.
+    own[u] is column u's own row, and S is the stack on the own rows, both
+    in column order.  Ordered by trailing atom, rows and columns alike, S
+    is unit upper triangular, so S is a simultaneous row and column
+    permutation of a unit triangular matrix and its inverse is integral;
+    the build checks that `linalg.left_inverse(S)` has denominator 1.
+    inverse[u] lists the (coefficient, value) pairs of column u of S^-1,
+    which the residue at own[u] feeds.
+    """
+    alg = _algebra(tuple(range(n)), r, support)
+    keys = alg.nbc[r]
+    blocks = {}
+    columns = [[] for _ in keys]
+    own = [None] * len(keys)
+    first = 0
+    for a in alg.atoms:
+        ground, rank, sub = alg.matroid.contraction_fingerprint(a)
+        block = _algebra(tuple(range(len(ground))), rank, sub)
+        pos = ground_positions(ground)
+        blocks[a] = (block, first)
+        index = block._nbc_pos[r - 1]
+        for j, (key, column) in enumerate(zip(keys, columns)):
+            res = _residue_key(key, a)
+            if res is None:
+                continue
+            rest, sign = res
+            rest = tuple(pos[e] for e in rest)
+            if key[-1] == a and rest in index:
+                own[j] = first + index[rest]
+            for k, v in block.monomial(rest, coeff=sign).terms.items():
+                if type(v) is not int:
+                    raise RuntimeError("internal invariant violation: "
+                                       "residue map has non-integer entries")
+                column.append((first + index[k], v))
+        first += block.dim(r - 1)
+    if None in own:
+        raise RuntimeError("internal invariant violation: an NBC monomial "
+                           "has no row of its own in the residue stack")
+    entries = [dict(column) for column in columns]
+    square = [[e.get(i, 0) for e in entries] for i in own]
+    found = linalg.left_inverse(square)
+    if found is None or found[1] != 1:
+        raise RuntimeError("internal invariant violation: joint residue map "
+                           "is not injective (suspect an invalid chirotope)")
+    inverse = [[(j, row[u]) for j, row in enumerate(found[0]) if row[u]]
+               for u in range(len(own))]
+    return alg, blocks, columns, own, inverse
+
+
+@memo
 def _top_form(key: tuple) -> OSElement:
     """Top-grade form of the positional chirotope of key (see
     `_positional`), which callers guarantee acyclic."""
     n, r, signs = key
     core = Chirotope(tuple(range(n)), r, signs)
-    alg = os_algebra_of_chirotope(core)
-    if r == 0:
-        return alg.one()  # the base value core(()) is positive
+    if r == 0:  # the base value core(()) is positive
+        return os_algebra_of_chirotope(core).one()
+    alg, blocks, columns, own, inverse = _stack(n, r, core.support)
     m = alg.matroid
     facets = _facet_classes(n, _one_signed(core), m._atom_masks)
-    targets = {}
+    stacked = {}  # stacked row -> residue coordinate; other rows read 0
     for a, atom, mask in zip(m.atom_reps, m.atoms, m._atom_masks):
-        if mask in facets:
-            # recursion: Res_a W = W(M/a, chi/a), in the positional algebra
-            sign, sub = _positional(core.contract(a, drop=atom - {a}))
-            form = _top_form(sub)
-            targets[a] = form if sign == 1 else -form
-    return alg.residue_stack.solve(targets)
+        if mask not in facets:
+            continue
+        # recursion: Res_a W = W(M/a, chi/a), in a's block algebra
+        sign, sub = _positional(core.contract(a, drop=atom - {a}))
+        form = _top_form(sub)
+        block, first = blocks[a]
+        if form.algebra is not block:
+            raise RuntimeError("internal invariant violation: residue target "
+                               "is not in its block's positional algebra")
+        index = block._nbc_pos[r - 1]
+        for k, v in form.terms.items():
+            if type(v) is not int:
+                raise RuntimeError("internal invariant violation: residue "
+                                   "targets have non-integer coordinates")
+            stacked[first + index[k]] = sign * v
+    coeffs = [0] * len(columns)
+    for i, feeds in zip(own, inverse):
+        v = stacked.get(i)
+        if v:
+            for j, x in feeds:
+                coeffs[j] += x * v
+    image: dict = {}
+    for column, c in zip(columns, coeffs):
+        if c:
+            for i, x in column:
+                image[i] = image.get(i, 0) + x * c
+    if {i: v for i, v in image.items() if v} != stacked:
+        raise RuntimeError("internal invariant violation: residue system is "
+                           "inconsistent (suspect an invalid chirotope)")
+    return OSElement(alg, r, dict(zip(alg.nbc[r], coeffs)))
 
 
 def _labelled_top_form(chi: Chirotope) -> OSElement:
@@ -156,8 +254,11 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
     """Per-atom check of the facet recursion for a tope's reduced form.
 
     With chi_T the chirotope reoriented by the tope, for a facet atom the
-    residue must equal minus the independently recomputed form of the
-    contraction chi_T/a; for a non-facet atom it must vanish.  At rank 1,
+    residue must equal minus the form of the contraction chi_T/a; for a
+    non-facet atom it must vanish.  That form is not recomputed
+    independently: it comes from the same recursion, whose memo already
+    holds it as the target the tope's own solve was given, so the check
+    confirms that the solve met its targets and zeros.  At rank 1,
     where the facet has rank 0 and no reduced form, the single atom checks
     the base value chi_T(rep) * 1 instead.  The facets are read off om's
     cached cocircuits conformal to the tope.  Returns {atom rep: bool}.

@@ -38,7 +38,6 @@ is first in ground order (Orlik-Terao, Arrangements of Hyperplanes,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import linalg
 from ._memo import memo
@@ -173,9 +172,6 @@ class OSAlgebra:
 
     def dim(self, k: int) -> int:
         return len(self.nbc.get(k, ()))
-
-    def nbc_keys(self, k: int) -> tuple:
-        return tuple(self.nbc.get(k, ()))
 
     def from_terms(self, grade: int, terms: dict) -> OSElement:
         for key in terms:
@@ -332,10 +328,6 @@ class OSAlgebra:
     def reduced_dim(self, k: int) -> int:
         return len(self.reduced_basis(k))
 
-    @cached_property
-    def residue_stack(self) -> "_ResidueStack":
-        return _ResidueStack(self)
-
     def coordinates_in(self, x: OSElement, basis: list) -> list | None:
         """Exact coordinates of x in the given basis, or None if outside."""
         self._own(x, *basis)
@@ -382,128 +374,3 @@ class LinearMap:
         if not self.matrix:
             return [] if not any(target) else None
         return linalg.solve(self.matrix, target)
-
-
-class _ResidueStack:
-    """Stacked residue maps on the top grade, with a left inverse read off
-    one square block.
-
-    Columns are the NBC r-monomials; each atom contributes the residues of
-    those columns in the top grade r-1 of its contraction, relabelled
-    through the order-preserving map of its ground set onto range(n'):
-    contractions that differ only by such a relabelling have the same
-    support and so share that positional algebra, and the forms of
-    positional chirotopes land in it as they are (see `forms._positional`).
-    Canonical forms are integral, so the matrix is kept over int.  It is
-    almost empty and is stored as sparse columns: `matrix[j]` lists the
-    (stacked row, value) pairs of the j-th NBC monomial's residues, and
-    `left[i]` the (coefficient index, value) pairs that stacked row i feeds,
-    with `left * matrix = I`.  `blocks` maps each atom to its contraction
-    algebra and first stacked row.
-
-    The left inverse comes from one square block S of the stack (the NBC
-    deletion-contraction bijection: Bjorner 1992, 7; Orlik-Terao 3.1).
-    Give column K, with trailing atom j = K[-1], the row of K minus j in
-    j's block, its own row:
-      - Res_j e_K = +e_(K minus j), as j is the trailing entry;
-      - K minus j is NBC in M/j: a circuit C of M/j inside it, C or C + j
-        is a circuit of M with minimum min C, and its broken part
-        C - min C or (C - min C) + j would lie in K.  So the entry is 1;
-      - a column K' meets j's block only if j is in K', so j <= K'[-1],
-        with equality only for K' = K, whose residue is the one key.
-    Ordered by trailing atom, S is unit upper triangular, so it is
-    invertible over the integers, and the columns of S^-1 placed at the
-    own rows give a left inverse of the whole stack; every other row of
-    `left` is empty.  The build checks that `linalg.left_inverse(S)` has
-    denominator 1.  `solve` reads an atom absent from its targets as
-    residue zero, refuses a target keyed by anything but an atom, and still
-    checks all stacked rows.
-    """
-
-    def __init__(self, alg: OSAlgebra):
-        self.alg = alg
-        r = alg.rank
-        self.keys = alg.nbc_keys(r)
-        self.blocks = {}
-        self.matrix = [[] for _ in self.keys]
-        own = [None] * len(self.keys)  # the own row of each column
-        nrows = 0
-        for a in alg.atoms:
-            ground, rank, support = alg.matroid.contraction_fingerprint(a)
-            target = _algebra(tuple(range(len(ground))), rank, support)
-            pos = ground_positions(ground)
-            self.blocks[a] = (target, nrows)
-            index = target._nbc_pos[r - 1]
-            for j, (key, column) in enumerate(zip(self.keys, self.matrix)):
-                res = _residue_key(key, a)
-                if res is None:
-                    continue
-                rest, sign = res
-                rest = tuple(pos[e] for e in rest)
-                if key[-1] == a and rest in index:
-                    own[j] = nrows + index[rest]
-                for k, v in target.monomial(rest, coeff=sign).terms.items():
-                    if type(v) is not int:
-                        raise RuntimeError("internal invariant violation: "
-                                           "residue map has non-integer "
-                                           "entries")
-                    column.append((nrows + index[k], v))
-            nrows += target.dim(r - 1)
-        if None in own:
-            raise RuntimeError("internal invariant violation: an NBC "
-                               "monomial has no row of its own in the "
-                               "residue stack")
-        # blocks come in atom order, so own rows sort by trailing atom
-        order = sorted(range(len(own)), key=own.__getitem__)
-        place = {own[j]: t for t, j in enumerate(order)}
-        square = [[0] * len(order) for _ in order]
-        for u, j in enumerate(order):
-            for i, v in self.matrix[j]:
-                if i in place:
-                    square[place[i]][u] = v
-        inverse = linalg.left_inverse(square)
-        if inverse is None or inverse[1] != 1:
-            raise RuntimeError(
-                "internal invariant violation: joint residue map is not "
-                "injective (suspect an invalid chirotope)")
-        left = inverse[0]
-        self.left = [[] for _ in range(nrows)]
-        for t, col in enumerate(order):
-            self.left[own[col]] = [(j, row[t]) for j, row in zip(order, left)
-                                   if row[t]]
-
-    def solve(self, targets: dict) -> OSElement:
-        """The top-grade element x with Res_a x = targets.get(a, 0), each
-        target given in its block's positional algebra."""
-        r = self.alg.rank
-        stacked = {}
-        for a, res in targets.items():
-            if a not in self.blocks:
-                raise RuntimeError("internal invariant violation: residue "
-                                   f"target {a!r} names no block")
-            target, offset = self.blocks[a]
-            if res.algebra is not target:
-                raise RuntimeError("internal invariant violation: residue "
-                                   "target is not in its block's positional "
-                                   "algebra")
-            index = target._nbc_pos[r - 1]
-            for key, v in res.terms.items():
-                if type(v) is not int:
-                    raise RuntimeError("internal invariant violation: residue "
-                                       "targets have non-integer coordinates")
-                stacked[offset + index[key]] = v
-        coeffs = [0] * len(self.keys)
-        for i, v in stacked.items():
-            for j, x in self.left[i]:
-                coeffs[j] += x * v
-        image: dict = {}
-        for column, c in zip(self.matrix, coeffs):
-            if c:
-                for i, x in column:
-                    image[i] = image.get(i, 0) + x * c
-        if {i: v for i, v in image.items() if v} != stacked:
-            raise RuntimeError(
-                "internal invariant violation: residue system is "
-                "inconsistent (suspect an invalid chirotope)")
-        return OSElement(self.alg, r, {key: c for key, c
-                                       in zip(self.keys, coeffs) if c})

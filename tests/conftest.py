@@ -7,13 +7,14 @@ import os
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import settings
 
 from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
                      RationalMatrix, SignVector, UnderlyingMatroid,
-                     chirotope_from_matrix, linalg)
+                     chirotope_from_matrix, forms, linalg)
 from omcanon.chirotope import _mask, _mask_index
 from omcanon.om import _facet_classes, _one_signed
 from omcanon.osalg import _algebra
@@ -330,11 +331,33 @@ def iota(alg, rep, x):
     return out
 
 
+def stack_solve(alg, targets: dict):
+    """`forms._top_form` on the positional algebra alg, its recursion fed
+    targets ({atom: residue in the atom's block algebra}) in place of the
+    forms of the contractions: the atoms keyed in targets are the facets,
+    every other atom is not."""
+    ground, r, support = alg.matroid.fingerprint
+    n = len(ground)
+    assert ground == tuple(range(n))
+    signs = tuple(support >> i & 1 for i in range(comb(n, r)))
+    masks = dict(zip(alg.atoms, alg.matroid._atom_masks))
+    top_form = forms._top_form.__wrapped__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "_one_signed", lambda core: ())
+        mp.setattr(forms, "_facet_classes",
+                   lambda n, pairs, atom_masks: {masks[a] for a in targets})
+        # the contraction at a is the one whose ground set lacks a
+        mp.setattr(forms, "_positional", lambda chi: (1, next(
+            a for a in alg.atoms if a not in chi.ground)))
+        mp.setattr(forms, "_top_form", targets.__getitem__)
+        return top_form((n, r, signs))
+
+
 def linear_map(src, dst, k_src: int, k_dst: int, fn) -> LinearMap:
     """fn from src's grade k_src to dst's grade k_dst in NBC coordinates:
     the columns are the images of the NBC monomials."""
-    dom = [src.from_terms(k_src, {key: 1}) for key in src.nbc_keys(k_src)]
-    cod = [dst.from_terms(k_dst, {key: 1}) for key in dst.nbc_keys(k_dst)]
+    dom = [src.from_terms(k_src, {key: 1}) for key in src.nbc.get(k_src, ())]
+    cod = [dst.from_terms(k_dst, {key: 1}) for key in dst.nbc.get(k_dst, ())]
     cols = [dst.dense(fn(b), k_dst) for b in dom]
     return LinearMap(dom, cod, linalg.columns_matrix(cols))
 

@@ -174,7 +174,7 @@ def test_criterion_8_structural_suite(line4, pentagon, pentagon_inf):
         r = om.rank
 
         for k in range(1, r + 1):
-            for key in alg.nbc_keys(k):
+            for key in alg.nbc[k]:
                 x = alg.from_terms(k, {key: Fraction(rng.randint(1, 5))})
                 assert alg.boundary(alg.boundary(x)).is_zero
 

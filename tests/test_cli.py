@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -51,6 +52,23 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_console_script_runs_the_cli(capsys, monkeypatch):
+    """The `omcanon` command that pyproject.toml installs reads sys.argv
+    and matches `run` on the same arguments, stdout and exit code."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["omcanon"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    argv = ["info", "--input", os.path.join(root, "demos", "data",
+                                            "line4.json")]
+    monkeypatch.setattr(sys, "argv", ["omcanon", *argv])
+    got = entry(), capsys.readouterr().out
+    assert got == invoke(capsys, *argv)[:2]
+    assert got[0] == 0 and json.loads(got[1])["n_topes"] == 8
 
 
 def test_info_line4(capsys, line4_path):

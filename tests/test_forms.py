@@ -24,7 +24,8 @@ from face_flag import face_flag_form
 from oracle_ops import is_nonnegative, restrict, scale
 from tope_walk import contracted_tope_chirotope
 from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES, boolean_om,
-                      facet_elements, named_om, rank1_om, uniform_r4_matrix)
+                      facet_elements, named_om, rank1_om, stack_solve,
+                      uniform_r4_matrix)
 
 
 def ebasis(alg, e):
@@ -337,14 +338,32 @@ def _contraction_algebras(alg) -> dict:
     return out
 
 
+def _stack_keys(om) -> list:
+    """The (n, r, support) of every positional class of rank at least 1
+    reachable from om's algebra by atom contractions."""
+    keys = {}
+    for alg in _contraction_algebras(algebra_of(om)).values():
+        ground, rank, support = alg.matroid.fingerprint
+        if rank >= 1:
+            keys[len(ground), rank, support] = None
+    return list(keys)
+
+
+def _stacks(om) -> list:
+    """The residue stack of every class in `_stack_keys`."""
+    return [forms._stack(*key) for key in _stack_keys(om)]
+
+
 def _left_times_matrix(stack) -> list:
-    """The dense product left * matrix of a stack's sparse factors."""
-    n = len(stack.matrix)
-    product = [[0] * n for _ in range(n)]
-    for j, column in enumerate(stack.matrix):
-        for k, v in column:  # matrix[k][j] = v
-            for i, x in stack.left[k]:  # left[i][k] = x
-                product[i][j] += x * v
+    """The dense product left * matrix, where the left inverse holds the
+    columns of S^-1 at the stack's own rows and zeros at every other row."""
+    _, _, columns, own, inverse = stack
+    product = [[0] * len(columns) for _ in columns]
+    for c, column in enumerate(columns):
+        column = dict(column)
+        for i, feeds in zip(own, inverse):
+            for j, x in feeds:  # left[j][i] = x
+                product[j][c] += x * column.get(i, 0)
     return product
 
 
@@ -356,13 +375,12 @@ def _identity(n: int) -> list:
                                   "nonpappus"])
 def test_residue_stack_left_inverse(name, request):
     """Every stack the recursion solves with has left * matrix = I."""
-    om = request.getfixturevalue(name)
-    algebras = _contraction_algebras(algebra_of(om)).values()
-    stacks = [alg.residue_stack for alg in algebras if alg.rank >= 1]
+    stacks = _stacks(request.getfixturevalue(name))
     assert stacks
     for stack in stacks:
-        n = stack.alg.dim(stack.alg.rank)
-        assert len(stack.matrix) == n  # one sparse column per NBC monomial
+        alg, _, columns, _, _ = stack
+        n = alg.dim(alg.rank)
+        assert len(columns) == n  # one sparse column per NBC monomial
         assert _left_times_matrix(stack) == _identity(n)
 
 
@@ -370,28 +388,28 @@ def test_residue_stack_left_inverse(name, request):
 def test_residue_stack_square_block(name, request):
     """Each column K of every reachable stack has its own row, the row of
     K minus K[-1] in K[-1]'s block, with entry 1; ordered by trailing atom,
-    these rows form a unit upper triangular block, the left inverse reads
+    these rows form a unit upper triangular block, the inverse reads
     exactly them, and left * matrix = I."""
-    om = named_om(name, request)
-    for alg in _contraction_algebras(algebra_of(om)).values():
-        stack = alg.residue_stack
-        own = []
-        for key, column in zip(stack.keys, stack.matrix):
-            target, offset = stack.blocks[key[-1]]
+    for stack in _stacks(named_om(name, request)):
+        alg, blocks, columns, own, inverse = stack
+        keys = alg.nbc[alg.rank]
+        want = []
+        for key, column in zip(keys, columns):
+            target, offset = blocks[key[-1]]
             ground = alg.matroid.contraction_fingerprint(key[-1])[0]
             rest = tuple(ground.index(e) for e in key[:-1])
             index = target._nbc_pos[alg.rank - 1]
             assert rest in index
-            own.append(offset + index[rest])
-            assert dict(column)[own[-1]] == 1
+            want.append(offset + index[rest])
+            assert dict(column)[want[-1]] == 1
+        assert own == want
         order = sorted(range(len(own)),
-                       key=lambda j: alg.key_sort(stack.keys[j][-1:]))
+                       key=lambda j: alg.key_sort(keys[j][-1:]))
         for u, j in enumerate(order):
-            column = dict(stack.matrix[j])
+            column = dict(columns[j])
             assert all(column.get(own[k], 0) == 0 for k in order[u + 1:])
         assert _left_times_matrix(stack) == _identity(len(own))
-        assert [i for i, feeds in enumerate(stack.left) if feeds] == sorted(
-            own)
+        assert all(inverse)  # S^-1 reads every own row
 
 
 class _DenseStack:
@@ -459,20 +477,20 @@ class _DenseStack:
             raise RuntimeError(
                 "internal invariant violation: residue system is "
                 "inconsistent (suspect an invalid chirotope)")
-        return self.alg.from_terms(r, dict(zip(self.alg.nbc_keys(r), coeffs)))
+        return self.alg.from_terms(r, dict(zip(self.alg.nbc[r], coeffs)))
 
 
-def _solve_outcome(stack, targets):
-    """The solve's result, or the message of the RuntimeError it raised."""
+def _solve_outcome(solve, *args):
+    """solve(*args), or the message of the RuntimeError it raised."""
     try:
-        return stack.solve(targets)
+        return solve(*args)
     except RuntimeError as exc:
         return str(exc)
 
 
 def _random_element(rng, alg, grade, values):
     return alg.from_terms(grade, {key: rng.choice(values)
-                                  for key in alg.nbc_keys(grade)})
+                                  for key in alg.nbc[grade]})
 
 
 @pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
@@ -486,29 +504,31 @@ def test_sparse_stack_matches_dense(name, request):
     om = named_om(name, request)
     rng = random.Random(name)
     errors = set()
-    for alg in _contraction_algebras(algebra_of(om)).values():
+    for stack in _stacks(om):
+        alg, blocks = stack[:2]
         r = alg.rank
-        sparse, dense = alg.residue_stack, _DenseStack(alg)
-        assert _left_times_matrix(sparse) == _identity(alg.dim(r))
-        elements = [alg.from_terms(r, {key: 1}) for key in alg.nbc_keys(r)]
+        dense = _DenseStack(alg)
+        assert _left_times_matrix(stack) == _identity(alg.dim(r))
+        elements = [alg.from_terms(r, {key: 1}) for key in alg.nbc[r]]
         elements += [_random_element(rng, alg, r, range(-3, 4))
                      for _ in range(3)]
-        assert [(a, t) for a, (t, _) in sparse.blocks.items()] == [
+        assert [(a, t) for a, (t, _) in blocks.items()] == [
             (a, t) for a, t, _ in dense.blocks]
         for x in elements:
             targets = dense.residues(x)
-            assert _solve_outcome(sparse, targets) == x == dense.solve(targets)
+            got = _solve_outcome(stack_solve, alg, targets)
+            assert got == x == dense.solve(targets)
         for x in elements:
             targets = dense.residues(x.scale(Fraction(1, 2)))
-            want = _solve_outcome(dense, targets)
-            assert _solve_outcome(sparse, targets) == want
+            want = _solve_outcome(dense.solve, targets)
+            assert _solve_outcome(stack_solve, alg, targets) == want
             if isinstance(want, str):
                 errors.add(want)
         for _ in range(5):
             targets = {a: _random_element(rng, target, r - 1, (-1, 0, 0, 1))
                        for a, target, _ in dense.blocks}
-            want = _solve_outcome(dense, targets)
-            assert _solve_outcome(sparse, targets) == want
+            want = _solve_outcome(dense.solve, targets)
+            assert _solve_outcome(stack_solve, alg, targets) == want
             if isinstance(want, str):
                 errors.add(want)
     assert any("non-integer" in e for e in errors)
@@ -516,27 +536,36 @@ def test_sparse_stack_matches_dense(name, request):
         assert any("inconsistent" in e for e in errors)
 
 
-def test_stack_refuses_targets_outside_its_block_algebras(pentagon):
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_stack_refuses_targets_outside_its_block_algebras(name, request):
     """Labelled residues land in the labelled contraction algebras, not in
-    the stack's positional ones; the solve refuses them rather than read
-    their keys against the wrong NBC order."""
-    alg = algebra_of(pentagon)
-    stack = alg.residue_stack
-    x = alg.from_terms(alg.rank, {alg.nbc_keys(alg.rank)[0]: 1})
-    labelled = {a: alg.residue(a, x) for a in stack.blocks}
-    assert any(labelled[a].algebra is not t
-               for a, (t, _) in stack.blocks.items())
-    with pytest.raises(RuntimeError, match="positional algebra"):
-        stack.solve(labelled)
+    the stack's positional ones, and a fresh algebra on a block's matroid
+    (as a memo clear makes) is not the block's algebra either; the solve
+    refuses both rather than read their keys against the wrong NBC
+    order."""
+    labelled = 0
+    for alg, blocks, *_ in _stacks(named_om(name, request)):
+        x = alg.from_terms(alg.rank, {alg.nbc[alg.rank][0]: 1})
+        residues = {a: alg.residue(a, x) for a in blocks}
+        if any(residues[a].algebra is not t for a, (t, _) in blocks.items()):
+            labelled += 1
+            with pytest.raises(RuntimeError, match="positional algebra"):
+                stack_solve(alg, residues)
+        for a, (target, _) in blocks.items():
+            fresh = OSAlgebra(target.matroid).zero(alg.rank - 1)
+            with pytest.raises(RuntimeError, match="positional algebra"):
+                stack_solve(alg, {a: fresh})
+    # rank1's one contraction has an empty ground set, positional already
+    assert labelled or name == "rank1"
 
 
-def _block_residues(stack, x) -> dict:
-    """{atom: Res_a x in a's block algebra} over every block of stack."""
+def _block_residues(alg, blocks, x) -> dict:
+    """{atom: Res_a x in a's block algebra} over every block of a stack."""
     out = {}
-    for a, (target, _) in stack.blocks.items():
-        ground = stack.alg.matroid.contraction_fingerprint(a)[0]
+    for a, (target, _) in blocks.items():
+        ground = alg.matroid.contraction_fingerprint(a)[0]
         pos = dict(zip(ground, range(len(ground))))
-        res = stack.alg.residue(a, x)
+        res = alg.residue(a, x)
         out[a] = target.from_terms(res.grade, {tuple(pos[e] for e in k): v
                                                for k, v in res.terms.items()})
     return out
@@ -549,47 +578,30 @@ def test_stack_reads_absent_atoms_as_zero(name, request):
     residues of one, the same error for random targets."""
     rng = random.Random(name)
     dropped = 0
-    for alg in _contraction_algebras(
-            algebra_of(named_om(name, request))).values():
-        r, stack = alg.rank, alg.residue_stack
-        elements = [alg.from_terms(r, {key: 1}) for key in alg.nbc_keys(r)]
+    for alg, blocks, *_ in _stacks(named_om(name, request)):
+        r = alg.rank
+        elements = [alg.from_terms(r, {key: 1}) for key in alg.nbc[r]]
         elements.append(_random_element(rng, alg, r, range(-2, 3)))
         for x in elements:
-            full = _block_residues(stack, x)
+            full = _block_residues(alg, blocks, x)
             nonzero = {a: t for a, t in full.items() if not t.is_zero}
             dropped += len(full) - len(nonzero)
-            assert stack.solve(nonzero) == stack.solve(full) == x
+            assert stack_solve(alg, nonzero) == stack_solve(alg, full) == x
         for _ in range(3):
             full = {a: _random_element(rng, target, r - 1, (-1, 0, 0, 1))
-                    for a, (target, _) in stack.blocks.items()}
+                    for a, (target, _) in blocks.items()}
             nonzero = {a: t for a, t in full.items() if not t.is_zero}
             dropped += len(full) - len(nonzero)
-            assert (_solve_outcome(stack, nonzero)
-                    == _solve_outcome(stack, full))
+            assert (_solve_outcome(stack_solve, alg, nonzero)
+                    == _solve_outcome(stack_solve, alg, full))
     assert dropped  # some solve ran with an atom absent
-
-
-@pytest.mark.parametrize("name", SEEDED_CASES)
-def test_stack_refuses_targets_keyed_by_non_atoms(name, request):
-    """A target keyed by anything but an atom representative, even a zero
-    one in a block's algebra, is an internal error, not a zero residue."""
-    for alg in _contraction_algebras(
-            algebra_of(named_om(name, request))).values():
-        stack = alg.residue_stack
-        target, _ = next(iter(stack.blocks.values()))
-        zero = target.zero(alg.rank - 1)
-        others = [e for e in alg.matroid.ground if e not in stack.blocks]
-        for key in others + [-1, "x"]:
-            with pytest.raises(RuntimeError, match="names no block"):
-                stack.solve({key: zero})
 
 
 @pytest.mark.parametrize("name", SEEDED_CASES)
 def test_stack_build_requires_denominator_one(name, request, monkeypatch):
     """Each stack build calls `linalg.left_inverse` once, and refuses a left
     inverse of the square block with denominator 2."""
-    algebras = [alg for alg in _contraction_algebras(
-        algebra_of(named_om(name, request))).values()]
+    keys = _stack_keys(named_om(name, request))
     left_inverse = linalg.left_inverse
     calls = []
 
@@ -599,10 +611,10 @@ def test_stack_build_requires_denominator_one(name, request, monkeypatch):
         return [[2 * x for x in row] for row in left], 2 * denom
 
     monkeypatch.setattr(linalg, "left_inverse", doubled)
-    for alg in algebras:
+    for key in keys:
         calls.clear()
         with pytest.raises(RuntimeError, match="not injective"):
-            osalg._ResidueStack(alg)
+            forms._stack.__wrapped__(*key)
         assert len(calls) == 1
 
 
@@ -755,7 +767,7 @@ def relabelled(om, labels) -> OrientedMatroid:
 
 @pytest.mark.parametrize("name", ["pentagon", "parallel_pair", "nonpappus",
                                   "nonuniform_r3"])
-def test_relabelled_and_negated_forms(name, request, monkeypatch):
+def test_relabelled_and_negated_forms(name, request):
     """Relabelling the ground set in order (integers, descending integers,
     strings) relabels both forms of every tope, and -chi negates them; none
     of these adds a core memo entry or builds a residue stack."""
@@ -765,17 +777,8 @@ def test_relabelled_and_negated_forms(name, request, monkeypatch):
     forms_of = {t: (canonical_form_tope(om, t),
                     nonreduced_canonical_form(om, t)) for t in topes}
     entries = forms._top_form.cache_info().currsize
-    stacks = []
-    init = osalg._ResidueStack.__init__
-
-    def counting_init(self, *args):
-        stacks.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(osalg._ResidueStack, "__init__", counting_init)
-    osalg._ResidueStack(algebra_of(om))
-    assert len(stacks) == 1  # the counter sees builds
-    stacks.clear()
+    builds = forms._stack.cache_info().misses
+    assert builds  # the forms above were solved with stacks
     for labels in ([10 * i + 7 for i in range(n)], [n - i for i in range(n)],
                    [f"x{n - i}" for i in range(n)]):
         other = relabelled(om, labels)
@@ -793,7 +796,7 @@ def test_relabelled_and_negated_forms(name, request, monkeypatch):
         assert canonical_form_tope(negated, t) == -forms_of[t][0]
         assert nonreduced_canonical_form(negated, t) == -forms_of[t][1]
     assert forms._top_form.cache_info().currsize == entries
-    assert stacks == []
+    assert forms._stack.cache_info().misses == builds
 
 
 def sweep_uniform_r4_matrix():
@@ -815,17 +818,20 @@ def test_uniform_sweep_builds_one_stack_per_class(monkeypatch):
     residue stack per rank 4..1."""
     clear_caches()
     om = OrientedMatroid(chirotope_from_matrix(sweep_uniform_r4_matrix()))
-    counts = {"algebras": 0, "stacks": 0}
-    for key, cls in (("algebras", OSAlgebra), ("stacks", osalg._ResidueStack)):
-        def counting(self, *args, _key=key, _init=cls.__init__):
-            counts[_key] += 1
-            _init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counting)
+    algebras = []
+    init = OSAlgebra.__init__
+
+    def counting_init(self, *args):
+        algebras.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(OSAlgebra, "__init__", counting_init)
     topes = om.sorted_topes()
     assert len(topes) == 84
     for t in topes:
         canonical_form_tope(om, t)
-    assert counts == {"algebras": 5, "stacks": 4}
+    assert len(algebras) == 5
+    assert forms._stack.cache_info().misses == 4
 
 
 @pytest.mark.parametrize("name", ["pentagon", "pentagon_inf"])

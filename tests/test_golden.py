@@ -1,11 +1,11 @@
 """Golden CLI outputs on the demo inputs, and the public names.
 
 The stdout of `info`, `canonical` (reduced and --nonreduced, every tope),
-`basis` (every grade), `aomoto` and `verify` on each `demos/data/*.json`,
-and on the non-realizable and rank-1 inputs in `tests/data`, must match
-`tests/golden/<input>.json` byte for byte; `verify`'s timing fields are
-dropped first.  Regenerate the files (only when an output is
-meant to change) with
+`basis` (every grade), `aomoto` and `verify` on each `demos/data/*.json`
+and each `tests/data/*.json` (the non-realizable, rank-1 and `q`-labelled
+inputs) must match `tests/golden/<input>.json` byte for byte; `verify`'s
+timing fields are dropped first.  Regenerate the files (only when an
+output is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -32,7 +32,8 @@ GOLDEN = os.path.join(HERE, "golden")
 PATHS = {f[:-len(".json")]: os.path.join(DEMO_DATA, f)
          for f in sorted(os.listdir(DEMO_DATA)) if f.endswith(".json")}
 PATHS.update((name, os.path.join(TEST_DATA, name + ".json"))
-             for name in ("nonpappus", "rank1_chirotope", "rank1_matrix"))
+             for name in ("line4_q", "nonpappus", "nonpappus_ext10",
+                          "rank1_chirotope", "rank1_matrix"))
 INPUTS = sorted(PATHS)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from omcanon import (UnderlyingMatroid, algebra_of, canonical_form_tope,
-                     expand_in_basis, linalg, nonreduced_canonical_form,
+                     expand_in_basis, forms, linalg, nonreduced_canonical_form,
                      structure_constants, tutte_eval)
 from omcanon.chirotope import perm_parity_sign
 from omcanon.osalg import OSAlgebra, OSElement, _coeff
@@ -15,7 +15,7 @@ import fraction_osalg
 
 from conftest import (FIXTURES, NONUNIFORM, contract_atom,
                       deletion_algebra, exact_sequence_maps, iota,
-                      linear_map, named_om, rank1_om)
+                      linear_map, named_om, rank1_om, stack_solve)
 
 
 def test_monomial_straightening_line4(line4):
@@ -377,7 +377,7 @@ def solved_inverse_boundary(alg, y):
         alg.dense(y, r - 1))
     if sol is None:
         raise RuntimeError("element not in the boundary image")
-    return alg.from_terms(r, dict(zip(alg.nbc_keys(r), sol)))
+    return alg.from_terms(r, dict(zip(alg.nbc[r], sol)))
 
 
 def value_error(fn, *args) -> str:
@@ -703,20 +703,21 @@ def test_tope_forms_have_int_coefficients(name, request):
 
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
 def test_residue_stack_solve_gives_ints(name, request):
-    """The stack solves the residues of a seeded integral top element back
-    to it, with int coefficients."""
-    alg = algebra_of(named_om(name, request))
-    r = alg.rank
-    stack = alg.residue_stack
-    coeffs = [i % 5 - 2 for i in range(len(stack.keys))]
+    """The residue stack of the fixture's positional class solves the
+    residues of a seeded integral top element back to it, with int
+    coefficients."""
+    matroid = algebra_of(named_om(name, request)).matroid
+    ground, r, support = matroid.fingerprint
+    alg, blocks, columns, _, _ = forms._stack(len(ground), r, support)
+    coeffs = [i % 5 - 2 for i in range(len(columns))]
     image: dict = {}
-    for column, c in zip(stack.matrix, coeffs):
+    for column, c in zip(columns, coeffs):
         for i, v in column:
             image[i] = image.get(i, 0) + c * v
     targets = {a: target.from_terms(r - 1, {
         key: Fraction(image.get(offset + i, 0))
-        for i, key in enumerate(target.nbc_keys(r - 1))})
-        for a, (target, offset) in stack.blocks.items()}
-    x = stack.solve(targets)
-    assert x == alg.from_terms(r, dict(zip(stack.keys, coeffs)))
+        for i, key in enumerate(target.nbc[r - 1])})
+        for a, (target, offset) in blocks.items()}
+    x = stack_solve(alg, targets)
+    assert x == alg.from_terms(r, dict(zip(alg.nbc[r], coeffs)))
     assert all(type(v) is int for v in x.terms.values())

@@ -46,7 +46,7 @@ def test_zero_orthogonal_to_all(x):
 def os_elements(draw, grade):
     from omcanon import oriented_matroid_for
     alg = algebra_of(oriented_matroid_for(cyclic_line_chirotope(4)))
-    keys = alg.nbc_keys(grade)
+    keys = alg.nbc[grade]
     coeffs = draw(st.lists(
         st.integers(min_value=-5, max_value=5),
         min_size=len(keys), max_size=len(keys)))
