@@ -13,7 +13,11 @@ zero) until only no-broken-circuit monomials remain.  The rewrite replaces
 an element of the broken circuit by the smaller circuit minimum, so the
 lexicographic position strictly decreases and the process terminates; the
 result is the unique NBC coordinate vector.  Every linear combination of
-monomials is straightened as one sum, by `OSAlgebra.combination`.
+monomials is straightened as one sum, by `OSAlgebra.combination`: a tuple
+that is an NBC key passes through; any other term reads its atoms' positions
+and representatives from one table, `_rep_at`, takes the parity of their
+inversions as its sign and adds the expansion of the sorted representatives,
+memoized in `_straight_cache` only for keys some term had to straighten.
 
 Boundary removes entries from the END of a monomial first:
     d e_(s1..sk) = sum_{i=0}^{k-1} (-1)^i e_(S minus s_{k-i}).
@@ -152,6 +156,10 @@ class OSAlgebra:
         self.rank = matroid.rank
         self.atoms = matroid.atom_reps
         self._pos = ground_positions(matroid.ground)
+        # ground label -> (position of its atom representative, the
+        # representative); empty in rank 0, where every element is a loop
+        self._rep_at = {e: (self._pos[rep], rep) for rep, atom in
+                        zip(self.atoms, matroid.atoms) for e in atom}
         self.nbc = {k: matroid.nbc_sets(k) for k in range(self.rank + 1)}
         self._nbc_pos = {k: {key: i for i, key in enumerate(keys)}
                          for k, keys in self.nbc.items()}
@@ -185,17 +193,17 @@ class OSAlgebra:
         return self.combination(len(seq), [(seq, coeff)])
 
     def combination(self, grade: int, pairs) -> OSElement:
-        """sum of c * e_seq over the (seq, c) pairs, each seq listing grade
-        ground elements in any order, in NBC coordinates; a seq repeating an
-        atom contributes zero."""
+        """sum of c * e_seq over the (seq, c) pairs, each seq any iterable of
+        grade ground elements in any order, in NBC coordinates; a seq
+        repeating an atom contributes zero, and an NBC key passes through."""
         terms: dict = {}
+        nbc = self._nbc_pos.get(grade, {})
         for seq, c in pairs:
             c = _coeff(c)
-            reps = tuple(self.matroid.rep_of(e) for e in seq)
-            if len(reps) != grade:
-                raise ValueError(f"expected {grade} entries, got {len(reps)}")
-            if len(set(reps)) == len(reps):
-                self._straighten_into(terms, reps, c)
+            if type(seq) is tuple and seq in nbc:
+                terms[seq] = terms.get(seq, 0) + c
+            else:
+                self._straighten_into(terms, grade, seq, c)
         return OSElement(self, grade, terms)
 
     # ---- straightening ------------------------------------------------------
@@ -228,16 +236,25 @@ class OSAlgebra:
         for j in range(1, len(circuit)):
             # relation: e_full = sum_j (-1)^{j+1} e_{circuit minus c_j}
             repl = tuple(a for a in circuit if a != circuit[j])
-            self._straighten_into(out, repl + rest,
+            self._straighten_into(out, len(key), repl + rest,
                                   (-1) ** (j + 1) * sign_outer)
         return {k: v for k, v in out.items() if v != 0}
 
-    def _straighten_into(self, terms: dict, reps: tuple, c) -> None:
-        """terms += c * e_reps in NBC coordinates, for distinct atom
-        representatives reps in any order."""
-        positions = [self._pos[a] for a in reps]
+    def _straighten_into(self, terms: dict, grade: int, seq, c) -> None:
+        """terms += c * e_seq in NBC coordinates, for grade ground elements
+        seq in any order, signed by the inversions of their atoms' positions."""
+        try:
+            placed = [self._rep_at[e] for e in seq]
+        except KeyError as exc:
+            self.matroid.rep_of(exc.args[0])  # names the label, or its loop
+            raise
+        if len(placed) != grade:
+            raise ValueError(f"expected {grade} entries, got {len(placed)}")
+        positions = [p for p, _ in placed]
+        if len(set(positions)) < grade:  # an atom repeats: e_seq = 0
+            return
         c *= perm_parity_sign(positions)
-        ordered = tuple(a for _, a in sorted(zip(positions, reps)))
+        ordered = tuple(rep for _, rep in sorted(placed))
         for k, v in self._straighten(ordered).items():
             terms[k] = terms.get(k, 0) + c * v
 

@@ -45,7 +45,9 @@ def rational_from_str(s) -> Fraction:
         raise InputError(f'bad rational {s!r}: expected "p/q" or "n"')
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise InputError(f"bad rational {s!r}: zero denominator") from None
+    except ValueError as exc:
         raise InputError(f"bad rational {s!r}: {exc}") from None
 
 

@@ -222,6 +222,20 @@ def test_aomoto_rejects_non_rational_weights(capsys, line4_path, weight):
     assert err.startswith(f"error: bad rational {weight!r}")
 
 
+@pytest.mark.parametrize("entry", ["1/0", "-3/00"])
+def test_zero_denominator_is_named(capsys, tmp_path, line4_path, entry):
+    """A zero denominator is named in words, as a weight and as a matrix
+    entry, not by the repr of the Fraction that could not be made."""
+    line = f"error: bad rational {entry!r}: zero denominator\n"
+    code, out, err = invoke(capsys, "aomoto", "--input", line4_path,
+                            "--weights", f"1,{entry},1")
+    assert (code, out, err) == (2, "", line)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_with_entry(pentagon_doc(), entry)))
+    code, out, err = invoke(capsys, "info", "--input", str(path))
+    assert (code, out, err) == (2, "", line)
+
+
 def test_rationals_in_documented_forms(capsys, line4_path):
     code, out, _ = invoke(capsys, "aomoto", "--input", line4_path,
                           "--weights", " +1 ,-2/3, 4/2")

@@ -631,6 +631,90 @@ def test_int_kernel_matches_fraction_oracle(name, request):
                     oracle.wedge(want, oracle.combination(g, pairs)))
 
 
+def nbc_key_spellings(rng, alg, key: tuple) -> list:
+    """key as a sequence: itself, shuffled, with its first two atoms swapped,
+    spelled with seeded members of its parallel classes, and with an atom
+    repeated."""
+    members = {a: [e for e in alg.matroid.ground if alg.matroid.rep_of(e) == a]
+               for a in key}
+    out = [key, tuple(rng.sample(key, len(key))),
+           tuple(rng.choice(members[a]) for a in key)]
+    if len(key) >= 2:
+        out += [(key[1], key[0]) + key[2:], key[:-1] + key[:1]]
+    return out
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_nbc_keys_pass_through_as_the_oracle_straightens_them(name, request):
+    """combination reads a tuple that is an NBC key of its grade as that
+    basis element and every other spelling of it (permuted, through parallel
+    members, repeating an atom, a list, a generator) as the earlier
+    per-term path does: one pair at a time and all of a grade as one sum,
+    with int, Fraction and string coefficients, in the fixture's algebra and
+    those of its contractions, where atoms may merge."""
+    alg = algebra_of(named_om(name, request))
+    rng = random.Random(f"nbc pass-through:{name}")
+    respelled = False
+    for minor in [alg] + [alg.residue_algebra(a) for a in alg.atoms]:
+        oracle = fraction_osalg.FractionAlgebra(minor)
+        for grade, keys in minor.nbc.items():
+            pairs = []
+            for key in keys:
+                for seq in nbc_key_spellings(rng, minor, key):
+                    respelled |= not set(seq) <= set(minor.atoms)
+                    c = exact_coefficient(rng)
+                    want = oracle.combination(grade, [(seq, c)])
+                    for spelt in (seq, list(seq), iter(seq)):
+                        assert_matches_oracle(
+                            oracle, minor.combination(grade, [(spelt, c)]),
+                            want)
+                    pairs.append((seq, c))
+                if grade >= 2:  # an odd permutation straightens, with its sign
+                    swapped = (key[1], key[0]) + key[2:]
+                    assert minor.combination(grade, [(swapped, 3)]).terms == \
+                        {key: -3}
+            assert_matches_oracle(oracle, minor.combination(grade, pairs),
+                                  oracle.combination(grade, pairs))
+    if name in ("parallel_pair", "pentagon_inf", "rank1"):
+        assert respelled
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_nbc_key_sums_add_no_straightening_entry(name, request):
+    """A sum whose sequences are all NBC keys straightens nothing, so the
+    algebra's `_straight_cache` stays empty; a permuted key fills it."""
+    alg = OSAlgebra(algebra_of(named_om(name, request)).matroid)
+    for grade, keys in alg.nbc.items():
+        x = alg.combination(grade, [(key, i + 1) for i, key in enumerate(keys)])
+        assert x.terms == {key: i + 1 for i, key in enumerate(keys)}
+    assert alg._straight_cache == {}
+    key = alg.nbc[alg.rank][-1]
+    if len(key) >= 2:
+        alg.combination(alg.rank, [(key[::-1], 1)])
+        assert alg._straight_cache
+
+
+@pytest.mark.parametrize("spell", [tuple, list, iter])
+def test_combination_errors_keep_their_messages(spell, line4):
+    """An unknown label is named, also from a generator, after the NBC keys
+    before it; a sequence of another length is refused; a rank-0 algebra
+    names its loops."""
+    alg = algebra_of(line4)
+    with pytest.raises(ValueError, match="^unknown element label 99$"):
+        alg.combination(2, [((0, 1), 1), (spell((0, 99)), 1)])
+    with pytest.raises(ValueError, match="^unknown element label 'x'$"):
+        alg.combination(1, [(spell(("x",)), 1)])
+    for seq in ((2,), (0,), (0, 1, 2)):
+        with pytest.raises(ValueError,
+                           match=f"^expected 2 entries, got {len(seq)}$"):
+            alg.combination(2, [((0, 1), 1), (spell(seq), 1)])
+    loops = OSAlgebra(UnderlyingMatroid((1, 2), 0, 1))
+    with pytest.raises(ValueError, match="^2 is a loop, in no atom$"):
+        loops.combination(1, [(spell((2,)), 1)])
+    with pytest.raises(ValueError, match="^unknown element label 0$"):
+        loops.combination(1, [(spell((0,)), 1)])
+
+
 # ---- the coefficient type ----------------------------------------------------
 
 
