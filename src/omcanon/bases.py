@@ -63,18 +63,11 @@ def bounded_extension(om: OrientedMatroid, base=None,
     The inclusion is asserted at runtime; on failure, seeded random
     signatures are retried and exhaustion is an error, never silent.
     """
-    return _bounded_extension(om, base, seed)[0]
-
-
-def _bounded_extension(om: OrientedMatroid, base, seed: int) -> tuple:
-    """(extension, T^0, T^ext) for the first extension that keeps every
-    0-bounded tope bounded."""
     base = om.ground[0] if base is None else base
     t0 = om.bounded_topes(base)
     for ext in _extensions(om, random.Random(seed), base):
-        tq = ext.bounded_topes()
-        if t0 <= tq:
-            return ext, t0, tq
+        if t0 <= ext.bounded_topes():
+            return ext
     raise RuntimeError(f"no perturbation of {base!r} kept the bounded topes "
                        f"bounded after {_ATTEMPTS} attempts")
 
@@ -219,41 +212,38 @@ class AomotoReport:
     v_spans: bool
     is_generic: bool
     bounded_topes: list
-    extension_bounded_topes: list
     basis_forms: list  # canonical forms of the 0-bounded topes
     weights: dict
 
 
-def aomoto(om: OrientedMatroid, weights: dict, base=None,
-           seed: int = 0) -> AomotoReport:
+def aomoto(om: OrientedMatroid, weights: dict, base=None) -> AomotoReport:
     """Cohomology of the weighted degree-one multiplication in top degree.
 
-    dim_h is the exact corank of the multiplication map into the top
-    reduced grade; genericity additionally requires the 0-bounded forms to
-    complement its image (checked through the extension-bounded splitting,
-    whose inclusion of bounded topes is asserted at runtime).
+    One elimination over the omega-image columns followed by the forms of
+    the 0-bounded topes T^0 reads both answers: dim_h is the corank of the
+    image in the top reduced grade, and v_spans says that the T^0 forms
+    complement it exactly.  Genericity is dim_h == beta and v_spans; no
+    extension is searched and no seed is drawn.
     """
     base = om.ground[0] if base is None else base
     alg = algebra_of(om)
     r = om.rank
     omega = _weight_form(alg, weights, base)
 
-    top = alg.reduced_basis(r - 1)
+    top_dim = alg.reduced_dim(r - 1)
     image_cols = _wedge_columns(alg, omega, r - 2) if r >= 2 else []
 
     beta = om.underlying.beta()
-    _, t0, tq = _bounded_extension(om, base, seed)
-    t0 = sorted(t0, key=SignVector.sort_key)
-    tq = sorted(tq, key=SignVector.sort_key)
+    t0 = sorted(om.bounded_topes(base), key=SignVector.sort_key)
 
     v_forms = [canonical_form_tope(om, t) for t in t0]
     v_cols = [alg.dense(f, r - 1) for f in v_forms]
     # the earliest-first pivots inside the prefix image_cols are its basis
     pivots = linalg.greedy_independent(image_cols + v_cols)
     image_rank = sum(p < len(image_cols) for p in pivots)
-    dim_h = len(top) - image_rank
-    v_spans = (len(pivots) == len(top)
-               and image_rank + len(v_cols) == len(top))
+    dim_h = top_dim - image_rank
+    v_spans = (len(pivots) == top_dim
+               and image_rank + len(v_cols) == top_dim)
 
     dim_matches_beta = dim_h == beta
     return AomotoReport(
@@ -263,7 +253,6 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None,
         v_spans=v_spans,
         is_generic=dim_matches_beta and v_spans,
         bounded_topes=t0,
-        extension_bounded_topes=tq,
         basis_forms=v_forms,
         weights=dict(weights),
     )

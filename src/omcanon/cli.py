@@ -108,7 +108,7 @@ def cmd_aomoto(args, parsed, om) -> dict:
         raise ser.InputError(
             f"expected {len(rest)} weights for elements {rest}")
     weights = {e: ser.rational_from_str(p) for e, p in zip(rest, parts)}
-    report = bases_mod.aomoto(om, weights, base=base, seed=args.seed)
+    report = bases_mod.aomoto(om, weights, base=base)
     return {
         "dim_H": report.dim_h,
         "beta": report.beta,
@@ -205,7 +205,7 @@ def _suite_aomoto(parsed, om, seed, checks):
     def run():
         base = parsed.labels[0]
         for weights in bases_mod.sample_weight_vectors(om, base, seed=seed):
-            report = bases_mod.aomoto(om, weights, base=base, seed=seed)
+            report = bases_mod.aomoto(om, weights, base=base)
             n0, beta = len(report.bounded_topes), report.beta
             if n0 != beta:
                 raise AssertionError(f"|T^0| = {n0} but beta = {beta}")
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True,
                    help='comma list of rationals such as "1,2,-3/2"')
     p.add_argument("--base", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_aomoto)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -289,10 +288,6 @@ def run(argv=None) -> int:
         return 2
     sys.stdout.write(ser.dumps_canonical(doc))
     return 1 if doc.get("passed") is False else 0
-
-
-def main() -> int:
-    return run()
 
 
 if __name__ == "__main__":

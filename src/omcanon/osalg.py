@@ -326,14 +326,15 @@ class OSAlgebra:
         in lexicographic order.  Their a0-free terms are distinct, so they
         are independent; they span the image of d; and they come first among
         all NBC (k+1)-monomials, so they are the earliest-first maximal
-        independent family of all those boundaries.
+        independent family of all those boundaries.  Grade 0 is spanned by
+        1; a negative grade, like one from the rank up, has no basis.
         """
         cached = self._reduced.get(k)
         if cached is not None:
             return cached
         if k == 0:
             basis = [self.one()]
-        elif k >= self.rank:
+        elif not 0 < k < self.rank:
             basis = []
         else:
             a0 = self.atoms[0]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import omcanon.bases
 from omcanon import (SignVector, algebra_of, aomoto, bounded_extension,
                      build_flag, canonical_form_tope, expand_in_basis,
                      graded_basis, perturbation_signature,
@@ -412,15 +413,26 @@ def test_aomoto_degree_ranks_weight_validation(pentagon, weights):
 
 
 def test_aomoto_computes_bounded_topes_once(pentagon, monkeypatch):
-    """The report's T^0 and T^ext are the sets the extension search
-    already computed."""
+    """The report's T^0 is the one bounded-tope query aomoto makes; it
+    searches no extension."""
     weights = sample_weight_vectors(pentagon, 1)[0]
     counts = count_bounded_topes(monkeypatch)
     report = aomoto(pentagon, weights, base=1)
-    assert counts == {"om": 1, "ext": 1}
+    assert counts == {"om": 1, "ext": 0}
     assert set(report.bounded_topes) == pentagon.bounded_topes(1)
-    ext = bounded_extension(pentagon, 1)
-    assert set(report.extension_bounded_topes) == ext.bounded_topes()
+
+
+def test_aomoto_needs_no_extension(pentagon, monkeypatch):
+    """With no extension to try, aomoto still gives its whole report,
+    while bounded_extension still reports the exhausted search."""
+    weights = sample_weight_vectors(pentagon, 1)[0]
+    want = aomoto(pentagon, weights, base=1)
+    monkeypatch.setattr(omcanon.bases, "_extensions",
+                        lambda om, rng, base=None: iter(()))
+    assert aomoto(pentagon, weights, base=1) == want
+    assert want.is_generic and len(want.bounded_topes) == want.beta
+    with pytest.raises(RuntimeError, match="no perturbation of 1"):
+        bounded_extension(pentagon, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -268,7 +268,7 @@ def test_verify_aomoto_computes_bounded_topes_once(capsys, pentagon_path,
     code, out, _ = invoke(capsys, "verify", "--input", pentagon_path,
                           "--suite", "aomoto")
     assert code == 0 and json.loads(out)["passed"] is True
-    assert counts == {"om": 1, "ext": 1}
+    assert counts == {"om": 1, "ext": 0}
 
 
 def test_verify_triangulation_makes_no_acyclicity_test(

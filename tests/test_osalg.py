@@ -195,6 +195,18 @@ def test_reduced_dims_match_alternating_sums(line4, pentagon, pentagon_inf):
             assert alg.reduced_dim(k) == expected
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_reduced_basis_is_empty_outside_its_grades(name, request):
+    """Like `dim`, the reduced basis is empty below grade 0 and from the
+    rank up, and has its alternating-sum dimension in between."""
+    om = named_om(name, request)
+    alg = algebra_of(om)
+    for k in range(-2, om.rank + 2):
+        expected = (sum((-1) ** (k - j) * alg.dim(j) for j in range(k + 1))
+                    if 0 <= k < om.rank else 0)
+        assert alg.reduced_dim(k) == len(alg.reduced_basis(k)) == expected, k
+
+
 @pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
                                   "parallel_pair", "nonpappus", "rank1",
                                   "boolean3"])
