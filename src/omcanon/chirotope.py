@@ -5,10 +5,11 @@ Everything runs on ground positions: an r-subset is a bitmask over them
 and the sign table is indexed by mask (`_mask_index`).  `value` reads an
 ordered tuple at the mask of its positions, times the parity of sorting
 them (tuples with repeats evaluate to 0); validation, circuits
-(`_circuit`) and the greedy basis (`_earliest_basis`) scan the table by
+(`_circuit`) and the greedy basis (`_earliest_mask`) scan the table by
 mask, and a contraction's table is a gather from its parent's through a
 slot table cached per shape (`_minor_slots`), so none of them walks keys
-of labels.
+of labels.  A chirotope keeps the circuit of every (r+1)-set in one table
+(`Chirotope._circuit_table`), built on first use and dropped with it.
 """
 
 from __future__ import annotations
@@ -92,18 +93,26 @@ def _circuit(signs, index: dict, s: int) -> tuple:
 def _earliest_basis(chi: Chirotope, order) -> list:
     """The basis greedy insertion along order (distinct labels) picks, in
     order: the one whose sorted places in order are lexicographically
-    least.  It keeps each element that a basis holding the kept ones holds."""
+    least (`_earliest_mask`)."""
     pos = ground_positions(chi.ground)
-    bases = [m for m, s in zip(_mask_index(len(pos), chi.rank), chi.signs)
-             if s]
-    out = []
-    for e in order:
-        bit = 1 << _position(pos, e)
+    kept = _earliest_mask(chi, [_position(pos, e) for e in order])
+    return [e for e in order if kept >> pos[e] & 1]
+
+
+def _earliest_mask(chi: Chirotope, places) -> int:
+    """The mask of the basis greedy insertion along places (distinct
+    positions) picks.  It keeps each position that a basis holding the
+    kept ones holds."""
+    bases = [m for m, s in zip(_mask_index(len(chi.ground), chi.rank),
+                               chi.signs) if s]
+    kept = 0
+    for i in places:
+        bit = 1 << i
         within = [b for b in bases if b & bit]
         if within:
             bases = within
-            out.append(e)
-    return out
+            kept |= bit
+    return kept
 
 
 @dataclass(frozen=True)
@@ -143,6 +152,16 @@ class Chirotope:
     def support(self) -> int:
         """The bases as an int: bit i is set iff signs[i] is nonzero."""
         return sum(1 << i for i, s in enumerate(self.signs) if s)
+
+    @cached_property
+    def _circuit_table(self) -> dict:
+        """{(r+1)-mask s: the (plus, minus) masks of `_circuit` in s}, over
+        every (r+1)-subset of positions: the one place circuits are read
+        by (r+1)-set."""
+        n, r = len(self.ground), self.rank
+        index = _mask_index(n, r)
+        return {s: _circuit(self.signs, index, s)
+                for s in _mask_index(n, r + 1)}
 
     @property
     def nonzero_keys(self) -> tuple:

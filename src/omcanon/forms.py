@@ -39,11 +39,11 @@ from __future__ import annotations
 
 from . import linalg
 from ._memo import memo
-from .chirotope import Chirotope
+from .chirotope import Chirotope, _mask, _mask_index
 from .om import OrientedMatroid, _facet_classes, _one_signed
 from .osalg import (OSAlgebra, OSElement, _algebra, _residue_key,
                     os_algebra_for, os_algebra_of_chirotope)
-from .signvec import SignVector, ground_positions
+from .signvec import SignVector, _labels, _position, ground_positions
 
 
 @memo
@@ -233,13 +233,39 @@ def canonical_form_from_triangulation(chi: Chirotope, bases) -> OSElement:
 
 
 def nonreduced_from_triangulation(chi: Chirotope, bases) -> OSElement:
-    """sum over the triangulation of chi(B) e_B (top grade, non-reduced)."""
-    def signed():
+    """sum over the triangulation of chi(B) e_B (top grade, non-reduced).
+
+    A basis may list its labels in any order: chi(B) e_B does not depend
+    on it, so each one is read as the mask of its positions."""
+    pos, r = ground_positions(chi.ground), chi.rank
+
+    def masks():
         for basis in map(tuple, bases):
-            sign = chi.value(basis)
-            if sign == 0:
+            if len(basis) != r:
+                raise ValueError(f"expected {r} entries, got {len(basis)}")
+            mask = _mask({_position(pos, e) for e in basis})
+            if mask.bit_count() < r:
                 raise ValueError(f"{basis} is not a basis")
-            yield basis, sign
+            yield mask
+    return _triangulation_sum(chi, masks())
+
+
+def _triangulation_sum(chi: Chirotope, masks, m: int = 0) -> OSElement:
+    """sum of chi_m(B) e_B over the position masks B of a triangulation,
+    where chi_m, the reorientation of chi by the position mask m, reads
+    chi(B) * (-1)^|B & m| off chi's sign table; in the algebra of chi,
+    which is that of chi_m.  A mask of sign 0 is refused as no basis."""
+    ground, signs = chi.ground, chi.signs
+    index = _mask_index(len(ground), chi.rank)
+
+    def signed():
+        for b in masks:
+            sign = signs[index[b]]
+            if sign == 0:
+                raise ValueError(f"{_labels(ground, b)} is not a basis")
+            if (b & m).bit_count() & 1:
+                sign = -sign
+            yield _labels(ground, b), sign
     return os_algebra_of_chirotope(chi).combination(chi.rank, signed())
 
 

@@ -3,13 +3,14 @@
 Derived data (signed circuits, cocircuits, covectors, topes) is computed
 once, on first use, deterministically from the chirotope, and never
 mutated afterwards.  Sign-vector sets are closed under negation.
-Circuits (`chirotope._circuit`, fundamental circuits too) and cocircuits
-are read off the ascending sign table as (plus, minus) masks, and so are
-the facets of the all-plus tope of an acyclic chirotope; a lexicographic
-extension's table is built on that table by position mask.  The
-cocircuits are kept as one table of mask pairs, both signs, and every
-tope question reads it: the cocircuits conformal to a sign vector are the
-pairs inside its masks, and compose by taking the union of their masks.
+Circuits (the chirotope's circuit table, and `chirotope._circuit` for a
+fundamental circuit) and cocircuits are read off the ascending sign table
+as (plus, minus) masks, and so are the facets of the all-plus tope of an
+acyclic chirotope; a lexicographic extension's table is built on that
+table by position mask.  The cocircuits are kept as one table of mask
+pairs, both signs, and every tope question reads it: the cocircuits
+conformal to a sign vector are the pairs inside its masks, and compose by
+taking the union of their masks.
 A covector is their composition, the faces of a tope are their closure,
 and a tope is bounded at e iff none of them vanishes at e.  A facet of a
 tope T is a facet of the all-plus tope of the reorientation by T; one
@@ -264,13 +265,11 @@ class Extension:
 
 
 def _circuits(chi: Chirotope) -> frozenset:
-    """The signed circuits, read off the ascending sign table: one from each
+    """The signed circuits, read off chi's circuit table: one from each
     (r+1)-subset of rank r, and their negatives (none in rank 0)."""
     if chi.rank == 0:
         return frozenset()
-    n, r = len(chi.ground), chi.rank
-    index = _mask_index(n, r)
-    pairs = {_circuit(chi.signs, index, s) for s in _mask_index(n, r + 1)}
+    pairs = set(chi._circuit_table.values())
     return frozenset(SignVector._from_masks(chi.ground, *pm)
                      for p, m in pairs - {(0, 0)} for pm in ((p, m), (m, p)))
 

@@ -1,11 +1,14 @@
 """Rational matrix realizations.
 
 Columns are exact-rational linear functionals on V = Q^r, indexed by the
-ground set.  The chirotope is the sign of the maximal minors; chambers are
-located by evaluating the functionals; placing (beneath-beyond)
-triangulations, whose facet and cone tests read circuit signs off the
-chirotope by position mask, feed the triangulation evaluation of
-canonical forms.
+ground set.  The chirotope is the sign of the maximal minors, each the
+determinant of integer columns; chambers are located by evaluating the
+functionals; placing (beneath-beyond) triangulations feed the
+triangulation evaluation of canonical forms.  Their facet and cone tests
+read circuits off the chirotope's circuit table by position mask, and a
+triangulation of a reorientation reads the table of the chirotope it
+reorients, with the signs at the reorientation mask flipped (`_place`):
+the triangulations of all the topes of one input read one table.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import linalg
-from .chirotope import (Chirotope, _bits, _circuit, _earliest_basis, _mask,
-                        _mask_index)
+from .chirotope import Chirotope, _bits, _earliest_mask
 from .linalg import _exact
 from .om import OrientedMatroid, is_acyclic
 from .signvec import SignVector, _labels, _position, ground_positions
@@ -74,12 +77,20 @@ class RationalMatrix:
 
 
 def chirotope_from_matrix(mat: RationalMatrix) -> Chirotope:
+    """The signs of the maximal minors.  Each column is scaled once by the
+    lcm of its denominators, a positive factor that changes no minor's
+    sign, so every minor is the determinant of an int matrix."""
     r = mat.nrows
-    for e in mat.labels:
-        if not any(mat.column(e)):
+    cols = []
+    for j, e in enumerate(mat.labels):
+        col = [row[j] for row in mat.rows]
+        if not any(col):
             raise ValueError(f"zero column: {e!r}")
-    signs = tuple(_sign(mat.minor_det(key))
-                  for key in combinations(mat.labels, r))
+        m = lcm(*(x.denominator for x in col))
+        cols.append([x.numerator * (m // x.denominator) for x in col])
+    signs = tuple(_sign(linalg.det([[col[i] for col in key]
+                                    for i in range(r)]))
+                  for key in combinations(cols, r))
     if not any(signs):
         raise ValueError("matrix is rank deficient")
     return Chirotope(tuple(mat.labels), r, signs)
@@ -161,48 +172,65 @@ def _placing(chi: Chirotope, insertion_order=None) -> list:
     """`placing_triangulation` on the chirotope of the configuration."""
     if not is_acyclic(chi):
         raise ValueError("configuration is not acyclic")
-    return _place(chi, insertion_order)
+    return [_labels(chi.ground, b) for b in _place(chi, insertion_order)]
 
 
-def _place(chi: Chirotope, insertion_order=None) -> list:
-    """`_placing` without its acyclicity test, for a caller that knows chi
-    acyclic, such as the reorientation of an oriented matroid by a tope.
+def _place(chi: Chirotope, insertion_order=None, m: int = 0) -> list:
+    """The placing triangulation of chi reoriented by the position mask m,
+    as position masks of its simplices, without `_placing`'s acyclicity
+    test: for a caller that knows that reorientation acyclic, such as the
+    reorientation of an oriented matroid by a tope with minus mask m.
 
-    Simplices are position masks, and both geometric tests read the
-    circuit (`chirotope._circuit`) of one (r+1)-set: p is beyond the facet
-    F with apex a iff the circuit of F + a + p has the same sign at a and
-    p, and p lies in the closed cone of the simplex B iff it is alone on
-    its side of the circuit of B + p (Cramer's rule)."""
+    Both geometric tests read the circuit of one (r+1)-set off chi's
+    circuit table: p is beyond the facet F with apex a iff the circuit of
+    F + a + p has the same sign at a and p, and p lies in the closed cone
+    of the simplex B iff it is alone on its side of the circuit of B + p
+    (Cramer's rule).  Reoriented by m, the chirotope reads chi(B) *
+    (-1)^|B & m|, so the circuit (plus, minus) of the (r+1)-set s becomes
+    ((plus & ~m) | (minus & m), (minus & ~m) | (plus & m)) times
+    (-1)^|s & m|: each sign at m flips, and so does the whole circuit when
+    |s & m| is odd.  Neither test reads that global sign, as both ask only
+    whether two elements share a side, or one stands alone on its side.
+    The core basis depends only on the support, which reorienting keeps.
+    The facet map grows with the simplices: a placed simplex enters each
+    of its facets, and a facet entered twice is interior."""
     order = list(insertion_order if insertion_order is not None else chi.ground)
-    pos = ground_positions(chi.ground)
-    if sorted(_position(pos, e) for e in order) != list(range(len(pos))):
+    places = [_position(ground_positions(chi.ground), e) for e in order]
+    if sorted(places) != list(range(len(chi.ground))):
         raise ValueError("insertion order must be a permutation of the labels")
-    r = chi.rank
-    core = _earliest_basis(chi, order)
-    if len(core) < r:
+    core = _earliest_mask(chi, places)
+    if core.bit_count() < chi.rank:
         raise ValueError("matrix is rank deficient")
-    index = _mask_index(len(pos), r)
-    simplices = [_mask(pos[e] for e in core)]
+    table = chi._circuit_table
 
-    for p in (1 << pos[e] for e in order if e not in core):
-        facet_apex: dict = {}  # facet -> its apex, None once it is shared
-        for simplex in simplices:
-            for apex in _bits(simplex):
-                facet = simplex ^ apex
-                facet_apex[facet] = None if facet in facet_apex else apex
-        added = False
+    def circuit(s: int) -> tuple:
+        plus, minus = table[s]
+        return (plus & ~m | minus & m, minus & ~m | plus & m)
+
+    simplices = []
+    facet_apex: dict = {}  # facet -> its apex, None once it is shared
+
+    def add(simplex: int) -> None:
+        simplices.append(simplex)
+        for apex in _bits(simplex):
+            facet = simplex ^ apex
+            facet_apex[facet] = None if facet in facet_apex else apex
+
+    add(core)
+    for p in (1 << i for i in places if not core >> i & 1):
+        beyond = []
         for facet, apex in facet_apex.items():
             if apex is None:
                 continue
             both = apex | p
-            plus, minus = _circuit(chi.signs, index, facet | both)
+            plus, minus = circuit(facet | both)
             if plus & both == both or minus & both == both:
-                simplices.append(facet | p)
-                added = True
+                beyond.append(facet | p)
         # p alone on its side of the circuit: one of its masks is p
-        if not added and not any(p in _circuit(chi.signs, index, b | p)
-                                 for b in simplices):
+        if not beyond and not any(p in circuit(b | p) for b in simplices):
             raise RuntimeError(
                 "degenerate placing: point beyond no facet yet outside "
                 "the hull; try another insertion order")
-    return [_labels(chi.ground, b) for b in simplices]
+        for simplex in beyond:
+            add(simplex)
+    return simplices

@@ -10,9 +10,10 @@ from omcanon.chirotope import (_earliest_basis, chirotope_diagnostic,
 from omcanon.signvec import ground_positions
 
 import label_walk
-from conftest import (FIXTURES, NONUNIFORM, all_full_support_vectors,
-                      boolean_om, cyclic_line_chirotope, deletion_fingerprint,
-                      named_om, relabellings)
+from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES,
+                      all_full_support_vectors, boolean_om,
+                      cyclic_line_chirotope, deletion_fingerprint, named_om,
+                      relabellings)
 from oracle_ops import negative_part
 
 
@@ -357,3 +358,21 @@ def test_earliest_basis_matches_min_core(name, request):
                     == label_walk.min_core(variant, order))
         with pytest.raises(ValueError, match="^unknown element label 99$"):
             _earliest_basis(variant, list(variant.ground) + [99])
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_reoriented_circuit_table(name, request):
+    """Reorienting by a tope's minus mask m flips the signs of each circuit
+    at m, and the whole circuit of s when |s & m| is odd: set by set,
+    chi's circuit table read so is that of chi.reorient(t)."""
+    om = named_om(name, request)
+    table = om.chi._circuit_table
+    for t in om.sorted_topes():
+        m = t.minus
+        flipped = om.chi.reorient(t)._circuit_table
+        assert flipped.keys() == table.keys()
+        for s, (plus, minus) in table.items():
+            pair = (plus & ~m | minus & m, minus & ~m | plus & m)
+            if (s & m).bit_count() & 1:
+                pair = pair[::-1]
+            assert flipped[s] == pair

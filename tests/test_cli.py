@@ -294,6 +294,63 @@ def test_verify_triangulation_makes_no_acyclicity_test(
     assert calls == []
 
 
+@pytest.mark.parametrize("faulty, named", [
+    ("every order", ['1', '2', '3', '4', '5']),
+    ("the shuffles", ['3', '2', '1', '5', '4'])], ids=["all", "shuffles"])
+def test_verify_triangulation_fails_on_a_dropped_simplex(
+        capsys, pentagon_path, monkeypatch, faulty, named):
+    """A placing that loses a simplex, under every insertion order or only
+    under the seeded shuffles, fails every tope's check at the first
+    order it spoils: deduplication skips only triangulations already
+    summed.  Exit 1, `"passed": false`."""
+    place = omcanon.cli._place
+
+    def dropping(chi, order, m):
+        tri = place(chi, order, m)
+        if faulty == "the shuffles" and order == list(chi.ground):
+            return tri
+        return tri[:-1]
+    monkeypatch.setattr(omcanon.cli, "_place", dropping)
+    code, out, _ = invoke(capsys, "verify", "--input", pentagon_path,
+                          "--suite", "triangulation")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False and len(doc["checks"]) == 11
+    for check in doc["checks"]:
+        assert check["passed"] is False
+        assert check["detail"] == (f"AssertionError: insertion order "
+                                   f"{named} disagrees")
+
+
+@pytest.mark.parametrize("suite", ["triangulation", "all"])
+def test_verify_rank1_matrix(capsys, tmp_path, suite):
+    """A rank-1 matrix places its one simplex; the document is pinned,
+    timings aside."""
+    path = tmp_path / "rank1.json"
+    path.write_text(json.dumps({"format": "matrix", "rank": 1,
+                                "elements": ["a", "b"],
+                                "matrix": [["1", "2"]]}))
+    code, out, _ = invoke(capsys, "verify", "--input", str(path),
+                          "--suite", suite)
+    doc = json.loads(out)
+    for check in doc["checks"]:
+        del check["seconds"]
+    checks = [{"name": "triangulation:+,+", "passed": True}]
+    if suite == "all":
+        checks = [
+            {"name": "residues:+,+", "passed": True},
+            {"name": "residues:-,-", "passed": True},
+            {"name": "simplex:all-bases", "passed": True,
+             "detail": "2 bases checked"},
+            *checks,
+            {"name": "bases:flag-levels", "passed": True,
+             "detail": "1 levels checked"},
+            {"name": "aomoto:bounded-basis", "passed": True,
+             "detail": "generic weights found; dim_H = 1"}]
+    assert code == 0
+    assert doc == {"suite": suite, "passed": True, "checks": checks}
+
+
 def test_verify_triangulation_skipped_for_chirotope(capsys, line4_path):
     code, out, _ = invoke(capsys, "verify", "--input", line4_path,
                           "--suite", "triangulation")

@@ -756,6 +756,14 @@ def test_circuits_match_label_walk(name, request):
         assert _circuits(variant) == label_walk.circuits(variant)
 
 
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_om_circuits_match_label_walk(name, request):
+    """`OrientedMatroid.circuits`, read off the chirotope's circuit table,
+    equals the label walk."""
+    om = named_om(name, request)
+    assert om.circuits == label_walk.circuits(om.chi)
+
+
 @pytest.mark.parametrize("name", ["line4", "pentagon", "pentagon_inf",
                                   "nonpappus"])
 def test_fundamental_circuit_matches_label_walk(name, request):

@@ -10,14 +10,16 @@ from omcanon import (Chirotope, OrientedMatroid, RationalMatrix, SignVector,
                      canonical_form_tope, chamber_of, check_residue_axioms,
                      chirotope_from_matrix, interior_point,
                      placing_triangulation)
+from omcanon import chirotope as chirotope_module
 from omcanon import om as om_module
-from omcanon.realization import _placing
-from omcanon.signvec import ground_positions
+from omcanon.realization import _place, _placing
+from omcanon.signvec import _labels, ground_positions
 
+import fraction_linalg
 import label_walk
-from conftest import (FIXTURES, NONUNIFORM, all_full_support_vectors,
-                      named_om, nonuniform_matrix, oracle_topes, outcome,
-                      random_arrangements)
+from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES,
+                      all_full_support_vectors, named_om, nonuniform_matrix,
+                      oracle_topes, outcome, random_arrangements)
 
 
 def test_chirotope_from_pentagon_matrix(pentagon_matrix):
@@ -49,6 +51,37 @@ def test_chirotope_from_matrix_matches_minor_map(name):
         assert chirotope_from_matrix(mat) == Chirotope.from_map(
             mat.labels, mat.nrows,
             {key: (m > 0) - (m < 0) for key, m in minors.items()})
+
+
+# Column 1 is -4/3 times column 0 and column 4 is column 0 plus column 2,
+# so some minors vanish; the denominators differ within every column.
+MIXED_ROWS = [["1/2", "-2/3", "0", "3/4", "1/2", "-5/6"],
+              ["1/3", "-4/9", "1", "-1/2", "4/3", "0"],
+              ["-1/5", "4/15", "-2/7", "1", "-17/35", "3"]]
+
+
+def test_chirotope_from_matrix_matches_fraction_minors():
+    """Mixed denominators, negative entries and vanishing minors, and
+    seeded rank-2 to rank-4 matrices of small fractions: each sign is that
+    of the minor's determinant over Fraction."""
+    rng = random.Random(7)
+    mats = [RationalMatrix.from_rows(tuple("abcdef"), MIXED_ROWS)]
+    for r in (2, 3, 4):
+        for _ in range(4):
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                     for _ in range(r + 3)] for _ in range(r)]
+            rows[0] = [x or Fraction(1, 3) for x in rows[0]]  # no zero column
+            mats.append(RationalMatrix.from_rows(tuple(range(r + 3)), rows))
+    zeros = 0
+    for mat in mats:
+        chi = chirotope_from_matrix(mat)
+        for key, sign in zip(chi.keys, chi.signs):
+            d = fraction_linalg.det([[row[mat.labels.index(e)] for e in key]
+                                     for row in mat.rows])
+            assert sign == (d > 0) - (d < 0)
+            zeros += sign == 0
+    assert chirotope_from_matrix(mats[0]).value(("a", "b", "c")) == 0
+    assert zeros > 4
 
 
 def test_rank_deficient_and_zero_column_rejected():
@@ -394,3 +427,41 @@ def test_placing_reads_no_labels(pentagon_inf_matrix, monkeypatch):
     monkeypatch.setattr(Chirotope, "value", no_value)
     assert [placing_triangulation(pentagon_inf_matrix, order)
             for order in orders] == expected
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_place_under_reorientation_matches_label_walk(name, request):
+    """On every tope t and five seeded insertion orders, `_place` on the
+    chirotope under t's minus mask equals the label walk's placing of the
+    reorientation by t: the same simplices, or the same error."""
+    om = named_om(name, request)
+    orders = verify_orders(om.ground, seed=1)
+    for t in om.sorted_topes():
+        flip = om.chi.reorient(t)
+        for order in orders:
+            got = outcome(_place, om.chi, order, t.minus)
+            if isinstance(got, list):
+                got = [_labels(om.ground, b) for b in got]
+            assert got == outcome(label_walk.placing, flip, order)
+
+
+def test_placing_reads_each_circuit_once(pentagon, monkeypatch):
+    """Placing every tope under every insertion order reads each circuit
+    once, into the chirotope's circuit table, and `OrientedMatroid.circuits`
+    reads the same table."""
+    chi = Chirotope(pentagon.ground, pentagon.rank, pentagon.chi.signs)
+    reads = []
+    circuit = chirotope_module._circuit
+
+    def counting(signs, index, s):
+        reads.append(s)
+        return circuit(signs, index, s)
+    monkeypatch.setattr(chirotope_module, "_circuit", counting)
+    orders = verify_orders(chi.ground)
+    for t in pentagon.sorted_topes():
+        for order in orders:
+            _place(chi, order, t.minus)
+    assert sorted(reads) == sorted(chi._circuit_table)
+    assert len(reads) == 5  # one per 4-subset of the 5 columns
+    assert OrientedMatroid(chi).circuits == pentagon.circuits
+    assert len(reads) == 5
