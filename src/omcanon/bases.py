@@ -174,9 +174,8 @@ def graded_basis(flag: Flag, k: int) -> list:
                                    canonical_form_tope(stage.om, t)))
              for t in topes]
     expected = base_alg.reduced_dim(grade)
-    vectors = [base_alg.dense(f, grade) for _, f in pairs]
-    if (len(pairs) != expected
-            or len(linalg.greedy_independent(vectors)) != expected):
+    rank = len(linalg.greedy_independent([f.terms for _, f in pairs]))
+    if len(pairs) != expected or rank != expected:
         raise RuntimeError("internal invariant violation: k-bounded forms "
                            f"are not a basis at level {k} (got {len(pairs)} "
                            f"for dimension {expected})")
@@ -237,7 +236,7 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None) -> AomotoReport:
     t0 = sorted(om.bounded_topes(base), key=SignVector.sort_key)
 
     v_forms = [canonical_form_tope(om, t) for t in t0]
-    v_cols = [alg.dense(f, r - 1) for f in v_forms]
+    v_cols = [f.terms for f in v_forms]
     # the earliest-first pivots inside the prefix image_cols are its basis
     pivots = linalg.greedy_independent(image_cols + v_cols)
     image_rank = sum(p < len(image_cols) for p in pivots)
@@ -289,9 +288,9 @@ def aomoto_degree_ranks(om: OrientedMatroid, weights: dict,
 
 
 def _wedge_columns(alg: OSAlgebra, omega: OSElement, k: int) -> list:
-    """The dense images in grade k + 1 of omega wedge each reduced basis
-    element of grade k."""
-    return [alg.dense(omega.wedge(b), k + 1) for b in alg.reduced_basis(k)]
+    """The terms of omega wedge each reduced basis element of grade k, in
+    grade k + 1."""
+    return [omega.wedge(b).terms for b in alg.reduced_basis(k)]
 
 
 def sample_weight_vectors(om: OrientedMatroid, base=None, seed: int = 0,

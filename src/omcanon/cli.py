@@ -22,7 +22,7 @@ from .chirotope import InvalidChirotope
 from .forms import (_triangulation_sum, algebra_of, canonical_form_tope,
                     check_residue_axioms, nonreduced_canonical_form)
 from .om import NotATope, OrientedMatroid
-from .realization import _place
+from .realization import _insertion, _place
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -175,15 +175,16 @@ def _suite_triangulation(parsed, om, seed, checks):
         rng.shuffle(orders[-1])
 
     # a tope's reorientation is acyclic (its all-plus vector is a tope),
-    # so the insertion orders place without an acyclicity test; each
-    # distinct triangulation is summed once, in the top grade, where d is
-    # injective, against the tope's non-reduced form
+    # so each order's one insertion places every tope without an acyclicity
+    # test; each distinct triangulation is summed once, in the top grade,
+    # where d is injective, against the tope's non-reduced form
+    insertions = [(order, _insertion(om.chi, order)) for order in orders]
     for tope in topes:
         def run(t=tope):
             expected = nonreduced_canonical_form(om, t)
             summed = set()
-            for order in orders:
-                tri = _place(om.chi, order, t.minus)
+            for order, (places, core) in insertions:
+                tri = _place(om.chi, places, core, t.minus)
                 key = frozenset(tri)
                 if key in summed:
                     continue

@@ -129,8 +129,7 @@ def _stack(n: int, r: int, support: int) -> tuple:
     if None in own:
         raise RuntimeError("internal invariant violation: an NBC monomial "
                            "has no row of its own in the residue stack")
-    entries = [dict(column) for column in columns]
-    square = [[e.get(i, 0) for e in entries] for i in own]
+    square = linalg.columns_matrix([dict(column) for column in columns], own)
     found = linalg.left_inverse(square)
     if found is None or found[1] != 1:
         raise RuntimeError("internal invariant violation: joint residue map "

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra on one fraction-free elimination kernel.
+"""Exact linear algebra on one fraction-free elimination kernel.
 
 Every routine is a view of `_eliminate`: Gauss-Jordan elimination over
 Python ints in which each update (p * row_i - m_i * row_k) // p_prev divides
@@ -6,7 +6,9 @@ exactly (Bareiss 1968).  Rational input enters through `_int_rows`, which
 clears each row's denominators, and `Fraction` appears again only in the
 results of `rref`, `det`, `solve` and `nullspace`.  Pivoting is
 deterministic: columns are scanned left to right and the first row with a
-nonzero entry wins.  No floating point anywhere.
+nonzero entry wins.  No floating point anywhere.  Columns may be sparse
+{key: entry} dicts, such as an element's terms: `columns_matrix` is the
+one place that lays such columns out as rows.
 """
 
 from __future__ import annotations
@@ -33,12 +35,10 @@ def mat_vec(mat: Matrix, vec: Vector) -> Vector:
     return [sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in mat]
 
 
-def columns_matrix(cols: list[Vector]) -> Matrix:
-    """Assemble a matrix whose columns are the given vectors."""
-    if not cols:
-        return []
-    nrows = len(cols[0])
-    return [[col[i] for col in cols] for i in range(nrows)]
+def columns_matrix(columns: list[dict], keys) -> Matrix:
+    """The matrix with one column per {key: entry} dict and one row per key
+    of keys, in order; a key that a column lacks reads 0 there."""
+    return [[col.get(k, 0) for col in columns] for k in keys]
 
 
 def _int_rows(mat: Matrix) -> tuple[list[list[int]], int]:
@@ -159,8 +159,12 @@ def left_inverse(mat: Matrix) -> tuple[Matrix, int] | None:
     return [[x // g for x in row] for row in left], denom // g
 
 
-def greedy_independent(vectors: list[Vector]) -> list[int]:
+def greedy_independent(vectors: list) -> list[int]:
     """Indices of a maximal linearly independent subset, earliest-first:
-    the pivot columns of the matrix with the vectors as columns."""
-    rows, _ = _int_rows(columns_matrix(vectors))
-    return _eliminate(rows, len(vectors))[0]
+    the pivot columns of the matrix with the vectors as columns, each a
+    {key: entry} dict or a list, read as dict(enumerate(v)).  Its rows are
+    the keys the vectors hold, as pivots ignore zero rows and row order."""
+    cols = [v if isinstance(v, dict) else dict(enumerate(v)) for v in vectors]
+    keys = dict.fromkeys(k for col in cols for k in col)
+    rows, _ = _int_rows(columns_matrix(cols, keys))
+    return _eliminate(rows, len(cols))[0]

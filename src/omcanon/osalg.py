@@ -304,19 +304,6 @@ class OSAlgebra:
         return self.residue_algebra(rep).combination(
             x.grade - 1, ((rest, c * sign) for (rest, sign), c in pairs))
 
-    # ---- linear-algebra views ---------------------------------------------------
-
-    def dense(self, x: OSElement, grade: int | None = None) -> list:
-        self._own(x)
-        grade = x.grade if grade is None else grade
-        if x.grade != grade:
-            raise ValueError(f"expected grade {grade}, got {x.grade}")
-        vec = [0] * self.dim(grade)
-        index = self._nbc_pos.get(grade, {})
-        for key, c in x.terms.items():
-            vec[index[key]] = c
-        return vec
-
     # ---- reduced subalgebra ---------------------------------------------------
 
     def reduced_basis(self, k: int) -> list:
@@ -352,8 +339,14 @@ class OSAlgebra:
         if not basis:
             return [] if x.is_zero else None
         grade = basis[0].grade
-        mat = linalg.columns_matrix([self.dense(b, grade) for b in basis])
-        return linalg.solve(mat, self.dense(x, grade))
+        for y in (*basis, x):
+            if y.grade != grade:
+                raise ValueError(f"expected grade {grade}, got {y.grade}")
+        # one row per NBC key of the grade, x's terms in the last column
+        aug = linalg.columns_matrix([*(b.terms for b in basis), x.terms],
+                                    self.nbc.get(grade, ()))
+        return linalg.solve([row[:-1] for row in aug],
+                            [row[-1] for row in aug])
 
     def inverse_boundary(self, y: OSElement) -> OSElement:
         """The unique top-grade element whose boundary is y.
@@ -389,6 +382,6 @@ class LinearMap:
         return len(linalg.greedy_independent(self.matrix))  # row rank
 
     def solve(self, target: list) -> list | None:
-        if not self.matrix:
-            return [] if not any(target) else None
+        if not self.matrix:  # no rows: the whole domain maps to zero
+            return None if any(target) else [0] * len(self.domain_basis)
         return linalg.solve(self.matrix, target)

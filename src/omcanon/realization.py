@@ -62,10 +62,6 @@ class RationalMatrix:
         col = self.column(label)
         return sum((c * _exact(p) for c, p in zip(col, point)), Fraction(0))
 
-    def minor_det(self, labels) -> Fraction:
-        cols = [self.column(e) for e in labels]
-        return linalg.det([[col[i] for col in cols] for i in range(self.nrows)])
-
     def reorient(self, tope: SignVector) -> "RationalMatrix":
         """Negate the columns on the tope's negative part."""
         if tope.ground != self.labels or not tope.has_full_support:
@@ -79,7 +75,8 @@ class RationalMatrix:
 def chirotope_from_matrix(mat: RationalMatrix) -> Chirotope:
     """The signs of the maximal minors.  Each column is scaled once by the
     lcm of its denominators, a positive factor that changes no minor's
-    sign, so every minor is the determinant of an int matrix."""
+    sign, so every minor is the determinant of an int matrix, taken with
+    its columns as rows: a matrix and its transpose have one determinant."""
     r = mat.nrows
     cols = []
     for j, e in enumerate(mat.labels):
@@ -88,9 +85,7 @@ def chirotope_from_matrix(mat: RationalMatrix) -> Chirotope:
             raise ValueError(f"zero column: {e!r}")
         m = lcm(*(x.denominator for x in col))
         cols.append([x.numerator * (m // x.denominator) for x in col])
-    signs = tuple(_sign(linalg.det([[col[i] for col in key]
-                                    for i in range(r)]))
-                  for key in combinations(cols, r))
+    signs = tuple(_sign(linalg.det(key)) for key in combinations(cols, r))
     if not any(signs):
         raise ValueError("matrix is rank deficient")
     return Chirotope(tuple(mat.labels), r, signs)
@@ -172,14 +167,29 @@ def _placing(chi: Chirotope, insertion_order=None) -> list:
     """`placing_triangulation` on the chirotope of the configuration."""
     if not is_acyclic(chi):
         raise ValueError("configuration is not acyclic")
-    return [_labels(chi.ground, b) for b in _place(chi, insertion_order)]
+    return [_labels(chi.ground, b)
+            for b in _place(chi, *_insertion(chi, insertion_order))]
 
 
-def _place(chi: Chirotope, insertion_order=None, m: int = 0) -> list:
+def _insertion(chi: Chirotope, insertion_order=None) -> tuple:
+    """(places, core) of insertion_order (the ground by default): its
+    positions, checked to be a permutation, and the mask of the core basis
+    that greedy insertion picks along them.  The support fixes both."""
+    order = list(insertion_order if insertion_order is not None else chi.ground)
+    places = [_position(ground_positions(chi.ground), e) for e in order]
+    if sorted(places) != list(range(len(chi.ground))):
+        raise ValueError("insertion order must be a permutation of the labels")
+    core = _earliest_mask(chi, places)
+    if core.bit_count() < chi.rank:
+        raise ValueError("matrix is rank deficient")
+    return places, core
+
+
+def _place(chi: Chirotope, places: list, core: int, m: int = 0) -> list:
     """The placing triangulation of chi reoriented by the position mask m,
-    as position masks of its simplices, without `_placing`'s acyclicity
-    test: for a caller that knows that reorientation acyclic, such as the
-    reorientation of an oriented matroid by a tope with minus mask m.
+    from an `_insertion` (places, core), as position masks of its simplices,
+    without `_placing`'s acyclicity test: for a caller that knows that
+    reorientation acyclic, as when m is the minus mask of a tope.
 
     Both geometric tests read the circuit of one (r+1)-set off chi's
     circuit table: p is beyond the facet F with apex a iff the circuit of
@@ -191,16 +201,8 @@ def _place(chi: Chirotope, insertion_order=None, m: int = 0) -> list:
     (-1)^|s & m|: each sign at m flips, and so does the whole circuit when
     |s & m| is odd.  Neither test reads that global sign, as both ask only
     whether two elements share a side, or one stands alone on its side.
-    The core basis depends only on the support, which reorienting keeps.
     The facet map grows with the simplices: a placed simplex enters each
     of its facets, and a facet entered twice is interior."""
-    order = list(insertion_order if insertion_order is not None else chi.ground)
-    places = [_position(ground_positions(chi.ground), e) for e in order]
-    if sorted(places) != list(range(len(chi.ground))):
-        raise ValueError("insertion order must be a permutation of the labels")
-    core = _earliest_mask(chi, places)
-    if core.bit_count() < chi.rank:
-        raise ValueError("matrix is rank deficient")
     table = chi._circuit_table
 
     def circuit(s: int) -> tuple:

@@ -358,8 +358,17 @@ def linear_map(src, dst, k_src: int, k_dst: int, fn) -> LinearMap:
     the columns are the images of the NBC monomials."""
     dom = [src.from_terms(k_src, {key: 1}) for key in src.nbc.get(k_src, ())]
     cod = [dst.from_terms(k_dst, {key: 1}) for key in dst.nbc.get(k_dst, ())]
-    cols = [dst.dense(fn(b), k_dst) for b in dom]
-    return LinearMap(dom, cod, linalg.columns_matrix(cols))
+    images = [fn(b) for b in dom]
+    assert all(y.algebra is dst and y.grade == k_dst for y in images)
+    return LinearMap(dom, cod, linalg.columns_matrix(
+        [y.terms for y in images], dst.nbc.get(k_dst, ())))
+
+
+def nbc_vector(alg, x, grade: int) -> list:
+    """The coordinates of x, an element of alg in the given grade, over
+    every NBC key of that grade, in order."""
+    assert x.algebra is alg and x.grade == grade
+    return [x.terms.get(key, 0) for key in alg.nbc.get(grade, ())]
 
 
 def exact_sequence_maps(alg, rep, k: int) -> tuple:

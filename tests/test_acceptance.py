@@ -190,9 +190,9 @@ def test_criterion_8_structural_suite(line4, pentagon, pentagon_inf):
             rows = []
             for a in alg.atoms:
                 target = alg.residue_algebra(a)
-                cols = [target.dense(alg.residue(a, b), d - 1) for b in basis]
-                if cols and cols[0]:
-                    rows.extend(linalg.columns_matrix(cols))
+                rows.extend(linalg.columns_matrix(
+                    [alg.residue(a, b).terms for b in basis],
+                    target.nbc[d - 1]))
             assert len(linalg.greedy_independent(rows)) == len(basis)
 
         flipped = oriented_matroid_for(scale(om.chi, -1))

@@ -305,9 +305,9 @@ def test_verify_triangulation_fails_on_a_dropped_simplex(
     summed.  Exit 1, `"passed": false`."""
     place = omcanon.cli._place
 
-    def dropping(chi, order, m):
-        tri = place(chi, order, m)
-        if faulty == "the shuffles" and order == list(chi.ground):
+    def dropping(chi, places, core, m):
+        tri = place(chi, places, core, m)
+        if faulty == "the shuffles" and places == list(range(len(chi.ground))):
             return tri
         return tri[:-1]
     monkeypatch.setattr(omcanon.cli, "_place", dropping)

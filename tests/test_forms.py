@@ -24,8 +24,8 @@ from face_flag import face_flag_form
 from oracle_ops import is_nonnegative, restrict, scale
 from tope_walk import contracted_tope_chirotope
 from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES, boolean_om,
-                      facet_elements, named_om, rank1_om, stack_solve,
-                      uniform_r4_matrix)
+                      facet_elements, named_om, nbc_vector, rank1_om,
+                      stack_solve, uniform_r4_matrix)
 
 
 def ebasis(alg, e):
@@ -229,15 +229,15 @@ class _FractionStack:
         for a, target in self.blocks:
             if self.reduced and target.dim(r - 2):
                 rows.extend(linalg.columns_matrix(
-                    [target.dense(alg.residue(a, b), r - 2)
-                     for b in self.reduced]))
+                    [alg.residue(a, b).terms for b in self.reduced],
+                    target.nbc[r - 2]))
         self.matrix = rows
 
     def solve(self, targets: dict, r: int) -> list:
         stacked = []
         for a, target in self.blocks:
             if self.reduced and target.dim(r - 2):
-                stacked.extend(target.dense(targets[a], r - 2))
+                stacked.extend(nbc_vector(target, targets[a], r - 2))
             else:
                 assert targets[a].is_zero
         if not self.reduced:
@@ -434,9 +434,9 @@ class _DenseStack:
                 target = alg.residue_algebra(a)
                 pos = {e: e for e in target.matroid.ground}
             self.blocks.append((a, target, pos))
-            images = [target.dense(self.residue(a, b), r - 1)
-                      for b in columns]
-            rows.extend(linalg.columns_matrix(images))
+            rows.extend(linalg.columns_matrix(
+                [self.residue(a, b).terms for b in columns],
+                target.nbc[r - 1]))
         if any(x.denominator != 1 for row in rows for x in row):
             raise RuntimeError("internal invariant violation: residue map "
                                "has non-integer entries")
@@ -462,7 +462,7 @@ class _DenseStack:
         r = self.alg.rank
         stacked: list = []
         for a, target, _ in self.blocks:
-            stacked.extend(target.dense(targets[a], r - 1))
+            stacked.extend(nbc_vector(target, targets[a], r - 1))
         if any(v.denominator != 1 for v in stacked):
             raise RuntimeError("internal invariant violation: residue "
                                "targets have non-integer coordinates")

@@ -287,8 +287,7 @@ def test_unknown_labels_raise_value_error(line4, line4_topes, pentagon_matrix,
              lambda: line4.lex_extension(((0, 1), (label, 1))),
              lambda: t.value(label), lambda: restrict(t, (0, label)),
              lambda: mat.column(label),
-             lambda: mat.functional(label, (1,) * mat.nrows),
-             lambda: mat.minor_det((1, 2, label))]
+             lambda: mat.functional(label, (1,) * mat.nrows)]
     for call in calls:
         with pytest.raises(ValueError,
                            match=f"unknown element label {label!r}"):

@@ -4,18 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from omcanon import (UnderlyingMatroid, algebra_of, canonical_form_tope,
-                     expand_in_basis, forms, linalg, nonreduced_canonical_form,
-                     structure_constants, tutte_eval)
+from omcanon import (LinearMap, UnderlyingMatroid, algebra_of,
+                     canonical_form_tope, expand_in_basis, forms, linalg,
+                     nonreduced_canonical_form, structure_constants,
+                     tutte_eval)
+from omcanon.bases import _weight_form, sample_weight_vectors
 from omcanon.chirotope import perm_parity_sign
 from omcanon.osalg import OSAlgebra, OSElement, _coeff
 from omcanon.serialize import oselement_to_document
 
+import fraction_linalg
 import fraction_osalg
 
-from conftest import (FIXTURES, NONUNIFORM, contract_atom,
+from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES, contract_atom,
                       deletion_algebra, exact_sequence_maps, iota,
-                      linear_map, named_om, rank1_om, stack_solve)
+                      linear_map, named_om, nbc_vector, rank1_om,
+                      stack_solve)
 
 
 def test_monomial_straightening_line4(line4):
@@ -172,27 +176,19 @@ def test_joint_residue_injectivity(line4, pentagon, pentagon_inf):
             rows = []
             for a in alg.atoms:
                 target = alg.residue_algebra(a)
-                cols = [target.dense(alg.residue(a, b), d - 1) for b in basis]
-                if cols and cols[0]:
-                    rows.extend(linalg.columns_matrix(cols))
+                rows.extend(linalg.columns_matrix(
+                    [alg.residue(a, b).terms for b in basis],
+                    target.nbc[d - 1]))
             assert len(linalg.greedy_independent(rows)) == len(basis)
 
 
 def test_reduced_basis_dims(line4, pentagon):
     alg4 = algebra_of(line4)
     assert [alg4.reduced_dim(k) for k in range(2)] == [1, 3]
-    span = {tuple(alg4.dense(b, 1)) for b in alg4.reduced_basis(1)}
+    span = {tuple(sorted(b.terms.items())) for b in alg4.reduced_basis(1)}
     assert len(span) == 3
     alg5 = algebra_of(pentagon)
     assert [alg5.reduced_dim(k) for k in range(3)] == [1, 4, 6]
-
-
-def test_reduced_dims_match_alternating_sums(line4, pentagon, pentagon_inf):
-    for om in (line4, pentagon, pentagon_inf):
-        alg = algebra_of(om)
-        for k in range(om.rank):
-            expected = sum((-1) ** (k - j) * alg.dim(j) for j in range(k + 1))
-            assert alg.reduced_dim(k) == expected
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -374,7 +370,7 @@ def greedy_reduced_basis(alg, k: int) -> list:
         return []
     candidates = [alg.boundary(alg.from_terms(k + 1, {key: 1}))
                   for key in alg.nbc[k + 1]]
-    chosen = linalg.greedy_independent([alg.dense(c, k) for c in candidates])
+    chosen = linalg.greedy_independent([c.terms for c in candidates])
     return [candidates[i] for i in chosen]
 
 
@@ -386,7 +382,7 @@ def solved_inverse_boundary(alg, y):
     if not alg.boundary(y).is_zero:
         raise ValueError("input is not boundary-closed")
     sol = linear_map(alg, alg, r, r - 1, alg.boundary).solve(
-        alg.dense(y, r - 1))
+        nbc_vector(alg, y, r - 1))
     if sol is None:
         raise RuntimeError("element not in the boundary image")
     return alg.from_terms(r, dict(zip(alg.nbc[r], sol)))
@@ -540,9 +536,10 @@ def test_exact_coefficients_still_enter(line4):
 
 
 GRADE_MISMATCHED = {
-    "dense": lambda a: a.dense(a.one(), 1),
     "coordinates_in": lambda a: a.coordinates_in(a.one(),
                                                  a.reduced_basis(1)),
+    "coordinates_in mixed basis": lambda a: a.coordinates_in(
+        a.reduced_basis(1)[0], a.reduced_basis(1) + [a.one()]),
     "expand_in_basis": lambda a: expand_in_basis(a.one(),
                                                  a.reduced_basis(1)),
     "expand_in_basis of zero": lambda a: expand_in_basis(
@@ -564,7 +561,6 @@ MISMATCHED = {
     "boundary": lambda a, x, y: a.boundary(y),
     "residue": lambda a, x, y: a.residue(a.atoms[0], y),
     "inverse_boundary": lambda a, x, y: a.inverse_boundary(y),
-    "dense": lambda a, x, y: a.dense(y),
     "coordinates_in element": lambda a, x, y: a.coordinates_in(y, [x]),
     "coordinates_in basis": lambda a, x, y: a.coordinates_in(x, [x, y]),
     "coordinates_in empty basis": lambda a, x, y: a.coordinates_in(y, []),
@@ -585,6 +581,101 @@ def test_operations_refuse_elements_of_another_algebra(method, line4,
     x, y = a.monomial((1,)), b.monomial((1,))
     with pytest.raises(ValueError, match="^context mismatch$"):
         MISMATCHED[method](a, x, y)
+
+
+# ---- sparse columns against dense Fraction eliminations ----------------------
+
+
+def shuffled_terms(rng, x) -> dict:
+    """x's terms in a seeded random insertion order."""
+    items = list(x.terms.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def sparse_families(om) -> dict:
+    """{(label, grade): elements}: the reduced basis of every grade, with
+    the sum of its first and last elements appended, so that one column
+    depends on the others; omega wedge each reduced basis element at every
+    grade, for the first sampled weights; and the forms of every tope, in
+    the top grade."""
+    alg, r = algebra_of(om), om.rank
+    base = om.ground[0]
+    omega = _weight_form(alg, sample_weight_vectors(om, base)[0], base)
+    families = {}
+    for k in range(r):
+        basis = alg.reduced_basis(k)
+        families["reduced", k] = basis + [basis[0] + basis[-1]]
+        families["aomoto", k + 1] = [omega.wedge(b) for b in basis]
+    families["topes", r - 1] = [canonical_form_tope(om, t)
+                                for t in om.sorted_topes()]
+    return families
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_greedy_on_terms_matches_dense_fraction_oracle(name, request):
+    """`greedy_independent` on term dicts, each in a shuffled insertion
+    order, picks the indices that the Fraction elimination picks on the
+    dense vectors over every NBC key of the grade."""
+    om = named_om(name, request)
+    alg = algebra_of(om)
+    rng = random.Random(f"sparse columns:{name}")
+    for (label, grade), elements in sparse_families(om).items():
+        dense = [nbc_vector(alg, y, grade) for y in elements]
+        got = linalg.greedy_independent(
+            [shuffled_terms(rng, y) for y in elements])
+        assert got == fraction_linalg.greedy_independent(dense), (label,
+                                                                  grade)
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_expand_in_basis_matches_dense_fraction_solve(name, request):
+    """`coordinates_in` and `expand_in_basis` on the reduced basis of every
+    grade equal a Fraction solve on the dense vectors: for combinations of
+    the basis, tope forms, zero and seeded elements of the grade, None (and
+    the outside-the-span error) exactly where that solve finds none."""
+    om = named_om(name, request)
+    alg, r = algebra_of(om), om.rank
+    rng = random.Random(f"sparse solve:{name}")
+    outside = 0
+    for k in range(r):
+        basis = alg.reduced_basis(k)
+        mat = linalg.columns_matrix([b.terms for b in basis], alg.nbc[k])
+        xs = [alg.zero(k), sum((b.scale(rng.randint(-3, 3)) for b in basis),
+                               alg.zero(k))]
+        xs += [alg.from_terms(k, {key: rng.randint(-2, 2)
+                                  for key in alg.nbc[k]}) for _ in range(3)]
+        if k == r - 1:
+            xs += [canonical_form_tope(om, t) for t in om.sorted_topes()[:4]]
+        for x in xs:
+            want = fraction_linalg.solve(mat, nbc_vector(alg, x, k))
+            assert alg.coordinates_in(x, basis) == want
+            if want is None:
+                with pytest.raises(RuntimeError, match="outside the span"):
+                    expand_in_basis(x, basis)
+            else:
+                assert expand_in_basis(x, basis) == want
+            outside += want is None
+    assert outside or r == 1  # grade 0 alone is spanned by its basis
+    one = alg.one()
+    assert alg.coordinates_in(alg.zero(1), []) == []
+    assert alg.coordinates_in(one, []) is None
+    with pytest.raises(RuntimeError, match="outside the span"):
+        expand_in_basis(one, [])
+    if r > 1:
+        with pytest.raises(ValueError, match="^expected grade 0, got 1$"):
+            expand_in_basis(alg.reduced_basis(1)[0], [one])
+
+
+def test_linear_map_into_an_empty_codomain(line4):
+    """A map into a grade with no NBC keys has no rows; its solve still
+    gives one zero coordinate per domain element."""
+    alg = algebra_of(line4)
+    _, res = exact_sequence_maps(alg, alg.atoms[0], 0)
+    assert res.matrix == [] and len(res.domain_basis) == 1
+    assert res.rank() == 0
+    assert res.solve([]) == [0]
+    assert LinearMap(["b", "c"], [], []).solve([]) == [0, 0]
 
 
 # ---- int coefficients against the Fraction-coefficient oracle ----------------

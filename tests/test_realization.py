@@ -12,7 +12,7 @@ from omcanon import (Chirotope, OrientedMatroid, RationalMatrix, SignVector,
                      placing_triangulation)
 from omcanon import chirotope as chirotope_module
 from omcanon import om as om_module
-from omcanon.realization import _place, _placing
+from omcanon.realization import _insertion, _place, _placing
 from omcanon.signvec import _labels, ground_positions
 
 import fraction_linalg
@@ -46,7 +46,8 @@ def test_chirotope_from_matrix_matches_minor_map(name):
     mats += [RationalMatrix.from_rows(tuple(f"x{e}" for e in m.labels),
                                       m.rows) for m in mats]
     for mat in mats:
-        minors = {key: mat.minor_det(key)
+        # a minor, taken with its columns as rows (one determinant)
+        minors = {key: fraction_linalg.det([mat.column(e) for e in key])
                   for key in combinations(mat.labels, mat.nrows)}
         assert chirotope_from_matrix(mat) == Chirotope.from_map(
             mat.labels, mat.nrows,
@@ -439,7 +440,8 @@ def test_place_under_reorientation_matches_label_walk(name, request):
     for t in om.sorted_topes():
         flip = om.chi.reorient(t)
         for order in orders:
-            got = outcome(_place, om.chi, order, t.minus)
+            got = outcome(lambda: _place(om.chi, *_insertion(om.chi, order),
+                                         t.minus))
             if isinstance(got, list):
                 got = [_labels(om.ground, b) for b in got]
             assert got == outcome(label_walk.placing, flip, order)
@@ -460,7 +462,7 @@ def test_placing_reads_each_circuit_once(pentagon, monkeypatch):
     orders = verify_orders(chi.ground)
     for t in pentagon.sorted_topes():
         for order in orders:
-            _place(chi, order, t.minus)
+            _place(chi, *_insertion(chi, order), t.minus)
     assert sorted(reads) == sorted(chi._circuit_table)
     assert len(reads) == 5  # one per 4-subset of the 5 columns
     assert OrientedMatroid(chi).circuits == pentagon.circuits
