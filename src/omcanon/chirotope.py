@@ -78,6 +78,18 @@ def _minor_slots(n: int, r: int, removed: int, element: int) -> tuple:
                  for m in map(_mask, combinations(kept, r - 1)))
 
 
+def _contracted_signs(n: int, r: int, signs, removed: int, i: int) -> tuple:
+    """The sign table of the contraction of signs, of rank r over range(n),
+    by the position i, evaluated last, without the positions in removed."""
+    return tuple(-signs[k >> 1] if k & 1 else signs[k >> 1]
+                 for k in _minor_slots(n, r, removed, i))
+
+
+def _support(signs) -> int:
+    """`Chirotope.support` of the sign table signs."""
+    return sum(1 << i for i, s in enumerate(signs) if s)
+
+
 def _circuit(signs, index: dict, s: int) -> tuple:
     """(plus, minus) masks of the circuit in the (r+1)-mask s, (0, 0) if s
     has rank below r: its sign at the i-th element s_i of s is (-1)^i
@@ -151,7 +163,7 @@ class Chirotope:
     @cached_property
     def support(self) -> int:
         """The bases as an int: bit i is set iff signs[i] is nonzero."""
-        return sum(1 << i for i, s in enumerate(self.signs) if s)
+        return _support(self.signs)
 
     @cached_property
     def _circuit_table(self) -> dict:
@@ -186,18 +198,17 @@ class Chirotope:
         pos = ground_positions(self.ground)
         i = _position(pos, element)
         removed = _mask({i, *(_position(pos, e) for e in drop)})
-        signs = self.signs
+        n, r, signs = len(self.ground), self.rank, self.signs
         if removed != 1 << i:
             spanned = 0  # the elements that share a basis with element
-            for k, s in zip(_mask_index(len(self.ground), self.rank), signs):
+            for k, s in zip(_mask_index(n, r), signs):
                 if s and k >> i & 1:
                     spanned |= k
             bad = _labels(self.ground, removed & spanned & ~(1 << i))
             if bad:
                 raise ValueError(f"{bad[0]!r} is not parallel to {element!r}")
-        return Chirotope(_labels(self.ground, ~removed), self.rank - 1, tuple(
-            -signs[k >> 1] if k & 1 else signs[k >> 1]
-            for k in _minor_slots(len(self.ground), self.rank, removed, i)))
+        return Chirotope(_labels(self.ground, ~removed), r - 1,
+                         _contracted_signs(n, r, signs, removed, i))
 
 
 def validate_chirotope(chi: Chirotope) -> None:

@@ -28,9 +28,10 @@ carries algebras, residue stacks and forms onto each other.  A global sign
 does too: W(-chi) = -W(chi), since the facets depend only on the zero sets
 of the cocircuits, (-chi)/a = -(chi/a), the residue solve is linear and the
 base value chi(()) flips.  So the memo is keyed on the positional class
-(`_positional`: (n, r, signs) with the first nonzero sign positive) and
-builds the one chirotope on ground range(n) only on a miss; each
-class's residue stack solves against the positional algebras of its
+(`_positional`: (n, r, signs) with the first nonzero sign positive).  A
+node reads its support, facets and facet contractions (one gather each,
+`chirotope._contracted_signs`) off that table and builds no chirotope.
+Each class's residue stack solves against the positional algebras of its
 contractions, and a labelled chirotope's form is its class's form with
 the labels and the sign put back, once, at the entry points.
 """
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 from . import linalg
 from ._memo import memo
-from .chirotope import Chirotope, _mask, _mask_index
+from .chirotope import (Chirotope, _contracted_signs, _mask, _mask_index,
+                        _support)
 from .om import OrientedMatroid, _facet_classes, _one_signed
 from .osalg import (OSAlgebra, OSElement, _algebra, _residue_key,
                     os_algebra_for, os_algebra_of_chirotope)
@@ -55,16 +57,14 @@ def algebra_of(om: OrientedMatroid) -> OSAlgebra:
     return os_algebra_for(om.underlying)
 
 
-def _positional(chi: Chirotope) -> tuple:
-    """(sign, key) with chi = sign * the positional chirotope of key =
-    (n, r, signs): ground range(n) and a positive first nonzero sign.  An
-    order-preserving relabelling keeps the sign table aligned with the
-    ascending keys, so key reuses chi's, negated when sign is -1."""
-    signs = chi.signs
-    sign = 1 if next((s for s in signs if s), 1) > 0 else -1
-    if sign == -1:
-        signs = tuple(-s for s in signs)
-    return sign, (len(chi.ground), chi.rank, signs)
+def _positional(n: int, r: int, signs: tuple) -> tuple:
+    """(sign, key): the rank-r table signs on n elements is sign times that
+    of key = (n, r, signs'), on ground range(n), whose first nonzero sign is
+    positive.  An order-preserving relabelling keeps a sign table aligned
+    with the ascending keys, so key reuses signs, negated if sign is -1."""
+    if next(filter(None, signs), 1) > 0:
+        return 1, (n, r, signs)
+    return -1, (n, r, tuple(-s for s in signs))
 
 
 @memo
@@ -144,18 +144,18 @@ def _top_form(key: tuple) -> OSElement:
     """Top-grade form of the positional chirotope of key (see
     `_positional`), which callers guarantee acyclic."""
     n, r, signs = key
-    core = Chirotope(tuple(range(n)), r, signs)
-    if r == 0:  # the base value core(()) is positive
-        return os_algebra_of_chirotope(core).one()
-    alg, blocks, columns, own, inverse = _stack(n, r, core.support)
+    if r == 0:  # the base value, the one sign, is positive
+        return _algebra(tuple(range(n)), 0, 1).one()
+    alg, blocks, columns, own, inverse = _stack(n, r, _support(signs))
     m = alg.matroid
-    facets = _facet_classes(n, _one_signed(core), m._atom_masks)
+    facets = _facet_classes(n, _one_signed(n, r, signs), m._atom_masks)
     stacked = {}  # stacked row -> residue coordinate; other rows read 0
-    for a, atom, mask in zip(m.atom_reps, m.atoms, m._atom_masks):
+    for a, mask in zip(m.atom_reps, m._atom_masks):
         if mask not in facets:
             continue
-        # recursion: Res_a W = W(M/a, chi/a), in a's block algebra
-        sign, sub = _positional(core.contract(a, drop=atom - {a}))
+        # Res_a W = W(M/a, chi/a) in a's block algebra; label a = position a
+        sign, sub = _positional(n - mask.bit_count(), r - 1,
+                                _contracted_signs(n, r, signs, mask, a))
         form = _top_form(sub)
         block, first = blocks[a]
         if form.algebra is not block:
@@ -188,7 +188,7 @@ def _labelled_top_form(chi: Chirotope) -> OSElement:
     """Top-grade form of an acyclic chi, in os_algebra_of_chirotope(chi):
     the form of its positional class with every position key k read as the
     labels chi.ground[i], i in k, and the sign put back."""
-    sign, key = _positional(chi)
+    sign, key = _positional(len(chi.ground), chi.rank, chi.signs)
     form = _top_form(key)
     if chi.ground != form.algebra.matroid.ground:  # else it is chi's algebra
         ground = chi.ground

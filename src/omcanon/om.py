@@ -56,8 +56,8 @@ class OrientedMatroid:
     @cached_property
     def _cocircuit_table(self) -> frozenset:
         """(plus, minus) masks of every cocircuit, both signs."""
-        return frozenset(pm for p, m in _cocircuit_masks(self.chi)
-                         for pm in ((p, m), (m, p)))
+        masks = _cocircuit_masks(len(self.ground), self.rank, self.chi.signs)
+        return frozenset(pm for p, m in masks for pm in ((p, m), (m, p)))
 
     @cached_property
     def cocircuits(self) -> frozenset:
@@ -280,9 +280,10 @@ def is_acyclic(chi: Chirotope) -> bool:
     a nonnegative circuit or in a nonnegative cocircuit, never both, so chi
     is acyclic iff the one-signed cocircuits cover the ground set: iff the
     all-plus vector is a tope."""
-    if chi.rank == 0 or len(chi.ground) <= chi.rank:
+    n, r = len(chi.ground), chi.rank
+    if r == 0 or n <= r:
         return True
-    return _facet_classes(len(chi.ground), _one_signed(chi), ()) is not None
+    return _facet_classes(n, _one_signed(n, r, chi.signs), ()) is not None
 
 
 @memo
@@ -296,17 +297,16 @@ def _hyperplane_slots(n: int, r: int) -> tuple:
                  for key in combinations(range(n), r))
 
 
-def _cocircuit_masks(chi: Chirotope) -> set:
+def _cocircuit_masks(n: int, r: int, signs) -> set:
     """(plus, minus) masks of the cocircuits, one sign of each at least,
-    read off the ascending sign table.  The cocircuit of the hyperplane
-    spanned by H = B minus B[i], for a basis B, takes the sign
-    (-1)^(r-1-i) chi(B) at B[i]: moving B[i] to the end of B takes r-1-i
-    transpositions."""
-    n, r = len(chi.ground), chi.rank
+    read off signs, the ascending rank-r sign table chi over range(n).  The
+    cocircuit of the hyperplane spanned by H = B minus B[i], for a basis B,
+    takes the sign (-1)^(r-1-i) chi(B) at B[i]: moving B[i] to the end of B
+    takes r-1-i transpositions."""
     if r == 0:
         return set()
     plus, minus = [0] * comb(n, r - 1), [0] * comb(n, r - 1)
-    for s, slots in zip(chi.signs, _hyperplane_slots(n, r)):
+    for s, slots in zip(signs, _hyperplane_slots(n, r)):
         if s:
             for h, bit, odd in slots:
                 if (s > 0) != odd:
@@ -316,11 +316,11 @@ def _cocircuit_masks(chi: Chirotope) -> set:
     return {pm for pm in zip(plus, minus) if pm != (0, 0)}
 
 
-def _one_signed(chi: Chirotope) -> list:
-    """(plus, minus) masks of the one-signed cocircuits, one sign of each:
-    their zero sets are those of the cocircuits conformal to the all-plus
-    vector."""
-    return [(p, m) for p, m in _cocircuit_masks(chi) if not p or not m]
+def _one_signed(n: int, r: int, signs) -> list:
+    """(plus, minus) masks of the one-signed cocircuits of the sign table
+    (see `_cocircuit_masks`), one sign of each: their zero sets are those
+    of the cocircuits conformal to the all-plus vector."""
+    return [(p, m) for p, m in _cocircuit_masks(n, r, signs) if not p or not m]
 
 
 def _facet_classes(n: int, pairs, classes) -> list | None:

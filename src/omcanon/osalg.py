@@ -336,15 +336,15 @@ class OSAlgebra:
     def coordinates_in(self, x: OSElement, basis: list) -> list | None:
         """Exact coordinates of x in the given basis, or None if outside."""
         self._own(x, *basis)
-        if not basis:
-            return [] if x.is_zero else None
-        grade = basis[0].grade
+        grade = basis[0].grade if basis else x.grade
         for y in (*basis, x):
             if y.grade != grade:
                 raise ValueError(f"expected grade {grade}, got {y.grade}")
+        keys = self.nbc.get(grade, ())
+        if not (basis and keys):  # no columns or no rows: x must be zero
+            return None if x.terms else [0] * len(basis)
         # one row per NBC key of the grade, x's terms in the last column
-        aug = linalg.columns_matrix([*(b.terms for b in basis), x.terms],
-                                    self.nbc.get(grade, ()))
+        aug = linalg.columns_matrix([*(b.terms for b in basis), x.terms], keys)
         return linalg.solve([row[:-1] for row in aug],
                             [row[-1] for row in aug])
 

@@ -195,7 +195,8 @@ def facet_elements(chi: Chirotope, matroid: UnderlyingMatroid) -> frozenset:
     """For an acyclic chi with underlying matroid matroid, the elements
     whose parallel class is a facet of the all-plus tope: the classes
     `om._facet_classes` reads off the one-signed cocircuits, as labels."""
-    classes = _facet_classes(len(chi.ground), _one_signed(chi),
+    n = len(chi.ground)
+    classes = _facet_classes(n, _one_signed(n, chi.rank, chi.signs),
                              matroid._atom_masks)
     return frozenset(e for c in classes for e in _labels(chi.ground, c))
 
@@ -343,12 +344,13 @@ def stack_solve(alg, targets: dict):
     masks = dict(zip(alg.atoms, alg.matroid._atom_masks))
     top_form = forms._top_form.__wrapped__
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forms, "_one_signed", lambda core: ())
+        mp.setattr(forms, "_one_signed", lambda n, r, signs: ())
         mp.setattr(forms, "_facet_classes",
                    lambda n, pairs, atom_masks: {masks[a] for a in targets})
-        # the contraction at a is the one whose ground set lacks a
-        mp.setattr(forms, "_positional", lambda chi: (1, next(
-            a for a in alg.atoms if a not in chi.ground)))
+        # the contraction at a is the gather by the position a, keyed a
+        mp.setattr(forms, "_contracted_signs",
+                   lambda n, r, signs, removed, a: a)
+        mp.setattr(forms, "_positional", lambda n, r, a: (1, a))
         mp.setattr(forms, "_top_form", targets.__getitem__)
         return top_form((n, r, signs))
 

@@ -77,7 +77,8 @@ def face_zero_sets(chi) -> set:
     of the one-signed cocircuits (one sign of each is nonnegative)."""
     full = (1 << len(chi.ground)) - 1
     out = {full}
-    for plus, minus in _cocircuit_masks(chi):
+    for plus, minus in _cocircuit_masks(len(chi.ground), chi.rank,
+                                        chi.signs):
         if not plus or not minus:
             zero = full & ~(plus | minus)
             out |= {zero & z for z in out}

@@ -4,12 +4,13 @@ The library needs none of them.  The tests use them as tools and oracles:
 composition, support, negative part, zero test, orthogonality,
 conformality, restriction, extension, zeroing and nonnegativity of sign
 vectors (`SignVector`'s masks give each one in a few bitwise operations),
-the negated chirotope, and the characteristic polynomial, which gives the
-Whitney numbers.
+the negated chirotope, the cocircuits by chirotope evaluation, and the
+characteristic polynomial, which gives the Whitney numbers.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 from omcanon import Chirotope, SignVector
@@ -91,3 +92,18 @@ def characteristic_polynomial(m) -> list:
             coeffs[k] += c * comb(i, k) * (-1) ** k
     sign = (-1) ** r
     return [sign * c for c in coeffs]
+
+
+def value_cocircuits(chi) -> frozenset:
+    """Cocircuits by evaluating chi on each (r-1)-subset plus one element."""
+    if chi.rank == 0:
+        return frozenset()
+    out = set()
+    for hyp in combinations(chi.ground, chi.rank - 1):
+        values = {e: chi.value(hyp + (e,)) for e in chi.ground if e not in hyp}
+        if not any(values.values()):
+            continue
+        vec = SignVector.from_map(chi.ground, values)
+        out.add(vec)
+        out.add(-vec)
+    return frozenset(out)

@@ -18,14 +18,15 @@ from omcanon.matroid import UnderlyingMatroid
 from omcanon.om import is_acyclic
 from omcanon.osalg import OSAlgebra, os_algebra_of_chirotope
 from omcanon.realization import _placing
+from omcanon.signvec import _labels
 
 import fraction_linalg
 from face_flag import face_flag_form
-from oracle_ops import is_nonnegative, restrict, scale
+from oracle_ops import is_nonnegative, restrict, scale, value_cocircuits
 from tope_walk import contracted_tope_chirotope
 from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES, boolean_om,
                       facet_elements, named_om, nbc_vector, rank1_om,
-                      stack_solve, uniform_r4_matrix)
+                      relabellings, stack_solve, uniform_r4_matrix)
 
 
 def ebasis(alg, e):
@@ -655,8 +656,8 @@ def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
     assert calls == []
     cores = [Chirotope(tuple(range(n)), r, signs) for n, r, signs in visited]
     assert visited and all(is_acyclic(core) for core in cores)
-    assert all(forms._positional(core) == (1, key)
-               for core, key in zip(cores, visited))
+    assert all(forms._positional(len(core.ground), core.rank, core.signs)
+               == (1, key) for core, key in zip(cores, visited))
 
 
 def test_residue_axioms_nonpappus(nonpappus):
@@ -681,9 +682,9 @@ def test_residue_check_reads_the_cached_cocircuits(nonpappus, monkeypatch):
     calls = []
     cocircuit_masks = om_module._cocircuit_masks
 
-    def counting_cocircuit_masks(chi):
-        calls.append(chi)
-        return cocircuit_masks(chi)
+    def counting_cocircuit_masks(n, r, signs):
+        calls.append(signs)
+        return cocircuit_masks(n, r, signs)
 
     monkeypatch.setattr(om_module, "_cocircuit_masks",
                         counting_cocircuit_masks)
@@ -700,7 +701,7 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     same underlying matroids finds them by fingerprint alone."""
     chi = request.getfixturevalue(name).chi
     first = forms._labelled_top_form(chi)
-    _, key = forms._positional(chi)
+    _, key = forms._positional(len(chi.ground), chi.rank, chi.signs)
     builds = []
     init = UnderlyingMatroid.__init__
 
@@ -832,6 +833,114 @@ def test_uniform_sweep_builds_one_stack_per_class(monkeypatch):
         canonical_form_tope(om, t)
     assert len(algebras) == 5
     assert forms._stack.cache_info().misses == 4
+
+
+# ---- the sign-table node against the chirotope path it replaced -----------
+
+
+def facet_gathers(chis, monkeypatch) -> list:
+    """(node key, removed, i, gathered signs) for every facet contraction the
+    recursion makes, from empty memos, on its way to the forms of chis."""
+    clear_caches()
+    gathers = []
+    gather = forms._contracted_signs
+
+    def recording(n, r, signs, removed, i):
+        out = gather(n, r, signs, removed, i)
+        gathers.append(((n, r, signs), removed, i, out))
+        return out
+
+    monkeypatch.setattr(forms, "_contracted_signs", recording)
+    for chi in chis:
+        forms._labelled_top_form(chi)
+    monkeypatch.setattr(forms, "_contracted_signs", gather)
+    return gathers
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_facet_gathers_match_chirotope_contractions(name, request,
+                                                    monkeypatch):
+    """On the way to the forms of every tope, each facet contraction, one
+    gather of the node's signs, equals `Chirotope.contract` of the node's
+    chirotope by the facet's atom, and its (sign, key) is that chirotope's
+    `_positional`; every node's cocircuits, read off its signs, are those
+    that evaluating its chirotope finds."""
+    om = named_om(name, request)
+    gathers = facet_gathers([om.chi.reorient(t) for t in om.sorted_topes()],
+                            monkeypatch)
+    assert gathers
+    nodes = set()
+    for (n, r, signs), removed, i, got in gathers:
+        core = Chirotope(tuple(range(n)), r, signs)
+        want = core.contract(i, drop=set(_labels(core.ground, removed)) - {i})
+        assert got == want.signs
+        sub = forms._positional(n - removed.bit_count(), r - 1, got)
+        assert sub == forms._positional(len(want.ground), want.rank,
+                                        want.signs)
+        nodes |= {(n, r, signs), sub[1]}
+    if name.startswith("nonpappus"):  # rank 2 contractions merge elements
+        assert any(removed & (removed - 1) for _, removed, _, _ in gathers)
+    for n, r, signs in nodes:
+        masks = om_module._cocircuit_masks(n, r, signs)
+        want = value_cocircuits(Chirotope(tuple(range(n)), r, signs))
+        assert ({pm for p, m in masks for pm in ((p, m), (m, p))}
+                == {(y.plus, y.minus) for y in want})
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_entry_gathers_match_labelled_contractions(name, request):
+    """Under every relabelling of every tope's reorientation, the gather of
+    its positional class at each facet atom, with the entry's sign put
+    back, is the sign table of the labelled `Chirotope.contract` by it."""
+    om = named_om(name, request)
+    for chi in relabellings(om.chi):
+        m = UnderlyingMatroid.from_chirotope(chi)
+        for t in om.sorted_topes():
+            tope = chi.reorient(SignVector._from_masks(chi.ground, t.plus,
+                                                       t.minus))
+            sign, (n, r, signs) = forms._positional(
+                len(tope.ground), tope.rank, tope.signs)
+            facets = facet_elements(tope, m)
+            for a, atom, mask in zip(m.atom_reps, m.atoms, m._atom_masks):
+                if a not in facets:
+                    continue
+                got = forms._contracted_signs(n, r, signs, mask,
+                                              chi.ground.index(a))
+                want = tope.contract(a, drop=atom - {a})
+                assert tuple(sign * s for s in got) == want.signs
+
+
+@pytest.mark.parametrize("name", ["uniform_r4", "nonpappus"])
+def test_cold_sweep_builds_chirotopes_only_to_reorient(name, request,
+                                                       monkeypatch):
+    """From empty memos, the forms of every tope build one chirotope per
+    tope, its reorientation, and none inside the recursion."""
+    om = named_om(name, request)
+    topes = om.sorted_topes()
+    reoriented = [om.chi.reorient(t) for t in topes]
+    clear_caches()
+    built = []
+    depth = [0]
+    post_init = Chirotope.__post_init__
+    top_form = forms._top_form.__wrapped__
+
+    def counting_post_init(self):
+        built.append((self, depth[0]))
+        post_init(self)
+
+    def tracking_top_form(key):
+        depth[0] += 1
+        try:
+            return top_form(key)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Chirotope, "__post_init__", counting_post_init)
+    monkeypatch.setattr(forms, "_top_form",
+                        lru_cache(maxsize=None)(tracking_top_form))
+    for t in topes:
+        canonical_form_tope(om, t)
+    assert built == [(chi, 0) for chi in reoriented]
 
 
 @pytest.mark.parametrize("name", ["pentagon", "pentagon_inf"])

@@ -23,7 +23,8 @@ from conftest import (FIXTURES, NONUNIFORM, PAPPUS_LINE, SEEDED_CASES,
                       outcome, pappus_chirotope, rank1_om, relabellings)
 from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
 from oracle_ops import (compose, conforms_to, extend, is_nonnegative,
-                        is_orthogonal, is_zero, restrict, support)
+                        is_orthogonal, is_zero, restrict, support,
+                        value_cocircuits)
 from tuple_signvec import SignVector as TupleSignVector
 from tuple_signvec import covector_closure as tuple_covector_closure
 
@@ -377,21 +378,6 @@ def test_is_acyclic_matches_circuit_oracle(name, request):
 
 
 # ---- reference: cocircuits and facets by chirotope evaluation -------------
-
-
-def value_cocircuits(chi) -> frozenset:
-    """Cocircuits by evaluating chi on each (r-1)-subset plus one element."""
-    if chi.rank == 0:
-        return frozenset()
-    out = set()
-    for hyp in combinations(chi.ground, chi.rank - 1):
-        values = {e: chi.value(hyp + (e,)) for e in chi.ground if e not in hyp}
-        if not any(values.values()):
-            continue
-        vec = SignVector.from_map(chi.ground, values)
-        out.add(vec)
-        out.add(-vec)
-    return frozenset(out)
 
 
 def reachable_contractions(chis) -> set:

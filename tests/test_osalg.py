@@ -678,6 +678,20 @@ def test_linear_map_into_an_empty_codomain(line4):
     assert LinearMap(["b", "c"], [], []).solve([]) == [0, 0]
 
 
+def test_coordinates_in_a_grade_without_nbc_keys(line4):
+    """Every element of a grade with no NBC keys is zero, so its coordinates
+    in a basis of k such elements are k zeros, as `LinearMap.solve` gives;
+    the grade check still runs."""
+    alg = algebra_of(line4)
+    z = alg.zero(alg.rank + 1)
+    assert alg.dim(z.grade) == 0
+    assert alg.coordinates_in(z, [z, z]) == [0, 0]
+    assert expand_in_basis(z, [z]) == [0]
+    assert alg.coordinates_in(z, []) == []
+    with pytest.raises(ValueError, match="expected grade 3, got 2"):
+        alg.coordinates_in(z, [z, alg.zero(2)])
+
+
 # ---- int coefficients against the Fraction-coefficient oracle ----------------
 
 ORACLE_ALGEBRAS = FIXTURES + list(NONUNIFORM) + ["nonpappus_ext10"]

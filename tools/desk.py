@@ -12,8 +12,9 @@ instead the seconds of `omcanon.cli.run` on that matrix, labelled 0..n-1,
 for `basis --grade r-1`, `aomoto --weights 2,3,...,n` and
 `verify --suite triangulation`, input validation and output included.
 Each size, and with --commands each command, runs in a fresh process, so
-no cache carries over from one to the next.  The report gates nothing; its
-figures are single wall-clock runs.
+no cache carries over from one to the next.  The report gates nothing; each
+figure is the wall-clock median of RUNS fresh processes, since single runs
+of one cell spread wider than most changes they would be read for.
 
     PYTHONPATH=src python tools/desk.py            # every default size
     PYTHONPATH=src python tools/desk.py 8x4 10x3   # chosen sizes
@@ -28,12 +29,14 @@ import io
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
 SEED = 0
+RUNS = 3
 SIZES = ("8x4", "10x3", "10x4", "12x3", "11x4", "12x4", "10x5")
 COMMANDS = ("basis", "aomoto", "verify")
 
@@ -114,11 +117,27 @@ def fresh(*argv) -> dict | None:
     return json.loads(proc.stdout)
 
 
+def median_row(rows: list) -> dict:
+    """One answer from several of the same measurement: the median of each
+    time (a key ending in _s, or seconds) and the other fields of the first
+    run that exited nonzero, else of the first run."""
+    base = next((row for row in rows if row.get("exit")), rows[0])
+    return {k: statistics.median(row[k] for row in rows)
+            if k == "seconds" or k.endswith("_s") else v
+            for k, v in base.items()}
+
+
+def fresh_median(*argv) -> dict | None:
+    """`median_row` of RUNS answers of `fresh`, or None when one fails."""
+    rows = [fresh(*argv) for _ in range(RUNS)]
+    return None if None in rows else median_row(rows)
+
+
 def report_forms(sizes) -> int:
     print(f"{'n x r':>7} {'topes':>6} {'validate_s':>11} {'tutte_s':>8} "
           f"{'enumerate_s':>12} {'forms_s':>9} {'memo_entries':>13}")
     for n, r in sizes:
-        row = fresh("--one", f"{n}x{r}")
+        row = fresh_median("--one", f"{n}x{r}")
         if row is None:
             return 1
         print(f"{n:>3} x {r} {row['topes']:>6} {row['validate_s']:>11.4f} "
@@ -135,7 +154,7 @@ def report_commands(sizes) -> int:
     for n, r in sizes:
         cells = []
         for command in COMMANDS:
-            row = fresh("--one", f"{n}x{r}", "--command", command)
+            row = fresh_median("--one", f"{n}x{r}", "--command", command)
             if row is None:
                 return 1
             cell = f"{row['seconds']:.3f}"
