@@ -25,7 +25,7 @@ print(f"rank {om.rank}, ground {om.ground}, {len(om.topes)} topes")
 print("reduced dimensions by degree:",
       [alg.reduced_dim(k) for k in range(om.rank)])
 
-flag = build_flag(om, seed=0)
+flag = build_flag(om)
 print("\nflag of general truncations, ranks:",
       [stage.om.rank for stage in flag.stages])
 

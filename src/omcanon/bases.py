@@ -14,15 +14,13 @@ from .om import Extension, OrientedMatroid
 from .osalg import OSAlgebra, OSElement, _coeff
 from .signvec import SignVector, ground_positions
 
-_ATTEMPTS = 32  # signatures tried before an extension search gives up
-
 
 def perturbation_signature(om: OrientedMatroid, base=None) -> tuple:
     """(base, +) then the lexicographically smallest basis completion, signed -.
 
-    Realizes a general perturbation of the base element; the minus signs
-    push the extension to the far side of the base chamber so that the
-    0-bounded topes stay bounded for the extension on the fixtures.
+    Realizes a general perturbation of the base element on every input:
+    see `bounded_extension` and `build_flag` for why its extension keeps
+    the 0-bounded topes bounded and is always general.
     """
     base = om.ground[0] if base is None else base
     rest = [e for e in om.ground if e != base]
@@ -30,46 +28,32 @@ def perturbation_signature(om: OrientedMatroid, base=None) -> tuple:
     return ((base, 1),) + tuple((e, -1) for e in chosen[1:])
 
 
-def random_signature(om: OrientedMatroid, rng: random.Random, base=None) -> tuple:
-    """A random basis through the base element, base signed +, rest random."""
-    base = om.ground[0] if base is None else base
-    elements = [e for e in om.ground if e != base]
-    rng.shuffle(elements)
-    chosen = _earliest_basis(om.chi, [base] + elements)
-    return ((base, 1),) + tuple((e, rng.choice((1, -1))) for e in chosen[1:])
-
-
-def _extensions(om: OrientedMatroid, rng: random.Random, base=None):
-    """The extensions an extension search tries, built lazily in order:
-    by the perturbation signature, then by seeded random ones, _ATTEMPTS
-    signatures in all.  A signature whose extension cannot be built is
-    skipped.  The label is q, primed until it is not in the ground set."""
+def _perturbation(om: OrientedMatroid, base=None) -> Extension:
+    """The extension by the perturbation signature of base, labelled q,
+    primed until it is not in the ground set."""
     label = "q"
     while label in om.ground:
         label += "'"
-    for i in range(_ATTEMPTS):
-        signature = (random_signature(om, rng, base) if i
-                     else perturbation_signature(om, base))
-        try:
-            yield om.lex_extension(signature, label)
-        except (ValueError, RuntimeError):
-            continue
+    return om.lex_extension(perturbation_signature(om, base), label)
 
 
-def bounded_extension(om: OrientedMatroid, base=None,
-                      seed: int = 0) -> Extension:
+def bounded_extension(om: OrientedMatroid, base=None) -> Extension:
     """A general perturbation of base with T^0 contained in T^ext.
 
-    The inclusion is asserted at runtime; on failure, seeded random
-    signatures are retried and exhaustion is an error, never silent.
+    The extension by the perturbation signature always qualifies.  Its
+    first element is (base, +), so every covector Z of M u q with
+    Z(base) != 0 has Z(q) = Z(base) (Bjoerner et al., Oriented Matroids,
+    7.2).  Every nonzero face of a T^0 tope P is positive at base, so
+    (P, +) is a tope of M u q bounded at q.  The inclusion is still
+    asserted at runtime, and a failure is an error, never silent.
     """
     base = om.ground[0] if base is None else base
     t0 = om.bounded_topes(base)
-    for ext in _extensions(om, random.Random(seed), base):
-        if t0 <= ext.bounded_topes():
-            return ext
-    raise RuntimeError(f"no perturbation of {base!r} kept the bounded topes "
-                       f"bounded after {_ATTEMPTS} attempts")
+    ext = _perturbation(om, base)
+    if not t0 <= ext.bounded_topes():
+        raise RuntimeError(f"no perturbation of {base!r} kept the bounded "
+                           "topes bounded")
+    return ext
 
 
 def tq_basis(om: OrientedMatroid, ext: Extension) -> list:
@@ -117,21 +101,19 @@ class Flag:
         return self.stages[0].om
 
 
-def build_flag(om: OrientedMatroid, seed: int = 0) -> Flag:
+def build_flag(om: OrientedMatroid) -> Flag:
     """Successive general truncations down to rank 1, ground set preserved.
 
-    Every stage holds its extension witness; generality certificates are
-    re-validated stage by stage and looplessness failures retry with
-    seeded random signatures.
+    Every stage holds its extension witness, the one by the perturbation
+    signature, which is always general: an independent (r-1)-set K misses
+    some element b of the signature's basis with K + b a basis, so the
+    cascade in `lex_extension` is never 0 on K.  `lex_extension` still
+    re-validates generality, and the ground set is checked stage by stage.
     """
     stages = []
     current = om
-    rng = random.Random(seed)
     for _ in range(om.rank):
-        ext = next(_extensions(current, rng), None)
-        if ext is None:
-            raise RuntimeError(f"no general extension found after {_ATTEMPTS} "
-                               f"attempts at rank {current.rank}")
+        ext = _perturbation(current)
         stages.append(FlagStage(current, ext))
         if current.rank > 1:
             nxt = ext.om_ext.contract(ext.label)
@@ -222,7 +204,7 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None) -> AomotoReport:
     the 0-bounded topes T^0 reads both answers: dim_h is the corank of the
     image in the top reduced grade, and v_spans says that the T^0 forms
     complement it exactly.  Genericity is dim_h == beta and v_spans; no
-    extension is searched and no seed is drawn.
+    extension is built and no seed is drawn.
     """
     base = om.ground[0] if base is None else base
     alg = algebra_of(om)

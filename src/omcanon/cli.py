@@ -87,7 +87,7 @@ def cmd_canonical(args, parsed, om) -> dict:
 def cmd_basis(args, parsed, om) -> dict:
     if not 0 <= args.grade <= om.rank - 1:
         raise ser.InputError(f"grade must be in 0..{om.rank - 1}")
-    flag = bases_mod.build_flag(om, seed=args.seed)
+    flag = bases_mod.build_flag(om)
     pairs = bases_mod.graded_basis(flag, om.rank - args.grade)
     return {
         "grade": args.grade,
@@ -151,7 +151,7 @@ def _suite_residues(parsed, om, seed, checks):
 
 def _suite_simplex(parsed, om, seed, checks):
     def run():
-        ext = bases_mod.bounded_extension(om, seed=seed)
+        ext = bases_mod.bounded_extension(om)
         for basis in om.chi.nonzero_keys:
             result = bases_mod.simplex_identity_check(om, ext, basis)
             if not result["passed"]:
@@ -196,7 +196,7 @@ def _suite_triangulation(parsed, om, seed, checks):
 
 def _suite_bases(parsed, om, seed, checks):
     def run():
-        flag = bases_mod.build_flag(om, seed=seed)
+        flag = bases_mod.build_flag(om)
         for k in range(1, om.rank + 1):
             # asserts as many forms as the dimension, and full rank
             for _, f in bases_mod.graded_basis(flag, k):
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="canonical-form basis of a reduced grade")
     p.add_argument("--input", required=True)
     p.add_argument("--grade", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("aomoto", help="weighted top-degree cohomology report")

@@ -214,13 +214,13 @@ def named_om(name: str, request) -> OrientedMatroid:
     """A session fixture by name, or one of the built ones: rank1 (three
     parallel elements, one reversed), boolean3, uniform_r4 (seed 0), the
     seeded non-uniform matrices of NONUNIFORM (at seed 0, or "shape:seed"),
-    and the non-realizable nonpappus_ext10 of `tests/data`."""
+    and the non-realizable nonpappus_ext10 and line4_q (line4 with 3
+    renamed q) of `tests/data`."""
     shape, _, seed = name.partition(":")
     if seed:
         return nonuniform_om(*NONUNIFORM[shape], seed=int(seed))
-    if name == "nonpappus_ext10":
-        path = os.path.join(os.path.dirname(__file__), "data",
-                            "nonpappus_ext10.json")
+    if name in ("nonpappus_ext10", "line4_q"):
+        path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
         with open(path) as fh:
             return OrientedMatroid(parse_input(json.load(fh)).chi)
     if name in NONUNIFORM:

@@ -9,7 +9,8 @@ triangulation, is the minimum over the nonzero keys of their sorted places
 in the insertion order.  They are kept as the oracles that
 `chirotope._circuit`, `chirotope._earliest_basis`,
 `OrientedMatroid.lex_extension` and `realization._placing` are compared
-against.
+against.  `random_signature` draws the seeded random basis signatures
+that the extension tests take as inputs.
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-import omcanon.bases
 from omcanon import (SignVector, algebra_of, aomoto, bounded_extension,
                      build_flag, canonical_form_tope, expand_in_basis,
                      graded_basis, perturbation_signature,
@@ -12,15 +10,15 @@ from omcanon import (SignVector, algebra_of, aomoto, bounded_extension,
 
 import fraction_linalg as oracle
 import label_walk
-from conftest import (FIXTURES, NONUNIFORM, boolean_om, count_bounded_topes,
-                      named_om, rank1_om, random_arrangements)
+from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES, boolean_om,
+                      count_bounded_topes, named_om, rank1_om,
+                      random_arrangements, relabellings)
 from omcanon import (Chirotope, Extension, OrientedMatroid,
                      aomoto_degree_ranks, chirotope_from_matrix)
 from omcanon import (nonreduced_from_triangulation, placing_triangulation,
                      transport_to_base)
 from omcanon import linalg
-from omcanon.bases import (_ATTEMPTS, _wedge_columns, _weight_form,
-                           random_signature)
+from omcanon.bases import _wedge_columns, _weight_form
 from omcanon.osalg import OSElement
 
 
@@ -30,26 +28,17 @@ def test_perturbation_signature_default(line4):
 
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
 def test_signatures_match_greedy_rank_queries(name, request):
-    """Both signatures equal the rank-query greedy they replaced, for every
-    base element and, at seeds 0-2, on every one of the _ATTEMPTS draws a
-    search makes: the random stream is consumed the same way."""
+    """The perturbation signature equals the rank-query greedy it replaced,
+    for every base element."""
     om = named_om(name, request)
     for base in om.ground:
         assert (perturbation_signature(om, base)
                 == label_walk.perturbation_signature(om, base))
-        for seed in range(3):
-            rng, oracle_rng = random.Random(seed), random.Random(seed)
-            for _ in range(_ATTEMPTS):
-                assert (random_signature(om, rng, base)
-                        == label_walk.random_signature(om, oracle_rng, base))
-            assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_signatures_reject_unknown_base(line4):
     with pytest.raises(ValueError, match="^unknown element label 99$"):
         perturbation_signature(line4, 99)
-    with pytest.raises(ValueError, match="^unknown element label 99$"):
-        random_signature(line4, random.Random(0), 99)
 
 
 def test_simplex_identity_rejects_unknown_label(line4):
@@ -414,7 +403,7 @@ def test_aomoto_degree_ranks_weight_validation(pentagon, weights):
 
 def test_aomoto_computes_bounded_topes_once(pentagon, monkeypatch):
     """The report's T^0 is the one bounded-tope query aomoto makes; it
-    searches no extension."""
+    builds no extension."""
     weights = sample_weight_vectors(pentagon, 1)[0]
     counts = count_bounded_topes(monkeypatch)
     report = aomoto(pentagon, weights, base=1)
@@ -423,90 +412,56 @@ def test_aomoto_computes_bounded_topes_once(pentagon, monkeypatch):
 
 
 def test_aomoto_needs_no_extension(pentagon, monkeypatch):
-    """With no extension to try, aomoto still gives its whole report,
-    while bounded_extension still reports the exhausted search."""
+    """With no extension to be built, aomoto still gives its whole report,
+    while bounded_extension reports the failed build."""
     weights = sample_weight_vectors(pentagon, 1)[0]
     want = aomoto(pentagon, weights, base=1)
-    monkeypatch.setattr(omcanon.bases, "_extensions",
-                        lambda om, rng, base=None: iter(()))
+
+    def failing(self, signature, label="q"):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(OrientedMatroid, "lex_extension", failing)
     assert aomoto(pentagon, weights, base=1) == want
     assert want.is_generic and len(want.bounded_topes) == want.beta
-    with pytest.raises(RuntimeError, match="no perturbation of 1"):
+    with pytest.raises(RuntimeError, match="^forced failure$"):
         bounded_extension(pentagon, 1)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_bounded_extension_retries_seeded_signatures(line4, monkeypatch,
-                                                     seed):
-    """After the default perturbation fails, the k-th retry takes the k-th
-    seeded `random_signature`."""
-    failures = 3
-    calls = []
-
-    def flaky(self):
-        calls.append(self.signature)
-        # Every tope, so the attempt after the forced failures succeeds.
-        return frozenset() if len(calls) <= failures else self.base.topes
-
-    monkeypatch.setattr(Extension, "bounded_topes", flaky)
-    ext = bounded_extension(line4, 0, seed=seed)
-    rng = random.Random(seed)
-    retries = [random_signature(line4, rng, 0) for _ in range(failures)]
-    assert calls == [perturbation_signature(line4, 0)] + retries
-    assert ext.signature == retries[-1]
+@pytest.mark.parametrize("name", SEEDED_CASES + ["line4_q"])
+def test_perturbation_extension_is_bounded_and_general(name, request):
+    """The argument of `bounded_extension` and `build_flag`, on every
+    labelling: at every base element the extension by the perturbation
+    signature keeps T^0 bounded, and every stage of the flag is built by
+    its perturbation signature.  The label is q, primed past the ground."""
+    for chi in relabellings(named_om(name, request).chi):
+        om = OrientedMatroid(chi)
+        for base in om.ground:
+            ext = bounded_extension(om, base)
+            assert ext.signature == perturbation_signature(om, base)
+            assert om.bounded_topes(base) <= ext.bounded_topes()
+            assert ext.label == ("q'" if "q" in om.ground else "q")
+        for stage in build_flag(om).stages:
+            assert stage.ext.signature == perturbation_signature(stage.om)
 
 
-def test_bounded_extension_exhaustion_raises(line4, monkeypatch):
-    calls = []
-
-    def never(self):
-        calls.append(self.signature)
-        return frozenset()
-
-    monkeypatch.setattr(Extension, "bounded_topes", never)
-    with pytest.raises(RuntimeError, match=f"after {_ATTEMPTS} attempts"):
-        bounded_extension(line4, 0)
-    assert len(calls) == _ATTEMPTS
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_build_flag_retries_seeded_signatures(pentagon, monkeypatch, seed):
-    """A stage whose default extension fails takes the next seeded
-    `random_signature`; later stages start again from the default."""
-    failures = 3
+def test_bounded_extension_raises_on_lost_bounded_tope(request,
+                                                       monkeypatch):
+    """An extension that lost a T^0 tope is an error naming the base, and
+    no other signature is tried."""
+    om = named_om("line4_q", request)
     calls = []
     lex_extension = OrientedMatroid.lex_extension
 
-    def flaky(self, signature, *args):
+    def counting(self, signature, *args):
         calls.append(signature)
-        if len(calls) <= failures:
-            raise ValueError("forced failure")
         return lex_extension(self, signature, *args)
 
-    monkeypatch.setattr(OrientedMatroid, "lex_extension", flaky)
-    flag = build_flag(pentagon, seed=seed)
-    rng = random.Random(seed)
-    retries = [random_signature(pentagon, rng) for _ in range(failures)]
-    assert calls[:failures + 1] == [perturbation_signature(pentagon)] + retries
-    assert flag.stages[0].ext.signature == retries[-1]
-    assert [s.om.rank for s in flag.stages] == [3, 2, 1]
-    assert len(calls) == failures + len(flag.stages)
-    for stage, signature in zip(flag.stages[1:], calls[failures + 1:]):
-        assert signature == perturbation_signature(stage.om)
-        assert stage.ext.signature == signature
-
-
-def test_build_flag_exhaustion_raises(pentagon, monkeypatch):
-    calls = []
-
-    def never(self, signature, *args):
-        calls.append(signature)
-        raise RuntimeError("forced failure")
-
-    monkeypatch.setattr(OrientedMatroid, "lex_extension", never)
-    with pytest.raises(RuntimeError, match=f"after {_ATTEMPTS} attempts"):
-        build_flag(pentagon)
-    assert len(calls) == _ATTEMPTS
+    monkeypatch.setattr(OrientedMatroid, "lex_extension", counting)
+    monkeypatch.setattr(Extension, "bounded_topes", lambda self: frozenset())
+    with pytest.raises(RuntimeError, match="^no perturbation of 'q' kept "
+                                           "the bounded topes bounded$"):
+        bounded_extension(om, "q")
+    assert calls == [perturbation_signature(om, "q")]
 
 
 def test_library_sums_add_no_elements(pentagon, pentagon_matrix, monkeypatch):

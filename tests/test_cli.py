@@ -364,10 +364,10 @@ def test_verify_triangulation_skipped_for_chirotope(capsys, line4_path):
 
 def test_verify_simplex_times_its_extension(capsys, pentagon_path,
                                             monkeypatch):
-    """The simplex suite searches its extension inside its timed check, so
-    the search counts in that check's seconds and its failure is that
+    """The simplex suite builds its extension inside its timed check, so
+    the build counts in that check's seconds and its failure is that
     check's failure."""
-    def failing(om, base=None, seed=0):
+    def failing(om, base=None):
         raise RuntimeError("no perturbation")
     monkeypatch.setattr(omcanon.bases, "bounded_extension", failing)
     code, out, _ = invoke(capsys, "verify", "--input", pentagon_path,
@@ -542,9 +542,10 @@ def test_module_entry_point(line4_path):
 @pytest.mark.parametrize("first, second", [
     (["canonical", "--tope=+,+,-,-", "--nonreduced"],
      ["canonical", "--tope=+,+,-,-"]),
-    (["basis", "--grade=1", "--seed=3"], ["basis", "--grade=1"]),
+    (["aomoto", "--weights=1,2,3", "--base=2"],
+     ["aomoto", "--weights=1,2,3"]),
     (["verify", "--suite=residues"], ["verify"]),
-], ids=["canonical", "basis", "verify"])
+], ids=["canonical", "aomoto", "verify"])
 def test_shared_parser_keeps_defaults(capsys, line4_path, first, second):
     """`run` parses every command line with one parser per process: an
     option given on one line does not carry over to the next, which prints
@@ -556,6 +557,17 @@ def test_shared_parser_keeps_defaults(capsys, line4_path, first, second):
         assert code == proc.returncode == 0
         assert (_without_seconds(json.loads(out))
                 == _without_seconds(json.loads(proc.stdout)))
+
+
+def test_basis_takes_no_seed(line4_path):
+    """`basis` builds one extension and draws nothing at random, so a seed
+    is an unrecognized argument: exit 2 with argparse's usage line."""
+    proc = run_module("basis", "--input", line4_path, "--grade", "1",
+                      "--seed", "0")
+    assert proc.returncode == 2 and not proc.stdout
+    usage, error = proc.stderr.splitlines()
+    assert usage.startswith("usage: omcanon ")
+    assert error == "omcanon: error: unrecognized arguments: --seed 0"
 
 
 def test_cli_validates_beyond_ten_elements(tmp_path):

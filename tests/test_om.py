@@ -10,7 +10,6 @@ from omcanon import (Chirotope, NotATope, OrientedMatroid, SignVector,
                      check_residue_axioms, perturbation_signature,
                      simplex_identity_check, validate_chirotope)
 from omcanon import om as om_module
-from omcanon.bases import random_signature
 from omcanon.cli import run
 from omcanon.om import _circuits, _facet_classes, is_acyclic
 
@@ -447,8 +446,8 @@ def differential_om(name, request):
     if name != "nonpappus_ext":
         return named_om(name, request)
     om = request.getfixturevalue("nonpappus")
-    return om.lex_extension(random_signature(om, random.Random(0)),
-                            label=9).om_ext
+    signature = label_walk.random_signature(om, random.Random(0))
+    return om.lex_extension(signature, label=9).om_ext
 
 
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM)
@@ -480,8 +479,9 @@ def test_tope_queries_match_sign_vector_walk(name, request):
                 assert (om._composes(x.plus, x.minus, bit)
                         == tope_walk.bounded_tope(om, x, e))
     rng = random.Random(0)
-    for signature in [perturbation_signature(om), random_signature(om, rng),
-                      random_signature(om, rng)]:
+    for signature in [perturbation_signature(om),
+                      label_walk.random_signature(om, rng),
+                      label_walk.random_signature(om, rng)]:
         ext = om.lex_extension(signature)
         assert ext.bounded_topes() == tope_walk.extension_bounded_topes(ext)
 
@@ -581,7 +581,7 @@ def test_lex_extension_matches_label_walk(name, request):
     om = named_om(name, request)
     rng = random.Random(0)
     signatures = [perturbation_signature(om, e) for e in om.ground]
-    signatures += [random_signature(om, rng) for _ in range(5)]
+    signatures += [label_walk.random_signature(om, rng) for _ in range(5)]
     signatures += [tuple((e, rng.choice((1, -1)))
                          for e in rng.sample(om.ground, om.rank))
                    for _ in range(5)]
