@@ -4,10 +4,10 @@ Aomoto complex with its bounded-tope cohomology basis."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from ._record import FrozenRecord, Record
 from .chirotope import _earliest_basis, _mask
 from .forms import algebra_of, canonical_form_tope
 from .om import Extension, OrientedMatroid
@@ -86,15 +86,26 @@ def simplex_identity_check(om: OrientedMatroid, ext: Extension, basis) -> dict:
             "topes": sorted(members, key=SignVector.sort_key)}
 
 
-@dataclass(frozen=True)
-class FlagStage:
-    om: OrientedMatroid
-    ext: Extension
+class FlagStage(FrozenRecord):
+    """A frozen value: equal iff om (by identity) and ext are equal, hashed
+    by them, printed as `FlagStage(om=..., ext=...)`, and AttributeError on
+    assignment or deletion."""
+
+    _fields = ("om", "ext")
+
+    def __init__(self, om: OrientedMatroid, ext: Extension):
+        self.__dict__.update(om=om, ext=ext)
 
 
-@dataclass(frozen=True)
-class Flag:
-    stages: tuple  # FlagStage per rank r, r-1, ..., 1
+class Flag(FrozenRecord):
+    """A frozen value: equal iff the stages are equal, hashed by them,
+    printed as `Flag(stages=...)`, and AttributeError on assignment or
+    deletion."""
+
+    _fields = ("stages",)
+
+    def __init__(self, stages: tuple):
+        self.__dict__.update(stages=stages)  # FlagStage per rank r, ..., 1
 
     @property
     def base_om(self) -> OrientedMatroid:
@@ -185,16 +196,24 @@ def structure_constants(src_basis: list, target_basis: list,
     return expand_in_basis(forms[i].wedge(forms[j]), target_basis)
 
 
-@dataclass
-class AomotoReport:
-    dim_h: int
-    beta: int
-    dim_matches_beta: bool
-    v_spans: bool
-    is_generic: bool
-    bounded_topes: list
-    basis_forms: list  # canonical forms of the 0-bounded topes
-    weights: dict
+class AomotoReport(Record):
+    """A mutable value: equal iff its eight fields are, unhashable, printed
+    as `AomotoReport(dim_h=..., ..., weights=...)`."""
+
+    _fields = ("dim_h", "beta", "dim_matches_beta", "v_spans", "is_generic",
+               "bounded_topes", "basis_forms", "weights")
+
+    def __init__(self, dim_h: int, beta: int, dim_matches_beta: bool,
+                 v_spans: bool, is_generic: bool, bounded_topes: list,
+                 basis_forms: list, weights: dict):
+        self.dim_h = dim_h
+        self.beta = beta
+        self.dim_matches_beta = dim_matches_beta
+        self.v_spans = v_spans
+        self.is_generic = is_generic
+        self.bounded_topes = bounded_topes
+        self.basis_forms = basis_forms  # forms of the 0-bounded topes
+        self.weights = weights
 
 
 def aomoto(om: OrientedMatroid, weights: dict, base=None) -> AomotoReport:

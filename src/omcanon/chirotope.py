@@ -14,12 +14,12 @@ of labels.  A chirotope keeps the circuit of every (r+1)-set in one table
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from ._memo import memo
+from ._record import FrozenRecord
 from .signvec import SignVector, _labels, _position, ground_positions
 
 
@@ -127,15 +127,29 @@ def _earliest_mask(chi: Chirotope, places) -> int:
     return kept
 
 
-@dataclass(frozen=True)
-class Chirotope:
-    ground: tuple
-    rank: int
-    signs: tuple  # aligned with combinations(ground, rank)
+class Chirotope(FrozenRecord):
+    """A frozen value: equal iff ground, rank and signs are equal, hashed
+    by them, printed as `Chirotope(ground=..., rank=..., signs=...)`, and
+    AttributeError on assignment or deletion (`_record`).  It is a memo key
+    on every tope query, so `__eq__` and `__hash__` read the three fields
+    directly rather than through the generic field tuple."""
 
-    def __post_init__(self):
-        if len(self.signs) != comb(len(self.ground), self.rank):
+    _fields = ("ground", "rank", "signs")
+
+    def __init__(self, ground: tuple, rank: int, signs: tuple):
+        # signs is aligned with combinations(ground, rank)
+        if len(signs) != comb(len(ground), rank):
             raise ValueError("chirotope sign table has wrong length")
+        self.__dict__.update(ground=ground, rank=rank, signs=signs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ground, self.rank, self.signs)
+                == (other.ground, other.rank, other.signs))
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.rank, self.signs))
 
     @classmethod
     def from_map(cls, ground: tuple, rank: int, values: dict) -> "Chirotope":

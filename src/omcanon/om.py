@@ -24,12 +24,12 @@ which runs on (plus, minus) mask pairs and builds each SignVector once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from ._memo import memo
+from ._record import FrozenRecord
 from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
                         validate_chirotope)
 from .matroid import UnderlyingMatroid
@@ -225,19 +225,21 @@ class OrientedMatroid:
         return Extension(self, label, signature, chi_ext)
 
 
-@dataclass(frozen=True)
-class Extension:
-    """A general single-element extension M u q with its extended chirotope."""
+class Extension(FrozenRecord):
+    """A general single-element extension M u q with its extended chirotope.
 
-    base: OrientedMatroid
-    label: object
-    signature: tuple
-    chi_ext: Chirotope
-    om_ext: OrientedMatroid = field(init=False, repr=False, compare=False)
+    A frozen value over base, label, signature and chi_ext: equal iff those
+    are equal (base by identity), hashed by them, printed with them, and
+    AttributeError on assignment or deletion.  `om_ext`, the oriented
+    matroid of chi_ext, is built here and is not a field."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "om_ext",
-                           OrientedMatroid(self.chi_ext, validate=False))
+    _fields = ("base", "label", "signature", "chi_ext")
+
+    def __init__(self, base: OrientedMatroid, label, signature: tuple,
+                 chi_ext: Chirotope):
+        self.__dict__.update(base=base, label=label, signature=signature,
+                             chi_ext=chi_ext,
+                             om_ext=OrientedMatroid(chi_ext, validate=False))
 
     def bounded_topes(self) -> frozenset:
         """Topes P of M such that (P, +) is bounded at q in M u q; q is the

@@ -41,10 +41,9 @@ is first in ground order (Orlik-Terao, Arrangements of Hyperplanes,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from ._memo import memo
+from ._record import Record
 from .chirotope import Chirotope, perm_parity_sign
 from .linalg import _exact
 from .matroid import UnderlyingMatroid
@@ -87,17 +86,18 @@ def _residue_key(key: tuple, a) -> tuple | None:
     return key[:j] + key[j + 1:], (-1) ** (len(key) - 1 - j)
 
 
-@dataclass
 class OSElement:
-    algebra: "OSAlgebra"
-    grade: int
-    # ascending atom-rep tuple -> nonzero int, or Fraction when not integral
-    terms: dict
+    """A mutable value: equal iff of the same algebra (by identity), grade
+    and terms, unhashable, and printed as its sum of terms."""
 
-    def __post_init__(self):
+    def __init__(self, algebra: "OSAlgebra", grade: int, terms: dict):
+        self.algebra = algebra
+        self.grade = grade
+        # ascending atom-rep tuple -> nonzero int, or Fraction when not
+        # integral
         self.terms = {k: v if type(v) is int or v.denominator != 1
                       else v.numerator
-                      for k, v in self.terms.items() if v}
+                      for k, v in terms.items() if v}
 
     @property
     def is_zero(self) -> bool:
@@ -370,13 +370,18 @@ class OSAlgebra:
         return x
 
 
-@dataclass
-class LinearMap:
-    """Exact map between graded pieces; columns = images of domain vectors."""
+class LinearMap(Record):
+    """Exact map between graded pieces; columns = images of domain vectors.
+    A mutable value: equal iff its three fields are, unhashable, printed as
+    `LinearMap(domain_basis=..., codomain_basis=..., matrix=...)`."""
 
-    domain_basis: list
-    codomain_basis: list
-    matrix: list
+    _fields = ("domain_basis", "codomain_basis", "matrix")
+
+    def __init__(self, domain_basis: list, codomain_basis: list,
+                 matrix: list):
+        self.domain_basis = domain_basis
+        self.codomain_basis = codomain_basis
+        self.matrix = matrix
 
     def rank(self) -> int:
         return len(linalg.greedy_independent(self.matrix))  # row rank

@@ -13,12 +13,12 @@ the triangulations of all the topes of one input read one table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from . import linalg
+from ._record import FrozenRecord
 from .chirotope import Chirotope, _bits, _earliest_mask
 from .linalg import _exact
 from .om import OrientedMatroid, is_acyclic
@@ -29,19 +29,21 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(FrozenRecord):
     """Entries are ints, Fractions or numeric strings, kept as Fractions;
-    a float is refused (TypeError), as it is not exact."""
+    a float is refused (TypeError), as it is not exact.  A frozen value:
+    equal iff labels and rows are equal, hashed by them, printed as
+    `RationalMatrix(labels=..., rows=...)`, and AttributeError on
+    assignment or deletion."""
 
-    labels: tuple
-    rows: tuple  # r rows, each a tuple of Fractions, one per label
+    _fields = ("labels", "rows")
 
-    def __post_init__(self):
-        rows = tuple(tuple(map(_exact, row)) for row in self.rows)
-        if any(len(row) != len(self.labels) for row in rows):
+    def __init__(self, labels: tuple, rows):
+        # r rows, each a tuple of Fractions, one per label
+        rows = tuple(tuple(map(_exact, row)) for row in rows)
+        if any(len(row) != len(labels) for row in rows):
             raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", rows)
+        self.__dict__.update(labels=labels, rows=rows)
 
     @classmethod
     def from_rows(cls, labels, rows) -> "RationalMatrix":

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .chirotope import Chirotope
 from .osalg import OSElement
 from .realization import RationalMatrix, chirotope_from_matrix
@@ -66,12 +66,18 @@ def sign_vector_from_str(ground: tuple, s: str) -> SignVector:
         raise InputError(f"bad sign character {exc.args[0]!r}") from None
 
 
-@dataclass
-class ParsedInput:
-    labels: tuple
-    rank: int
-    chi: Chirotope
-    matrix: RationalMatrix | None
+class ParsedInput(Record):
+    """A mutable value: equal iff its four fields are, unhashable, printed
+    as `ParsedInput(labels=..., rank=..., chi=..., matrix=...)`."""
+
+    _fields = ("labels", "rank", "chi", "matrix")
+
+    def __init__(self, labels: tuple, rank: int, chi: Chirotope,
+                 matrix: RationalMatrix | None):
+        self.labels = labels
+        self.rank = rank
+        self.chi = chi
+        self.matrix = matrix
 
 
 def parse_input(doc: dict) -> ParsedInput:

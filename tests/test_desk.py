@@ -31,14 +31,20 @@ def fake_fresh(answers: list, calls: list):
 def test_each_cell_prints_the_median_of_fresh_processes(monkeypatch,
                                                          capsys):
     assert desk.RUNS == 3
-    answers = [{"seconds": s, "exit": 0} for s in (0.5, 0.1, 0.3)] * 3
+    # each command's import medians: 0.040, 0.050 and 0.060 s
+    imports = (0.04, 0.01, 0.07, 0.05, 0.09, 0.02, 0.06, 0.06, 0.08)
+    answers = [{"seconds": s, "exit": 0, "import_s": i}
+               for s, i in zip((0.5, 0.1, 0.3) * 3, imports)]
     calls = []
     monkeypatch.setattr(desk, "fresh", fake_fresh(answers, calls))
     assert desk.main(["--commands", "8x4"]) == 0
     assert len(calls) == 9  # three runs of each of the three commands
     assert calls[0] == calls[2] == ("--one", "8x4", "--command", "basis")
-    line = capsys.readouterr().out.splitlines()[1]
-    assert line.split() == ["8", "x", "4", "0.300", "0.300", "0.300"]
+    header, line = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "x", "r", "import_s", "basis_s",
+                              "aomoto_s", "verify_s"]
+    assert line.split() == ["8", "x", "4", "0.050", "0.300", "0.300",
+                            "0.300"]
 
 
 def test_a_failed_run_fails_the_report(monkeypatch):

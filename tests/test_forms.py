@@ -921,12 +921,12 @@ def test_cold_sweep_builds_chirotopes_only_to_reorient(name, request,
     clear_caches()
     built = []
     depth = [0]
-    post_init = Chirotope.__post_init__
+    init = Chirotope.__init__
     top_form = forms._top_form.__wrapped__
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append((self, depth[0]))
-        post_init(self)
 
     def tracking_top_form(key):
         depth[0] += 1
@@ -935,7 +935,7 @@ def test_cold_sweep_builds_chirotopes_only_to_reorient(name, request,
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(Chirotope, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Chirotope, "__init__", counting_init)
     monkeypatch.setattr(forms, "_top_form",
                         lru_cache(maxsize=None)(tracking_top_form))
     for t in topes:

@@ -10,11 +10,14 @@ tope (`canonical_form_tope`), and the memo entries held after the forms
 (the sum of `omcanon._memo.cache_sizes()`).  With --commands it prints
 instead the seconds of `omcanon.cli.run` on that matrix, labelled 0..n-1,
 for `basis --grade r-1`, `aomoto --weights 2,3,...,n` and
-`verify --suite triangulation`, input validation and output included.
-Each size, and with --commands each command, runs in a fresh process, so
-no cache carries over from one to the next.  The report gates nothing; each
-figure is the wall-clock median of RUNS fresh processes, since single runs
-of one cell spread wider than most changes they would be read for.
+`verify --suite triangulation`, input validation and output included, and
+before them `import_s`, the seconds of `from omcanon.cli import run` that
+each of those processes paid first.  Each size, and with --commands each
+command, runs in a fresh process, so no cache carries over from one to the
+next.  The report gates nothing; each figure is the wall-clock median of
+RUNS fresh processes, since single runs of one cell spread wider than most
+changes they would be read for (`import_s` is the median of the three
+commands' medians).
 
     PYTHONPATH=src python tools/desk.py            # every default size
     PYTHONPATH=src python tools/desk.py 8x4 10x3   # chosen sizes
@@ -90,8 +93,10 @@ def command_argv(command: str, n: int, r: int, path: str) -> list:
 
 def measure_command(command: str, n: int, r: int) -> dict:
     """Seconds and exit code of one CLI command on the seeded matrix, in
-    this process."""
+    this process, and the seconds of importing the command line first."""
+    start = time.perf_counter()
     from omcanon.cli import run
+    import_s = time.perf_counter() - start
     doc = {"format": "matrix", "rank": r,
            "elements": [str(e) for e in range(n)],
            "matrix": [[str(x) for x in row] for row in matrix_rows(n, r)]}
@@ -103,7 +108,7 @@ def measure_command(command: str, n: int, r: int) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             code = run(command_argv(command, n, r, path))
         seconds = time.perf_counter() - start
-    return {"seconds": seconds, "exit": code}
+    return {"seconds": seconds, "exit": code, "import_s": import_s}
 
 
 def fresh(*argv) -> dict | None:
@@ -149,20 +154,23 @@ def report_forms(sizes) -> int:
 def report_commands(sizes) -> int:
     """One line per size; a command that exits nonzero shows its code and
     makes the report exit 1."""
-    print(f"{'n x r':>7}" + "".join(f" {c + '_s':>12}" for c in COMMANDS))
+    print(f"{'n x r':>7} {'import_s':>9}"
+          + "".join(f" {c + '_s':>12}" for c in COMMANDS))
     failed = False
     for n, r in sizes:
-        cells = []
+        cells, imports = [], []
         for command in COMMANDS:
             row = fresh_median("--one", f"{n}x{r}", "--command", command)
             if row is None:
                 return 1
+            imports.append(row["import_s"])
             cell = f"{row['seconds']:.3f}"
             if row["exit"]:
                 cell += f" (exit {row['exit']})"
                 failed = True
             cells.append(f" {cell:>12}")
-        print(f"{n:>3} x {r}" + "".join(cells))
+        print(f"{n:>3} x {r} {statistics.median(imports):>9.3f}"
+              + "".join(cells))
     return 1 if failed else 0
 
 
