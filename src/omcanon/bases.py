@@ -12,7 +12,7 @@ from .chirotope import _earliest_basis, _mask
 from .forms import algebra_of, canonical_form_tope
 from .om import Extension, OrientedMatroid
 from .osalg import OSAlgebra, OSElement, _coeff
-from .signvec import SignVector, ground_positions
+from .signvec import SignVector, _position, ground_positions
 
 
 def perturbation_signature(om: OrientedMatroid, base=None) -> tuple:
@@ -261,7 +261,9 @@ def aomoto(om: OrientedMatroid, weights: dict, base=None) -> AomotoReport:
 def _weight_form(alg: OSAlgebra, weights: dict, base) -> OSElement:
     """omega = sum_e weights[e] (e_e - e_base); the weights must cover
     exactly the elements other than base."""
-    expected_keys = {e for e in alg.matroid.ground if e != base}
+    ground = alg.matroid.ground
+    _position(ground_positions(ground), base)  # refuses an unknown base
+    expected_keys = {e for e in ground if e != base}
     if set(weights) != expected_keys:
         raise ValueError(f"weights must cover exactly {sorted(map(str, expected_keys))}")
     weights = {e: _coeff(lam) for e, lam in weights.items()}
@@ -298,6 +300,7 @@ def sample_weight_vectors(om: OrientedMatroid, base=None, seed: int = 0,
                           count: int = 5) -> list:
     """Seeded rational weight candidates for genericity hunting."""
     base = om.ground[0] if base is None else base
+    _position(ground_positions(om.ground), base)  # refuses an unknown base
     rng = random.Random(seed)
     out = []
     for _ in range(count):

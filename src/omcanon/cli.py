@@ -18,7 +18,6 @@ import time
 
 from . import bases as bases_mod
 from . import serialize as ser
-from .chirotope import InvalidChirotope
 from .forms import (_triangulation_sum, algebra_of, canonical_form_tope,
                     check_residue_axioms, nonreduced_canonical_form)
 from .om import NotATope, OrientedMatroid
@@ -57,8 +56,8 @@ def cmd_info(args, parsed, om) -> dict:
     m = om.underlying
     return {
         "rank": om.rank,
-        "elements": list(parsed.labels),
-        "atoms": [sorted(a, key=parsed.labels.index) for a in m.atoms],
+        "elements": list(om.ground),
+        "atoms": [sorted(a, key=om.ground.index) for a in m.atoms],
         "n_circuits": len(om.circuits),
         "n_cocircuits": len(om.cocircuits),
         "n_topes": len(om.topes),
@@ -70,17 +69,16 @@ def cmd_info(args, parsed, om) -> dict:
 
 
 def cmd_canonical(args, parsed, om) -> dict:
-    tope = ser.sign_vector_from_str(parsed.labels, args.tope)
-    if not om.is_tope(tope):
+    tope = ser.sign_vector_from_str(om.ground, args.tope)
+    form = nonreduced_canonical_form if args.nonreduced else canonical_form_tope
+    try:
+        element = form(om, tope)
+    except NotATope:
         nearest = sorted(om.topes, key=lambda t: (
             ((t.plus ^ tope.plus) | (t.minus ^ tope.minus)).bit_count(),
             t.sort_key()))
         names = ", ".join(ser.sign_vector_to_str(t) for t in nearest[:3])
-        raise ser.InputError(f"not a tope; nearest topes: {names}")
-    if args.nonreduced:
-        element = nonreduced_canonical_form(om, tope)
-    else:
-        element = canonical_form_tope(om, tope)
+        raise ser.InputError(f"not a tope; nearest topes: {names}") from None
     return ser.oselement_to_document(element)
 
 
@@ -98,10 +96,10 @@ def cmd_basis(args, parsed, om) -> dict:
 
 
 def cmd_aomoto(args, parsed, om) -> dict:
-    base = args.base if args.base is not None else parsed.labels[0]
-    if base not in parsed.labels:
+    base = args.base if args.base is not None else om.ground[0]
+    if base not in om.ground:
         raise ser.InputError(f"unknown base element {base!r}")
-    rest = [e for e in parsed.labels if e != base]
+    rest = [e for e in om.ground if e != base]
     parts = [p.strip() for p in args.weights.split(",")]
     if len(parts) != len(rest):
         raise ser.InputError(
@@ -169,9 +167,9 @@ def _suite_triangulation(parsed, om, seed, checks):
     topes = [t for t in om.sorted_topes()
              if t not in seen and not seen.update((t, -t))]
     rng = random.Random(seed)
-    orders = [list(parsed.labels)]
+    orders = [list(om.ground)]
     for _ in range(4):
-        orders.append(list(parsed.labels))
+        orders.append(list(om.ground))
         rng.shuffle(orders[-1])
 
     # a tope's reorientation is acyclic (its all-plus vector is a tope),
@@ -208,7 +206,7 @@ def _suite_bases(parsed, om, seed, checks):
 
 def _suite_aomoto(parsed, om, seed, checks):
     def run():
-        base = parsed.labels[0]
+        base = om.ground[0]
         for weights in bases_mod.sample_weight_vectors(om, base, seed=seed):
             report = bases_mod.aomoto(om, weights, base=base)
             n0, beta = len(report.bounded_topes), report.beta
@@ -287,7 +285,7 @@ def run(argv=None) -> int:
     try:
         parsed, om = _load(args.input)
         doc = args.fn(args, parsed, om)
-    except (ser.InputError, InvalidChirotope, NotATope, ValueError) as exc:
+    except ValueError as exc:  # InputError, InvalidChirotope, NotATope too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(ser.dumps_canonical(doc))

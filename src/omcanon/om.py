@@ -110,8 +110,7 @@ class OrientedMatroid:
 
     def is_tope(self, x: SignVector) -> bool:
         """Full-support covector test by conformal cocircuit composition."""
-        return (x.ground == self.ground and x.has_full_support
-                and self.is_covector(x))
+        return x.has_full_support and self.is_covector(x)
 
     def require_tope(self, x: SignVector) -> SignVector:
         if not self.is_tope(x):
@@ -163,9 +162,7 @@ class OrientedMatroid:
 
     def bounded_topes(self, base) -> frozenset:
         """Topes all of whose nonzero faces are strictly positive at base."""
-        if base not in self.ground:
-            raise ValueError(f"unknown element {base!r}")
-        bit = 1 << ground_positions(self.ground)[base]
+        bit = 1 << _position(ground_positions(self.ground), base)
         return frozenset(t for t in self.topes
                          if self._composes(t.plus, t.minus, bit))
 

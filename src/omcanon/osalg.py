@@ -1,7 +1,8 @@
 """Orlik-Solomon algebra over exact rationals in NBC coordinates.
 
 A coefficient is an int when it is integral and a `fractions.Fraction`
-only when it is not; `_coeff` is the one gate every coefficient passes.
+only when it is not; `_coeff` is the one gate every coefficient passes,
+an `OSElement`'s own terms included: it refuses a float with TypeError.
 Every straightening relation has coefficients +-1 and canonical forms are
 integral, so canonical forms and their boundaries and residues run on
 Python ints; only weighted forms such as Aomoto's carry Fractions.
@@ -41,6 +42,8 @@ is first in ground order (Orlik-Terao, Arrangements of Hyperplanes,
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import linalg
 from ._memo import memo
 from ._record import Record
@@ -68,11 +71,12 @@ def _algebra(ground: tuple, rank: int, support: int) -> "OSAlgebra":
 
 
 def _coeff(c):
-    """c as a coefficient: c itself when it is an int, else an int when it
-    is integral and a Fraction when not.  A float is refused by `_exact`."""
+    """c as a coefficient: an int when it is integral and a Fraction when
+    not.  A value that is neither passes `_exact`, which refuses a float."""
     if type(c) is int:
         return c
-    c = _exact(c)
+    if type(c) is not Fraction:
+        c = _exact(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -94,10 +98,9 @@ class OSElement:
         self.algebra = algebra
         self.grade = grade
         # ascending atom-rep tuple -> nonzero int, or Fraction when not
-        # integral
-        self.terms = {k: v if type(v) is int or v.denominator != 1
-                      else v.numerator
-                      for k, v in terms.items() if v}
+        # integral; every other value passes `_coeff`
+        self.terms = {k: c for k, v in terms.items()
+                      if (c := v if type(v) is int else _coeff(v))}
 
     @property
     def is_zero(self) -> bool:
@@ -185,7 +188,7 @@ class OSAlgebra:
         for key in terms:
             if key not in self._nbc_pos.get(grade, {}):
                 raise ValueError(f"{key} is not an NBC set of grade {grade}")
-        return OSElement(self, grade, {k: _coeff(v) for k, v in terms.items()})
+        return OSElement(self, grade, terms)
 
     def monomial(self, seq, coeff=1) -> OSElement:
         """e_seq straightened into NBC coordinates; seq lists ground elements."""

@@ -67,15 +67,12 @@ def sign_vector_from_str(ground: tuple, s: str) -> SignVector:
 
 
 class ParsedInput(Record):
-    """A mutable value: equal iff its four fields are, unhashable, printed
-    as `ParsedInput(labels=..., rank=..., chi=..., matrix=...)`."""
+    """chi, and the matrix of a matrix input.  A mutable value: equal iff
+    both are, unhashable, printed as `ParsedInput(chi=..., matrix=...)`."""
 
-    _fields = ("labels", "rank", "chi", "matrix")
+    _fields = ("chi", "matrix")
 
-    def __init__(self, labels: tuple, rank: int, chi: Chirotope,
-                 matrix: RationalMatrix | None):
-        self.labels = labels
-        self.rank = rank
+    def __init__(self, chi: Chirotope, matrix: RationalMatrix | None):
         self.chi = chi
         self.matrix = matrix
 
@@ -120,7 +117,7 @@ def parse_input(doc: dict) -> ParsedInput:
             chi = chirotope_from_matrix(mat)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        return ParsedInput(labels, mat.nrows, chi, mat)
+        return ParsedInput(chi, mat)
 
     rank = doc.get("rank")
     if not _is_int(rank) or rank < 1:
@@ -146,7 +143,7 @@ def parse_input(doc: dict) -> ParsedInput:
         values[parts] = CHAR_SIGNS[str(raw_sign)]
     # missing keys default to 0; validation reports loops/axiom failures
     chi = Chirotope.from_map(labels, rank, values)
-    return ParsedInput(labels, rank, chi, None)
+    return ParsedInput(chi, None)
 
 
 def oselement_to_document(x: OSElement) -> dict:

@@ -173,6 +173,25 @@ def test_canonical_not_a_tope_diagnostic(capsys, pentagon_path, tope, nearest):
         ",".join("+0-"[1 - s] for s in t.signs) for t in ranked[:3])
 
 
+@pytest.mark.parametrize("flags", [[], ["--nonreduced"]])
+@pytest.mark.parametrize("tope, expected", [("+,+,-,-", 0), ("+,-,+,-", 2)])
+def test_canonical_checks_the_tope_once(capsys, monkeypatch, line4_path,
+                                        flags, tope, expected):
+    """`canonical` asks whether its vector is a tope once, in the form's own
+    `require_tope`: one `_composes` call, for a tope and for a non-tope."""
+    calls = []
+    composes = omcanon.OrientedMatroid._composes
+
+    def counting(self, *args):
+        calls.append(args)
+        return composes(self, *args)
+    monkeypatch.setattr(omcanon.OrientedMatroid, "_composes", counting)
+    code, _, _ = invoke(capsys, "canonical", "--input", line4_path,
+                        "--tope", tope, *flags)
+    assert code == expected
+    assert len(calls) == 1
+
+
 def test_basis_line4(capsys, line4_path):
     code, out, _ = invoke(capsys, "basis", "--input", line4_path,
                           "--grade", "1")
@@ -482,21 +501,22 @@ def test_element_labelled_q(capsys):
 
 def input_to_document(parsed: ser.ParsedInput) -> dict:
     """The input document of a parsed input, in canonical form."""
+    chi = parsed.chi
     if parsed.matrix is not None:
         return {
             "format": "matrix",
-            "rank": parsed.rank,
-            "elements": list(parsed.labels),
+            "rank": chi.rank,
+            "elements": list(chi.ground),
             "matrix": [[ser.rational_to_str(x) for x in row]
                        for row in parsed.matrix.rows],
         }
     table = {}
-    for key in combinations(parsed.labels, parsed.rank):
-        table[",".join(key)] = ser.SIGN_CHARS[parsed.chi.value(key)]
+    for key in combinations(chi.ground, chi.rank):
+        table[",".join(key)] = ser.SIGN_CHARS[chi.value(key)]
     return {
         "format": "chirotope",
-        "rank": parsed.rank,
-        "elements": list(parsed.labels),
+        "rank": chi.rank,
+        "elements": list(chi.ground),
         "chirotope": table,
     }
 

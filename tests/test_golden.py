@@ -58,7 +58,7 @@ def outputs(name: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         parsed = ser.parse_input(json.load(fh))
     om = OrientedMatroid(parsed.chi, validate=False)
-    rest = parsed.labels[1:]
+    rest = parsed.chi.ground[1:]
     weights = ",".join(f"{k + 1}/{k + 3}" for k in range(len(rest)))
     commands = [["info"]]
     for tope in om.sorted_topes():

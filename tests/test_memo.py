@@ -74,7 +74,7 @@ def _stream() -> list:
         om = OrientedMatroid(parsed.chi, validate=False)
         tope = ser.sign_vector_to_str(om.sorted_topes()[0])
         weights = ",".join(f"{k + 1}/{k + 3}"
-                           for k in range(len(parsed.labels) - 1))
+                           for k in range(len(parsed.chi.ground) - 1))
         commands += [["canonical", "--input", path, f"--tope={tope}"],
                      ["basis", "--input", path, "--grade", "1"],
                      ["aomoto", "--input", path, f"--weights={weights}"],

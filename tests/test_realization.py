@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -9,10 +11,12 @@ from omcanon import (Chirotope, OrientedMatroid, RationalMatrix, SignVector,
                      acyclicity_witness, canonical_form_from_triangulation,
                      canonical_form_tope, chamber_of, check_residue_axioms,
                      chirotope_from_matrix, interior_point,
-                     placing_triangulation)
+                     nonreduced_canonical_form, placing_triangulation)
 from omcanon import chirotope as chirotope_module
 from omcanon import om as om_module
+from omcanon.forms import _triangulation_sum
 from omcanon.realization import _insertion, _place, _placing
+from omcanon.serialize import parse_input
 from omcanon.signvec import _labels, ground_positions
 
 import fraction_linalg
@@ -445,6 +449,29 @@ def test_place_under_reorientation_matches_label_walk(name, request):
             if isinstance(got, list):
                 got = [_labels(om.ground, b) for b in got]
             assert got == outcome(label_walk.placing, flip, order)
+
+
+@pytest.mark.parametrize("name", ["nonpappus", "nonpappus_ext10"])
+def test_placing_sums_match_the_recursion_without_a_matrix(name):
+    """On the non-realizable chirotope inputs, which have no matrix, the
+    placing sum of every tope under three seeded insertion orders equals
+    its non-reduced form from the residue recursion: placing reads only
+    the chirotope, and every acyclic oriented matroid has placing
+    triangulations (Santos, Mem. AMS 741, 2002)."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        parsed = parse_input(json.load(fh))
+    assert parsed.matrix is None
+    om = OrientedMatroid(parsed.chi)
+    orders = []
+    for seed in range(3):
+        orders.append(list(om.ground))
+        random.Random(seed).shuffle(orders[-1])
+    for t in om.sorted_topes():
+        expected = nonreduced_canonical_form(om, t)
+        for order in orders:
+            tri = _place(om.chi, *_insertion(om.chi, order), t.minus)
+            assert _triangulation_sum(om.chi, tri, t.minus) == expected
 
 
 def test_placing_reads_each_circuit_once(pentagon, monkeypatch):

@@ -86,8 +86,7 @@ def arguments(name: str) -> tuple:
              {"0": 2}),
             (1, 1, True, True, True, [], [], {"0": 2})),
         "ParsedInput": (
-            (chi.ground, 2, chi, None), (chi2.ground, 2, chi2, None),
-            (chi.ground, 2, chi, matrix)),
+            (chi, None), (chi2, None), (chi, matrix)),
     }[name]
 
 

@@ -114,7 +114,5 @@ class AomotoReport:
 
 @dataclass
 class ParsedInput:
-    labels: tuple
-    rank: int
     chi: object
     matrix: object
