@@ -46,7 +46,7 @@ for t in sorted(om.bounded_topes(0), key=SignVector.sort_key):
 ext = bounded_extension(om, 0)
 print(f"\na general perturbation of element 0: signature {ext.signature}")
 print("topes bounded for the perturbation (their forms are a basis):")
-for tope, form in tq_basis(om, ext):
+for tope, form in tq_basis(ext):
     print(f"  {tope}  ->  {form}")
 
 print("\nweighted cohomology in top degree (weights on elements 1,2,3):")

@@ -48,7 +48,7 @@ for i in range(2):
 
 print("\nsimplex expansion identity on one basis:")
 ext = bounded_extension(om, 0)
-result = simplex_identity_check(om, ext, (0, 1, 2))
+result = simplex_identity_check(ext, (0, 1, 2))
 print(f"  basis (0,1,2): both sides equal -> {result['passed']}; "
       f"{len(result['topes'])} topes contribute")
 

@@ -56,19 +56,20 @@ def bounded_extension(om: OrientedMatroid, base=None) -> Extension:
     return ext
 
 
-def tq_basis(om: OrientedMatroid, ext: Extension) -> list:
-    """[(tope, form)] over the extension-bounded topes, checked to be a
-    basis: level 1 of the one-stage flag (om, ext)."""
-    return graded_basis(Flag((FlagStage(om, ext),)), 1)
+def tq_basis(ext: Extension) -> list:
+    """[(tope, form)] over the topes of ext.base bounded at q, checked to
+    be a basis: level 1 of the one-stage flag (ext)."""
+    return graded_basis(Flag((FlagStage(ext),)), 1)
 
 
-def simplex_identity_check(om: OrientedMatroid, ext: Extension, basis) -> dict:
-    """Both sides of the simplex expansion over a basis B.
+def simplex_identity_check(ext: Extension, basis) -> dict:
+    """Both sides of the simplex expansion over a basis B of ext.base.
 
     Left: (-1)^(|C^-|-1) chi(B) d e_B for the fundamental circuit C of
     B u q.  Right: the sum of the canonical forms of the topes agreeing
     with C on B.  Returns {"passed": bool, "lhs": ..., "rhs": ...}.
     """
+    om = ext.base
     alg = algebra_of(om)
     circuit = ext.fundamental_circuit(basis)  # rejects unknown labels
     pos = ground_positions(om.ground)
@@ -87,14 +88,17 @@ def simplex_identity_check(om: OrientedMatroid, ext: Extension, basis) -> dict:
 
 
 class FlagStage(FrozenRecord):
-    """A frozen value: equal iff om (by identity) and ext are equal, hashed
-    by them, printed as `FlagStage(om=..., ext=...)`, and AttributeError on
-    assignment or deletion."""
+    """A frozen value over ext alone: equal iff ext is, hashed by it, printed
+    as `FlagStage(ext=...)`, AttributeError on assignment or deletion."""
 
-    _fields = ("om", "ext")
+    _fields = ("ext",)
 
-    def __init__(self, om: OrientedMatroid, ext: Extension):
-        self.__dict__.update(om=om, ext=ext)
+    def __init__(self, ext: Extension):
+        self.__dict__.update(ext=ext)
+
+    @property
+    def om(self) -> OrientedMatroid:
+        return self.ext.base
 
 
 class Flag(FrozenRecord):
@@ -125,7 +129,7 @@ def build_flag(om: OrientedMatroid) -> Flag:
     current = om
     for _ in range(om.rank):
         ext = _perturbation(current)
-        stages.append(FlagStage(current, ext))
+        stages.append(FlagStage(ext))
         if current.rank > 1:
             nxt = ext.om_ext.contract(ext.label)
             if nxt.ground != current.ground:

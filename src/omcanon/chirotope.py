@@ -182,8 +182,9 @@ class Chirotope(FrozenRecord):
     @cached_property
     def _circuit_table(self) -> dict:
         """{(r+1)-mask s: the (plus, minus) masks of `_circuit` in s}, over
-        every (r+1)-subset of positions: the one place circuits are read
-        by (r+1)-set."""
+        every (r+1)-subset of positions, read by `OrientedMatroid.circuits`
+        and the placing triangulation.  `Extension.fundamental_circuit` and
+        `UnderlyingMatroid.atom_circuits` call `_circuit` directly."""
         n, r = len(self.ground), self.rank
         index = _mask_index(n, r)
         return {s: _circuit(self.signs, index, s)

@@ -100,7 +100,8 @@ def cmd_aomoto(args, parsed, om) -> dict:
     if base not in om.ground:
         raise ser.InputError(f"unknown base element {base!r}")
     rest = [e for e in om.ground if e != base]
-    parts = [p.strip() for p in args.weights.split(",")]
+    text = args.weights.strip()  # blank is no weights, not one blank one
+    parts = [p.strip() for p in text.split(",")] if text else []
     if len(parts) != len(rest):
         raise ser.InputError(
             f"expected {len(rest)} weights for elements {rest}")
@@ -151,7 +152,7 @@ def _suite_simplex(parsed, om, seed, checks):
     def run():
         ext = bases_mod.bounded_extension(om)
         for basis in om.chi.nonzero_keys:
-            result = bases_mod.simplex_identity_check(om, ext, basis)
+            result = bases_mod.simplex_identity_check(ext, basis)
             if not result["passed"]:
                 raise AssertionError(f"basis {basis} fails")
         return f"{len(om.chi.nonzero_keys)} bases checked"

@@ -127,7 +127,7 @@ def test_criterion_5_basis_and_dimensions(line4, pentagon, pentagon_inf,
     for om in oms:
         alg = algebra_of(om)
         ext = bounded_extension(om)
-        tq_basis(om, ext)  # raises unless exact full rank
+        tq_basis(ext)  # raises unless exact full rank
         flag = build_flag(om)
         for k in range(1, om.rank + 1):
             pairs = graded_basis(flag, k)  # raises unless exact full rank
@@ -145,7 +145,7 @@ def test_criterion_6_simplex_identity_exhaustive(line4, pentagon):
     for om, base in ((line4, 0), (pentagon, 1)):
         ext = bounded_extension(om, base)
         for basis in om.chi.nonzero_keys:
-            assert simplex_identity_check(om, ext, basis)["passed"]
+            assert simplex_identity_check(ext, basis)["passed"]
             count += 1
     report(6, f"simplex expansion identity on all {count} bases of both "
               "golden fixtures")

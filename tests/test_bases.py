@@ -1,3 +1,5 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,18 @@ from omcanon import (nonreduced_from_triangulation, placing_triangulation,
 from omcanon import linalg
 from omcanon.bases import _wedge_columns, _weight_form
 from omcanon.osalg import OSElement
+from omcanon.serialize import parse_input
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+DATA_FILES = sorted(
+    os.path.join(ROOT, folder, "data", f) for folder in ("demos", "tests")
+    for f in os.listdir(os.path.join(ROOT, folder, "data"))
+    if f.endswith(".json"))
+
+
+def data_om(path: str) -> OrientedMatroid:
+    with open(path, encoding="utf-8") as fh:
+        return OrientedMatroid(parse_input(json.load(fh)).chi)
 
 
 def test_perturbation_signature_default(line4):
@@ -44,13 +58,13 @@ def test_signatures_reject_unknown_base(line4):
 def test_simplex_identity_rejects_unknown_label(line4):
     ext = bounded_extension(line4)
     with pytest.raises(ValueError, match="^unknown element label 9$"):
-        simplex_identity_check(line4, ext, (0, 9))
+        simplex_identity_check(ext, (0, 9))
 
 
 def test_tq_basis_line4(line4):
     alg = algebra_of(line4)
     ext = bounded_extension(line4, 0)
-    pairs = tq_basis(line4, ext)
+    pairs = tq_basis(ext)
     forms = {repr(f) for _, f in pairs}
     e = lambda i: alg.monomial((i,))
     assert forms == {repr(e(1) - e(0)), repr(e(2) - e(1)), repr(e(3) - e(2))}
@@ -58,16 +72,39 @@ def test_tq_basis_line4(line4):
 
 def test_tq_basis_pentagon_rank(pentagon):
     ext = bounded_extension(pentagon, 1)
-    pairs = tq_basis(pentagon, ext)
+    pairs = tq_basis(ext)
     assert len(pairs) == algebra_of(pentagon).reduced_dim(2) == 6
 
 
 def test_tq_basis_rank1():
     om = rank1_om((1,))
     ext = bounded_extension(om, 0)
-    pairs = tq_basis(om, ext)
+    pairs = tq_basis(ext)
     assert len(pairs) == 1
     assert abs(next(iter(pairs[0][1].terms.values()))) == 1
+
+
+def test_tq_basis_reads_the_extensions_own_oriented_matroid():
+    """An extension of line4 reoriented by its fourth sorted tope gives the
+    reorientation's 3 bounded-tope forms, two of them on topes that line4
+    does not have: the extension is the one source of the stage's oriented
+    matroid, so no second one can disagree with it."""
+    line4 = data_om(os.path.join(ROOT, "demos", "data", "line4.json"))
+    other = OrientedMatroid(line4.chi.reorient(line4.sorted_topes()[3]))
+    ext = bounded_extension(other)
+    pairs = tq_basis(ext)
+    topes = sorted(ext.bounded_topes(), key=SignVector.sort_key)
+    assert pairs == [(t, canonical_form_tope(other, t)) for t in topes]
+    assert [line4.is_tope(t) for t in topes] == [False, False, True]
+
+
+@pytest.mark.parametrize("case", SEEDED_CASES + DATA_FILES,
+                         ids=os.path.basename)
+def test_tq_basis_is_level_one_of_the_flag(case, request):
+    """The one-stage flag of `bounded_extension` and level 1 of
+    `build_flag` give the same topes and forms, in the same order."""
+    om = data_om(case) if case in DATA_FILES else named_om(case, request)
+    assert tq_basis(bounded_extension(om)) == graded_basis(build_flag(om), 1)
 
 
 def test_simplex_identity_line4_instance(line4):
@@ -75,7 +112,7 @@ def test_simplex_identity_line4_instance(line4):
     alg = algebra_of(line4)
     ext = bounded_extension(line4, 0)
     e = lambda i: alg.monomial((i,))
-    result = simplex_identity_check(line4, ext, (0, 2))
+    result = simplex_identity_check(ext, (0, 2))
     assert result["passed"]
     assert result["lhs"] == e(2) - e(0)
     assert len(result["topes"]) == 2
@@ -85,13 +122,13 @@ def test_simplex_identity_exhaustive(line4, pentagon):
     for om, base in ((line4, 0), (pentagon, 1)):
         ext = bounded_extension(om, base)
         for basis in om.chi.nonzero_keys:
-            assert simplex_identity_check(om, ext, basis)["passed"], basis
+            assert simplex_identity_check(ext, basis)["passed"], basis
 
 
 def test_simplex_identity_boolean():
     om = boolean_om(2)
     ext = bounded_extension(om, 0)
-    result = simplex_identity_check(om, ext, (0, 1))
+    result = simplex_identity_check(ext, (0, 1))
     assert result["passed"]
     assert len(result["topes"]) == 1  # the unique bounded tope of a simplex
 
@@ -116,7 +153,7 @@ def test_simplex_identity_builds_no_oriented_matroid(name, request,
     monkeypatch.setattr(OrientedMatroid, "__init__", counting_init)
     for key in om.chi.nonzero_keys:
         for basis in (key, key[::-1]):
-            result = simplex_identity_check(om, ext, basis)
+            result = simplex_identity_check(ext, basis)
             circuit = ext.fundamental_circuit(basis)
             assert result["passed"], basis
             assert result["topes"] == [
@@ -492,5 +529,5 @@ def test_library_sums_add_no_elements(pentagon, pentagon_matrix, monkeypatch):
     aomoto(pentagon, sample_weight_vectors(pentagon, 1)[0], base=1)
     ext = bounded_extension(pentagon)
     for basis in pentagon.chi.nonzero_keys:
-        simplex_identity_check(pentagon, ext, basis)
+        simplex_identity_check(ext, basis)
     assert calls == []

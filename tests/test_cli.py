@@ -231,6 +231,28 @@ def test_aomoto_bad_weights(capsys, line4_path):
     assert code == 2 and "weights" in err
 
 
+def test_aomoto_one_element_takes_blank_weights(capsys, tmp_path):
+    """With one element there is nothing to weigh: a blank --weights is the
+    empty weight list, and the document is the library's report."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"format": "chirotope", "rank": 1,
+                                "elements": ["a"], "chirotope": {"a": "+"}}))
+    code, out, err = invoke(capsys, "aomoto", "--input", str(path),
+                            "--weights", "")
+    assert (code, err) == (0, "")
+    om = omcanon.OrientedMatroid(omcanon.Chirotope(("a",), 1, (1,)))
+    report = omcanon.aomoto(om, {})
+    assert json.loads(out) == {
+        "dim_H": report.dim_h, "beta": report.beta,
+        "dim_matches_beta": report.dim_matches_beta,
+        "v_spans": report.v_spans, "is_generic": report.is_generic,
+        "bounded_topes": [ser.sign_vector_to_str(t)
+                          for t in report.bounded_topes],
+        "basis_images": [ser.oselement_to_document(f)
+                         for f in report.basis_forms]}
+    assert (report.dim_h, report.is_generic) == (1, True)
+
+
 @pytest.mark.parametrize("weight", ["1.5", "1e5", "1e100000000", "0x1", "",
                                     "1/0", "- 1", "1/-2"])
 def test_aomoto_rejects_non_rational_weights(capsys, line4_path, weight):

@@ -1,11 +1,13 @@
-"""Golden CLI outputs on the demo inputs, and the public names.
+"""Golden CLI outputs on the demo inputs, pinned demo stdout, and the
+public names.
 
 The stdout of `info`, `canonical` (reduced and --nonreduced, every tope),
 `basis` (every grade), `aomoto` and `verify` on each `demos/data/*.json`
 and each `tests/data/*.json` (the non-realizable, rank-1 and `q`-labelled
 inputs) must match `tests/golden/<input>.json` byte for byte; `verify`'s
-timing fields are dropped first.  Regenerate the files (only when an
-output is meant to change) with
+timing fields are dropped first.  The stdout of each `demos/<demo>.py`,
+run with `-W error`, must match `tests/golden/<demo>.txt`.  Regenerate
+both kinds of file (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +18,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -35,6 +38,10 @@ PATHS.update((name, os.path.join(TEST_DATA, name + ".json"))
              for name in ("line4_q", "nonpappus", "nonpappus_ext10",
                           "rank1_chirotope", "rank1_matrix"))
 INPUTS = sorted(PATHS)
+DEMOS = os.path.join(HERE, os.pardir, "demos")
+DEMO_NAMES = sorted(f[:-len(".py")] for f in os.listdir(DEMOS)
+                    if f.endswith(".py"))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(omcanon.__file__)))
 
 
 def _stdout(argv: list) -> str:
@@ -88,6 +95,25 @@ def test_cli_outputs_match_golden(name):
         assert text == want[cmd], f"{name}: {cmd}"
 
 
+def demo_stdout(name: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", os.path.join(DEMOS, name + ".py")],
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "utf-8"},
+        capture_output=True, encoding="utf-8")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _demo_pin(name: str) -> str:
+    return os.path.join(GOLDEN, name + ".txt")
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_demo_stdout_matches_pin(name):
+    with open(_demo_pin(name), encoding="utf-8") as fh:
+        assert demo_stdout(name) == fh.read()
+
+
 PUBLIC_NAMES = [
     "AomotoReport", "Chirotope", "Extension", "Flag", "FlagStage",
     "InvalidChirotope", "LinearMap", "NotATope", "OSAlgebra", "OSElement",
@@ -120,3 +146,7 @@ if __name__ == "__main__":
             json.dump(outputs(name), fh, indent=1)
             fh.write("\n")
         print(f"wrote {_golden_path(name)}", file=sys.stderr)
+    for name in DEMO_NAMES:
+        with open(_demo_pin(name), "w", encoding="utf-8") as fh:
+            fh.write(demo_stdout(name))
+        print(f"wrote {_demo_pin(name)}", file=sys.stderr)

@@ -523,7 +523,7 @@ def test_tope_queries_call_no_conforms_to(pentagon_inf, monkeypatch):
                 & set(om.atom_reps))
         assert all(check_residue_axioms(om, t).values())
     assert om.bounded_topes(om.ground[0]) <= ext.bounded_topes()
-    assert simplex_identity_check(om, ext, om.chi.nonzero_keys[0])["passed"]
+    assert simplex_identity_check(ext, om.chi.nonzero_keys[0])["passed"]
 
 
 def test_nonpappus_fixture(nonpappus):

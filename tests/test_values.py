@@ -52,7 +52,8 @@ def arguments(name: str) -> tuple:
     ext2 = om.Extension(line, ext.label, tuple(list(ext.signature)),
                         chirotope.Chirotope(chi_ext.ground, chi_ext.rank,
                                             tuple(list(chi_ext.signs))))
-    stage, stage2 = bases.FlagStage(line, ext), bases.FlagStage(line, ext2)
+    ext3 = om.Extension(line, "r", ext.signature, ext.chi_ext)
+    stage, stage2 = bases.FlagStage(ext), bases.FlagStage(ext2)
     alg = algebra_of(line)
     k0, k1, k2 = alg.nbc[1][:3]
     matrix = realization.RationalMatrix(("a", "b"), ((1, 2), (0, 3)))
@@ -76,8 +77,7 @@ def arguments(name: str) -> tuple:
             (("a", "b"), ((1, "1/2"), (0, 3))),
             (("a", "b"), [[Fraction(1), Fraction(1, 2)], ["0", 3]]),
             (("a", "b"), ((1, 2), (0, 3)))),
-        "FlagStage": (
-            (line, ext), (line, ext2), (om.OrientedMatroid(chi), ext)),
+        "FlagStage": ((ext,), (ext2,), (ext3,)),
         "Flag": (((stage,),), ((stage2,),), ((),)),
         "AomotoReport": (
             (0, 1, False, True, True, [line.sorted_topes()[0]], [],

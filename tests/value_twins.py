@@ -1,9 +1,11 @@
 """The library's nine record classes as `@dataclass` declarations: the same
 fields, flags and `__post_init__` hooks they were declared with before
 they defined their own equality, hash and repr, plus `OSElement`'s own
-`__eq__` and `__repr__`.  `test_values.py` checks that each class agrees
-with its twin here.  The names match the library's, so the dataclass repr
-prints the same class name, and pickle finds each twin in this module."""
+`__eq__` and `__repr__`; `FlagStage` holds `ext` alone and reads `om` as a
+property, here as in the library.  `test_values.py` checks that each class
+agrees with its twin here.  The names match the library's, so the dataclass
+repr prints the same class name, and pickle finds each twin in this
+module."""
 
 from __future__ import annotations
 
@@ -91,8 +93,11 @@ class RationalMatrix:
 
 @dataclass(frozen=True)
 class FlagStage:
-    om: OrientedMatroid
     ext: object
+
+    @property
+    def om(self) -> OrientedMatroid:
+        return self.ext.base
 
 
 @dataclass(frozen=True)
