@@ -19,7 +19,7 @@ def perturbation_signature(om: OrientedMatroid, base=None) -> tuple:
     """(base, +) then the lexicographically smallest basis completion, signed -.
 
     Realizes a general perturbation of the base element on every input:
-    see `bounded_extension` and `build_flag` for why its extension keeps
+    see `bounded_extension` and `Flag` for why its extension keeps
     the 0-bounded topes bounded and is always general.
     """
     base = om.ground[0] if base is None else base
@@ -58,8 +58,8 @@ def bounded_extension(om: OrientedMatroid, base=None) -> Extension:
 
 def tq_basis(ext: Extension) -> list:
     """[(tope, form)] over the topes of ext.base bounded at q, checked to
-    be a basis: level 1 of the one-stage flag (ext)."""
-    return graded_basis(Flag((FlagStage(ext),)), 1)
+    be a basis: `graded_basis`'s level 1, on ext alone."""
+    return _bounded_basis(ext, algebra_of(ext.base), 1)
 
 
 def simplex_identity_check(ext: Extension, basis) -> dict:
@@ -102,41 +102,34 @@ class FlagStage(FrozenRecord):
 
 
 class Flag(FrozenRecord):
-    """A frozen value: equal iff the stages are equal, hashed by them,
-    printed as `Flag(stages=...)`, and AttributeError on assignment or
-    deletion."""
+    """The general truncations of om down to rank 1: `stages`, derived,
+    holds a FlagStage per rank r, ..., 1, stage 0 over om and each later
+    one over the contraction of the previous extension by its q, on om's
+    ground set (checked).  Each extension is by the perturbation signature,
+    always general: an independent (r-1)-set K misses some b of its basis
+    with K + b a basis, so the cascade is never 0 on K (and `Extension`
+    re-checks).  A frozen value over om alone: equal iff om is (by
+    identity), hashed by it, printed as `Flag(om=...)`, AttributeError on
+    assignment or deletion."""
 
-    _fields = ("stages",)
+    _fields = ("om",)
 
-    def __init__(self, stages: tuple):
-        self.__dict__.update(stages=stages)  # FlagStage per rank r, ..., 1
-
-    @property
-    def base_om(self) -> OrientedMatroid:
-        return self.stages[0].om
+    def __init__(self, om: OrientedMatroid):
+        stages, current = [], om
+        for _ in range(om.rank):
+            ext = _perturbation(current)
+            stages.append(FlagStage(ext))
+            if current.rank > 1:
+                current = ext.om_ext.contract(ext.label)
+                if current.ground != om.ground:
+                    raise RuntimeError("internal invariant violation: "
+                                       "truncation changed the ground set")
+        self.__dict__.update(om=om, stages=tuple(stages))
 
 
 def build_flag(om: OrientedMatroid) -> Flag:
-    """Successive general truncations down to rank 1, ground set preserved.
-
-    Every stage holds its extension witness, the one by the perturbation
-    signature, which is always general: an independent (r-1)-set K misses
-    some element b of the signature's basis with K + b a basis, so the
-    cascade in `lex_extension` is never 0 on K.  `lex_extension` still
-    re-validates generality, and the ground set is checked stage by stage.
-    """
-    stages = []
-    current = om
-    for _ in range(om.rank):
-        ext = _perturbation(current)
-        stages.append(FlagStage(ext))
-        if current.rank > 1:
-            nxt = ext.om_ext.contract(ext.label)
-            if nxt.ground != current.ground:
-                raise RuntimeError("internal invariant violation: truncation "
-                                   "changed the ground set")
-            current = nxt
-    return Flag(tuple(stages))
+    """`Flag(om)`: the general truncations of om down to rank 1."""
+    return Flag(om)
 
 
 def transport_to_base(base_alg: OSAlgebra, form: OSElement) -> OSElement:
@@ -156,21 +149,23 @@ def transport_to_base(base_alg: OSAlgebra, form: OSElement) -> OSElement:
 
 
 def graded_basis(flag: Flag, k: int) -> list:
-    """[(tope, form)] basis of the reduced algebra in degree rank - k.
-
-    Forms of the k-bounded topes are computed in the (k-1)-st truncation
-    and transported to the base algebra; exact full rank is asserted.
-    """
+    """[(tope, form)] basis of the reduced algebra of flag.om in degree
+    rank - k: the forms of the topes bounded by the extension of stage k,
+    computed in the (k-1)-st truncation and transported to the base
+    algebra; exact full rank is asserted."""
     if not 1 <= k <= len(flag.stages):
         raise ValueError(f"flag level must be in 1..{len(flag.stages)}")
-    base_alg = algebra_of(flag.base_om)
-    stage = flag.stages[k - 1]
-    grade = flag.base_om.rank - k
-    topes = sorted(stage.ext.bounded_topes(), key=SignVector.sort_key)
+    return _bounded_basis(flag.stages[k - 1].ext, algebra_of(flag.om), k)
+
+
+def _bounded_basis(ext: Extension, base_alg: OSAlgebra, k: int) -> list:
+    """[(tope, form)] over the topes of ext.base bounded at q, each form
+    transported to base_alg and checked to be a basis in degree rank - k."""
+    topes = sorted(ext.bounded_topes(), key=SignVector.sort_key)
     pairs = [(t, transport_to_base(base_alg,
-                                   canonical_form_tope(stage.om, t)))
+                                   canonical_form_tope(ext.base, t)))
              for t in topes]
-    expected = base_alg.reduced_dim(grade)
+    expected = base_alg.reduced_dim(base_alg.rank - k)
     rank = len(linalg.greedy_independent([f.terms for _, f in pairs]))
     if len(pairs) != expected or rank != expected:
         raise RuntimeError("internal invariant violation: k-bounded forms "

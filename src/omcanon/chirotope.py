@@ -203,25 +203,23 @@ class Chirotope(FrozenRecord):
             _mask_index(len(self.ground), self.rank), self.signs))
         return Chirotope(self.ground, self.rank, signs)
 
-    def contract(self, element, drop=()) -> "Chirotope":
-        """Contraction by one element, contracted element evaluated LAST.
-
-        drop lists further elements removed from the ground set (loops of
-        the contraction, i.e. the rest of the contracted parallel class); an
-        unknown label, or one that shares a basis with element, is refused.
-        """
-        pos = ground_positions(self.ground)
-        i = _position(pos, element)
-        removed = _mask({i, *(_position(pos, e) for e in drop)})
+    def contract(self, element) -> "Chirotope":
+        """Contraction by the parallel class of element, which is evaluated
+        LAST: the class, every non-loop that shares no basis with element,
+        is found in one pass over the sign table and leaves the ground set.
+        An unknown label, or a loop (every element of a rank-0 table, a zero
+        row of an unvalidated one), is refused."""
+        i = _position(ground_positions(self.ground), element)
         n, r, signs = len(self.ground), self.rank, self.signs
-        if removed != 1 << i:
-            spanned = 0  # the elements that share a basis with element
-            for k, s in zip(_mask_index(n, r), signs):
-                if s and k >> i & 1:
+        nonloops = spanned = 0  # spanned: the elements sharing a basis with i
+        for k, s in zip(_mask_index(n, r), signs):
+            if s:
+                nonloops |= k
+                if k >> i & 1:
                     spanned |= k
-            bad = _labels(self.ground, removed & spanned & ~(1 << i))
-            if bad:
-                raise ValueError(f"{bad[0]!r} is not parallel to {element!r}")
+        if not spanned:
+            raise ValueError(f"{element!r} is a loop, in no atom")
+        removed = nonloops & ~spanned | 1 << i
         return Chirotope(_labels(self.ground, ~removed), r - 1,
                          _contracted_signs(n, r, signs, removed, i))
 

@@ -207,15 +207,16 @@ def _suite_bases(parsed, om, seed, checks):
 
 def _suite_aomoto(parsed, om, seed, checks):
     def run():
-        base = om.ground[0]
-        for weights in bases_mod.sample_weight_vectors(om, base, seed=seed):
-            report = bases_mod.aomoto(om, weights, base=base)
+        samples = bases_mod.sample_weight_vectors(om, seed=seed)
+        for weights in samples:
+            report = bases_mod.aomoto(om, weights)
             n0, beta = len(report.bounded_topes), report.beta
             if n0 != beta:
                 raise AssertionError(f"|T^0| = {n0} but beta = {beta}")
             if report.is_generic:
                 return f"generic weights found; dim_H = {report.dim_h}"
-        raise AssertionError("no generic weight vector among 5 samples")
+        raise AssertionError("no generic weight vector among "
+                             f"{len(samples)} samples")
     _timed("aomoto:bounded-basis", run, checks)
 
 

@@ -170,27 +170,38 @@ class OrientedMatroid:
 
     def contract(self, element) -> "OrientedMatroid":
         """Contraction by the parallel class of element (evaluated last)."""
-        atom = self.underlying.atom_of(element)
-        chi = self.chi.contract(element, drop=atom - {element})
-        return OrientedMatroid(chi, validate=False)
+        return OrientedMatroid(self.chi.contract(element), validate=False)
 
     # ---- single-element lexicographic extensions ---------------------------
 
     def lex_extension(self, signature, label="q") -> "Extension":
-        """Extension by q = [b1^s1, ..., br^sr]; the signature must be a basis.
+        """`Extension(self, label, signature)`."""
+        return Extension(self, label, signature)
 
-        The extended table is built on positions, q last (Bjoerner et al.,
-        Oriented Matroids, 7.2): a key K + q takes the first nonzero
-        s_i chi(K + b_i) with b_i evaluated last, which is
-        (-1)^popcount(K >> b_i) times the sign at K | b_i."""
-        if label in self.ground:
+
+class Extension(FrozenRecord):
+    """The general lexicographic extension M u q by q = [b1^s1, ..., br^sr];
+    the signature must be a basis, and the extension general.
+
+    Its chirotope `chi_ext` is built on positions, q last (Bjoerner et al.,
+    Oriented Matroids, 7.2): a key K + q takes the first nonzero
+    s_i chi(K + b_i) with b_i evaluated last, which is
+    (-1)^popcount(K >> b_i) times the sign at K | b_i.  A frozen value over
+    base, label and signature: equal iff those are (base by identity),
+    hashed by them, printed with them, AttributeError on assignment or
+    deletion.  `chi_ext` and its oriented matroid `om_ext` are derived."""
+
+    _fields = ("base", "label", "signature")
+
+    def __init__(self, base: OrientedMatroid, label, signature: tuple):
+        if label in base.ground:
             raise ValueError(f"label {label!r} already in the ground set")
         signature = tuple((b, int(s)) for b, s in signature)
         if any(s not in (1, -1) for _, s in signature):
             raise ValueError("signature signs must be +1 or -1")
-        pos = ground_positions(self.ground)
+        pos = ground_positions(base.ground)
         steps = [(_position(pos, b), s) for b, s in signature]
-        n, r, signs = len(self.ground), self.rank, self.chi.signs
+        n, r, signs = len(base.ground), base.rank, base.chi.signs
         index = _mask_index(n, r)
         basis = _mask(i for i, _ in steps)
         if len(steps) != r or basis.bit_count() != r or not signs[index[basis]]:
@@ -213,27 +224,12 @@ class OrientedMatroid:
             v = cascade(k)
             # K is independent iff it lies in a basis; the keys K + q come
             # in combinations order of K, so the first violation is named
-            if not v and any(b & k == k for b in self.underlying.bases):
+            if not v and any(b & k == k for b in base.underlying.bases):
                 raise RuntimeError(
                     "internal invariant violation: extension not general at "
-                    f"{_labels(self.ground, k)}")
+                    f"{_labels(base.ground, k)}")
             table.append(v)
-        chi_ext = Chirotope(self.ground + (label,), r, tuple(table))
-        return Extension(self, label, signature, chi_ext)
-
-
-class Extension(FrozenRecord):
-    """A general single-element extension M u q with its extended chirotope.
-
-    A frozen value over base, label, signature and chi_ext: equal iff those
-    are equal (base by identity), hashed by them, printed with them, and
-    AttributeError on assignment or deletion.  `om_ext`, the oriented
-    matroid of chi_ext, is built here and is not a field."""
-
-    _fields = ("base", "label", "signature", "chi_ext")
-
-    def __init__(self, base: OrientedMatroid, label, signature: tuple,
-                 chi_ext: Chirotope):
+        chi_ext = Chirotope(base.ground + (label,), r, tuple(table))
         self.__dict__.update(base=base, label=label, signature=signature,
                              chi_ext=chi_ext,
                              om_ext=OrientedMatroid(chi_ext, validate=False))

@@ -15,7 +15,7 @@ import label_walk
 from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES, boolean_om,
                       count_bounded_topes, named_om, rank1_om,
                       random_arrangements, relabellings)
-from omcanon import (Chirotope, Extension, OrientedMatroid,
+from omcanon import (Chirotope, Extension, Flag, OrientedMatroid,
                      aomoto_degree_ranks, chirotope_from_matrix)
 from omcanon import (nonreduced_from_triangulation, placing_triangulation,
                      transport_to_base)
@@ -101,8 +101,8 @@ def test_tq_basis_reads_the_extensions_own_oriented_matroid():
 @pytest.mark.parametrize("case", SEEDED_CASES + DATA_FILES,
                          ids=os.path.basename)
 def test_tq_basis_is_level_one_of_the_flag(case, request):
-    """The one-stage flag of `bounded_extension` and level 1 of
-    `build_flag` give the same topes and forms, in the same order."""
+    """`tq_basis` of `bounded_extension` and level 1 of `build_flag` give
+    the same topes and forms, in the same order."""
     om = data_om(case) if case in DATA_FILES else named_om(case, request)
     assert tq_basis(bounded_extension(om)) == graded_basis(build_flag(om), 1)
 
@@ -174,6 +174,43 @@ def test_build_flag_ranks(line4, pentagon):
 def test_build_flag_boolean():
     flag = build_flag(boolean_om(2))
     assert [s.om.rank for s in flag.stages] == [2, 1]
+
+
+def test_a_flag_is_not_assembled_from_stages(pentagon):
+    """Stage 0 of the pentagon's flag with the later stages of the flag of
+    the pentagon reoriented by its sixth sorted tope passed the basis
+    check at levels 2 and 3 with topes and forms that are not the
+    pentagon's.  A flag takes its oriented matroid alone and builds its
+    stages, so that mixed flag cannot be written."""
+    other = OrientedMatroid(pentagon.chi.reorient(pentagon.sorted_topes()[5]))
+    f, g = build_flag(pentagon), build_flag(other)
+    with pytest.raises(AttributeError):
+        Flag((f.stages[0], g.stages[1], g.stages[2]))
+    assert graded_basis(g, 2) != graded_basis(f, 2)
+    assert graded_basis(Flag(pentagon), 2) == graded_basis(f, 2)
+
+
+def test_flags_of_one_oriented_matroid_are_equal(line4, pentagon):
+    """A flag compares by its oriented matroid, by identity as an
+    extension compares its base; two builds of one flag are equal."""
+    for om in (line4, pentagon):
+        flag, again = Flag(om), build_flag(om)
+        assert flag == again and hash(flag) == hash(again)
+        assert flag != Flag(OrientedMatroid(om.chi))
+
+
+def test_extension_is_lex_extension(line4, pentagon):
+    """`Extension(om, label, signature)` builds what `lex_extension` does,
+    and refuses what it refuses."""
+    for om in (line4, pentagon):
+        sig = perturbation_signature(om)
+        ext, lex = Extension(om, "p", sig), om.lex_extension(sig, "p")
+        assert ext == lex and ext.chi_ext == lex.chi_ext
+        assert ext.chi_ext == label_walk.lex_extension(om, sig, "p")
+    with pytest.raises(ValueError, match="already in the ground set"):
+        Extension(line4, 0, perturbation_signature(line4))
+    with pytest.raises(ValueError, match="must form a basis"):
+        Extension(line4, "q", ((0, 1), (0, -1)))
 
 
 def test_graded_basis_line4(line4):
@@ -466,10 +503,12 @@ def test_aomoto_needs_no_extension(pentagon, monkeypatch):
 
 @pytest.mark.parametrize("name", SEEDED_CASES + ["line4_q"])
 def test_perturbation_extension_is_bounded_and_general(name, request):
-    """The argument of `bounded_extension` and `build_flag`, on every
-    labelling: at every base element the extension by the perturbation
-    signature keeps T^0 bounded, and every stage of the flag is built by
-    its perturbation signature.  The label is q, primed past the ground."""
+    """The argument of `bounded_extension` and `Flag`, on every labelling:
+    at every base element the extension by the perturbation signature
+    keeps T^0 bounded, and every stage of the flag is built by its
+    perturbation signature.  The label is q, primed past the ground.  The
+    flag's stage 0 is over its own oriented matroid, and each later stage
+    over the contraction of the previous stage's extension by its q."""
     for chi in relabellings(named_om(name, request).chi):
         om = OrientedMatroid(chi)
         for base in om.ground:
@@ -477,8 +516,13 @@ def test_perturbation_extension_is_bounded_and_general(name, request):
             assert ext.signature == perturbation_signature(om, base)
             assert om.bounded_topes(base) <= ext.bounded_topes()
             assert ext.label == ("q'" if "q" in om.ground else "q")
-        for stage in build_flag(om).stages:
+        stages = Flag(om).stages
+        assert stages[0].om is om and len(stages) == om.rank
+        for stage in stages:
             assert stage.ext.signature == perturbation_signature(stage.om)
+        for prev, stage in zip(stages, stages[1:]):
+            assert (stage.om.chi
+                    == prev.ext.om_ext.contract(prev.ext.label).chi)
 
 
 def test_bounded_extension_raises_on_lost_bounded_tope(request,

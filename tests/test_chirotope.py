@@ -116,9 +116,9 @@ def dict_contract(chi: Chirotope, element, drop=()) -> Chirotope:
 
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
 def test_contract_matches_reference(name, request):
-    """Every element, alone and with the rest of its parallel class, on a
-    few reorientations under every relabelling, against both earlier
-    contractions."""
+    """Every element on a few reorientations under every relabelling,
+    against both earlier contractions given the rest of its parallel
+    class."""
     om = named_om(name, request)
     for t in om.sorted_topes()[:4]:
         for chi in relabellings(om.chi.reorient(t)):
@@ -127,28 +127,43 @@ def test_contract_matches_reference(name, request):
                 a = relabel[e]
                 rest = tuple(relabel[f] for f in sorted(
                     om.underlying.atom_of(e) - {e}, key=om.ground.index))
-                for drop in ((), rest):
-                    assert (chi.contract(a, drop)
-                            == reference_contract(chi, a, drop)
-                            == dict_contract(chi, a, drop))
+                assert (chi.contract(a)
+                        == reference_contract(chi, a, rest)
+                        == dict_contract(chi, a, rest))
     with pytest.raises(ValueError, match="unknown element"):
         om.chi.contract("no such label")
-    with pytest.raises(ValueError, match="^unknown element label 'nope'$"):
-        om.chi.contract(om.ground[0], drop=("nope",))
 
 
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))
-def test_contract_refuses_non_parallel_drop(name, request):
-    """Dropping an element that shares a basis with the contracted one
-    would delete it as well (pentagon.chi.contract(1, drop=(2,)) returned a
-    table on 3, 4, 5); each such pair is refused, naming the dropped
-    element."""
+def test_contract_drops_exactly_the_parallel_class(name, request):
+    """A contraction's ground set is the parent's less the contracted
+    element's parallel class: every element sharing a basis with it is
+    kept (dropping one would delete it as well), and no parallel element
+    stays behind as a loop."""
     om = named_om(name, request)
     for e, f in product(om.ground, repeat=2):
-        if f not in om.underlying.atom_of(e):
-            with pytest.raises(ValueError,
-                               match=f"^{f!r} is not parallel to {e!r}$"):
-                om.chi.contract(e, drop=(f,))
+        kept = f in om.chi.contract(e).ground
+        assert kept == (f not in om.underlying.atom_of(e))
+
+
+def test_contract_refuses_every_element_of_a_rank_zero_table():
+    """Every element of a rank-0 table is a loop: contracting one fails
+    with the message `OrientedMatroid.contract` gives, not with
+    itertools' own error."""
+    rank0 = Chirotope(("a", "b"), 0, (1,))
+    for e in rank0.ground:
+        with pytest.raises(ValueError, match=f"^{e!r} is a loop, in no atom$"):
+            rank0.contract(e)
+
+
+def test_contract_refuses_a_zero_row():
+    """An element in no basis of an unvalidated table is a loop:
+    contracting it fails, where it gave an all-zero rank-1 table, and
+    contracting another element keeps it, as a loop."""
+    chi = Chirotope.from_map(("a", "b", "l"), 2, {("a", "b"): 1})
+    with pytest.raises(ValueError, match="^'l' is a loop, in no atom$"):
+        chi.contract("l")
+    assert chi.contract("a") == Chirotope(("b", "l"), 1, (-1, 0))
 
 
 def reference_delete(chi: Chirotope, element) -> Chirotope:

@@ -652,6 +652,15 @@ def test_verify_failure_exits_one(capsys, line4_path, monkeypatch):
     doc = json.loads(out)
     assert doc["passed"] is False
     assert any(not c["passed"] for c in doc["checks"])
+    # the detail names the number of samples drawn, not the default count
+    monkeypatch.setattr(
+        bases_mod, "sample_weight_vectors",
+        lambda om, base=None, seed=0, count=5: [{"1": 1, "2": 1, "3": -2}] * 3)
+    code, out, _ = invoke(capsys, "verify", "--input", line4_path,
+                          "--suite", "aomoto")
+    check, = json.loads(out)["checks"]
+    assert (code, check["detail"]) == (
+        1, "AssertionError: no generic weight vector among 3 samples")
 
 
 def _with(doc, **changes):

@@ -268,9 +268,7 @@ def reference_form(chi):
         stack = _FRACTION_STACKS[alg.matroid.fingerprint] = _FractionStack(alg)
     targets = {}
     for a, _ in stack.blocks:
-        atom = om.underlying.atom_of(a)
-        targets[a] = reference_form(
-            chi.contract(a, drop=atom - {a})).scale(-1)
+        targets[a] = reference_form(chi.contract(a)).scale(-1)
     out = alg.zero(r - 1)
     for c, b in zip(stack.solve(targets, r), stack.reduced):
         out = out + b.scale(c)
@@ -742,8 +740,7 @@ def labelled_top_form(chi):
     targets = {}
     for a in alg.atoms:
         if a in facets:
-            atom = alg.matroid.atom_of(a)
-            targets[a] = labelled_top_form(chi.contract(a, drop=atom - {a}))
+            targets[a] = labelled_top_form(chi.contract(a))
         else:
             targets[a] = alg.residue_algebra(a).zero(r - 1)
     return stack.solve(targets)
@@ -872,8 +869,9 @@ def test_facet_gathers_match_chirotope_contractions(name, request,
     nodes = set()
     for (n, r, signs), removed, i, got in gathers:
         core = Chirotope(tuple(range(n)), r, signs)
-        want = core.contract(i, drop=set(_labels(core.ground, removed)) - {i})
+        want = core.contract(i)
         assert got == want.signs
+        assert want.ground == _labels(core.ground, ~removed)
         sub = forms._positional(n - removed.bit_count(), r - 1, got)
         assert sub == forms._positional(len(want.ground), want.rank,
                                         want.signs)
@@ -901,12 +899,12 @@ def test_entry_gathers_match_labelled_contractions(name, request):
             sign, (n, r, signs) = forms._positional(
                 len(tope.ground), tope.rank, tope.signs)
             facets = facet_elements(tope, m)
-            for a, atom, mask in zip(m.atom_reps, m.atoms, m._atom_masks):
+            for a, mask in zip(m.atom_reps, m._atom_masks):
                 if a not in facets:
                     continue
                 got = forms._contracted_signs(n, r, signs, mask,
                                               chi.ground.index(a))
-                want = tope.contract(a, drop=atom - {a})
+                want = tope.contract(a)
                 assert tuple(sign * s for s in got) == want.signs
 
 

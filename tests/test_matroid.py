@@ -140,8 +140,8 @@ def test_chirotope_fingerprint_matches_matroid(name, request):
           "rank1_parallel": lambda: rank1_om((1, -1, 1)),
           "boolean3": lambda: boolean_om(3)}.get(
         name, lambda: request.getfixturevalue(name))()
-    contractions = [om.chi.contract(a, drop=om.underlying.atom_of(a) - {a})
-                    for a in om.atom_reps]  # rank 0 below the rank-1 cases
+    # rank 0 below the rank-1 cases
+    contractions = [om.chi.contract(a) for a in om.atom_reps]
     for chi in [om.chi] + contractions:
         m = UnderlyingMatroid.from_chirotope(chi)
         assert (chi.ground, chi.rank, chi.support) == m.fingerprint

@@ -390,8 +390,7 @@ def reachable_contractions(chis) -> set:
         seen.add(chi)
         if chi.rank:
             m = UnderlyingMatroid.from_chirotope(chi)
-            stack.extend(chi.contract(a, drop=m.atom_of(a) - {a})
-                         for a in m.atom_reps)
+            stack.extend(chi.contract(a) for a in m.atom_reps)
     return seen
 
 
@@ -428,7 +427,7 @@ def test_facet_reader_matches_acyclicity_and_is_facet(name, request):
         assert facets <= set(chi.ground)
         for a in om.atom_reps:
             atom = om.underlying.atom_of(a)
-            contracted = is_acyclic(chi.contract(a, drop=atom - {a}))
+            contracted = is_acyclic(chi.contract(a))
             assert contracted == tope_walk.is_facet(om, plus, a)
             assert all((e in facets) == contracted for e in atom)
             outcomes.add(contracted)
@@ -496,9 +495,7 @@ def test_residue_check_contracts_the_reoriented_chirotope(name, request):
     for t in om.topes:
         chi = om.chi.reorient(t)
         for a in facet_elements(chi, om.underlying) & set(om.atom_reps):
-            atom = om.underlying.atom_of(a)
-            assert (chi.contract(a, drop=atom - {a})
-                    == tope_walk.facet_chirotope(om, t, a))
+            assert chi.contract(a) == tope_walk.facet_chirotope(om, t, a)
 
 
 def test_tope_queries_call_no_conforms_to(pentagon_inf, monkeypatch):

@@ -47,13 +47,11 @@ def arguments(name: str) -> tuple:
                                tuple(list(chi.signs)))
     line = om.OrientedMatroid(chi)
     ext = bases._perturbation(line)
-    ext_args = (line, ext.label, ext.signature, ext.chi_ext)
-    chi_ext = ext.chi_ext
-    ext2 = om.Extension(line, ext.label, tuple(list(ext.signature)),
-                        chirotope.Chirotope(chi_ext.ground, chi_ext.rank,
-                                            tuple(list(chi_ext.signs))))
-    ext3 = om.Extension(line, "r", ext.signature, ext.chi_ext)
-    stage, stage2 = bases.FlagStage(ext), bases.FlagStage(ext2)
+    ext_args = (line, ext.label, ext.signature)
+    ext2 = om.Extension(line, ext.label, tuple(list(ext.signature)))
+    ext3 = om.Extension(line, "r", ext.signature)
+    # an oriented matroid compares by identity
+    line2 = om.OrientedMatroid(cyclic_line_chirotope(4))
     alg = algebra_of(line)
     k0, k1, k2 = alg.nbc[1][:3]
     matrix = realization.RationalMatrix(("a", "b"), ((1, 2), (0, 3)))
@@ -71,14 +69,14 @@ def arguments(name: str) -> tuple:
             (["a"], ["b", "c"], [[1], [Fraction(1, 2)]]),
             (["a"], ["b", "c"], [[0], [1]])),
         "Extension": (
-            ext_args, (line, ext2.label, ext2.signature, ext2.chi_ext),
-            (line, "r", ext.signature, ext.chi_ext)),
+            ext_args, (line, ext2.label, ext2.signature),
+            (line, "r", ext.signature)),
         "RationalMatrix": (
             (("a", "b"), ((1, "1/2"), (0, 3))),
             (("a", "b"), [[Fraction(1), Fraction(1, 2)], ["0", 3]]),
             (("a", "b"), ((1, 2), (0, 3)))),
         "FlagStage": ((ext,), (ext2,), (ext3,)),
-        "Flag": (((stage,),), ((stage2,),), ((),)),
+        "Flag": ((line,), (line,), (line2,)),
         "AomotoReport": (
             (0, 1, False, True, True, [line.sorted_topes()[0]], [],
              {"0": Fraction(2)}),

@@ -64,8 +64,7 @@ def extension_bounded_topes(ext) -> frozenset:
 
 def contracted_tope_chirotope(om, tope: SignVector, rep):
     """chi/P at an atom: value on (I, i) scaled by the tope sign at i."""
-    atom = om.underlying.atom_of(rep)
-    chi = om.chi.contract(rep, drop=atom - {rep})
+    chi = om.chi.contract(rep)
     return oracle_ops.scale(chi, tope.value(rep))
 
 

@@ -2,18 +2,22 @@
 fields, flags and `__post_init__` hooks they were declared with before
 they defined their own equality, hash and repr, plus `OSElement`'s own
 `__eq__` and `__repr__`; `FlagStage` holds `ext` alone and reads `om` as a
-property, here as in the library.  `test_values.py` checks that each class
-agrees with its twin here.  The names match the library's, so the dataclass
-repr prints the same class name, and pickle finds each twin in this
-module."""
+property, `Extension` derives `chi_ext` (here through `label_walk`'s
+oracle) and `om_ext`, and `Flag` holds `om` alone and derives `stages`,
+here as in the library.  `test_values.py` checks that each class agrees
+with its twin here.  The names match the library's, so the dataclass repr
+prints the same class name, and pickle finds each twin in this module."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
 
+from omcanon import bases
 from omcanon.linalg import _exact
 from omcanon.om import OrientedMatroid
+
+import label_walk
 
 
 @dataclass(frozen=True)
@@ -71,12 +75,15 @@ class Extension:
     base: OrientedMatroid
     label: object
     signature: tuple
-    chi_ext: object
+    chi_ext: object = field(init=False, repr=False, compare=False)
     om_ext: OrientedMatroid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        chi_ext = label_walk.lex_extension(self.base, self.signature,
+                                           self.label)
+        object.__setattr__(self, "chi_ext", chi_ext)
         object.__setattr__(self, "om_ext",
-                           OrientedMatroid(self.chi_ext, validate=False))
+                           OrientedMatroid(chi_ext, validate=False))
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,16 @@ class FlagStage:
 
 @dataclass(frozen=True)
 class Flag:
-    stages: tuple
+    om: OrientedMatroid
+    stages: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        stages, current = [], self.om
+        for _ in range(self.om.rank):
+            ext = bases._perturbation(current)
+            stages.append(bases.FlagStage(ext))
+            current = ext.om_ext.contract(ext.label)
+        object.__setattr__(self, "stages", tuple(stages))
 
 
 @dataclass
