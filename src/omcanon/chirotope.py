@@ -86,8 +86,9 @@ def _contracted_signs(n: int, r: int, signs, removed: int, i: int) -> tuple:
 
 
 def _support(signs) -> int:
-    """`Chirotope.support` of the sign table signs."""
-    return sum(1 << i for i, s in enumerate(signs) if s)
+    """`Chirotope.support` of the sign table signs, read as a binary
+    numeral, signs[0] its lowest digit."""
+    return int("0" + "".join(["1" if s else "0" for s in reversed(signs)]), 2)
 
 
 def _circuit(signs, index: dict, s: int) -> tuple:

@@ -1,48 +1,51 @@
 """Canonical forms of oriented matroids and their topes.
 
-One recursion is computed, in the top grade A^r: the non-reduced form W of
-an acyclic pair is pinned down by its residues at atom contractions,
+The non-reduced form W of an acyclic pair, in the top grade A^r, is pinned
+down by its residues at atom contractions,
 
     Res_a W(M, chi) = W(M/a, chi/a)   (a a facet of the all-plus tope,
                                        0 otherwise),
 
-with base value chi(()) in rank 0.  A node's form is solved from these
-residues by its class's residue stack (`_stack`): the facet forms are
-written at their blocks' rows, every other atom's rows read zero, and the
-inverse of one unit triangular square block of the stacked residue maps
-gives the form, which is then checked against every stacked row.  The
-facets are read off the nonnegative cocircuits as parallel-class masks
-(`om._facet_classes`); a facet's contraction is acyclic again, so the
-recursion only ever visits, and its memo only ever holds, acyclic
-chirotopes, and no node tests acyclicity.  The boundary is injective
-on A^r and the reduced form is dW; as Res_a d = -d Res_a, it obeys the
-reduced recursion Res_a dW = -dW(M/a, chi/a) with rank-1 base value
-chi(i), which is the one `check_residue_axioms` checks.  The
+with base value chi(()) in rank 0.  A tope's form is solved from these
+residues in one step, with no recursion into minors: each facet's target
+W(chi/a) is read off chi's own hyperplane table (`_facet_targets`, which
+states and proves the rule, Finding 1), and the class's residue stack
+(`_stack`) solves for W.  The facet targets are written at their blocks'
+rows, every other atom's rows read zero, and the inverse of one unit
+triangular square block of the stacked residue maps gives the form, which
+is then checked against every stacked row: so every target, facets and
+zeros alike, is checked against the residue system.  The facets are read
+off the nonnegative cocircuits as parallel-class masks
+(`om._facet_classes`).  The boundary is injective on A^r and the reduced
+form is dW; as Res_a d = -d Res_a, it obeys the reduced recursion
+Res_a dW = -dW(M/a, chi/a) with rank-1 base value chi(i), which
+`check_residue_axioms` checks against a second computation: the form of
+each facet contraction comes from that contraction's own solve, read off
+its own table, not from the targets the tope's solve was given.  The
 triangulation evaluation sum_B chi(B) e_B satisfies the top-grade
 recursion, so both paths agree.
 
-The recursion runs on order-isomorphism classes.  A relabelling of the
-ground set that keeps its order keeps atom representatives, NBC sets,
-circuit order and straightening signs, which read positions only, so it
-carries algebras, residue stacks and forms onto each other.  A global sign
-does too: W(-chi) = -W(chi), since the facets depend only on the zero sets
-of the cocircuits, (-chi)/a = -(chi/a), the residue solve is linear and the
-base value chi(()) flips.  So the memo is keyed on the positional class
-(`_positional`: (n, r, signs) with the first nonzero sign positive).  A
-node reads its support, facets and facet contractions (one gather each,
-`chirotope._contracted_signs`) off that table and builds no chirotope.
-Each class's residue stack solves against the positional algebras of its
-contractions, and a labelled chirotope's form is its class's form with
-the labels and the sign put back, once, at the entry points.
+The solve runs on order-isomorphism classes.  A relabelling of the ground
+set that keeps its order keeps atom representatives, NBC sets, circuit
+order and straightening signs, which read positions only, so it carries
+algebras, residue stacks and forms onto each other.  A global sign does
+too: W(-chi) = -W(chi), since the facets depend only on the zero sets of
+the cocircuits, every target is linear in chi and the residue solve is
+linear.  So the memo is keyed on the positional class (`_positional`:
+(n, r, signs) with the first nonzero sign positive), and it holds the
+classes of the topes asked for, nothing else.  A class's form is read off
+its sign table alone, with no chirotope built; each residue stack solves
+against the positional algebras of its contractions, and a labelled
+chirotope's form is its class's form with the labels and the sign put
+back, once, at the entry points.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from ._memo import memo
-from .chirotope import (Chirotope, _contracted_signs, _mask, _mask_index,
-                        _support)
-from .om import OrientedMatroid, _facet_classes, _one_signed
+from .chirotope import Chirotope, _mask, _mask_index, _support
+from .om import OrientedMatroid, _facet_classes, _hyperplanes, _one_signed
 from .osalg import (OSAlgebra, OSElement, _algebra, _residue_key,
                     os_algebra_for, os_algebra_of_chirotope)
 from .signvec import SignVector, _labels, _position, ground_positions
@@ -75,10 +78,16 @@ def _stack(n: int, r: int, support: int) -> tuple:
     Each atom a contributes a block, the top grade r-1 of its contraction
     relabelled through the order-preserving map of its ground set onto
     range(n'): contractions that differ only by such a relabelling have the
-    same support and so share that positional algebra, and the forms of
-    positional chirotopes land in it as they are (see `_positional`).
-    blocks[a] is (block algebra, first stacked row).  Canonical forms are
-    integral, so the map is kept over int; it is almost empty, and
+    same support and so share that positional algebra.  blocks[a] is
+    (block algebra, first stacked row, lifts): what `_facet_targets` reads
+    for the NBC keys K' = (k_1, k_2, ...) of the block, in positions of
+    range(n), grouped by the index h of K - k_1 among the ascending
+    (r-1)-subsets, where K = K' + a.  lifts[h] lists, for each such K',
+    the tuple K' itself, the index of K in the rank-r sign table, the
+    parity of the number of entries of K' above a, and for k_2, k_3, ...,
+    ascending, the pairs (bit of k, index of K minus k).  The empty key of
+    a rank-0 block has no k_1 and is grouped under None.  Canonical forms
+    are integral, so the map is kept over int; it is almost empty, and
     columns[j] lists the (stacked row, value) pairs of the residues of the
     j-th NBC r-monomial.
 
@@ -102,6 +111,7 @@ def _stack(n: int, r: int, support: int) -> tuple:
     """
     alg = _algebra(tuple(range(n)), r, support)
     keys = alg.nbc[r]
+    bases, hyperplanes = _mask_index(n, r), _mask_index(n, r - 1)
     blocks = {}
     columns = [[] for _ in keys]
     own = [None] * len(keys)
@@ -110,7 +120,15 @@ def _stack(n: int, r: int, support: int) -> tuple:
         ground, rank, sub = alg.matroid.contraction_fingerprint(a)
         block = _algebra(tuple(range(len(ground))), rank, sub)
         pos = ground_positions(ground)
-        blocks[a] = (block, first)
+        lifts: dict = {}
+        for rest in block.nbc[r - 1]:
+            ks = [ground[i] for i in rest]
+            key = _mask(ks) | 1 << a
+            reads = [(1 << k, hyperplanes[key ^ 1 << k]) for k in ks]
+            lifts.setdefault(reads[0][1] if reads else None, []).append(
+                (rest, bases[key], sum(k > a for k in ks) & 1,
+                 tuple(reads[1:])))
+        blocks[a] = (block, first, lifts)
         index = block._nbc_pos[r - 1]
         for j, (key, column) in enumerate(zip(keys, columns)):
             res = _residue_key(key, a)
@@ -139,34 +157,99 @@ def _stack(n: int, r: int, support: int) -> tuple:
     return alg, blocks, columns, own, inverse
 
 
-@memo
-def _top_form(key: tuple) -> OSElement:
-    """Top-grade form of the positional chirotope of key (see
-    `_positional`), which callers guarantee acyclic."""
-    n, r, signs = key
-    if r == 0:  # the base value, the one sign, is positive
-        return _algebra(tuple(range(n)), 0, 1).one()
-    alg, blocks, columns, own, inverse = _stack(n, r, _support(signs))
-    m = alg.matroid
-    facets = _facet_classes(n, _one_signed(n, r, signs), m._atom_masks)
+def _facet_targets(stack: tuple, signs: tuple) -> dict:
+    """{a: W(chi/a)} over the facet atoms a of the all-plus tope of the
+    acyclic chi with sign table signs over range(n), whose class's residue
+    stack (`_stack`) is stack, each form in a's block algebra.  The forms
+    are read off chi's hyperplane table (`om._hyperplanes`): no contraction
+    is built and no form of a minor is solved.
+
+    Finding 1, which extends the face-flag theorem of `tests/face_flag.py`.
+    Let K = (k_1 < ... < k_r) be an NBC basis and C_j its fundamental
+    cocircuit at k_j: zero set cl(K - k_j), signed so that C_j(k_j) = +,
+    which gives C_j(e) = chi(K with k_j replaced by e) chi(K).  Then for
+    every tope T the coefficient of e_K in T's top-grade form is
+    chi(K) T(k_1)...T(k_r) if T = T(k_1)C_1 o T(k_2)C_2 o ... o T(k_r)C_r,
+    and 0 otherwise.
+      - If.  The face-flag theorem gives e_K a nonzero coefficient iff
+        every flat cl{k_j, ..., k_r} is the zero set of a face of T.  If T
+        is the composition, the composition of its first j terms is a face
+        of T, whose zero set is the intersection of the fundamental
+        hyperplanes cl(K - k_i), i <= j: that is cl{k_(j+1), ..., k_r}.
+        So every flat of the chain is a face zero set.
+      - Only if.  Take the faces of T on the chain.  Above a covector X,
+        the covectors whose zero set is one rank lower are exactly X o +-C
+        for one cocircuit C, since the upper interval above X is the
+        covector lattice of the restriction to z(X) (Bjoerner et al.,
+        Oriented Matroids, ch. 4).  So T is that composition, with the
+        signs T(k_j).
+
+    Here T is the all-plus tope of chi/a, the contraction by a facet atom
+    a with a evaluated last, whose cocircuits are those of chi that vanish
+    on a.  An NBC key K' of a's block (representatives of chi/a) lifts to
+    the basis K = K' + a of chi, and C_(K - k), the cocircuit of the
+    hyperplane spanned by K - k, signed + at k, is the fundamental
+    cocircuit of K' at k in chi/a.  So the coefficient of e_K' is
+    chi(K', a) = chi(K) (-1)^#{k in K' : k > a} when these cocircuits, in
+    ascending order of k, compose to a nonnegative vector whose zero set
+    is exactly a's parallel class, and 0 otherwise.  The first cocircuit
+    is the composition of one term, so it must itself be nonnegative: only
+    the keys whose K - k_1 spans a one-signed cocircuit are read, and that
+    cocircuit, signed + at k_1, is its support.  A composition that stays
+    nonnegative only adds plus signs, so it fails at the first cocircuit
+    with a minus sign outside the plus signs gathered so far.  The empty
+    key of rank 0 composes nothing, to the zero vector.  The atoms that are
+    no facet get no target: their residues are zero.
+    """
+    alg, blocks = stack[:2]
+    m, r = alg.matroid, alg.rank
+    n = len(m.ground)
+    plus, minus = table = _hyperplanes(n, r, signs)
+    one_signed = _one_signed(table)
+    starts = [(h, p | q) for h, (p, q) in one_signed.items()] + [(None, 0)]
+    targets = {}
+    for mask in _facet_classes(n, set(one_signed.values()), m._atom_masks):
+        a = (mask & -mask).bit_length() - 1  # the representative's position
+        block, _, lifts = blocks[a]
+        face = ~mask & (1 << n) - 1
+        terms = {}
+        for h, start in starts:
+            for key, b, odd, reads in lifts.get(h, ()):
+                p = start
+                for bit, g in reads:
+                    gp, gm = plus[g], minus[g]
+                    if gm & bit:
+                        gp, gm = gm, gp
+                    if gm & ~p:
+                        break
+                    p |= gp
+                else:
+                    if p == face:
+                        terms[key] = -signs[b] if odd else signs[b]
+        targets[a] = OSElement(block, r - 1, terms)
+    return targets
+
+
+def _solve(stack: tuple, targets: dict) -> OSElement:
+    """The element x of the stack's top grade with Res_a x = targets[a], an
+    element of a's block algebra, at every atom a that targets holds, and
+    Res_a x = 0 at every other atom.  It is read off the own rows through
+    S^-1 (see `_stack`) and then checked against every stacked row, so
+    targets that no element meets raise."""
+    alg, blocks, columns, own, inverse = stack
+    r = alg.rank
     stacked = {}  # stacked row -> residue coordinate; other rows read 0
-    for a, mask in zip(m.atom_reps, m._atom_masks):
-        if mask not in facets:
-            continue
-        # Res_a W = W(M/a, chi/a) in a's block algebra; label a = position a
-        sign, sub = _positional(n - mask.bit_count(), r - 1,
-                                _contracted_signs(n, r, signs, mask, a))
-        form = _top_form(sub)
-        block, first = blocks[a]
-        if form.algebra is not block:
+    for a, target in targets.items():
+        block, first, _ = blocks[a]
+        if target.algebra is not block:
             raise RuntimeError("internal invariant violation: residue target "
                                "is not in its block's positional algebra")
         index = block._nbc_pos[r - 1]
-        for k, v in form.terms.items():
+        for k, v in target.terms.items():
             if type(v) is not int:
                 raise RuntimeError("internal invariant violation: residue "
                                    "targets have non-integer coordinates")
-            stacked[first + index[k]] = sign * v
+            stacked[first + index[k]] = v
     coeffs = [0] * len(columns)
     for i, feeds in zip(own, inverse):
         v = stacked.get(i)
@@ -182,6 +265,18 @@ def _top_form(key: tuple) -> OSElement:
         raise RuntimeError("internal invariant violation: residue system is "
                            "inconsistent (suspect an invalid chirotope)")
     return OSElement(alg, r, dict(zip(alg.nbc[r], coeffs)))
+
+
+@memo
+def _top_form(key: tuple) -> OSElement:
+    """Top-grade form of the positional chirotope of key (see
+    `_positional`), which callers guarantee acyclic: one residue solve
+    against the facet targets read off its sign table."""
+    n, r, signs = key
+    if r == 0:  # the base value, the one sign, is positive
+        return _algebra(tuple(range(n)), 0, 1).one()
+    stack = _stack(n, r, _support(signs))
+    return _solve(stack, _facet_targets(stack, signs))
 
 
 def _labelled_top_form(chi: Chirotope) -> OSElement:
@@ -280,10 +375,10 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
 
     With chi_T the chirotope reoriented by the tope, for a facet atom the
     residue must equal minus the form of the contraction chi_T/a; for a
-    non-facet atom it must vanish.  That form is not recomputed
-    independently: it comes from the same recursion, whose memo already
-    holds it as the target the tope's own solve was given, so the check
-    confirms that the solve met its targets and zeros.  At rank 1,
+    non-facet atom it must vanish.  That form is a second computation: the
+    contraction's own solve, against the targets read off its own
+    hyperplane table, while the tope's solve read its facet targets off
+    chi_T's table and computed no form of a minor.  At rank 1,
     where the facet has rank 0 and no reduced form, the single atom checks
     the base value chi_T(rep) * 1 instead.  The facets are read off om's
     cached cocircuits conformal to the tope.  Returns {atom rep: bool}.

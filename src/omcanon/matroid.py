@@ -86,9 +86,6 @@ class UnderlyingMatroid:
             raise ValueError(f"{e!r} is a loop, in no atom")
         return self._atom_at[i]
 
-    def atom_of(self, e) -> frozenset:
-        return self.atoms[self._atom_index(e)]
-
     def rep_of(self, e):
         return self.atom_reps[self._atom_index(e)]
 

@@ -278,44 +278,58 @@ def is_acyclic(chi: Chirotope) -> bool:
     n, r = len(chi.ground), chi.rank
     if r == 0 or n <= r:
         return True
-    return _facet_classes(n, _one_signed(n, r, chi.signs), ()) is not None
+    one_signed = _one_signed(_hyperplanes(n, r, chi.signs))
+    return _facet_classes(n, one_signed.values(), ()) is not None
 
 
 @memo
 def _hyperplane_slots(n: int, r: int) -> tuple:
     """For each ascending r-subset B of range(n), in sign-table order, the
-    triples (index of B minus B[i] among the (r-1)-subsets, bit of B[i],
-    parity of r-1-i), i = 0..r-1."""
+    pair (even, odd) of tuples of (index of B minus B[i] among the
+    (r-1)-subsets, bit of B[i]) over i = 0..r-1, split by the parity of
+    r-1-i."""
     index = {h: j for j, h in enumerate(combinations(range(n), r - 1))}
-    return tuple(tuple((index[key[:i] + key[i + 1:]], 1 << key[i],
-                        (r - 1 - i) % 2) for i in range(r))
+    return tuple(tuple(tuple((index[key[:i] + key[i + 1:]], 1 << key[i])
+                             for i in range(r) if (r - 1 - i) % 2 == odd)
+                       for odd in (0, 1))
                  for key in combinations(range(n), r))
 
 
-def _cocircuit_masks(n: int, r: int, signs) -> set:
-    """(plus, minus) masks of the cocircuits, one sign of each at least,
-    read off signs, the ascending rank-r sign table chi over range(n).  The
-    cocircuit of the hyperplane spanned by H = B minus B[i], for a basis B,
-    takes the sign (-1)^(r-1-i) chi(B) at B[i]: moving B[i] to the end of B
-    takes r-1-i transpositions."""
+def _hyperplanes(n: int, r: int, signs) -> tuple:
+    """(plus, minus): for each (r-1)-subset H of range(n) in combinations
+    order, the masks of the signs of C_H(e) = chi(H, e), read off signs,
+    the ascending rank-r sign table chi over range(n); in rank 0 there is
+    no H.  C_H is the cocircuit of the hyperplane spanned by H, or zero
+    when H is dependent.  For a basis B and H = B minus B[i], C_H takes the
+    sign (-1)^(r-1-i) chi(B) at B[i]: moving B[i] to the end of B takes
+    r-1-i transpositions."""
     if r == 0:
-        return set()
+        return [], []
     plus, minus = [0] * comb(n, r - 1), [0] * comb(n, r - 1)
-    for s, slots in zip(signs, _hyperplane_slots(n, r)):
+    for s, (even, odd) in zip(signs, _hyperplane_slots(n, r)):
         if s:
-            for h, bit, odd in slots:
-                if (s > 0) != odd:
-                    plus[h] |= bit
-                else:
-                    minus[h] |= bit
-    return {pm for pm in zip(plus, minus) if pm != (0, 0)}
+            if s < 0:
+                even, odd = odd, even
+            for h, bit in even:
+                plus[h] |= bit
+            for h, bit in odd:
+                minus[h] |= bit
+    return plus, minus
 
 
-def _one_signed(n: int, r: int, signs) -> list:
-    """(plus, minus) masks of the one-signed cocircuits of the sign table
-    (see `_cocircuit_masks`), one sign of each: their zero sets are those
-    of the cocircuits conformal to the all-plus vector."""
-    return [(p, m) for p, m in _cocircuit_masks(n, r, signs) if not p or not m]
+def _cocircuit_masks(n: int, r: int, signs) -> set:
+    """(plus, minus) masks of the cocircuits of the sign table, one sign of
+    each at least: the nonzero entries of its `_hyperplanes`."""
+    return set(zip(*_hyperplanes(n, r, signs))) - {(0, 0)}
+
+
+def _one_signed(hyperplanes: tuple) -> dict:
+    """{index of H: (plus, minus) masks of C_H} over the (r-1)-subsets H
+    whose cocircuit in the table hyperplanes (see `_hyperplanes`) is
+    one-signed: their zero sets are those of the cocircuits conformal to
+    the all-plus vector."""
+    return {h: (p, m) for h, (p, m) in enumerate(zip(*hyperplanes))
+            if bool(p) != bool(m)}
 
 
 def _facet_classes(n: int, pairs, classes) -> list | None:

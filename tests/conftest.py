@@ -7,7 +7,6 @@ import os
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
 
 import pytest
 from hypothesis import settings
@@ -16,12 +15,12 @@ from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
                      RationalMatrix, SignVector, UnderlyingMatroid,
                      chirotope_from_matrix, forms, linalg)
 from omcanon.chirotope import _mask, _mask_index
-from omcanon.om import _facet_classes, _one_signed
+from omcanon.om import _facet_classes, _hyperplanes, _one_signed
 from omcanon.osalg import _algebra
 from omcanon.serialize import parse_input
 from omcanon.signvec import _labels
 
-from oracle_ops import is_orthogonal
+from oracle_ops import atom_of, is_orthogonal
 
 # With CI set, property tests draw the same examples on every run, so a
 # failure on one leg replays locally with CI=1; no per-example deadline on
@@ -196,8 +195,8 @@ def facet_elements(chi: Chirotope, matroid: UnderlyingMatroid) -> frozenset:
     whose parallel class is a facet of the all-plus tope: the classes
     `om._facet_classes` reads off the one-signed cocircuits, as labels."""
     n = len(chi.ground)
-    classes = _facet_classes(n, _one_signed(n, chi.rank, chi.signs),
-                             matroid._atom_masks)
+    one_signed = _one_signed(_hyperplanes(n, chi.rank, chi.signs))
+    classes = _facet_classes(n, one_signed.values(), matroid._atom_masks)
     return frozenset(e for c in classes for e in _labels(chi.ground, c))
 
 
@@ -300,7 +299,7 @@ def deletion_fingerprint(m: UnderlyingMatroid, rep) -> tuple:
     of rep.  Its bases are the bases of m that miss the atom: the j-th
     r-set of the kept positions is a basis iff it is one of m; when the
     atom is a coloop, the deletion is the contraction."""
-    atom = m.atom_of(rep)
+    atom = atom_of(m, rep)
     ground = tuple(e for e in m.ground if e not in atom)
     if m.rank_of(ground) < m.rank:
         return m.contraction_fingerprint(rep)
@@ -333,26 +332,12 @@ def iota(alg, rep, x):
 
 
 def stack_solve(alg, targets: dict):
-    """`forms._top_form` on the positional algebra alg, its recursion fed
-    targets ({atom: residue in the atom's block algebra}) in place of the
-    forms of the contractions: the atoms keyed in targets are the facets,
-    every other atom is not."""
+    """`forms._solve` on the residue stack of the positional algebra alg,
+    fed targets ({atom: residue in the atom's block algebra}); every atom
+    that targets does not hold reads zero."""
     ground, r, support = alg.matroid.fingerprint
-    n = len(ground)
-    assert ground == tuple(range(n))
-    signs = tuple(support >> i & 1 for i in range(comb(n, r)))
-    masks = dict(zip(alg.atoms, alg.matroid._atom_masks))
-    top_form = forms._top_form.__wrapped__
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forms, "_one_signed", lambda n, r, signs: ())
-        mp.setattr(forms, "_facet_classes",
-                   lambda n, pairs, atom_masks: {masks[a] for a in targets})
-        # the contraction at a is the gather by the position a, keyed a
-        mp.setattr(forms, "_contracted_signs",
-                   lambda n, r, signs, removed, a: a)
-        mp.setattr(forms, "_positional", lambda n, r, a: (1, a))
-        mp.setattr(forms, "_top_form", targets.__getitem__)
-        return top_form((n, r, signs))
+    assert ground == tuple(range(len(ground)))
+    return forms._solve(forms._stack(len(ground), r, support), targets)
 
 
 def linear_map(src, dst, k_src: int, k_dst: int, fn) -> LinearMap:

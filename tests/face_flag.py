@@ -85,16 +85,29 @@ def face_zero_sets(chi) -> set:
     return out
 
 
+_CHAINS: dict = {}  # (ground, rank, support) -> `_nbc_chains`
+
+
+def _nbc_chains(chi) -> list:
+    """(K, masks of the flats cl{k_j, ..., k_r}, j = 1..r) over the NBC
+    r-sets K of chi's matroid, kept per matroid: a reorientation keeps
+    it."""
+    key = (chi.ground, chi.rank, chi.support)
+    chains = _CHAINS.get(key)
+    if chains is None:
+        m = FrozensetMatroid.from_chirotope(chi)
+        pos = ground_positions(chi.ground)
+        chains = _CHAINS[key] = [
+            (k, [sum(1 << pos[e] for e in m.closure(k[j:]))
+                 for j in range(chi.rank)])
+            for k in m.nbc_sets(chi.rank)]
+    return chains
+
+
 def face_flag_form(chi) -> dict:
     """{K: chi(K)} over the NBC r-sets K whose chain of flats
     cl{k_j, ..., k_r}, j = 1..r, consists of face zero sets of the all-plus
     tope of the acyclic chi: the terms of its top-grade form."""
-    m = FrozensetMatroid.from_chirotope(chi)
-    pos = ground_positions(chi.ground)
     faces = face_zero_sets(chi)
-    out = {}
-    for key in m.nbc_sets(chi.rank):
-        flats = [m.closure(key[j:]) for j in range(chi.rank)]
-        if all(sum(1 << pos[e] for e in flat) in faces for flat in flats):
-            out[key] = chi.value(key)
-    return out
+    return {key: chi.value(key) for key, flats in _nbc_chains(chi)
+            if all(flat in faces for flat in flats)}

@@ -4,8 +4,9 @@ The library needs none of them.  The tests use them as tools and oracles:
 composition, support, negative part, zero test, orthogonality,
 conformality, restriction, extension, zeroing and nonnegativity of sign
 vectors (`SignVector`'s masks give each one in a few bitwise operations),
-the negated chirotope, the cocircuits by chirotope evaluation, and the
-characteristic polynomial, which gives the Whitney numbers.
+the negated chirotope, the cocircuits by chirotope evaluation, the
+characteristic polynomial, which gives the Whitney numbers, and the atom
+(parallel class) of an element of a matroid.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ from math import comb
 
 from omcanon import Chirotope, SignVector
 from omcanon.signvec import _labels, ground_positions
+
+
+def atom_of(m, e) -> frozenset:
+    """The atom of the matroid m holding the element e, as labels, found
+    through its representative."""
+    return m.atoms[m.atom_reps.index(m.rep_of(e))]
 
 
 def compose(x: SignVector, y: SignVector) -> SignVector:

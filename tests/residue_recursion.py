@@ -1,0 +1,72 @@
+"""The residue recursion through every minor: a second route to the
+library's top-grade forms, which read each facet's target off the
+hyperplane table instead (`forms._facet_targets`).
+
+A positional class (n, r, signs) of rank r >= 1 is solved by its residue
+stack (`forms._stack`, `forms._solve`) against the forms of its facet
+contractions, each one gather of the class's sign table
+(`chirotope._contracted_signs`) and solved by this recursion in turn, down
+to rank 0, where the form is the base value 1.  A facet's contraction is
+acyclic again, so every class the recursion visits is.  Forms are memoized
+per positional class, so topes of one oriented matroid share the forms of
+their common minors.
+"""
+
+from __future__ import annotations
+
+from omcanon import forms
+from omcanon.chirotope import _contracted_signs, _support
+from omcanon.om import _facet_classes, _hyperplanes, _one_signed
+from omcanon.osalg import _algebra
+
+_FORMS: dict = {}  # positional class -> its form
+_STATS = {"hits": 0, "misses": 0}
+
+
+def cache_info() -> dict:
+    """{"hits", "misses", "entries"} of the recursion's memo."""
+    return dict(_STATS, entries=len(_FORMS))
+
+
+def cache_clear() -> None:
+    _FORMS.clear()
+    _STATS.update(hits=0, misses=0)
+
+
+def top_form(key: tuple):
+    """The top-grade form of the acyclic positional class key, in the
+    positional algebra of its matroid.  A memoized form whose algebra is no
+    longer the memoized one (after `_memo.clear_caches`) is solved again."""
+    n, r, signs = key
+    alg = _algebra(tuple(range(n)), r, _support(signs))
+    form = _FORMS.get(key)
+    if form is not None and form.algebra is alg:
+        _STATS["hits"] += 1
+        return form
+    _STATS["misses"] += 1
+    if r == 0:
+        form = alg.one()
+    else:
+        stack = forms._stack(n, r, _support(signs))
+        m = alg.matroid
+        one_signed = _one_signed(_hyperplanes(n, r, signs))
+        facets = _facet_classes(n, one_signed.values(), m._atom_masks)
+        targets = {}
+        for a, mask in zip(m.atom_reps, m._atom_masks):
+            if mask in facets:
+                sign, sub = forms._positional(
+                    n - mask.bit_count(), r - 1,
+                    _contracted_signs(n, r, signs, mask, a))
+                targets[a] = top_form(sub).scale(sign)
+        form = forms._solve(stack, targets)
+    _FORMS[key] = form
+    return form
+
+
+def recursive_form(chi) -> dict:
+    """The terms of the top-grade form of the acyclic chi by the recursion,
+    keyed by label tuples."""
+    sign, key = forms._positional(len(chi.ground), chi.rank, chi.signs)
+    ground = chi.ground
+    return {tuple(ground[i] for i in k): sign * v
+            for k, v in top_form(key).terms.items()}

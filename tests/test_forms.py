@@ -13,7 +13,7 @@ from omcanon import (OrientedMatroid, RationalMatrix, SignVector, algebra_of,
 from omcanon import forms, osalg
 from omcanon import om as om_module
 from omcanon._memo import clear_caches
-from omcanon.chirotope import Chirotope
+from omcanon.chirotope import Chirotope, _contracted_signs
 from omcanon.matroid import UnderlyingMatroid
 from omcanon.om import is_acyclic
 from omcanon.osalg import OSAlgebra, os_algebra_of_chirotope
@@ -21,6 +21,7 @@ from omcanon.realization import _placing
 from omcanon.signvec import _labels
 
 import fraction_linalg
+import residue_recursion
 from face_flag import face_flag_form
 from oracle_ops import is_nonnegative, restrict, scale, value_cocircuits
 from tope_walk import contracted_tope_chirotope
@@ -192,12 +193,22 @@ def test_forms_are_integral(pentagon, pentagon_inf):
 
 
 def test_memoization_shares_minor_forms(pentagon):
+    """The recursion through every minor (tests/residue_recursion.py)
+    shares the forms of common minors across topes, and agrees with the
+    library, whose one-level solve computes no minor's form: its memo holds
+    one entry per positional class of the topes asked for."""
     clear_caches()
-    before = forms._top_form.cache_info().hits
-    for t in pentagon.sorted_topes()[:6]:
-        canonical_form_tope(pentagon, t)
-    after = forms._top_form.cache_info().hits
-    assert after > before  # contractions overlap across topes
+    residue_recursion.cache_clear()
+    topes = pentagon.sorted_topes()[:6]
+    classes = set()
+    for t in topes:
+        chi = pentagon.chi.reorient(t)
+        assert (residue_recursion.recursive_form(chi)
+                == nonreduced_canonical_form(pentagon, t).terms)
+        classes.add(forms._positional(len(chi.ground), chi.rank,
+                                      chi.signs)[1])
+    assert residue_recursion.cache_info()["hits"] > 0  # minors overlap
+    assert forms._top_form.cache_info().currsize == len(classes)
 
 
 def test_random_nonacyclic_reorientations_vanish(pentagon):
@@ -297,8 +308,8 @@ def test_recursion_matches_reference(name, request):
 
 @pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair"])
 def test_nonreduced_form_needs_no_second_solve(name, request, monkeypatch):
-    """The top-grade form comes out of the recursion itself: neither the
-    boundary's inverse nor row reduction runs, even with empty memos."""
+    """The top-grade form comes out of the residue solve itself: neither
+    the boundary's inverse nor row reduction runs, even with empty memos."""
     om = request.getfixturevalue(name)
     clear_caches()
     calls = []
@@ -373,7 +384,7 @@ def _identity(n: int) -> list:
 @pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair",
                                   "nonpappus"])
 def test_residue_stack_left_inverse(name, request):
-    """Every stack the recursion solves with has left * matrix = I."""
+    """Every stack reachable by atom contractions has left * matrix = I."""
     stacks = _stacks(request.getfixturevalue(name))
     assert stacks
     for stack in stacks:
@@ -394,7 +405,7 @@ def test_residue_stack_square_block(name, request):
         keys = alg.nbc[alg.rank]
         want = []
         for key, column in zip(keys, columns):
-            target, offset = blocks[key[-1]]
+            target, offset, _ = blocks[key[-1]]
             ground = alg.matroid.contraction_fingerprint(key[-1])[0]
             rest = tuple(ground.index(e) for e in key[:-1])
             index = target._nbc_pos[alg.rank - 1]
@@ -511,7 +522,7 @@ def test_sparse_stack_matches_dense(name, request):
         elements = [alg.from_terms(r, {key: 1}) for key in alg.nbc[r]]
         elements += [_random_element(rng, alg, r, range(-3, 4))
                      for _ in range(3)]
-        assert [(a, t) for a, (t, _) in blocks.items()] == [
+        assert [(a, t) for a, (t, *_) in blocks.items()] == [
             (a, t) for a, t, _ in dense.blocks]
         for x in elements:
             targets = dense.residues(x)
@@ -546,11 +557,11 @@ def test_stack_refuses_targets_outside_its_block_algebras(name, request):
     for alg, blocks, *_ in _stacks(named_om(name, request)):
         x = alg.from_terms(alg.rank, {alg.nbc[alg.rank][0]: 1})
         residues = {a: alg.residue(a, x) for a in blocks}
-        if any(residues[a].algebra is not t for a, (t, _) in blocks.items()):
+        if any(residues[a].algebra is not t for a, (t, *_) in blocks.items()):
             labelled += 1
             with pytest.raises(RuntimeError, match="positional algebra"):
                 stack_solve(alg, residues)
-        for a, (target, _) in blocks.items():
+        for a, (target, *_) in blocks.items():
             fresh = OSAlgebra(target.matroid).zero(alg.rank - 1)
             with pytest.raises(RuntimeError, match="positional algebra"):
                 stack_solve(alg, {a: fresh})
@@ -561,7 +572,7 @@ def test_stack_refuses_targets_outside_its_block_algebras(name, request):
 def _block_residues(alg, blocks, x) -> dict:
     """{atom: Res_a x in a's block algebra} over every block of a stack."""
     out = {}
-    for a, (target, _) in blocks.items():
+    for a, (target, *_) in blocks.items():
         ground = alg.matroid.contraction_fingerprint(a)[0]
         pos = dict(zip(ground, range(len(ground))))
         res = alg.residue(a, x)
@@ -588,7 +599,7 @@ def test_stack_reads_absent_atoms_as_zero(name, request):
             assert stack_solve(alg, nonzero) == stack_solve(alg, full) == x
         for _ in range(3):
             full = {a: _random_element(rng, target, r - 1, (-1, 0, 0, 1))
-                    for a, (target, _) in blocks.items()}
+                    for a, (target, *_) in blocks.items()}
             nonzero = {a: t for a, t in full.items() if not t.is_zero}
             dropped += len(full) - len(nonzero)
             assert (_solve_outcome(stack_solve, alg, nonzero)
@@ -619,8 +630,8 @@ def test_stack_build_requires_denominator_one(name, request, monkeypatch):
 
 @pytest.mark.parametrize("name", ["pentagon", "nonpappus"])
 def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
-    """The recursion tests no node for acyclicity: it contracts at facets
-    only, so every positional class its memo holds is acyclic."""
+    """The solve tests no class for acyclicity: its callers reorient by a
+    tope, so every positional class its memo holds is acyclic."""
     om = request.getfixturevalue(name)
     clear_caches()
     visited = []
@@ -678,17 +689,17 @@ def test_residue_check_reads_the_cached_cocircuits(nonpappus, monkeypatch):
     reports = [check_residue_axioms(nonpappus, t) for t in topes]
     assert all(all(report.values()) for report in reports)
     calls = []
-    cocircuit_masks = om_module._cocircuit_masks
+    hyperplanes = om_module._hyperplanes
 
-    def counting_cocircuit_masks(n, r, signs):
+    def counting_hyperplanes(n, r, signs):
         calls.append(signs)
-        return cocircuit_masks(n, r, signs)
+        return hyperplanes(n, r, signs)
 
-    monkeypatch.setattr(om_module, "_cocircuit_masks",
-                        counting_cocircuit_masks)
+    for module in (om_module, forms):
+        monkeypatch.setattr(module, "_hyperplanes", counting_hyperplanes)
     assert [check_residue_axioms(nonpappus, t) for t in topes] == reports
     assert calls == []
-    facet_elements(nonpappus.chi, nonpappus.underlying)
+    om_module.is_acyclic(nonpappus.chi)
     assert len(calls) == 1  # the counter sees calls
 
 
@@ -811,9 +822,11 @@ def sweep_uniform_r4_matrix():
 
 
 def test_uniform_sweep_builds_one_stack_per_class(monkeypatch):
-    """Every contraction of a uniform (7, 4) matroid is uniform again, so
-    the forms of all its topes need one algebra per rank 4..0 and one
-    residue stack per rank 4..1."""
+    """The forms of all 84 topes of a uniform (7, 4) matroid need one
+    residue stack, of the rank-4 class, and two algebras: that class's and
+    its block algebra, uniform (6, 3), which every atom's contraction
+    shares.  No minor's form is solved, so the memo holds the 42 classes
+    of the topes, one per antipodal pair, and nothing else."""
     clear_caches()
     om = OrientedMatroid(chirotope_from_matrix(sweep_uniform_r4_matrix()))
     algebras = []
@@ -828,40 +841,58 @@ def test_uniform_sweep_builds_one_stack_per_class(monkeypatch):
     assert len(topes) == 84
     for t in topes:
         canonical_form_tope(om, t)
-    assert len(algebras) == 5
-    assert forms._stack.cache_info().misses == 4
+    assert len(algebras) == 2
+    assert forms._stack.cache_info().misses == 1
+    assert forms._top_form.cache_info().currsize == 42
 
 
-# ---- the sign-table node against the chirotope path it replaced -----------
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_memo_holds_tope_classes_only(name, request):
+    """After the forms of every tope, the form memo holds exactly the
+    positional classes of the topes' reorientations: no minor's class."""
+    om = named_om(name, request)
+    clear_caches()
+    classes = set()
+    for t in om.sorted_topes():
+        nonreduced_canonical_form(om, t)
+        chi = om.chi.reorient(t)
+        classes.add(forms._positional(len(chi.ground), chi.rank,
+                                      chi.signs)[1])
+    assert forms._top_form.cache_info().currsize == len(classes)
+
+
+# ---- the recursion through every minor, kept as an oracle ----------------
 
 
 def facet_gathers(chis, monkeypatch) -> list:
-    """(node key, removed, i, gathered signs) for every facet contraction the
-    recursion makes, from empty memos, on its way to the forms of chis."""
+    """(node key, removed, i, gathered signs) for every facet contraction
+    the recursion of tests/residue_recursion.py makes, from empty memos,
+    on its way to the forms of chis."""
     clear_caches()
+    residue_recursion.cache_clear()
     gathers = []
-    gather = forms._contracted_signs
+    gather = residue_recursion._contracted_signs
 
     def recording(n, r, signs, removed, i):
         out = gather(n, r, signs, removed, i)
         gathers.append(((n, r, signs), removed, i, out))
         return out
 
-    monkeypatch.setattr(forms, "_contracted_signs", recording)
+    monkeypatch.setattr(residue_recursion, "_contracted_signs", recording)
     for chi in chis:
-        forms._labelled_top_form(chi)
-    monkeypatch.setattr(forms, "_contracted_signs", gather)
+        residue_recursion.recursive_form(chi)
+    monkeypatch.setattr(residue_recursion, "_contracted_signs", gather)
     return gathers
 
 
 @pytest.mark.parametrize("name", SEEDED_CASES)
 def test_facet_gathers_match_chirotope_contractions(name, request,
                                                     monkeypatch):
-    """On the way to the forms of every tope, each facet contraction, one
-    gather of the node's signs, equals `Chirotope.contract` of the node's
-    chirotope by the facet's atom, and its (sign, key) is that chirotope's
-    `_positional`; every node's cocircuits, read off its signs, are those
-    that evaluating its chirotope finds."""
+    """On the recursion's way to the forms of every tope, each facet
+    contraction, one gather of the node's signs, equals `Chirotope.contract`
+    of the node's chirotope by the facet's atom, and its (sign, key) is that
+    chirotope's `_positional`; every node's cocircuits, read off its signs,
+    are those that evaluating its chirotope finds."""
     om = named_om(name, request)
     gathers = facet_gathers([om.chi.reorient(t) for t in om.sorted_topes()],
                             monkeypatch)
@@ -902,7 +933,7 @@ def test_entry_gathers_match_labelled_contractions(name, request):
             for a, mask in zip(m.atom_reps, m._atom_masks):
                 if a not in facets:
                     continue
-                got = forms._contracted_signs(n, r, signs, mask,
+                got = _contracted_signs(n, r, signs, mask,
                                               chi.ground.index(a))
                 want = tope.contract(a)
                 assert tuple(sign * s for s in got) == want.signs
@@ -912,7 +943,7 @@ def test_entry_gathers_match_labelled_contractions(name, request):
 def test_cold_sweep_builds_chirotopes_only_to_reorient(name, request,
                                                        monkeypatch):
     """From empty memos, the forms of every tope build one chirotope per
-    tope, its reorientation, and none inside the recursion."""
+    tope, its reorientation, and none inside the solve."""
     om = named_om(name, request)
     topes = om.sorted_topes()
     reoriented = [om.chi.reorient(t) for t in topes]
@@ -995,7 +1026,7 @@ def test_residue_check_builds_no_oriented_matroid(name, request, monkeypatch):
 def test_face_flag_matches_nonreduced_form(name, request):
     """The face-flag read-off (tests/face_flag.py) equals the library's
     top-grade form on every tope.  It reads `nbc_sets` and the cocircuits,
-    not the residue recursion."""
+    not the residue solve."""
     om = named_om(name, request)
     terms = 0
     for tope in om.sorted_topes():
@@ -1003,3 +1034,92 @@ def test_face_flag_matches_nonreduced_form(name, request):
         assert form.terms == face_flag_form(om.chi.reorient(tope))
         terms += len(form.terms)
     assert terms >= len(om.topes)
+
+
+def _differential_matrices(rank: int, count: int) -> list:
+    """count seeded rank x 7 integer matrices with entries in [-2, 2]: small
+    entries make vanishing minors, parallel elements and classes that merge
+    in a contraction common."""
+    rng = random.Random(f"differential:{rank}")
+    out = []
+    while len(out) < count:
+        rows = [[rng.randint(-2, 2) for _ in range(7)] for _ in range(rank)]
+        try:
+            chi = chirotope_from_matrix(
+                RationalMatrix.from_rows(tuple(range(7)), rows))
+        except ValueError:  # a zero column, or rank deficient
+            continue
+        out.append(OrientedMatroid(chi, validate=False))
+    return out
+
+
+def _assert_forms_agree(om) -> int:
+    """The library's top-grade form of every tope of om equals the
+    recursion's through every minor (tests/residue_recursion.py) and the
+    face-flag read-off (tests/face_flag.py); returns the number of topes."""
+    topes = om.sorted_topes()
+    for t in topes:
+        chi = om.chi.reorient(t)
+        got = nonreduced_canonical_form(om, t).terms
+        assert got == residue_recursion.recursive_form(chi), str(t)
+        assert got == face_flag_form(chi), str(t)
+    return len(topes)
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_forms_match_recursion_and_face_flags(name, request):
+    """Under every relabelling (`relabellings`), the one-level solve's forms
+    equal those of the recursion through every minor and of the face-flag
+    read-off, on every tope."""
+    om = named_om(name, request)
+    for chi in relabellings(om.chi):
+        assert _assert_forms_agree(OrientedMatroid(chi, validate=False))
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_forms_match_recursion_on_random_matrices(rank):
+    """Seeded random matrices of rank 3 and 4 with small entries: the three
+    routes agree on every tope, and some contraction merges parallel
+    classes, so a block's keys are not the atoms of the matroid minus one."""
+    merged = 0
+    for om in _differential_matrices(rank, 6):
+        assert _assert_forms_agree(om)
+        m = om.underlying
+        for rep in m.atom_reps:
+            sub = UnderlyingMatroid(*m.contraction_fingerprint(rep))
+            merged += len(sub.atoms) < len(m.atoms) - 1
+    assert merged
+
+
+@pytest.mark.parametrize("name", ["pentagon", "nonpappus"])
+def test_residue_check_catches_a_corrupted_minor_form(name, request,
+                                                      monkeypatch):
+    """The residue check compares each facet residue with the contraction's
+    own solve, a second computation: with one coefficient flipped in the
+    form of every class of rank r-1, every facet atom of every tope fails
+    and every other atom passes, since the tope's own solve reads its
+    targets off its table, not off those forms."""
+    om = request.getfixturevalue(name)
+    top_form = forms._top_form
+
+    def corrupted(key):
+        form = top_form(key)
+        if key[1] != om.rank - 1:
+            return form
+        terms = dict(form.terms)
+        first = next(iter(terms))
+        terms[first] = -terms[first]
+        return osalg.OSElement(form.algebra, form.grade, terms)
+
+    clear_caches()
+    monkeypatch.setattr(forms, "_top_form", corrupted)
+    try:
+        for t in om.sorted_topes():
+            report = check_residue_axioms(om, t)
+            facets = facet_elements(om.chi.reorient(t), om.underlying)
+            assert facets
+            assert {a for a, ok in report.items() if not ok} == (
+                facets & set(om.atom_reps)), str(t)
+    finally:
+        monkeypatch.undo()
+        clear_caches()  # drop the corrupted forms memoized by the check

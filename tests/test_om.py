@@ -426,7 +426,7 @@ def test_facet_reader_matches_acyclicity_and_is_facet(name, request):
         plus = SignVector(chi.ground, (1,) * len(chi.ground))
         assert facets <= set(chi.ground)
         for a in om.atom_reps:
-            atom = om.underlying.atom_of(a)
+            atom = oracle_ops.atom_of(om.underlying, a)
             contracted = is_acyclic(chi.contract(a))
             assert contracted == tope_walk.is_facet(om, plus, a)
             assert all((e in facets) == contracted for e in atom)

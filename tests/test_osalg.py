@@ -918,7 +918,7 @@ def test_residue_stack_solve_gives_ints(name, request):
     targets = {a: target.from_terms(r - 1, {
         key: Fraction(image.get(offset + i, 0))
         for i, key in enumerate(target.nbc[r - 1])})
-        for a, (target, offset) in blocks.items()}
+        for a, (target, offset, _) in blocks.items()}
     x = stack_solve(alg, targets)
     assert x == alg.from_terms(r, dict(zip(alg.nbc[r], coeffs)))
     assert all(type(v) is int for v in x.terms.values())

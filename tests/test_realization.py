@@ -455,7 +455,7 @@ def test_place_under_reorientation_matches_label_walk(name, request):
 def test_placing_sums_match_the_recursion_without_a_matrix(name):
     """On the non-realizable chirotope inputs, which have no matrix, the
     placing sum of every tope under three seeded insertion orders equals
-    its non-reduced form from the residue recursion: placing reads only
+    its non-reduced form from the residue solve: placing reads only
     the chirotope, and every acyclic oriented matroid has placing
     triangulations (Santos, Mem. AMS 741, 2002)."""
     path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")

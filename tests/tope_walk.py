@@ -39,7 +39,7 @@ def is_covector(om, x: SignVector) -> bool:
 
 def is_facet(om, tope: SignVector, rep) -> bool:
     """True iff zeroing the atom of rep yields a covector."""
-    atom = om.underlying.atom_of(rep)
+    atom = oracle_ops.atom_of(om.underlying, rep)
     return is_covector(om, oracle_ops.zero_out(tope, atom))
 
 
