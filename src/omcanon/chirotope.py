@@ -9,7 +9,9 @@ them (tuples with repeats evaluate to 0); validation, circuits
 mask, and a contraction's table is a gather from its parent's through a
 slot table cached per shape (`_minor_slots`), so none of them walks keys
 of labels.  A chirotope keeps the circuit of every (r+1)-set in one table
-(`Chirotope._circuit_table`), built on first use and dropped with it.
+(`Chirotope._circuit_table`) and the cocircuit of every (r-1)-set in
+another (`Chirotope._hyperplanes`), which each reorientation reads at its
+minus mask; both are built on first use and dropped with the chirotope.
 """
 
 from __future__ import annotations
@@ -78,11 +80,17 @@ def _minor_slots(n: int, r: int, removed: int, element: int) -> tuple:
                  for m in map(_mask, combinations(kept, r - 1)))
 
 
-def _contracted_signs(n: int, r: int, signs, removed: int, i: int) -> tuple:
-    """The sign table of the contraction of signs, of rank r over range(n),
-    by the position i, evaluated last, without the positions in removed."""
-    return tuple(-signs[k >> 1] if k & 1 else signs[k >> 1]
-                 for k in _minor_slots(n, r, removed, i))
+@memo
+def _hyperplane_slots(n: int, r: int) -> tuple:
+    """For each ascending r-subset B of range(n), in sign-table order, the
+    pair (even, odd) of tuples of (index of B minus B[i] among the
+    (r-1)-subsets, bit of B[i]) over i = 0..r-1, split by the parity of
+    r-1-i."""
+    index = {h: j for j, h in enumerate(combinations(range(n), r - 1))}
+    return tuple(tuple(tuple((index[key[:i] + key[i + 1:]], 1 << key[i])
+                             for i in range(r) if (r - 1 - i) % 2 == odd)
+                       for odd in (0, 1))
+                 for key in combinations(range(n), r))
 
 
 def _support(signs) -> int:
@@ -191,6 +199,29 @@ class Chirotope(FrozenRecord):
         return {s: _circuit(self.signs, index, s)
                 for s in _mask_index(n, r + 1)}
 
+    @cached_property
+    def _hyperplanes(self) -> tuple:
+        """(plus, minus): for each (r-1)-subset H of positions, in
+        combinations order, the masks of the signs of the cocircuit
+        C_H(e) = chi(H, e) of the hyperplane H spans (zero when H is
+        dependent; no H in rank 0).  For a basis B and H = B minus B[i],
+        C_H(B[i]) = (-1)^(r-1-i) chi(B): moving B[i] to the end of B takes
+        r-1-i transpositions.  The reorientation by a position mask m has
+        this table with plus and minus swapped at m."""
+        n, r = len(self.ground), self.rank
+        if r == 0:
+            return [], []
+        plus, minus = [0] * comb(n, r - 1), [0] * comb(n, r - 1)
+        for s, (even, odd) in zip(self.signs, _hyperplane_slots(n, r)):
+            if s:
+                if s < 0:
+                    even, odd = odd, even
+                for h, bit in even:
+                    plus[h] |= bit
+                for h, bit in odd:
+                    minus[h] |= bit
+        return plus, minus
+
     @property
     def nonzero_keys(self) -> tuple:
         return tuple(k for k, s in zip(self.keys, self.signs) if s != 0)
@@ -222,7 +253,8 @@ class Chirotope(FrozenRecord):
             raise ValueError(f"{element!r} is a loop, in no atom")
         removed = nonloops & ~spanned | 1 << i
         return Chirotope(_labels(self.ground, ~removed), r - 1,
-                         _contracted_signs(n, r, signs, removed, i))
+                         tuple(-signs[k >> 1] if k & 1 else signs[k >> 1]
+                               for k in _minor_slots(n, r, removed, i)))
 
 
 def validate_chirotope(chi: Chirotope) -> None:

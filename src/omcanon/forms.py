@@ -9,7 +9,7 @@ down by its residues at atom contractions,
 with base value chi(()) in rank 0.  A tope's form is solved from these
 residues in one step, with no recursion into minors: each facet's target
 W(chi/a) is read off chi's own hyperplane table (`_facet_targets`, which
-states and proves the rule, Finding 1), and the class's residue stack
+states and proves the rule, Finding 1), and the matroid's residue stack
 (`_stack`) solves for W.  The facet targets are written at their blocks'
 rows, every other atom's rows read zero, and the inverse of one unit
 triangular square block of the stacked residue maps gives the form, which
@@ -25,27 +25,25 @@ its own table, not from the targets the tope's solve was given.  The
 triangulation evaluation sum_B chi(B) e_B satisfies the top-grade
 recursion, so both paths agree.
 
-The solve runs on order-isomorphism classes.  A relabelling of the ground
-set that keeps its order keeps atom representatives, NBC sets, circuit
-order and straightening signs, which read positions only, so it carries
-algebras, residue stacks and forms onto each other.  A global sign does
-too: W(-chi) = -W(chi), since the facets depend only on the zero sets of
-the cocircuits, every target is linear in chi and the residue solve is
-linear.  So the memo is keyed on the positional class (`_positional`:
-(n, r, signs) with the first nonzero sign positive), and it holds the
-classes of the topes asked for, nothing else.  A class's form is read off
-its sign table alone, with no chirotope built; each residue stack solves
-against the positional algebras of its contractions, and a labelled
-chirotope's form is its class's form with the labels and the sign put
-back, once, at the entry points.
+A tope T with minus mask m reads its form off the input chirotope's own
+hyperplane table (`Chirotope._hyperplanes`): the reorientation chi_m, in
+which T is all-plus, has that table with plus and minus swapped at m, and
+chi_m(B) = (-1)^|B & m| chi(B), so no reorientation is built.  The
+residue stack reads positions only (atom representatives, NBC sets,
+circuit order and straightening signs), so one stack serves every input
+of a positional class (n, r, support), and the labels go back once, on
+the solved form.  Forms are memoized per (chi, m); as
+chi_(~m) = (-1)^r chi_m and the solve is linear, W(-T) = (-1)^r W(T), and
+a tope and its negative share the entry at the mask whose position 0 is
+plus (`_at`).
 """
 
 from __future__ import annotations
 
 from . import linalg
 from ._memo import memo
-from .chirotope import Chirotope, _mask, _mask_index, _support
-from .om import OrientedMatroid, _facet_classes, _hyperplanes, _one_signed
+from .chirotope import Chirotope, _mask, _mask_index
+from .om import OrientedMatroid, _facet_classes, _one_signed
 from .osalg import (OSAlgebra, OSElement, _algebra, _residue_key,
                     os_algebra_for, os_algebra_of_chirotope)
 from .signvec import SignVector, _labels, _position, ground_positions
@@ -58,16 +56,6 @@ def oriented_matroid_for(chi: Chirotope) -> OrientedMatroid:
 
 def algebra_of(om: OrientedMatroid) -> OSAlgebra:
     return os_algebra_for(om.underlying)
-
-
-def _positional(n: int, r: int, signs: tuple) -> tuple:
-    """(sign, key): the rank-r table signs on n elements is sign times that
-    of key = (n, r, signs'), on ground range(n), whose first nonzero sign is
-    positive.  An order-preserving relabelling keeps a sign table aligned
-    with the ascending keys, so key reuses signs, negated if sign is -1."""
-    if next(filter(None, signs), 1) > 0:
-        return 1, (n, r, signs)
-    return -1, (n, r, tuple(-s for s in signs))
 
 
 @memo
@@ -83,13 +71,13 @@ def _stack(n: int, r: int, support: int) -> tuple:
     for the NBC keys K' = (k_1, k_2, ...) of the block, in positions of
     range(n), grouped by the index h of K - k_1 among the ascending
     (r-1)-subsets, where K = K' + a.  lifts[h] lists, for each such K',
-    the tuple K' itself, the index of K in the rank-r sign table, the
-    parity of the number of entries of K' above a, and for k_2, k_3, ...,
-    ascending, the pairs (bit of k, index of K minus k).  The empty key of
-    a rank-0 block has no k_1 and is grouped under None.  Canonical forms
-    are integral, so the map is kept over int; it is almost empty, and
-    columns[j] lists the (stacked row, value) pairs of the residues of the
-    j-th NBC r-monomial.
+    the tuple K' itself, the mask of K, its index in the rank-r sign
+    table, the parity of the number of entries of K' above a, and for
+    k_2, k_3, ..., ascending, the pairs (bit of k, index of K minus k).
+    The empty key of a rank-0 block has no k_1 and is grouped under None.
+    Canonical forms are integral, so the map is kept over int; it is
+    almost empty, and columns[j] lists the (stacked row, value) pairs of
+    the residues of the j-th NBC r-monomial.
 
     The solve reads one square block S of the stack (the NBC
     deletion-contraction bijection: Bjorner 1992, 7; Orlik-Terao 3.1).
@@ -126,7 +114,7 @@ def _stack(n: int, r: int, support: int) -> tuple:
             key = _mask(ks) | 1 << a
             reads = [(1 << k, hyperplanes[key ^ 1 << k]) for k in ks]
             lifts.setdefault(reads[0][1] if reads else None, []).append(
-                (rest, bases[key], sum(k > a for k in ks) & 1,
+                (rest, key, bases[key], sum(k > a for k in ks) & 1,
                  tuple(reads[1:])))
         blocks[a] = (block, first, lifts)
         index = block._nbc_pos[r - 1]
@@ -157,12 +145,15 @@ def _stack(n: int, r: int, support: int) -> tuple:
     return alg, blocks, columns, own, inverse
 
 
-def _facet_targets(stack: tuple, signs: tuple) -> dict:
-    """{a: W(chi/a)} over the facet atoms a of the all-plus tope of the
-    acyclic chi with sign table signs over range(n), whose class's residue
-    stack (`_stack`) is stack, each form in a's block algebra.  The forms
-    are read off chi's hyperplane table (`om._hyperplanes`): no contraction
-    is built and no form of a minor is solved.
+def _facet_targets(stack: tuple, chi: Chirotope, m: int) -> dict:
+    """{a: W(chi_m/a)} over the facet atoms a of the all-plus tope of
+    chi_m, the reorientation of chi by the position mask m, which callers
+    guarantee acyclic; stack is the residue stack (`_stack`) of chi's
+    positional class, and each form lies in a's block algebra.  The forms
+    are read off chi's hyperplane table (`Chirotope._hyperplanes`) with
+    plus and minus swapped at m, and each chi_m(K) is chi(K) times
+    (-1)^|K & m|: no reorientation or contraction is built and no form of
+    a minor is solved.
 
     Finding 1, which extends the face-flag theorem of `tests/face_flag.py`.
     Let K = (k_1 < ... < k_r) be an NBC basis and C_j its fundamental
@@ -184,37 +175,40 @@ def _facet_targets(stack: tuple, signs: tuple) -> dict:
         Oriented Matroids, ch. 4).  So T is that composition, with the
         signs T(k_j).
 
-    Here T is the all-plus tope of chi/a, the contraction by a facet atom
-    a with a evaluated last, whose cocircuits are those of chi that vanish
-    on a.  An NBC key K' of a's block (representatives of chi/a) lifts to
-    the basis K = K' + a of chi, and C_(K - k), the cocircuit of the
-    hyperplane spanned by K - k, signed + at k, is the fundamental
-    cocircuit of K' at k in chi/a.  So the coefficient of e_K' is
-    chi(K', a) = chi(K) (-1)^#{k in K' : k > a} when these cocircuits, in
-    ascending order of k, compose to a nonnegative vector whose zero set
-    is exactly a's parallel class, and 0 otherwise.  The first cocircuit
-    is the composition of one term, so it must itself be nonnegative: only
-    the keys whose K - k_1 spans a one-signed cocircuit are read, and that
-    cocircuit, signed + at k_1, is its support.  A composition that stays
-    nonnegative only adds plus signs, so it fails at the first cocircuit
-    with a minus sign outside the plus signs gathered so far.  The empty
-    key of rank 0 composes nothing, to the zero vector.  The atoms that are
-    no facet get no target: their residues are zero.
+    Here, with chi standing for chi_m, T is the all-plus tope of chi/a,
+    the contraction by a facet atom a with a evaluated last, whose
+    cocircuits are those of chi that vanish on a.  An NBC key K' of a's
+    block (representatives of chi/a) lifts to the basis K = K' + a of
+    chi, and C_(K - k), the cocircuit of the hyperplane spanned by K - k,
+    signed + at k, is the fundamental cocircuit of K' at k in chi/a.  So
+    the coefficient of e_K' is chi(K', a) = chi(K) (-1)^#{k in K' : k > a}
+    when these cocircuits, in ascending order of k, compose to a
+    nonnegative vector whose zero set is exactly a's parallel class, and 0
+    otherwise.  The first cocircuit is the composition of one term, so it
+    must itself be nonnegative: only the keys whose K - k_1 spans a
+    one-signed cocircuit are read, and that cocircuit, signed + at k_1, is
+    its support.  A composition that stays nonnegative only adds plus
+    signs, so it fails at the first cocircuit with a minus sign outside
+    the plus signs gathered so far.  The empty key of rank 0 composes
+    nothing, to the zero vector.  The atoms that are no facet get no
+    target: their residues are zero.
     """
     alg, blocks = stack[:2]
-    m, r = alg.matroid, alg.rank
-    n = len(m.ground)
-    plus, minus = table = _hyperplanes(n, r, signs)
-    one_signed = _one_signed(table)
+    n, r, signs = len(chi.ground), alg.rank, chi.signs
+    table = list(zip(*chi._hyperplanes))
+    plus = [p & ~m | q & m for p, q in table]
+    minus = [q & ~m | p & m for p, q in table]
+    one_signed = _one_signed((plus, minus))
     starts = [(h, p | q) for h, (p, q) in one_signed.items()] + [(None, 0)]
     targets = {}
-    for mask in _facet_classes(n, set(one_signed.values()), m._atom_masks):
+    for mask in _facet_classes(n, set(one_signed.values()),
+                               alg.matroid._atom_masks):
         a = (mask & -mask).bit_length() - 1  # the representative's position
         block, _, lifts = blocks[a]
         face = ~mask & (1 << n) - 1
         terms = {}
         for h, start in starts:
-            for key, b, odd, reads in lifts.get(h, ()):
+            for rest, key, b, odd, reads in lifts.get(h, ()):
                 p = start
                 for bit, g in reads:
                     gp, gm = plus[g], minus[g]
@@ -225,7 +219,8 @@ def _facet_targets(stack: tuple, signs: tuple) -> dict:
                     p |= gp
                 else:
                     if p == face:
-                        terms[key] = -signs[b] if odd else signs[b]
+                        flip = (odd + (key & m).bit_count()) & 1
+                        terms[rest] = -signs[b] if flip else signs[b]
         targets[a] = OSElement(block, r - 1, terms)
     return targets
 
@@ -268,50 +263,51 @@ def _solve(stack: tuple, targets: dict) -> OSElement:
 
 
 @memo
-def _top_form(key: tuple) -> OSElement:
-    """Top-grade form of the positional chirotope of key (see
-    `_positional`), which callers guarantee acyclic: one residue solve
-    against the facet targets read off its sign table."""
-    n, r, signs = key
-    if r == 0:  # the base value, the one sign, is positive
-        return _algebra(tuple(range(n)), 0, 1).one()
-    stack = _stack(n, r, _support(signs))
-    return _solve(stack, _facet_targets(stack, signs))
-
-
-def _labelled_top_form(chi: Chirotope) -> OSElement:
-    """Top-grade form of an acyclic chi, in os_algebra_of_chirotope(chi):
-    the form of its positional class with every position key k read as the
-    labels chi.ground[i], i in k, and the sign put back."""
-    sign, key = _positional(len(chi.ground), chi.rank, chi.signs)
-    form = _top_form(key)
-    if chi.ground != form.algebra.matroid.ground:  # else it is chi's algebra
-        ground = chi.ground
-        form = OSElement(os_algebra_of_chirotope(chi), form.grade,
-                         {tuple(ground[i] for i in k): v
-                          for k, v in form.terms.items()})
-    return form if sign == 1 else -form
+def _top_form(chi: Chirotope, m: int) -> OSElement:
+    """Top-grade form of chi reoriented by the position mask m, which
+    callers guarantee acyclic, in os_algebra_of_chirotope(chi): one residue
+    solve against the facet targets read off chi's table at m, with every
+    position key k read as the labels chi.ground[i], i in k."""
+    n, r, ground = len(chi.ground), chi.rank, chi.ground
+    alg = os_algebra_of_chirotope(chi)
+    if r == 0:  # the base value
+        return OSElement(alg, 0, {(): chi.signs[0]})
+    stack = _stack(n, r, chi.support)
+    form = _solve(stack, _facet_targets(stack, chi, m))
+    return OSElement(alg, r, {tuple(ground[i] for i in k): v
+                              for k, v in form.terms.items()})
 
 
 @memo
-def _canonical_form(chi: Chirotope) -> OSElement:
+def _canonical_form(chi: Chirotope, m: int) -> OSElement:
     if chi.rank == 0:
         raise ValueError("the reduced form needs rank at least 1")
-    top = _labelled_top_form(chi)
+    top = _top_form(chi, m)
     return top.algebra.boundary(top)
+
+
+def _at(table, chi: Chirotope, m: int) -> OSElement:
+    """table(chi, m) for a form memo table, read at whichever of m and its
+    complement leaves position 0 plus: W(chi reoriented by the complement)
+    is (-1)^r W(chi reoriented by m)."""
+    if not m & 1:
+        return table(chi, m)
+    form = table(chi, ~m & (1 << len(chi.ground)) - 1)
+    return -form if chi.rank & 1 else form
 
 
 def canonical_form_om(om: OrientedMatroid) -> OSElement:
     """Reduced canonical form of (M, chi); zero when M is not acyclic."""
     if not om.is_acyclic():
         return os_algebra_of_chirotope(om.chi).zero(om.rank - 1)
-    return _canonical_form(om.chi)
+    return _canonical_form(om.chi, 0)
 
 
 def canonical_form_tope(om: OrientedMatroid, tope: SignVector) -> OSElement:
-    """Reduced canonical form of a tope: reorient so the tope is all-plus."""
+    """Reduced canonical form of a tope: that of the chirotope reoriented
+    so the tope is all-plus, read at the tope's minus mask."""
     om.require_tope(tope)
-    return _canonical_form(om.chi.reorient(tope))
+    return _at(_canonical_form, om.chi, tope.minus)
 
 
 def canonical_form_from_triangulation(chi: Chirotope, bases) -> OSElement:
@@ -367,38 +363,45 @@ def nonreduced_canonical_form(om: OrientedMatroid, tope: SignVector) -> OSElemen
     """Top-grade form of a tope: the unique boundary preimage of the
     reduced form."""
     om.require_tope(tope)
-    return _labelled_top_form(om.chi.reorient(tope))
+    return _at(_top_form, om.chi, tope.minus)
 
 
 def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
     """Per-atom check of the facet recursion for a tope's reduced form.
 
-    With chi_T the chirotope reoriented by the tope, for a facet atom the
-    residue must equal minus the form of the contraction chi_T/a; for a
-    non-facet atom it must vanish.  That form is a second computation: the
-    contraction's own solve, against the targets read off its own
-    hyperplane table, while the tope's solve read its facet targets off
-    chi_T's table and computed no form of a minor.  At rank 1,
-    where the facet has rank 0 and no reduced form, the single atom checks
-    the base value chi_T(rep) * 1 instead.  The facets are read off om's
-    cached cocircuits conformal to the tope.  Returns {atom rep: bool}.
+    With chi_T the chirotope reoriented by the tope, for a facet atom a
+    the residue must equal minus the form of chi_T/a, which is T(a) times
+    that of om.chi/a reoriented by the tope restricted to its ground; for
+    a non-facet atom it must vanish.  That form is a second computation:
+    the contraction's own solve, read off its own hyperplane table, while
+    the tope's solve read its facet targets off om.chi's table and
+    computed no form of a minor.  At rank 1, where the facet has rank 0
+    and no reduced form, the single atom checks the base value
+    chi_T(rep) * 1 instead.  The facets are read off om's cached
+    cocircuits conformal to the tope.  Returns {atom rep: bool}.
     """
     om.require_tope(tope)
     alg = algebra_of(om)
-    chi = om.chi.reorient(tope)
-    form = _canonical_form(chi)
+    minus = tope.minus
+    form = _at(_canonical_form, om.chi, minus)
     if om.rank == 1:
         rep, = om.atom_reps
-        return {rep: form == alg.one().scale(chi.value((rep,)))}
+        base = om.chi.value((rep,)) * tope.value(rep)
+        return {rep: form == alg.one().scale(base)}
     masks = om.underlying._atom_masks
-    facets = _facet_classes(len(om.ground),
-                            om._conformal(tope.plus, tope.minus), masks)
+    facets = _facet_classes(len(om.ground), om._conformal(tope.plus, minus),
+                            masks)
+    pos = ground_positions(om.ground)
     report = {}
     for a, mask in zip(om.atom_reps, masks):
         res = alg.residue(a, form)
         if mask in facets:
-            expected = _canonical_form(chi.contract(a))
-            report[a] = (res == expected.scale(-1))
+            minor = om._contractions[a]
+            expected = _at(_canonical_form, minor,
+                           _mask(i for i, e in enumerate(minor.ground)
+                                 if minus >> pos[e] & 1))
+            report[a] = res == (expected if minus & mask & -mask
+                                else -expected)
         else:
             report[a] = res.is_zero
     return report

@@ -4,13 +4,13 @@ Derived data (signed circuits, cocircuits, covectors, topes) is computed
 once, on first use, deterministically from the chirotope, and never
 mutated afterwards.  Sign-vector sets are closed under negation.
 Circuits (the chirotope's circuit table, and `chirotope._circuit` for a
-fundamental circuit) and cocircuits are read off the ascending sign table
-as (plus, minus) masks, and so are the facets of the all-plus tope of an
-acyclic chirotope; a lexicographic extension's table is built on that
-table by position mask.  The cocircuits are kept as one table of mask
-pairs, both signs, and every tope question reads it: the cocircuits
-conformal to a sign vector are the pairs inside its masks, and compose by
-taking the union of their masks.
+fundamental circuit) and cocircuits (its hyperplane table) are read off
+the ascending sign table as (plus, minus) masks, and so are the facets of
+the all-plus tope of an acyclic chirotope; a lexicographic extension's
+table is built on that table by position mask.  The cocircuits are kept
+as one table of mask pairs, both signs, and every tope question reads
+it: the cocircuits conformal to a sign vector are the pairs inside its
+masks, and compose by taking the union of their masks.
 A covector is their composition, the faces of a tope are their closure,
 and a tope is bounded at e iff none of them vanishes at e.  A facet of a
 tope T is a facet of the all-plus tope of the reorientation by T; one
@@ -25,10 +25,7 @@ which runs on (plus, minus) mask pairs and builds each SignVector once.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
-from math import comb
 
-from ._memo import memo
 from ._record import FrozenRecord
 from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
                         validate_chirotope)
@@ -55,9 +52,10 @@ class OrientedMatroid:
 
     @cached_property
     def _cocircuit_table(self) -> frozenset:
-        """(plus, minus) masks of every cocircuit, both signs."""
-        masks = _cocircuit_masks(len(self.ground), self.rank, self.chi.signs)
-        return frozenset(pm for p, m in masks for pm in ((p, m), (m, p)))
+        """(plus, minus) masks of every cocircuit, both signs: the nonzero
+        entries of the chirotope's hyperplane table."""
+        return frozenset(pm for p, m in zip(*self.chi._hyperplanes) if p or m
+                         for pm in ((p, m), (m, p)))
 
     @cached_property
     def cocircuits(self) -> frozenset:
@@ -172,6 +170,12 @@ class OrientedMatroid:
         """Contraction by the parallel class of element (evaluated last)."""
         return OrientedMatroid(self.chi.contract(element), validate=False)
 
+    @cached_property
+    def _contractions(self) -> dict:
+        """{atom rep: the chirotope's contraction by it}, built once, so
+        that each contraction's hyperplane table is built once too."""
+        return {a: self.chi.contract(a) for a in self.atom_reps}
+
     # ---- single-element lexicographic extensions ---------------------------
 
     def lex_extension(self, signature, label="q") -> "Extension":
@@ -278,54 +282,13 @@ def is_acyclic(chi: Chirotope) -> bool:
     n, r = len(chi.ground), chi.rank
     if r == 0 or n <= r:
         return True
-    one_signed = _one_signed(_hyperplanes(n, r, chi.signs))
+    one_signed = _one_signed(chi._hyperplanes)
     return _facet_classes(n, one_signed.values(), ()) is not None
-
-
-@memo
-def _hyperplane_slots(n: int, r: int) -> tuple:
-    """For each ascending r-subset B of range(n), in sign-table order, the
-    pair (even, odd) of tuples of (index of B minus B[i] among the
-    (r-1)-subsets, bit of B[i]) over i = 0..r-1, split by the parity of
-    r-1-i."""
-    index = {h: j for j, h in enumerate(combinations(range(n), r - 1))}
-    return tuple(tuple(tuple((index[key[:i] + key[i + 1:]], 1 << key[i])
-                             for i in range(r) if (r - 1 - i) % 2 == odd)
-                       for odd in (0, 1))
-                 for key in combinations(range(n), r))
-
-
-def _hyperplanes(n: int, r: int, signs) -> tuple:
-    """(plus, minus): for each (r-1)-subset H of range(n) in combinations
-    order, the masks of the signs of C_H(e) = chi(H, e), read off signs,
-    the ascending rank-r sign table chi over range(n); in rank 0 there is
-    no H.  C_H is the cocircuit of the hyperplane spanned by H, or zero
-    when H is dependent.  For a basis B and H = B minus B[i], C_H takes the
-    sign (-1)^(r-1-i) chi(B) at B[i]: moving B[i] to the end of B takes
-    r-1-i transpositions."""
-    if r == 0:
-        return [], []
-    plus, minus = [0] * comb(n, r - 1), [0] * comb(n, r - 1)
-    for s, (even, odd) in zip(signs, _hyperplane_slots(n, r)):
-        if s:
-            if s < 0:
-                even, odd = odd, even
-            for h, bit in even:
-                plus[h] |= bit
-            for h, bit in odd:
-                minus[h] |= bit
-    return plus, minus
-
-
-def _cocircuit_masks(n: int, r: int, signs) -> set:
-    """(plus, minus) masks of the cocircuits of the sign table, one sign of
-    each at least: the nonzero entries of its `_hyperplanes`."""
-    return set(zip(*_hyperplanes(n, r, signs))) - {(0, 0)}
 
 
 def _one_signed(hyperplanes: tuple) -> dict:
     """{index of H: (plus, minus) masks of C_H} over the (r-1)-subsets H
-    whose cocircuit in the table hyperplanes (see `_hyperplanes`) is
+    whose cocircuit in the table hyperplanes (`Chirotope._hyperplanes`) is
     one-signed: their zero sets are those of the cocircuits conformal to
     the all-plus vector."""
     return {h: (p, m) for h, (p, m) in enumerate(zip(*hyperplanes))

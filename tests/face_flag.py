@@ -65,7 +65,6 @@ coefficient of e_K is Res_(F_K) W(chi), which the claim evaluates.
 
 from __future__ import annotations
 
-from omcanon.om import _cocircuit_masks
 from omcanon.signvec import ground_positions
 
 from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
@@ -77,9 +76,8 @@ def face_zero_sets(chi) -> set:
     of the one-signed cocircuits (one sign of each is nonnegative)."""
     full = (1 << len(chi.ground)) - 1
     out = {full}
-    for plus, minus in _cocircuit_masks(len(chi.ground), chi.rank,
-                                        chi.signs):
-        if not plus or not minus:
+    for plus, minus in zip(*chi._hyperplanes):
+        if bool(plus) != bool(minus):
             zero = full & ~(plus | minus)
             out |= {zero & z for z in out}
     return out

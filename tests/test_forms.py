@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import pytest
 
@@ -13,7 +13,8 @@ from omcanon import (OrientedMatroid, RationalMatrix, SignVector, algebra_of,
 from omcanon import forms, osalg
 from omcanon import om as om_module
 from omcanon._memo import clear_caches
-from omcanon.chirotope import Chirotope, _contracted_signs
+from omcanon import chirotope as chirotope_module
+from omcanon.chirotope import Chirotope
 from omcanon.matroid import UnderlyingMatroid
 from omcanon.om import is_acyclic
 from omcanon.osalg import OSAlgebra, os_algebra_of_chirotope
@@ -130,7 +131,7 @@ def test_nonreduced_rank0():
 def test_reduced_form_rank0_raises():
     chi = rank1_om((1,)).chi.contract(0)
     with pytest.raises(ValueError, match="rank at least 1"):
-        forms._canonical_form(chi)
+        forms._canonical_form(chi, 0)
     with pytest.raises(ValueError):
         canonical_form_from_triangulation(chi, [()])
 
@@ -192,23 +193,28 @@ def test_forms_are_integral(pentagon, pentagon_inf):
             assert canonical_form_tope(om, t).is_integral
 
 
+def antipodal_pairs(topes) -> set:
+    """The minus masks of topes and their negatives whose position 0 is
+    plus: one per antipodal pair, the masks the form memos are keyed on."""
+    return {m for t in topes for m in (t.minus, (-t).minus) if not m & 1}
+
+
 def test_memoization_shares_minor_forms(pentagon):
     """The recursion through every minor (tests/residue_recursion.py)
     shares the forms of common minors across topes, and agrees with the
     library, whose one-level solve computes no minor's form: its memo holds
-    one entry per positional class of the topes asked for."""
+    one entry per antipodal pair of the topes asked for."""
     clear_caches()
     residue_recursion.cache_clear()
-    topes = pentagon.sorted_topes()[:6]
-    classes = set()
+    topes = pentagon.sorted_topes()[:3]
+    topes += [-t for t in topes]
     for t in topes:
         chi = pentagon.chi.reorient(t)
         assert (residue_recursion.recursive_form(chi)
                 == nonreduced_canonical_form(pentagon, t).terms)
-        classes.add(forms._positional(len(chi.ground), chi.rank,
-                                      chi.signs)[1])
     assert residue_recursion.cache_info()["hits"] > 0  # minors overlap
-    assert forms._top_form.cache_info().currsize == len(classes)
+    assert (forms._top_form.cache_info().currsize
+            == len(antipodal_pairs(topes)))
 
 
 def test_random_nonacyclic_reorientations_vanish(pentagon):
@@ -235,6 +241,7 @@ class _FractionStack:
 
     def __init__(self, alg):
         r = alg.rank
+        self.alg = alg
         self.reduced = alg.reduced_basis(r - 1)
         self.blocks = [(a, alg.residue_algebra(a)) for a in alg.atoms]
         rows = []
@@ -260,13 +267,31 @@ class _FractionStack:
         return coeffs
 
 
-_FRACTION_STACKS: dict = {}
+_FRACTION_STACKS: dict = {}  # matroid fingerprint -> its stack
+_REFERENCE_FORMS: dict = {}  # positional class -> its reduced form
 
 
-@lru_cache(maxsize=None)
 def reference_form(chi):
     """The reduced form of (M, chi) by the residue recursion, building a
-    full OrientedMatroid at every node."""
+    full OrientedMatroid at every node.  It is memoized per positional
+    class (`residue_recursion.positional`), whose form carries over to chi
+    with its labels and sign put back.  A memoized form or stack whose
+    algebra is no longer the memoized one (after `clear_caches`) is built
+    again, as in `residue_recursion.top_form`."""
+    n, r, ground = len(chi.ground), chi.rank, chi.ground
+    sign, key = residue_recursion.positional(n, r, chi.signs)
+    core = _REFERENCE_FORMS.get(key)
+    if core is None or core.algebra is not osalg._algebra(
+            tuple(range(n)), r, chi.support):
+        core = _REFERENCE_FORMS[key] = _reference_form(
+            Chirotope(tuple(range(n)), r, key[2]))
+    return osalg.OSElement(os_algebra_of_chirotope(chi), r - 1,
+                           {tuple(ground[i] for i in k): sign * v
+                            for k, v in core.terms.items()})
+
+
+def _reference_form(chi):
+    """`reference_form` of chi, solved."""
     om = OrientedMatroid(chi, validate=False)
     alg = os_algebra_for(om.underlying)
     r = chi.rank
@@ -275,7 +300,7 @@ def reference_form(chi):
     if r == 1:
         return alg.one().scale(chi.value((chi.ground[0],)))
     stack = _FRACTION_STACKS.get(alg.matroid.fingerprint)
-    if stack is None:
+    if stack is None or stack.alg is not alg:
         stack = _FRACTION_STACKS[alg.matroid.fingerprint] = _FractionStack(alg)
     targets = {}
     for a, _ in stack.blocks:
@@ -285,6 +310,19 @@ def reference_form(chi):
         out = out + b.scale(c)
     assert out.is_integral
     return out
+
+
+def test_reference_memo_revalidates_after_a_clear(pentagon):
+    """After `clear_caches`, the reference memo solves again in the new
+    algebras rather than return a form of the dropped ones."""
+    t = pentagon.sorted_topes()[1]
+    chi = pentagon.chi.reorient(t)
+    before = reference_form(chi)
+    assert before == canonical_form_tope(pentagon, t)
+    clear_caches()
+    after = reference_form(chi)
+    assert after.algebra is algebra_of(pentagon) is not before.algebra
+    assert after == canonical_form_tope(pentagon, t)
 
 
 @pytest.fixture(scope="module")
@@ -630,16 +668,18 @@ def test_stack_build_requires_denominator_one(name, request, monkeypatch):
 
 @pytest.mark.parametrize("name", ["pentagon", "nonpappus"])
 def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
-    """The solve tests no class for acyclicity: its callers reorient by a
-    tope, so every positional class its memo holds is acyclic."""
+    """The solve tests nothing for acyclicity: its callers read it at a
+    tope's minus mask, or at the complement of one, with position 0 plus,
+    so every (chirotope, mask) its memo holds reorients to an acyclic
+    chirotope."""
     om = request.getfixturevalue(name)
     clear_caches()
     visited = []
     top_form = forms._top_form.__wrapped__
 
-    def recording_top_form(key):
-        visited.append(key)
-        return top_form(key)
+    def recording_top_form(chi, m):
+        visited.append((chi, m))
+        return top_form(chi, m)
 
     monkeypatch.setattr(forms, "_top_form",
                         lru_cache(maxsize=None)(recording_top_form))
@@ -663,10 +703,11 @@ def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
     for t in om.sorted_topes():
         canonical_form_tope(om, t)
     assert calls == []
-    cores = [Chirotope(tuple(range(n)), r, signs) for n, r, signs in visited]
-    assert visited and all(is_acyclic(core) for core in cores)
-    assert all(forms._positional(len(core.ground), core.rank, core.signs)
-               == (1, key) for core, key in zip(cores, visited))
+    assert len(visited) == len(om.topes) // 2
+    for chi, m in visited:
+        assert chi is om.chi and not m & 1
+        assert is_acyclic(chi.reorient(SignVector._from_masks(
+            chi.ground, ~m & (1 << len(chi.ground)) - 1, m)))
 
 
 def test_residue_axioms_nonpappus(nonpappus):
@@ -682,25 +723,66 @@ def test_residue_axioms_nonpappus(nonpappus):
 
 
 def test_residue_check_reads_the_cached_cocircuits(nonpappus, monkeypatch):
-    """Once every tope was checked, checking them again rebuilds no
-    cocircuits: the facets come from the oriented matroid's cached table,
-    not from the reoriented chirotope."""
+    """Once every tope was checked, checking them again from empty memos
+    builds no hyperplane table: the facets come from the oriented matroid's
+    cached cocircuits, and the forms from the tables cached on its
+    chirotope and on its contractions."""
     topes = nonpappus.sorted_topes()
     reports = [check_residue_axioms(nonpappus, t) for t in topes]
     assert all(all(report.values()) for report in reports)
+    clear_caches()
     calls = []
-    hyperplanes = om_module._hyperplanes
+    slots = chirotope_module._hyperplane_slots
 
-    def counting_hyperplanes(n, r, signs):
-        calls.append(signs)
-        return hyperplanes(n, r, signs)
+    def counting_slots(n, r):
+        calls.append((n, r))
+        return slots(n, r)
 
-    for module in (om_module, forms):
-        monkeypatch.setattr(module, "_hyperplanes", counting_hyperplanes)
+    monkeypatch.setattr(chirotope_module, "_hyperplane_slots", counting_slots)
     assert [check_residue_axioms(nonpappus, t) for t in topes] == reports
     assert calls == []
-    om_module.is_acyclic(nonpappus.chi)
-    assert len(calls) == 1  # the counter sees calls
+    chi = nonpappus.chi
+    om_module.is_acyclic(Chirotope(chi.ground, chi.rank, chi.signs))
+    assert calls == [(len(chi.ground), chi.rank)]  # the counter sees builds
+
+
+def recording_tables(monkeypatch) -> list:
+    """Patch `Chirotope._hyperplanes` to append each chirotope whose table
+    it builds to the returned list."""
+    built = []
+    table = Chirotope.__dict__["_hyperplanes"].func
+
+    def recording(self):
+        built.append(self)
+        return table(self)
+
+    prop = cached_property(recording)
+    prop.__set_name__(Chirotope, "_hyperplanes")
+    monkeypatch.setattr(Chirotope, "_hyperplanes", prop)
+    return built
+
+
+@pytest.mark.parametrize("name", ["pentagon", "parallel_pair", "nonpappus",
+                                  "uniform_r4", "rank1"])
+def test_each_chirotope_builds_its_table_once(name, request, monkeypatch):
+    """From a fresh oriented matroid and empty memos, the topes, both forms
+    and the residue check of every tope build one hyperplane table for the
+    input chirotope and one for each facet contraction the check reads:
+    no chirotope's table twice, and none for a reorientation."""
+    base = named_om(name, request)
+    clear_caches()
+    built = recording_tables(monkeypatch)
+    om = OrientedMatroid(Chirotope(base.ground, base.rank, base.chi.signs),
+                         validate=False)
+    for t in om.sorted_topes():
+        canonical_form_tope(om, t)
+        nonreduced_canonical_form(om, t)
+        assert all(check_residue_axioms(om, t).values())
+    assert built[0] is om.chi and len(built) == len(set(built))
+    if om.rank == 1:  # the check contracts nothing
+        assert built == [om.chi]
+    else:
+        assert built[1:] and set(built[1:]) <= set(om._contractions.values())
 
 
 @pytest.mark.parametrize("name", ["line4", "pentagon", "parallel_pair",
@@ -709,8 +791,7 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     """Once a chirotope's algebras are cached, a fresh chirotope with the
     same underlying matroids finds them by fingerprint alone."""
     chi = request.getfixturevalue(name).chi
-    first = forms._labelled_top_form(chi)
-    _, key = forms._positional(len(chi.ground), chi.rank, chi.signs)
+    first = forms._top_form(chi, 0)
     builds = []
     init = UnderlyingMatroid.__init__
 
@@ -722,11 +803,11 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     UnderlyingMatroid.from_chirotope(chi)
     assert len(builds) == 1  # the counter sees builds
     builds.clear()
-    # __wrapped__ skips the memo for the top node, so its lookup runs
-    assert forms._top_form.__wrapped__(key) == forms._top_form(key)
+    # __wrapped__ skips the form memo, so the stack and algebra lookups run
+    assert forms._top_form.__wrapped__(chi, 0) == first
     fresh = Chirotope(chi.ground, chi.rank, chi.signs)
-    assert forms._labelled_top_form(fresh) == first
-    assert forms._labelled_top_form(scale(chi, -1)) == first.scale(-1)
+    assert forms._top_form.__wrapped__(fresh, 0) == first
+    assert forms._top_form.__wrapped__(scale(chi, -1), 0) == first.scale(-1)
     assert builds == []
 
 
@@ -779,13 +860,16 @@ def relabelled(om, labels) -> OrientedMatroid:
 def test_relabelled_and_negated_forms(name, request):
     """Relabelling the ground set in order (integers, descending integers,
     strings) relabels both forms of every tope, and -chi negates them; none
-    of these adds a core memo entry or builds a residue stack."""
+    of these builds a residue stack, and each adds one memo entry per
+    antipodal pair of topes."""
     om = named_om(name, request)
     n = len(om.ground)
     topes = om.sorted_topes()
+    clear_caches()
     forms_of = {t: (canonical_form_tope(om, t),
                     nonreduced_canonical_form(om, t)) for t in topes}
     entries = forms._top_form.cache_info().currsize
+    assert entries == len(topes) // 2
     builds = forms._stack.cache_info().misses
     assert builds  # the forms above were solved with stacks
     for labels in ([10 * i + 7 for i in range(n)], [n - i for i in range(n)],
@@ -804,8 +888,30 @@ def test_relabelled_and_negated_forms(name, request):
     for t in topes:
         assert canonical_form_tope(negated, t) == -forms_of[t][0]
         assert nonreduced_canonical_form(negated, t) == -forms_of[t][1]
-    assert forms._top_form.cache_info().currsize == entries
+    assert forms._top_form.cache_info().currsize == 5 * entries
     assert forms._stack.cache_info().misses == builds
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_minus_mask_forms_match_reorientations(name, request):
+    """Under every relabelling, both forms of every tope T, read off the
+    input's table at T's minus mask, equal those of om.chi.reorient(T) read
+    at mask 0, in the same algebra; so does the top form solved directly at
+    T's mask, with no antipodal sharing; and W(-T) = (-1)^r W(T).  The
+    cases run from rank 1 to rank 4, odd and even."""
+    om = named_om(name, request)
+    r = om.rank
+    for chi in relabellings(om.chi):
+        other = OrientedMatroid(chi, validate=False)
+        for t in om.sorted_topes():
+            u = SignVector._from_masks(chi.ground, t.plus, t.minus)
+            flipped = chi.reorient(u)
+            top = nonreduced_canonical_form(other, u)
+            assert top == forms._top_form(flipped, 0)
+            assert top == forms._top_form.__wrapped__(chi, u.minus)
+            assert (canonical_form_tope(other, u)
+                    == forms._canonical_form(flipped, 0))
+            assert nonreduced_canonical_form(other, -u) == (-1) ** r * top
 
 
 def sweep_uniform_r4_matrix():
@@ -825,8 +931,8 @@ def test_uniform_sweep_builds_one_stack_per_class(monkeypatch):
     """The forms of all 84 topes of a uniform (7, 4) matroid need one
     residue stack, of the rank-4 class, and two algebras: that class's and
     its block algebra, uniform (6, 3), which every atom's contraction
-    shares.  No minor's form is solved, so the memo holds the 42 classes
-    of the topes, one per antipodal pair, and nothing else."""
+    shares.  No minor's form is solved, so the memo holds 42 forms, one
+    per antipodal pair of topes, and nothing else."""
     clear_caches()
     om = OrientedMatroid(chirotope_from_matrix(sweep_uniform_r4_matrix()))
     algebras = []
@@ -848,17 +954,18 @@ def test_uniform_sweep_builds_one_stack_per_class(monkeypatch):
 
 @pytest.mark.parametrize("name", SEEDED_CASES)
 def test_memo_holds_tope_classes_only(name, request):
-    """After the forms of every tope, the form memo holds exactly the
-    positional classes of the topes' reorientations: no minor's class."""
+    """After the forms of every tope, the form memo holds exactly one entry
+    per antipodal pair of topes, the input chirotope at the pair's mask
+    whose position 0 is plus: no minor's form."""
     om = named_om(name, request)
     clear_caches()
-    classes = set()
+    top_form = forms._top_form.__wrapped__
     for t in om.sorted_topes():
         nonreduced_canonical_form(om, t)
-        chi = om.chi.reorient(t)
-        classes.add(forms._positional(len(chi.ground), chi.rank,
-                                      chi.signs)[1])
-    assert forms._top_form.cache_info().currsize == len(classes)
+    assert forms._top_form.cache_info().currsize == len(om.topes) // 2
+    for m in antipodal_pairs(om.topes):  # the entries the pairs read
+        assert forms._top_form(om.chi, m) == top_form(om.chi, m)
+    assert forms._top_form.cache_info().currsize == len(om.topes) // 2
 
 
 # ---- the recursion through every minor, kept as an oracle ----------------
@@ -871,17 +978,17 @@ def facet_gathers(chis, monkeypatch) -> list:
     clear_caches()
     residue_recursion.cache_clear()
     gathers = []
-    gather = residue_recursion._contracted_signs
+    gather = residue_recursion.contracted_signs
 
     def recording(n, r, signs, removed, i):
         out = gather(n, r, signs, removed, i)
         gathers.append(((n, r, signs), removed, i, out))
         return out
 
-    monkeypatch.setattr(residue_recursion, "_contracted_signs", recording)
+    monkeypatch.setattr(residue_recursion, "contracted_signs", recording)
     for chi in chis:
         residue_recursion.recursive_form(chi)
-    monkeypatch.setattr(residue_recursion, "_contracted_signs", gather)
+    monkeypatch.setattr(residue_recursion, "contracted_signs", gather)
     return gathers
 
 
@@ -889,10 +996,11 @@ def facet_gathers(chis, monkeypatch) -> list:
 def test_facet_gathers_match_chirotope_contractions(name, request,
                                                     monkeypatch):
     """On the recursion's way to the forms of every tope, each facet
-    contraction, one gather of the node's signs, equals `Chirotope.contract`
-    of the node's chirotope by the facet's atom, and its (sign, key) is that
-    chirotope's `_positional`; every node's cocircuits, read off its signs,
-    are those that evaluating its chirotope finds."""
+    contraction, one gather of the node's signs through `_minor_slots`,
+    equals `Chirotope.contract` of the node's chirotope by the facet's
+    atom, and its (sign, key) is the oracle's `positional` of that
+    chirotope; every node's cocircuits, read off its hyperplane table, are
+    those that evaluating its chirotope finds."""
     om = named_om(name, request)
     gathers = facet_gathers([om.chi.reorient(t) for t in om.sorted_topes()],
                             monkeypatch)
@@ -903,38 +1011,40 @@ def test_facet_gathers_match_chirotope_contractions(name, request,
         want = core.contract(i)
         assert got == want.signs
         assert want.ground == _labels(core.ground, ~removed)
-        sub = forms._positional(n - removed.bit_count(), r - 1, got)
-        assert sub == forms._positional(len(want.ground), want.rank,
-                                        want.signs)
+        sub = residue_recursion.positional(n - removed.bit_count(), r - 1,
+                                           got)
+        assert sub == residue_recursion.positional(len(want.ground),
+                                                   want.rank, want.signs)
         nodes |= {(n, r, signs), sub[1]}
     if name.startswith("nonpappus"):  # rank 2 contractions merge elements
         assert any(removed & (removed - 1) for _, removed, _, _ in gathers)
     for n, r, signs in nodes:
-        masks = om_module._cocircuit_masks(n, r, signs)
-        want = value_cocircuits(Chirotope(tuple(range(n)), r, signs))
-        assert ({pm for p, m in masks for pm in ((p, m), (m, p))}
-                == {(y.plus, y.minus) for y in want})
+        core = Chirotope(tuple(range(n)), r, signs)
+        assert ({pm for p, m in zip(*core._hyperplanes) if p or m
+                 for pm in ((p, m), (m, p))}
+                == {(y.plus, y.minus) for y in value_cocircuits(core)})
 
 
 @pytest.mark.parametrize("name", SEEDED_CASES)
 def test_entry_gathers_match_labelled_contractions(name, request):
-    """Under every relabelling of every tope's reorientation, the gather of
-    its positional class at each facet atom, with the entry's sign put
-    back, is the sign table of the labelled `Chirotope.contract` by it."""
+    """Under every relabelling of every tope's reorientation, the oracle's
+    gather (tests/residue_recursion.py) of its positional class at each
+    facet atom, with the entry's sign put back, is the sign table of the
+    labelled `Chirotope.contract` by it."""
     om = named_om(name, request)
     for chi in relabellings(om.chi):
         m = UnderlyingMatroid.from_chirotope(chi)
         for t in om.sorted_topes():
             tope = chi.reorient(SignVector._from_masks(chi.ground, t.plus,
                                                        t.minus))
-            sign, (n, r, signs) = forms._positional(
+            sign, (n, r, signs) = residue_recursion.positional(
                 len(tope.ground), tope.rank, tope.signs)
             facets = facet_elements(tope, m)
             for a, mask in zip(m.atom_reps, m._atom_masks):
                 if a not in facets:
                     continue
-                got = _contracted_signs(n, r, signs, mask,
-                                              chi.ground.index(a))
+                got = residue_recursion.contracted_signs(
+                    n, r, signs, mask, chi.ground.index(a))
                 want = tope.contract(a)
                 assert tuple(sign * s for s in got) == want.signs
 
@@ -942,34 +1052,27 @@ def test_entry_gathers_match_labelled_contractions(name, request):
 @pytest.mark.parametrize("name", ["uniform_r4", "nonpappus"])
 def test_cold_sweep_builds_chirotopes_only_to_reorient(name, request,
                                                        monkeypatch):
-    """From empty memos, the forms of every tope build one chirotope per
-    tope, its reorientation, and none inside the solve."""
+    """From empty memos, the forms of every tope build no chirotope: each
+    is read off the input chirotope's table at the tope's minus mask, with
+    no reorientation, and the solve builds none."""
     om = named_om(name, request)
     topes = om.sorted_topes()
-    reoriented = [om.chi.reorient(t) for t in topes]
     clear_caches()
     built = []
-    depth = [0]
     init = Chirotope.__init__
-    top_form = forms._top_form.__wrapped__
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.append((self, depth[0]))
-
-    def tracking_top_form(key):
-        depth[0] += 1
-        try:
-            return top_form(key)
-        finally:
-            depth[0] -= 1
+        built.append(self)
 
     monkeypatch.setattr(Chirotope, "__init__", counting_init)
-    monkeypatch.setattr(forms, "_top_form",
-                        lru_cache(maxsize=None)(tracking_top_form))
+    Chirotope(om.chi.ground, om.rank, om.chi.signs)
+    assert len(built) == 1  # the counter sees builds
+    built.clear()
     for t in topes:
         canonical_form_tope(om, t)
-    assert built == [(chi, 0) for chi in reoriented]
+        nonreduced_canonical_form(om, t)
+    assert built == []
 
 
 @pytest.mark.parametrize("name", ["pentagon", "pentagon_inf"])
@@ -1096,15 +1199,15 @@ def test_residue_check_catches_a_corrupted_minor_form(name, request,
                                                       monkeypatch):
     """The residue check compares each facet residue with the contraction's
     own solve, a second computation: with one coefficient flipped in the
-    form of every class of rank r-1, every facet atom of every tope fails
+    form of every chirotope of rank r-1, every facet atom of every tope fails
     and every other atom passes, since the tope's own solve reads its
     targets off its table, not off those forms."""
     om = request.getfixturevalue(name)
     top_form = forms._top_form
 
-    def corrupted(key):
-        form = top_form(key)
-        if key[1] != om.rank - 1:
+    def corrupted(chi, m):
+        form = top_form(chi, m)
+        if chi.rank != om.rank - 1:
             return form
         terms = dict(form.terms)
         first = next(iter(terms))

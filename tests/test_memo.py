@@ -24,7 +24,7 @@ TABLES = {
     "omcanon.signvec.ground_positions",
     "omcanon.chirotope._mask_index",
     "omcanon.chirotope._minor_slots",
-    "omcanon.om._hyperplane_slots",
+    "omcanon.chirotope._hyperplane_slots",
     "omcanon.osalg._algebra",
     "omcanon.forms.oriented_matroid_for",
     "omcanon.forms._stack",
