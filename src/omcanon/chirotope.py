@@ -162,8 +162,8 @@ class Chirotope(FrozenRecord):
 
     @classmethod
     def from_map(cls, ground: tuple, rank: int, values: dict) -> "Chirotope":
-        """Build from {ascending tuple: sign}; missing keys default to 0."""
-        signs = tuple(int(values.get(key, 0)) for key in combinations(ground, rank))
+        """Build from {ascending tuple: sign} as given; missing keys are 0."""
+        signs = tuple(values.get(key, 0) for key in combinations(ground, rank))
         return cls(tuple(ground), rank, signs)
 
     @property
@@ -260,12 +260,15 @@ class Chirotope(FrozenRecord):
 def validate_chirotope(chi: Chirotope) -> None:
     """Chirotope axioms, exhaustively; raises InvalidChirotope on failure.
 
-    Checks: not identically zero, no loops, basis exchange on the nonzero
-    supports, and all three-term Grassmann-Pluecker sign relations.  Each
-    check walks bases in sign-table order and elements in ground order, so
-    the diagnostic names the same first violation for any labels and does
-    not depend on the hash seed.
+    Checks: signs the ints -1, 0, 1, not identically zero, no loops, basis
+    exchange on the nonzero supports, and all three-term Grassmann-Pluecker
+    sign relations.  Each check walks bases in sign-table order and elements
+    in ground order, so the diagnostic names the same first violation for
+    any labels and does not depend on the hash seed.
     """
+    for key, s in zip(combinations(chi.ground, chi.rank), chi.signs):
+        if type(s) is not int or s not in (-1, 0, 1):
+            raise InvalidChirotope(f"sign {s!r} at {key} is not -1, 0 or 1")
     if chi.rank == 0:
         if chi.signs[0] == 0:
             raise InvalidChirotope("identically zero")

@@ -15,15 +15,14 @@ rows, every other atom's rows read zero, and the inverse of one unit
 triangular square block of the stacked residue maps gives the form, which
 is then checked against every stacked row: so every target, facets and
 zeros alike, is checked against the residue system.  The facets are read
-off the nonnegative cocircuits as parallel-class masks
-(`om._facet_classes`).  The boundary is injective on A^r and the reduced
-form is dW; as Res_a d = -d Res_a, it obeys the reduced recursion
-Res_a dW = -dW(M/a, chi/a) with rank-1 base value chi(i), which
-`check_residue_axioms` checks against a second computation: the form of
-each facet contraction comes from that contraction's own solve, read off
-its own table, not from the targets the tope's solve was given.  The
-triangulation evaluation sum_B chi(B) e_B satisfies the top-grade
-recursion, so both paths agree.
+by `om._conformal_rows`, the rule of every tope question.  The boundary
+is injective on A^r and the reduced form is dW; as Res_a d = -d Res_a, it
+obeys the reduced recursion Res_a dW = -dW(M/a, chi/a) with rank-1 base
+value chi(i), which `check_residue_axioms` checks against a second
+computation: the form of each facet contraction comes from that
+contraction's own solve, read off its own table, not from the targets the
+tope's solve was given.  The triangulation evaluation sum_B chi(B) e_B
+satisfies the top-grade recursion, so both paths agree.
 
 A tope T with minus mask m reads its form off the input chirotope's own
 hyperplane table (`Chirotope._hyperplanes`): the reorientation chi_m, in
@@ -43,7 +42,7 @@ from __future__ import annotations
 from . import linalg
 from ._memo import memo
 from .chirotope import Chirotope, _mask, _mask_index
-from .om import OrientedMatroid, _facet_classes, _one_signed
+from .om import OrientedMatroid, _conformal_rows, _facet_classes
 from .osalg import (OSAlgebra, OSElement, _algebra, _residue_key,
                     os_algebra_for, os_algebra_of_chirotope)
 from .signvec import SignVector, _labels, _position, ground_positions
@@ -190,19 +189,17 @@ def _facet_targets(stack: tuple, chi: Chirotope, m: int) -> dict:
     its support.  A composition that stays nonnegative only adds plus
     signs, so it fails at the first cocircuit with a minus sign outside
     the plus signs gathered so far.  The empty key of rank 0 composes
-    nothing, to the zero vector.  The atoms that are no facet get no
-    target: their residues are zero.
+    nothing, to the zero vector.  Rows and facets are `om._conformal_rows`
+    at m; the atoms that are no facet get no target: their residues are 0.
     """
     alg, blocks = stack[:2]
     n, r, signs = len(chi.ground), alg.rank, chi.signs
-    table = list(zip(*chi._hyperplanes))
-    plus = [p & ~m | q & m for p, q in table]
-    minus = [q & ~m | p & m for p, q in table]
-    one_signed = _one_signed((plus, minus))
-    starts = [(h, p | q) for h, (p, q) in one_signed.items()] + [(None, 0)]
+    plus = [p & ~m | q & m for p, q in zip(*chi._hyperplanes)]
+    minus = [q & ~m | p & m for p, q in zip(*chi._hyperplanes)]
+    rows = _conformal_rows(chi, m)
+    starts = list(rows.items()) + [(None, 0)]
     targets = {}
-    for mask in _facet_classes(n, set(one_signed.values()),
-                               alg.matroid._atom_masks):
+    for mask in _facet_classes(n, {*rows.values()}, alg.matroid._atom_masks):
         a = (mask & -mask).bit_length() - 1  # the representative's position
         block, _, lifts = blocks[a]
         face = ~mask & (1 << n) - 1
@@ -280,6 +277,8 @@ def _top_form(chi: Chirotope, m: int) -> OSElement:
 
 @memo
 def _canonical_form(chi: Chirotope, m: int) -> OSElement:
+    """dW, memoized: `verify`'s simplex suite reads each tope's form once per
+    basis it meets (without it, `cli_stream` wall +5%, p90 +7-10%)."""
     if chi.rank == 0:
         raise ValueError("the reduced form needs rank at least 1")
     top = _top_form(chi, m)
@@ -377,8 +376,8 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
     the tope's solve read its facet targets off om.chi's table and
     computed no form of a minor.  At rank 1, where the facet has rank 0
     and no reduced form, the single atom checks the base value
-    chi_T(rep) * 1 instead.  The facets are read off om's cached
-    cocircuits conformal to the tope.  Returns {atom rep: bool}.
+    chi_T(rep) * 1 instead.  The facets are read as the tope's solve reads
+    them (`om._conformal_rows`).  Returns {atom rep: bool}.
     """
     om.require_tope(tope)
     alg = algebra_of(om)
@@ -389,8 +388,8 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
         base = om.chi.value((rep,)) * tope.value(rep)
         return {rep: form == alg.one().scale(base)}
     masks = om.underlying._atom_masks
-    facets = _facet_classes(len(om.ground), om._conformal(tope.plus, minus),
-                            masks)
+    facets = _facet_classes(len(om.ground),
+                            _conformal_rows(om.chi, minus).values(), masks)
     pos = ground_positions(om.ground)
     report = {}
     for a, mask in zip(om.atom_reps, masks):

@@ -5,26 +5,27 @@ once, on first use, deterministically from the chirotope, and never
 mutated afterwards.  Sign-vector sets are closed under negation.
 Circuits (the chirotope's circuit table, and `chirotope._circuit` for a
 fundamental circuit) and cocircuits (its hyperplane table) are read off
-the ascending sign table as (plus, minus) masks, and so are the facets of
-the all-plus tope of an acyclic chirotope; a lexicographic extension's
-table is built on that table by position mask.  The cocircuits are kept
-as one table of mask pairs, both signs, and every tope question reads
-it: the cocircuits conformal to a sign vector are the pairs inside its
-masks, and compose by taking the union of their masks.
-A covector is their composition, the faces of a tope are their closure,
-and a tope is bounded at e iff none of them vanishes at e.  A facet of a
-tope T is a facet of the all-plus tope of the reorientation by T; one
-rule (`_facet_classes`) reads a tope's facet classes off its conformal
-cocircuits.  The topes come from a walk of the tope graph that flips facet
-classes, and acyclicity asks whether the all-plus vector is a tope, which
-is whether the one-signed cocircuits cover the ground set.  Only
-enumerating covectors or the faces of a tope builds a covector closure,
-which runs on (plus, minus) mask pairs and builds each SignVector once.
+the ascending sign table as (plus, minus) masks; a lexicographic
+extension's table is built on that table by position mask.  Every tope
+question reads the hyperplane table at the tope's minus mask through one
+rule, `_conformal_rows`: the nonzero rows that are one-signed once plus
+and minus are swapped there are the cocircuits conformal to the tope, up
+to sign.  A full-support vector is a tope iff they cover the ground set
+(acyclicity asks this of the all-plus vector), a tope is bounded at e iff
+every one of them is nonzero at e, and `_facet_classes` reads its facet
+classes off their supports; the topes come from a walk of the tope graph
+that flips facet classes.  The partial-support questions (covectors,
+faces, conformal cocircuits) read the table's cocircuits as mask pairs,
+both signs: those conformal to a sign vector are the pairs inside its
+masks, and compose by the union of their masks.  Only enumerating
+covectors or the faces of a tope builds a covector closure, on mask
+pairs, building each SignVector once.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import count
 
 from ._record import FrozenRecord
 from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
@@ -52,8 +53,8 @@ class OrientedMatroid:
 
     @cached_property
     def _cocircuit_table(self) -> frozenset:
-        """(plus, minus) masks of every cocircuit, both signs: the nonzero
-        entries of the chirotope's hyperplane table."""
+        """(plus, minus) masks of every cocircuit, both signs, for the
+        partial-support questions: the hyperplane table's nonzero rows."""
         return frozenset(pm for p, m in zip(*self.chi._hyperplanes) if p or m
                          for pm in ((p, m), (m, p)))
 
@@ -75,7 +76,7 @@ class OrientedMatroid:
         nonempty ground set) there is no tope."""
         n = len(self.ground)
         plus = minus = 0
-        for p, m in self._cocircuit_table:
+        for p, m in zip(*self.chi._hyperplanes):
             free = ~(plus | minus)
             plus, minus = plus | p & free, minus | m & free
         if plus | minus != (1 << n) - 1:
@@ -84,8 +85,8 @@ class OrientedMatroid:
         seen = {(plus, minus)}
         queue = [(plus, minus)]
         for plus, minus in queue:
-            for c in _facet_classes(n, self._conformal(plus, minus),
-                                    classes):
+            for c in _facet_classes(
+                    n, _conformal_rows(self.chi, minus).values(), classes):
                 flip = (plus ^ c, minus ^ c)
                 if flip not in seen:
                     seen.add(flip)
@@ -107,8 +108,10 @@ class OrientedMatroid:
         return sorted(self.topes, key=SignVector.sort_key)
 
     def is_tope(self, x: SignVector) -> bool:
-        """Full-support covector test by conformal cocircuit composition."""
-        return x.has_full_support and self.is_covector(x)
+        """True iff x is a full-support vector on the ground set whose
+        conformal cocircuits (`_conformal_rows`) compose to it."""
+        return (x.ground == self.ground and x.has_full_support
+                and _conformal_rows(self.chi, x.minus) is not None)
 
     def require_tope(self, x: SignVector) -> SignVector:
         if not self.is_tope(x):
@@ -128,29 +131,20 @@ class OrientedMatroid:
         return [(p, m) for p, m in self._cocircuit_table
                 if not (p & out_plus or m & out_minus)]
 
-    def _composes(self, plus: int, minus: int, positive: int = 0) -> bool:
-        """True iff (plus, minus) is the composition of its conformal
-        cocircuits, each of them positive on the mask positive, which plus
-        must contain: a covector, all of whose nonzero faces are positive
-        there.  Conforming, the cocircuits compose by taking the union of
-        their masks."""
-        if positive & ~plus:
-            return False
-        p = m = 0
-        for yp, ym in self._conformal(plus, minus):
-            if positive & ~yp:
-                return False
-            p |= yp
-            m |= ym
-        return p == plus and m == minus
-
     def conformal_cocircuits(self, x: SignVector) -> list:
         return [SignVector._from_masks(self.ground, p, m)
                 for p, m in self._conformal(x.plus, x.minus)]
 
     def is_covector(self, x: SignVector) -> bool:
-        """Conformal cocircuit composition test (no full enumeration)."""
-        return x.ground == self.ground and self._composes(x.plus, x.minus)
+        """True iff x is the composition of its conformal cocircuits, which,
+        conforming, is the union of their masks (no full enumeration)."""
+        if x.ground != self.ground:
+            return False
+        plus = minus = 0
+        for p, m in self._conformal(x.plus, x.minus):
+            plus |= p
+            minus |= m
+        return plus == x.plus and minus == x.minus
 
     def faces(self, tope: SignVector) -> frozenset:
         """Covectors conformal to the tope, including 0 and the tope itself."""
@@ -161,8 +155,8 @@ class OrientedMatroid:
     def bounded_topes(self, base) -> frozenset:
         """Topes all of whose nonzero faces are strictly positive at base."""
         bit = 1 << _position(ground_positions(self.ground), base)
-        return frozenset(t for t in self.topes
-                         if self._composes(t.plus, t.minus, bit))
+        return frozenset(t for t in self.topes if t.plus & bit and all(
+            s & bit for s in _conformal_rows(self.chi, t.minus).values()))
 
     # ---- minors -----------------------------------------------------------
 
@@ -200,8 +194,8 @@ class Extension(FrozenRecord):
     def __init__(self, base: OrientedMatroid, label, signature: tuple):
         if label in base.ground:
             raise ValueError(f"label {label!r} already in the ground set")
-        signature = tuple((b, int(s)) for b, s in signature)
-        if any(s not in (1, -1) for _, s in signature):
+        signature = tuple((b, s) for b, s in signature)
+        if any(type(s) is not int or s not in (1, -1) for _, s in signature):
             raise ValueError("signature signs must be +1 or -1")
         pos = ground_positions(base.ground)
         steps = [(_position(pos, b), s) for b, s in signature]
@@ -239,11 +233,14 @@ class Extension(FrozenRecord):
                              om_ext=OrientedMatroid(chi_ext, validate=False))
 
     def bounded_topes(self) -> frozenset:
-        """Topes P of M such that (P, +) is bounded at q in M u q; q is the
-        last position of the extended ground."""
+        """Topes P of M such that (P, +) is bounded at q in M u q, q the
+        last position of the extended ground: a tope of M u q, read at P's
+        minus mask, with every conformal cocircuit nonzero at q."""
         q = 1 << len(self.base.ground)
-        return frozenset(t for t in self.base.topes
-                         if self.om_ext._composes(t.plus | q, t.minus, q))
+        rows = ((t, _conformal_rows(self.chi_ext, t.minus))
+                for t in self.base.topes)
+        return frozenset(t for t, r in rows
+                         if r is not None and all(s & q for s in r.values()))
 
     def fundamental_circuit(self, basis) -> SignVector:
         """The signed circuit in basis u {q}, normalized to value - at q."""
@@ -279,28 +276,31 @@ def is_acyclic(chi: Chirotope) -> bool:
     a nonnegative circuit or in a nonnegative cocircuit, never both, so chi
     is acyclic iff the one-signed cocircuits cover the ground set: iff the
     all-plus vector is a tope."""
-    n, r = len(chi.ground), chi.rank
-    if r == 0 or n <= r:
-        return True
-    one_signed = _one_signed(chi._hyperplanes)
-    return _facet_classes(n, one_signed.values(), ()) is not None
+    return (chi.rank == 0 or len(chi.ground) <= chi.rank
+            or _conformal_rows(chi, 0) is not None)
 
 
-def _one_signed(hyperplanes: tuple) -> dict:
-    """{index of H: (plus, minus) masks of C_H} over the (r-1)-subsets H
-    whose cocircuit in the table hyperplanes (`Chirotope._hyperplanes`) is
-    one-signed: their zero sets are those of the cocircuits conformal to
-    the all-plus vector."""
-    return {h: (p, m) for h, (p, m) in enumerate(zip(*hyperplanes))
-            if bool(p) != bool(m)}
+def _conformal_rows(chi: Chirotope, m: int) -> dict | None:
+    """{index of H: support of C_H} over the rows of chi's hyperplane table
+    (`Chirotope._hyperplanes`) that are faces of the full-support vector X
+    with minus mask m, or None when X is no tope.  They are the nonzero
+    rows one-signed once plus and minus are swapped at m (a dependent H has
+    the zero row, no cocircuit): with -C_H, the cocircuits conformal to X.
+    Conforming, these compose by the union of their supports, so to X iff
+    they cover the ground set."""
+    plus, minus, w = *chi._hyperplanes, ~m
+    rows = {h: p | q for h, p, q in zip(count(), plus, minus)
+            if (p or q) and (not (p & m or q & w) or not (q & m or p & w))}
+    covered = 0
+    for s in rows.values():
+        covered |= s
+    return rows if covered == (1 << len(chi.ground)) - 1 else None
 
 
-def _facet_classes(n: int, pairs, classes) -> list | None:
-    """The facet classes of a full-support sign vector X on n positions,
-    from pairs, the (plus, minus) masks of the cocircuits conformal to X
-    (the one-signed ones after reorienting by X's minus mask): None when
-    they do not compose to X, so X is not a tope, and else the members of
-    classes, parallel classes as position masks, that are facets of X.
+def _facet_classes(n: int, supports, classes) -> list:
+    """The members of classes, parallel classes as position masks, that
+    are facets of a tope X on n positions, from supports, those of the
+    cocircuits conformal to X (`_conformal_rows`).
 
     The conformal cocircuits vanishing at a position compose to the largest
     face of X that vanishes there; its zero set is the intersection of
@@ -308,15 +308,11 @@ def _facet_classes(n: int, pairs, classes) -> list | None:
     this zero set is the position's parallel class.
     """
     full = (1 << n) - 1
-    covered = 0
     face = [full] * n
-    for plus, minus in pairs:
-        covered |= plus | minus
-        zero = full & ~(plus | minus)
+    for support in supports:
+        zero = full & ~support
         for bit in _bits(zero):
             face[bit.bit_length() - 1] &= zero
-    if covered != full:
-        return None
     return [c for c in classes if face[(c & -c).bit_length() - 1] == c]
 
 

@@ -15,7 +15,7 @@ from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
                      RationalMatrix, SignVector, UnderlyingMatroid,
                      chirotope_from_matrix, forms, linalg)
 from omcanon.chirotope import _mask, _mask_index
-from omcanon.om import _facet_classes, _one_signed
+from omcanon.om import _conformal_rows, _facet_classes
 from omcanon.osalg import _algebra
 from omcanon.serialize import parse_input
 from omcanon.signvec import _labels
@@ -193,10 +193,11 @@ def nonuniform_om(rank: int, n: int, bound: int, seed: int = 0):
 def facet_elements(chi: Chirotope, matroid: UnderlyingMatroid) -> frozenset:
     """For an acyclic chi with underlying matroid matroid, the elements
     whose parallel class is a facet of the all-plus tope: the classes
-    `om._facet_classes` reads off the one-signed cocircuits, as labels."""
+    `om._facet_classes` reads off the rows `om._conformal_rows` keeps at
+    the minus mask 0, as labels."""
     n = len(chi.ground)
-    one_signed = _one_signed(chi._hyperplanes)
-    classes = _facet_classes(n, one_signed.values(), matroid._atom_masks)
+    classes = _facet_classes(n, _conformal_rows(chi, 0).values(),
+                             matroid._atom_masks)
     return frozenset(e for c in classes for e in _labels(chi.ground, c))
 
 

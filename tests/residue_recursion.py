@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from omcanon import forms
 from omcanon.chirotope import Chirotope, _minor_slots, _support
-from omcanon.om import _facet_classes, _one_signed
+from omcanon.om import _conformal_rows, _facet_classes
 from omcanon.osalg import _algebra
 
 _FORMS: dict = {}  # positional class -> its form
@@ -67,9 +67,8 @@ def top_form(key: tuple):
     else:
         stack = forms._stack(n, r, _support(signs))
         m = alg.matroid
-        one_signed = _one_signed(
-            Chirotope(tuple(range(n)), r, signs)._hyperplanes)
-        facets = _facet_classes(n, one_signed.values(), m._atom_masks)
+        rows = _conformal_rows(Chirotope(tuple(range(n)), r, signs), 0)
+        facets = _facet_classes(n, rows.values(), m._atom_masks)
         targets = {}
         for a, mask in zip(m.atom_reps, m._atom_masks):
             if mask in facets:

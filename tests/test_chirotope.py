@@ -3,8 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from omcanon import (Chirotope, InvalidChirotope, SignVector,
-                     UnderlyingMatroid, validate_chirotope)
+from omcanon import (Chirotope, InvalidChirotope, OrientedMatroid,
+                     SignVector, UnderlyingMatroid, validate_chirotope)
 from omcanon.chirotope import (_earliest_basis, chirotope_diagnostic,
                                perm_parity_sign)
 from omcanon.signvec import ground_positions
@@ -30,6 +30,39 @@ def test_loop_diagnostic():
     with pytest.raises(InvalidChirotope, match="loop: 2"):
         validate_chirotope(chi)
     assert chirotope_diagnostic(chi) == "loop: 2"
+
+
+@pytest.mark.parametrize("bad", [2, -2, 1.5, 1.0, "1", True, None])
+def test_signs_must_be_ints_in_minus_one_to_one(bad):
+    """A sign that is not the int -1, 0 or 1 is refused, and the diagnostic
+    names the first such key in sign-table order, before any axiom."""
+    chi = Chirotope(("a", "b", "c"), 2, (1, bad, bad))
+    message = f"sign {bad!r} at ('a', 'c') is not -1, 0 or 1"
+    with pytest.raises(InvalidChirotope) as err:
+        validate_chirotope(chi)
+    assert err.value.diagnostic == message
+    assert chirotope_diagnostic(chi) == message
+    with pytest.raises(InvalidChirotope):
+        OrientedMatroid(chi)
+
+
+@pytest.mark.parametrize("chi, key", [(Chirotope((), 0, (2,)), "()"),
+                                      (Chirotope(("a", "b"), 1, (2, 1)),
+                                       "('a',)")])
+def test_a_sign_of_two_is_refused_in_low_rank(chi, key):
+    """The rank-1 table (2, 1) once validated, and its all-plus tope had
+    the form 2*1."""
+    assert chirotope_diagnostic(chi) == f"sign 2 at {key} is not -1, 0 or 1"
+
+
+def test_from_map_keeps_signs_as_given():
+    """`from_map` does not coerce: 1.5 and 0.4 reach the check as they are
+    (int() made them 1 and 0, losing the basis ac)."""
+    values = {("a", "b"): 1.5, ("a", "c"): 0.4, ("b", "c"): 1}
+    chi = Chirotope.from_map(("a", "b", "c"), 2, values)
+    assert chi.signs == (1.5, 0.4, 1)
+    assert (chirotope_diagnostic(chi)
+            == "sign 1.5 at ('a', 'b') is not -1, 0 or 1")
 
 
 def test_identically_zero_rejected():

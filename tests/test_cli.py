@@ -178,14 +178,14 @@ def test_canonical_not_a_tope_diagnostic(capsys, pentagon_path, tope, nearest):
 def test_canonical_checks_the_tope_once(capsys, monkeypatch, line4_path,
                                         flags, tope, expected):
     """`canonical` asks whether its vector is a tope once, in the form's own
-    `require_tope`: one `_composes` call, for a tope and for a non-tope."""
+    `require_tope`: one `is_tope` call, for a tope and for a non-tope."""
     calls = []
-    composes = omcanon.OrientedMatroid._composes
+    is_tope = omcanon.OrientedMatroid.is_tope
 
     def counting(self, *args):
         calls.append(args)
-        return composes(self, *args)
-    monkeypatch.setattr(omcanon.OrientedMatroid, "_composes", counting)
+        return is_tope(self, *args)
+    monkeypatch.setattr(omcanon.OrientedMatroid, "is_tope", counting)
     code, _, _ = invoke(capsys, "canonical", "--input", line4_path,
                         "--tope", tope, *flags)
     assert code == expected

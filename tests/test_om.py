@@ -11,7 +11,7 @@ from omcanon import (Chirotope, NotATope, OrientedMatroid, SignVector,
                      simplex_identity_check, validate_chirotope)
 from omcanon import om as om_module
 from omcanon.cli import run
-from omcanon.om import _circuits, _facet_classes, is_acyclic
+from omcanon.om import _circuits, _conformal_rows, _facet_classes, is_acyclic
 
 import label_walk
 import oracle_ops
@@ -191,7 +191,8 @@ def test_tope_walk_flips_whole_parallel_classes(parallel_pair):
     assert sorted(classes) == [0b001, 0b110]
     assert len(om.topes) == 4
     for t in om.topes:
-        facets = _facet_classes(3, om._conformal(t.plus, t.minus), classes)
+        facets = _facet_classes(3, _conformal_rows(om.chi, t.minus).values(),
+                                classes)
         assert sorted(facets) == [0b001, 0b110]
         for c in (0b001, 0b110, 0b010, 0b100):
             flip = SignVector._from_masks(om.ground, t.plus ^ c, t.minus ^ c)
@@ -452,11 +453,12 @@ def differential_om(name, request):
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM)
                          + ["nonpappus_ext"])
 def test_tope_queries_match_sign_vector_walk(name, request):
-    """Facets on every tope x atom, bounded topes at every element, and, at
-    n <= 6, the covector, tope and boundedness tests on every full-support
-    vector, against the sign-vector walks they replaced.  Extensions by
-    the perturbation signature and two seeded random ones get the same
-    bounded topes too."""
+    """Facets on every tope x atom, bounded topes at every element, and the
+    covector, tope and boundedness tests on every full-support vector at
+    n <= 6 and on a seeded sample of 200 of them (at most all) above,
+    against the sign-vector walks they replaced.  Extensions by the
+    perturbation signature and two seeded random ones get the same bounded
+    topes too."""
     om = differential_om(name, request)
     facets = 0
     for t in om.topes:
@@ -466,17 +468,23 @@ def test_tope_queries_match_sign_vector_walk(name, request):
             assert got == tope_walk.is_facet(om, t, a)
             facets += got
     assert facets
+    bounded = {e: om.bounded_topes(e) for e in om.ground}
     for e in om.ground:
-        assert om.bounded_topes(e) == frozenset(
+        assert bounded[e] == frozenset(
             t for t in om.topes if tope_walk.bounded_tope(om, t, e))
-    if len(om.ground) <= 6:
-        for x in all_full_support_vectors(om.ground):
-            assert om.is_covector(x) == tope_walk.is_covector(om, x)
-            assert om.is_tope(x) == tope_walk.is_covector(om, x)
-            for e in om.ground:
-                bit = 1 << om.ground.index(e)
-                assert (om._composes(x.plus, x.minus, bit)
-                        == tope_walk.bounded_tope(om, x, e))
+    n = len(om.ground)
+    if n <= 6:
+        vectors = list(all_full_support_vectors(om.ground))
+    else:  # 200 distinct minus masks, all 128 at n = 7
+        vectors = [SignVector._from_masks(om.ground, ~m & (1 << n) - 1, m)
+                   for m in random.Random(n).sample(range(1 << n),
+                                                    min(200, 1 << n))]
+        assert not all(om.is_tope(x) for x in vectors)
+    for x in vectors:
+        assert om.is_covector(x) == tope_walk.is_covector(om, x)
+        assert om.is_tope(x) == tope_walk.is_covector(om, x)
+        for e in om.ground:
+            assert (x in bounded[e]) == tope_walk.bounded_tope(om, x, e)
     rng = random.Random(0)
     for signature in [perturbation_signature(om),
                       label_walk.random_signature(om, rng),
@@ -499,8 +507,9 @@ def test_residue_check_contracts_the_reoriented_chirotope(name, request):
 
 
 def test_tope_queries_call_no_conforms_to(pentagon_inf, monkeypatch):
-    """Every tope question reads the cocircuit mask table, never the
-    sign-vector conformality test of the reference walks."""
+    """Every tope question reads the hyperplane table (`_conformal_rows`)
+    or the cocircuit mask pairs, never the sign-vector conformality test
+    of the reference walks."""
     om = pentagon_inf
     ext = bounded_extension(om)
     topes = om.sorted_topes()
@@ -568,6 +577,15 @@ def test_lex_extension_rejects_non_basis(line4, parallel_pair):
         with pytest.raises(ValueError,
                            match=r"^signature signs must be \+1 or -1$"):
             line4.lex_extension(((0, 1), (1, sign)))
+
+
+@pytest.mark.parametrize("sign", [1.5, "1", 1.0, True, -1.0])
+def test_lex_extension_refuses_non_int_signs(line4, sign):
+    """A signature sign that is not the int +1 or -1 is refused, not
+    coerced: 1.5 and "1" would both read as 1 under int()."""
+    with pytest.raises(ValueError,
+                       match=r"^signature signs must be \+1 or -1$"):
+        line4.lex_extension(((0, sign), (1, 1)))
 
 
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))

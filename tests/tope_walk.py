@@ -1,5 +1,5 @@
-"""Reference tope questions, as they were before they read the cocircuit
-mask table.
+"""Reference tope questions, as they were before they read the chirotope's
+hyperplane table through one rule (`om._conformal_rows`).
 
 They walk `SignVector` objects: the cocircuits conformal to a sign vector
 are picked from the public `cocircuits` set with `oracle_ops.conforms_to`,
@@ -7,8 +7,9 @@ a facet of a tope is an atom whose zeroing leaves a covector, an
 extension's bounded topes are lifted with `oracle_ops.extend`, and the
 residue check's facet form is that of the contraction of the chirotope,
 scaled by the tope's sign at the atom and reoriented by the restricted
-tope.  They are kept as the oracles that `OrientedMatroid.is_covector`,
-`om._facet_classes`, both `bounded_topes` and
+tope.  They are kept as the oracles that `OrientedMatroid.is_covector`
+and `is_tope`, the facets `om._facet_classes` reads off the rows
+`om._conformal_rows` keeps, both `bounded_topes` and
 `forms.check_residue_axioms` are compared against.
 """
 
