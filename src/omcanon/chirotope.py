@@ -66,6 +66,17 @@ def _mask_index(n: int, r: int) -> dict:
 
 
 @memo
+def _keys_through(n: int, r: int) -> tuple:
+    """For each position i of range(n), the int whose bit j is set iff the
+    j-th ascending r-subset of range(n), in sign-table order, holds i."""
+    out = [0] * n
+    for j, key in enumerate(combinations(range(n), r)):
+        for i in key:
+            out[i] |= 1 << j
+    return tuple(out)
+
+
+@memo
 def _minor_slots(n: int, r: int, removed: int, element: int) -> tuple:
     """Gather table of the contraction by the position element of a rank-r
     table over range(n), whose ground is range(n) outside the mask removed.
@@ -266,9 +277,7 @@ def validate_chirotope(chi: Chirotope) -> None:
     in ground order, so the diagnostic names the same first violation for
     any labels and does not depend on the hash seed.
     """
-    for key, s in zip(combinations(chi.ground, chi.rank), chi.signs):
-        if type(s) is not int or s not in (-1, 0, 1):
-            raise InvalidChirotope(f"sign {s!r} at {key} is not -1, 0 or 1")
+    _check_signs(chi)
     if chi.rank == 0:
         if chi.signs[0] == 0:
             raise InvalidChirotope("identically zero")
@@ -287,6 +296,16 @@ def validate_chirotope(chi: Chirotope) -> None:
     _check_exchange(chi.ground, bases)
     if chi.rank >= 2:
         _check_three_term(chi, index)
+
+
+def _check_signs(chi: Chirotope) -> None:
+    """The first check of `validate_chirotope`, alone: every sign is the
+    int -1, 0 or 1, else InvalidChirotope names the first other one in
+    sign-table order.  `forms.oriented_matroid_for`, which skips the
+    axioms, runs it too."""
+    for key, s in zip(combinations(chi.ground, chi.rank), chi.signs):
+        if type(s) is not int or s not in (-1, 0, 1):
+            raise InvalidChirotope(f"sign {s!r} at {key} is not -1, 0 or 1")
 
 
 def _check_exchange(ground: tuple, bases: list) -> None:

@@ -34,15 +34,18 @@ of a positional class (n, r, support), and the labels go back once, on
 the solved form.  Forms are memoized per (chi, m); as
 chi_(~m) = (-1)^r chi_m and the solve is linear, W(-T) = (-1)^r W(T), and
 a tope and its negative share the entry at the mask whose position 0 is
-plus (`_at`).
+plus (`_at`).  The table read that finds a tope's facets is also its tope
+test: `_facet_targets` raises NotATope when the rows it reads do not
+cover the ground set, before anything is memoized, so a memo hit is a
+tope and the form calls need no separate scan (`_read`).
 """
 
 from __future__ import annotations
 
 from . import linalg
 from ._memo import memo
-from .chirotope import Chirotope, _mask, _mask_index
-from .om import OrientedMatroid, _conformal_rows, _facet_classes
+from .chirotope import Chirotope, _check_signs, _mask, _mask_index
+from .om import NotATope, OrientedMatroid, _conformal_rows, _facet_classes
 from .osalg import (OSAlgebra, OSElement, _algebra, _residue_key,
                     os_algebra_for, os_algebra_of_chirotope)
 from .signvec import SignVector, _labels, _position, ground_positions
@@ -50,6 +53,10 @@ from .signvec import SignVector, _labels, _position, ground_positions
 
 @memo
 def oriented_matroid_for(chi: Chirotope) -> OrientedMatroid:
+    """The oriented matroid of chi, memoized, without the axiom check;
+    its signs are checked (`chirotope._check_signs`), so that no sign
+    other than -1, 0 or 1 reaches a form."""
+    _check_signs(chi)
     return OrientedMatroid(chi, validate=False)
 
 
@@ -146,11 +153,11 @@ def _stack(n: int, r: int, support: int) -> tuple:
 
 def _facet_targets(stack: tuple, chi: Chirotope, m: int) -> dict:
     """{a: W(chi_m/a)} over the facet atoms a of the all-plus tope of
-    chi_m, the reorientation of chi by the position mask m, which callers
-    guarantee acyclic; stack is the residue stack (`_stack`) of chi's
-    positional class, and each form lies in a's block algebra.  The forms
-    are read off chi's hyperplane table (`Chirotope._hyperplanes`) with
-    plus and minus swapped at m, and each chi_m(K) is chi(K) times
+    chi_m, the reorientation of chi by the position mask m (NotATope when
+    it is not acyclic, see below); stack is the residue stack (`_stack`)
+    of chi's positional class, and each form lies in a's block algebra.
+    The forms are read off chi's hyperplane table (`Chirotope._hyperplanes`)
+    with plus and minus swapped at m, and each chi_m(K) is chi(K) times
     (-1)^|K & m|: no reorientation or contraction is built and no form of
     a minor is solved.
 
@@ -191,12 +198,16 @@ def _facet_targets(stack: tuple, chi: Chirotope, m: int) -> dict:
     the plus signs gathered so far.  The empty key of rank 0 composes
     nothing, to the zero vector.  Rows and facets are `om._conformal_rows`
     at m; the atoms that are no facet get no target: their residues are 0.
+    When the rows do not cover the ground set, m is the minus mask of no
+    tope, and NotATope is raised: this read is the forms' tope gate.
     """
     alg, blocks = stack[:2]
     n, r, signs = len(chi.ground), alg.rank, chi.signs
     plus = [p & ~m | q & m for p, q in zip(*chi._hyperplanes)]
     minus = [q & ~m | p & m for p, q in zip(*chi._hyperplanes)]
     rows = _conformal_rows(chi, m)
+    if rows is None:
+        raise NotATope(f"no tope has the minus mask {m}")
     starts = list(rows.items()) + [(None, 0)]
     targets = {}
     for mask in _facet_classes(n, {*rows.values()}, alg.matroid._atom_masks):
@@ -261,14 +272,18 @@ def _solve(stack: tuple, targets: dict) -> OSElement:
 
 @memo
 def _top_form(chi: Chirotope, m: int) -> OSElement:
-    """Top-grade form of chi reoriented by the position mask m, which
-    callers guarantee acyclic, in os_algebra_of_chirotope(chi): one residue
-    solve against the facet targets read off chi's table at m, with every
-    position key k read as the labels chi.ground[i], i in k."""
+    """Top-grade form of chi reoriented by the position mask m, in
+    os_algebra_of_chirotope(chi): one residue solve against the facet
+    targets read off chi's table at m, with every position key k read as
+    the labels chi.ground[i], i in k.  When m is the minus mask of no
+    tope, so that the reorientation is not acyclic, NotATope is raised
+    and nothing is memoized."""
     n, r, ground = len(chi.ground), chi.rank, chi.ground
+    if r == 0:  # the base value, at the one tope of an empty ground set
+        if n:
+            raise NotATope("rank 0 on a nonempty ground set has no tope")
+        return OSElement(os_algebra_of_chirotope(chi), 0, {(): chi.signs[0]})
     alg = os_algebra_of_chirotope(chi)
-    if r == 0:  # the base value
-        return OSElement(alg, 0, {(): chi.signs[0]})
     stack = _stack(n, r, chi.support)
     form = _solve(stack, _facet_targets(stack, chi, m))
     return OSElement(alg, r, {tuple(ground[i] for i in k): v
@@ -278,10 +293,12 @@ def _top_form(chi: Chirotope, m: int) -> OSElement:
 @memo
 def _canonical_form(chi: Chirotope, m: int) -> OSElement:
     """dW, memoized: `verify`'s simplex suite reads each tope's form once per
-    basis it meets (without it, `cli_stream` wall +5%, p90 +7-10%)."""
+    basis it meets (without it, `cli_stream` wall +5%, p90 +7-10%).  The
+    top-grade form is read first, so a mask of no tope raises NotATope
+    before a rank-0 chirotope is refused."""
+    top = _top_form(chi, m)
     if chi.rank == 0:
         raise ValueError("the reduced form needs rank at least 1")
-    top = _top_form(chi, m)
     return top.algebra.boundary(top)
 
 
@@ -295,6 +312,20 @@ def _at(table, chi: Chirotope, m: int) -> OSElement:
     return -form if chi.rank & 1 else form
 
 
+def _read(table, om: OrientedMatroid, tope: SignVector) -> OSElement:
+    """`_at` of a form memo table at the tope's minus mask, or NotATope
+    with `require_tope`'s message.  Past the ground and full-support check
+    the tope test is the form's own table read, which raises before
+    anything is memoized; so a memo hit is a tope, as the complement that
+    `_at` may read instead is no tope either when the tope is none."""
+    if tope.ground == om.ground and tope.has_full_support:
+        try:
+            return _at(table, om.chi, tope.minus)
+        except NotATope:
+            pass
+    raise NotATope(f"{tope} is not a tope")
+
+
 def canonical_form_om(om: OrientedMatroid) -> OSElement:
     """Reduced canonical form of (M, chi); zero when M is not acyclic."""
     if not om.is_acyclic():
@@ -304,9 +335,9 @@ def canonical_form_om(om: OrientedMatroid) -> OSElement:
 
 def canonical_form_tope(om: OrientedMatroid, tope: SignVector) -> OSElement:
     """Reduced canonical form of a tope: that of the chirotope reoriented
-    so the tope is all-plus, read at the tope's minus mask."""
-    om.require_tope(tope)
-    return _at(_canonical_form, om.chi, tope.minus)
+    so the tope is all-plus, read at the tope's minus mask; a non-tope
+    raises NotATope (`_read`)."""
+    return _read(_canonical_form, om, tope)
 
 
 def canonical_form_from_triangulation(chi: Chirotope, bases) -> OSElement:
@@ -360,9 +391,8 @@ def _triangulation_sum(chi: Chirotope, masks, m: int = 0) -> OSElement:
 
 def nonreduced_canonical_form(om: OrientedMatroid, tope: SignVector) -> OSElement:
     """Top-grade form of a tope: the unique boundary preimage of the
-    reduced form."""
-    om.require_tope(tope)
-    return _at(_top_form, om.chi, tope.minus)
+    reduced form; a non-tope raises NotATope (`_read`)."""
+    return _read(_top_form, om, tope)
 
 
 def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
@@ -379,10 +409,9 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
     chi_T(rep) * 1 instead.  The facets are read as the tope's solve reads
     them (`om._conformal_rows`).  Returns {atom rep: bool}.
     """
-    om.require_tope(tope)
+    form = _read(_canonical_form, om, tope)
     alg = algebra_of(om)
     minus = tope.minus
-    form = _at(_canonical_form, om.chi, minus)
     if om.rank == 1:
         rep, = om.atom_reps
         base = om.chi.value((rep,)) * tope.value(rep)

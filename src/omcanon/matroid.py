@@ -12,9 +12,12 @@ Atoms are the parallel classes, keyed by the earliest element in ground
 order, and found without a rank query: two elements are parallel iff no
 basis holds both.  The Orlik-Solomon side works entirely on atom
 representatives.
-Their circuits are read off the support bits by `chirotope._circuit`, and
-NBC sets need no rank query.  In rank 0 the only basis is empty (support
-1), every element is a loop and there are no atoms.
+The NBC sets of every grade are grown from the bitsets of the bases
+through each element (`_nbc`, which states and proves the criterion), and
+a straightening asks independence of the same bitsets; the circuits are
+read off the support bits by `chirotope._circuit`, and only a
+straightening that rewrites reads them.  In rank 0 the only basis is empty
+(support 1), every element is a loop and there are no atoms.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
-                        _minor_slots)
+from .chirotope import (Chirotope, _bits, _circuit, _keys_through, _mask,
+                        _mask_index, _minor_slots)
 from .signvec import _labels, _position, ground_positions
 
 
@@ -43,12 +46,12 @@ class UnderlyingMatroid:
         self.bases = [m for i, m in enumerate(_mask_index(n, rank))
                       if support >> i & 1]
         self._pos = ground_positions(self.ground)
-        through = [0] * n  # bit j of through[i]: the j-th basis holds i
-        for j, b in enumerate(self.bases):
-            for bit in _bits(b):
-                through[bit.bit_length() - 1] |= 1 << j
+        # bit j of through[i]: the j-th key, in sign-table order, is a
+        # basis that holds i
+        through = [support & keys for keys in _keys_through(n, rank)]
         if rank and 0 in through:
             raise ValueError(f"loop: {self.ground[through.index(0)]}")
+        self._through = through
         # two elements are parallel iff no basis holds both
         classes: list = []  # the atoms as position masks
         self._atom_at: list = []  # position -> index in classes
@@ -79,6 +82,14 @@ class UnderlyingMatroid:
     def rank_of(self, subset) -> int:
         mask = _mask({_position(self._pos, e) for e in subset})
         return max((b & mask).bit_count() for b in self.bases)
+
+    def is_independent(self, reps) -> bool:
+        """True iff some basis holds all of reps, distinct ground labels:
+        iff the bitsets of the bases through each of them meet."""
+        held = self.support
+        for e in reps:
+            held &= self._through[self._pos[e]]
+        return held != 0
 
     def _atom_index(self, e) -> int:
         i = _position(self._pos, e)
@@ -126,14 +137,53 @@ class UnderlyingMatroid:
         """Pairs (broken circuit as frozenset, full circuit ascending tuple)."""
         return tuple((frozenset(c[1:]), c) for c in self.atom_circuits)
 
+    @cached_property
+    def _nbc(self) -> tuple:
+        """The NBC sets of grades 0..r, ascending tuples of atom
+        representatives, each grade lexicographic in ground order.
+
+        An independent K = (k_1 < ... < k_p) is NBC iff for no j does a
+        representative f < k_j lie in cl{k_j, ..., k_p} (Bjoerner, "The
+        homology and shellability of matroids and geometric lattices",
+        1992, 7): a broken circuit C - c in K puts c < min(C - c) = k_j in
+        cl(C - c); such an f closes a circuit with minimum f inside
+        {f, k_j, ..., k_p}, whose broken part lies in K.  (A dependent set
+        holds a circuit, so its broken part.)  So grade p prepends e < min S
+        to each NBC (p-1)-set S: with t the bitset of the bases holding S
+        and e (as `through`), e + S is NBC iff t != 0 and t meets
+        through[f] for every representative f < e.  Taking e ascending,
+        each with the previous grade's sets that start after it, keeps
+        each grade lexicographic."""
+        through = [self._through[(c & -c).bit_length() - 1]
+                   for c in self._atom_masks]
+        # (index of the first representative, key, bitset of its bases)
+        grade = [(len(through), (), self.support)]
+        grades = [((),)]
+        for _ in range(self.rank):
+            grown = []
+            first = 0  # grade[first:] are the sets that start after e
+            for i, (e, own) in enumerate(zip(self.atom_reps, through)):
+                while first < len(grade) and grade[first][0] <= i:
+                    first += 1
+                below = through[:i]
+                for _, rest, held in grade[first:]:
+                    t = held & own
+                    if t:
+                        for other in below:
+                            if not t & other:
+                                break
+                        else:
+                            grown.append((i, (e, *rest), t))
+            grade = grown
+            grades.append(tuple(key for _, key, _ in grade))
+        return tuple(grades)
+
     def nbc_sets(self, k: int) -> tuple:
-        """All NBC k-subsets of atoms, lexicographic in ground order; a
-        dependent one would hold a circuit, so its broken part."""
+        """All NBC k-subsets of atoms (`_nbc`), lexicographic in ground
+        order."""
         if not 0 <= k:
             raise ValueError("grade must be nonnegative")
-        broken = [b for b, _ in self.broken_circuits]
-        return tuple(key for key in combinations(self.atom_reps, k)
-                     if not any(map(frozenset(key).issuperset, broken)))
+        return self._nbc[k] if k <= self.rank else ()
 
     # ---- Tutte polynomial and beta invariant ---------------------------
 

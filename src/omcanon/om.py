@@ -13,8 +13,10 @@ and minus are swapped there are the cocircuits conformal to the tope, up
 to sign.  A full-support vector is a tope iff they cover the ground set
 (acyclicity asks this of the all-plus vector), a tope is bounded at e iff
 every one of them is nonzero at e, and `_facet_classes` reads its facet
-classes off their supports; the topes come from a walk of the tope graph
-that flips facet classes.  The partial-support questions (covectors,
+classes off their supports.  The topes themselves are the compositions
+of the fundamental cocircuits of the NBC bases, both signs of each (the
+scatter of `topes`): rows of the same table, read off each basis's
+positions, with no tope test.  The partial-support questions (covectors,
 faces, conformal cocircuits) read the table's cocircuits as mask pairs,
 both signs: those conformal to a sign vector are the pairs inside its
 masks, and compose by the union of their masks.  Only enumerating
@@ -69,30 +71,41 @@ class OrientedMatroid:
 
     @cached_property
     def topes(self) -> frozenset:
-        """A breadth-first walk of the tope graph, which is connected
-        (Bjoerner et al., Oriented Matroids, 4.2): it starts at the
-        composition of every cocircuit, and a tope's neighbours flip one of
-        its facet classes.  Without a full-support start (rank 0 on a
-        nonempty ground set) there is no tope."""
-        n = len(self.ground)
-        plus = minus = 0
-        for p, m in zip(*self.chi._hyperplanes):
-            free = ~(plus | minus)
-            plus, minus = plus | p & free, minus | m & free
-        if plus | minus != (1 << n) - 1:
-            return frozenset()
-        classes = self.underlying._atom_masks
-        seen = {(plus, minus)}
-        queue = [(plus, minus)]
-        for plus, minus in queue:
-            for c in _facet_classes(
-                    n, _conformal_rows(self.chi, minus).values(), classes):
-                flip = (plus ^ c, minus ^ c)
-                if flip not in seen:
-                    seen.add(flip)
-                    queue.append(flip)
+        """Every composition e_1 C_1 o ... o e_r C_r, signs e_j = +-1, over
+        the NBC bases K = (k_1 < ... < k_r), C_j the row of K - k_j in the
+        hyperplane table: the cocircuit with zero set cl(K - k_j).
+          - Each is a tope.  A composition of covectors is a covector, and
+            its zero set is the intersection of the cl(K - k_j), the
+            closure of the empty set: the loops, none here.
+          - Each tope T is one.  Its top-grade form is nonzero: its
+            residue at a facet is the facet's form, nonzero by induction
+            on the rank down to chi(()).  By Finding 1 (`forms`'
+            `_facet_targets`) a nonzero coefficient at an NBC basis K
+            makes T the composition at K with e_j = T(k_j).
+        In rank 0 the one NBC set is empty and composes to the zero vector:
+        a tope on an empty ground set, none on a nonempty one."""
+        n, r = len(self.ground), self.rank
+        plus, minus = self.chi._hyperplanes
+        index = _mask_index(n, r - 1) if r else {}
+        pos = self.underlying._pos
+        seen = set()
+        for key in self.underlying.nbc_sets(r):
+            bits = [1 << pos[e] for e in key]
+            basis = sum(bits)
+            level = [(0, 0)]
+            for bit in bits:
+                h = index[basis ^ bit]
+                p, m = plus[h], minus[h]
+                grown = []
+                for xp, xm in level:
+                    free = ~(xp | xm)
+                    grown += ((xp | p & free, xm | m & free),
+                              (xp | m & free, xm | p & free))
+                level = grown
+            seen.update(level)
+        full = (1 << n) - 1
         return frozenset(SignVector._from_masks(self.ground, p, m)
-                         for p, m in seen)
+                         for p, m in seen if p | m == full)
 
     # ---- basic structure -------------------------------------------------
 

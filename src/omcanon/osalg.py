@@ -212,18 +212,23 @@ class OSAlgebra:
     # ---- straightening ------------------------------------------------------
 
     def _straighten(self, key: tuple) -> dict:
-        """Expansion of e_key in NBC coordinates, rewriting at the first
-        applicable broken circuit in the fixed circuit order."""
+        """Expansion of e_key, an ascending tuple of distinct atom
+        representatives, in NBC coordinates: zero when it is dependent, as
+        the basis bitsets tell (`UnderlyingMatroid.is_independent`), and
+        otherwise rewritten at the first broken circuit it holds in the
+        fixed circuit order, so the circuits are read only for a rewrite."""
         cached = self._straight_cache.get(key)
         if cached is not None:
             return cached
-        if self.matroid.rank_of(key) < len(key):  # dependent: e_key = 0
+        if not self.matroid.is_independent(key):  # dependent: e_key = 0
             out: dict = {}
-        else:
+        elif key in self._nbc_pos[len(key)]:
+            out = {key: 1}
+        else:  # independent, not NBC: it holds a broken circuit
             key_set = frozenset(key)
-            hit = next((pair for pair in self.matroid.broken_circuits
-                        if pair[0] <= key_set), None)
-            out = {key: 1} if hit is None else self._rewrite(key, *hit)
+            out = self._rewrite(key, *next(
+                pair for pair in self.matroid.broken_circuits
+                if pair[0] <= key_set))
         self._straight_cache[key] = out
         return out
 

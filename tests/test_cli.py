@@ -13,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omcanon
+from omcanon import forms
+from omcanon import om as om_module
 from omcanon import serialize as ser
+from omcanon._memo import clear_caches
 from omcanon.cli import run
 
 import label_walk
@@ -174,22 +177,33 @@ def test_canonical_not_a_tope_diagnostic(capsys, pentagon_path, tope, nearest):
 
 
 @pytest.mark.parametrize("flags", [[], ["--nonreduced"]])
-@pytest.mark.parametrize("tope, expected", [("+,+,-,-", 0), ("+,-,+,-", 2)])
+@pytest.mark.parametrize("tope, expected", [("+,+,-,-", 0), ("+,-,+,-", 2),
+                                            ("-,-,+,+", 0), ("-,+,-,+", 2)])
 def test_canonical_checks_the_tope_once(capsys, monkeypatch, line4_path,
                                         flags, tope, expected):
     """`canonical` asks whether its vector is a tope once, in the form's own
-    `require_tope`: one `is_tope` call, for a tope and for a non-tope."""
-    calls = []
-    is_tope = omcanon.OrientedMatroid.is_tope
+    table read: with the form memos empty, one `om._conformal_rows` call
+    (in `forms._facet_targets`) and no `is_tope` call, for a tope and for
+    a non-tope, read at their own minus mask or, position 0 minus, at the
+    complement's."""
+    calls, gates = [], []
+    rows, is_tope = om_module._conformal_rows, omcanon.OrientedMatroid.is_tope
 
-    def counting(self, *args):
+    def counting(*args):
         calls.append(args)
+        return rows(*args)
+
+    def gate(self, *args):
+        gates.append(args)
         return is_tope(self, *args)
-    monkeypatch.setattr(omcanon.OrientedMatroid, "is_tope", counting)
+    for module in (om_module, forms):
+        monkeypatch.setattr(module, "_conformal_rows", counting)
+    monkeypatch.setattr(omcanon.OrientedMatroid, "is_tope", gate)
+    clear_caches()
     code, _, _ = invoke(capsys, "canonical", "--input", line4_path,
-                        "--tope", tope, *flags)
+                        f"--tope={tope}", *flags)
     assert code == expected
-    assert len(calls) == 1
+    assert len(calls) == 1 and not gates
 
 
 def test_basis_line4(capsys, line4_path):

@@ -57,3 +57,26 @@ def test_a_failed_run_fails_the_report(monkeypatch):
     calls.clear()
     monkeypatch.setattr(desk, "fresh", fake_fresh([row, None, row], calls))
     assert desk.main(["8x4"]) == 1
+
+
+def test_one_command_alone(monkeypatch, capsys):
+    """--command with --commands times that command alone: three runs per
+    size, one column."""
+    answers = [{"seconds": s, "exit": 0, "import_s": 0.05}
+               for s in (0.2, 0.1, 0.3)]
+    calls = []
+    monkeypatch.setattr(desk, "fresh", fake_fresh(answers, calls))
+    assert desk.main(["--commands", "--command", "canonical", "8x4"]) == 0
+    assert calls == [("--one", "8x4", "--command", "canonical")] * 3
+    header, line = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "x", "r", "import_s", "canonical_s"]
+    assert line.split() == ["8", "x", "4", "0.050", "0.200"]
+
+
+def test_canonical_runs_on_the_first_sorted_tope():
+    """The timed `canonical` command reads the first sorted tope of the
+    seeded matrix and exits 0."""
+    row = desk.measure_command("canonical", 6, 3)
+    assert row["exit"] == 0
+    tope = desk.first_tope(6, 3)
+    assert tope.startswith("+") and len(tope.split(",")) == 6

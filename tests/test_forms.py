@@ -4,12 +4,13 @@ from functools import cached_property, lru_cache
 
 import pytest
 
-from omcanon import (OrientedMatroid, RationalMatrix, SignVector, algebra_of,
+from omcanon import (InvalidChirotope, OrientedMatroid, RationalMatrix,
+                     SignVector, algebra_of,
                      canonical_form_from_triangulation, canonical_form_om,
                      canonical_form_tope, check_residue_axioms,
                      chirotope_from_matrix, linalg, nonreduced_canonical_form,
                      nonreduced_from_triangulation, oriented_matroid_for,
-                     os_algebra_for)
+                     os_algebra_for, validate_chirotope)
 from omcanon import forms, osalg
 from omcanon import om as om_module
 from omcanon._memo import clear_caches
@@ -33,6 +34,31 @@ from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES, boolean_om,
 
 def ebasis(alg, e):
     return alg.monomial((e,))
+
+
+@pytest.mark.parametrize("signs, bad", [((2, 1), 2), ((1, 1.5), 1.5),
+                                         (("1", 0), "1"), ((1, None), None)])
+def test_oriented_matroid_for_checks_signs(signs, bad):
+    """`oriented_matroid_for` skips the axiom check but not its sign check:
+    a sign that equals none of the ints -1, 0 and 1 raises
+    `validate_chirotope`'s InvalidChirotope, naming the first one, before
+    any form is read.  (A sign such as 1.0 or True makes a chirotope equal
+    to the int one, so the memo may hand back that one's valid oriented
+    matroid.)"""
+    chi = Chirotope(("a", "b"), 1, signs)
+    key = ("a",) if signs[0] is bad else ("b",)
+    message = f"sign {bad!r} at {key} is not -1, 0 or 1"
+    with pytest.raises(InvalidChirotope) as info:
+        canonical_form_tope(oriented_matroid_for(chi),
+                            SignVector(("a", "b"), (1, 1)))
+    assert str(info.value) == info.value.diagnostic == message
+    with pytest.raises(InvalidChirotope) as info:
+        validate_chirotope(chi)
+    assert str(info.value) == message
+    good = Chirotope(("a", "b"), 1, (1, 1))
+    assert oriented_matroid_for(good) is oriented_matroid_for(good)
+    assert canonical_form_tope(oriented_matroid_for(good), SignVector(
+        ("a", "b"), (1, 1))) == algebra_of(OrientedMatroid(good)).one()
 
 
 def test_rank1_base_cases():

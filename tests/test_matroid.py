@@ -9,9 +9,10 @@ import pytest
 from omcanon import Chirotope, OrientedMatroid, UnderlyingMatroid, tutte_eval
 from omcanon.serialize import parse_input
 
-from conftest import (FIXTURES, NONUNIFORM, boolean_om, contract_atom,
-                      cyclic_line_chirotope, delete_atom, named_om,
-                      nonuniform_matrix, oracle_rank, rank1_om, relabellings)
+from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES, boolean_om,
+                      contract_atom, cyclic_line_chirotope, delete_atom,
+                      named_om, nonuniform_matrix, oracle_rank, rank1_om,
+                      relabellings)
 from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
 from oracle_ops import atom_of, characteristic_polynomial
 
@@ -218,6 +219,99 @@ def test_matches_frozenset_oracle(name, request):
             assert rank_a == m.rank - 1
             assert ((ground_a, support_bases(ground_a, rank_a, support_a))
                     == oracle.contraction_fingerprint(a))
+
+
+NBC_CASES = (SEEDED_CASES + ["loops"]
+             + [f"nonuniform_r{r}:{seed}" for r in (3, 4)
+                for seed in range(10, 16)])
+
+
+def nbc_case_chirotopes(name, request) -> list:
+    """A `SEEDED_CASES` name, "loops" (`named_input`), or a NONUNIFORM
+    shape at a further seed, under each relabelling."""
+    if name == "loops":
+        chi = named_input(name, request)[0]
+    else:
+        chi = named_om(name, request).chi
+    return relabellings(chi)
+
+
+@pytest.mark.parametrize("name", NBC_CASES)
+def test_nbc_bitsets_match_broken_circuits(name, request):
+    """The NBC sets grown from the basis bitsets are the broken-circuit
+    NBC sets of the label-frozenset matroid at every grade 0..r+2, and the
+    independence test the straightening asks agrees with `rank_of` on
+    every set of atom representatives up to r+1 of them."""
+    for chi in nbc_case_chirotopes(name, request):
+        m = UnderlyingMatroid.from_chirotope(chi)
+        oracle = FrozensetMatroid.from_chirotope(chi)
+        for k in range(m.rank + 3):
+            assert m.nbc_sets(k) == oracle.nbc_sets(k)
+        for k in range(m.rank + 2):
+            for key in combinations(m.atom_reps, k):
+                assert m.is_independent(key) == (m.rank_of(key) == k)
+
+
+def _det(rows: list) -> int:
+    """The determinant of a small square int matrix, by fraction-free
+    (Bareiss) elimination."""
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def random_matroids(count: int, seed: int) -> list:
+    """count seeded (ground, rank, support) matroids of r x n int matrices,
+    1 <= r <= 4, r <= n <= 7, entries in [-2, 2], about one column in four
+    a multiple of an earlier one, so that parallel classes are common.  A
+    zero column (a loop) or a rank below r is refused by the constructor,
+    and that draw is skipped."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r = rng.randint(1, 4)
+        n = rng.randint(r, 7)
+        cols: list = []
+        for _ in range(n):
+            if cols and rng.random() < 0.25:
+                c = rng.choice((-2, -1, 1, 2))
+                cols.append([c * x for x in rng.choice(cols)])
+            else:
+                cols.append([rng.randint(-2, 2) for _ in range(r)])
+        support = 0
+        for i, key in enumerate(combinations(range(n), r)):
+            if _det([[cols[j][row] for j in key] for row in range(r)]):
+                support |= 1 << i
+        try:
+            out.append(UnderlyingMatroid(tuple(range(n)), r, support))
+        except ValueError:  # no basis, or a loop
+            continue
+    return out
+
+
+def test_nbc_bitsets_match_broken_circuits_on_random_matroids():
+    """On 2,000 seeded random small matroids, parallel classes kept, the
+    bitset NBC sets equal the broken-circuit NBC sets at every grade
+    0..r+2, and the straightening's independence test equals `rank_of`."""
+    cases = random_matroids(2000, seed=44)
+    assert sum(len(m.atoms) < len(m.ground) for m in cases) > 500
+    for m in cases:
+        oracle = FrozensetMatroid(m.ground, support_bases(*m.fingerprint))
+        for k in range(m.rank + 3):
+            assert m.nbc_sets(k) == oracle.nbc_sets(k)
+        for k in range(m.rank + 2):
+            for key in combinations(m.atom_reps, k):
+                assert m.is_independent(key) == (m.rank_of(key) == k)
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)

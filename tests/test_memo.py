@@ -23,6 +23,7 @@ DEMO_DATA = os.path.join(HERE, os.pardir, "demos", "data")
 TABLES = {
     "omcanon.signvec.ground_positions",
     "omcanon.chirotope._mask_index",
+    "omcanon.chirotope._keys_through",
     "omcanon.chirotope._minor_slots",
     "omcanon.chirotope._hyperplane_slots",
     "omcanon.osalg._algebra",
@@ -34,7 +35,7 @@ TABLES = {
 
 
 def test_every_module_memo_goes_through_the_registry():
-    """Only `_memo` makes a memo; the registry names the nine tables, and
+    """Only `_memo` makes a memo; the registry names the ten tables, and
     each keeps the lru_cache interface."""
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py") or name == "_memo.py":

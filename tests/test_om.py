@@ -6,10 +6,13 @@ from itertools import combinations, product
 import pytest
 
 from omcanon import (Chirotope, NotATope, OrientedMatroid, SignVector,
-                     UnderlyingMatroid, bounded_extension, build_flag,
-                     check_residue_axioms, perturbation_signature,
-                     simplex_identity_check, validate_chirotope)
+                     UnderlyingMatroid, algebra_of, bounded_extension,
+                     build_flag, canonical_form_tope, check_residue_axioms,
+                     chirotope_from_matrix, nonreduced_canonical_form,
+                     perturbation_signature, simplex_identity_check,
+                     validate_chirotope)
 from omcanon import om as om_module
+from omcanon._memo import cache_sizes
 from omcanon.cli import run
 from omcanon.om import _circuits, _conformal_rows, _facet_classes, is_acyclic
 
@@ -18,8 +21,9 @@ import oracle_ops
 import tope_walk
 from conftest import (FIXTURES, NONUNIFORM, PAPPUS_LINE, SEEDED_CASES,
                       all_full_support_vectors, boolean_om, facet_elements,
-                      named_om, nonuniform_om, oracle_covectors, oracle_topes,
-                      outcome, pappus_chirotope, rank1_om, relabellings)
+                      named_om, nonuniform_matrix, nonuniform_om,
+                      oracle_covectors, oracle_topes, outcome,
+                      pappus_chirotope, rank1_om, relabellings)
 from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
 from oracle_ops import (compose, conforms_to, extend, is_nonnegative,
                         is_orthogonal, is_zero, restrict, support,
@@ -157,13 +161,14 @@ def walk_oms(name, request) -> list:
 @pytest.mark.parametrize("name", FIXTURES + ["uniform_r4", "nonpappus_ext10"]
                          + WALK_SEEDS)
 def test_tope_walk_matches_closure(name, request):
-    """The tope-graph walk gives the full-support members of the covector
-    closure, and, up to n = 8, the full-support vectors orthogonal to every
-    circuit; the bounded topes at every element are those of the closure
-    that the sign-vector walk finds bounded."""
+    """The topes (the scatter of `OrientedMatroid.topes`) and the
+    tope-graph walk of `tope_walk.walk_topes` both give the full-support
+    members of the covector closure, and, up to n = 8, the full-support
+    vectors orthogonal to every circuit; the bounded topes at every element
+    are those of the closure that the sign-vector walk finds bounded."""
     for om in walk_oms(name, request):
         closure = frozenset(x for x in om.covectors if x.has_full_support)
-        assert om.topes == closure
+        assert om.topes == closure == tope_walk.walk_topes(om)
         assert om.sorted_topes() == sorted(closure, key=SignVector.sort_key)
         if len(om.ground) <= 8:
             assert om.topes == oracle_topes(om)
@@ -174,12 +179,103 @@ def test_tope_walk_matches_closure(name, request):
 
 def test_tope_walk_rank0_has_no_topes():
     """Rank 0 on a nonempty ground set: every element is a loop, the
-    composition of no cocircuits is the zero vector, and neither the walk
-    nor the closure has a tope."""
+    composition of no cocircuits is the zero vector, and neither the
+    scatter nor the walk nor the closure has a tope."""
     om = OrientedMatroid(EDGE_CHIROTOPES["rank0"])
-    assert om.topes == frozenset()
+    assert om.topes == tope_walk.walk_topes(om) == frozenset()
     assert not any(x.has_full_support for x in om.covectors)
     assert om.sorted_topes() == []
+
+
+def scatter_oms(name, request) -> list:
+    """The oriented matroid of a `SEEDED_CASES` name under each of its
+    relabellings, or, for "random_r3-seed" and "random_r4-seed", that of a
+    seeded 3 x 8 or 4 x 8 matrix with a vanishing minor and a parallel
+    class (`nonuniform_matrix`, entries in [-2, 2])."""
+    if name.startswith("random_r"):
+        shape, seed = name.rsplit("-", 1)
+        mat = nonuniform_matrix(int(shape[-1]), 8, 2, seed=int(seed))
+        return [OrientedMatroid(chirotope_from_matrix(mat))]
+    return [OrientedMatroid(chi)
+            for chi in relabellings(named_om(name, request).chi)]
+
+
+SCATTER_CASES = (SEEDED_CASES
+                 + [f"random_r{r}-{seed}" for r in (3, 4)
+                    for seed in range(10, 16)])
+
+
+@pytest.mark.parametrize("name", SCATTER_CASES)
+def test_scatter_matches_walk(name, request):
+    """The compositions of the NBC bases' fundamental cocircuits
+    (`OrientedMatroid.topes`) are the topes the tope-graph walk finds and,
+    on the first variant, the full-support vectors orthogonal to every
+    circuit; a relabelling keeps them position by position."""
+    oms = scatter_oms(name, request)
+    first = oms[0]
+    assert first.topes == oracle_topes(first)
+    for om in oms:
+        assert om.topes == tope_walk.walk_topes(om)
+        assert ({(t.plus, t.minus) for t in om.topes}
+                == {(t.plus, t.minus) for t in first.topes})
+
+
+def fundamental_compositions(om, key) -> list:
+    """The 2^r compositions e_1 C_1 o ... o e_r C_r at the NBC basis key,
+    C_j(e) = chi(key with k_j replaced by e) chi(key), from
+    `Chirotope.value` and `oracle_ops.compose` alone."""
+    chi = om.chi
+    out = [SignVector(om.ground, (0,) * len(om.ground))]
+    for j, k in enumerate(key):
+        c = SignVector(om.ground, tuple(
+            chi.value(key[:j] + (e,) + key[j + 1:]) * chi.value(key)
+            for e in om.ground))
+        out = [compose(x, y) for x in out for y in (c, -c)]
+    return out
+
+
+@pytest.mark.parametrize("name", SCATTER_CASES)
+def test_scatter_counts_two_to_the_rank_per_nbc_basis(name, request):
+    """At each NBC basis K the 2^r compositions of its fundamental
+    cocircuits, computed from chirotope values, are distinct topes and are
+    the topes whose top-grade form holds e_K (Finding 1's corollary): so
+    there are 2^r dim A^r of them in all, and together they reach every
+    tope."""
+    om = scatter_oms(name, request)[0]
+    r = om.rank
+    keys = om.underlying.nbc_sets(r)
+    holding: dict = {key: set() for key in keys}
+    for t in om.topes:
+        for key in nonreduced_canonical_form(om, t).terms:
+            holding[key].add(t)
+    reached = set()
+    total = 0
+    for key in keys:
+        found = fundamental_compositions(om, key)
+        total += len(found)
+        assert len(set(found)) == 2 ** r
+        assert set(found) == holding[key] <= om.topes
+        reached.update(found)
+    assert total == 2 ** r * algebra_of(om).dim(r)
+    assert reached == om.topes
+
+
+@pytest.mark.parametrize("chi, topes", [
+    (Chirotope((), 0, (1,)), {()}),
+    (Chirotope((), 0, (-1,)), {()}),
+    (Chirotope((0,), 0, (1,)), set()),
+    (Chirotope((0, 1, 2), 0, (1,)), set()),
+    (Chirotope((0,), 1, (1,)), {(1,), (-1,)}),
+    (Chirotope((0, 1, 2), 1, (1, -1, 1)), {(1, -1, 1), (-1, 1, -1)}),
+])
+def test_scatter_edge_cases(chi, topes):
+    """Rank 0: the one NBC set is empty and composes to the zero vector, a
+    tope on an empty ground set and none on a nonempty one.  Rank 1: every
+    NBC basis is one atom representative, whose cocircuit is chi itself."""
+    om = OrientedMatroid(chi)
+    assert {t.signs for t in om.topes} == topes
+    assert om.topes == tope_walk.walk_topes(om)
+    assert om.sorted_topes() == sorted(om.topes, key=SignVector.sort_key)
 
 
 def test_tope_walk_flips_whole_parallel_classes(parallel_pair):
@@ -450,6 +546,16 @@ def differential_om(name, request):
     return om.lex_extension(signature, label=9).om_ext
 
 
+def full_support_sample(om) -> list:
+    """Every full-support vector at n <= 6, else a seeded sample of 200
+    distinct minus masks (all 128 at n = 7)."""
+    n = len(om.ground)
+    if n <= 6:
+        return list(all_full_support_vectors(om.ground))
+    return [SignVector._from_masks(om.ground, ~m & (1 << n) - 1, m)
+            for m in random.Random(n).sample(range(1 << n), min(200, 1 << n))]
+
+
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM)
                          + ["nonpappus_ext"])
 def test_tope_queries_match_sign_vector_walk(name, request):
@@ -472,13 +578,8 @@ def test_tope_queries_match_sign_vector_walk(name, request):
     for e in om.ground:
         assert bounded[e] == frozenset(
             t for t in om.topes if tope_walk.bounded_tope(om, t, e))
-    n = len(om.ground)
-    if n <= 6:
-        vectors = list(all_full_support_vectors(om.ground))
-    else:  # 200 distinct minus masks, all 128 at n = 7
-        vectors = [SignVector._from_masks(om.ground, ~m & (1 << n) - 1, m)
-                   for m in random.Random(n).sample(range(1 << n),
-                                                    min(200, 1 << n))]
+    vectors = full_support_sample(om)
+    if len(om.ground) > 6:
         assert not all(om.is_tope(x) for x in vectors)
     for x in vectors:
         assert om.is_covector(x) == tope_walk.is_covector(om, x)
@@ -491,6 +592,34 @@ def test_tope_queries_match_sign_vector_walk(name, request):
                       label_walk.random_signature(om, rng)]:
         ext = om.lex_extension(signature)
         assert ext.bounded_topes() == tope_walk.extension_bounded_topes(ext)
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM)
+                         + ["nonpappus_ext"])
+def test_memoized_forms_still_refuse_non_topes(name, request):
+    """Once both forms of every tope are memoized, each non-tope of
+    `full_support_sample`, and the complement of each, still raises
+    NotATope with `require_tope`'s message from both form calls, and no
+    memo entry is added; a tope of the sample, or its complement, reads
+    its memoized forms.  A memo hit is a tope."""
+    om = differential_om(name, request)
+    memoized = {t: (canonical_form_tope(om, t),
+                    nonreduced_canonical_form(om, t)) for t in om.topes}
+    sizes = cache_sizes()
+    refused = 0
+    for x in full_support_sample(om):
+        for y in (x, -x):
+            if y in memoized:
+                assert (canonical_form_tope(om, y),
+                        nonreduced_canonical_form(om, y)) == memoized[y]
+                continue
+            refused += 1
+            for form in (canonical_form_tope, nonreduced_canonical_form):
+                with pytest.raises(NotATope) as info:
+                    form(om, y)
+                assert str(info.value) == f"{y} is not a tope"
+    assert refused or name == "boolean3"
+    assert cache_sizes() == sizes
 
 
 @pytest.mark.parametrize("name", FIXTURES + list(NONUNIFORM))

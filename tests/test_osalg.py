@@ -1,6 +1,7 @@
 import inspect
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -809,6 +810,33 @@ def test_nbc_key_sums_add_no_straightening_entry(name, request):
     if len(key) >= 2:
         alg.combination(alg.rank, [(key[::-1], 1)])
         assert alg._straight_cache
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_straightening_reads_circuits_only_to_rewrite(name, request):
+    """On a fresh matroid, every ascending set of up to r+1 atom
+    representatives that `rank_of` finds dependent straightens to 0 and
+    every NBC key to itself, and none of them reads the circuits; the
+    first independent set that is not NBC rewrites, and only then are the
+    circuits (`atom_circuits`) read."""
+    matroid = UnderlyingMatroid(
+        *algebra_of(named_om(name, request)).matroid.fingerprint)
+    alg = OSAlgebra(matroid)
+    rewrite = []
+    for k in range(alg.rank + 2):
+        for key in combinations(alg.atoms, k):
+            if matroid.rank_of(key) < k:
+                assert alg._straighten(key) == {}
+            elif key in alg._nbc_pos[k]:
+                assert alg._straighten(key) == {key: 1}
+            else:
+                rewrite.append(key)
+    assert "atom_circuits" not in vars(matroid)
+    for key in rewrite:
+        assert key not in alg._straighten(key)
+    assert ("atom_circuits" in vars(matroid)) == bool(rewrite)
+    if name in ("line4", "pentagon"):
+        assert rewrite
 
 
 @pytest.mark.parametrize("spell", [tuple, list, iter])

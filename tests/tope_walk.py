@@ -11,13 +11,46 @@ tope.  They are kept as the oracles that `OrientedMatroid.is_covector`
 and `is_tope`, the facets `om._facet_classes` reads off the rows
 `om._conformal_rows` keeps, both `bounded_topes` and
 `forms.check_residue_axioms` are compared against.
+
+`walk_topes` is the tope enumeration that `OrientedMatroid.topes` had
+before it composed the fundamental cocircuits of the NBC bases: a
+breadth-first walk of the tope graph that flips facet classes.  It is
+kept as the oracle of that composition.
 """
 
 from __future__ import annotations
 
+from omcanon.om import _conformal_rows, _facet_classes
 from omcanon.signvec import SignVector
 
 import oracle_ops
+
+
+def walk_topes(om) -> frozenset:
+    """A breadth-first walk of the tope graph, which is connected
+    (Bjoerner et al., Oriented Matroids, 4.2): it starts at the
+    composition of every row of the hyperplane table, and a tope's
+    neighbours flip one of its facet classes.  Without a full-support
+    start (rank 0 on a nonempty ground set) there is no tope."""
+    n = len(om.ground)
+    plus = minus = 0
+    for p, m in zip(*om.chi._hyperplanes):
+        free = ~(plus | minus)
+        plus, minus = plus | p & free, minus | m & free
+    if plus | minus != (1 << n) - 1:
+        return frozenset()
+    classes = om.underlying._atom_masks
+    seen = {(plus, minus)}
+    queue = [(plus, minus)]
+    for plus, minus in queue:
+        for c in _facet_classes(
+                n, _conformal_rows(om.chi, minus).values(), classes):
+            flip = (plus ^ c, minus ^ c)
+            if flip not in seen:
+                seen.add(flip)
+                queue.append(flip)
+    return frozenset(SignVector._from_masks(om.ground, p, m)
+                     for p, m in seen)
 
 
 def conformal_cocircuits(om, x: SignVector) -> list:

@@ -12,16 +12,19 @@ instead the seconds of `omcanon.cli.run` on that matrix, labelled 0..n-1,
 for `basis --grade r-1`, `aomoto --weights 2,3,...,n` and
 `verify --suite triangulation`, input validation and output included, and
 before them `import_s`, the seconds of `from omcanon.cli import run` that
-each of those processes paid first.  Each size, and with --commands each
-command, runs in a fresh process, so no cache carries over from one to the
-next.  The report gates nothing; each figure is the wall-clock median of
-RUNS fresh processes, since single runs of one cell spread wider than most
-changes they would be read for (`import_s` is the median of the three
-commands' medians).
+each of those processes paid first; --command names one command to time
+alone, among them `canonical --tope T` on the first sorted tope T, which
+is found before the timing and the memos emptied after it.  Each size,
+and with --commands each command, runs in a fresh process, so no cache
+carries over from one to the next.  The report gates nothing; each
+figure is the wall-clock median of RUNS fresh processes, since single
+runs of one cell spread wider than most changes they would be read for
+(`import_s` is the median of the commands' medians).
 
     PYTHONPATH=src python tools/desk.py            # every default size
     PYTHONPATH=src python tools/desk.py 8x4 10x3   # chosen sizes
     PYTHONPATH=src python tools/desk.py --commands 10x4
+    PYTHONPATH=src python tools/desk.py --commands --command canonical 12x5
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ import time
 SEED = 0
 RUNS = 3
 SIZES = ("8x4", "10x3", "10x4", "12x3", "11x4", "12x4", "10x5")
-COMMANDS = ("basis", "aomoto", "verify")
+COMMANDS = ("basis", "aomoto", "verify")  # the default --commands report
+CHOICES = COMMANDS + ("canonical",)
 
 
 def size(text: str) -> tuple:
@@ -82,7 +86,22 @@ def measure(n: int, r: int) -> dict:
             "memo_entries": sum(cache_sizes().values())}
 
 
+def first_tope(n: int, r: int) -> str:
+    """The first sorted tope of the seeded matrix, as the CLI writes it;
+    every memo it filled is emptied again."""
+    from omcanon import OrientedMatroid, RationalMatrix, chirotope_from_matrix
+    from omcanon._memo import clear_caches
+    from omcanon.serialize import sign_vector_to_str
+    chi = chirotope_from_matrix(
+        RationalMatrix.from_rows(tuple(range(n)), matrix_rows(n, r)))
+    tope = OrientedMatroid(chi, validate=False).sorted_topes()[0]
+    clear_caches()
+    return sign_vector_to_str(tope)
+
+
 def command_argv(command: str, n: int, r: int, path: str) -> list:
+    if command == "canonical":
+        return ["canonical", f"--tope={first_tope(n, r)}", "--input", path]
     if command == "basis":
         return ["basis", "--grade", str(r - 1), "--input", path]
     if command == "aomoto":
@@ -104,9 +123,10 @@ def measure_command(command: str, n: int, r: int) -> dict:
         path = os.path.join(tmp, f"desk_{n}x{r}.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
+        argv = command_argv(command, n, r, path)
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
-            code = run(command_argv(command, n, r, path))
+            code = run(argv)
         seconds = time.perf_counter() - start
     return {"seconds": seconds, "exit": code, "import_s": import_s}
 
@@ -151,15 +171,15 @@ def report_forms(sizes) -> int:
     return 0
 
 
-def report_commands(sizes) -> int:
+def report_commands(sizes, commands) -> int:
     """One line per size; a command that exits nonzero shows its code and
     makes the report exit 1."""
     print(f"{'n x r':>7} {'import_s':>9}"
-          + "".join(f" {c + '_s':>12}" for c in COMMANDS))
+          + "".join(f" {c + '_s':>12}" for c in commands))
     failed = False
     for n, r in sizes:
         cells, imports = [], []
-        for command in COMMANDS:
+        for command in commands:
             row = fresh_median("--one", f"{n}x{r}", "--command", command)
             if row is None:
                 return 1
@@ -185,8 +205,9 @@ def main(argv=None) -> int:
     parser.add_argument("--one", action="store_true",
                         help="measure the single size in this process and "
                              "print it as JSON")
-    parser.add_argument("--command", choices=COMMANDS,
-                        help="with --one, time this CLI command")
+    parser.add_argument("--command", choices=CHOICES,
+                        help="time this CLI command: alone with --commands, "
+                             "in this process with --one")
     args = parser.parse_args(argv)
     if args.one:
         (n, r), = args.sizes
@@ -194,7 +215,10 @@ def main(argv=None) -> int:
                   else measure(n, r))
         print(json.dumps(result))
         return 0
-    return (report_commands if args.commands else report_forms)(args.sizes)
+    if args.commands:
+        return report_commands(args.sizes, [args.command] if args.command
+                               else COMMANDS)
+    return report_forms(args.sizes)
 
 
 if __name__ == "__main__":
