@@ -4,14 +4,16 @@ Values are stored on ascending r-subsets only (ascending in ground order).
 Everything runs on ground positions: an r-subset is a bitmask over them
 and the sign table is indexed by mask (`_mask_index`).  `value` reads an
 ordered tuple at the mask of its positions, times the parity of sorting
-them (tuples with repeats evaluate to 0); validation, circuits
-(`_circuit`) and the greedy basis (`_earliest_mask`) scan the table by
-mask, and a contraction's table is a gather from its parent's through a
-slot table cached per shape (`_minor_slots`), so none of them walks keys
-of labels.  A chirotope keeps the circuit of every (r+1)-set in one table
-(`Chirotope._circuit_table`) and the cocircuit of every (r-1)-set in
-another (`Chirotope._hyperplanes`), which each reorientation reads at its
-minus mask; both are built on first use and dropped with the chirotope.
+them (tuples with repeats evaluate to 0).  The three-term check and the
+circuits (`_circuit`) read the table by mask; loops, basis exchange, a
+contraction's parallel class and the greedy basis (`_earliest_mask`) read
+the support bits at the keys through each position (`_keys_through`); a
+contraction's table is a gather through a slot table cached per shape
+(`_minor_slots`); none of them walks keys of labels.  A chirotope keeps
+the circuit of every (r+1)-set in one table (`Chirotope._circuit_table`)
+and the cocircuit of every (r-1)-set in another (`Chirotope._hyperplanes`),
+which each reorientation reads at its minus mask; both are built on first
+use and dropped with the chirotope.
 """
 
 from __future__ import annotations
@@ -134,16 +136,14 @@ def _earliest_basis(chi: Chirotope, order) -> list:
 def _earliest_mask(chi: Chirotope, places) -> int:
     """The mask of the basis greedy insertion along places (distinct
     positions) picks.  It keeps each position that a basis holding the
-    kept ones holds."""
-    bases = [m for m, s in zip(_mask_index(len(chi.ground), chi.rank),
-                               chi.signs) if s]
-    kept = 0
+    kept ones holds: held, the support bits of those bases, meets the keys
+    through it."""
+    through = _keys_through(len(chi.ground), chi.rank)
+    held, kept = chi.support, 0
     for i in places:
-        bit = 1 << i
-        within = [b for b in bases if b & bit]
-        if within:
-            bases = within
-            kept |= bit
+        if held & through[i]:
+            held &= through[i]
+            kept |= 1 << i
     return kept
 
 
@@ -203,8 +203,8 @@ class Chirotope(FrozenRecord):
     def _circuit_table(self) -> dict:
         """{(r+1)-mask s: the (plus, minus) masks of `_circuit` in s}, over
         every (r+1)-subset of positions, read by `OrientedMatroid.circuits`
-        and the placing triangulation.  `Extension.fundamental_circuit` and
-        `UnderlyingMatroid.atom_circuits` call `_circuit` directly."""
+        and the placing triangulation.  `Extension.fundamental_circuit`
+        calls `_circuit` directly, on the one (r+1)-set it needs."""
         n, r = len(self.ground), self.rank
         index = _mask_index(n, r)
         return {s: _circuit(self.signs, index, s)
@@ -248,21 +248,18 @@ class Chirotope(FrozenRecord):
 
     def contract(self, element) -> "Chirotope":
         """Contraction by the parallel class of element, which is evaluated
-        LAST: the class, every non-loop that shares no basis with element,
-        is found in one pass over the sign table and leaves the ground set.
-        An unknown label, or a loop (every element of a rank-0 table, a zero
-        row of an unvalidated one), is refused."""
+        LAST: the class, element and every non-loop that shares no basis
+        with it, is read off the support bits at the keys through each
+        position and leaves the ground set.  An unknown label, or a loop
+        (every element of a rank-0 table, a zero row of an unvalidated one),
+        is refused."""
         i = _position(ground_positions(self.ground), element)
         n, r, signs = len(self.ground), self.rank, self.signs
-        nonloops = spanned = 0  # spanned: the elements sharing a basis with i
-        for k, s in zip(_mask_index(n, r), signs):
-            if s:
-                nonloops |= k
-                if k >> i & 1:
-                    spanned |= k
-        if not spanned:
+        through = [self.support & keys for keys in _keys_through(n, r)]
+        if not through[i]:
             raise ValueError(f"{element!r} is a loop, in no atom")
-        removed = nonloops & ~spanned | 1 << i
+        removed = _mask(j for j, t in enumerate(through)
+                        if t and not t & through[i]) | 1 << i
         return Chirotope(_labels(self.ground, ~removed), r - 1,
                          tuple(-signs[k >> 1] if k & 1 else signs[k >> 1]
                                for k in _minor_slots(n, r, removed, i)))
@@ -278,24 +275,17 @@ def validate_chirotope(chi: Chirotope) -> None:
     any labels and does not depend on the hash seed.
     """
     _check_signs(chi)
-    if chi.rank == 0:
-        if chi.signs[0] == 0:
-            raise InvalidChirotope("identically zero")
-        return
-    n = len(chi.ground)
-    index = _mask_index(n, chi.rank)
-    bases = [m for m, s in zip(index, chi.signs) if s]
-    if not bases:
+    if not chi.support:
         raise InvalidChirotope("identically zero")
-    missing = (1 << n) - 1
-    for b in bases:
-        missing &= ~b
-    if missing:
-        low = missing & -missing
-        raise InvalidChirotope(f"loop: {chi.ground[low.bit_length() - 1]}")
-    _check_exchange(chi.ground, bases)
-    if chi.rank >= 2:
-        _check_three_term(chi, index)
+    if chi.rank:
+        index = _mask_index(len(chi.ground), chi.rank)
+        through = [chi.support & keys
+                   for keys in _keys_through(len(chi.ground), chi.rank)]
+        if 0 in through:  # the support bits through a loop: none
+            raise InvalidChirotope(f"loop: {chi.ground[through.index(0)]}")
+        _check_exchange(chi, index, through)
+        if chi.rank >= 2:
+            _check_three_term(chi, index)
 
 
 def _check_signs(chi: Chirotope) -> None:
@@ -308,33 +298,39 @@ def _check_signs(chi: Chirotope) -> None:
             raise InvalidChirotope(f"sign {s!r} at {key} is not -1, 0 or 1")
 
 
-def _check_exchange(ground: tuple, bases: list) -> None:
+def _check_exchange(chi: Chirotope, index: dict, through: list) -> None:
     """For bases B1, B2 and x in B1 - B2, some y in B2 - B1 makes B1 - x + y
     a basis.  With H = B1 - x, the elements completing H to a basis, x among
     them, are the bits of reach[H]; so the exchange fails iff B2 misses
-    reach[H].  The first violation is the first B1, then the first B2, then
-    the first x."""
+    reach[H].  The bases missing a mask are the support bits outside the
+    bitsets through[i] of its positions i, and the first is the lowest.  The
+    first violation is the first B1, then the first B2, then the first x."""
+    ground, support = chi.ground, chi.support
+    bases = [m for m, s in zip(index, chi.signs) if s]
     reach: dict = {}
     for b in bases:
         for x in _bits(b):
             reach[b ^ x] = reach.get(b ^ x, 0) | x
-    first: dict = {}  # reach mask -> index of the first basis missing it
+    first: dict = {}  # reach mask -> lowest support bit of a basis missing it
     for b1 in bases:
         fail = None
         for x in _bits(b1):
             m = reach[b1 ^ x]
-            j = first.get(m)
-            if j is None:
-                j = first[m] = next((k for k, b2 in enumerate(bases)
-                                     if not b2 & m), len(bases))
-            if j < len(bases) and (fail is None or j < fail[0]):
-                fail = (j, x)
+            low = first.get(m)
+            if low is None:
+                missing = support
+                for y in _bits(m):
+                    missing &= ~through[y.bit_length() - 1]
+                low = first[m] = missing & -missing
+            if low and (fail is None or low < fail[0]):
+                fail = (low, x)
         if fail is not None:
-            j, x = fail
+            low, x = fail
+            b2 = bases[(support & (low - 1)).bit_count()]
             raise InvalidChirotope(
                 f"basis exchange fails for "
                 f"{tuple(sorted(_labels(ground, b1)))} / "
-                f"{tuple(sorted(_labels(ground, bases[j])))} "
+                f"{tuple(sorted(_labels(ground, b2)))} "
                 f"at {ground[x.bit_length() - 1]}")
 
 

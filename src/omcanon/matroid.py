@@ -12,22 +12,21 @@ Atoms are the parallel classes, keyed by the earliest element in ground
 order, and found without a rank query: two elements are parallel iff no
 basis holds both.  The Orlik-Solomon side works entirely on atom
 representatives.
-The NBC sets of every grade are grown from the bitsets of the bases
-through each element (`_nbc`, which states and proves the criterion), and
-a straightening asks independence of the same bitsets; the circuits are
-read off the support bits by `chirotope._circuit`, and only a
-straightening that rewrites reads them.  In rank 0 the only basis is empty
-(support 1), every element is a loop and there are no atoms.
+NBC has one definition, Bjoerner's closure criterion on the bitsets of the
+bases through each element (`_nbc`, which states and proves it): the NBC
+sets of every grade are grown by it, a straightening asks independence of
+the same bitsets, and the circuit a rewrite uses is the one the criterion
+names (`_rewrite_circuit`).  In rank 0 the only basis is empty (support
+1), every element is a loop and there are no atoms.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 from math import comb
 
-from .chirotope import (Chirotope, _bits, _circuit, _keys_through, _mask,
-                        _mask_index, _minor_slots)
+from .chirotope import (Chirotope, _bits, _keys_through, _mask, _mask_index,
+                        _minor_slots)
 from .signvec import _labels, _position, ground_positions
 
 
@@ -114,28 +113,7 @@ class UnderlyingMatroid:
             support |= (self.support >> (slot >> 1) & 1) << j
         return ground, self.rank - 1, support
 
-    # ---- broken circuits and NBC sets (on atoms) ------------------------
-
-    @cached_property
-    def atom_circuits(self) -> tuple:
-        """Minimal dependent sets of atom representatives, ascending tuples,
-        shortest first.  Each lies in an (r+1)-set of them of rank r, which
-        holds no other: `_circuit` reads it there off the basis bits, and
-        plus + minus, disjoint masks, is its support."""
-        index = _mask_index(len(self.ground), self.rank)
-        table = [self.support >> i & 1 for i in range(len(index))]
-        found = {sum(_circuit(table, index, _mask(key))) for key in
-                 combinations(map(self._pos.get, self.atom_reps),
-                              self.rank + 1)} - {0}
-        keys = sorted([i for i in range(len(self.ground)) if c >> i & 1]
-                      for c in found)
-        return tuple(tuple(self.ground[i] for i in key)
-                     for key in sorted(keys, key=len))
-
-    @cached_property
-    def broken_circuits(self) -> tuple:
-        """Pairs (broken circuit as frozenset, full circuit ascending tuple)."""
-        return tuple((frozenset(c[1:]), c) for c in self.atom_circuits)
+    # ---- NBC sets and rewrite circuits (on atoms) -----------------------
 
     @cached_property
     def _nbc(self) -> tuple:
@@ -177,6 +155,24 @@ class UnderlyingMatroid:
             grade = grown
             grades.append(tuple(key for _, key, _ in grade))
         return tuple(grades)
+
+    def _rewrite_circuit(self, key: tuple) -> tuple:
+        """The circuit at which straightening rewrites key, an independent,
+        ascending, non-NBC tuple of atom representatives: f, the first
+        representative below key[j] in cl S for the shortest suffix S =
+        key[j:] that has one (its bitset misses S's, `_nbc`'s criterion),
+        then each k in S with S - k + f independent.  S is independent and
+        S + f is not, so these are the one circuit in S + f: its minimum f
+        is not in key (key would be dependent), its broken part lies in S."""
+        pos, through, held = self._pos, self._through, self.support
+        for j in range(len(key) - 1, -1, -1):
+            held &= through[pos[key[j]]]
+            for f in self.atom_reps[:self._atom_at[pos[key[j]]]]:
+                if not held & through[pos[f]]:  # f in cl S
+                    s = key[j:]
+                    return (f, *(k for k in s if self.is_independent(
+                        (f, *(e for e in s if e != k)))))
+        raise ValueError(f"{key} is NBC")
 
     def nbc_sets(self, k: int) -> tuple:
         """All NBC k-subsets of atoms (`_nbc`), lexicographic in ground

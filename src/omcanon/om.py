@@ -233,9 +233,9 @@ class Extension(FrozenRecord):
                 continue
             k = m ^ q
             v = cascade(k)
-            # K is independent iff it lies in a basis; the keys K + q come
-            # in combinations order of K, so the first violation is named
-            if not v and any(b & k == k for b in base.underlying.bases):
+            # K + q in combinations order of K: the first violation is named
+            if not v and base.underlying.is_independent(
+                    _labels(base.ground, k)):
                 raise RuntimeError(
                     "internal invariant violation: extension not general at "
                     f"{_labels(base.ground, k)}")

@@ -8,15 +8,16 @@ integral, so canonical forms and their boundaries and residues run on
 Python ints; only weighted forms such as Aomoto's carry Fractions.
 
 Generators are atom representatives of the underlying matroid.  Monomials
-on dependent sets vanish; monomials containing a broken circuit are
-rewritten through the circuit relations (boundary of a circuit monomial is
-zero) until only no-broken-circuit monomials remain.  The rewrite replaces
-an element of the broken circuit by the smaller circuit minimum, so the
-lexicographic position strictly decreases and the process terminates; the
-result is the unique NBC coordinate vector.  Every linear combination of
-monomials is straightened as one sum, by `OSAlgebra.combination`: a tuple
-that is an NBC key passes through; any other term reads its atoms' positions
-and representatives from one table, `_rep_at`, takes the parity of their
+on dependent sets vanish; an independent monomial that is not NBC is
+rewritten by the relation (the boundary of a circuit monomial is zero) of
+the circuit the NBC criterion names in it (`_rewrite_circuit`) until only
+NBC monomials remain.  The rewrite replaces an element of the broken
+circuit by the smaller circuit minimum, so the lexicographic position
+strictly decreases and the process terminates; the result is the unique
+NBC coordinate vector.  Every linear combination of monomials is
+straightened as one sum, by `OSAlgebra.combination`: a tuple that is an
+NBC key passes through; any other term reads its atoms' positions and
+representatives from one table, `_rep_at`, takes the parity of their
 inversions as its sign and adds the expansion of the sorted representatives,
 memoized in `_straight_cache` only for keys some term had to straighten.
 
@@ -215,8 +216,9 @@ class OSAlgebra:
         """Expansion of e_key, an ascending tuple of distinct atom
         representatives, in NBC coordinates: zero when it is dependent, as
         the basis bitsets tell (`UnderlyingMatroid.is_independent`), and
-        otherwise rewritten at the first broken circuit it holds in the
-        fixed circuit order, so the circuits are read only for a rewrite."""
+        otherwise rewritten at the circuit the NBC criterion names
+        (`UnderlyingMatroid._rewrite_circuit`).  The NBC coordinates are
+        unique, so the expansion does not depend on that choice."""
         cached = self._straight_cache.get(key)
         if cached is not None:
             return cached
@@ -225,19 +227,16 @@ class OSAlgebra:
         elif key in self._nbc_pos[len(key)]:
             out = {key: 1}
         else:  # independent, not NBC: it holds a broken circuit
-            key_set = frozenset(key)
-            out = self._rewrite(key, *next(
-                pair for pair in self.matroid.broken_circuits
-                if pair[0] <= key_set))
+            out = self._rewrite(key, self.matroid._rewrite_circuit(key))
         self._straight_cache[key] = out
         return out
 
-    def _rewrite(self, key: tuple, broken: frozenset, circuit: tuple) -> dict:
+    def _rewrite(self, key: tuple, circuit: tuple) -> dict:
         """e_key by the relation of a circuit whose broken part lies in key.
         key must be independent, as `_straighten` checks first: then it
         cannot hold the whole circuit, so no replacement repeats an atom."""
-        rest = tuple(a for a in key if a not in broken)
         full = circuit[1:]  # the broken circuit, ascending
+        rest = tuple(a for a in key if a not in full)
         sign_outer = perm_parity_sign(
             [self._pos[a] for a in full + rest])
         out: dict = {}

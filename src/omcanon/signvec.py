@@ -42,12 +42,10 @@ class SignVector:
             raise ValueError("sign vector length mismatch")
         plus = minus = 0
         for i, s in enumerate(signs):
-            if s == 1:
-                plus |= 1 << i
-            elif s == -1:
-                minus |= 1 << i
-            elif s != 0:
+            if type(s) is not int or s not in (-1, 0, 1):
                 raise ValueError(f"sign {s!r} is not -1, 0 or 1")
+            plus |= (s > 0) << i
+            minus |= (s < 0) << i
         _set_masks(self, ground, plus, minus)
 
     @classmethod
@@ -59,7 +57,7 @@ class SignVector:
 
     @classmethod
     def from_map(cls, ground: tuple, values: dict) -> "SignVector":
-        return cls(ground, tuple(int(values.get(e, 0)) for e in ground))
+        return cls(ground, tuple(values.get(e, 0) for e in ground))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

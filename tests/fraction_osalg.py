@@ -3,16 +3,28 @@
 This is the library's earlier Orlik-Solomon arithmetic, in which every
 coefficient, the straightening seeds included, was a `Fraction`.  It is
 kept as the oracle that the int-coefficient kernel of `omcanon.osalg` is
-compared against.  A `FractionAlgebra` reads the matroid, the ground
-positions and the broken circuits of an `OSAlgebra` and nothing else; its
+compared against.  A `FractionAlgebra` reads the matroid and the ground
+positions of an `OSAlgebra` and nothing else; it rewrites at the first
+broken circuit of the label-frozenset oracle (`oracle_broken_circuits`),
+so it does not depend on the circuit the library rewrites at.  Its
 elements are (grade, terms) pairs with `Fraction` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from omcanon.chirotope import perm_parity_sign
+
+from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
+
+
+@lru_cache(maxsize=None)
+def oracle_broken_circuits(fingerprint: tuple) -> tuple:
+    """The (broken circuit, circuit) pairs, shortest first, of the
+    label-frozenset oracle of a library matroid's fingerprint."""
+    return FrozensetMatroid.from_fingerprint(*fingerprint).broken_circuits()
 
 
 class FractionAlgebra:
@@ -30,8 +42,8 @@ class FractionAlgebra:
             out: dict = {}
         else:
             key_set = frozenset(key)
-            hit = next((pair for pair in self.matroid.broken_circuits
-                        if pair[0] <= key_set), None)
+            hit = next((pair for pair in oracle_broken_circuits(
+                self.matroid.fingerprint) if pair[0] <= key_set), None)
             out = {key: Fraction(1)} if hit is None else self._rewrite(key, *hit)
         self._straight_cache[key] = out
         return out

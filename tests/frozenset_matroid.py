@@ -14,6 +14,13 @@ from itertools import combinations
 from omcanon.signvec import ground_positions
 
 
+def support_bases(ground, rank, support) -> frozenset:
+    """The bases of a (ground, rank, support) fingerprint, as label sets."""
+    return frozenset(frozenset(key) for i, key
+                     in enumerate(combinations(ground, rank))
+                     if support >> i & 1)
+
+
 def basis_fingerprint(ground, bases) -> tuple:
     """The key identifying a matroid: its ground tuple and set of bases."""
     return (tuple(ground), frozenset(frozenset(b) for b in bases))
@@ -41,6 +48,14 @@ class UnderlyingMatroid:
         if chi.rank == 0:
             return _RankZeroMatroid(chi.ground)
         return cls(chi.ground, frozenset(frozenset(k) for k in chi.nonzero_keys))
+
+    @classmethod
+    def from_fingerprint(cls, ground: tuple, rank: int,
+                         support: int) -> "UnderlyingMatroid":
+        """The oracle of a library matroid's (ground, rank, support)."""
+        if rank == 0:
+            return _RankZeroMatroid(ground)
+        return cls(ground, support_bases(ground, rank, support))
 
     @property
     def fingerprint(self) -> tuple:

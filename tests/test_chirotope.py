@@ -1,13 +1,15 @@
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from omcanon import (Chirotope, InvalidChirotope, OrientedMatroid,
                      SignVector, UnderlyingMatroid, validate_chirotope)
-from omcanon.chirotope import (_earliest_basis, chirotope_diagnostic,
-                               perm_parity_sign)
-from omcanon.signvec import ground_positions
+from omcanon.chirotope import (_bits, _earliest_basis, _earliest_mask,
+                               _keys_through, _mask_index, _minor_slots,
+                               chirotope_diagnostic, perm_parity_sign)
+from omcanon.signvec import _labels, ground_positions
 
 import label_walk
 from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES,
@@ -197,6 +199,146 @@ def test_contract_refuses_a_zero_row():
     with pytest.raises(ValueError, match="^'l' is a loop, in no atom$"):
         chi.contract("l")
     assert chi.contract("a") == Chirotope(("b", "l"), 1, (-1, 0))
+
+
+def sign_table_contract(chi: Chirotope, element) -> Chirotope:
+    """`Chirotope.contract` when it found the class it drops in one pass
+    over the sign table."""
+    i = chi.ground.index(element)
+    n, r, signs = len(chi.ground), chi.rank, chi.signs
+    nonloops = spanned = 0
+    for k, s in zip(_mask_index(n, r), signs):
+        if s:
+            nonloops |= k
+            if k >> i & 1:
+                spanned |= k
+    if not spanned:
+        raise ValueError(f"{element!r} is a loop, in no atom")
+    removed = nonloops & ~spanned | 1 << i
+    return Chirotope(_labels(chi.ground, ~removed), r - 1,
+                     tuple(-signs[k >> 1] if k & 1 else signs[k >> 1]
+                           for k in _minor_slots(n, r, removed, i)))
+
+
+def list_filter_earliest_mask(chi: Chirotope, places) -> int:
+    """`chirotope._earliest_mask` when it filtered a list of basis masks."""
+    bases = [m for m, s in zip(_mask_index(len(chi.ground), chi.rank),
+                               chi.signs) if s]
+    kept = 0
+    for i in places:
+        within = [b for b in bases if b & 1 << i]
+        if within:
+            bases = within
+            kept |= 1 << i
+    return kept
+
+
+def list_scan_diagnostic(chi: Chirotope) -> str | None:
+    """The first violation of `validate_chirotope`'s checks before the
+    three-term one, when the loop check and the exchange check scanned the
+    list of basis masks; None if there is none."""
+    if chi.rank == 0:
+        return "identically zero" if chi.signs[0] == 0 else None
+    ground = chi.ground
+    bases = [m for m, s in zip(_mask_index(len(ground), chi.rank),
+                               chi.signs) if s]
+    if not bases:
+        return "identically zero"
+    missing = (1 << len(ground)) - 1
+    for b in bases:
+        missing &= ~b
+    if missing:
+        return f"loop: {ground[(missing & -missing).bit_length() - 1]}"
+    reach: dict = {}
+    for b in bases:
+        for x in _bits(b):
+            reach[b ^ x] = reach.get(b ^ x, 0) | x
+    for b1 in bases:
+        fail = None
+        for x in _bits(b1):
+            j = next((k for k, b2 in enumerate(bases)
+                      if not b2 & reach[b1 ^ x]), len(bases))
+            if j < len(bases) and (fail is None or j < fail[0]):
+                fail = (j, x)
+        if fail is not None:
+            j, x = fail
+            return (f"basis exchange fails for "
+                    f"{tuple(sorted(_labels(ground, b1)))} / "
+                    f"{tuple(sorted(_labels(ground, bases[j])))} "
+                    f"at {ground[x.bit_length() - 1]}")
+    return None
+
+
+def random_sign_tables(count: int, seed: int) -> list:
+    """count seeded unvalidated sign tables of rank 0 to 4 on 1 to 7
+    letters in seeded order, each sign zero with a seeded probability.
+    About one table in three gets a zero row (an element in no basis), and
+    about one in three has every key through {a, b} or {b, c} zeroed for
+    seeded a, b, c, so that sharing no basis need not be transitive."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        r = rng.randint(0, 4)
+        n = rng.randint(max(r, 1), 7)
+        zero = rng.random()
+        signs = [0 if rng.random() < zero else rng.choice((-1, 1))
+                 for _ in range(comb(n, r))]
+        keys = list(map(set, combinations(range(n), r)))
+        if rng.random() < 1 / 3:
+            row = rng.randrange(n)
+            signs = [0 if row in k else s for k, s in zip(keys, signs)]
+        if n >= 3 and rng.random() < 1 / 3:
+            a, b, c = rng.sample(range(n), 3)
+            signs = [0 if {a, b} <= k or {b, c} <= k else s
+                     for k, s in zip(keys, signs)]
+        ground = tuple(rng.sample("abcdefg", n))
+        out.append(Chirotope(ground, r, tuple(signs)))
+    return out
+
+
+def nontransitive(chi: Chirotope) -> bool:
+    """True iff some non-loops a, b, c with a != c have a and b, and b and
+    c, in no common basis, while a and c share one."""
+    through = [chi.support & keys
+               for keys in _keys_through(len(chi.ground), chi.rank)]
+    apart = {(i, j) for i, t in enumerate(through)
+             for j, u in enumerate(through) if t and u and not t & u}
+    return any((b, c) in apart and a != c and (a, c) not in apart
+               for a, b in apart for c in range(len(through)))
+
+
+def test_bitset_paths_match_the_sign_table_passes():
+    """On 2,000 seeded unvalidated sign tables, zero rows and
+    non-transitive "parallelism" included: `Chirotope.contract` drops the
+    same class and refuses the same loops as a pass over the sign table,
+    `_earliest_mask` keeps what the list filter keeps on three seeded
+    orders, and `validate_chirotope` names the first loop or exchange
+    failure that scanning the basis list names."""
+    tables = random_sign_tables(2000, seed=45)
+    assert sum(not all(chi.support & keys for keys in _keys_through(
+        len(chi.ground), chi.rank)) for chi in tables if chi.rank) > 300
+    assert sum(map(nontransitive, tables)) > 200
+    refused = 0
+    for k, chi in enumerate(tables):
+        for e in chi.ground:
+            want = _raised(sign_table_contract, chi, e)
+            assert _raised(chi.contract, e) == want
+            refused += want is not None
+            if want is None:
+                assert chi.contract(e) == sign_table_contract(chi, e)
+        rng = random.Random(k)
+        n = len(chi.ground)
+        for places in (rng.sample(range(n), n), rng.sample(range(n), n),
+                       rng.sample(range(n), rng.randint(0, n))):
+            assert (_earliest_mask(chi, places)
+                    == list_filter_earliest_mask(chi, places))
+        want = list_scan_diagnostic(chi)
+        got = chirotope_diagnostic(chi)
+        if want is None:
+            assert got is None or got.startswith("three-term")
+        else:
+            assert got == want
+    assert refused > 1000
 
 
 def reference_delete(chi: Chirotope, element) -> Chirotope:

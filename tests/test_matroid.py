@@ -14,6 +14,7 @@ from conftest import (FIXTURES, NONUNIFORM, SEEDED_CASES, boolean_om,
                       named_om, nonuniform_matrix, oracle_rank, rank1_om,
                       relabellings)
 from frozenset_matroid import UnderlyingMatroid as FrozensetMatroid
+from frozenset_matroid import support_bases
 from oracle_ops import atom_of, characteristic_polynomial
 
 
@@ -178,11 +179,21 @@ def named_input(name, request) -> tuple:
     return named_om(name, request).chi, mat
 
 
-def support_bases(ground, rank, support) -> frozenset:
-    """The bases of a (ground, rank, support) fingerprint, as label sets."""
-    return frozenset(frozenset(key) for i, key
-                     in enumerate(combinations(ground, rank))
-                     if support >> i & 1)
+def assert_rewrite_circuits_are_oracle_circuits(m, oracle) -> int:
+    """For every independent non-NBC set of atom representatives, as the
+    label-frozenset oracle decides, `_rewrite_circuit` is one of the
+    oracle's circuits whose minimum lies outside the set and whose broken
+    part lies inside it.  Returns the number of sets checked."""
+    circuits = set(oracle.atom_circuits())
+    checked = 0
+    for k in range(m.rank + 1):
+        for key in combinations(m.atom_reps, k):
+            if oracle.is_independent(key) and not oracle.is_nbc(key):
+                c = m._rewrite_circuit(key)
+                assert c in circuits, (key, c)
+                assert c[0] not in key and set(c[1:]) <= set(key), (key, c)
+                checked += 1
+    return checked
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
@@ -206,8 +217,7 @@ def test_matches_frozenset_oracle(name, request):
                     mat, [original[e] for e in subset])
         assert m.atoms == oracle.atoms
         assert m.atom_reps == oracle.atom_reps
-        assert m.atom_circuits == oracle.atom_circuits()
-        assert m.broken_circuits == oracle.broken_circuits()
+        assert_rewrite_circuits_are_oracle_circuits(m, oracle)
         for k in range(m.rank + 2):
             assert m.nbc_sets(k) == oracle.nbc_sets(k)
         assert m.tutte() == oracle.tutte()
@@ -306,12 +316,30 @@ def test_nbc_bitsets_match_broken_circuits_on_random_matroids():
     cases = random_matroids(2000, seed=44)
     assert sum(len(m.atoms) < len(m.ground) for m in cases) > 500
     for m in cases:
-        oracle = FrozensetMatroid(m.ground, support_bases(*m.fingerprint))
+        oracle = FrozensetMatroid.from_fingerprint(*m.fingerprint)
         for k in range(m.rank + 3):
             assert m.nbc_sets(k) == oracle.nbc_sets(k)
         for k in range(m.rank + 2):
             for key in combinations(m.atom_reps, k):
                 assert m.is_independent(key) == (m.rank_of(key) == k)
+
+
+def test_rewrite_circuits_match_the_oracle_on_random_matroids():
+    """On 2,000 seeded random small matroids, parallel classes kept, the
+    circuit `_rewrite_circuit` names in every independent non-NBC set of
+    atom representatives is a circuit of the label-frozenset oracle, with
+    its minimum outside the set and its broken part inside; and an NBC set
+    of any grade is refused."""
+    cases = random_matroids(2000, seed=45)
+    assert sum(len(m.atoms) < len(m.ground) for m in cases) > 500
+    checked = 0
+    for m in cases:
+        oracle = FrozensetMatroid.from_fingerprint(*m.fingerprint)
+        checked += assert_rewrite_circuits_are_oracle_circuits(m, oracle)
+        for key in chain.from_iterable(map(m.nbc_sets, range(m.rank + 1))):
+            with pytest.raises(ValueError, match=" is NBC$"):
+                m._rewrite_circuit(key)
+    assert checked > 2000
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)

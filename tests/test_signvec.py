@@ -76,6 +76,18 @@ def test_from_map_rejects_bad_signs():
         SignVector.from_map(("a", "b"), {"b": 2})
 
 
+@pytest.mark.parametrize("cls", [SignVector, TupleSignVector])
+@pytest.mark.parametrize("bad", [1.5, "1", 1.0, True, -1.0])
+def test_signs_are_not_coerced(cls, bad):
+    """Only the ints -1, 0 and 1 are signs, at both entry points and in the
+    tuple twin: a float, a numeric string or a bool is refused, not read
+    as the int it would convert to."""
+    with pytest.raises(ValueError, match=f"^sign {bad!r} is not -1, 0 or 1$"):
+        cls(("a", "b"), (bad, 0))
+    with pytest.raises(ValueError, match=f"^sign {bad!r} is not -1, 0 or 1$"):
+        cls.from_map(("a", "b"), {"a": 1, "b": bad})
+
+
 def test_length_mismatch_is_rejected():
     with pytest.raises(ValueError, match="length mismatch"):
         SignVector(G, (1, 0))

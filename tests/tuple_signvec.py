@@ -25,10 +25,13 @@ class SignVector:
     def __post_init__(self):
         if len(self.ground) != len(self.signs):
             raise ValueError("sign vector length mismatch")
+        for s in self.signs:
+            if type(s) is not int or s not in (-1, 0, 1):
+                raise ValueError(f"sign {s!r} is not -1, 0 or 1")
 
     @classmethod
     def from_map(cls, ground: tuple, values: dict) -> "SignVector":
-        return cls(ground, tuple(int(values.get(e, 0)) for e in ground))
+        return cls(ground, tuple(values.get(e, 0) for e in ground))
 
     def value(self, e) -> int:
         return self.signs[ground_positions(self.ground)[e]]
