@@ -11,9 +11,10 @@ the support bits at the keys through each position (`_keys_through`); a
 contraction's table is a gather through a slot table cached per shape
 (`_minor_slots`); none of them walks keys of labels.  A chirotope keeps
 the circuit of every (r+1)-set in one table (`Chirotope._circuit_table`)
-and the cocircuit of every (r-1)-set in another (`Chirotope._hyperplanes`),
-which each reorientation reads at its minus mask; both are built on first
-use and dropped with the chirotope.
+and the cocircuit of every (r-1)-set in another (`Chirotope._hyperplanes`,
+whose distinct rows `Chirotope._cocircuit_rows` keeps once each), which
+each reorientation reads at its minus mask; they are built on first use
+and dropped with the chirotope.
 """
 
 from __future__ import annotations
@@ -151,8 +152,9 @@ class Chirotope(FrozenRecord):
     """A frozen value: equal iff ground, rank and signs are equal, hashed
     by them, printed as `Chirotope(ground=..., rank=..., signs=...)`, and
     AttributeError on assignment or deletion (`_record`).  It is a memo key
-    on every tope query, so `__eq__` and `__hash__` read the three fields
-    directly rather than through the generic field tuple."""
+    on every tope query, so `__eq__` reads the three fields directly rather
+    than through the generic field tuple, and the hash of them is taken
+    once per instance."""
 
     _fields = ("ground", "rank", "signs")
 
@@ -169,6 +171,16 @@ class Chirotope(FrozenRecord):
                 == (other.ground, other.rank, other.signs))
 
     def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor, so that no cached hash
+        (of labels whose hash may differ in another process) or table is
+        carried."""
+        return self.__class__, (self.ground, self.rank, self.signs)
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.ground, self.rank, self.signs))
 
     @classmethod
@@ -232,6 +244,18 @@ class Chirotope(FrozenRecord):
                 for h, bit in odd:
                     minus[h] |= bit
         return plus, minus
+
+    @cached_property
+    def _cocircuit_rows(self) -> tuple:
+        """((plus, minus, hs), ...): each distinct nonzero row of
+        `_hyperplanes` once, up to sign, with the ascending indices hs of
+        the (r-1)-sets H whose row it is, up to sign (the sets spanning one
+        hyperplane share its cocircuit)."""
+        rows: dict = {}
+        for h, (p, q) in enumerate(zip(*self._hyperplanes)):
+            if p or q:
+                rows.setdefault((p, q) if p < q else (q, p), []).append(h)
+        return tuple((p, q, tuple(hs)) for (p, q), hs in rows.items())
 
     @property
     def nonzero_keys(self) -> tuple:

@@ -8,36 +8,38 @@ down by its residues at atom contractions,
 
 with base value chi(()) in rank 0.  A tope's form is solved from these
 residues in one step, with no recursion into minors: each facet's target
-W(chi/a) is read off chi's own hyperplane table (`_facet_targets`, which
-states and proves the rule, Finding 1), and the matroid's residue stack
-(`_stack`) solves for W.  The facet targets are written at their blocks'
-rows, every other atom's rows read zero, and the inverse of one unit
-triangular square block of the stacked residue maps gives the form, which
-is then checked against every stacked row: so every target, facets and
-zeros alike, is checked against the residue system.  The facets are read
-by `om._conformal_rows`, the rule of every tope question.  The boundary
-is injective on A^r and the reduced form is dW; as Res_a d = -d Res_a, it
-obeys the reduced recursion Res_a dW = -dW(M/a, chi/a) with rank-1 base
-value chi(i), which `check_residue_axioms` checks against a second
-computation: the form of each facet contraction comes from that
-contraction's own solve, read off its own table, not from the targets the
-tope's solve was given.  The triangulation evaluation sum_B chi(B) e_B
-satisfies the top-grade recursion, so both paths agree.
+W(chi/a) is read off chi's own hyperplane table straight into its block's
+rows of the matroid's residue stack (`_stack`), in one pass that returns
+{stacked row: +-1} (`_facet_targets`, which states and proves the rule,
+Finding 1).  Every other row reads zero, and the inverse of one unit
+triangular square block of the stacked residue maps gives the form's
+coefficients (`_solve`), which are then checked against every stacked row:
+so every target, facets and zeros alike, is checked against the residue
+system.  The facets are read by `om._conformal_rows`, the rule of every
+tope question.  The boundary is injective on A^r and the reduced form is
+dW; as Res_a d = -d Res_a, it obeys the reduced recursion Res_a dW =
+-dW(M/a, chi/a) with rank-1 base value chi(i), which
+`check_residue_axioms` checks against a second computation: the form of
+each facet contraction comes from that contraction's own solve, read off
+its own table, not from the targets the tope's solve was given.  The
+triangulation evaluation sum_B chi(B) e_B satisfies the top-grade
+recursion, so both paths agree.
 
 A tope T with minus mask m reads its form off the input chirotope's own
 hyperplane table (`Chirotope._hyperplanes`): the reorientation chi_m, in
 which T is all-plus, has that table with plus and minus swapped at m, and
-chi_m(B) = (-1)^|B & m| chi(B), so no reorientation is built.  The
-residue stack reads positions only (atom representatives, NBC sets,
-circuit order and straightening signs), so one stack serves every input
-of a positional class (n, r, support), and the labels go back once, on
-the solved form.  Forms are memoized per (chi, m); as
-chi_(~m) = (-1)^r chi_m and the solve is linear, W(-T) = (-1)^r W(T), and
-a tope and its negative share the entry at the mask whose position 0 is
-plus (`_at`).  The table read that finds a tope's facets is also its tope
-test: `_facet_targets` raises NotATope when the rows it reads do not
-cover the ground set, before anything is memoized, so a memo hit is a
-tope and the form calls need no separate scan (`_read`).
+chi_m(B) = (-1)^|B & m| chi(B), so no reorientation is built.  The residue
+stack reads positions only (atom representatives, NBC sets, circuit order
+and straightening signs), so one stack serves every input of a positional
+class (n, r, support); the solved coefficients follow the class's NBC
+keys, and the input's algebra lists the same keys relabelled, in the same
+order, so the labels go back by zipping the two (`_top_form`).  Forms are
+memoized per (chi, m); as chi_(~m) = (-1)^r chi_m and the solve is linear,
+W(-T) = (-1)^r W(T), and a tope and its negative share the entry at the
+mask whose position 0 is plus (`_at`).  The table read that finds a tope's
+facets is also its tope test: `_facet_targets` raises NotATope when the
+rows it reads do not cover the ground set, before anything is memoized, so
+a memo hit is a tope and the form calls need no separate scan (`_read`).
 """
 
 from __future__ import annotations
@@ -72,18 +74,19 @@ def _stack(n: int, r: int, support: int) -> tuple:
     Each atom a contributes a block, the top grade r-1 of its contraction
     relabelled through the order-preserving map of its ground set onto
     range(n'): contractions that differ only by such a relabelling have the
-    same support and so share that positional algebra.  blocks[a] is
-    (block algebra, first stacked row, lifts): what `_facet_targets` reads
-    for the NBC keys K' = (k_1, k_2, ...) of the block, in positions of
-    range(n), grouped by the index h of K - k_1 among the ascending
-    (r-1)-subsets, where K = K' + a.  lifts[h] lists, for each such K',
-    the tuple K' itself, the mask of K, its index in the rank-r sign
-    table, the parity of the number of entries of K' above a, and for
-    k_2, k_3, ..., ascending, the pairs (bit of k, index of K minus k).
-    The empty key of a rank-0 block has no k_1 and is grouped under None.
-    Canonical forms are integral, so the map is kept over int; it is
-    almost empty, and columns[j] lists the (stacked row, value) pairs of
-    the residues of the j-th NBC r-monomial.
+    same support and so share that positional algebra.  The stacked rows
+    are the blocks' NBC keys, block after block, each block in its NBC
+    order from its first row on.  blocks[a] is (block algebra, first row,
+    lifts): what `_facet_targets` reads for the NBC keys K' = (k_1, k_2,
+    ...) of the block, in positions of range(n), grouped by the index h of
+    K - k_1 among the ascending (r-1)-subsets, where K = K' + a.  lifts[h]
+    lists, for each such K', its stacked row, the mask of K, its index in
+    the rank-r sign table, the parity of the number of entries of K' above
+    a, and for k_2, k_3, ..., ascending, the pairs (bit of k, index of K
+    minus k).  The empty key of a rank-0 block has no k_1 and is grouped
+    under None.  Canonical forms are integral, so the map is kept over
+    int; it is almost empty, and columns[j] lists the (stacked row, value)
+    pairs of the residues of the j-th NBC r-monomial.
 
     The solve reads one square block S of the stack (the NBC
     deletion-contraction bijection: Bjorner 1992, 7; Orlik-Terao 3.1).
@@ -114,16 +117,16 @@ def _stack(n: int, r: int, support: int) -> tuple:
         ground, rank, sub = alg.matroid.contraction_fingerprint(a)
         block = _algebra(tuple(range(len(ground))), rank, sub)
         pos = ground_positions(ground)
+        index = block._nbc_pos[r - 1]
         lifts: dict = {}
-        for rest in block.nbc[r - 1]:
+        for row, rest in enumerate(block.nbc[r - 1], first):
             ks = [ground[i] for i in rest]
             key = _mask(ks) | 1 << a
             reads = [(1 << k, hyperplanes[key ^ 1 << k]) for k in ks]
             lifts.setdefault(reads[0][1] if reads else None, []).append(
-                (rest, key, bases[key], sum(k > a for k in ks) & 1,
+                (row, key, bases[key], sum(k > a for k in ks) & 1,
                  tuple(reads[1:])))
         blocks[a] = (block, first, lifts)
-        index = block._nbc_pos[r - 1]
         for j, (key, column) in enumerate(zip(keys, columns)):
             res = _residue_key(key, a)
             if res is None:
@@ -152,14 +155,15 @@ def _stack(n: int, r: int, support: int) -> tuple:
 
 
 def _facet_targets(stack: tuple, chi: Chirotope, m: int) -> dict:
-    """{a: W(chi_m/a)} over the facet atoms a of the all-plus tope of
-    chi_m, the reorientation of chi by the position mask m (NotATope when
-    it is not acyclic, see below); stack is the residue stack (`_stack`)
-    of chi's positional class, and each form lies in a's block algebra.
-    The forms are read off chi's hyperplane table (`Chirotope._hyperplanes`)
-    with plus and minus swapped at m, and each chi_m(K) is chi(K) times
-    (-1)^|K & m|: no reorientation or contraction is built and no form of
-    a minor is solved.
+    """{stacked row: +-1}: the forms W(chi_m/a) over the facet atoms a of
+    the all-plus tope of chi_m, the reorientation of chi by the position
+    mask m (NotATope when it is not acyclic, see below), each written at
+    the rows of a's block in stack, the residue stack (`_stack`) of chi's
+    positional class; every row it leaves out reads 0.  Each row of chi's
+    hyperplane table (`Chirotope._hyperplanes`) is read where a lift
+    composes it, with plus and minus swapped at m, and each chi_m(K) is
+    chi(K) times (-1)^|K & m|: no reorientation, contraction or element is
+    built and no form of a minor is solved.
 
     Finding 1, which extends the face-flag theorem of `tests/face_flag.py`.
     Let K = (k_1 < ... < k_r) be an NBC basis and C_j its fundamental
@@ -195,64 +199,54 @@ def _facet_targets(stack: tuple, chi: Chirotope, m: int) -> dict:
     one-signed cocircuit are read, and that cocircuit, signed + at k_1, is
     its support.  A composition that stays nonnegative only adds plus
     signs, so it fails at the first cocircuit with a minus sign outside
-    the plus signs gathered so far.  The empty key of rank 0 composes
-    nothing, to the zero vector.  Rows and facets are `om._conformal_rows`
-    at m; the atoms that are no facet get no target: their residues are 0.
-    When the rows do not cover the ground set, m is the minus mask of no
-    tope, and NotATope is raised: this read is the forms' tope gate.
+    the plus signs gathered so far, and otherwise grows by that
+    cocircuit's support.  In chi_m a row's minus signs are its minus mask
+    with the support's bits at m flipped, and the rest of its support when
+    k is among them.  The empty key of rank 0 composes nothing, to the
+    zero vector.  Rows and facets are `om._conformal_rows` at m; the atoms
+    that are no facet get no target: their residues are 0.  When the rows
+    do not cover the ground set, m is the minus mask of no tope, and
+    NotATope is raised: this read is the forms' tope gate.
     """
     alg, blocks = stack[:2]
-    n, r, signs = len(chi.ground), alg.rank, chi.signs
-    plus = [p & ~m | q & m for p, q in zip(*chi._hyperplanes)]
-    minus = [q & ~m | p & m for p, q in zip(*chi._hyperplanes)]
+    n, signs = len(chi.ground), chi.signs
+    plus, minus = chi._hyperplanes
     rows = _conformal_rows(chi, m)
     if rows is None:
         raise NotATope(f"no tope has the minus mask {m}")
     starts = list(rows.items()) + [(None, 0)]
-    targets = {}
+    stacked = {}
     for mask in _facet_classes(n, {*rows.values()}, alg.matroid._atom_masks):
-        a = (mask & -mask).bit_length() - 1  # the representative's position
-        block, _, lifts = blocks[a]
+        lifts = blocks[(mask & -mask).bit_length() - 1][2]
         face = ~mask & (1 << n) - 1
-        terms = {}
         for h, start in starts:
-            for rest, key, b, odd, reads in lifts.get(h, ()):
+            for row, key, b, odd, reads in lifts.get(h, ()):
                 p = start
                 for bit, g in reads:
-                    gp, gm = plus[g], minus[g]
-                    if gm & bit:
-                        gp, gm = gm, gp
-                    if gm & ~p:
+                    s = plus[g] | minus[g]
+                    down = minus[g] ^ s & m  # the minus signs in chi_m
+                    if down & bit:  # signed + at k
+                        down ^= s
+                    if down & ~p:
                         break
-                    p |= gp
+                    p |= s
                 else:
                     if p == face:
                         flip = (odd + (key & m).bit_count()) & 1
-                        terms[rest] = -signs[b] if flip else signs[b]
-        targets[a] = OSElement(block, r - 1, terms)
-    return targets
+                        stacked[row] = -signs[b] if flip else signs[b]
+    return stacked
 
 
-def _solve(stack: tuple, targets: dict) -> OSElement:
-    """The element x of the stack's top grade with Res_a x = targets[a], an
-    element of a's block algebra, at every atom a that targets holds, and
-    Res_a x = 0 at every other atom.  It is read off the own rows through
-    S^-1 (see `_stack`) and then checked against every stacked row, so
-    targets that no element meets raise."""
-    alg, blocks, columns, own, inverse = stack
-    r = alg.rank
-    stacked = {}  # stacked row -> residue coordinate; other rows read 0
-    for a, target in targets.items():
-        block, first, _ = blocks[a]
-        if target.algebra is not block:
-            raise RuntimeError("internal invariant violation: residue target "
-                               "is not in its block's positional algebra")
-        index = block._nbc_pos[r - 1]
-        for k, v in target.terms.items():
-            if type(v) is not int:
-                raise RuntimeError("internal invariant violation: residue "
-                                   "targets have non-integer coordinates")
-            stacked[first + index[k]] = v
+def _solve(stack: tuple, stacked: dict) -> list:
+    """The coefficients, over the stack's NBC r-keys in order, of the
+    element x of its top grade whose residues read stacked[i] at each
+    stacked row i that stacked holds and 0 at every other.  They are read
+    off the own rows through S^-1 (see `_stack`) and then checked against
+    every stacked row, so residues that no element meets raise."""
+    columns, own, inverse = stack[2:]
+    if any(type(v) is not int for v in stacked.values()):
+        raise RuntimeError("internal invariant violation: residue "
+                           "targets have non-integer coordinates")
     coeffs = [0] * len(columns)
     for i, feeds in zip(own, inverse):
         v = stacked.get(i)
@@ -267,27 +261,31 @@ def _solve(stack: tuple, targets: dict) -> OSElement:
     if {i: v for i, v in image.items() if v} != stacked:
         raise RuntimeError("internal invariant violation: residue system is "
                            "inconsistent (suspect an invalid chirotope)")
-    return OSElement(alg, r, dict(zip(alg.nbc[r], coeffs)))
+    return coeffs
 
 
 @memo
 def _top_form(chi: Chirotope, m: int) -> OSElement:
     """Top-grade form of chi reoriented by the position mask m, in
-    os_algebra_of_chirotope(chi): one residue solve against the facet
-    targets read off chi's table at m, with every position key k read as
-    the labels chi.ground[i], i in k.  When m is the minus mask of no
-    tope, so that the reorientation is not acyclic, NotATope is raised
-    and nothing is memoized."""
-    n, r, ground = len(chi.ground), chi.rank, chi.ground
+    alg = os_algebra_of_chirotope(chi): one residue solve of the facet
+    targets read off chi's table at m into the rows of the residue stack
+    of chi's positional class.  The solve's coefficients follow that
+    class's NBC r-keys, and alg.nbc[r] lists the same keys, each position
+    i read as the label chi.ground[i], in the same order: NBC sets read
+    only positions and the support (`UnderlyingMatroid._nbc`), and an
+    atom's representative is the label at its lowest position.  So the
+    coefficients are zipped with alg's own keys.  When m is the minus mask
+    of no tope, so that the reorientation is not acyclic, NotATope is
+    raised and nothing is memoized."""
+    n, r = len(chi.ground), chi.rank
     if r == 0:  # the base value, at the one tope of an empty ground set
         if n:
             raise NotATope("rank 0 on a nonempty ground set has no tope")
         return OSElement(os_algebra_of_chirotope(chi), 0, {(): chi.signs[0]})
-    alg = os_algebra_of_chirotope(chi)
     stack = _stack(n, r, chi.support)
-    form = _solve(stack, _facet_targets(stack, chi, m))
-    return OSElement(alg, r, {tuple(ground[i] for i in k): v
-                              for k, v in form.terms.items()})
+    coeffs = _solve(stack, _facet_targets(stack, chi, m))
+    alg = os_algebra_of_chirotope(chi)
+    return OSElement(alg, r, dict(zip(alg.nbc[r], coeffs)))
 
 
 @memo

@@ -27,7 +27,6 @@ pairs, building each SignVector once.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import count
 
 from ._record import FrozenRecord
 from .chirotope import (Chirotope, _bits, _circuit, _mask, _mask_index,
@@ -57,7 +56,7 @@ class OrientedMatroid:
     def _cocircuit_table(self) -> frozenset:
         """(plus, minus) masks of every cocircuit, both signs, for the
         partial-support questions: the hyperplane table's nonzero rows."""
-        return frozenset(pm for p, m in zip(*self.chi._hyperplanes) if p or m
+        return frozenset(pm for p, m, _ in self.chi._cocircuit_rows
                          for pm in ((p, m), (m, p)))
 
     @cached_property
@@ -300,13 +299,14 @@ def _conformal_rows(chi: Chirotope, m: int) -> dict | None:
     rows one-signed once plus and minus are swapped at m (a dependent H has
     the zero row, no cocircuit): with -C_H, the cocircuits conformal to X.
     Conforming, these compose by the union of their supports, so to X iff
-    they cover the ground set."""
-    plus, minus, w = *chi._hyperplanes, ~m
-    rows = {h: p | q for h, p, q in zip(count(), plus, minus)
-            if (p or q) and (not (p & m or q & w) or not (q & m or p & w))}
-    covered = 0
-    for s in rows.values():
-        covered |= s
+    they cover the ground set.  Each distinct row is tested once
+    (`Chirotope._cocircuit_rows`), and its verdict read at every H."""
+    w, rows, covered = ~m, {}, 0
+    for p, q, hs in chi._cocircuit_rows:
+        if not (p & m or q & w) or not (q & m or p & w):
+            covered |= (s := p | q)
+            for h in hs:
+                rows[h] = s
     return rows if covered == (1 << len(chi.ground)) - 1 else None
 
 

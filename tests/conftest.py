@@ -16,7 +16,7 @@ from omcanon import (Chirotope, Extension, LinearMap, OrientedMatroid,
                      chirotope_from_matrix, forms, linalg)
 from omcanon.chirotope import _mask, _mask_index
 from omcanon.om import _conformal_rows, _facet_classes
-from omcanon.osalg import _algebra
+from omcanon.osalg import OSElement, _algebra
 from omcanon.serialize import parse_input
 from omcanon.signvec import _labels
 
@@ -332,13 +332,36 @@ def iota(alg, rep, x):
     return out
 
 
+def stacked_rows(stack: tuple, targets: dict) -> dict:
+    """{stacked row: coordinate} of targets ({atom: residue in the atom's
+    block algebra}) in the residue stack `forms._stack`: each target's NBC
+    keys read at its block's rows.  A target outside its block's
+    positional algebra (a labelled residue, or an algebra built anew on
+    the block's matroid) is refused rather than read against the wrong
+    NBC order."""
+    alg, blocks = stack[:2]
+    stacked = {}
+    for a, target in targets.items():
+        block, first, _ = blocks[a]
+        if target.algebra is not block:
+            raise RuntimeError("internal invariant violation: residue target "
+                               "is not in its block's positional algebra")
+        index = block._nbc_pos[alg.rank - 1]
+        for k, v in target.terms.items():
+            stacked[first + index[k]] = v
+    return stacked
+
+
 def stack_solve(alg, targets: dict):
     """`forms._solve` on the residue stack of the positional algebra alg,
-    fed targets ({atom: residue in the atom's block algebra}); every atom
-    that targets does not hold reads zero."""
+    fed targets ({atom: residue in the atom's block algebra}, through
+    `stacked_rows`), as an element of alg; every atom that targets does
+    not hold reads zero."""
     ground, r, support = alg.matroid.fingerprint
     assert ground == tuple(range(len(ground)))
-    return forms._solve(forms._stack(len(ground), r, support), targets)
+    stack = forms._stack(len(ground), r, support)
+    coeffs = forms._solve(stack, stacked_rows(stack, targets))
+    return OSElement(alg, r, dict(zip(alg.nbc[r], coeffs)))
 
 
 def linear_map(src, dst, k_src: int, k_dst: int, fn) -> LinearMap:

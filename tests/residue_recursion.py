@@ -3,7 +3,8 @@ library's top-grade forms, which read each facet's target off the input
 chirotope's hyperplane table instead (`forms._facet_targets`).
 
 A positional class (n, r, signs) of rank r >= 1 is solved by its residue
-stack (`forms._stack`, `forms._solve`) against the forms of its facet
+stack (`forms._stack`, through `conftest.stack_solve`, which writes each
+target's coordinates at its block's rows) against the forms of its facet
 contractions, each one gather of the class's sign table through
 `chirotope._minor_slots` (`contracted_signs`) and solved by this recursion
 in turn, down to rank 0, where the form is the base value 1.  A facet's
@@ -14,10 +15,11 @@ oriented matroid share the forms of their common minors.
 
 from __future__ import annotations
 
-from omcanon import forms
 from omcanon.chirotope import Chirotope, _minor_slots, _support
 from omcanon.om import _conformal_rows, _facet_classes
 from omcanon.osalg import _algebra
+
+from conftest import stack_solve
 
 _FORMS: dict = {}  # positional class -> its form
 _STATS = {"hits": 0, "misses": 0}
@@ -65,7 +67,6 @@ def top_form(key: tuple):
     if r == 0:
         form = alg.one()
     else:
-        stack = forms._stack(n, r, _support(signs))
         m = alg.matroid
         rows = _conformal_rows(Chirotope(tuple(range(n)), r, signs), 0)
         facets = _facet_classes(n, rows.values(), m._atom_masks)
@@ -76,7 +77,7 @@ def top_form(key: tuple):
                     n - mask.bit_count(), r - 1,
                     contracted_signs(n, r, signs, mask, a))
                 targets[a] = top_form(sub).scale(sign)
-        form = forms._solve(stack, targets)
+        form = stack_solve(alg, targets)
     _FORMS[key] = form
     return form
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations, product
 from math import comb
@@ -5,7 +6,9 @@ from math import comb
 import pytest
 
 from omcanon import (Chirotope, InvalidChirotope, OrientedMatroid,
-                     SignVector, UnderlyingMatroid, validate_chirotope)
+                     SignVector, UnderlyingMatroid, forms,
+                     nonreduced_canonical_form, validate_chirotope)
+from omcanon._memo import clear_caches
 from omcanon.chirotope import (_bits, _earliest_basis, _earliest_mask,
                                _keys_through, _mask_index, _minor_slots,
                                chirotope_diagnostic, perm_parity_sign)
@@ -65,6 +68,35 @@ def test_from_map_keeps_signs_as_given():
     assert chi.signs == (1.5, 0.4, 1)
     assert (chirotope_diagnostic(chi)
             == "sign 1.5 at ('a', 'b') is not -1, 0 or 1")
+
+
+@pytest.mark.parametrize("name", ["line4", "parallel_pair",
+                                  "nonpappus_ext10"])
+def test_equal_chirotopes_hash_alike_and_share_memo_entries(name, request):
+    """Under every relabelling, a chirotope and an equal one built apart
+    from copies of its fields hash alike, as their field tuple does; each
+    keeps its hash once taken, and the second reads every form memo entry
+    the first made.  A pickle goes through the constructor and carries no
+    cached hash."""
+    for a in relabellings(named_om(name, request).chi):
+        b = Chirotope(tuple(list(a.ground)), a.rank, tuple(list(a.signs)))
+        assert b == a and b.signs is not a.signs
+        assert hash(b) == hash(a) == hash((a.ground, a.rank, a.signs))
+        assert vars(a)["_hash"] == hash(a)
+        clear_caches()
+        om_a = OrientedMatroid(a, validate=False)
+        topes = om_a.sorted_topes()
+        want = [nonreduced_canonical_form(om_a, t) for t in topes]
+        before = forms._top_form.cache_info()
+        om_b = OrientedMatroid(b, validate=False)
+        assert [nonreduced_canonical_form(om_b, t) for t in topes] == want
+        after = forms._top_form.cache_info()
+        assert (after.misses, after.currsize) == (before.misses,
+                                                  before.currsize)
+        assert after.hits == before.hits + len(topes)
+        copy = pickle.loads(pickle.dumps(a))
+        assert list(vars(copy)) == ["ground", "rank", "signs"]
+        assert copy == a and hash(copy) == hash(a)
 
 
 def test_identically_zero_rejected():

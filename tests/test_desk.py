@@ -50,7 +50,7 @@ def test_each_cell_prints_the_median_of_fresh_processes(monkeypatch,
 def test_a_failed_run_fails_the_report(monkeypatch):
     calls = []
     row = {"topes": 1, "validate_s": 0, "tutte_s": 0, "enumerate_s": 0,
-           "forms_s": 0, "memo_entries": 0}
+           "first_form_s": 0, "forms_s": 0, "memo_entries": 0}
     monkeypatch.setattr(desk, "fresh", fake_fresh([row] * 3, calls))
     assert desk.main(["8x4"]) == 0
     assert len(calls) == 3

@@ -13,12 +13,12 @@ from omcanon import (InvalidChirotope, OrientedMatroid, RationalMatrix,
                      os_algebra_for, validate_chirotope)
 from omcanon import forms, osalg
 from omcanon import om as om_module
-from omcanon._memo import clear_caches
+from omcanon._memo import cache_sizes, clear_caches
 from omcanon import chirotope as chirotope_module
 from omcanon.chirotope import Chirotope
 from omcanon.matroid import UnderlyingMatroid
-from omcanon.om import is_acyclic
-from omcanon.osalg import OSAlgebra, os_algebra_of_chirotope
+from omcanon.om import NotATope, is_acyclic
+from omcanon.osalg import OSAlgebra, OSElement, os_algebra_of_chirotope
 from omcanon.realization import _placing
 from omcanon.signvec import _labels
 
@@ -1182,32 +1182,119 @@ def _differential_matrices(rank: int, count: int) -> list:
     return out
 
 
+def _element_targets(stack: tuple, chi: Chirotope, m: int) -> dict:
+    """{a: W(chi_m/a) in a's block algebra} over the facet atoms a of the
+    all-plus tope of chi_m, the reorientation of chi by the position mask
+    m, read by Finding 1 (`forms._facet_targets`) as the library read them
+    before it wrote them at the stack's rows: off two reoriented copies of
+    chi's hyperplane table, one element per facet, keyed by the block's NBC
+    keys."""
+    alg, blocks = stack[:2]
+    n, r, signs = len(chi.ground), alg.rank, chi.signs
+    plus = [p & ~m | q & m for p, q in zip(*chi._hyperplanes)]
+    minus = [q & ~m | p & m for p, q in zip(*chi._hyperplanes)]
+    rows = om_module._conformal_rows(chi, m)
+    starts = list(rows.items()) + [(None, 0)]
+    targets = {}
+    for mask in om_module._facet_classes(n, {*rows.values()},
+                                         alg.matroid._atom_masks):
+        a = (mask & -mask).bit_length() - 1
+        block, first, lifts = blocks[a]
+        face = ~mask & (1 << n) - 1
+        terms = {}
+        for h, start in starts:
+            for row, key, b, odd, reads in lifts.get(h, ()):
+                p = start
+                for bit, g in reads:
+                    gp, gm = plus[g], minus[g]
+                    if gm & bit:
+                        gp, gm = gm, gp
+                    if gm & ~p:
+                        break
+                    p |= gp
+                else:
+                    if p == face:
+                        flip = (odd + (key & m).bit_count()) & 1
+                        terms[block.nbc[r - 1][row - first]] = (
+                            -signs[b] if flip else signs[b])
+        targets[a] = OSElement(block, r - 1, terms)
+    return targets
+
+
 def _assert_forms_agree(om) -> int:
-    """The library's top-grade form of every tope of om equals the
-    recursion's through every minor (tests/residue_recursion.py) and the
-    face-flag read-off (tests/face_flag.py); returns the number of topes."""
+    """The library's top-grade form of every tope of om equals the stack's
+    solve of the per-facet element targets it replaced (`_element_targets`,
+    `conftest.stack_solve`), relabelled key by key, the recursion's
+    through every minor (tests/residue_recursion.py) and the face-flag
+    read-off (tests/face_flag.py).  Then every full-support mask of no tope
+    raises NotATope in both form tables and leaves every memo as it was.
+    Returns the number of topes."""
     topes = om.sorted_topes()
+    ground, n = om.ground, len(om.ground)
+    stack = forms._stack(n, om.rank, om.chi.support)
     for t in topes:
         chi = om.chi.reorient(t)
         got = nonreduced_canonical_form(om, t).terms
+        old = stack_solve(stack[0], _element_targets(stack, om.chi, t.minus))
+        assert got == {tuple(ground[i] for i in k): v
+                       for k, v in old.terms.items()}, str(t)
         assert got == residue_recursion.recursive_form(chi), str(t)
         assert got == face_flag_form(chi), str(t)
+    masks = {t.minus for t in topes}
+    sizes = cache_sizes()
+    for m in range(1 << n):
+        if m not in masks:
+            for table in (forms._top_form, forms._canonical_form):
+                with pytest.raises(NotATope):
+                    table(om.chi, m)
+    assert cache_sizes() == sizes
     return len(topes)
 
 
 @pytest.mark.parametrize("name", SEEDED_CASES)
 def test_forms_match_recursion_and_face_flags(name, request):
     """Under every relabelling (`relabellings`), the one-level solve's forms
-    equal those of the recursion through every minor and of the face-flag
-    read-off, on every tope."""
+    equal those of the element targets it replaced, of the recursion
+    through every minor and of the face-flag read-off, on every tope."""
     om = named_om(name, request)
     for chi in relabellings(om.chi):
         assert _assert_forms_agree(OrientedMatroid(chi, validate=False))
 
 
+def _contraction_classes(chi: Chirotope) -> list:
+    """chi and one chirotope of every (ground, rank, support) reached from
+    it by contracting atoms, down to rank 0."""
+    seen, todo = {}, [chi]
+    while todo:
+        c = todo.pop()
+        if seen.setdefault((c.ground, c.rank, c.support), c) is c and c.rank:
+            todo += [c.contract(a) for a in os_algebra_of_chirotope(c).atoms]
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_labelled_nbc_keys_are_positional_keys_relabelled(name, request):
+    """Under every relabelling, on every class reached by contractions,
+    parallel classes merged included, each grade's NBC keys of the
+    chirotope's algebra are those of its positional class with each
+    position i read as ground[i], in the same order: the order in which
+    `forms._top_form` zips the solve's coefficients with the keys."""
+    merged = 0
+    for chi in relabellings(named_om(name, request).chi):
+        for c in _contraction_classes(chi):
+            alg = os_algebra_of_chirotope(c)
+            positional = osalg._algebra(tuple(range(len(c.ground))), c.rank,
+                                        c.support)
+            for k in range(c.rank + 1):
+                assert alg.nbc[k] == tuple(tuple(c.ground[i] for i in key)
+                                           for key in positional.nbc[k])
+            merged += len(alg.atoms) < len(c.ground)
+    assert merged or name == "boolean3"
+
+
 @pytest.mark.parametrize("rank", [3, 4])
 def test_forms_match_recursion_on_random_matrices(rank):
-    """Seeded random matrices of rank 3 and 4 with small entries: the three
+    """Seeded random matrices of rank 3 and 4 with small entries: the four
     routes agree on every tope, and some contraction merges parallel
     classes, so a block's keys are not the atoms of the matroid minus one."""
     merged = 0

@@ -661,6 +661,42 @@ def test_tope_queries_call_no_conforms_to(pentagon_inf, monkeypatch):
     assert simplex_identity_check(ext, om.chi.nonzero_keys[0])["passed"]
 
 
+def _conformal_rows_by_row(chi, m: int) -> dict | None:
+    """`om._conformal_rows` read row by row over the whole hyperplane
+    table, duplicates of parallel hyperplanes included."""
+    full = (1 << len(chi.ground)) - 1
+    rows = {h: p | q for h, (p, q) in enumerate(zip(*chi._hyperplanes))
+            if (p or q) and (not (p & m or q & ~m) or not (q & m or p & ~m))}
+    covered = 0
+    for s in rows.values():
+        covered |= s
+    return rows if covered == full else None
+
+
+@pytest.mark.parametrize("name", SEEDED_CASES)
+def test_tope_gate_reads_each_distinct_row_once(name, request):
+    """`Chirotope._cocircuit_rows` holds each nonzero row of the hyperplane
+    table once up to sign, with the indices of every H whose row it is,
+    and `_conformal_rows` read on them gives, at every full-support mask,
+    what reading every row gives; parallel hyperplanes share rows on the
+    non-uniform cases."""
+    chi = named_om(name, request).chi
+    plus, minus = chi._hyperplanes
+    seen, shared = {}, 0
+    for p, q, hs in chi._cocircuit_rows:
+        assert (p or q) and list(hs) == sorted(hs)
+        assert {p, q} not in seen.values()
+        for h in hs:
+            assert {plus[h], minus[h]} == {p, q}
+            seen[h] = {p, q}
+        shared += len(hs) - 1
+    assert sorted(seen) == [h for h, (p, q) in enumerate(zip(plus, minus))
+                            if p or q]
+    assert shared or 0 not in chi.signs
+    for m in range(1 << len(chi.ground)):
+        assert _conformal_rows(chi, m) == _conformal_rows_by_row(chi, m)
+
+
 def test_nonpappus_fixture(nonpappus):
     pappus = pappus_chirotope()
     validate_chirotope(pappus)
