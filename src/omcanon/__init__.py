@@ -2,9 +2,9 @@
 
 Everything is computed over exact rationals: oriented matroids from
 chirotopes, the Orlik-Solomon algebra in NBC coordinates, canonical forms
-of topes via the residue recursion or a placing triangulation, the
-canonical-form bases of the reduced algebra, and the bounded-tope basis of
-the top Aomoto cohomology.
+of topes by one residue solve per antipodal pair of topes or by a placing
+triangulation, the canonical-form bases of the reduced algebra, and the
+bounded-tope basis of the top Aomoto cohomology.
 """
 
 from .bases import (AomotoReport, Flag, FlagStage, aomoto,

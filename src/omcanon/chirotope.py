@@ -159,7 +159,8 @@ class Chirotope(FrozenRecord):
     _fields = ("ground", "rank", "signs")
 
     def __init__(self, ground: tuple, rank: int, signs: tuple):
-        # signs is aligned with combinations(ground, rank)
+        # signs is aligned with combinations(ground, rank); both kept tuples
+        ground, signs = tuple(ground), tuple(signs)
         if len(signs) != comb(len(ground), rank):
             raise ValueError("chirotope sign table has wrong length")
         self.__dict__.update(ground=ground, rank=rank, signs=signs)
@@ -185,9 +186,15 @@ class Chirotope(FrozenRecord):
 
     @classmethod
     def from_map(cls, ground: tuple, rank: int, values: dict) -> "Chirotope":
-        """Build from {ascending tuple: sign} as given; missing keys are 0."""
-        signs = tuple(values.get(key, 0) for key in combinations(ground, rank))
-        return cls(tuple(ground), rank, signs)
+        """Build from {ascending tuple: sign} as given; missing keys are 0,
+        and the first key that is no ascending r-subset is refused."""
+        table = dict.fromkeys(combinations(ground, rank), 0)
+        bad = [key for key in values if key not in table]
+        if bad:
+            raise ValueError(f"key {bad[0]!r} is not an ascending "
+                             f"{rank}-subset of the ground set")
+        table.update(values)
+        return cls(ground, rank, tuple(table.values()))
 
     @property
     def keys(self) -> tuple:
@@ -292,13 +299,13 @@ class Chirotope(FrozenRecord):
 def validate_chirotope(chi: Chirotope) -> None:
     """Chirotope axioms, exhaustively; raises InvalidChirotope on failure.
 
-    Checks: signs the ints -1, 0, 1, not identically zero, no loops, basis
-    exchange on the nonzero supports, and all three-term Grassmann-Pluecker
-    sign relations.  Each check walks bases in sign-table order and elements
-    in ground order, so the diagnostic names the same first violation for
-    any labels and does not depend on the hash seed.
+    Checks: distinct labels, signs the ints -1, 0, 1, not identically zero,
+    no loops, basis exchange on the nonzero supports, and all three-term
+    Grassmann-Pluecker sign relations.  Each check walks bases in sign-table
+    order and elements in ground order, so the diagnostic names the same
+    first violation for any labels and does not depend on the hash seed.
     """
-    _check_signs(chi)
+    _check_fields(chi)
     if not chi.support:
         raise InvalidChirotope("identically zero")
     if chi.rank:
@@ -312,11 +319,14 @@ def validate_chirotope(chi: Chirotope) -> None:
             _check_three_term(chi, index)
 
 
-def _check_signs(chi: Chirotope) -> None:
-    """The first check of `validate_chirotope`, alone: every sign is the
-    int -1, 0 or 1, else InvalidChirotope names the first other one in
-    sign-table order.  `forms.oriented_matroid_for`, which skips the
-    axioms, runs it too."""
+def _check_fields(chi: Chirotope) -> None:
+    """The first check of `validate_chirotope`, alone: the labels are
+    distinct and every sign is the int -1, 0 or 1, else InvalidChirotope
+    names the first repeat in ground order or the first other sign in
+    sign-table order.  `forms.oriented_matroid_for` runs it too."""
+    if len(set(chi.ground)) < len(chi.ground):
+        e = next(e for i, e in enumerate(chi.ground) if e in chi.ground[:i])
+        raise InvalidChirotope(f"label {e!r} repeats an earlier label")
     for key, s in zip(combinations(chi.ground, chi.rank), chi.signs):
         if type(s) is not int or s not in (-1, 0, 1):
             raise InvalidChirotope(f"sign {s!r} at {key} is not -1, 0 or 1")

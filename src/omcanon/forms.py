@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from . import linalg
 from ._memo import memo
-from .chirotope import Chirotope, _check_signs, _mask, _mask_index
+from .chirotope import Chirotope, _check_fields, _mask, _mask_index
 from .om import NotATope, OrientedMatroid, _conformal_rows, _facet_classes
 from .osalg import (OSAlgebra, OSElement, _algebra, _residue_key,
                     os_algebra_for, os_algebra_of_chirotope)
@@ -56,9 +56,9 @@ from .signvec import SignVector, _labels, _position, ground_positions
 @memo
 def oriented_matroid_for(chi: Chirotope) -> OrientedMatroid:
     """The oriented matroid of chi, memoized, without the axiom check;
-    its signs are checked (`chirotope._check_signs`), so that no sign
-    other than -1, 0 or 1 reaches a form."""
-    _check_signs(chi)
+    its labels and signs are checked (`chirotope._check_fields`), so that
+    no repeated label and no sign other than -1, 0 or 1 reaches a form."""
+    _check_fields(chi)
     return OrientedMatroid(chi, validate=False)
 
 

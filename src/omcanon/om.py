@@ -6,22 +6,18 @@ mutated afterwards.  Sign-vector sets are closed under negation.
 Circuits (the chirotope's circuit table, and `chirotope._circuit` for a
 fundamental circuit) and cocircuits (its hyperplane table) are read off
 the ascending sign table as (plus, minus) masks; a lexicographic
-extension's table is built on that table by position mask.  Every tope
-question reads the hyperplane table at the tope's minus mask through one
-rule, `_conformal_rows`: the nonzero rows that are one-signed once plus
-and minus are swapped there are the cocircuits conformal to the tope, up
-to sign.  A full-support vector is a tope iff they cover the ground set
-(acyclicity asks this of the all-plus vector), a tope is bounded at e iff
-every one of them is nonzero at e, and `_facet_classes` reads its facet
-classes off their supports.  The topes themselves are the compositions
-of the fundamental cocircuits of the NBC bases, both signs of each (the
-scatter of `topes`): rows of the same table, read off each basis's
-positions, with no tope test.  The partial-support questions (covectors,
-faces, conformal cocircuits) read the table's cocircuits as mask pairs,
-both signs: those conformal to a sign vector are the pairs inside its
-masks, and compose by the union of their masks.  Only enumerating
-covectors or the faces of a tope builds a covector closure, on mask
-pairs, building each SignVector once.
+extension's table is built on that table by position mask.  Every
+sign-vector question reads the hyperplane table's distinct rows
+(`Chirotope._cocircuit_rows`), both signs, through one rule,
+`_conformal_rows`: a vector is a covector iff the rows conformal to it
+cover its support (a tope if it has full support; acyclicity asks this
+of the all-plus vector), a tope is bounded at e iff each is nonzero at e
+(`_bounded`), its faces are their compositions, and `_facet_classes`
+reads its facets off their supports.  The topes are the compositions of
+the fundamental cocircuits of the NBC bases, both signs of each (the
+scatter of `topes`): rows of the same table, with no tope test.  Only
+enumerating covectors or the faces of a tope builds a covector closure,
+on mask pairs, building each SignVector once.
 """
 
 from __future__ import annotations
@@ -53,20 +49,13 @@ class OrientedMatroid:
         return _circuits(self.chi)
 
     @cached_property
-    def _cocircuit_table(self) -> frozenset:
-        """(plus, minus) masks of every cocircuit, both signs, for the
-        partial-support questions: the hyperplane table's nonzero rows."""
-        return frozenset(pm for p, m, _ in self.chi._cocircuit_rows
-                         for pm in ((p, m), (m, p)))
-
-    @cached_property
     def cocircuits(self) -> frozenset:
         return frozenset(SignVector._from_masks(self.ground, p, m)
-                         for p, m in self._cocircuit_table)
+                         for p, m in _cocircuit_masks(self.chi))
 
     @cached_property
     def covectors(self) -> frozenset:
-        return _covector_closure(self.ground, self._cocircuit_table)
+        return _covector_closure(self.ground, _cocircuit_masks(self.chi))
 
     @cached_property
     def topes(self) -> frozenset:
@@ -109,10 +98,6 @@ class OrientedMatroid:
     # ---- basic structure -------------------------------------------------
 
     @property
-    def atoms(self) -> tuple:
-        return self.underlying.atoms
-
-    @property
     def atom_reps(self) -> tuple:
         return self.underlying.atom_reps
 
@@ -120,15 +105,20 @@ class OrientedMatroid:
         return sorted(self.topes, key=SignVector.sort_key)
 
     def is_tope(self, x: SignVector) -> bool:
-        """True iff x is a full-support vector on the ground set whose
-        conformal cocircuits (`_conformal_rows`) compose to it."""
-        return (x.ground == self.ground and x.has_full_support
-                and _conformal_rows(self.chi, x.minus) is not None)
+        """True iff x is a covector of full support."""
+        return x.has_full_support and self.is_covector(x)
 
     def require_tope(self, x: SignVector) -> SignVector:
-        if not self.is_tope(x):
-            raise NotATope(f"{x} is not a tope")
+        self._tope_rows(x)
         return x
+
+    def _tope_rows(self, x: SignVector) -> dict:
+        """`_conformal_rows` at the tope x, or NotATope."""
+        full = x.ground == self.ground and x.has_full_support
+        rows = _conformal_rows(self.chi, x.minus) if full else None
+        if rows is None:
+            raise NotATope(f"{x} is not a tope")
+        return rows
 
     def is_acyclic(self) -> bool:
         """`is_acyclic` of the chirotope."""
@@ -136,39 +126,32 @@ class OrientedMatroid:
 
     # ---- covector machinery ----------------------------------------------
 
-    def _conformal(self, plus: int, minus: int) -> list:
-        """The cocircuit mask pairs conformal to the sign vector (plus,
-        minus): those inside its masks."""
-        out_plus, out_minus = ~plus, ~minus
-        return [(p, m) for p, m in self._cocircuit_table
+    def conformal_cocircuits(self, x: SignVector) -> list:
+        """The cocircuits inside x's masks, x a covector or not."""
+        out_plus, out_minus = ~x.plus, ~x.minus
+        return [SignVector._from_masks(self.ground, p, m)
+                for p, m in _cocircuit_masks(self.chi)
                 if not (p & out_plus or m & out_minus)]
 
-    def conformal_cocircuits(self, x: SignVector) -> list:
-        return [SignVector._from_masks(self.ground, p, m)
-                for p, m in self._conformal(x.plus, x.minus)]
-
     def is_covector(self, x: SignVector) -> bool:
-        """True iff x is the composition of its conformal cocircuits, which,
-        conforming, is the union of their masks (no full enumeration)."""
-        if x.ground != self.ground:
-            return False
-        plus = minus = 0
-        for p, m in self._conformal(x.plus, x.minus):
-            plus |= p
-            minus |= m
-        return plus == x.plus and minus == x.minus
+        """True iff x's conformal cocircuits compose to it: cover its
+        support (`_conformal_rows` at its zero mask; no enumeration)."""
+        zero = (1 << len(self.ground)) - 1 & ~(x.plus | x.minus)
+        return (x.ground == self.ground
+                and _conformal_rows(self.chi, x.minus, zero) is not None)
 
     def faces(self, tope: SignVector) -> frozenset:
-        """Covectors conformal to the tope, including 0 and the tope itself."""
-        self.require_tope(tope)
-        return _covector_closure(self.ground,
-                                 self._conformal(tope.plus, tope.minus))
+        """Covectors conformal to the tope, 0 and the tope included: the
+        compositions of its conformal cocircuits, the tope on each support."""
+        rows, plus, minus = self._tope_rows(tope), tope.plus, tope.minus
+        return _covector_closure(self.ground, [(s & plus, s & minus)
+                                               for s in set(rows.values())])
 
     def bounded_topes(self, base) -> frozenset:
         """Topes all of whose nonzero faces are strictly positive at base."""
         bit = 1 << _position(ground_positions(self.ground), base)
-        return frozenset(t for t in self.topes if t.plus & bit and all(
-            s & bit for s in _conformal_rows(self.chi, t.minus).values()))
+        return frozenset(t for t in self.topes
+                         if _bounded(self.chi, t.minus, bit))
 
     # ---- minors -----------------------------------------------------------
 
@@ -227,13 +210,10 @@ class Extension(FrozenRecord):
         q = 1 << n
         table = []
         for m in _mask_index(n + 1, r):
-            if not m & q:
-                table.append(signs[index[m]])
-                continue
             k = m ^ q
-            v = cascade(k)
+            v = cascade(k) if m & q else signs[index[m]]
             # K + q in combinations order of K: the first violation is named
-            if not v and base.underlying.is_independent(
+            if not v and m & q and base.underlying.is_independent(
                     _labels(base.ground, k)):
                 raise RuntimeError(
                     "internal invariant violation: extension not general at "
@@ -247,12 +227,10 @@ class Extension(FrozenRecord):
     def bounded_topes(self) -> frozenset:
         """Topes P of M such that (P, +) is bounded at q in M u q, q the
         last position of the extended ground: a tope of M u q, read at P's
-        minus mask, with every conformal cocircuit nonzero at q."""
+        minus mask, bounded at q (`_bounded`)."""
         q = 1 << len(self.base.ground)
-        rows = ((t, _conformal_rows(self.chi_ext, t.minus))
-                for t in self.base.topes)
-        return frozenset(t for t, r in rows
-                         if r is not None and all(s & q for s in r.values()))
+        return frozenset(t for t in self.base.topes
+                         if _bounded(self.chi_ext, t.minus, q))
 
     def fundamental_circuit(self, basis) -> SignVector:
         """The signed circuit in basis u {q}, normalized to value - at q."""
@@ -292,22 +270,36 @@ def is_acyclic(chi: Chirotope) -> bool:
             or _conformal_rows(chi, 0) is not None)
 
 
-def _conformal_rows(chi: Chirotope, m: int) -> dict | None:
+def _conformal_rows(chi: Chirotope, m: int, zero: int = 0) -> dict | None:
     """{index of H: support of C_H} over the rows of chi's hyperplane table
-    (`Chirotope._hyperplanes`) that are faces of the full-support vector X
-    with minus mask m, or None when X is no tope.  They are the nonzero
-    rows one-signed once plus and minus are swapped at m (a dependent H has
-    the zero row, no cocircuit): with -C_H, the cocircuits conformal to X.
+    (`Chirotope._hyperplanes`) that are faces of the vector X with minus
+    mask m, zero mask zero and plus elsewhere, or None when X is no
+    covector (at zero = 0: no tope).  They are the nonzero rows that avoid
+    zero and are one-signed once plus and minus are swapped at m: with
+    -C_H, the cocircuits conformal to X (a dependent H has the zero row).
     Conforming, these compose by the union of their supports, so to X iff
-    they cover the ground set.  Each distinct row is tested once
+    they cover its support.  Each distinct row is tested once
     (`Chirotope._cocircuit_rows`), and its verdict read at every H."""
-    w, rows, covered = ~m, {}, 0
+    w, m, rows, covered = ~m, m | zero, {}, 0
     for p, q, hs in chi._cocircuit_rows:
         if not (p & m or q & w) or not (q & m or p & w):
             covered |= (s := p | q)
             for h in hs:
                 rows[h] = s
-    return rows if covered == (1 << len(chi.ground)) - 1 else None
+    return rows if covered == (1 << len(chi.ground)) - 1 & ~zero else None
+
+
+def _bounded(chi: Chirotope, m: int, bit: int) -> bool:
+    """True iff the vector with minus mask m is a tope of chi, plus at bit,
+    with every conformal cocircuit nonzero there: iff all its nonzero faces
+    are plus at bit."""
+    rows = None if m & bit else _conformal_rows(chi, m)
+    return rows is not None and all(s & bit for s in rows.values())
+
+
+def _cocircuit_masks(chi: Chirotope) -> list:
+    """chi's cocircuits as (plus, minus) masks: its rows, both signs."""
+    return [pm for p, q, _ in chi._cocircuit_rows for pm in ((p, q), (q, p))]
 
 
 def _facet_classes(n: int, supports, classes) -> list:
@@ -329,22 +321,18 @@ def _facet_classes(n: int, supports, classes) -> list:
     return [c for c in classes if face[(c & -c).bit_length() - 1] == c]
 
 
-def _covector_closure(ground: tuple, cocircuits) -> frozenset:
+def _covector_closure(ground: tuple, cocircuits: list) -> frozenset:
     """All compositions of the cocircuit mask pairs, plus the zero
     covector.  The closure runs on (plus, minus) mask pairs:
     x o y = (xp | yp & ~(xp | xm), xm | ym & ~(xp | xm)); sign vectors are
     built once, at the end."""
-    gens = list(cocircuits)
-    seen = {(0, 0)} | set(gens)
-    frontier = gens
-    while frontier:
-        nxt = []
-        for xp, xm in frontier:
-            free = ~(xp | xm)
-            for yp, ym in gens:
-                z = (xp | yp & free, xm | ym & free)
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        frontier = nxt
+    seen = {(0, 0)}
+    queue = [(0, 0)]
+    for xp, xm in queue:
+        free = ~(xp | xm)
+        for yp, ym in cocircuits:
+            z = (xp | yp & free, xm | ym & free)
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
     return frozenset(SignVector._from_masks(ground, p, m) for p, m in seen)

@@ -95,13 +95,11 @@ def chirotope_from_matrix(mat: RationalMatrix) -> Chirotope:
 
 def chamber_of(mat: RationalMatrix, point) -> SignVector:
     """The tope of a point off all hyperplanes."""
-    values = {}
-    for e in mat.labels:
-        v = mat.functional(e, point)
-        if v == 0:
-            raise ValueError(f"point lies on the hyperplane of {e!r}")
-        values[e] = _sign(v)
-    return SignVector.from_map(mat.labels, values)
+    signs = [_sign(mat.functional(e, point)) for e in mat.labels]
+    if 0 in signs:
+        raise ValueError("point lies on the hyperplane of "
+                         f"{mat.labels[signs.index(0)]!r}")
+    return SignVector(mat.labels, signs)
 
 
 def cocircuit_point(mat: RationalMatrix, cocircuit: SignVector) -> list:

@@ -46,7 +46,7 @@ class SignVector:
                 raise ValueError(f"sign {s!r} is not -1, 0 or 1")
             plus |= (s > 0) << i
             minus |= (s < 0) << i
-        _set_masks(self, ground, plus, minus)
+        _set_masks(self, tuple(ground), plus, minus)
 
     @classmethod
     def _from_masks(cls, ground: tuple, plus: int, minus: int) -> "SignVector":
@@ -57,6 +57,9 @@ class SignVector:
 
     @classmethod
     def from_map(cls, ground: tuple, values: dict) -> "SignVector":
+        """{label: sign}, missing labels 0; an unknown label is refused."""
+        for e in values:
+            _position(ground_positions(tuple(ground)), e)
         return cls(ground, tuple(values.get(e, 0) for e in ground))
 
     def __setattr__(self, name, value):

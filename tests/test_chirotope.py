@@ -70,6 +70,60 @@ def test_from_map_keeps_signs_as_given():
             == "sign 1.5 at ('a', 'b') is not -1, 0 or 1")
 
 
+@pytest.mark.parametrize("ground, label", [(("a", "a", "b"), "'a'"),
+                                           (("b", "a", "c", "a", "b"), "'a'"),
+                                           ((0, 1, 2, 1), "1")])
+def test_repeated_labels_are_refused(ground, label):
+    """A repeated label is refused by the first check, which
+    `oriented_matroid_for` runs too, naming the first repeat in ground
+    order; it once validated, and the tope scatter raised a bare
+    KeyError."""
+    chi = Chirotope(ground, 2, (1,) * comb(len(ground), 2))
+    message = f"label {label} repeats an earlier label"
+    assert chirotope_diagnostic(chi) == message
+    for build in (OrientedMatroid, forms.oriented_matroid_for):
+        with pytest.raises(InvalidChirotope) as err:
+            build(chi)
+        assert err.value.diagnostic == message
+
+
+def test_a_chirotope_built_from_lists_is_the_tuple_one():
+    """Ground and signs are kept as tuples: a chirotope built from lists
+    equals the tuple-built one, hashes alike, reads its memo entries and
+    enumerates its topes (it once compared unequal, and its topes raised
+    TypeError on the unhashable list)."""
+    a = Chirotope(("a", "b", "c"), 2, (1, 1, 1))
+    b = Chirotope(["a", "b", "c"], 2, [1, 1, 1])
+    assert type(b.ground) is tuple and type(b.signs) is tuple
+    assert b == a and hash(b) == hash(a)
+    clear_caches()
+    om_a = OrientedMatroid(a)
+    want = {t: nonreduced_canonical_form(om_a, t) for t in om_a.topes}
+    before = forms._top_form.cache_info()
+    om_b = OrientedMatroid(b)
+    assert om_b.topes == om_a.topes and len(om_b.topes) == 6
+    assert {t: nonreduced_canonical_form(om_b, t) for t in om_b.topes} == want
+    after = forms._top_form.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert after.hits == before.hits + len(want)
+
+
+@pytest.mark.parametrize("values, key", [
+    ({("a", "b"): 1, ("b", "a"): 1, ("a", "c"): 1, ("b", "c"): 1},
+     "('b', 'a')"),
+    ({("a", "b"): 1, ("a", "d"): 1, ("b", "a"): 1}, "('a', 'd')"),
+    ({("a",): 1}, "('a',)"),
+    ({("a", "a"): 1}, "('a', 'a')"),
+    ({"ab": 1}, "'ab'")])
+def test_from_map_refuses_keys_outside_the_table(values, key):
+    """A key that is no ascending 2-subset of the ground set is refused,
+    the first one named; such keys were once dropped, reading as 0."""
+    with pytest.raises(ValueError) as err:
+        Chirotope.from_map(("a", "b", "c"), 2, values)
+    assert str(err.value) == (f"key {key} is not an ascending 2-subset of "
+                              "the ground set")
+
+
 @pytest.mark.parametrize("name", ["line4", "parallel_pair",
                                   "nonpappus_ext10"])
 def test_equal_chirotopes_hash_alike_and_share_memo_entries(name, request):

@@ -105,8 +105,7 @@ def test_is_tope_matches_closure(name, request):
     om = request.getfixturevalue(name)
     vectors = list(all_full_support_vectors(om.ground))
     if name in ("line4", "pentagon"):
-        vectors = [SignVector(om.ground, s)
-                   for s in product((-1, 0, 1), repeat=len(om.ground))]
+        vectors = all_sign_vectors(om.ground)
     closure = {x for x in om.covectors if x.has_full_support}
     for x in vectors:
         assert om.is_tope(x) == (x in closure)
@@ -636,13 +635,19 @@ def test_residue_check_contracts_the_reoriented_chirotope(name, request):
 
 
 def test_tope_queries_call_no_conforms_to(pentagon_inf, monkeypatch):
-    """Every tope question reads the hyperplane table (`_conformal_rows`)
-    or the cocircuit mask pairs, never the sign-vector conformality test
-    of the reference walks."""
+    """Every sign-vector question, tope or not, reads the hyperplane
+    table's rows (`_conformal_rows`, or `Chirotope._cocircuit_rows` both
+    signs), never the sign-vector conformality test of the reference
+    walks: the tope questions, and the covector test and conformal
+    cocircuits of every sign vector, the cocircuits and the covectors."""
     om = pentagon_inf
     ext = bounded_extension(om)
     topes = om.sorted_topes()
     expected = [tope_walk.conformal_cocircuits(om, t) for t in topes]
+    vectors = all_sign_vectors(om.ground)
+    answers = [(tope_walk.is_covector(om, x),
+                set(tope_walk.conformal_cocircuits(om, x))) for x in vectors]
+    cocircuits, covectors = om.cocircuits, om.covectors
 
     def no_conforms_to(x, y):
         raise AssertionError("oracle_ops.conforms_to called")
@@ -659,6 +664,49 @@ def test_tope_queries_call_no_conforms_to(pentagon_inf, monkeypatch):
         assert all(check_residue_axioms(om, t).values())
     assert om.bounded_topes(om.ground[0]) <= ext.bounded_topes()
     assert simplex_identity_check(ext, om.chi.nonzero_keys[0])["passed"]
+    for x, (covector, conformal) in zip(vectors, answers):
+        assert om.is_covector(x) == covector
+        assert set(om.conformal_cocircuits(x)) == conformal
+    fresh = OrientedMatroid(om.chi, validate=False)
+    assert (fresh.cocircuits, fresh.covectors) == (cocircuits, covectors)
+
+
+def all_sign_vectors(ground: tuple) -> list:
+    return [SignVector(ground, s)
+            for s in product((-1, 0, 1), repeat=len(ground))]
+
+
+def sign_vector_sample(om) -> list:
+    """Every sign vector at n <= 6; above, a seeded sample of 200 distinct
+    ones, drawn by index among the 3^n, and every covector."""
+    n = len(om.ground)
+    if n <= 6:
+        return all_sign_vectors(om.ground)
+    drawn = random.Random(n).sample(range(3 ** n), 200)
+    return [SignVector(om.ground, [d // 3 ** i % 3 - 1 for i in range(n)])
+            for d in drawn] + sorted(om.covectors, key=SignVector.sort_key)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["uniform_r4", "nonpappus_ext10"]
+                         + list(NONUNIFORM))
+def test_partial_support_questions_match_sign_vector_walk(name, request):
+    """The covector test and the conformal cocircuits of every vector of
+    `sign_vector_sample`, covector or not, zeros or not, and the faces of
+    every tope, against the sign-vector walks and the covector closure."""
+    om = named_om(name, request)
+    covectors = om.covectors
+    vectors = sign_vector_sample(om)
+    kinds = {(x in covectors, x.has_full_support) for x in vectors}
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)} or name == "boolean3"
+    for x in vectors:
+        assert (om.is_covector(x) == tope_walk.is_covector(om, x)
+                == (x in covectors))
+        conformal = om.conformal_cocircuits(x)
+        assert len(conformal) == len(set(conformal))
+        assert set(conformal) == set(tope_walk.conformal_cocircuits(om, x))
+    for t in om.topes:
+        assert om.faces(t) == reference_faces(om, t)
 
 
 def _conformal_rows_by_row(chi, m: int) -> dict | None:

@@ -71,6 +71,27 @@ def test_signs_outside_minus_one_zero_one_are_rejected(bad):
         SignVector(("a", "b"), (bad, 0))
 
 
+def test_a_sign_vector_built_on_a_list_is_the_tuple_one():
+    """The ground is kept as a tuple, as a chirotope's is: a sign vector
+    built on a list equals the tuple-built one and hashes alike (it once
+    compared unequal, and hashing it raised TypeError)."""
+    x = SignVector(("a", "b"), (1, 0))
+    for y in (SignVector(["a", "b"], [1, 0]),
+              SignVector.from_map(["a", "b"], {"a": 1})):
+        assert type(y.ground) is tuple
+        assert y == x and hash(y) == hash(x)
+
+
+@pytest.mark.parametrize("values, label", [({"c": 1}, "'c'"),
+                                           ({"a": 1, 0: -1, "d": 1}, "0")])
+def test_from_map_refuses_unknown_labels(values, label):
+    """A key that is no ground label is refused, the first one named;
+    such keys were once dropped, reading as 0."""
+    with pytest.raises(ValueError) as err:
+        SignVector.from_map(("a", "b"), values)
+    assert str(err.value) == f"unknown element label {label}"
+
+
 def test_from_map_rejects_bad_signs():
     with pytest.raises(ValueError, match="not -1, 0 or 1"):
         SignVector.from_map(("a", "b"), {"b": 2})
