@@ -7,7 +7,7 @@ basis coordinates, and ends with the bounded-tope cohomology basis.
 """
 
 from omcanon import (OrientedMatroid, RationalMatrix, algebra_of, aomoto,
-                     build_flag, expand_in_basis, graded_basis,
+                     build_flag, graded_basis,
                      sample_weight_vectors, simplex_identity_check,
                      bounded_extension, chirotope_from_matrix,
                      structure_constants)

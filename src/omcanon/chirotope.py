@@ -25,7 +25,8 @@ from math import comb
 
 from ._memo import memo
 from ._record import FrozenRecord
-from .signvec import SignVector, _labels, _position, ground_positions
+from .signvec import (SignVector, _check_distinct, _labels, _position,
+                      ground_positions)
 
 
 class InvalidChirotope(ValueError):
@@ -324,9 +325,7 @@ def _check_fields(chi: Chirotope) -> None:
     distinct and every sign is the int -1, 0 or 1, else InvalidChirotope
     names the first repeat in ground order or the first other sign in
     sign-table order.  `forms.oriented_matroid_for` runs it too."""
-    if len(set(chi.ground)) < len(chi.ground):
-        e = next(e for i, e in enumerate(chi.ground) if e in chi.ground[:i])
-        raise InvalidChirotope(f"label {e!r} repeats an earlier label")
+    _check_distinct(chi.ground, InvalidChirotope)
     for key, s in zip(combinations(chi.ground, chi.rank), chi.signs):
         if type(s) is not int or s not in (-1, 0, 1):
             raise InvalidChirotope(f"sign {s!r} at {key} is not -1, 0 or 1")

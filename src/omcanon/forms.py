@@ -33,10 +33,11 @@ stack reads positions only (atom representatives, NBC sets, circuit order
 and straightening signs), so one stack serves every input of a positional
 class (n, r, support); the solved coefficients follow the class's NBC
 keys, and the input's algebra lists the same keys relabelled, in the same
-order, so the labels go back by zipping the two (`_top_form`).  Forms are
-memoized per (chi, m); as chi_(~m) = (-1)^r chi_m and the solve is linear,
-W(-T) = (-1)^r W(T), and a tope and its negative share the entry at the
-mask whose position 0 is plus (`_at`).  The table read that finds a tope's
+order, so the labels go back by zipping the two (`_forms`).  Both forms
+of a tope, W and dW, are memoized in one entry per (chi, m); as chi_(~m) =
+(-1)^r chi_m and the solve and d are linear, W(-T) = (-1)^r W(T), and a
+tope and its negative share the entry at the mask whose position 0 is plus
+(`_at`, which reads either form).  The table read that finds a tope's
 facets is also its tope test: `_facet_targets` raises NotATope when the
 rows it reads do not cover the ground set, before anything is memoized, so
 a memo hit is a tope and the form calls need no separate scan (`_read`).
@@ -265,60 +266,57 @@ def _solve(stack: tuple, stacked: dict) -> list:
 
 
 @memo
-def _top_form(chi: Chirotope, m: int) -> OSElement:
-    """Top-grade form of chi reoriented by the position mask m, in
-    alg = os_algebra_of_chirotope(chi): one residue solve of the facet
-    targets read off chi's table at m into the rows of the residue stack
-    of chi's positional class.  The solve's coefficients follow that
-    class's NBC r-keys, and alg.nbc[r] lists the same keys, each position
-    i read as the label chi.ground[i], in the same order: NBC sets read
-    only positions and the support (`UnderlyingMatroid._nbc`), and an
-    atom's representative is the label at its lowest position.  So the
-    coefficients are zipped with alg's own keys.  When m is the minus mask
-    of no tope, so that the reorientation is not acyclic, NotATope is
-    raised and nothing is memoized."""
+def _forms(chi: Chirotope, m: int) -> tuple:
+    """(W, dW): the top-grade form W of chi reoriented by the position mask
+    m, in alg = os_algebra_of_chirotope(chi), and its reduced form dW, None
+    in rank 0.  W is one residue solve of the facet targets read off chi's
+    table at m into the rows of the residue stack of chi's positional
+    class.  The solve's coefficients follow that class's NBC r-keys, and
+    alg.nbc[r] lists the same keys, each position i read as the label
+    chi.ground[i], in the same order: NBC sets read only positions and the
+    support (`UnderlyingMatroid._nbc`), and an atom's representative is the
+    label at its lowest position.  So the coefficients are zipped with
+    alg's own keys.  dW is kept in the entry: `verify`'s simplex suite
+    reads each tope's reduced form once per basis it meets (with no dW
+    memoized, `cli_stream` wall +5%, p90 +7-10%), and a boundary per read
+    costs the sweeps 6-8%.  When m is the minus mask of no tope,
+    so that the reorientation is not acyclic, NotATope is raised and
+    nothing is memoized."""
     n, r = len(chi.ground), chi.rank
     if r == 0:  # the base value, at the one tope of an empty ground set
         if n:
             raise NotATope("rank 0 on a nonempty ground set has no tope")
-        return OSElement(os_algebra_of_chirotope(chi), 0, {(): chi.signs[0]})
+        return OSElement(os_algebra_of_chirotope(chi), 0,
+                         {(): chi.signs[0]}), None
     stack = _stack(n, r, chi.support)
     coeffs = _solve(stack, _facet_targets(stack, chi, m))
     alg = os_algebra_of_chirotope(chi)
-    return OSElement(alg, r, dict(zip(alg.nbc[r], coeffs)))
+    top = OSElement(alg, r, dict(zip(alg.nbc[r], coeffs)))
+    return top, alg.boundary(top)
 
 
-@memo
-def _canonical_form(chi: Chirotope, m: int) -> OSElement:
-    """dW, memoized: `verify`'s simplex suite reads each tope's form once per
-    basis it meets (without it, `cli_stream` wall +5%, p90 +7-10%).  The
-    top-grade form is read first, so a mask of no tope raises NotATope
-    before a rank-0 chirotope is refused."""
-    top = _top_form(chi, m)
-    if chi.rank == 0:
+def _at(chi: Chirotope, m: int, reduced: bool) -> OSElement:
+    """dW if reduced, else W, of chi reoriented by m (`_forms`), read at
+    whichever of m and its complement leaves position 0 plus: both forms of
+    chi reoriented by the complement are (-1)^r those at m.  The reduced
+    read in rank 0 raises ValueError after the read, so that a mask of no
+    tope raises NotATope first."""
+    flip = m & 1
+    form = _forms(chi, ~m & (1 << len(chi.ground)) - 1 if flip else m)[reduced]
+    if form is None:
         raise ValueError("the reduced form needs rank at least 1")
-    return top.algebra.boundary(top)
+    return -form if flip and chi.rank & 1 else form
 
 
-def _at(table, chi: Chirotope, m: int) -> OSElement:
-    """table(chi, m) for a form memo table, read at whichever of m and its
-    complement leaves position 0 plus: W(chi reoriented by the complement)
-    is (-1)^r W(chi reoriented by m)."""
-    if not m & 1:
-        return table(chi, m)
-    form = table(chi, ~m & (1 << len(chi.ground)) - 1)
-    return -form if chi.rank & 1 else form
-
-
-def _read(table, om: OrientedMatroid, tope: SignVector) -> OSElement:
-    """`_at` of a form memo table at the tope's minus mask, or NotATope
-    with `require_tope`'s message.  Past the ground and full-support check
-    the tope test is the form's own table read, which raises before
-    anything is memoized; so a memo hit is a tope, as the complement that
-    `_at` may read instead is no tope either when the tope is none."""
+def _read(om: OrientedMatroid, tope: SignVector, reduced: bool) -> OSElement:
+    """`_at` at the tope's minus mask, or NotATope with `require_tope`'s
+    message.  Past the ground and full-support check the tope test is the
+    form's own table read, which raises before anything is memoized; so a
+    memo hit is a tope, as the complement that `_at` may read instead is no
+    tope either when the tope is none."""
     if tope.ground == om.ground and tope.has_full_support:
         try:
-            return _at(table, om.chi, tope.minus)
+            return _at(om.chi, tope.minus, reduced)
         except NotATope:
             pass
     raise NotATope(f"{tope} is not a tope")
@@ -328,14 +326,14 @@ def canonical_form_om(om: OrientedMatroid) -> OSElement:
     """Reduced canonical form of (M, chi); zero when M is not acyclic."""
     if not om.is_acyclic():
         return os_algebra_of_chirotope(om.chi).zero(om.rank - 1)
-    return _canonical_form(om.chi, 0)
+    return _at(om.chi, 0, reduced=True)
 
 
 def canonical_form_tope(om: OrientedMatroid, tope: SignVector) -> OSElement:
     """Reduced canonical form of a tope: that of the chirotope reoriented
     so the tope is all-plus, read at the tope's minus mask; a non-tope
     raises NotATope (`_read`)."""
-    return _read(_canonical_form, om, tope)
+    return _read(om, tope, reduced=True)
 
 
 def canonical_form_from_triangulation(chi: Chirotope, bases) -> OSElement:
@@ -390,7 +388,7 @@ def _triangulation_sum(chi: Chirotope, masks, m: int = 0) -> OSElement:
 def nonreduced_canonical_form(om: OrientedMatroid, tope: SignVector) -> OSElement:
     """Top-grade form of a tope: the unique boundary preimage of the
     reduced form; a non-tope raises NotATope (`_read`)."""
-    return _read(_top_form, om, tope)
+    return _read(om, tope, reduced=False)
 
 
 def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
@@ -407,7 +405,7 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
     chi_T(rep) * 1 instead.  The facets are read as the tope's solve reads
     them (`om._conformal_rows`).  Returns {atom rep: bool}.
     """
-    form = _read(_canonical_form, om, tope)
+    form = _read(om, tope, reduced=True)
     alg = algebra_of(om)
     minus = tope.minus
     if om.rank == 1:
@@ -423,9 +421,8 @@ def check_residue_axioms(om: OrientedMatroid, tope: SignVector) -> dict:
         res = alg.residue(a, form)
         if mask in facets:
             minor = om._contractions[a]
-            expected = _at(_canonical_form, minor,
-                           _mask(i for i, e in enumerate(minor.ground)
-                                 if minus >> pos[e] & 1))
+            expected = _at(minor, _mask(i for i, e in enumerate(minor.ground)
+                                        if minus >> pos[e] & 1), reduced=True)
             report[a] = res == (expected if minus & mask & -mask
                                 else -expected)
         else:

@@ -7,7 +7,8 @@ signs (`Chirotope.support`), and an order-preserving relabelling of the
 ground set leaves support as it is.  The bases are kept as masks over
 ground positions, and rank(S) = max |B n S| over bases B is one popcount
 maximum, not cached.  The Tutte polynomial is read off the same masks by
-basis activities, with no deletion-contraction recursion.
+basis activities, with no deletion-contraction recursion.  The labels are
+distinct: a repeated one is refused (ValueError).
 Atoms are the parallel classes, keyed by the earliest element in ground
 order, and found without a rank query: two elements are parallel iff no
 basis holds both.  The Orlik-Solomon side works entirely on atom
@@ -27,12 +28,13 @@ from math import comb
 
 from .chirotope import (Chirotope, _bits, _keys_through, _mask, _mask_index,
                         _minor_slots)
-from .signvec import _labels, _position, ground_positions
+from .signvec import _check_distinct, _labels, _position, ground_positions
 
 
 class UnderlyingMatroid:
     def __init__(self, ground: tuple, rank: int, support: int):
         self.ground = tuple(ground)
+        _check_distinct(self.ground)
         self.rank = rank
         self.support = support
         n = len(self.ground)

@@ -252,7 +252,8 @@ class Extension(FrozenRecord):
 
 def _circuits(chi: Chirotope) -> frozenset:
     """The signed circuits, read off chi's circuit table: one from each
-    (r+1)-subset of rank r, and their negatives (none in rank 0)."""
+    (r+1)-subset of rank r, and their negatives; none in rank 0, where
+    each element is a loop, so that rank 0 counts as acyclic."""
     if chi.rank == 0:
         return frozenset()
     pairs = set(chi._circuit_table.values())
@@ -265,7 +266,8 @@ def is_acyclic(chi: Chirotope) -> bool:
     lemma (Bjoerner et al., Oriented Matroids, 3.4) every element lies in
     a nonnegative circuit or in a nonnegative cocircuit, never both, so chi
     is acyclic iff the one-signed cocircuits cover the ground set: iff the
-    all-plus vector is a tope."""
+    all-plus vector is a tope, in rank >= 1.  Rank 0 counts as acyclic
+    (`_circuits` lists no loop), though a nonempty ground has no tope."""
     return (chi.rank == 0 or len(chi.ground) <= chi.rank
             or _conformal_rows(chi, 0) is not None)
 

@@ -22,7 +22,8 @@ from ._record import FrozenRecord
 from .chirotope import Chirotope, _bits, _earliest_mask
 from .linalg import _exact
 from .om import OrientedMatroid, is_acyclic
-from .signvec import SignVector, _labels, _position, ground_positions
+from .signvec import (SignVector, _check_distinct, _labels, _position,
+                      ground_positions)
 
 
 def _sign(x: Fraction) -> int:
@@ -31,7 +32,9 @@ def _sign(x: Fraction) -> int:
 
 class RationalMatrix(FrozenRecord):
     """Entries are ints, Fractions or numeric strings, kept as Fractions;
-    a float is refused (TypeError), as it is not exact.  A frozen value:
+    a float is refused (TypeError), as it is not exact.  The labels are
+    kept as a tuple, and a repeated one is refused (ValueError).  A frozen
+    value:
     equal iff labels and rows are equal, hashed by them, printed as
     `RationalMatrix(labels=..., rows=...)`, and AttributeError on
     assignment or deletion."""
@@ -40,6 +43,8 @@ class RationalMatrix(FrozenRecord):
 
     def __init__(self, labels: tuple, rows):
         # r rows, each a tuple of Fractions, one per label
+        labels = tuple(labels)
+        _check_distinct(labels)
         rows = tuple(tuple(map(_exact, row)) for row in rows)
         if any(len(row) != len(labels) for row in rows):
             raise ValueError("ragged matrix")
@@ -47,7 +52,7 @@ class RationalMatrix(FrozenRecord):
 
     @classmethod
     def from_rows(cls, labels, rows) -> "RationalMatrix":
-        return cls(tuple(labels), rows)
+        return cls(labels, rows)
 
     @property
     def nrows(self) -> int:

@@ -26,6 +26,14 @@ def _position(pos: dict, e) -> int:
     return i
 
 
+def _check_distinct(ground: tuple, error=ValueError) -> None:
+    """error naming the first label of ground that repeats an earlier one:
+    the one refusal of a repeated label."""
+    if len(set(ground)) < len(ground):
+        e = next(e for i, e in enumerate(ground) if e in ground[:i])
+        raise error(f"label {e!r} repeats an earlier label")
+
+
 def _labels(ground: tuple, mask: int) -> tuple:
     """The labels at the set bits of mask, in ground order."""
     return tuple(e for i, e in enumerate(ground) if mask >> i & 1)

@@ -11,8 +11,8 @@ import pytest
 
 from omcanon import (OrientedMatroid, SignVector, algebra_of, aomoto,
                      bounded_extension, build_flag,
-                     canonical_form_from_triangulation, canonical_form_om,
-                     canonical_form_tope, check_residue_axioms,
+                     canonical_form_from_triangulation, canonical_form_tope,
+                     check_residue_axioms,
                      chirotope_from_matrix, graded_basis,
                      nonreduced_canonical_form, oriented_matroid_for,
                      placing_triangulation, sample_weight_vectors,

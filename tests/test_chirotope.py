@@ -99,11 +99,11 @@ def test_a_chirotope_built_from_lists_is_the_tuple_one():
     clear_caches()
     om_a = OrientedMatroid(a)
     want = {t: nonreduced_canonical_form(om_a, t) for t in om_a.topes}
-    before = forms._top_form.cache_info()
+    before = forms._forms.cache_info()
     om_b = OrientedMatroid(b)
     assert om_b.topes == om_a.topes and len(om_b.topes) == 6
     assert {t: nonreduced_canonical_form(om_b, t) for t in om_b.topes} == want
-    after = forms._top_form.cache_info()
+    after = forms._forms.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert after.hits == before.hits + len(want)
 
@@ -141,10 +141,10 @@ def test_equal_chirotopes_hash_alike_and_share_memo_entries(name, request):
         om_a = OrientedMatroid(a, validate=False)
         topes = om_a.sorted_topes()
         want = [nonreduced_canonical_form(om_a, t) for t in topes]
-        before = forms._top_form.cache_info()
+        before = forms._forms.cache_info()
         om_b = OrientedMatroid(b, validate=False)
         assert [nonreduced_canonical_form(om_b, t) for t in topes] == want
-        after = forms._top_form.cache_info()
+        after = forms._forms.cache_info()
         assert (after.misses, after.currsize) == (before.misses,
                                                   before.currsize)
         assert after.hits == before.hits + len(topes)

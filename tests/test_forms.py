@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import product
 
 import pytest
 
@@ -157,9 +158,65 @@ def test_nonreduced_rank0():
 def test_reduced_form_rank0_raises():
     chi = rank1_om((1,)).chi.contract(0)
     with pytest.raises(ValueError, match="rank at least 1"):
-        forms._canonical_form(chi, 0)
+        forms._at(chi, 0, reduced=True)
+    assert forms._forms(chi, 0)[1] is None
     with pytest.raises(ValueError):
         canonical_form_from_triangulation(chi, [()])
+
+
+def _reads(om) -> list:
+    """`canonical_form_om`, then the top-grade form, the reduced form and
+    the residue check at each full-support sign vector in sign order (+
+    before -): each read's value, or its exception's type and message."""
+    reads = [partial(canonical_form_om, om)]
+    for signs in product((1, -1), repeat=len(om.ground)):
+        x = SignVector(om.ground, signs)
+        reads += [partial(read, om, x) for read in (
+            nonreduced_canonical_form, canonical_form_tope,
+            check_residue_axioms)]
+    out = []
+    for read in reads:
+        try:
+            out.append(read())
+        except (NotATope, ValueError) as err:
+            out.append((type(err), str(err)))
+    return out
+
+
+def test_rank0_and_rank1_reads(request):
+    """From empty memos, in order.  Rank 0 on the empty ground set: the
+    top-grade form is the base value, and every reduced read raises
+    ValueError.  Rank 0 on a nonempty ground set: no tope, so every read
+    raises NotATope, the oriented matroid's form too, although
+    `is_acyclic` says True there.  Rank 1 (three parallel elements, one
+    reversed): both forms and the check at each of the two topes, and
+    NotATope at every other sign vector."""
+    no_rank = "the reduced form needs rank at least 1"
+    clear_caches()
+    empty = OrientedMatroid(Chirotope((), 0, (1,)))
+    assert _reads(empty) == [(ValueError, no_rank), algebra_of(empty).one(),
+                             (ValueError, no_rank), (ValueError, no_rank)]
+    point = OrientedMatroid(Chirotope(("a",), 0, (1,)))
+    assert point.is_acyclic() and not point.topes
+    assert _reads(point) == [
+        (NotATope, "rank 0 on a nonempty ground set has no tope")] + [
+        (NotATope, f"({s}) is not a tope") for s in "+-" for _ in range(3)]
+    om = named_om("rank1", request)
+    alg = algebra_of(om)
+    e0 = alg.monomial((0,))
+    tope_forms = {(1, -1, 1): (e0, alg.one()),
+                  (-1, 1, -1): (-e0, -alg.one())}
+    want = [alg.zero(0)]
+    for signs in product((1, -1), repeat=3):
+        if signs in tope_forms:
+            top, reduced = tope_forms[signs]
+            want += [top, reduced, {0: True}]
+        else:
+            x = SignVector(om.ground, signs)
+            want += [(NotATope, f"{x} is not a tope")] * 3
+    assert _reads(om) == want
+    # one entry on the empty ground set, one for rank 1's pair of topes
+    assert forms._forms.cache_info().currsize == 2
 
 
 def test_nonreduced_residue_recursion(pentagon):
@@ -239,7 +296,7 @@ def test_memoization_shares_minor_forms(pentagon):
         assert (residue_recursion.recursive_form(chi)
                 == nonreduced_canonical_form(pentagon, t).terms)
     assert residue_recursion.cache_info()["hits"] > 0  # minors overlap
-    assert (forms._top_form.cache_info().currsize
+    assert (forms._forms.cache_info().currsize
             == len(antipodal_pairs(topes)))
 
 
@@ -701,14 +758,14 @@ def test_recursion_visits_only_acyclic_chirotopes(name, request, monkeypatch):
     om = request.getfixturevalue(name)
     clear_caches()
     visited = []
-    top_form = forms._top_form.__wrapped__
+    both_forms = forms._forms.__wrapped__
 
-    def recording_top_form(chi, m):
+    def recording_forms(chi, m):
         visited.append((chi, m))
-        return top_form(chi, m)
+        return both_forms(chi, m)
 
-    monkeypatch.setattr(forms, "_top_form",
-                        lru_cache(maxsize=None)(recording_top_form))
+    monkeypatch.setattr(forms, "_forms",
+                        lru_cache(maxsize=None)(recording_forms))
     calls = []
 
     def counting_is_acyclic(chi):
@@ -817,7 +874,7 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     """Once a chirotope's algebras are cached, a fresh chirotope with the
     same underlying matroids finds them by fingerprint alone."""
     chi = request.getfixturevalue(name).chi
-    first = forms._top_form(chi, 0)
+    first = forms._forms(chi, 0)
     builds = []
     init = UnderlyingMatroid.__init__
 
@@ -830,10 +887,11 @@ def test_cached_algebra_needs_no_matroid_build(name, request, monkeypatch):
     assert len(builds) == 1  # the counter sees builds
     builds.clear()
     # __wrapped__ skips the form memo, so the stack and algebra lookups run
-    assert forms._top_form.__wrapped__(chi, 0) == first
+    assert forms._forms.__wrapped__(chi, 0) == first
     fresh = Chirotope(chi.ground, chi.rank, chi.signs)
-    assert forms._top_form.__wrapped__(fresh, 0) == first
-    assert forms._top_form.__wrapped__(scale(chi, -1), 0) == first.scale(-1)
+    assert forms._forms.__wrapped__(fresh, 0) == first
+    assert forms._forms.__wrapped__(scale(chi, -1), 0) == tuple(
+        form.scale(-1) for form in first)
     assert builds == []
 
 
@@ -894,7 +952,7 @@ def test_relabelled_and_negated_forms(name, request):
     clear_caches()
     forms_of = {t: (canonical_form_tope(om, t),
                     nonreduced_canonical_form(om, t)) for t in topes}
-    entries = forms._top_form.cache_info().currsize
+    entries = forms._forms.cache_info().currsize
     assert entries == len(topes) // 2
     builds = forms._stack.cache_info().misses
     assert builds  # the forms above were solved with stacks
@@ -914,7 +972,7 @@ def test_relabelled_and_negated_forms(name, request):
     for t in topes:
         assert canonical_form_tope(negated, t) == -forms_of[t][0]
         assert nonreduced_canonical_form(negated, t) == -forms_of[t][1]
-    assert forms._top_form.cache_info().currsize == 5 * entries
+    assert forms._forms.cache_info().currsize == 5 * entries
     assert forms._stack.cache_info().misses == builds
 
 
@@ -933,10 +991,9 @@ def test_minus_mask_forms_match_reorientations(name, request):
             u = SignVector._from_masks(chi.ground, t.plus, t.minus)
             flipped = chi.reorient(u)
             top = nonreduced_canonical_form(other, u)
-            assert top == forms._top_form(flipped, 0)
-            assert top == forms._top_form.__wrapped__(chi, u.minus)
-            assert (canonical_form_tope(other, u)
-                    == forms._canonical_form(flipped, 0))
+            both = (top, canonical_form_tope(other, u))
+            assert forms._forms(flipped, 0) == both
+            assert forms._forms.__wrapped__(chi, u.minus) == both
             assert nonreduced_canonical_form(other, -u) == (-1) ** r * top
 
 
@@ -975,7 +1032,7 @@ def test_uniform_sweep_builds_one_stack_per_class(monkeypatch):
         canonical_form_tope(om, t)
     assert len(algebras) == 2
     assert forms._stack.cache_info().misses == 1
-    assert forms._top_form.cache_info().currsize == 42
+    assert forms._forms.cache_info().currsize == 42
 
 
 @pytest.mark.parametrize("name", SEEDED_CASES)
@@ -985,13 +1042,13 @@ def test_memo_holds_tope_classes_only(name, request):
     whose position 0 is plus: no minor's form."""
     om = named_om(name, request)
     clear_caches()
-    top_form = forms._top_form.__wrapped__
+    both_forms = forms._forms.__wrapped__
     for t in om.sorted_topes():
         nonreduced_canonical_form(om, t)
-    assert forms._top_form.cache_info().currsize == len(om.topes) // 2
+    assert forms._forms.cache_info().currsize == len(om.topes) // 2
     for m in antipodal_pairs(om.topes):  # the entries the pairs read
-        assert forms._top_form(om.chi, m) == top_form(om.chi, m)
-    assert forms._top_form.cache_info().currsize == len(om.topes) // 2
+        assert forms._forms(om.chi, m) == both_forms(om.chi, m)
+    assert forms._forms.cache_info().currsize == len(om.topes) // 2
 
 
 # ---- the recursion through every minor, kept as an oracle ----------------
@@ -1226,27 +1283,36 @@ def _assert_forms_agree(om) -> int:
     solve of the per-facet element targets it replaced (`_element_targets`,
     `conftest.stack_solve`), relabelled key by key, the recursion's
     through every minor (tests/residue_recursion.py) and the face-flag
-    read-off (tests/face_flag.py).  Then every full-support mask of no tope
-    raises NotATope in both form tables and leaves every memo as it was.
+    read-off (tests/face_flag.py).  From an empty form table, both reads of
+    every tope and of its negative come from one entry per antipodal pair:
+    the reduced form is the boundary of the top-grade one, and -T reads
+    (-1)^r times T in both grades.  Then every full-support mask of no tope
+    raises NotATope in the form table and leaves every memo as it was.
     Returns the number of topes."""
     topes = om.sorted_topes()
-    ground, n = om.ground, len(om.ground)
-    stack = forms._stack(n, om.rank, om.chi.support)
+    ground, n, r = om.ground, len(om.ground), om.rank
+    stack = forms._stack(n, r, om.chi.support)
+    forms._forms.cache_clear()  # the algebras and stacks stay
     for t in topes:
         chi = om.chi.reorient(t)
-        got = nonreduced_canonical_form(om, t).terms
+        top = nonreduced_canonical_form(om, t)
+        reduced = canonical_form_tope(om, t)
+        assert reduced == top.algebra.boundary(top), str(t)
+        assert nonreduced_canonical_form(om, -t) == (-1) ** r * top, str(t)
+        assert canonical_form_tope(om, -t) == (-1) ** r * reduced, str(t)
+        got = top.terms
         old = stack_solve(stack[0], _element_targets(stack, om.chi, t.minus))
         assert got == {tuple(ground[i] for i in k): v
                        for k, v in old.terms.items()}, str(t)
         assert got == residue_recursion.recursive_form(chi), str(t)
         assert got == face_flag_form(chi), str(t)
+    assert forms._forms.cache_info().currsize == len(topes) // 2
     masks = {t.minus for t in topes}
     sizes = cache_sizes()
     for m in range(1 << n):
         if m not in masks:
-            for table in (forms._top_form, forms._canonical_form):
-                with pytest.raises(NotATope):
-                    table(om.chi, m)
+            with pytest.raises(NotATope):
+                forms._forms(om.chi, m)
     assert cache_sizes() == sizes
     return len(topes)
 
@@ -1278,7 +1344,7 @@ def test_labelled_nbc_keys_are_positional_keys_relabelled(name, request):
     parallel classes merged included, each grade's NBC keys of the
     chirotope's algebra are those of its positional class with each
     position i read as ground[i], in the same order: the order in which
-    `forms._top_form` zips the solve's coefficients with the keys."""
+    `forms._forms` zips the solve's coefficients with the keys."""
     merged = 0
     for chi in relabellings(named_om(name, request).chi):
         for c in _contraction_classes(chi):
@@ -1316,19 +1382,20 @@ def test_residue_check_catches_a_corrupted_minor_form(name, request,
     and every other atom passes, since the tope's own solve reads its
     targets off its table, not off those forms."""
     om = request.getfixturevalue(name)
-    top_form = forms._top_form
+    both_forms = forms._forms
 
     def corrupted(chi, m):
-        form = top_form(chi, m)
+        form, _ = both = both_forms(chi, m)
         if chi.rank != om.rank - 1:
-            return form
+            return both
         terms = dict(form.terms)
         first = next(iter(terms))
         terms[first] = -terms[first]
-        return osalg.OSElement(form.algebra, form.grade, terms)
+        form = osalg.OSElement(form.algebra, form.grade, terms)
+        return form, form.algebra.boundary(form)
 
     clear_caches()
-    monkeypatch.setattr(forms, "_top_form", corrupted)
+    monkeypatch.setattr(forms, "_forms", corrupted)
     try:
         for t in om.sorted_topes():
             report = check_residue_axioms(om, t)

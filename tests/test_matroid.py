@@ -52,6 +52,16 @@ def test_rank1_closure():
     assert m.rank_of(m.ground) == 1
 
 
+def test_repeated_labels_are_refused():
+    """A repeated label is refused, the first repeat in ground order named
+    as a chirotope's check names it; ("a", "b", "a") once had the atoms
+    {a}, {b}, {a} and the NBC 2-set ("a", "a")."""
+    for ground, repeat in ((("a", "b", "a"), "a"), ((0, 1, 2, 1, 0), 1)):
+        with pytest.raises(ValueError) as err:
+            UnderlyingMatroid(ground, 2, 7)
+        assert str(err.value) == f"label {repeat!r} repeats an earlier label"
+
+
 def test_atoms_partition(parallel_pair):
     m = parallel_pair.underlying
     assert m.atoms == (frozenset({0}), frozenset({1, 2}))

@@ -29,13 +29,12 @@ TABLES = {
     "omcanon.osalg._algebra",
     "omcanon.forms.oriented_matroid_for",
     "omcanon.forms._stack",
-    "omcanon.forms._top_form",
-    "omcanon.forms._canonical_form",
+    "omcanon.forms._forms",
 }
 
 
 def test_every_module_memo_goes_through_the_registry():
-    """Only `_memo` makes a memo; the registry names the ten tables, and
+    """Only `_memo` makes a memo; the registry names the nine tables, and
     each keeps the lru_cache interface."""
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py") or name == "_memo.py":
@@ -48,7 +47,7 @@ def test_every_module_memo_goes_through_the_registry():
     assert not hasattr(osalg, "_ALGEBRAS")
     info = forms.oriented_matroid_for.cache_info()
     assert info.maxsize is None
-    assert forms._top_form.__wrapped__.__name__ == "_top_form"
+    assert forms._forms.__wrapped__.__name__ == "_forms"
 
 
 def test_forms_after_a_clear_live_in_the_new_algebras(pentagon):

@@ -123,6 +123,33 @@ FLOAT_INPUTS = {
 }
 
 
+def test_a_matrix_built_on_a_list_is_the_tuple_one():
+    """The labels are kept as a tuple: a matrix built on a list equals the
+    tuple-built one and hashes alike (it once compared unequal, and hashing
+    it raised TypeError on the unhashable list)."""
+    a = RationalMatrix(("a", "b"), [[1, 2]])
+    b = RationalMatrix(["a", "b"], [[1, 2]])
+    assert type(b.labels) is tuple
+    assert b == a and hash(b) == hash(a)
+    assert RationalMatrix.from_rows(["a", "b"], [[1, 2]]) == a
+
+
+@pytest.mark.parametrize("labels, repeat", [(("a", "a", "b"), "a"),
+                                            ((0, 1, 2, 1, 0), 1)])
+def test_repeated_labels_are_refused(labels, repeat):
+    """A repeated label is refused, by the constructor and by `from_rows`,
+    the first repeat in label order named as a chirotope's check names it.
+    Such a matrix was once accepted: `placing_triangulation` then refused
+    every insertion order as no permutation of the labels,
+    `acyclicity_witness` found its witness no cocircuit, and `chamber_of`
+    returned a sign vector over the repeated labels."""
+    rows = [[1] * len(labels), list(range(len(labels)))]
+    for build in (RationalMatrix, RationalMatrix.from_rows):
+        with pytest.raises(ValueError) as err:
+            build(labels, rows)
+        assert str(err.value) == f"label {repeat!r} repeats an earlier label"
+
+
 @pytest.mark.parametrize("entry", list(FLOAT_INPUTS))
 def test_float_entries_are_refused(entry, pentagon_matrix):
     """No float enters a matrix or a point: Fraction(0.1) would keep its
