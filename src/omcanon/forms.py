@@ -275,13 +275,13 @@ def _forms(chi: Chirotope, m: int) -> tuple:
     alg.nbc[r] lists the same keys, each position i read as the label
     chi.ground[i], in the same order: NBC sets read only positions and the
     support (`UnderlyingMatroid._nbc`), and an atom's representative is the
-    label at its lowest position.  So the coefficients are zipped with
-    alg's own keys.  dW is kept in the entry: `verify`'s simplex suite
-    reads each tope's reduced form once per basis it meets (with no dW
-    memoized, `cli_stream` wall +5%, p90 +7-10%), and a boundary per read
-    costs the sweeps 6-8%.  When m is the minus mask of no tope,
-    so that the reorientation is not acyclic, NotATope is raised and
-    nothing is memoized."""
+    label at its lowest position; so they are zipped with alg's own keys.
+    dW is kept in the entry: `verify`'s simplex suite reads each tope's
+    reduced form once per basis (with no dW memoized, `cli_stream` wall
+    +5%, p90 +7-10%), and a boundary per read costs the sweeps 6-8%; a run
+    reading only W (`canonical --nonreduced`, `verify --suite
+    triangulation`) pays one unread boundary per antipodal pair.  When m is
+    the minus mask of no tope, NotATope is raised and nothing is memoized."""
     n, r = len(chi.ground), chi.rank
     if r == 0:  # the base value, at the one tope of an empty ground set
         if n:

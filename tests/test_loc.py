@@ -41,12 +41,13 @@ def test_each_module_splits_into_its_line_count():
         assert counts["code"], name
 
 
-def test_a_small_file_splits_by_kind(tmp_path, capsys):
+def test_a_small_file_splits_by_kind(tmp_path, capsys, monkeypatch):
     assert loc.split(SAMPLE) == {"docstring": 4, "comment": 2, "blank": 4,
                                  "code": 7}
     path = tmp_path / "sample.py"
     path.write_text(SAMPLE, encoding="utf-8")
-    assert loc.main([str(path)]) == 0
+    monkeypatch.setattr(loc, "SRC", tmp_path)
+    assert loc.main() == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "total", *loc.KINDS],
                     ["sample.py", "17", "4", "2", "4", "7"],

@@ -9,8 +9,7 @@ whitespace and lies inside no string is blank, and every other line is
 code.  So the four parts sum to the total, and the code count moves only
 when code does, where `wc -l` also counts docstring proofs and comments.
 
-    python tools/loc.py             # the library
-    python tools/loc.py FILE ...    # chosen files
+    python tools/loc.py
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ def split(text: str) -> dict:
     return {kind: kinds.count(kind) for kind in KINDS}
 
 
-def main(argv: list) -> int:
-    paths = [Path(p) for p in argv] or sorted(SRC.glob("*.py"))
+def main() -> int:
+    paths = sorted(SRC.glob("*.py"))
     width = max(len(p.name) for p in paths)
     print(f"{'module':<{width}}  {'total':>6}"
           + "".join(f"  {kind:>9}" for kind in KINDS))
@@ -68,4 +67,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
